@@ -6,9 +6,10 @@
 // deserializes the derived state directly — O(state). This harness runs a
 // full-window trace, saves a native snapshot, and times:
 //
-//   * native save / native load (detect/checkpoint.h), serial and engine;
+//   * native save / native load (durability/backend.h), at one thread and
+//     at --threads N;
 //   * the replaced replay path, simulated faithfully: a fresh detector
-//     re-processing the last 3w quanta (exactly what v1's LoadCheckpoint
+//     re-processing the last 3w quanta (exactly what the v1 loader
 //     did after parsing).
 //
 // Acceptance gate of the PR: native restore >= 10x faster than replay.
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "detect/checkpoint.h"
 #include "detect/report.h"
 #include "durability/backend.h"
 #include "stream/quantizer.h"
@@ -178,20 +178,20 @@ int main(int argc, char** argv) {
   // a long-running deployment.
   const std::size_t warmup =
       std::min(quanta.size() - 1, 5 * config.akg.window_length);
-  detect::EventDetector detector(config, &trace.dictionary);
+  engine::ParallelDetector detector({config, 1}, &trace.dictionary);
   for (std::size_t q = 0; q < warmup; ++q) {
     detector.ProcessQuantum(quanta[q]);
   }
   std::printf("state after %zu quanta (w = %zu): AKG %zu nodes, "
               "%zu clusters live\n\n",
               warmup, config.akg.window_length,
-              detector.akg().akg().node_count(),
-              detector.maintainer().clusters().size());
+              detector.core().akg().akg().node_count(),
+              detector.core().maintainer().clusters().size());
 
   // --- native save + load ---
   eval::Stopwatch save_watch;
   std::stringstream snapshot;
-  if (!detect::SaveCheckpoint(detector, snapshot)) {
+  if (!durability::SaveSnapshot(detector, snapshot).ok()) {
     std::fprintf(stderr, "save failed\n");
     return 1;
   }
@@ -199,7 +199,8 @@ int main(int argc, char** argv) {
   const std::string bytes = snapshot.str();
 
   eval::Stopwatch load_watch;
-  auto restored = detect::LoadCheckpoint(snapshot, &trace.dictionary);
+  auto restored =
+      durability::LoadEngineSnapshot(snapshot, &trace.dictionary, 1);
   const double native_s = load_watch.ElapsedSeconds();
   if (restored == nullptr) {
     std::fprintf(stderr, "load failed\n");
@@ -210,7 +211,7 @@ int main(int argc, char** argv) {
   const std::size_t replay_span =
       std::min(warmup, 3 * config.akg.window_length);
   eval::Stopwatch replay_watch;
-  detect::EventDetector replayed(config, &trace.dictionary);
+  engine::ParallelDetector replayed({config, 1}, &trace.dictionary);
   for (std::size_t q = warmup - replay_span; q < warmup; ++q) {
     replayed.ProcessQuantum(quanta[q]);
   }
@@ -237,8 +238,8 @@ int main(int argc, char** argv) {
   if (threads > 0) {
     std::stringstream in(bytes);
     eval::Stopwatch engine_watch;
-    auto engine = engine::ParallelDetector::LoadCheckpoint(
-        in, &trace.dictionary, threads);
+    auto engine = durability::LoadEngineSnapshot(in, &trace.dictionary,
+                                                 threads);
     const double engine_s = engine_watch.ElapsedSeconds();
     if (engine == nullptr) {
       std::fprintf(stderr, "engine load failed\n");

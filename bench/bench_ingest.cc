@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   // --- core: detector alone on pre-tokenized messages ---
   double core_rate = 0;
   {
-    const bench::RunResult run = bench::RunParallelDetector(
+    const bench::RunResult run = bench::RunDetector(
         trace, detector_config, options.engine_threads);
     Measurement m;
     m.name = "core";

@@ -29,8 +29,7 @@ int main() {
       stream::GenerateSyntheticTrace(trace_config);
 
   const detect::DetectorConfig config = bench::NominalConfig();
-  const bench::RunResult result =
-      bench::RunDetector(trace, config, /*keep_reports=*/true);
+  const bench::RunResult result = bench::RunDetector(trace, config);
   const eval::GroundTruthMatcher matcher(trace.script);
 
   // First detection quantum per planted event; count unmatched reports.

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "detect/detector.h"
 #include "engine/parallel_detector.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -22,46 +21,23 @@ struct RunResult {
   std::vector<detect::QuantumReport> reports;
 };
 
-/// Times `detector.Run(trace.messages)` and evaluates the reports against
-/// the planted ground truth — the one definition of how a run is measured,
-/// shared by the serial and parallel entry points below.
-template <typename Detector>
-RunResult RunAndEvaluate(Detector& detector,
-                         const stream::SyntheticTrace& trace,
-                         const detect::DetectorConfig& config,
-                         bool keep_reports) {
+/// Runs the detector on `threads` workers over `trace` with `config`,
+/// times it, and evaluates the reports against the planted ground truth —
+/// the one definition of how a run is measured. Reports are identical at
+/// every thread count; only wall-clock differs.
+inline RunResult RunDetector(const stream::SyntheticTrace& trace,
+                             const detect::DetectorConfig& config,
+                             std::size_t threads = 1) {
+  engine::ParallelDetector detector({config, threads}, &trace.dictionary);
   eval::Stopwatch watch;
-  std::vector<detect::QuantumReport> reports =
-      detector.Run(trace.messages);
   RunResult result;
+  result.reports = detector.Run(trace.messages);
   result.throughput.messages = trace.messages.size();
   result.throughput.seconds = watch.ElapsedSeconds();
   const eval::GroundTruthMatcher matcher(trace.script);
-  result.metrics = eval::EvaluateRun(reports, matcher, config.quantum_size);
-  if (keep_reports) result.reports = std::move(reports);
+  result.metrics =
+      eval::EvaluateRun(result.reports, matcher, config.quantum_size);
   return result;
-}
-
-/// Runs the detector over `trace` with `config` and evaluates against the
-/// planted ground truth.
-inline RunResult RunDetector(const stream::SyntheticTrace& trace,
-                             const detect::DetectorConfig& config,
-                             bool keep_reports = false) {
-  detect::EventDetector detector(config, &trace.dictionary);
-  return RunAndEvaluate(detector, trace, config, keep_reports);
-}
-
-/// Same run through the sharded engine (engine/parallel_detector.h).
-/// Reports are identical to RunDetector's; only wall-clock differs.
-inline RunResult RunParallelDetector(const stream::SyntheticTrace& trace,
-                                     const detect::DetectorConfig& config,
-                                     std::size_t threads,
-                                     bool keep_reports = false) {
-  engine::ParallelDetectorConfig pconfig;
-  pconfig.detector = config;
-  pconfig.threads = threads;
-  engine::ParallelDetector detector(pconfig, &trace.dictionary);
-  return RunAndEvaluate(detector, trace, config, keep_reports);
 }
 
 /// Nominal paper configuration (Table 2).

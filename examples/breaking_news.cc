@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "detect/detector.h"
+#include "engine/parallel_detector.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "stream/synthetic.h"
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   detect::DetectorConfig config;
   config.quantum_size = 160;
-  detect::EventDetector detector(config, &trace.dictionary);
+  engine::ParallelDetector detector({config, 1}, &trace.dictionary);
   const eval::GroundTruthMatcher matcher(trace.script);
 
   std::vector<detect::QuantumReport> reports;

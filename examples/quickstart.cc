@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "detect/detector.h"
 #include "detect/report.h"
+#include "engine/parallel_detector.h"
 #include "text/keyword_dictionary.h"
 #include "text/stopwords.h"
 #include "text/tokenizer.h"
@@ -47,7 +47,7 @@ int main() {
   config.akg.ec_threshold = 0.3;
   config.akg.window_length = 6;
   config.min_rank_margin = 0.0;
-  detect::EventDetector detector(config, &dictionary);
+  engine::ParallelDetector detector({config, 1}, &dictionary);
 
   // Quantum 0: the event breaks. Several users, overlapping keyword choices
   // (nobody uses all the words — the imperfect correlation of Figure 1),

@@ -31,11 +31,9 @@
 //       seconds) at quantum boundaries; the WAL backend commits every
 //       quantum to a write-ahead log with group-commit fsync. --resume
 //       continues a previous run from the newest durable generation +
-//       source cursor. The old --checkpoint-dir / --ckpt-* spellings
-//       still work (with a deprecation warning). Exit code 3 means the
-//       stream was processed but some durability writes failed. See
-//       docs/operations.md for the runbook and docs/cli.md for the full
-//       flag reference.
+//       source cursor. Exit code 3 means the stream was processed but
+//       some durability writes failed. See docs/operations.md for the
+//       runbook and docs/cli.md for the full flag reference.
 //
 //   scprt_cli export <in.trace> <out> [--format jsonl|tsv]
 //       Render a saved trace as raw text in the ingest input format.
@@ -64,7 +62,13 @@
 // bundle on fatal signals. Telemetry talks only to stderr, so stdout
 // reports stay bit-identical with the service on or off. See
 // docs/observability.md for endpoints, rule grammar and bundle schema.
+//
+// Numeric flag values are checked: empty input, trailing garbage, a sign
+// on an unsigned flag or an out-of-range value prints
+// "error: invalid --<flag> '<value>'" and exits 2.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -72,6 +76,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -154,6 +159,28 @@ struct Args {
   }
 };
 
+// A numeric flag whose value does not parse; main() reports it and exits 2.
+struct BadFlagValue {
+  std::string name;
+  std::string value;
+};
+
+// The one reader of numeric flags: `T` is an unsigned integer type or
+// double. The whole value must parse (no sign for unsigned types, no
+// leading space, no trailing text) and fit `T`; doubles must be finite.
+template <typename T>
+T NumericFlag(const Args& args, const std::string& name, const char* dflt) {
+  const std::string value = args.Get(name, dflt);
+  const char* const end = value.data() + value.size();
+  T parsed{};
+  const std::from_chars_result result =
+      std::from_chars(value.data(), end, parsed);
+  bool ok = !value.empty() && result.ec == std::errc() && result.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
+  if (!ok) throw BadFlagValue{name, value};
+  return parsed;
+}
+
 Args Parse(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -216,7 +243,8 @@ bool MaybeStartTelemetry(
     std::unique_ptr<obs::Telemetry>* out) {
   obs::TelemetryOptions options;
   options.stats_addr = args.Get("stats-addr", "");
-  options.sample_every_seconds = std::stod(args.Get("sample-every", "1"));
+  options.sample_every_seconds =
+      NumericFlag<double>(args, "sample-every", "1");
   options.health_rules = args.Get("health-rule", "");
   options.postmortem_dir = args.Get("postmortem-dir", "");
   options.build_info = std::string("scprt_cli ") + command;
@@ -272,11 +300,11 @@ bool MaybeOpenStore(const Args& args, StoreAttachment* out) {
   if (!args.Has("store-dir")) return true;
   const std::string dir = args.Get("store-dir", "");
   store::LshOptions options;
-  options.bands =
-      static_cast<std::uint32_t>(std::stoul(args.Get("store-bands", "8")));
-  options.rows =
-      static_cast<std::uint32_t>(std::stoul(args.Get("store-rows", "2")));
-  options.pool_frames = std::stoul(args.Get("store-frames", "256"));
+  options.bands = NumericFlag<std::uint32_t>(args, "store-bands", "8");
+  options.rows = NumericFlag<std::uint32_t>(args, "store-rows", "2");
+  options.pool_frames = NumericFlag<std::size_t>(args, "store-frames", "256");
+  const auto commit_every =
+      NumericFlag<std::uint32_t>(args, "store-commit-every", "1");
   durability::Error error;
   std::string meta;
   if (durability::ReadFileToString(dir + "/STOREMETA", meta)) {
@@ -292,20 +320,19 @@ bool MaybeOpenStore(const Args& args, StoreAttachment* out) {
     obs::FlightRecorder::NoteFatalError("cannot open event store");
     return false;
   }
-  out->indexer = std::make_unique<store::EventIndexer>(
-      out->index.get(), static_cast<std::uint32_t>(std::stoul(
-                            args.Get("store-commit-every", "1"))));
+  out->indexer =
+      std::make_unique<store::EventIndexer>(out->index.get(), commit_every);
   return true;
 }
 
 int CmdGen(const Args& args) {
   if (args.positional.size() != 2) return Usage();
-  const std::uint64_t seed = std::stoull(args.Get("seed", "42"));
+  const auto seed = NumericFlag<std::uint64_t>(args, "seed", "42");
   stream::SyntheticConfig config = args.Get("preset", "tw") == "es"
                                        ? stream::EventSpecificPreset(seed)
                                        : stream::TimeWindowPreset(seed);
   if (args.Has("messages")) {
-    config.num_messages = std::stoull(args.Get("messages", "0"));
+    config.num_messages = NumericFlag<std::size_t>(args, "messages", "0");
   }
   const stream::SyntheticTrace trace = GenerateSyntheticTrace(config);
   if (!stream::WriteTraceFile(trace, args.positional[1])) {
@@ -345,32 +372,32 @@ int CmdInfo(const Args& args) {
 
 detect::DetectorConfig DetectorConfigFromArgs(const Args& args) {
   detect::DetectorConfig config;
-  config.quantum_size = std::stoul(args.Get("delta", "160"));
-  config.akg.ec_threshold = std::stod(args.Get("gamma", "0.20"));
+  config.quantum_size = NumericFlag<std::size_t>(args, "delta", "160");
+  config.akg.ec_threshold = NumericFlag<double>(args, "gamma", "0.20");
   config.akg.high_state_threshold =
-      static_cast<std::uint32_t>(std::stoul(args.Get("theta", "4")));
-  config.akg.window_length = std::stoul(args.Get("w", "30"));
+      NumericFlag<std::uint32_t>(args, "theta", "4");
+  config.akg.window_length = NumericFlag<std::size_t>(args, "w", "30");
   return config;
 }
 
 int CmdRun(const Args& args) {
   if (args.positional.size() != 2) return Usage();
+  const detect::DetectorConfig config = DetectorConfigFromArgs(args);
+  const auto top = NumericFlag<std::size_t>(args, "top", "3");
+  const bool stories = args.Has("stories");
+  const bool suppress = args.Has("suppress-spurious");
+
+  // threads == 1 runs the engine inline on this thread; any thread count
+  // emits bit-identical reports.
+  engine::ParallelDetectorConfig engine_config;
+  engine_config.detector = config;
+  engine_config.threads = NumericFlag<std::size_t>(args, "threads", "1");
   stream::SyntheticTrace trace;
   if (!stream::ReadTraceFile(args.positional[1], trace)) {
     std::fprintf(stderr, "error: cannot read %s\n",
                  args.positional[1].c_str());
     return 1;
   }
-  const detect::DetectorConfig config = DetectorConfigFromArgs(args);
-  const std::size_t top = std::stoul(args.Get("top", "3"));
-  const bool stories = args.Has("stories");
-  const bool suppress = args.Has("suppress-spurious");
-
-  // threads == 1 runs the engine inline — exactly the serial detector; any
-  // thread count emits bit-identical reports.
-  engine::ParallelDetectorConfig engine_config;
-  engine_config.detector = config;
-  engine_config.threads = std::stoul(args.Get("threads", "1"));
   std::unique_ptr<obs::Telemetry> telemetry;
   if (!MaybeStartTelemetry(args, "run",
                            {{"trace", args.positional[1]},
@@ -486,8 +513,8 @@ int CmdIngest(const Args& args) {
   }
 
   ingest::IngestConfig config;
-  config.workers = std::stoul(args.Get("workers", "4"));
-  config.queue_capacity = std::stoul(args.Get("queue", "1024"));
+  config.workers = NumericFlag<std::size_t>(args, "workers", "4");
+  config.queue_capacity = NumericFlag<std::size_t>(args, "queue", "1024");
   if (config.queue_capacity < 2 ||
       (config.queue_capacity & (config.queue_capacity - 1)) != 0) {
     std::fprintf(stderr, "error: --queue must be a power of two >= 2\n");
@@ -504,9 +531,9 @@ int CmdIngest(const Args& args) {
     std::fprintf(stderr, "error: unknown --policy %s\n", policy.c_str());
     return Usage();
   }
-  config.admission.seed = std::stoull(args.Get("seed", "0"));
+  config.admission.seed = NumericFlag<std::uint64_t>(args, "seed", "0");
   config.admission.sample_keep_fraction =
-      std::stod(args.Get("sample-keep", "0.25"));
+      NumericFlag<double>(args, "sample-keep", "0.25");
   if (config.admission.sample_keep_fraction <= 0.0 ||
       config.admission.sample_keep_fraction > 1.0) {
     std::fprintf(stderr, "error: --sample-keep must be in (0, 1]\n");
@@ -522,13 +549,12 @@ int CmdIngest(const Args& args) {
     config.synonyms = &synonyms;
   }
 
-  const std::size_t top = std::stoul(args.Get("top", "3"));
+  const auto top = NumericFlag<std::size_t>(args, "top", "3");
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = DetectorConfigFromArgs(args);
-  engine_config.threads = std::stoul(args.Get("threads", "1"));
+  engine_config.threads = NumericFlag<std::size_t>(args, "threads", "1");
   MaybeEnableTracing(args);
-  const bool durable_run =
-      args.Has("durability-dir") || args.Has("checkpoint-dir");
+  const bool durable_run = args.Has("durability-dir");
   std::unique_ptr<obs::Telemetry> telemetry;
   if (!MaybeStartTelemetry(
           args, "ingest",
@@ -545,28 +571,16 @@ int CmdIngest(const Args& args) {
 
   // --durability-dir switches to the durable session: the chosen backend
   // commits at quantum boundaries, and with --resume the run continues
-  // from the newest durable generation. The pre-WAL spellings
-  // (--checkpoint-dir / --ckpt-*) keep working with a warning; the new
-  // spelling wins when both are given.
-  auto aliased = [&](const char* new_name, const char* old_name,
-                     const char* dflt) -> std::string {
-    if (args.Has(new_name)) return args.Get(new_name, dflt);
-    if (args.Has(old_name)) {
-      std::fprintf(stderr, "warning: --%s is deprecated; use --%s\n",
-                   old_name, new_name);
-      return args.Get(old_name, dflt);
-    }
-    return dflt;
-  };
+  // from the newest durable generation.
   if (durable_run) {
     ingest::DurableConfig durable;
-    durable.directory = aliased("durability-dir", "checkpoint-dir", "");
+    durable.directory = args.Get("durability-dir", "");
     durable.checkpoint_quanta =
-        std::stoul(aliased("durability-cadence", "ckpt-quanta", "16"));
+        NumericFlag<std::size_t>(args, "durability-cadence", "16");
     durable.checkpoint_seconds =
-        std::stod(aliased("durability-seconds", "ckpt-seconds", "0"));
+        NumericFlag<double>(args, "durability-seconds", "0");
     durable.full_interval =
-        std::stoul(aliased("durability-full-every", "ckpt-full-every", "4"));
+        NumericFlag<std::size_t>(args, "durability-full-every", "4");
     const std::string backend_name =
         args.Get("durability-backend", "snapshot");
     if (!durability::ParseBackendKind(backend_name, durable.backend)) {
@@ -745,8 +759,8 @@ int CmdQuery(const Args& args) {
   const std::string& dir = args.positional[1];
   std::vector<std::string> keywords(args.positional.begin() + 2,
                                     args.positional.end());
-  const std::size_t top = std::stoul(args.Get("top", "10"));
-  const std::size_t frames = std::stoul(args.Get("store-frames", "256"));
+  const auto top = NumericFlag<std::size_t>(args, "top", "10");
+  const auto frames = NumericFlag<std::size_t>(args, "store-frames", "256");
 
   durability::Error error;
   const auto index = store::LshIndex::OpenReadOnly(dir, frames, &error);
@@ -816,10 +830,7 @@ int CmdExport(const Args& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args = Parse(argc, argv);
+int Dispatch(const Args& args) {
   if (args.positional.empty()) return Usage();
   const std::string& cmd = args.positional[0];
   if (cmd == "gen") return CmdGen(args);
@@ -829,4 +840,16 @@ int main(int argc, char** argv) {
   if (cmd == "info") return CmdInfo(args);
   if (cmd == "query") return CmdQuery(args);
   return Usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Dispatch(Parse(argc, argv));
+  } catch (const BadFlagValue& bad) {
+    std::fprintf(stderr, "error: invalid --%s '%s'\n", bad.name.c_str(),
+                 bad.value.c_str());
+    return 2;
+  }
 }

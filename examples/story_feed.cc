@@ -13,9 +13,9 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "detect/checkpoint.h"
-#include "detect/detector.h"
 #include "detect/feed.h"
+#include "durability/backend.h"
+#include "engine/parallel_detector.h"
 #include "stream/synthetic.h"
 
 using namespace scprt;
@@ -57,7 +57,7 @@ int main() {
 
   detect::DetectorConfig config;
   config.quantum_size = 160;
-  detect::EventDetector detector(config, &trace.dictionary);
+  engine::ParallelDetector detector({config, 1}, &trace.dictionary);
   detect::EventFeed feed;
 
   const std::size_t crash_at = trace.messages.size() / 2;
@@ -73,7 +73,7 @@ int main() {
   // exactly-once memory stays valid), drop everything, restore.
   std::printf("\n--- crash! checkpointing and restoring ---\n");
   std::stringstream checkpoint;
-  if (!detect::SaveCheckpoint(detector, checkpoint)) {
+  if (!durability::SaveSnapshot(detector, checkpoint).ok()) {
     std::fprintf(stderr, "checkpoint failed\n");
     return 1;
   }
@@ -82,8 +82,9 @@ int main() {
   std::printf("checkpoint size: %zu bytes detector + %zu bytes feed "
               "(%zu pending messages)\n",
               checkpoint.str().size(), feed_snapshot.size(),
-              detector.pending_messages().size());
-  auto restored = detect::LoadCheckpoint(checkpoint, &trace.dictionary);
+              detector.quantizer().pending().size());
+  auto restored = durability::LoadEngineSnapshot(checkpoint,
+                                                 &trace.dictionary, 1);
   if (restored == nullptr) {
     std::fprintf(stderr, "restore failed\n");
     return 1;

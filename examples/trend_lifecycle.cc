@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <string>
 
-#include "detect/detector.h"
+#include "engine/parallel_detector.h"
 #include "eval/ground_truth.h"
 #include "stream/synthetic.h"
 
@@ -40,7 +40,7 @@ int main() {
 
   detect::DetectorConfig config;
   config.quantum_size = 160;
-  detect::EventDetector detector(config, &trace.dictionary);
+  engine::ParallelDetector detector({config, 1}, &trace.dictionary);
   const eval::GroundTruthMatcher matcher(trace.script);
 
   // Follow the first real event and the spurious burst.

@@ -3,8 +3,8 @@
 // ascending, each user list sorted ascending. Aggregates built from the
 // same quantum compare equal no matter how they were produced — serially
 // (AggregateQuantum) or merged from keyword shards
-// (engine/parallel_detector.cc) — which is what makes the parallel
-// engine's reports bit-identical to the serial detector's.
+// (engine/parallel_detector.cc) — which is what makes the engine's
+// reports bit-identical at every thread count.
 
 #ifndef SCPRT_AKG_QUANTUM_AGGREGATE_H_
 #define SCPRT_AKG_QUANTUM_AGGREGATE_H_

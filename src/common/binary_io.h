@@ -11,7 +11,7 @@
 //
 // Floating-point fields travel as IEEE-754 bit patterns (F64), so a value
 // round-trips bit-exactly — the property the restore-equivalence guarantee
-// of detect/checkpoint.h is built on.
+// of durability/backend.h's snapshots is built on.
 
 #ifndef SCPRT_COMMON_BINARY_IO_H_
 #define SCPRT_COMMON_BINARY_IO_H_

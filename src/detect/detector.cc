@@ -20,33 +20,17 @@ EventDetector::EventDetector(const DetectorConfig& config,
       akg_(config.akg,
            [this](KeywordId k) {
              return maintainer_.clusters().NodeInAnyCluster(k);
-           }),
-      quantizer_(config.quantum_size) {}
-
-std::optional<QuantumReport> EventDetector::Push(
-    const stream::Message& message) {
-  auto quantum = quantizer_.Push(message);
-  if (!quantum) return std::nullopt;
-  return ProcessQuantum(*quantum);
-}
+           }) {}
 
 void EventDetector::set_parallel_for(ParallelForFn parallel_for) {
   parallel_for_ = parallel_for ? parallel_for : SerialFor;
   akg_.set_parallel_for(std::move(parallel_for));
 }
 
-QuantumReport EventDetector::ProcessQuantum(const stream::Quantum& quantum) {
-  return ProcessQuantumWithAggregate(quantum,
-                                     akg::AggregateQuantum(quantum));
-}
-
 QuantumReport EventDetector::ProcessQuantumWithAggregate(
     const stream::Quantum& quantum, const akg::QuantumAggregate& aggregate) {
   SCPRT_DCHECK(aggregate.index == quantum.index);
   maintainer_.SetClock(quantum.index);
-  if (quantizer_.next_index() <= quantum.index) {
-    quantizer_.SetNextIndex(quantum.index + 1);
-  }
   const akg::GraphDelta delta = akg_.ProcessAggregate(aggregate);
 
   // Structural application order: node evictions (which drop their incident
@@ -86,15 +70,6 @@ void EventDetector::EmitToSink(const std::vector<EventSnapshot>& events) {
     cluster.sketch_p = akg_.sketch_size();
     cluster_sink_->OnCluster(cluster);
   }
-}
-
-std::vector<QuantumReport> EventDetector::Run(
-    const std::vector<stream::Message>& trace) {
-  std::vector<QuantumReport> reports;
-  for (const stream::Message& m : trace) {
-    if (auto report = Push(m)) reports.push_back(*std::move(report));
-  }
-  return reports;
 }
 
 EventSnapshot EventDetector::SnapshotCore(ClusterId id,
@@ -179,10 +154,8 @@ std::vector<EventSnapshot> EventDetector::SnapshotEvents(QuantumIndex now) {
   return snapshots;
 }
 
-void EventDetector::SaveState(
-    BinaryWriter& out, const stream::Quantizer* quantizer_override) const {
-  const stream::Quantizer& quantizer =
-      quantizer_override != nullptr ? *quantizer_override : quantizer_;
+void EventDetector::SaveState(BinaryWriter& out,
+                              const stream::Quantizer& quantizer) const {
   out.I64(quantizer.next_index());
   snapshot_io::WriteMessages(out, quantizer.pending());
   akg_.Save(out);
@@ -194,11 +167,12 @@ void EventDetector::SaveState(
   for (ClusterId id : reported) out.U64(id);
 }
 
-bool EventDetector::RestoreState(BinaryReader& in) {
+bool EventDetector::RestoreState(BinaryReader& in,
+                                 stream::Quantizer& quantizer) {
   const QuantumIndex next_index = in.I64();
   std::vector<stream::Message> pending;
   if (!snapshot_io::ReadMessages(in, pending) ||
-      !quantizer_.Restore(next_index, std::move(pending))) {
+      !quantizer.Restore(next_index, std::move(pending))) {
     in.Fail();
     return false;
   }
@@ -217,10 +191,6 @@ bool EventDetector::RestoreState(BinaryReader& in) {
     }
   }
   return in.ok();
-}
-
-std::vector<stream::Message> EventDetector::TakePendingMessages() {
-  return quantizer_.TakePending();
 }
 
 bool EventDetector::PassesFilters(const EventSnapshot& snapshot) const {

@@ -1,11 +1,11 @@
-// The end-to-end real-time event detector: message stream -> quanta -> AKG
-// deltas -> incremental SCP clusters -> ranked event reports. This is the
-// system of the paper, assembled.
+// The single-writer detection core: quantum aggregate -> AKG delta ->
+// incremental SCP clusters -> ranked event reports. This is the system of
+// the paper, assembled; engine::ParallelDetector (engine/parallel_detector.h)
+// is the driver that cuts the message stream into quanta and feeds it.
 
 #ifndef SCPRT_DETECT_DETECTOR_H_
 #define SCPRT_DETECT_DETECTOR_H_
 
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -24,8 +24,8 @@
 
 namespace scprt::detect {
 
-/// Single-threaded streaming detector. Feed messages (or whole quanta); get
-/// a QuantumReport each time a quantum closes.
+/// Single-threaded detection core. The engine hands it one quantum and its
+/// canonical aggregate at a time and gets that quantum's QuantumReport.
 class EventDetector {
  public:
   /// `dictionary` is optional and only consulted by the noun filter and by
@@ -35,17 +35,9 @@ class EventDetector {
   EventDetector(const DetectorConfig& config,
                 const text::KeywordDictionary* dictionary);
 
-  /// Streams one message; returns a report when it completed a quantum.
-  std::optional<QuantumReport> Push(const stream::Message& message);
-
-  /// Processes one pre-built quantum. The quantizer's next index is
-  /// re-based past this quantum so subsequent Push()es continue the clock.
-  QuantumReport ProcessQuantum(const stream::Quantum& quantum);
-
-  /// Same, but with the quantum's canonical aggregate supplied by the
-  /// caller (the parallel engine builds it on keyword shards). `aggregate`
-  /// must equal akg::AggregateQuantum(quantum); the report is then
-  /// identical to ProcessQuantum(quantum).
+  /// Processes one quantum given its canonical aggregate, which must equal
+  /// akg::AggregateQuantum(quantum) (the engine builds it on keyword
+  /// shards, or serially at one thread).
   QuantumReport ProcessQuantumWithAggregate(
       const stream::Quantum& quantum,
       const akg::QuantumAggregate& aggregate);
@@ -57,15 +49,12 @@ class EventDetector {
   void set_parallel_for(ParallelForFn parallel_for);
 
   /// Attaches a sink that receives every newly reported cluster (with its
-  /// spellings and deduped user sketch) inside ProcessQuantum, before the
-  /// report is returned — so a durability fence taken after the quantum
-  /// always covers what the sink saw. nullptr detaches. The sink must
-  /// outlive the detector or be detached first; it does not participate in
-  /// SaveState/RestoreState (re-fired events are the sink's to dedup).
+  /// spellings and deduped user sketch) inside ProcessQuantumWithAggregate,
+  /// before the report is returned — so a durability fence taken after the
+  /// quantum always covers what the sink saw. nullptr detaches. The sink
+  /// must outlive the detector or be detached first; it does not take part
+  /// in SaveState/RestoreState (re-fired events are the sink's to dedup).
   void set_cluster_sink(ClusterSink* sink) { cluster_sink_ = sink; }
-
-  /// Runs a whole trace; returns every quantum report.
-  std::vector<QuantumReport> Run(const std::vector<stream::Message>& trace);
 
   const cluster::ScpMaintainer& maintainer() const { return maintainer_; }
   const akg::AkgBuilder& akg() const { return akg_; }
@@ -77,33 +66,20 @@ class EventDetector {
     return reported_;
   }
 
-  /// The partial quantum under accumulation (checkpoint inspection).
-  const std::vector<stream::Message>& pending_messages() const {
-    return quantizer_.pending();
-  }
-
-  /// Index the next emitted quantum will carry.
-  QuantumIndex next_quantum_index() const { return quantizer_.next_index(); }
-
-  /// Serializes every derived structure — AKG layer, graph + SCP clusters
-  /// (with their ids and birth stamps), rank histories, first-report set
-  /// and the quantizer clock — in canonical order. The config is NOT
-  /// included; detect/snapshot_io.h frames config + state into the
-  /// versioned checkpoint format. `quantizer_override` substitutes another
-  /// quantizer's clock and pending messages (the sharded engine owns
-  /// accumulation in its outer quantizer); nullptr uses this detector's.
-  void SaveState(BinaryWriter& out,
-                 const stream::Quantizer* quantizer_override = nullptr) const;
+  /// Serializes `quantizer`'s clock and pending partial quantum (the
+  /// driver owns accumulation), then every derived structure — AKG layer,
+  /// graph + SCP clusters (with their ids and birth stamps), rank
+  /// histories, first-report set — in canonical order. The config is NOT
+  /// included; durability/backend.h frames config + state into the
+  /// versioned snapshot format (detect/snapshot_io.h).
+  void SaveState(BinaryWriter& out, const stream::Quantizer& quantizer) const;
 
   /// Restores SaveState()'s encoding into this freshly constructed
   /// detector (same config required — the caller guarantees it by
-  /// constructing from the checkpoint's own config section). Returns false
-  /// on malformed input; the detector must then be discarded.
-  bool RestoreState(BinaryReader& in);
-
-  /// Engine restore support: moves the pending partial quantum out of the
-  /// core detector (the engine's outer quantizer owns accumulation).
-  std::vector<stream::Message> TakePendingMessages();
+  /// constructing from the snapshot's own config section); the clock and
+  /// pending partial quantum go into `quantizer`. Returns false on
+  /// malformed input; the detector must then be discarded.
+  bool RestoreState(BinaryReader& in, stream::Quantizer& quantizer);
 
  private:
   /// Builds the ranked, filtered snapshot list for the current state.
@@ -127,7 +103,6 @@ class EventDetector {
   const text::KeywordDictionary* dictionary_;
   cluster::ScpMaintainer maintainer_;
   akg::AkgBuilder akg_;
-  stream::Quantizer quantizer_;
   rank::RankTracker tracker_;
   std::unordered_set<ClusterId> reported_;
 };

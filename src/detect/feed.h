@@ -75,8 +75,8 @@ class EventFeed {
 
   /// Serializes the feed's exactly-once state — dedupe memory, suppressor
   /// counters, delivery count — so a restored feed does not re-deliver
-  /// stories it already delivered. Pairs with the detector checkpoint
-  /// (detect/checkpoint.h); the FeedConfig itself is not stored.
+  /// stories it already delivered. Pairs with the detector snapshot
+  /// (durability/backend.h); the FeedConfig itself is not stored.
   void Save(BinaryWriter& out) const;
 
   /// Replaces this feed's state with Save()'s encoding. Returns false on

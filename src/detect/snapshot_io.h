@@ -165,10 +165,9 @@ bool ReadIngestSection(BinaryReader& in, IngestState& state,
 
 /// Reads one full frame and parses its payload: config section, then
 /// `restore_state` (which consumes the detector-state section — the
-/// serial and engine loaders construct their detector from `config` and
-/// run RestoreState inside it), then the optional trailing IngestState.
-/// The single definition of full-payload acceptance, shared by
-/// detect::LoadCheckpoint and engine::ParallelDetector::LoadCheckpoint.
+/// loader constructs its engine from `config` and runs RestoreState
+/// inside it), then the optional trailing IngestState. The single
+/// definition of full-payload acceptance (durability::LoadEngineSnapshot).
 /// Returns false (with the typed reason in `error`) on any failure.
 bool ReadFullSnapshot(
     std::istream& in,
@@ -222,9 +221,9 @@ bool ReadDelta(BinaryReader& in, DeltaPayload& delta);
 /// swallowed), the pending partial quantum must fit under `quantum_size`,
 /// and the delta's quanta must not overlap state the base already contains
 /// (`next_index` is the target's clock; violations are kStateMismatch).
-/// The single definition of delta acceptance — the serial and sharded
-/// appliers both go through it, so a delta file is valid for one iff for
-/// the other. Returns false on any failure; `delta` is only written on
+/// The single definition of delta acceptance — durability::
+/// ApplyDeltaSnapshot and the snapshot backend's staged resume both go
+/// through it. Returns false on any failure; `delta` is only written on
 /// success. `ingest` (optional out) receives the trailing IngestState when
 /// the frame carries one; `ingest_present` the presence flag.
 bool ReadAndValidateDelta(std::istream& in, std::uint64_t expected_base_id,

@@ -22,11 +22,39 @@
 // never-restarted run at any worker and engine thread count
 // (tests/ingest_checkpoint_test.cc proves it for both).
 //
-// This header is also the typed replacement for the scattered save/load
-// free functions of detect/checkpoint.h and engine/parallel_detector.h:
-// the Save*/Load*/Apply* functions at the bottom wrap them behind
-// durability::Error. The old entry points remain as thin deprecated
-// wrappers (compile with -DSCPRT_WARN_DEPRECATED to hear about callers).
+// This header is also the one way to save or restore an engine directly:
+// the Save*/Load*/Apply*/Replay* functions at the bottom are the only
+// implementations of full save, full load, delta save, delta apply and
+// the staged replay both backends use, all reporting durability::Error.
+//
+// Snapshot strategy: native structural snapshots. A snapshot serializes
+// the derived state itself — the id-set window histories, node automaton,
+// Min-Hash signatures and edge correlations of the AKG layer, the graph
+// and its SCP clusters (with their ids, birth stamps and the id counter),
+// the rank-tracker histories, the first-report set, and the quantizer
+// clock with the partial quantum — framed and CRC-protected by
+// detect/snapshot_io.h. Restoring deserializes those structures directly:
+//
+//   * Restore cost is O(|state|), independent of the traffic that produced
+//     it (no replay of w quanta of raw messages).
+//   * Cluster ids and birth stamps survive the restore, so event identity
+//     is continuous across a crash and "NEW" markers do not refire.
+//   * The subsequent report stream is bit-identical to a never-restarted
+//     engine's, at any thread count on either side of the restore
+//     (tests/checkpoint_property_test.cc).
+//   * Corrupt input (truncation, bit flips, version skew, forged lengths)
+//     makes the loaders fail with a typed Error; they never crash, abort
+//     or over-allocate (tests/checkpoint_fuzz_test.cc).
+//
+// Keyword ids are dictionary-relative; restore with the same dictionary
+// (or a superset that preserves ids).
+//
+// Delta snapshots: between full snapshots, a delta persists only the
+// quanta processed since its base full snapshot (plus the pending partial
+// quantum). Restore = load the base natively, then apply the latest delta,
+// which re-processes that bounded span deterministically. Deltas chain to
+// their base by the base's checkpoint id (its payload CRC); applying a
+// delta to the wrong base is rejected.
 
 #ifndef SCPRT_DURABILITY_BACKEND_H_
 #define SCPRT_DURABILITY_BACKEND_H_
@@ -36,8 +64,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "detect/checkpoint.h"
 #include "detect/snapshot_io.h"
 #include "durability/error.h"
 #include "engine/parallel_detector.h"
@@ -187,15 +215,34 @@ class Backend {
 std::unique_ptr<Backend> MakeBackend(const BackendOptions& options);
 
 // ---------------------------------------------------------------------------
-// The typed one-shot snapshot surface (the API-redesign seam): everything
-// the deprecated detect::/engine:: free functions did, behind Error.
+// The typed one-shot snapshot surface.
+
+/// Optional attachments to a snapshot, used by the backends.
+/// `quantizer_override` substitutes another quantizer's clock and pending
+/// partial quantum for the engine's own — in the ingest pipeline,
+/// accumulation lives in the QuantumAssembler's quantizer, not the
+/// engine's. `ingest` appends the IngestState trailing section
+/// (dictionary, admission seeds, source cursor).
+struct CheckpointExtras {
+  const stream::Quantizer* quantizer_override = nullptr;
+  const detect::snapshot_io::IngestState* ingest = nullptr;
+};
 
 /// Writes a full native snapshot of `engine` (quiescing it) to `out`.
+/// `checkpoint_id` (optional out) receives the snapshot's id, which a
+/// later delta chains to.
 Error SaveSnapshot(engine::ParallelDetector& engine, std::ostream& out,
                    std::uint64_t* checkpoint_id = nullptr,
-                   const detect::CheckpointExtras& extras = {});
+                   const CheckpointExtras& extras = {});
 
-/// Restores a sharded engine from a full snapshot.
+/// Restores an engine running on `threads` workers (0 derives hardware
+/// concurrency) from a full snapshot; thread count is an engine property,
+/// not a snapshot property. The stored configuration is used; `dictionary`
+/// follows the ParallelDetector constructor contract. Returns nullptr on
+/// malformed input; `error` (optional out) receives the typed reason, or
+/// success. `ingest` / `ingest_present` (optional outs) receive the
+/// IngestState trailing section when the snapshot carries one; a snapshot
+/// without it (version 2, or a bare save) restores the bare engine.
 std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
     std::istream& in, const text::KeywordDictionary* dictionary,
     std::size_t threads, std::uint64_t* checkpoint_id = nullptr,
@@ -203,27 +250,33 @@ std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
     detect::snapshot_io::IngestState* ingest = nullptr,
     bool* ingest_present = nullptr);
 
-/// Restores a serial detector from a full snapshot (same format — thread
-/// count is an engine property, not a snapshot property).
-std::unique_ptr<detect::EventDetector> LoadDetectorSnapshot(
-    std::istream& in, const text::KeywordDictionary* dictionary,
-    std::uint64_t* checkpoint_id = nullptr, Error* error = nullptr,
-    detect::snapshot_io::IngestState* ingest = nullptr,
-    bool* ingest_present = nullptr);
-
-/// Writes a delta snapshot of `engine` against the full snapshot
-/// identified by `base_id`.
+/// Writes a delta snapshot against the full snapshot identified by
+/// `base_id`: `quanta` processed since it (oldest first), plus the
+/// engine's clock and pending partial quantum (or the override's).
 Error SaveDeltaSnapshot(engine::ParallelDetector& engine,
                         std::uint64_t base_id,
                         const std::vector<stream::Quantum>& quanta,
                         std::ostream& out,
-                        const detect::CheckpointExtras& extras = {});
+                        const CheckpointExtras& extras = {});
 
-/// Applies a delta snapshot to a freshly restored engine.
+/// Applies a delta snapshot to `engine`, which must have just been
+/// restored from the delta's base (enforced via `expected_base_id`). The
+/// whole delta is parsed and validated first (snapshot_io::
+/// ReadAndValidateDelta): on failure the engine is unchanged and the
+/// typed reason is returned — a broken chain surfaces as kBaseMismatch.
+/// `ingest` / `ingest_present` mirror LoadEngineSnapshot's.
 Error ApplyDeltaSnapshot(engine::ParallelDetector& engine, std::istream& in,
                          std::uint64_t expected_base_id,
                          detect::snapshot_io::IngestState* ingest = nullptr,
                          bool* ingest_present = nullptr);
+
+/// Replays an already-validated delta onto `engine` (the staged resume
+/// path: the backends install the delta's dictionary tail between
+/// validation and replay). Re-processing is deterministic, so the engine
+/// converges to the exact delta-save state; the engine's pending partial
+/// quantum is superseded by the delta's.
+void ReplayDelta(engine::ParallelDetector& engine,
+                 const detect::snapshot_io::DeltaPayload& delta);
 
 }  // namespace scprt::durability
 

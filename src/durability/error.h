@@ -68,7 +68,8 @@ struct Error {
   static Error FromLoad(detect::snapshot_io::LoadError error,
                         std::string detail = {});
 
-  /// Projects back onto the legacy enum for the deprecated wrappers.
+  /// Projects back onto the payload-level enum (the backends name
+  /// skipped artifacts with snapshot_io::LoadErrorName).
   /// Storage-layer codes with no payload equivalent map to kIo.
   detect::snapshot_io::LoadError ToLoadError() const;
 

@@ -115,20 +115,20 @@ RecoverResult SnapshotBackend::Recover(const RecoverOptions& options) {
   text::ConcurrentKeywordDictionary& dictionary = *options.dictionary;
   for (const CheckpointFile& full : files) {
     if (!full.full) continue;
-    sio::LoadError error = sio::LoadError::kNone;
+    Error error;
     sio::IngestState full_state;
     bool full_has_ingest = false;
     std::uint64_t base_id = 0;
     std::ifstream in(full.path, std::ios::binary);
-    auto engine = engine::ParallelDetector::LoadCheckpoint(
-        in, &dictionary.view(), options.engine_threads, &base_id, &error,
-        &full_state, &full_has_ingest);
+    auto engine = LoadEngineSnapshot(in, &dictionary.view(),
+                                     options.engine_threads, &base_id,
+                                     &error, &full_state, &full_has_ingest);
     if (engine == nullptr || !full_has_ingest ||
         full_state.dictionary_base != 0) {
-      if (engine != nullptr) error = sio::LoadError::kCorrupt;
-      if (result.error.ok()) result.error = Error::FromLoad(error);
+      if (engine != nullptr) error.code = ErrorCode::kCorrupt;
+      if (result.error.ok()) result.error = error;
       result.detail += full.path.filename().string() + ": " +
-                       sio::LoadErrorName(error) +
+                       sio::LoadErrorName(error.ToLoadError()) +
                        (engine != nullptr ? " (bad ingest section)" : "") +
                        "; ";
       continue;
@@ -196,7 +196,7 @@ RecoverResult SnapshotBackend::Recover(const RecoverOptions& options) {
 
     if (have_delta) {
       result.replayed_quanta = delta.quanta.size();
-      engine->ApplyValidatedDelta(delta);
+      ReplayDelta(*engine, delta);
     }
 
     result.outcome = RecoverResult::Outcome::kRecovered;
@@ -219,7 +219,7 @@ CommitResult SnapshotBackend::Commit(engine::ParallelDetector& engine,
   SCPRT_CHECK(ctx.quantum != nullptr && ctx.quantizer != nullptr &&
               ctx.dictionary != nullptr);
   CommitResult result;
-  manager_.Record(*ctx.quantum);
+  log_.push_back(*ctx.quantum);
   ++quanta_since_checkpoint_;
   if (last_checkpoint_ns_ == 0) last_checkpoint_ns_ = NowNanos();
 
@@ -248,19 +248,18 @@ CommitResult SnapshotBackend::Commit(engine::ParallelDetector& engine,
                             static_cast<KeywordId>(state.dictionary_base));
   state.dictionary_state = dictionary_blob.TakeData();
 
-  detect::CheckpointExtras extras;
+  CheckpointExtras extras;
   extras.quantizer_override = ctx.quantizer;
   extras.ingest = &state;
 
   std::ostringstream out(std::ios::binary);
   std::uint64_t checkpoint_id = 0;
-  const bool encoded =
-      full ? engine.SaveCheckpoint(out, &checkpoint_id, extras)
-           : engine.SaveDeltaCheckpoint(manager_.base_id(), manager_.log(),
-                                        out, extras);
+  const Error encoded =
+      full ? SaveSnapshot(engine, out, &checkpoint_id, extras)
+           : SaveDeltaSnapshot(engine, base_id_, log_, out, extras);
   const fs::path path =
       fs::path(options_.directory) / CheckpointFileName(ordinal_, full);
-  if (!encoded || !out) {
+  if (!encoded.ok() || !out) {
     result.error =
         MakeError(ErrorCode::kIo, "encode " + path.string() + " failed");
     return result;  // delta log kept; retried at the next due boundary
@@ -278,7 +277,8 @@ CommitResult SnapshotBackend::Commit(engine::ParallelDetector& engine,
   }
 
   if (full) {
-    manager_.OnFullSaved(checkpoint_id);
+    base_id_ = checkpoint_id;
+    log_.clear();
     have_full_ = true;
     checkpoints_since_full_ = 0;
     full_dictionary_size_ = dictionary_size;

@@ -14,9 +14,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "detect/checkpoint.h"
 #include "durability/backend.h"
+#include "stream/message.h"
 
 namespace scprt::durability {
 
@@ -35,7 +36,11 @@ class SnapshotBackend : public Backend {
   void CollectGarbage(std::uint64_t keep_from_ordinal);
 
   BackendOptions options_;
-  detect::CheckpointManager manager_;
+  /// Id of the last full snapshot written — the base deltas chain to.
+  std::uint64_t base_id_ = 0;
+  /// Quanta processed since that full snapshot, oldest first: the body of
+  /// the next delta.
+  std::vector<stream::Quantum> log_;
 
   std::uint64_t ordinal_ = 0;  // next file ordinal
   std::uint64_t prev_full_ordinal_ = 0;

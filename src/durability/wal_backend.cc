@@ -115,25 +115,26 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
   text::ConcurrentKeywordDictionary& dictionary = *options.dictionary;
   for (const Manifest& manifest : candidates) {
     const std::string segment_name = SegmentFileName(manifest.segment_number);
-    sio::LoadError load_error = sio::LoadError::kNone;
+    Error load_error;
     sio::IngestState segment_state;
     bool has_ingest = false;
     std::uint64_t base_id = 0;
     std::ifstream in(PathOf(segment_name), std::ios::binary);
-    auto engine = engine::ParallelDetector::LoadCheckpoint(
-        in, &dictionary.view(), options.engine_threads, &base_id, &load_error,
-        &segment_state, &has_ingest);
+    auto engine = LoadEngineSnapshot(in, &dictionary.view(),
+                                     options.engine_threads, &base_id,
+                                     &load_error, &segment_state,
+                                     &has_ingest);
     if (engine == nullptr || !has_ingest ||
         segment_state.dictionary_base != 0 ||
         base_id != manifest.base_checkpoint_id) {
       if (engine != nullptr) {
-        load_error = base_id != manifest.base_checkpoint_id
-                         ? sio::LoadError::kBaseMismatch
-                         : sio::LoadError::kCorrupt;
+        load_error.code = base_id != manifest.base_checkpoint_id
+                              ? ErrorCode::kBaseMismatch
+                              : ErrorCode::kCorrupt;
       }
-      if (result.error.ok()) result.error = Error::FromLoad(load_error);
-      result.detail +=
-          segment_name + ": " + sio::LoadErrorName(load_error) + "; ";
+      if (result.error.ok()) result.error = load_error;
+      result.detail += segment_name + ": " +
+                       sio::LoadErrorName(load_error.ToLoadError()) + "; ";
       continue;
     }
     BinaryReader segment_dictionary(segment_state.dictionary_state);
@@ -230,7 +231,7 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
       combined.pending = std::move(pending);
       combined.next_index = next_index;
       result.replayed_quanta = combined.quanta.size();
-      engine->ApplyValidatedDelta(combined);
+      ReplayDelta(*engine, combined);
       result.tail_path = PathOf(wal_name);
     }
 
@@ -292,13 +293,13 @@ CommitResult WalBackend::CutGeneration(engine::ParallelDetector& engine,
   BinaryWriter dictionary_blob;
   ctx.dictionary->SaveState(dictionary_blob);
   state.dictionary_state = dictionary_blob.TakeData();
-  detect::CheckpointExtras extras;
+  CheckpointExtras extras;
   extras.quantizer_override = ctx.quantizer;
   extras.ingest = &state;
 
   std::ostringstream out(std::ios::binary);
   std::uint64_t checkpoint_id = 0;
-  if (!engine.SaveCheckpoint(out, &checkpoint_id, extras) || !out) {
+  if (!SaveSnapshot(engine, out, &checkpoint_id, extras).ok() || !out) {
     result.error = MakeError(ErrorCode::kIo, "encode segment failed");
     return result;  // old generation stays live; retried next boundary
   }

@@ -3,8 +3,8 @@
 // Layout of a WAL directory (all numbers from one monotonic sequence):
 //
 //   seg-NNNNNN.snap   immutable full-snapshot segment (a snapshot_io full
-//                     frame with IngestState — loadable by the engine and
-//                     serial loaders like any checkpoint)
+//                     frame with IngestState — loadable by
+//                     LoadEngineSnapshot like any checkpoint)
 //   wal-NNNNNN.log    the write-ahead log of the generation anchored at
 //                     that segment (block/fragment framing of
 //                     durability/log_format.h)

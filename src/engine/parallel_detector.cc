@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <iterator>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "common/binary_io.h"
 #include "common/parallel.h"
-#include "detect/snapshot_io.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
@@ -65,100 +62,14 @@ std::vector<detect::QuantumReport> ParallelDetector::Run(
   return reports;
 }
 
-bool ParallelDetector::SaveCheckpoint(std::ostream& out,
-                                      std::uint64_t* checkpoint_id,
-                                      const detect::CheckpointExtras& extras) {
-  namespace sio = detect::snapshot_io;
+void ParallelDetector::SaveState(BinaryWriter& out,
+                                 const stream::Quantizer& clock) {
   pool_.Quiesce();  // all shard work fenced; core state is ours to read
-  BinaryWriter payload;
-  sio::WriteConfig(payload, detector_.config());
-  // The engine's outer quantizer owns accumulation (the core's stays
-  // empty), so its clock and pending messages are the snapshot's — unless
-  // an even-more-outer quantizer (the ingest assembler's) overrides it.
-  detector_.SaveState(payload, extras.quantizer_override != nullptr
-                                   ? extras.quantizer_override
-                                   : &quantizer_);
-  if (extras.ingest != nullptr) {
-    sio::WriteIngestSection(payload, *extras.ingest);
-  }
-  return sio::WriteFrame(out, sio::FrameKind::kFull, payload.data(),
-                         checkpoint_id);
+  detector_.SaveState(out, clock);
 }
 
-std::unique_ptr<ParallelDetector> ParallelDetector::LoadCheckpoint(
-    std::istream& in, const text::KeywordDictionary* dictionary,
-    std::size_t threads, std::uint64_t* checkpoint_id,
-    detect::snapshot_io::LoadError* error,
-    detect::snapshot_io::IngestState* ingest, bool* ingest_present) {
-  namespace sio = detect::snapshot_io;
-  std::unique_ptr<ParallelDetector> engine;
-  if (!sio::ReadFullSnapshot(
-          in,
-          [&](BinaryReader& reader, const detect::DetectorConfig& parsed) {
-            ParallelDetectorConfig config;
-            config.detector = parsed;
-            config.threads = threads;
-            engine = std::make_unique<ParallelDetector>(config, dictionary);
-            return engine->detector_.RestoreState(reader);
-          },
-          checkpoint_id, error, ingest, ingest_present)) {
-    return nullptr;
-  }
-  // Move the restored partial quantum into the outer quantizer — the core
-  // never accumulates in engine mode.
-  engine->quantizer_.Restore(engine->detector_.next_quantum_index(),
-                             engine->detector_.TakePendingMessages());
-  return engine;
-}
-
-bool ParallelDetector::SaveDeltaCheckpoint(
-    std::uint64_t base_id, const std::vector<stream::Quantum>& quanta,
-    std::ostream& out, const detect::CheckpointExtras& extras) {
-  namespace sio = detect::snapshot_io;
-  pool_.Quiesce();
-  // The outer quantizer owns accumulation in engine mode: its clock and
-  // pending messages are the delta's (the core's pending is always empty).
-  // The ingest assembler's quantizer overrides both when supplied.
-  const stream::Quantizer& quantizer = extras.quantizer_override != nullptr
-                                           ? *extras.quantizer_override
-                                           : quantizer_;
-  BinaryWriter payload;
-  sio::WriteDelta(payload, base_id, quantizer.next_index(), quanta,
-                  quantizer.pending());
-  if (extras.ingest != nullptr) {
-    sio::WriteIngestSection(payload, *extras.ingest);
-  }
-  return sio::WriteFrame(out, sio::FrameKind::kDelta, payload.data());
-}
-
-bool ParallelDetector::ApplyDeltaCheckpoint(
-    std::istream& in, std::uint64_t expected_base_id,
-    detect::snapshot_io::LoadError* error,
-    detect::snapshot_io::IngestState* ingest, bool* ingest_present) {
-  namespace sio = detect::snapshot_io;
-  sio::DeltaPayload delta;
-  if (!sio::ReadAndValidateDelta(in, expected_base_id,
-                                 quantizer_.next_index(),
-                                 detector_.config().quantum_size, delta,
-                                 error, ingest, ingest_present)) {
-    return false;
-  }
-  ApplyValidatedDelta(delta);
-  return true;
-}
-
-void ParallelDetector::ApplyValidatedDelta(
-    const detect::snapshot_io::DeltaPayload& delta) {
-  // Mirror of detect::ApplyDeltaCheckpoint, replayed through the sharded
-  // pipeline (reports are bit-identical either way). The base's pending
-  // partial quantum is superseded by the delta's.
-  quantizer_.Restore(quantizer_.next_index(), {});
-  for (const stream::Quantum& quantum : delta.quanta) {
-    ProcessQuantum(quantum);
-  }
-  for (const stream::Message& m : delta.pending) {
-    Push(m);
-  }
+bool ParallelDetector::RestoreState(BinaryReader& in) {
+  return detector_.RestoreState(in, quantizer_);
 }
 
 akg::QuantumAggregate ParallelDetector::ShardAggregate(

@@ -1,4 +1,6 @@
-// Sharded multi-threaded front end over the single-threaded EventDetector.
+// The detector: the one driver users push messages into. It cuts the stream
+// into quanta and runs each through the single-writer EventDetector core,
+// sharded over keyword-owning workers.
 //
 // Work is partitioned by keyword: shard s of S owns every keyword k with
 // k % S == s. Each quantum flows through four stages:
@@ -23,23 +25,23 @@
 //
 // Every parallel stage writes only per-index slots and every serial stage
 // consumes canonical orderings, so the emitted QuantumReport sequence is
-// bit-identical to EventDetector's on the same stream at any thread count
-// (tests/parallel_detector_test.cc proves it at 1, 2 and 8 threads).
+// bit-identical at any thread count; threads = 1 runs every stage inline
+// on the caller with the serial aggregate (tests/parallel_detector_test.cc
+// compares 2 and 8 threads against 1; tests/golden_test.cc pins 1 and 4).
+//
+// Saving and restoring an engine goes through durability/backend.h; the
+// engine itself only exposes its state encoding (SaveState/RestoreState).
 
 #ifndef SCPRT_ENGINE_PARALLEL_DETECTOR_H_
 #define SCPRT_ENGINE_PARALLEL_DETECTOR_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "detect/checkpoint.h"
+#include "common/binary_io.h"
 #include "detect/config.h"
 #include "detect/detector.h"
-#include "detect/snapshot_io.h"
 #include "engine/shard_pool.h"
 #include "stream/message.h"
 #include "stream/quantizer.h"
@@ -55,9 +57,9 @@ struct ParallelDetectorConfig {
   std::size_t threads = 0;
 };
 
-/// Drop-in parallel EventDetector: same Push/ProcessQuantum/Run surface,
-/// same reports, sharded execution. Not thread-safe itself — one driver
-/// thread feeds it, the pool parallelizes underneath.
+/// The streaming detector: Push messages (or whole quanta), get a
+/// QuantumReport each time a quantum closes. Not thread-safe itself — one
+/// driver thread feeds it, the pool parallelizes underneath.
 class ParallelDetector {
  public:
   ParallelDetector(const ParallelDetectorConfig& config,
@@ -85,64 +87,31 @@ class ParallelDetector {
     detector_.set_cluster_sink(sink);
   }
 
-  /// Writes a full native snapshot after quiescing the shard pool (the
-  /// checkpoint fence: every in-flight shard task completes before a state
-  /// byte is read). The format is detect/checkpoint.h's: a snapshot saved
-  /// here loads through detect::LoadCheckpoint (and vice versa) — thread
-  /// count is an engine property, not a snapshot property. `extras`
-  /// attaches a quantizer override / IngestState exactly as the serial
-  /// saver does (the ingest path passes its assembler's quantizer — the
-  /// outermost accumulator). Returns false on stream failure.
-  bool SaveCheckpoint(std::ostream& out,
-                      std::uint64_t* checkpoint_id = nullptr,
-                      const detect::CheckpointExtras& extras = {});
+  /// The engine's accumulation point: its clock and the pending partial
+  /// quantum.
+  const stream::Quantizer& quantizer() const { return quantizer_; }
 
-  /// Restores an engine from a full snapshot, running on `threads` workers
-  /// (0 derives hardware concurrency). Returns nullptr on malformed input,
-  /// with the typed reason in `error` (optional out); `ingest` /
-  /// `ingest_present` surface the IngestState section when present.
-  static std::unique_ptr<ParallelDetector> LoadCheckpoint(
-      std::istream& in, const text::KeywordDictionary* dictionary,
-      std::size_t threads, std::uint64_t* checkpoint_id = nullptr,
-      detect::snapshot_io::LoadError* error = nullptr,
-      detect::snapshot_io::IngestState* ingest = nullptr,
-      bool* ingest_present = nullptr);
-
-  /// Writes a delta checkpoint against the full snapshot identified by
-  /// `base_id`: the given quanta processed since it, plus this engine's
-  /// current pending partial quantum and clock (which live in the outer
-  /// quantizer — detect::SaveDeltaCheckpoint on core() would silently save
-  /// an empty pending list, so engine deltas must go through here; an
-  /// extras.quantizer_override substitutes the ingest assembler's).
-  bool SaveDeltaCheckpoint(std::uint64_t base_id,
-                           const std::vector<stream::Quantum>& quanta,
-                           std::ostream& out,
-                           const detect::CheckpointExtras& extras = {});
-
-  /// Applies a delta checkpoint (same format as the serial applier — both
-  /// validate through snapshot_io::ReadAndValidateDelta) to this freshly
-  /// restored engine; the bounded replay runs sharded. Returns false
-  /// (engine unchanged) on malformed input or base mismatch, with the
-  /// typed reason in `error` (optional out).
-  bool ApplyDeltaCheckpoint(std::istream& in, std::uint64_t expected_base_id,
-                            detect::snapshot_io::LoadError* error = nullptr,
-                            detect::snapshot_io::IngestState* ingest = nullptr,
-                            bool* ingest_present = nullptr);
-
-  /// Replays an already-validated delta payload (the staged resume path:
-  /// ingest/durable.h must install the delta's dictionary before the
-  /// replay touches its keyword ids, so validation and application are
-  /// separate steps there).
-  void ApplyValidatedDelta(const detect::snapshot_io::DeltaPayload& delta);
-
-  /// Clock of the outer quantizer (the engine's accumulation point).
+  /// Clock of the quantizer: the index the next quantum will carry.
   QuantumIndex next_quantum_index() const { return quantizer_.next_index(); }
 
-  /// Moves the restored pending partial quantum out of the outer quantizer
-  /// (ingest resume hands accumulation onward to the assembler).
+  /// Moves the pending partial quantum out of the quantizer (ingest resume
+  /// hands accumulation onward to its assembler; delta replay supersedes
+  /// it).
   std::vector<stream::Message> TakePendingMessages() {
     return quantizer_.TakePending();
   }
+
+  /// Writes the core's state encoding (detect::EventDetector::SaveState)
+  /// with `clock`'s clock and pending messages — this engine's quantizer(),
+  /// or an outer accumulator's such as the ingest assembler's — after
+  /// quiescing the shard pool: every in-flight shard task completes before
+  /// a state byte is read.
+  void SaveState(BinaryWriter& out, const stream::Quantizer& clock);
+
+  /// Restores SaveState's encoding into this freshly constructed engine;
+  /// the clock and pending messages land in quantizer(). Returns false on
+  /// malformed input (the engine must then be discarded).
+  bool RestoreState(BinaryReader& in);
 
  private:
   /// Stage 1 + 2: the canonical aggregate, built on keyword shards.

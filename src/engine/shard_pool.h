@@ -7,7 +7,7 @@
 // — a static assignment, so a given shard's work always lands on the same
 // worker and per-shard state needs no synchronization. With threads == 1
 // the pool spawns no workers and runs everything inline on the caller
-// (exactly the serial detector's execution).
+// (exactly the serial execution).
 
 #ifndef SCPRT_ENGINE_SHARD_POOL_H_
 #define SCPRT_ENGINE_SHARD_POOL_H_
@@ -53,7 +53,7 @@ class ShardPool {
 
   /// Quiesce barrier: returns once every worker has drained its queue and
   /// gone idle, with all of their writes visible to the driver (the
-  /// snapshot fence of ParallelDetector::SaveCheckpoint). All submission
+  /// snapshot fence of ParallelDetector::SaveState). All submission
   /// methods already block until completion, so this is a formal fence —
   /// but checkpointing goes through it rather than relying on that detail.
   void Quiesce();

@@ -18,17 +18,6 @@ QuantumAssembler::QuantumAssembler(std::size_t quantum_size,
   SCPRT_CHECK(process_ != nullptr);
 }
 
-QuantumAssembler QuantumAssembler::For(detect::EventDetector& detector,
-                                       ReportFn on_report,
-                                       bool flush_partial) {
-  return QuantumAssembler(
-      detector.config().quantum_size,
-      [&detector](const stream::Quantum& quantum) {
-        return detector.ProcessQuantum(quantum);
-      },
-      std::move(on_report), flush_partial);
-}
-
 QuantumAssembler QuantumAssembler::For(engine::ParallelDetector& detector,
                                        ReportFn on_report,
                                        bool flush_partial) {

@@ -8,7 +8,7 @@
 #include <functional>
 #include <vector>
 
-#include "detect/detector.h"
+#include "detect/event.h"
 #include "engine/parallel_detector.h"
 #include "ingest/metrics.h"
 #include "stream/message.h"
@@ -35,10 +35,10 @@ class MessageSink {
 };
 
 /// Cuts the message stream into δ-sized quanta and hands each to a
-/// processing function — the serial detector, the sharded engine, or a
-/// test double. A trailing partial quantum is processed on Finish() when
-/// `flush_partial` is set (live semantics: end of stream means "report on
-/// what arrived"), matching stream::SplitIntoQuanta(keep_partial=true).
+/// processing function — the detector or a test double. A trailing
+/// partial quantum is processed on Finish() when `flush_partial` is set
+/// (live semantics: end of stream means "report on what arrived"),
+/// matching stream::SplitIntoQuanta(keep_partial=true).
 class QuantumAssembler final : public MessageSink {
  public:
   using ProcessFn =
@@ -50,10 +50,7 @@ class QuantumAssembler final : public MessageSink {
   QuantumAssembler(std::size_t quantum_size, ProcessFn process,
                    ReportFn on_report = nullptr, bool flush_partial = true);
 
-  /// Sinks driving the real detectors (borrowed; must outlive this).
-  static QuantumAssembler For(detect::EventDetector& detector,
-                              ReportFn on_report = nullptr,
-                              bool flush_partial = true);
+  /// The sink driving the detector (borrowed; must outlive this).
   static QuantumAssembler For(engine::ParallelDetector& detector,
                               ReportFn on_report = nullptr,
                               bool flush_partial = true);
@@ -81,7 +78,7 @@ class QuantumAssembler final : public MessageSink {
 
   /// The δ-cut quantizer — in the ingest pipeline this is the outermost
   /// accumulation point, so its clock and pending partial quantum are what
-  /// a checkpoint must capture (detect::CheckpointExtras).
+  /// a checkpoint must capture (durability::CheckpointExtras).
   const stream::Quantizer& quantizer() const { return quantizer_; }
 
   /// Checkpoint resume: installs the restored clock, pending partial

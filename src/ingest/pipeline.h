@@ -5,7 +5,7 @@
 //   in-queues ──> tokenizer workers (tokenize, stop-word filter, synonym
 //   fold, dictionary lookup) ──> per-worker SPSC out-queues ──> [driver:
 //   in-order collect + intern + dedup] ──> MessageSink (QuantumAssembler
-//   -> EventDetector / ParallelDetector)
+//   -> ParallelDetector)
 //
 // One driver thread (the caller of Run) owns both ends: it dispatches
 // record i to worker i mod W and collects finished records in the same

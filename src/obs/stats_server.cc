@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +18,11 @@ namespace scprt::obs {
 namespace {
 
 constexpr int kPollMillis = 200;       // stop-flag check cadence
-constexpr int kClientTimeoutSec = 2;   // per-connection read/write cap
+constexpr int kClientTimeoutSec = 2;   // per-write cap on the reply
+// Whole-request read deadline, counted from accept: however a client
+// paces its bytes, it holds the single-threaded loop (and with it
+// /healthz) for at most this long before its request line is complete.
+constexpr std::chrono::milliseconds kRequestDeadline{2000};
 constexpr std::size_t kMaxRequestBytes = 4096;
 
 const char* StatusReason(int status) {
@@ -136,7 +141,6 @@ void StatsServer::AcceptLoop() {
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
     timeval tv{kClientTimeoutSec, 0};
-    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     ServeConnection(client);
     ::close(client);
@@ -144,10 +148,19 @@ void StatsServer::AcceptLoop() {
 }
 
 void StatsServer::ServeConnection(int fd) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + kRequestDeadline;
   std::string request;
   char buf[1024];
   while (request.size() < kMaxRequestBytes &&
          request.find("\r\n") == std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return;  // deadline passed: drop the client
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return;
     const ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n <= 0) break;
     request.append(buf, static_cast<std::size_t>(n));

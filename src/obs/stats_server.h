@@ -3,8 +3,9 @@
 // One listening socket, one accept thread, one request per connection,
 // no dependencies — a scrape target, not a web framework. The accept
 // loop polls with a short timeout so Stop() never blocks on a quiet
-// socket, and every connection is served with a receive timeout so a
-// stalled client cannot wedge the loop.
+// socket, and every request must arrive within a fixed deadline from
+// accept (2 s, however the client paces its bytes), so a stalled or
+// trickling client cannot wedge the loop.
 //
 // Endpoints (GET only):
 //   /metrics        Prometheus text exposition (FormatPrometheus)

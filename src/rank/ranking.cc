@@ -11,7 +11,7 @@ double ClusterRank(const cluster::Cluster& cluster, const EcFn& ec,
   // Canonical (sorted) accumulation order: float addition is not
   // associative, so summing in container order would make the low rank
   // bits depend on hash-table layout — which must not differ between a
-  // restored detector and a never-restarted one (detect/checkpoint.h's
+  // restored detector and a never-restarted one (durability/backend.h's
   // bit-identical guarantee), or across runs feeding the golden digests.
   double total = 0.0;
   for (graph::NodeId node : cluster.SortedNodes()) {

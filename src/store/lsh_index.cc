@@ -539,7 +539,7 @@ Error LshIndex::LoadRecord(std::uint32_t page, std::uint16_t offset,
   *valid = false;
   if (page == 0 || page >= file_->page_count() ||
       offset < kChainHeaderSize ||
-      offset + 8 > kPagePayloadSize) {
+      std::size_t{offset} + 8 > kPagePayloadSize) {
     return {};
   }
   PageHandle handle;

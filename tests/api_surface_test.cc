@@ -1,8 +1,8 @@
 // Coverage of remaining public-API surface: report formatting edge cases,
 // graph snapshots/Clear, message conservation through the quantizer,
 // detector accessors used by checkpointing and the bench harnesses, and
-// the durability tier's typed surface (durability/backend.h) — the API
-// that replaced the save/load free functions.
+// the durability tier's typed surface (durability/backend.h) — the one
+// way to save or restore a detector.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,9 @@
 #include <sstream>
 
 #include "common/random.h"
-#include "detect/detector.h"
 #include "detect/report.h"
 #include "durability/backend.h"
+#include "engine/parallel_detector.h"
 #include "graph/graph.h"
 #include "stream/quantizer.h"
 
@@ -91,14 +91,14 @@ TEST(DetectorAccessorsTest, ClockAndPendingTrackInput) {
   detect::DetectorConfig config;
   config.quantum_size = 5;
   config.akg.window_length = 2;
-  detect::EventDetector detector(config, nullptr);
+  engine::ParallelDetector detector({config, 1}, nullptr);
   stream::Message m;
   m.user = 1;
   m.keywords = {1, 2};
   for (int i = 0; i < 23; ++i) detector.Push(m);
   // 4 full quanta emitted, 3 messages accumulating toward quantum 4.
   EXPECT_EQ(detector.next_quantum_index(), 4);
-  EXPECT_EQ(detector.pending_messages().size(), 3u);
+  EXPECT_EQ(detector.quantizer().pending().size(), 3u);
 }
 
 TEST(DetectorAccessorsTest, NoDictionaryDisablesNounFilter) {
@@ -108,7 +108,7 @@ TEST(DetectorAccessorsTest, NoDictionaryDisablesNounFilter) {
   config.akg.ec_threshold = 0.3;
   config.min_rank_margin = 0.0;
   config.require_noun = true;  // no dictionary -> must be ignored
-  detect::EventDetector detector(config, nullptr);
+  engine::ParallelDetector detector({config, 1}, nullptr);
   std::vector<stream::Message> msgs;
   for (UserId u = 0; u < 6; ++u) {
     stream::Message m;
@@ -149,8 +149,6 @@ TEST(DurabilitySurfaceTest, NamesAndParsersRoundTrip) {
 
   FsyncLevel level = FsyncLevel::kNone;
   EXPECT_TRUE(durability::ParseFsyncLevel("commit", level));
-  EXPECT_EQ(level, FsyncLevel::kEveryCommit);
-  EXPECT_TRUE(durability::ParseFsyncLevel("every-commit", level));
   EXPECT_EQ(level, FsyncLevel::kEveryCommit);
   EXPECT_TRUE(durability::ParseFsyncLevel("interval", level));
   EXPECT_EQ(level, FsyncLevel::kInterval);

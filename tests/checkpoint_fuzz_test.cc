@@ -1,9 +1,10 @@
-// Corruption / fuzz hardening for the native snapshot loader: truncations,
+// Corruption / fuzz hardening for the native snapshot loader
+// (durability::LoadEngineSnapshot / ApplyDeltaSnapshot): truncations,
 // single-bit flips, version and kind skew, forged frames with valid CRCs
 // (hostile length fields, invalid configs, cross-section inconsistencies)
-// and plain random garbage must all make LoadCheckpoint / ApplyDelta return
-// failure — never crash, abort, leak (this suite runs in the ASan+UBSan CI
-// job) or balloon allocation from a forged count.
+// and plain random garbage must all make the loaders return failure —
+// never crash, abort, leak (this suite runs in the ASan+UBSan CI job) or
+// balloon allocation from a forged count.
 
 #include <functional>
 #include <limits>
@@ -16,9 +17,8 @@
 
 #include "common/binary_io.h"
 #include "common/random.h"
-#include "detect/checkpoint.h"
-#include "detect/detector.h"
 #include "detect/snapshot_io.h"
+#include "durability/backend.h"
 #include "engine/parallel_detector.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
@@ -27,6 +27,7 @@ namespace scprt {
 namespace {
 
 namespace sio = detect::snapshot_io;
+using engine::ParallelDetector;
 
 struct Fixture {
   stream::SyntheticTrace trace;
@@ -49,30 +50,43 @@ const Fixture& SharedFixture() {
     f->config.quantum_size = 100;
     f->config.akg.window_length = 8;
 
-    detect::EventDetector detector(f->config, &f->trace.dictionary);
-    detect::CheckpointManager manager;
+    ParallelDetector detector({f->config, 1}, &f->trace.dictionary);
     const std::vector<stream::Quantum> quanta =
         stream::SplitIntoQuanta(f->trace.messages, f->config.quantum_size);
     std::stringstream full, delta;
+    std::vector<stream::Quantum> log;  // quanta since the full snapshot
     for (std::size_t q = 0; q < 30; ++q) {
       detector.ProcessQuantum(quanta[q]);
-      manager.Record(quanta[q]);
+      log.push_back(quanta[q]);
       if (q == 24) {
-        EXPECT_TRUE(manager.SaveFull(detector, full));
+        EXPECT_TRUE(
+            durability::SaveSnapshot(detector, full, &f->base_id).ok());
+        log.clear();
       }
     }
-    EXPECT_TRUE(manager.SaveDelta(detector, delta));
+    EXPECT_TRUE(
+        durability::SaveDeltaSnapshot(detector, f->base_id, log, delta).ok());
     f->full_bytes = full.str();
     f->delta_bytes = delta.str();
-    f->base_id = manager.base_id();
     return f;
   }();
   return *fixture;
 }
 
-std::unique_ptr<detect::EventDetector> LoadBytes(const std::string& bytes) {
+std::unique_ptr<ParallelDetector> LoadBytes(
+    const std::string& bytes,
+    const text::KeywordDictionary* dictionary =
+        &SharedFixture().trace.dictionary,
+    std::size_t threads = 1) {
   std::stringstream in(bytes);
-  return detect::LoadCheckpoint(in, &SharedFixture().trace.dictionary);
+  return durability::LoadEngineSnapshot(in, dictionary, threads);
+}
+
+// ApplyDeltaSnapshot's verdict on `bytes` for `engine`.
+bool ApplyBytes(ParallelDetector& engine, const std::string& bytes,
+                std::uint64_t base_id) {
+  std::stringstream in(bytes);
+  return durability::ApplyDeltaSnapshot(engine, in, base_id).ok();
 }
 
 // Rewrites a current (version-4, unweighted) full frame as the byte-exact
@@ -104,7 +118,13 @@ std::string AsLegacyVersion(std::string bytes, std::uint8_t version) {
 }
 
 TEST(CheckpointFuzzTest, ValidFixtureLoads) {
-  ASSERT_NE(LoadBytes(SharedFixture().full_bytes), nullptr);
+  // Thread count is an engine property: the same bytes load at any.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    const auto engine = LoadBytes(SharedFixture().full_bytes,
+                                  &SharedFixture().trace.dictionary, threads);
+    ASSERT_NE(engine, nullptr) << threads << " threads";
+    EXPECT_EQ(engine->threads(), threads);
+  }
 }
 
 TEST(CheckpointFuzzTest, EveryTruncationIsRejected) {
@@ -165,13 +185,10 @@ TEST(CheckpointFuzzTest, VersionAndKindSkewAreRejected) {
   }
   {
     // A delta frame is not a full snapshot and vice versa.
-    std::stringstream in(SharedFixture().delta_bytes);
-    EXPECT_EQ(detect::LoadCheckpoint(in, nullptr), nullptr);
+    EXPECT_EQ(LoadBytes(SharedFixture().delta_bytes, nullptr), nullptr);
     auto detector = LoadBytes(bytes);
     ASSERT_NE(detector, nullptr);
-    std::stringstream full_as_delta(bytes);
-    EXPECT_FALSE(detect::ApplyDeltaCheckpoint(*detector, full_as_delta,
-                                              SharedFixture().base_id));
+    EXPECT_FALSE(ApplyBytes(*detector, bytes, SharedFixture().base_id));
   }
 }
 
@@ -234,7 +251,8 @@ TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
   // A CRC-valid payload whose AKG graph has an edge but whose signature
   // section is empty: if the loader accepted it, the next quantum's lazy
   // re-validation would call signatures_.at() on the endpoints and abort.
-  // Mirrors EventDetector::SaveState's section order field by field.
+  // Mirrors detect::EventDetector::SaveState's section order field by
+  // field.
   detect::DetectorConfig config;
   config.quantum_size = 100;
   config.akg.window_length = 8;
@@ -283,7 +301,7 @@ TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
 
   std::stringstream out;
   ASSERT_TRUE(sio::WriteFrame(out, sio::FrameKind::kFull, w.data()));
-  EXPECT_EQ(detect::LoadCheckpoint(out, nullptr), nullptr)
+  EXPECT_EQ(LoadBytes(out.str(), nullptr), nullptr)
       << "signature-less AKG edge accepted — would crash on next quantum";
 }
 
@@ -321,14 +339,12 @@ TEST(CheckpointFuzzTest, CorruptDeltaLeavesDetectorUsable) {
     corrupt[offset] = static_cast<char>(
         static_cast<unsigned char>(corrupt[offset]) ^
         (1u << rng.UniformInt(8)));
-    std::stringstream in(corrupt);
-    EXPECT_FALSE(detect::ApplyDeltaCheckpoint(*detector, in, f.base_id));
+    EXPECT_FALSE(ApplyBytes(*detector, corrupt, f.base_id));
     EXPECT_EQ(detector->next_quantum_index(), clock_before)
         << "corrupt delta mutated the detector";
   }
   // The pristine delta still applies after all the failed attempts.
-  std::stringstream in(f.delta_bytes);
-  EXPECT_TRUE(detect::ApplyDeltaCheckpoint(*detector, in, f.base_id));
+  EXPECT_TRUE(ApplyBytes(*detector, f.delta_bytes, f.base_id));
 }
 
 // ---- IngestState trailing section (format version 3) -------------------
@@ -341,7 +357,7 @@ TEST(CheckpointFuzzTest, CorruptDeltaLeavesDetectorUsable) {
 // A full snapshot carrying a real IngestState.
 std::string IngestSnapshotBytes() {
   const Fixture& f = SharedFixture();
-  detect::EventDetector detector(f.config, &f.trace.dictionary);
+  ParallelDetector detector({f.config, 1}, &f.trace.dictionary);
   const std::vector<stream::Quantum> quanta =
       stream::SplitIntoQuanta(f.trace.messages, f.config.quantum_size);
   for (std::size_t q = 0; q < 10; ++q) detector.ProcessQuantum(quanta[q]);
@@ -357,10 +373,10 @@ std::string IngestSnapshotBytes() {
   state.cursor_byte = 123'456;
   state.next_seq = 1'000;
   state.quanta_cut = 10;
-  detect::CheckpointExtras extras;
+  durability::CheckpointExtras extras;
   extras.ingest = &state;
   std::stringstream out;
-  EXPECT_TRUE(detect::SaveCheckpoint(detector, out, nullptr, extras));
+  EXPECT_TRUE(durability::SaveSnapshot(detector, out, nullptr, extras).ok());
   return out.str();
 }
 
@@ -370,8 +386,8 @@ TEST(CheckpointFuzzTest, IngestSectionRoundTripsAndRejectsDamage) {
     std::stringstream in(bytes);
     sio::IngestState state;
     bool present = false;
-    auto detector = detect::LoadCheckpoint(
-        in, &SharedFixture().trace.dictionary, nullptr, nullptr, &state,
+    auto detector = durability::LoadEngineSnapshot(
+        in, &SharedFixture().trace.dictionary, 1, nullptr, nullptr, &state,
         &present);
     ASSERT_NE(detector, nullptr);
     ASSERT_TRUE(present);
@@ -400,11 +416,11 @@ TEST(CheckpointFuzzTest, IngestSectionRoundTripsAndRejectsDamage) {
 TEST(CheckpointFuzzTest, ForgedIngestSectionFieldsAreRejected) {
   // Hostile sections behind a *valid* frame CRC: the section parser's own
   // framing (magic, version, length, CRC) is the only defense.
-  detect::EventDetector reference(SharedFixture().config,
-                                  &SharedFixture().trace.dictionary);
+  ParallelDetector reference({SharedFixture().config, 1},
+                             &SharedFixture().trace.dictionary);
   BinaryWriter base;
   sio::WriteConfig(base, SharedFixture().config);
-  reference.SaveState(base);
+  reference.SaveState(base, reference.quantizer());
 
   const auto forge = [&](const std::function<void(BinaryWriter&)>& section)
       -> std::string {
@@ -416,15 +432,18 @@ TEST(CheckpointFuzzTest, ForgedIngestSectionFieldsAreRejected) {
         sio::WriteFrame(out, sio::FrameKind::kFull, payload.data()));
     return out.str();
   };
+  // The typed reason the loader gives for `bytes` (kNone on success).
+  const auto load_error = [](const std::string& bytes) {
+    std::stringstream in(bytes);
+    durability::Error error;
+    const auto engine = durability::LoadEngineSnapshot(
+        in, &SharedFixture().trace.dictionary, 1, nullptr, &error);
+    EXPECT_EQ(engine == nullptr, !error.ok());
+    return error.code;
+  };
   const auto expect_rejected = [&](const std::string& bytes,
                                    const char* what) {
-    std::stringstream in(bytes);
-    sio::LoadError error = sio::LoadError::kNone;
-    EXPECT_EQ(detect::LoadCheckpoint(in, &SharedFixture().trace.dictionary,
-                                     nullptr, &error),
-              nullptr)
-        << what;
-    EXPECT_NE(error, sio::LoadError::kNone) << what;
+    EXPECT_NE(load_error(bytes), durability::ErrorCode::kNone) << what;
   };
 
   // A minimal valid section body, reused by several forgeries.
@@ -444,21 +463,15 @@ TEST(CheckpointFuzzTest, ForgedIngestSectionFieldsAreRejected) {
                     w.Bytes(body.data().data(), body.size());
                   }),
                   "bad section magic");
-  {
-    std::stringstream in(forge([&](BinaryWriter& w) {
-      w.U32(0x53474E49);  // "INGS"
-      w.U32(99);          // future section version
-      w.U64(body.size());
-      w.U32(Crc32(body.data()));
-      w.Bytes(body.data().data(), body.size());
-    }));
-    sio::LoadError error = sio::LoadError::kNone;
-    EXPECT_EQ(detect::LoadCheckpoint(in, &SharedFixture().trace.dictionary,
-                                     nullptr, &error),
-              nullptr);
-    EXPECT_EQ(error, sio::LoadError::kVersionSkew)
-        << "future section version must be typed skew";
-  }
+  EXPECT_EQ(load_error(forge([&](BinaryWriter& w) {
+              w.U32(0x53474E49);  // "INGS"
+              w.U32(99);          // future section version
+              w.U64(body.size());
+              w.U32(Crc32(body.data()));
+              w.Bytes(body.data().data(), body.size());
+            })),
+            durability::ErrorCode::kVersionSkew)
+      << "future section version must be typed skew";
   expect_rejected(forge([&](BinaryWriter& w) {
                     w.U32(0x53474E49);
                     w.U32(1);
@@ -528,42 +541,45 @@ TEST(CheckpointFuzzTest, ForgedIngestSectionFieldsAreRejected) {
 
 TEST(CheckpointFuzzTest, DeltaWithIngestSectionIsCoveredByItsCrc) {
   const Fixture& f = SharedFixture();
-  detect::EventDetector detector(f.config, &f.trace.dictionary);
-  detect::CheckpointManager manager;
+  ParallelDetector detector({f.config, 1}, &f.trace.dictionary);
   const std::vector<stream::Quantum> quanta =
       stream::SplitIntoQuanta(f.trace.messages, f.config.quantum_size);
   std::stringstream full, delta;
+  std::uint64_t base_id = 0;
+  std::vector<stream::Quantum> log;
   for (std::size_t q = 0; q < 12; ++q) {
     detector.ProcessQuantum(quanta[q]);
-    manager.Record(quanta[q]);
-    if (q == 8) EXPECT_TRUE(manager.SaveFull(detector, full));
+    log.push_back(quanta[q]);
+    if (q == 8) {
+      EXPECT_TRUE(durability::SaveSnapshot(detector, full, &base_id).ok());
+      log.clear();
+    }
   }
   sio::IngestState state;
   state.next_seq = 1'200;
-  detect::CheckpointExtras extras;
+  durability::CheckpointExtras extras;
   extras.ingest = &state;
-  EXPECT_TRUE(manager.SaveDelta(detector, delta, extras));
+  EXPECT_TRUE(
+      durability::SaveDeltaSnapshot(detector, base_id, log, delta, extras)
+          .ok());
   const std::string delta_bytes = delta.str();
 
-  const auto load_full = [&] {
-    std::stringstream in(full.str());
-    return detect::LoadCheckpoint(in, &f.trace.dictionary);
-  };
   {  // The pristine delta applies and surfaces its IngestState.
-    auto restored = load_full();
+    auto restored = LoadBytes(full.str());
     ASSERT_NE(restored, nullptr);
     std::stringstream in(delta_bytes);
     sio::IngestState out_state;
     bool present = false;
-    ASSERT_TRUE(detect::ApplyDeltaCheckpoint(
-        *restored, in, manager.base_id(), nullptr, &out_state, &present));
+    ASSERT_TRUE(durability::ApplyDeltaSnapshot(*restored, in, base_id,
+                                               &out_state, &present)
+                    .ok());
     EXPECT_TRUE(present);
     EXPECT_EQ(out_state.next_seq, 1'200u);
   }
   // Any single-bit flip across the delta (section included) is rejected
   // and leaves the detector untouched.
   Rng rng(0xD317A);
-  auto restored = load_full();
+  auto restored = LoadBytes(full.str());
   ASSERT_NE(restored, nullptr);
   const QuantumIndex clock_before = restored->next_quantum_index();
   for (int round = 0; round < 96; ++round) {
@@ -575,31 +591,9 @@ TEST(CheckpointFuzzTest, DeltaWithIngestSectionIsCoveredByItsCrc) {
     corrupt[offset] = static_cast<char>(
         static_cast<unsigned char>(corrupt[offset]) ^
         (1u << rng.UniformInt(8)));
-    std::stringstream in(corrupt);
-    EXPECT_FALSE(
-        detect::ApplyDeltaCheckpoint(*restored, in, manager.base_id()));
+    EXPECT_FALSE(ApplyBytes(*restored, corrupt, base_id));
     EXPECT_EQ(restored->next_quantum_index(), clock_before);
   }
-}
-
-TEST(CheckpointFuzzTest, EngineLoaderRejectsCorruptInput) {
-  const std::string& bytes = SharedFixture().full_bytes;
-  Rng rng(0xE0F);
-  for (int round = 0; round < 64; ++round) {
-    std::string corrupt = bytes;
-    const std::size_t offset = rng.UniformInt(corrupt.size());
-    corrupt[offset] = static_cast<char>(
-        static_cast<unsigned char>(corrupt[offset]) ^
-        (1u << rng.UniformInt(8)));
-    std::stringstream in(corrupt);
-    EXPECT_EQ(engine::ParallelDetector::LoadCheckpoint(
-                  in, &SharedFixture().trace.dictionary, 2),
-              nullptr);
-  }
-  std::stringstream in(bytes);
-  EXPECT_NE(engine::ParallelDetector::LoadCheckpoint(
-                in, &SharedFixture().trace.dictionary, 2),
-            nullptr);
 }
 
 }  // namespace

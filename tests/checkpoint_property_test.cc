@@ -1,8 +1,9 @@
 // Randomized checkpoint round-trip property: for random streams, random
 // configurations and a random save point, the report stream after a restore
-// is byte-identical to the uninterrupted run's — serial and sharded (1 and
-// 8 threads), full and delta checkpoints, in every cross direction
-// (serial-save/engine-load and engine-save/serial-load). Labeled "slow".
+// is byte-identical to the uninterrupted run's — full and delta snapshots,
+// at 1 and 8 threads, and across thread counts (save at 1 / restore at 8
+// and the reverse: thread count is an engine property, not a snapshot
+// property). Labeled "slow".
 
 #include <algorithm>
 #include <functional>
@@ -14,9 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "detect/checkpoint.h"
-#include "detect/detector.h"
 #include "detect/report.h"
+#include "durability/backend.h"
 #include "engine/parallel_detector.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
@@ -68,7 +68,7 @@ Scenario RandomScenario(std::uint64_t seed) {
 
 // Reference tail: digests of every report after `save_at`, uninterrupted.
 std::vector<std::uint64_t> ReferenceTail(const Scenario& s) {
-  detect::EventDetector reference(s.config, &s.trace.dictionary);
+  engine::ParallelDetector reference({s.config, 1}, &s.trace.dictionary);
   std::vector<std::uint64_t> tail;
   for (std::size_t q = 0; q < s.quanta.size(); ++q) {
     const detect::QuantumReport report =
@@ -78,170 +78,115 @@ std::vector<std::uint64_t> ReferenceTail(const Scenario& s) {
   return tail;
 }
 
+// Requires `restored` to continue over the quanta after `save_at` with the
+// reference digests.
 void ExpectTailMatches(const Scenario& s,
                        const std::vector<std::uint64_t>& expected,
-                       const std::function<detect::QuantumReport(
-                           const stream::Quantum&)>& process,
-                       const char* what) {
+                       engine::ParallelDetector& restored,
+                       const std::string& what) {
   ASSERT_FALSE(expected.empty());
   for (std::size_t q = s.save_at; q < s.quanta.size(); ++q) {
-    const detect::QuantumReport report = process(s.quanta[q]);
+    const detect::QuantumReport report = restored.ProcessQuantum(s.quanta[q]);
     ASSERT_EQ(detect::ReportDigest(report), expected[q - s.save_at])
         << what << " diverged at quantum " << q << " (saved at "
         << s.save_at << ")";
   }
 }
 
-TEST(CheckpointPropertyTest, SerialFullRoundTripTailIsByteIdentical) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const Scenario s = RandomScenario(seed);
-    const std::vector<std::uint64_t> expected = ReferenceTail(s);
-
-    detect::EventDetector head(s.config, &s.trace.dictionary);
-    for (std::size_t q = 0; q < s.save_at; ++q) {
-      head.ProcessQuantum(s.quanta[q]);
-    }
-    std::stringstream buffer;
-    ASSERT_TRUE(detect::SaveCheckpoint(head, buffer));
-    auto restored = detect::LoadCheckpoint(buffer, &s.trace.dictionary);
-    ASSERT_NE(restored, nullptr) << "seed " << seed;
-    ExpectTailMatches(
-        s, expected,
-        [&](const stream::Quantum& q) { return restored->ProcessQuantum(q); },
-        "serial full restore");
-  }
-}
-
-TEST(CheckpointPropertyTest, SerialDeltaRoundTripTailIsByteIdentical) {
-  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    const Scenario s = RandomScenario(seed);
-    const std::vector<std::uint64_t> expected = ReferenceTail(s);
-
-    // Full snapshot a few quanta before the save point, delta at it.
-    Rng rng(seed * 977);
-    const std::size_t full_at =
-        s.save_at - std::min<std::size_t>(s.save_at,
-                                          1 + rng.UniformInt(10));
-    detect::EventDetector head(s.config, &s.trace.dictionary);
-    detect::CheckpointManager manager;
-    std::stringstream full, delta;
-    for (std::size_t q = 0; q < s.save_at; ++q) {
-      head.ProcessQuantum(s.quanta[q]);
-      manager.Record(s.quanta[q]);
-      if (q + 1 == full_at) {
-        ASSERT_TRUE(manager.SaveFull(head, full));
-      }
-    }
-    if (full_at == 0) {
-      ASSERT_TRUE(manager.SaveFull(head, full));
-    }
-    ASSERT_TRUE(manager.SaveDelta(head, delta));
-
-    auto restored = detect::LoadCheckpoint(full, &s.trace.dictionary);
-    ASSERT_NE(restored, nullptr) << "seed " << seed;
-    ASSERT_TRUE(
-        ApplyDeltaCheckpoint(*restored, delta, manager.base_id()));
-    ExpectTailMatches(
-        s, expected,
-        [&](const stream::Quantum& q) { return restored->ProcessQuantum(q); },
-        "serial delta restore");
-  }
-}
-
-TEST(CheckpointPropertyTest, ShardedRoundTripAllCrossDirections) {
-  // Engine(8) save -> engine(8) load, engine(8) save -> serial load,
-  // serial save -> engine(8) load, and engine(1) as the degenerate pool.
-  const Scenario s = RandomScenario(21);
-  const std::vector<std::uint64_t> expected = ReferenceTail(s);
-
-  engine::ParallelDetectorConfig pconfig;
-  pconfig.detector = s.config;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    pconfig.threads = threads;
-    engine::ParallelDetector head(pconfig, &s.trace.dictionary);
-    for (std::size_t q = 0; q < s.save_at; ++q) {
-      head.ProcessQuantum(s.quanta[q]);
-    }
-    std::stringstream buffer;
-    std::uint64_t engine_id = 0;
-    ASSERT_TRUE(head.SaveCheckpoint(buffer, &engine_id));
-    const std::string snapshot = buffer.str();
-
-    {
-      std::stringstream in(snapshot);
-      auto restored = engine::ParallelDetector::LoadCheckpoint(
-          in, &s.trace.dictionary, threads);
-      ASSERT_NE(restored, nullptr);
-      ASSERT_EQ(restored->threads(), threads);
-      ExpectTailMatches(
-          s, expected,
-          [&](const stream::Quantum& q) {
-            return restored->ProcessQuantum(q);
-          },
-          "engine->engine restore");
-    }
-    {
-      std::stringstream in(snapshot);
-      auto restored = detect::LoadCheckpoint(in, &s.trace.dictionary);
-      ASSERT_NE(restored, nullptr);
-      ExpectTailMatches(
-          s, expected,
-          [&](const stream::Quantum& q) {
-            return restored->ProcessQuantum(q);
-          },
-          "engine->serial restore");
-    }
-  }
-
-  // Serial save loads into an 8-thread engine.
-  detect::EventDetector serial_head(s.config, &s.trace.dictionary);
+// A full snapshot of an engine on `threads` workers after `save_at` quanta.
+std::string SaveHead(const Scenario& s, std::size_t threads) {
+  engine::ParallelDetector head({s.config, threads}, &s.trace.dictionary);
   for (std::size_t q = 0; q < s.save_at; ++q) {
-    serial_head.ProcessQuantum(s.quanta[q]);
+    head.ProcessQuantum(s.quanta[q]);
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCheckpoint(serial_head, buffer));
-  auto restored = engine::ParallelDetector::LoadCheckpoint(
-      buffer, &s.trace.dictionary, 8);
-  ASSERT_NE(restored, nullptr);
-  ExpectTailMatches(
-      s, expected,
-      [&](const stream::Quantum& q) { return restored->ProcessQuantum(q); },
-      "serial->engine restore");
+  std::stringstream out;
+  EXPECT_TRUE(durability::SaveSnapshot(head, out).ok());
+  return out.str();
 }
 
-TEST(CheckpointPropertyTest, ShardedDeltaRoundTrip) {
-  const Scenario s = RandomScenario(33);
-  const std::vector<std::uint64_t> expected = ReferenceTail(s);
+std::unique_ptr<engine::ParallelDetector> Load(const std::string& bytes,
+                                               const Scenario& s,
+                                               std::size_t threads) {
+  std::stringstream in(bytes);
+  auto engine =
+      durability::LoadEngineSnapshot(in, &s.trace.dictionary, threads);
+  if (engine != nullptr) {
+    EXPECT_EQ(engine->threads(), threads);
+  }
+  return engine;
+}
 
-  engine::ParallelDetectorConfig pconfig;
-  pconfig.detector = s.config;
-  pconfig.threads = 8;
-  engine::ParallelDetector head(pconfig, &s.trace.dictionary);
-  const std::size_t full_at = s.save_at > 6 ? s.save_at - 6 : 0;
+// Saves a full snapshot `quanta_before_save` quanta before `save_at` and a
+// delta at it, restores on `threads` workers and checks the tail.
+void ExpectDeltaRoundTrip(const Scenario& s, std::size_t quanta_before_save,
+                          std::size_t threads) {
+  const std::vector<std::uint64_t> expected = ReferenceTail(s);
+  const std::size_t full_at =
+      s.save_at - std::min(s.save_at, quanta_before_save);
+  engine::ParallelDetector head({s.config, threads}, &s.trace.dictionary);
   std::stringstream full, delta;
   std::uint64_t base_id = 0;
   std::vector<stream::Quantum> log;
+  if (full_at == 0) {
+    ASSERT_TRUE(durability::SaveSnapshot(head, full, &base_id).ok());
+  }
   for (std::size_t q = 0; q < s.save_at; ++q) {
     head.ProcessQuantum(s.quanta[q]);
     log.push_back(s.quanta[q]);
     if (q + 1 == full_at) {
-      ASSERT_TRUE(head.SaveCheckpoint(full, &base_id));
+      ASSERT_TRUE(durability::SaveSnapshot(head, full, &base_id).ok());
       log.clear();
     }
   }
-  if (full_at == 0) {
-    ASSERT_TRUE(head.SaveCheckpoint(full, &base_id));
-  }
-  ASSERT_TRUE(head.SaveDeltaCheckpoint(base_id, log, delta));
+  ASSERT_TRUE(durability::SaveDeltaSnapshot(head, base_id, log, delta).ok());
 
-  auto restored = engine::ParallelDetector::LoadCheckpoint(
-      full, &s.trace.dictionary, 8);
+  auto restored = Load(full.str(), s, threads);
   ASSERT_NE(restored, nullptr);
-  ASSERT_TRUE(restored->ApplyDeltaCheckpoint(delta, base_id));
-  ExpectTailMatches(
-      s, expected,
-      [&](const stream::Quantum& q) { return restored->ProcessQuantum(q); },
-      "sharded delta restore");
+  ASSERT_TRUE(durability::ApplyDeltaSnapshot(*restored, delta, base_id).ok());
+  ExpectTailMatches(s, expected, *restored,
+                    "delta restore at " + std::to_string(threads) +
+                        " threads");
+}
+
+TEST(CheckpointPropertyTest, FullRoundTripTailIsByteIdentical) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Scenario s = RandomScenario(seed);
+    const std::vector<std::uint64_t> expected = ReferenceTail(s);
+    auto restored = Load(SaveHead(s, 1), s, 1);
+    ASSERT_NE(restored, nullptr);
+    ExpectTailMatches(s, expected, *restored, "full restore");
+  }
+}
+
+TEST(CheckpointPropertyTest, DeltaRoundTripTailIsByteIdentical) {
+  // Full snapshot a few quanta before the save point, delta at it.
+  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 977);
+    ExpectDeltaRoundTrip(RandomScenario(seed), 1 + rng.UniformInt(10), 1);
+  }
+}
+
+TEST(CheckpointPropertyTest, ShardedRoundTripAcrossThreadCounts) {
+  // Save at 1 and 8 threads, restore each at 1 and 8 threads.
+  const Scenario s = RandomScenario(21);
+  const std::vector<std::uint64_t> expected = ReferenceTail(s);
+  for (const std::size_t save_threads : {std::size_t{1}, std::size_t{8}}) {
+    const std::string snapshot = SaveHead(s, save_threads);
+    for (const std::size_t load_threads :
+         {std::size_t{1}, std::size_t{8}}) {
+      auto restored = Load(snapshot, s, load_threads);
+      ASSERT_NE(restored, nullptr);
+      ExpectTailMatches(s, expected, *restored,
+                        "save@" + std::to_string(save_threads) + " load@" +
+                            std::to_string(load_threads));
+    }
+  }
+}
+
+TEST(CheckpointPropertyTest, ShardedDeltaRoundTrip) {
+  ExpectDeltaRoundTrip(RandomScenario(33), 6, 8);
 }
 
 TEST(CheckpointPropertyTest, MidQuantumSaveKeepsPendingExactly) {
@@ -254,8 +199,8 @@ TEST(CheckpointPropertyTest, MidQuantumSaveKeepsPendingExactly) {
         s.save_at * s.config.quantum_size +
         1 + rng.UniformInt(s.config.quantum_size - 1);
 
-    detect::EventDetector reference(s.config, &s.trace.dictionary);
-    detect::EventDetector head(s.config, &s.trace.dictionary);
+    engine::ParallelDetector reference({s.config, 1}, &s.trace.dictionary);
+    engine::ParallelDetector head({s.config, 1}, &s.trace.dictionary);
     std::vector<std::uint64_t> expected;
     for (std::size_t i = 0; i < s.trace.messages.size(); ++i) {
       auto report = reference.Push(s.trace.messages[i]);
@@ -267,11 +212,11 @@ TEST(CheckpointPropertyTest, MidQuantumSaveKeepsPendingExactly) {
     ASSERT_FALSE(expected.empty());
 
     std::stringstream buffer;
-    ASSERT_TRUE(detect::SaveCheckpoint(head, buffer));
-    auto restored = detect::LoadCheckpoint(buffer, &s.trace.dictionary);
+    ASSERT_TRUE(durability::SaveSnapshot(head, buffer).ok());
+    auto restored = Load(buffer.str(), s, 1);
     ASSERT_NE(restored, nullptr);
-    EXPECT_EQ(restored->pending_messages().size(),
-              head.pending_messages().size());
+    EXPECT_EQ(restored->quantizer().pending().size(),
+              head.quantizer().pending().size());
 
     std::size_t at = 0;
     for (std::size_t i = split; i < s.trace.messages.size(); ++i) {

@@ -1,4 +1,5 @@
-// Tests for detect/checkpoint.h — native structural snapshots.
+// Tests for the one-shot snapshot surface of durability/backend.h —
+// native structural snapshots of the detector.
 //
 // The replay-era suite asserted approximate convergence after a restore;
 // the native format is held to the strict contract: the post-restore report
@@ -8,21 +9,25 @@
 // checkpoint_fuzz_test.cc.
 
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "detect/checkpoint.h"
-#include "detect/detector.h"
 #include "detect/report.h"
+#include "durability/backend.h"
 #include "engine/parallel_detector.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
 
 namespace scprt::detect {
 namespace {
+
+using engine::ParallelDetector;
 
 stream::SyntheticTrace SmallTrace() {
   stream::SyntheticConfig config;
@@ -44,13 +49,43 @@ DetectorConfig SmallConfig() {
   return config;
 }
 
+// A full snapshot of `detector` as bytes.
+std::string Save(ParallelDetector& detector,
+                 std::uint64_t* checkpoint_id = nullptr) {
+  std::stringstream out;
+  EXPECT_TRUE(durability::SaveSnapshot(detector, out, checkpoint_id).ok());
+  return out.str();
+}
+
+// Restores `bytes` into an engine on `threads` workers.
+std::unique_ptr<ParallelDetector> Load(
+    const std::string& bytes, const text::KeywordDictionary* dictionary,
+    std::size_t threads = 1, std::uint64_t* checkpoint_id = nullptr) {
+  std::stringstream in(bytes);
+  return durability::LoadEngineSnapshot(in, dictionary, threads,
+                                        checkpoint_id);
+}
+
+// Reports of `detector` over messages [from, end) of `trace`.
+std::vector<QuantumReport> PushTail(ParallelDetector& detector,
+                                    const stream::SyntheticTrace& trace,
+                                    std::size_t from) {
+  std::vector<QuantumReport> reports;
+  for (std::size_t i = from; i < trace.messages.size(); ++i) {
+    if (auto report = detector.Push(trace.messages[i])) {
+      reports.push_back(*std::move(report));
+    }
+  }
+  return reports;
+}
+
 TEST(CheckpointTest, RoundTripIsBitIdentical) {
   const stream::SyntheticTrace trace = SmallTrace();
   const DetectorConfig config = SmallConfig();
   const std::size_t split = trace.messages.size() / 2;
 
   // Reference detector: runs the whole trace uninterrupted.
-  EventDetector reference(config, &trace.dictionary);
+  ParallelDetector reference({config, 1}, &trace.dictionary);
   std::vector<QuantumReport> ref_tail;
   for (std::size_t i = 0; i < trace.messages.size(); ++i) {
     auto report = reference.Push(trace.messages[i]);
@@ -58,22 +93,15 @@ TEST(CheckpointTest, RoundTripIsBitIdentical) {
   }
 
   // Checkpointed detector: first half, save, load, second half.
-  EventDetector first_half(config, &trace.dictionary);
+  ParallelDetector first_half({config, 1}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     first_half.Push(trace.messages[i]);
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCheckpoint(first_half, buffer));
-  auto restored = LoadCheckpoint(buffer, &trace.dictionary);
+  auto restored = Load(Save(first_half), &trace.dictionary);
   ASSERT_NE(restored, nullptr);
 
-  std::vector<QuantumReport> restored_tail;
-  for (std::size_t i = split; i < trace.messages.size(); ++i) {
-    if (auto report = restored->Push(trace.messages[i])) {
-      restored_tail.push_back(*std::move(report));
-    }
-  }
-
+  const std::vector<QuantumReport> restored_tail =
+      PushTail(*restored, trace, split);
   ASSERT_EQ(restored_tail.size(), ref_tail.size());
   ASSERT_GT(ref_tail.size(), 10u);
   for (std::size_t i = 0; i < ref_tail.size(); ++i) {
@@ -86,16 +114,15 @@ TEST(CheckpointTest, WeightedMinHashRoundTripIsBitIdentical) {
   // Weighted sketches add state a snapshot must carry verbatim: the
   // realized per-signature scores and the per-quantum sketch ring (the
   // exponential draws depend on message counts the id sets no longer
-  // have). Save mid-stream, restore serially AND into the 4-thread
-  // engine, and require the tail reports bit-identical to an
-  // uninterrupted weighted run.
+  // have). Save mid-stream, restore at 1 AND 4 threads, and require the
+  // tail reports bit-identical to an uninterrupted weighted run.
   const stream::SyntheticTrace trace = SmallTrace();
   DetectorConfig config = SmallConfig();
   config.akg.weighted_minhash = true;
   config.akg.ec_mode = akg::EcMode::kMinHashOnly;
   const std::size_t split = trace.messages.size() / 2;
 
-  EventDetector reference(config, &trace.dictionary);
+  ParallelDetector reference({config, 1}, &trace.dictionary);
   std::vector<QuantumReport> ref_tail;
   for (std::size_t i = 0; i < trace.messages.size(); ++i) {
     auto report = reference.Push(trace.messages[i]);
@@ -103,41 +130,23 @@ TEST(CheckpointTest, WeightedMinHashRoundTripIsBitIdentical) {
   }
   ASSERT_GT(ref_tail.size(), 10u);
 
-  EventDetector first_half(config, &trace.dictionary);
+  ParallelDetector first_half({config, 1}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     first_half.Push(trace.messages[i]);
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCheckpoint(first_half, buffer));
-  const std::string bytes = buffer.str();
+  const std::string bytes = Save(first_half);
 
-  auto restored = LoadCheckpoint(buffer, &trace.dictionary);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_TRUE(restored->config().akg.weighted_minhash);
-  std::vector<QuantumReport> serial_tail;
-  for (std::size_t i = split; i < trace.messages.size(); ++i) {
-    if (auto report = restored->Push(trace.messages[i])) {
-      serial_tail.push_back(*std::move(report));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto restored = Load(bytes, &trace.dictionary, threads);
+    ASSERT_NE(restored, nullptr);
+    EXPECT_TRUE(restored->core().config().akg.weighted_minhash);
+    const std::vector<QuantumReport> tail =
+        PushTail(*restored, trace, split);
+    ASSERT_EQ(tail.size(), ref_tail.size());
+    for (std::size_t i = 0; i < ref_tail.size(); ++i) {
+      EXPECT_EQ(tail[i], ref_tail[i]) << "tail report " << i;
     }
-  }
-  ASSERT_EQ(serial_tail.size(), ref_tail.size());
-  for (std::size_t i = 0; i < ref_tail.size(); ++i) {
-    EXPECT_EQ(serial_tail[i], ref_tail[i]) << "serial tail report " << i;
-  }
-
-  std::stringstream engine_in(bytes);
-  auto engine = engine::ParallelDetector::LoadCheckpoint(
-      engine_in, &trace.dictionary, /*threads=*/4);
-  ASSERT_NE(engine, nullptr);
-  std::vector<QuantumReport> engine_tail;
-  for (std::size_t i = split; i < trace.messages.size(); ++i) {
-    if (auto report = engine->Push(trace.messages[i])) {
-      engine_tail.push_back(*std::move(report));
-    }
-  }
-  ASSERT_EQ(engine_tail.size(), ref_tail.size());
-  for (std::size_t i = 0; i < ref_tail.size(); ++i) {
-    EXPECT_EQ(engine_tail[i], ref_tail[i]) << "engine tail report " << i;
   }
 }
 
@@ -146,7 +155,7 @@ TEST(CheckpointTest, StableIdsAndNoNewRefire) {
   const DetectorConfig config = SmallConfig();
   const std::size_t split = trace.messages.size() / 2;
 
-  EventDetector detector(config, &trace.dictionary);
+  ParallelDetector detector({config, 1}, &trace.dictionary);
   std::vector<QuantumReport> head;
   for (std::size_t i = 0; i < split; ++i) {
     if (auto report = detector.Push(trace.messages[i])) {
@@ -159,21 +168,18 @@ TEST(CheckpointTest, StableIdsAndNoNewRefire) {
   for (const QuantumReport& r : head) reported_before += r.events.size();
   ASSERT_GT(reported_before, 0u);
 
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCheckpoint(detector, buffer));
-  auto restored = LoadCheckpoint(buffer, &trace.dictionary);
+  auto restored = Load(Save(detector), &trace.dictionary);
   ASSERT_NE(restored, nullptr);
 
   // The first-report set survives verbatim: ids reported before the crash
   // can never be announced NEW again.
-  EXPECT_EQ(restored->reported_ids(), detector.reported_ids());
-  for (std::size_t i = split; i < trace.messages.size(); ++i) {
-    if (auto report = restored->Push(trace.messages[i])) {
-      for (const EventSnapshot& e : report->events) {
-        if (detector.reported_ids().count(e.cluster_id)) {
-          EXPECT_FALSE(e.newly_reported)
-              << "NEW refired for cluster " << e.cluster_id;
-        }
+  const auto& reported = detector.core().reported_ids();
+  EXPECT_EQ(restored->core().reported_ids(), reported);
+  for (const QuantumReport& report : PushTail(*restored, trace, split)) {
+    for (const EventSnapshot& e : report.events) {
+      if (reported.count(e.cluster_id)) {
+        EXPECT_FALSE(e.newly_reported)
+            << "NEW refired for cluster " << e.cluster_id;
       }
     }
   }
@@ -185,19 +191,17 @@ TEST(CheckpointTest, PendingMessagesSurviveExactly) {
   // Split mid-quantum so the partial quantum matters.
   const std::size_t split = 5 * config.quantum_size + 37;
 
-  EventDetector reference(config, &trace.dictionary);
-  EventDetector first_half(config, &trace.dictionary);
+  ParallelDetector reference({config, 1}, &trace.dictionary);
+  ParallelDetector first_half({config, 1}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     reference.Push(trace.messages[i]);
     first_half.Push(trace.messages[i]);
   }
-  EXPECT_EQ(first_half.pending_messages().size(), 37u);
+  EXPECT_EQ(first_half.quantizer().pending().size(), 37u);
 
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCheckpoint(first_half, buffer));
-  auto restored = LoadCheckpoint(buffer, &trace.dictionary);
+  auto restored = Load(Save(first_half), &trace.dictionary);
   ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->pending_messages().size(), 37u);
+  EXPECT_EQ(restored->quantizer().pending().size(), 37u);
   EXPECT_EQ(restored->next_quantum_index(), reference.next_quantum_index());
 
   // The next quantum closes at the same message with an identical report.
@@ -221,22 +225,25 @@ TEST(CheckpointTest, DeltaCheckpointRestoresExactly) {
   const std::size_t full_at = 20;   // full snapshot after this many quanta
   const std::size_t delta_at = 29;  // delta after this many
 
-  EventDetector reference(config, &trace.dictionary);
-  CheckpointManager manager(/*full_interval=*/16);
-  std::stringstream full, delta;
+  ParallelDetector reference({config, 1}, &trace.dictionary);
+  std::string full;
+  std::uint64_t base_id = 0;
+  std::vector<stream::Quantum> log;  // quanta since the full snapshot
   for (std::size_t q = 0; q < delta_at; ++q) {
     reference.ProcessQuantum(quanta[q]);
-    manager.Record(quanta[q]);
+    log.push_back(quanta[q]);
     if (q + 1 == full_at) {
-      ASSERT_TRUE(manager.SaveFull(reference, full));
-      EXPECT_EQ(manager.quanta_since_full(), 0u);
+      full = Save(reference, &base_id);
+      log.clear();
     }
   }
-  ASSERT_TRUE(manager.SaveDelta(reference, delta));
+  std::stringstream delta;
+  ASSERT_TRUE(
+      durability::SaveDeltaSnapshot(reference, base_id, log, delta).ok());
 
-  auto restored = LoadCheckpoint(full, &trace.dictionary);
+  auto restored = Load(full, &trace.dictionary);
   ASSERT_NE(restored, nullptr);
-  ASSERT_TRUE(ApplyDeltaCheckpoint(*restored, delta, manager.base_id()));
+  ASSERT_TRUE(durability::ApplyDeltaSnapshot(*restored, delta, base_id).ok());
 
   // Both continue over the rest of the trace with identical reports.
   for (std::size_t q = delta_at; q < quanta.size(); ++q) {
@@ -247,20 +254,16 @@ TEST(CheckpointTest, DeltaCheckpointRestoresExactly) {
 }
 
 TEST(CheckpointTest, EngineDeltaKeepsMidQuantumPending) {
-  // Engine-mode deltas must carry the OUTER quantizer's pending partial
-  // quantum (the core's is always empty) — a delta saved mid-quantum and
-  // restored must not lose buffered messages.
+  // Deltas must carry the quantizer's pending partial quantum — a delta
+  // saved mid-quantum and restored must not lose buffered messages.
   const stream::SyntheticTrace trace = SmallTrace();
   const DetectorConfig config = SmallConfig();
   const std::size_t quanta_before = 12;
   const std::size_t extra = 37;  // messages into quantum 12 at delta time
   const std::size_t split = quanta_before * config.quantum_size + extra;
 
-  engine::ParallelDetectorConfig pconfig;
-  pconfig.detector = config;
-  pconfig.threads = 2;
-  engine::ParallelDetector head(pconfig, &trace.dictionary);
-  std::stringstream full, delta;
+  ParallelDetector head({config, 2}, &trace.dictionary);
+  std::string full;
   std::uint64_t base_id = 0;
   std::vector<stream::Quantum> log;
   for (std::size_t i = 0; i < split; ++i) {
@@ -275,24 +278,24 @@ TEST(CheckpointTest, EngineDeltaKeepsMidQuantumPending) {
           trace.messages.begin() +
               static_cast<std::ptrdiff_t>((q + 1) * config.quantum_size));
       if (q == 7) {
-        ASSERT_TRUE(head.SaveCheckpoint(full, &base_id));
+        full = Save(head, &base_id);
         log.clear();
       } else {
         log.push_back(std::move(quantum));
       }
     }
   }
-  ASSERT_TRUE(head.SaveDeltaCheckpoint(base_id, log, delta));
+  std::stringstream delta;
+  ASSERT_TRUE(durability::SaveDeltaSnapshot(head, base_id, log, delta).ok());
 
-  auto restored = engine::ParallelDetector::LoadCheckpoint(
-      full, &trace.dictionary, 2);
+  auto restored = Load(full, &trace.dictionary, 2);
   ASSERT_NE(restored, nullptr);
-  ASSERT_TRUE(restored->ApplyDeltaCheckpoint(delta, base_id));
+  ASSERT_TRUE(durability::ApplyDeltaSnapshot(*restored, delta, base_id).ok());
 
-  // Reference: uninterrupted serial run over the same stream. The first
-  // report after the delta point must match exactly — it can only if the
-  // `extra` buffered messages survived the delta round trip.
-  EventDetector reference(config, &trace.dictionary);
+  // Reference: uninterrupted one-thread run over the same stream. The
+  // first report after the delta point must match exactly — it can only
+  // if the `extra` buffered messages survived the delta round trip.
+  ParallelDetector reference({config, 1}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     reference.Push(trace.messages[i]);
   }
@@ -313,70 +316,84 @@ TEST(CheckpointTest, DeltaRejectsWrongBase) {
   const std::vector<stream::Quantum> quanta =
       stream::SplitIntoQuanta(trace.messages, config.quantum_size);
 
-  EventDetector detector(config, &trace.dictionary);
-  CheckpointManager manager;
-  std::stringstream full, delta;
+  ParallelDetector detector({config, 1}, &trace.dictionary);
+  std::string full;
+  std::uint64_t base_id = 0;
+  std::vector<stream::Quantum> log;
   for (std::size_t q = 0; q < 12; ++q) {
     detector.ProcessQuantum(quanta[q]);
-    manager.Record(quanta[q]);
+    log.push_back(quanta[q]);
     if (q == 7) {
-      ASSERT_TRUE(manager.SaveFull(detector, full));
+      full = Save(detector, &base_id);
+      log.clear();
     }
   }
-  ASSERT_TRUE(manager.SaveDelta(detector, delta));
+  std::stringstream delta;
+  ASSERT_TRUE(
+      durability::SaveDeltaSnapshot(detector, base_id, log, delta).ok());
 
-  auto restored = LoadCheckpoint(full, &trace.dictionary);
+  auto restored = Load(full, &trace.dictionary);
   ASSERT_NE(restored, nullptr);
-  EXPECT_FALSE(
-      ApplyDeltaCheckpoint(*restored, delta, manager.base_id() + 1));
+  EXPECT_EQ(
+      durability::ApplyDeltaSnapshot(*restored, delta, base_id + 1).code,
+      durability::ErrorCode::kBaseMismatch);
 }
 
 TEST(CheckpointTest, SaveLoadSaveIsByteIdentical) {
   // The encoding is canonical (all unordered structures serialize sorted),
   // so a loaded detector re-saves to the exact same bytes.
   const stream::SyntheticTrace trace = SmallTrace();
-  EventDetector detector(SmallConfig(), &trace.dictionary);
+  ParallelDetector detector({SmallConfig(), 1}, &trace.dictionary);
   for (std::size_t i = 0; i < trace.messages.size() / 2; ++i) {
     detector.Push(trace.messages[i]);
   }
-  std::stringstream first;
   std::uint64_t first_id = 0;
-  ASSERT_TRUE(SaveCheckpoint(detector, first, &first_id));
+  const std::string first = Save(detector, &first_id);
   std::uint64_t loaded_id = 0;
-  auto restored = LoadCheckpoint(first, &trace.dictionary, &loaded_id);
+  auto restored = Load(first, &trace.dictionary, 1, &loaded_id);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(loaded_id, first_id);
-  std::stringstream second;
   std::uint64_t second_id = 0;
-  ASSERT_TRUE(SaveCheckpoint(*restored, second, &second_id));
-  EXPECT_EQ(second.str(), first.str());
+  EXPECT_EQ(Save(*restored, &second_id), first);
   EXPECT_EQ(second_id, first_id);
 }
 
 TEST(CheckpointTest, RejectsGarbage) {
-  std::stringstream bad("nonsense 1\n");
-  EXPECT_EQ(LoadCheckpoint(bad, nullptr), nullptr);
-  std::stringstream empty;
-  EXPECT_EQ(LoadCheckpoint(empty, nullptr), nullptr);
+  EXPECT_EQ(Load("nonsense 1\n", nullptr), nullptr);
+  EXPECT_EQ(Load("", nullptr), nullptr);
 }
 
-TEST(CheckpointTest, FilePathRoundTrip) {
+TEST(CheckpointTest, FileStreamRoundTrip) {
   const stream::SyntheticTrace trace = SmallTrace();
-  EventDetector detector(SmallConfig(), &trace.dictionary);
+  ParallelDetector detector({SmallConfig(), 1}, &trace.dictionary);
   for (std::size_t i = 0; i < 5'000; ++i) {
     detector.Push(trace.messages[i]);
   }
   const std::string path =
       ::testing::TempDir() + "/scprt_checkpoint_test.snap";
   std::uint64_t saved_id = 0;
-  ASSERT_TRUE(SaveCheckpointFile(detector, path, &saved_id));
+  {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(durability::SaveSnapshot(detector, out, &saved_id).ok());
+  }
   std::uint64_t loaded_id = 0;
-  auto restored = LoadCheckpointFile(path, &trace.dictionary, &loaded_id);
+  std::ifstream in(path, std::ios::binary);
+  auto restored =
+      durability::LoadEngineSnapshot(in, &trace.dictionary, 1, &loaded_id);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(loaded_id, saved_id);
   EXPECT_EQ(restored->next_quantum_index(), detector.next_quantum_index());
-  EXPECT_EQ(LoadCheckpointFile(path + ".missing", nullptr), nullptr);
-  EXPECT_FALSE(SaveCheckpointFile(detector, "/nonexistent-dir/x.snap"));
+
+  // Unopenable files surface as typed I/O errors on both sides.
+  std::ifstream missing(path + ".missing", std::ios::binary);
+  durability::Error error;
+  EXPECT_EQ(durability::LoadEngineSnapshot(missing, nullptr, 1, nullptr,
+                                           &error),
+            nullptr);
+  EXPECT_EQ(error.code, durability::ErrorCode::kIo);
+  std::ofstream unwritable("/nonexistent-dir/x.snap", std::ios::binary);
+  EXPECT_EQ(durability::SaveSnapshot(detector, unwritable).code,
+            durability::ErrorCode::kIo);
   std::remove(path.c_str());
 }
 
@@ -386,16 +403,15 @@ TEST(CheckpointTest, ConfigSurvivesRoundTrip) {
   config.akg.high_state_threshold = 6;
   config.min_event_nodes = 4;
   config.require_noun = false;
-  EventDetector detector(config, nullptr);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCheckpoint(detector, buffer));
-  auto restored = LoadCheckpoint(buffer, nullptr);
+  ParallelDetector detector({config, 1}, nullptr);
+  auto restored = Load(Save(detector), nullptr);
   ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->config().quantum_size, config.quantum_size);
-  EXPECT_DOUBLE_EQ(restored->config().akg.ec_threshold, 0.17);
-  EXPECT_EQ(restored->config().akg.high_state_threshold, 6u);
-  EXPECT_EQ(restored->config().min_event_nodes, 4u);
-  EXPECT_FALSE(restored->config().require_noun);
+  const DetectorConfig& loaded = restored->core().config();
+  EXPECT_EQ(loaded.quantum_size, config.quantum_size);
+  EXPECT_DOUBLE_EQ(loaded.akg.ec_threshold, 0.17);
+  EXPECT_EQ(loaded.akg.high_state_threshold, 6u);
+  EXPECT_EQ(loaded.min_event_nodes, 4u);
+  EXPECT_FALSE(loaded.require_noun);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// End-to-end tests of the EventDetector: the Figure 1 earthquake scenario,
-// cluster evolution (the "5.9" keyword joining late), filters, and a small
-// synthetic-trace integration run.
+// End-to-end tests of the detector (one engine thread): the Figure 1
+// earthquake scenario, cluster evolution (the "5.9" keyword joining late),
+// filters, and a small synthetic-trace integration run.
 
 #include <string>
 #include <unordered_set>
@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "detect/detector.h"
 #include "detect/report.h"
+#include "engine/parallel_detector.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "stream/synthetic.h"
@@ -17,6 +17,8 @@
 
 namespace scprt::detect {
 namespace {
+
+using Detector = engine::ParallelDetector;
 
 // Builds messages with `count` distinct users all tweeting `keywords`.
 void AppendCrowd(std::vector<stream::Message>& out, UserId first_user,
@@ -70,7 +72,7 @@ class Figure1Test : public ::testing::Test {
 };
 
 TEST_F(Figure1Test, EarthquakeClusterDiscovered) {
-  EventDetector detector(SmallConfig(), &dict_);
+  Detector detector({SmallConfig(), 1}, &dict_);
   std::vector<stream::Message> msgs;
   // Quantum 0: 8 users tweet the earthquake keywords; "massive" bursts in
   // unrelated messages (temporal but no spatial correlation); noise fills.
@@ -98,7 +100,7 @@ TEST_F(Figure1Test, EarthquakeClusterDiscovered) {
 }
 
 TEST_F(Figure1Test, EvolvingKeywordJoinsCluster) {
-  EventDetector detector(SmallConfig(), &dict_);
+  Detector detector({SmallConfig(), 1}, &dict_);
   std::vector<stream::Message> msgs;
   // Quantum 0: the base event.
   AppendCrowd(msgs, 100, 4, {quake_, struck_, turkey_});
@@ -131,7 +133,7 @@ TEST_F(Figure1Test, EvolvingKeywordJoinsCluster) {
 }
 
 TEST_F(Figure1Test, ClusterExpiresAfterEventDies) {
-  EventDetector detector(SmallConfig(), &dict_);
+  Detector detector({SmallConfig(), 1}, &dict_);
   std::vector<stream::Message> msgs;
   AppendCrowd(msgs, 100, 4, {quake_, struck_, turkey_});
   AppendCrowd(msgs, 104, 4, {quake_, eastern_, turkey_});
@@ -148,14 +150,14 @@ TEST_F(Figure1Test, ClusterExpiresAfterEventDies) {
   ASSERT_EQ(reports.size(), 7u);
   EXPECT_FALSE(reports[0].events.empty());
   EXPECT_TRUE(reports.back().events.empty());
-  EXPECT_EQ(detector.maintainer().clusters().size(), 0u);
-  EXPECT_EQ(detector.akg().akg().node_count(), 0u);
+  EXPECT_EQ(detector.core().maintainer().clusters().size(), 0u);
+  EXPECT_EQ(detector.core().akg().akg().node_count(), 0u);
 }
 
 TEST_F(Figure1Test, NounFilterSuppressesVerbOnlyClusters) {
   auto config = SmallConfig();
   config.require_noun = true;
-  EventDetector detector(config, &dict_);
+  Detector detector({config, 1}, &dict_);
   // A cluster of three non-noun keywords.
   const KeywordId a = dict_.Intern("running");
   const KeywordId b = dict_.Intern("jumping");
@@ -171,13 +173,13 @@ TEST_F(Figure1Test, NounFilterSuppressesVerbOnlyClusters) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].events.empty());
   // The cluster exists; it is only filtered from the report.
-  EXPECT_EQ(detector.maintainer().clusters().size(), 1u);
+  EXPECT_EQ(detector.core().maintainer().clusters().size(), 1u);
 }
 
 TEST_F(Figure1Test, RankFilterSuppressesWeakClusters) {
   auto config = SmallConfig();
   config.min_rank_margin = 100.0;  // absurd floor: everything filtered
-  EventDetector detector(config, &dict_);
+  Detector detector({config, 1}, &dict_);
   std::vector<stream::Message> msgs;
   AppendCrowd(msgs, 100, 8, {quake_, struck_, turkey_});
   AppendNoise(msgs, 400, 12, noise_base_);
@@ -190,7 +192,7 @@ TEST_F(Figure1Test, RankFilterSuppressesWeakClusters) {
 }
 
 TEST_F(Figure1Test, ReportFormatting) {
-  EventDetector detector(SmallConfig(), &dict_);
+  Detector detector({SmallConfig(), 1}, &dict_);
   std::vector<stream::Message> msgs;
   AppendCrowd(msgs, 100, 6, {quake_, struck_, turkey_});
   AppendNoise(msgs, 400, 14, noise_base_);
@@ -226,7 +228,7 @@ TEST(DetectorIntegrationTest, FindsPlantedEventsOnSyntheticTrace) {
   detector_config.akg.high_state_threshold = 4;
   detector_config.akg.ec_threshold = 0.20;
   detector_config.akg.window_length = 30;
-  EventDetector detector(detector_config, &trace.dictionary);
+  Detector detector({detector_config, 1}, &trace.dictionary);
   const auto reports = detector.Run(trace.messages);
   ASSERT_GT(reports.size(), 100u);
 

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "detect/detector.h"
 #include "detect/feed.h"
+#include "engine/parallel_detector.h"
 #include "stream/synthetic.h"
 
 namespace scprt::detect {
@@ -102,7 +102,7 @@ TEST(EventFeedTest, DedupeInvariantOnRealRun) {
   DetectorConfig dconfig;
   dconfig.quantum_size = 120;
   dconfig.akg.window_length = 15;
-  EventDetector detector(dconfig, &trace.dictionary);
+  engine::ParallelDetector detector({dconfig, 1}, &trace.dictionary);
   FeedConfig fconfig;
   EventFeed feed(fconfig);
 

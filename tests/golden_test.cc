@@ -1,9 +1,10 @@
 // Golden-trace regression corpus: canonical traces committed under
 // tests/golden/ with the expected per-quantum report digests. Any change to
 // detector behavior — intended or not — shows up as a digest mismatch here,
-// so silent drift cannot slip into a future PR. The sharded engine replays
-// the same corpus and must match the same digests (bit-identical parallel
-// execution is part of the contract).
+// so silent drift cannot slip into a future PR. The detector replays the
+// corpus at 1 thread (inline, serial aggregate) and at 4 threads, and both
+// must match the same digests (bit-identical parallel execution is part of
+// the contract).
 //
 // Regenerating after an INTENTIONAL behavior change:
 //
@@ -27,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
-#include "detect/detector.h"
 #include "detect/report.h"
 #include "engine/parallel_detector.h"
 #include "store/event_indexer.h"
@@ -196,7 +196,7 @@ bool WriteDigestFile(const std::string& path,
 
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
-TEST_P(GoldenTest, SerialAndShardedMatchCommittedDigests) {
+TEST_P(GoldenTest, OneAndFourThreadsMatchCommittedDigests) {
   const GoldenCase& c = GetParam();
 
   stream::SyntheticTrace trace;
@@ -208,8 +208,9 @@ TEST_P(GoldenTest, SerialAndShardedMatchCommittedDigests) {
     ASSERT_TRUE(stream::WriteTraceFile(trace, TracePath(c)));
   }
 
-  // Serial reference run.
-  detect::EventDetector detector(c.detector_config(), &trace.dictionary);
+  // One-thread reference run (inline, serial aggregate).
+  engine::ParallelDetector detector({c.detector_config(), 1},
+                                    &trace.dictionary);
   const std::vector<detect::QuantumReport> reports =
       detector.Run(trace.messages);
   ASSERT_GT(reports.size(), 20u) << "golden trace degenerated";

@@ -17,10 +17,10 @@
 #include <vector>
 
 #include "common/binary_io.h"
-#include "detect/checkpoint.h"
 #include "detect/detector.h"
 #include "detect/report.h"
 #include "detect/snapshot_io.h"
+#include "durability/backend.h"
 #include "engine/parallel_detector.h"
 #include "ingest/durable.h"
 #include "ingest/pipeline.h"
@@ -79,13 +79,14 @@ ReinternedTrace ReinternSerially(const stream::SyntheticTrace& trace) {
   return out;
 }
 
-// Per-quantum digests of the serial trace path (the ground truth both the
-// interrupted and uninterrupted ingest runs must match).
+// Per-quantum digests of the pre-tokenized trace path at one engine thread
+// (the ground truth both the interrupted and uninterrupted ingest runs
+// must match).
 std::map<QuantumIndex, std::uint64_t> ReferenceDigests(
     const std::vector<stream::Message>& messages,
     const text::KeywordDictionary& dictionary,
     const detect::DetectorConfig& config) {
-  detect::EventDetector detector(config, &dictionary);
+  engine::ParallelDetector detector({config, 1}, &dictionary);
   std::map<QuantumIndex, std::uint64_t> digests;
   for (const stream::Quantum& quantum : stream::SplitIntoQuanta(
            messages, config.quantum_size, /*keep_partial=*/true)) {
@@ -471,12 +472,12 @@ TEST(KillResumeTest, ResumeSurvivesACorruptNewestDelta) {
 
 // ------------------------------------- Version skew + PR 2-era reads ----
 
-// A detector with some real state to snapshot.
-std::unique_ptr<detect::EventDetector> WarmDetector(
+// A one-thread engine with some real state to snapshot.
+std::unique_ptr<engine::ParallelDetector> WarmDetector(
     const stream::SyntheticTrace& trace,
     const detect::DetectorConfig& config) {
-  auto detector =
-      std::make_unique<detect::EventDetector>(config, &trace.dictionary);
+  auto detector = std::make_unique<engine::ParallelDetector>(
+      engine::ParallelDetectorConfig{config, 1}, &trace.dictionary);
   for (const stream::Quantum& quantum : stream::SplitIntoQuanta(
            trace.messages, config.quantum_size, /*keep_partial=*/false)) {
     detector->ProcessQuantum(quantum);
@@ -513,6 +514,16 @@ std::string AsLegacyVersion(std::string bytes, std::uint8_t version) {
   return bytes;
 }
 
+// The typed reason LoadEngineSnapshot gives for `in` (kNone on success).
+durability::ErrorCode LoadErrorOf(std::istream& in,
+                                  const text::KeywordDictionary& dictionary) {
+  durability::Error error;
+  const auto engine =
+      durability::LoadEngineSnapshot(in, &dictionary, 1, nullptr, &error);
+  EXPECT_EQ(engine == nullptr, !error.ok());
+  return error.code;
+}
+
 TEST(SnapshotCompatTest, Pr2EraVersion2SnapshotRestoresABareDetector) {
   const stream::SyntheticTrace trace = SmallTrace(41);
   const detect::DetectorConfig config = SmallDetectorConfig();
@@ -520,20 +531,22 @@ TEST(SnapshotCompatTest, Pr2EraVersion2SnapshotRestoresABareDetector) {
 
   // A bare save (no IngestState section) rewritten to the legacy encoding
   // is byte-for-byte what PR 2 (version 2) and the pre-weighted era
-  // (version 3) wrote; both must restore a bare detector.
+  // (version 3) wrote; both must restore a bare engine.
   std::stringstream out;
-  ASSERT_TRUE(detect::SaveCheckpoint(*detector, out));
+  ASSERT_TRUE(durability::SaveSnapshot(*detector, out).ok());
   ASSERT_EQ(out.str()[8], 4);
 
   for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{3}}) {
     std::stringstream in(AsLegacyVersion(out.str(), version));
-    sio::LoadError error = sio::LoadError::kCorrupt;
+    durability::Error error =
+        durability::MakeError(durability::ErrorCode::kCorrupt, "unset");
     sio::IngestState ingest;
     bool ingest_present = true;
-    const auto restored = detect::LoadCheckpoint(
-        in, &trace.dictionary, nullptr, &error, &ingest, &ingest_present);
+    const auto restored = durability::LoadEngineSnapshot(
+        in, &trace.dictionary, 1, nullptr, &error, &ingest,
+        &ingest_present);
     ASSERT_NE(restored, nullptr) << "version " << int(version);
-    EXPECT_EQ(error, sio::LoadError::kNone);
+    EXPECT_TRUE(error.ok());
     EXPECT_FALSE(ingest_present);
     EXPECT_EQ(restored->next_quantum_index(),
               detector->next_quantum_index());
@@ -544,16 +557,14 @@ TEST(SnapshotCompatTest, VersionSkewIsTypedNotGenericFailure) {
   const stream::SyntheticTrace trace = SmallTrace(41);
   const auto detector = WarmDetector(trace, SmallDetectorConfig());
   std::stringstream out;
-  ASSERT_TRUE(detect::SaveCheckpoint(*detector, out));
+  ASSERT_TRUE(durability::SaveSnapshot(*detector, out).ok());
 
   for (const char version : {char(1), char(sio::kFormatVersion + 1)}) {
     std::string bytes = out.str();
     bytes[8] = version;
     std::stringstream in(bytes);
-    sio::LoadError error = sio::LoadError::kNone;
-    EXPECT_EQ(detect::LoadCheckpoint(in, &trace.dictionary, nullptr, &error),
-              nullptr);
-    EXPECT_EQ(error, sio::LoadError::kVersionSkew)
+    EXPECT_EQ(LoadErrorOf(in, trace.dictionary),
+              durability::ErrorCode::kVersionSkew)
         << "version " << int(version);
   }
 }
@@ -564,54 +575,50 @@ TEST(SnapshotCompatTest, TypedErrorsDistinguishFailureModes) {
   const auto detector = WarmDetector(trace, config);
   std::stringstream out;
   std::uint64_t base_id = 0;
-  ASSERT_TRUE(detect::SaveCheckpoint(*detector, out, &base_id));
+  ASSERT_TRUE(durability::SaveSnapshot(*detector, out, &base_id).ok());
   const std::string bytes = out.str();
 
   {  // Missing file -> kIo.
-    sio::LoadError error = sio::LoadError::kNone;
-    EXPECT_EQ(detect::LoadCheckpointFile("/nonexistent/path.ckpt",
-                                         &trace.dictionary, nullptr, &error),
-              nullptr);
-    EXPECT_EQ(error, sio::LoadError::kIo);
+    std::ifstream in("/nonexistent/path.ckpt", std::ios::binary);
+    EXPECT_EQ(LoadErrorOf(in, trace.dictionary), durability::ErrorCode::kIo);
   }
   {  // Not a snapshot -> kBadMagic.
     std::stringstream in("this is not a checkpoint, it is a sandwich");
-    sio::LoadError error = sio::LoadError::kNone;
-    EXPECT_EQ(detect::LoadCheckpoint(in, &trace.dictionary, nullptr, &error),
-              nullptr);
-    EXPECT_EQ(error, sio::LoadError::kBadMagic);
+    EXPECT_EQ(LoadErrorOf(in, trace.dictionary),
+              durability::ErrorCode::kBadMagic);
   }
   {  // Payload bit flip -> kCorrupt.
     std::string corrupt = bytes;
     corrupt[100] = static_cast<char>(corrupt[100] ^ 0x40);
     std::stringstream in(corrupt);
-    sio::LoadError error = sio::LoadError::kNone;
-    EXPECT_EQ(detect::LoadCheckpoint(in, &trace.dictionary, nullptr, &error),
-              nullptr);
-    EXPECT_EQ(error, sio::LoadError::kCorrupt);
+    EXPECT_EQ(LoadErrorOf(in, trace.dictionary),
+              durability::ErrorCode::kCorrupt);
   }
   {  // A delta chained to a different full -> kBaseMismatch (the bug this
      // PR fixes: the load path used to swallow this into a generic false).
     std::stringstream delta_out;
-    ASSERT_TRUE(detect::SaveDeltaCheckpoint(*detector, base_id, {},
-                                            delta_out));
+    ASSERT_TRUE(
+        durability::SaveDeltaSnapshot(*detector, base_id, {}, delta_out)
+            .ok());
     std::stringstream full_in(bytes);
-    auto restored = detect::LoadCheckpoint(full_in, &trace.dictionary);
+    auto restored =
+        durability::LoadEngineSnapshot(full_in, &trace.dictionary, 1);
     ASSERT_NE(restored, nullptr);
-    sio::LoadError error = sio::LoadError::kNone;
-    EXPECT_FALSE(detect::ApplyDeltaCheckpoint(*restored, delta_out,
-                                              base_id + 1, &error));
-    EXPECT_EQ(error, sio::LoadError::kBaseMismatch);
+    EXPECT_EQ(durability::ApplyDeltaSnapshot(*restored, delta_out,
+                                             base_id + 1)
+                  .code,
+              durability::ErrorCode::kBaseMismatch);
   }
   {  // A full frame fed to the delta applier -> kKindMismatch.
     std::stringstream full_in(bytes);
-    auto restored = detect::LoadCheckpoint(full_in, &trace.dictionary);
+    auto restored =
+        durability::LoadEngineSnapshot(full_in, &trace.dictionary, 1);
     ASSERT_NE(restored, nullptr);
     std::stringstream full_as_delta(bytes);
-    sio::LoadError error = sio::LoadError::kNone;
-    EXPECT_FALSE(detect::ApplyDeltaCheckpoint(*restored, full_as_delta,
-                                              base_id, &error));
-    EXPECT_EQ(error, sio::LoadError::kKindMismatch);
+    EXPECT_EQ(
+        durability::ApplyDeltaSnapshot(*restored, full_as_delta, base_id)
+            .code,
+        durability::ErrorCode::kKindMismatch);
   }
 }
 

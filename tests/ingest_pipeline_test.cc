@@ -89,7 +89,7 @@ std::vector<detect::QuantumReport> RunTracePath(
     const std::vector<stream::Message>& messages,
     const text::KeywordDictionary& dictionary,
     const detect::DetectorConfig& config) {
-  detect::EventDetector detector(config, &dictionary);
+  engine::ParallelDetector detector({config, 1}, &dictionary);
   std::vector<detect::QuantumReport> reports;
   for (const stream::Quantum& quantum : stream::SplitIntoQuanta(
            messages, config.quantum_size, /*keep_partial=*/true)) {
@@ -159,7 +159,7 @@ TEST(IngestPipelineTest, RawTextPathMatchesTracePathBitIdentically) {
   const stream::SyntheticTrace trace = SmallTrace();
   const detect::DetectorConfig detector_config = SmallDetectorConfig();
 
-  // Reference: the pre-tokenized trace through the serial detector.
+  // Reference: the pre-tokenized trace through a one-thread detector.
   const std::vector<std::uint64_t> want = Digests(
       RunTracePath(trace.messages, trace.dictionary, detector_config));
   ASSERT_GT(want.size(), 50u);
@@ -228,7 +228,7 @@ TEST(IngestPipelineTest, PretokenizedTraceSourceMatchesTracePath) {
   text::ConcurrentKeywordDictionary dictionary;
   dictionary.SeedFrom(trace.dictionary);
   IngestPipeline pipeline(config, &dictionary);
-  detect::EventDetector detector(detector_config, &dictionary.view());
+  engine::ParallelDetector detector({detector_config, 1}, &dictionary.view());
   QuantumAssembler sink = QuantumAssembler::For(detector);
   TraceSource source(trace.messages);
   pipeline.Run(source, sink);

@@ -457,7 +457,9 @@ TEST(LshIndexTest, QueriesRunConcurrentlyWithIngest) {
                     ->Insert(c, c, 0, 1.0, 10,
                              Keywords("c" + std::to_string(c), 5), {}, 0)
                     .ok());
-    if (c % 4 == 3) ASSERT_TRUE(index->Commit().ok());
+    if (c % 4 == 3) {
+      ASSERT_TRUE(index->Commit().ok());
+    }
   }
   ASSERT_TRUE(index->Commit().ok());
   done.store(true, std::memory_order_release);

@@ -10,7 +10,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "detect/detector.h"
+#include "engine/parallel_detector.h"
 #include "graph/bcc.h"
 #include "graph/short_cycle.h"
 #include "stream/synthetic.h"
@@ -163,8 +163,8 @@ TEST(DeterminismTest, DetectorRunsAreReproducible) {
   dconfig.quantum_size = 120;
   dconfig.akg.window_length = 12;
 
-  detect::EventDetector a(dconfig, &trace.dictionary);
-  detect::EventDetector b(dconfig, &trace.dictionary);
+  engine::ParallelDetector a({dconfig, 1}, &trace.dictionary);
+  engine::ParallelDetector b({dconfig, 1}, &trace.dictionary);
   const auto ra = a.Run(trace.messages);
   const auto rb = b.Run(trace.messages);
   ASSERT_EQ(ra.size(), rb.size());

@@ -7,6 +7,10 @@
 // suite), and the determinism bar: report digests bit-identical with
 // the full telemetry stack on or off at 1 and 4 threads.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -354,6 +358,65 @@ TEST(StatsServer, ServesOverSocketAndFlipsHealthzWithinOneTick) {
   // After Stop the port no longer answers.
   EXPECT_EQ(obs::HttpGet("127.0.0.1", server.port(), "/metrics", nullptr),
             -1);
+}
+
+TEST(StatsServer, TricklingClientIsDroppedAtTheRequestDeadline) {
+  // A client that sends one byte every 250 ms never trips a per-read
+  // timeout and never completes its request line. The server must hang up
+  // at its fixed whole-request deadline (2 s from accept), and a /healthz
+  // probe queued behind the trickler must then be answered.
+  obs::Registry registry;
+  obs::StatsServerOptions options;
+  options.registry = &registry;
+  obs::StatsServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  const auto seconds_since_start = [&start] {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+
+  std::atomic<int> health_status{0};
+  std::atomic<double> health_answered_at{0.0};
+  std::thread prober([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    health_status = obs::HttpGet("127.0.0.1", server.port(), "/healthz",
+                                 nullptr);
+    health_answered_at = seconds_since_start();
+  });
+
+  bool dropped = false;
+  while (!dropped && seconds_since_start() < 8.0) {
+    const char byte = 'G';
+    if (::send(fd, &byte, 1, MSG_NOSIGNAL) <= 0) {
+      dropped = true;
+      break;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 250) > 0) {
+      char reply = 0;
+      dropped = ::recv(fd, &reply, 1, 0) <= 0;  // FIN or RST: hung up
+    }
+  }
+  const double held = seconds_since_start();
+  ::close(fd);
+  prober.join();
+
+  EXPECT_TRUE(dropped) << "trickling client still connected after 8 s";
+  EXPECT_GE(held, 1.5) << "dropped before the request deadline";
+  EXPECT_LT(held, 4.0) << "held the accept loop past the request deadline";
+  EXPECT_EQ(health_status.load(), 200);
+  EXPECT_LT(health_answered_at.load(), 5.0);
 }
 
 // --- scrape during live detection (the TSan target) ---

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "detect/detector.h"
 #include "detect/report.h"
 #include "durability/backend.h"
 #include "durability/log_format.h"
@@ -25,6 +24,7 @@
 #include "durability/log_writer.h"
 #include "durability/manifest.h"
 #include "durability/posix_file.h"
+#include "engine/parallel_detector.h"
 #include "ingest/durable.h"
 #include "ingest/source.h"
 #include "ingest/text_export.h"
@@ -371,7 +371,8 @@ void RunCrashPointCase(const std::string& tag,
 
   std::map<QuantumIndex, std::uint64_t> want;
   {
-    detect::EventDetector reference(detector_config, &trace.dictionary);
+    engine::ParallelDetector reference({detector_config, 1},
+                                       &trace.dictionary);
     for (const stream::Quantum& quantum : stream::SplitIntoQuanta(
              trace.messages, detector_config.quantum_size,
              /*keep_partial=*/true)) {
