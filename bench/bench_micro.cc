@@ -2,6 +2,8 @@
 // mutation, short-cycle queries, incremental cluster maintenance vs offline
 // recomputation, Min-Hash signatures and exact Jaccard.
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "akg/id_sets.h"
@@ -92,9 +94,13 @@ void BM_MinHashSignature(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     users.push_back(static_cast<UserId>(rng.Next()));
   }
-  const akg::MinHasher hasher(8, 42);
+  // QuantumSketch takes a distinct-user set.
+  std::sort(users.begin(), users.end());
+  users.erase(std::unique(users.begin(), users.end()), users.end());
+  const akg::WeightedMinHasher hasher(8, 42, /*weighted=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hasher.Signature(users));
+    benchmark::DoNotOptimize(
+        akg::WeightedMinHasher::Values(hasher.QuantumSketch(0, users, {})));
   }
 }
 BENCHMARK(BM_MinHashSignature)->Arg(16)->Arg(128)->Arg(1024);

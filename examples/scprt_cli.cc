@@ -19,21 +19,21 @@
 //                 [--sample-keep F] [--seed N] [--queue N] [--delta N]
 //                 [--gamma F] [--theta N] [--w N] [--top N]
 //                 [--synonyms FILE] [--metrics-json FILE]
-//                 [--durability-dir DIR] [--durability-backend snapshot|wal]
+//                 [--durability-dir DIR]
 //                 [--durability-fsync none|interval|commit]
 //                 [--durability-cadence K] [--durability-seconds T]
 //                 [--durability-full-every N] [--resume] [--trace-out FILE]
 //       Stream raw text (JSON-lines or TSV; "-" reads stdin) through the
 //       parallel tokenize/intern frontend into the sharded detector and
 //       print events as they are discovered, plus final ingest metrics.
-//       --durability-dir makes the deployment durable: the snapshot
-//       backend checkpoints into DIR every K quanta (and/or every T
-//       seconds) at quantum boundaries; the WAL backend commits every
-//       quantum to a write-ahead log with group-commit fsync. --resume
-//       continues a previous run from the newest durable generation +
-//       source cursor. Exit code 3 means the stream was processed but
-//       some durability writes failed. See docs/operations.md for the
-//       runbook and docs/cli.md for the full flag reference.
+//       --durability-dir makes the deployment durable: every quantum is
+//       committed to a write-ahead log in DIR with group-commit fsync
+//       every K quanta (and/or every T seconds), over a full-snapshot
+//       segment cut every K*N quanta. --resume continues a previous run
+//       from the newest durable generation + source cursor. Exit code 3
+//       means the stream was processed but some durability writes
+//       failed. See docs/operations.md for the runbook and docs/cli.md
+//       for the full flag reference.
 //
 //   scprt_cli export <in.trace> <out> [--format jsonl|tsv]
 //       Render a saved trace as raw text in the ingest input format.
@@ -65,7 +65,9 @@
 //
 // Numeric flag values are checked: empty input, trailing garbage, a sign
 // on an unsigned flag or an out-of-range value prints
-// "error: invalid --<flag> '<value>'" and exits 2.
+// "error: invalid --<flag> '<value>'" and exits 2. A flag the subcommand's
+// usage line does not list prints "error: unknown flag --<flag>" and exits
+// 2; the usage text is the one list of accepted flags.
 
 #include <charconv>
 #include <cmath>
@@ -76,6 +78,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -114,43 +117,56 @@ using namespace scprt;
 
 namespace {
 
+// Printed on stderr for malformed invocations. Each subcommand's line is
+// also the list of flags that subcommand accepts (ListsFlag).
+constexpr char kUsage[] =
+    "usage:\n"
+    "  scprt_cli gen <out.trace> [--preset tw|es] [--seed N] [--messages N]\n"
+    "  scprt_cli run <in.trace> [--delta N] [--gamma F] [--theta N] [--w N] "
+    "[--top N] [--stories] [--suppress-spurious] [--threads N] "
+    "[--metrics-json FILE] [--trace-out FILE] [--store-dir DIR] "
+    "[--store-bands B] [--store-rows R] [--store-commit-every K] "
+    "[--store-frames N] [--stats-addr HOST:PORT] [--sample-every T] "
+    "[--health-rule RULES] [--postmortem-dir DIR]\n"
+    "  scprt_cli ingest <in.jsonl|in.tsv|-> [--format jsonl|tsv] [--workers N] "
+    "[--threads N] [--policy block|drop|sample] [--sample-keep F] [--seed N] "
+    "[--queue N] [--delta N] [--gamma F] [--theta N] [--w N] [--top N] "
+    "[--synonyms FILE] [--metrics-json FILE] [--durability-dir DIR] "
+    "[--durability-fsync none|interval|commit] [--durability-cadence K] "
+    "[--durability-seconds T] [--durability-full-every N] [--resume] "
+    "[--trace-out FILE] [--store-dir DIR] [--store-bands B] [--store-rows R] "
+    "[--store-commit-every K] [--store-frames N] [--stats-addr HOST:PORT] "
+    "[--sample-every T] [--health-rule RULES] [--postmortem-dir DIR]\n"
+    "  scprt_cli export <in.trace> <out> [--format jsonl|tsv]\n"
+    "  scprt_cli info <in.trace>\n"
+    "  scprt_cli query <store-dir> <keyword...> [--top N] [--store-frames N] "
+    "[--metrics-json FILE]\n";
+
 int Usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  scprt_cli gen <out.trace> [--preset tw|es] [--seed N] "
-               "[--messages N]\n"
-               "  scprt_cli run <in.trace> [--delta N] [--gamma F] "
-               "[--theta N] [--w N] [--top N] [--stories] "
-               "[--suppress-spurious] [--threads N] [--metrics-json FILE] "
-               "[--trace-out FILE] [--store-dir DIR] [--store-bands B] "
-               "[--store-rows R] [--store-commit-every K] "
-               "[--store-frames N] [--stats-addr HOST:PORT] "
-               "[--sample-every T] [--health-rule RULES] "
-               "[--postmortem-dir DIR]\n"
-               "  scprt_cli ingest <in.jsonl|in.tsv|-> [--format jsonl|tsv] "
-               "[--workers N] [--threads N] [--policy block|drop|sample] "
-               "[--sample-keep F] [--seed N] [--queue N] [--delta N] "
-               "[--gamma F] [--theta N] [--w N] [--top N] [--synonyms FILE] "
-               "[--metrics-json FILE] [--durability-dir DIR] "
-               "[--durability-backend snapshot|wal] "
-               "[--durability-fsync none|interval|commit] "
-               "[--durability-cadence K] [--durability-seconds T] "
-               "[--durability-full-every N] [--resume] [--trace-out FILE] "
-               "[--store-dir DIR] [--store-bands B] [--store-rows R] "
-               "[--store-commit-every K] [--store-frames N] "
-               "[--stats-addr HOST:PORT] [--sample-every T] "
-               "[--health-rule RULES] [--postmortem-dir DIR]\n"
-               "  scprt_cli export <in.trace> <out> [--format jsonl|tsv]\n"
-               "  scprt_cli info <in.trace>\n"
-               "  scprt_cli query <store-dir> <keyword...> [--top N] "
-               "[--store-frames N] [--metrics-json FILE]\n");
+  std::fputs(kUsage, stderr);
   return 2;
+}
+
+// `command`'s line of the usage text, or "" for an unknown command.
+std::string_view UsageLine(const std::string& command) {
+  const std::string_view usage = kUsage;
+  const std::size_t at = usage.find("  scprt_cli " + command + " ");
+  if (at == std::string_view::npos) return {};
+  return usage.substr(at, usage.find('\n', at) - at);
+}
+
+// True when `usage_line` lists `--flag` (as "[--flag ..." or "[--flag]").
+bool ListsFlag(std::string_view usage_line, const std::string& flag) {
+  return usage_line.find("[--" + flag + " ") != std::string_view::npos ||
+         usage_line.find("[--" + flag + "]") != std::string_view::npos;
 }
 
 // Tiny flag parser: --name value (or boolean --name).
 struct Args {
   std::vector<std::string> positional;
   std::unordered_map<std::string, std::string> flags;
+  /// Flag names in command-line order (the first unknown one is reported).
+  std::vector<std::string> flag_order;
 
   bool Has(const std::string& name) const { return flags.count(name) > 0; }
   std::string Get(const std::string& name, const std::string& dflt) const {
@@ -187,6 +203,7 @@ Args Parse(int argc, char** argv) {
     std::string token = argv[i];
     if (token.rfind("--", 0) == 0) {
       const std::string name = token.substr(2);
+      args.flag_order.push_back(name);
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         args.flags[name] = argv[++i];
       } else {
@@ -554,7 +571,6 @@ int CmdIngest(const Args& args) {
   engine_config.detector = DetectorConfigFromArgs(args);
   engine_config.threads = NumericFlag<std::size_t>(args, "threads", "1");
   MaybeEnableTracing(args);
-  const bool durable_run = args.Has("durability-dir");
   std::unique_ptr<obs::Telemetry> telemetry;
   if (!MaybeStartTelemetry(
           args, "ingest",
@@ -562,17 +578,15 @@ int CmdIngest(const Args& args) {
            {"format", format},
            {"workers", args.Get("workers", "4")},
            {"threads", args.Get("threads", "1")},
-           {"policy", policy},
-           {"durability-backend",
-            durable_run ? args.Get("durability-backend", "snapshot") : "-"}},
+           {"policy", policy}},
           &telemetry)) {
     return 2;
   }
 
-  // --durability-dir switches to the durable session: the chosen backend
-  // commits at quantum boundaries, and with --resume the run continues
-  // from the newest durable generation.
-  if (durable_run) {
+  // --durability-dir switches to the durable session: the WAL commits
+  // every quantum boundary, and with --resume the run continues from the
+  // newest durable generation.
+  if (args.Has("durability-dir")) {
     ingest::DurableConfig durable;
     durable.directory = args.Get("durability-dir", "");
     durable.checkpoint_quanta =
@@ -581,15 +595,6 @@ int CmdIngest(const Args& args) {
         NumericFlag<double>(args, "durability-seconds", "0");
     durable.full_interval =
         NumericFlag<std::size_t>(args, "durability-full-every", "4");
-    const std::string backend_name =
-        args.Get("durability-backend", "snapshot");
-    if (!durability::ParseBackendKind(backend_name, durable.backend)) {
-      std::fprintf(stderr,
-                   "error: unknown --durability-backend %s (want snapshot "
-                   "or wal)\n",
-                   backend_name.c_str());
-      return 2;
-    }
     const std::string fsync_name = args.Get("durability-fsync", "none");
     if (!durability::ParseFsyncLevel(fsync_name, durable.fsync)) {
       std::fprintf(stderr,
@@ -629,9 +634,9 @@ int CmdIngest(const Args& args) {
         case ingest::ResumeResult::Outcome::kResumed:
           std::printf(
               "resume: restored %s%s%s -> quantum %lld, record %llu\n",
-              resume.full_path.c_str(),
-              resume.delta_path.empty() ? "" : " + ",
-              resume.delta_path.c_str(),
+              resume.segment_path.c_str(),
+              resume.wal_path.empty() ? "" : " + ",
+              resume.wal_path.c_str(),
               static_cast<long long>(resume.next_quantum),
               static_cast<unsigned long long>(resume.cursor.record_index));
           if (!resume.detail.empty()) {
@@ -833,6 +838,14 @@ int CmdExport(const Args& args) {
 int Dispatch(const Args& args) {
   if (args.positional.empty()) return Usage();
   const std::string& cmd = args.positional[0];
+  const std::string_view usage_line = UsageLine(cmd);
+  if (usage_line.empty()) return Usage();
+  for (const std::string& flag : args.flag_order) {
+    if (!ListsFlag(usage_line, flag)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", flag.c_str());
+      return 2;
+    }
+  }
   if (cmd == "gen") return CmdGen(args);
   if (cmd == "run") return CmdRun(args);
   if (cmd == "ingest") return CmdIngest(args);

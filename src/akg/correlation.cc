@@ -12,8 +12,7 @@ double ComputeEc(EcMode mode, bool weighted, const UserIdSets& sets,
     case EcMode::kMinHashOnly:
       return weighted ? WeightedMinHasher::EstimateResemblance(
                             sig_a.sketch, sig_b.sketch, p)
-                      : MinHasher::EstimateJaccard(sig_a.values, sig_b.values,
-                                                   p);
+                      : EstimateJaccard(sig_a.values, sig_b.values, p);
   }
   return 0.0;
 }
@@ -21,7 +20,7 @@ double ComputeEc(EcMode mode, bool weighted, const UserIdSets& sets,
 bool PassesScreen(EcMode mode, const MinHashSignature& sig_a,
                   const MinHashSignature& sig_b) {
   if (mode == EcMode::kExact) return true;
-  return MinHasher::SharesValue(sig_a, sig_b);
+  return SharesValue(sig_a, sig_b);
 }
 
 }  // namespace scprt::akg

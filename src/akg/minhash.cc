@@ -43,36 +43,7 @@ bool SketchOrderLess(const SketchEntry& a, const SketchEntry& b) {
   return a.key < b.key;
 }
 
-MinHasher::MinHasher(std::size_t p, std::uint64_t seed) : p_(p), hash_(seed) {
-  SCPRT_CHECK(p >= 1);
-}
-
-MinHashSignature MinHasher::Signature(
-    const std::vector<UserId>& users) const {
-  MinHashSignature sig;
-  sig.reserve(std::min(p_, users.size()));
-  for (UserId user : users) {
-    const std::uint64_t h = hash_(user);
-    // The hash is bijective, so only a repeated input id can repeat a
-    // value; the linear membership scan (p <= 16 in practice) keeps each
-    // distinct id in at most one bottom-p slot.
-    if (sig.size() < p_) {
-      if (std::find(sig.begin(), sig.end(), h) != sig.end()) continue;
-      sig.push_back(h);
-      std::push_heap(sig.begin(), sig.end());  // max-heap of the bottom-p
-    } else if (h < sig.front()) {
-      if (std::find(sig.begin(), sig.end(), h) != sig.end()) continue;
-      std::pop_heap(sig.begin(), sig.end());
-      sig.back() = h;
-      std::push_heap(sig.begin(), sig.end());
-    }
-  }
-  std::sort(sig.begin(), sig.end());
-  return sig;
-}
-
-bool MinHasher::SharesValue(const MinHashSignature& a,
-                            const MinHashSignature& b) {
+bool SharesValue(const MinHashSignature& a, const MinHashSignature& b) {
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] == b[j]) return true;
@@ -85,8 +56,8 @@ bool MinHasher::SharesValue(const MinHashSignature& a,
   return false;
 }
 
-double MinHasher::EstimateJaccard(const MinHashSignature& a,
-                                  const MinHashSignature& b, std::size_t p) {
+double EstimateJaccard(const MinHashSignature& a, const MinHashSignature& b,
+                       std::size_t p) {
   if (a.empty() || b.empty()) return 0.0;
   // Bottom-p of the union by sorted merge under set semantics: each
   // distinct value counts once toward the sample no matter how many list

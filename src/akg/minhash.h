@@ -1,22 +1,23 @@
 // Bottom-p Min-Hash signatures for cheap edge-correlation screening
-// (Section 3.2.2), in two forms:
+// (Section 3.2.2).
 //
-//  * MinHasher — the paper's unweighted scheme: each user id is hashed once
-//    with a seeded 64-bit hash and a keyword's signature is the p smallest
-//    distinct hash values over its window id set. Two keywords sharing a
-//    signature value are candidate edges; the bottom-p intersection also
-//    yields the standard bottom-k Jaccard estimate.
+// The paper's unweighted scheme hashes each user id once with a seeded
+// 64-bit hash; a keyword's signature is the p smallest distinct hash
+// values over its window id set. Two keywords sharing a signature value
+// are candidate edges (SharesValue); the bottom-p intersection also yields
+// the standard bottom-k Jaccard estimate (EstimateJaccard).
 //
-//  * WeightedMinHasher — a mergeable sketch built incrementally per quantum.
-//    Each sketch entry carries the user's hash key and a rank score; a
-//    keyword's window sketch is the pairwise Combine of its per-quantum
-//    sketches rather than a rebuild from the folded window id set. In
-//    unweighted mode the score is a monotone function of the key, so the
-//    sketch's Values() are bit-identical to MinHasher::Signature of the
-//    same id set. In weighted mode the score is an exponential draw scaled
-//    by the user's per-quantum message count: min-merging the draws across
-//    quanta realizes Exp(total count), so heavier users sink to the bottom
-//    of the sketch and the screen gains the frequency dimension.
+// WeightedMinHasher builds those signatures as mergeable sketches,
+// incrementally per quantum. Each sketch entry carries the user's hash key
+// and a rank score; a keyword's window sketch is the pairwise Combine of
+// its per-quantum sketches rather than a rebuild from the folded window id
+// set. In unweighted mode the score is a monotone function of the key, so
+// the sketch's Values() are exactly the paper's signature: the p smallest
+// distinct SeededHash values of the id set. In weighted mode the score is
+// an exponential draw scaled by the user's per-quantum message count:
+// min-merging the draws across quanta realizes Exp(total count), so
+// heavier users sink to the bottom of the sketch and the screen gains the
+// frequency dimension.
 //
 // Combine is exact under truncation (a merged sketch equals the sketch of
 // the merged input, by the usual KMV argument), hence associative and
@@ -64,44 +65,25 @@ struct KeywordSignature {
   WeightedSketch sketch;
 };
 
-/// Computes bottom-p signatures.
-class MinHasher {
- public:
-  /// `p` >= 1 signature size; `seed` fixes the hash function.
-  MinHasher(std::size_t p, std::uint64_t seed);
+/// True if the sorted signatures share at least one value (the screen).
+bool SharesValue(const MinHashSignature& a, const MinHashSignature& b);
 
-  /// Signature of a user set (any order; duplicate ids are collapsed, so a
-  /// repeated id never occupies two bottom-p slots). Size is
-  /// min(p, distinct users).
-  MinHashSignature Signature(const std::vector<UserId>& users) const;
-
-  /// True if the sorted signatures share at least one value.
-  static bool SharesValue(const MinHashSignature& a,
-                          const MinHashSignature& b);
-
-  /// Bottom-k Jaccard estimate: |X n A n B| / |X| where X is the bottom-p
-  /// of A u B under set semantics (duplicate values within a list count
-  /// once). Unbiased for |A u B| >= p; when both signatures are complete
-  /// sets (|A| < p and |B| < p), X is the whole union and the estimate is
-  /// the exact Jaccard. Returns 0 on empty input.
-  static double EstimateJaccard(const MinHashSignature& a,
-                                const MinHashSignature& b, std::size_t p);
-
-  std::size_t p() const { return p_; }
-
- private:
-  std::size_t p_;
-  SeededHash hash_;
-};
+/// Bottom-k Jaccard estimate: |X n A n B| / |X| where X is the bottom-p of
+/// A u B under set semantics (duplicate values within a list count once).
+/// Unbiased for |A u B| >= p; when both signatures are complete sets
+/// (|A| < p and |B| < p), X is the whole union and the estimate is the
+/// exact Jaccard. Returns 0 on empty input.
+double EstimateJaccard(const MinHashSignature& a, const MinHashSignature& b,
+                       std::size_t p);
 
 /// Builds and merges per-quantum weighted sketches. Stateless apart from
 /// the configuration (p, seed, weighted flag); safe to share across
 /// threads.
 class WeightedMinHasher {
  public:
-  /// `p` >= 1 sketch size; `seed` fixes the key hash (the same seed as
-  /// MinHasher gives identical keys); `weighted` selects count-scaled
-  /// exponential scores over the unweighted key-derived scores.
+  /// `p` >= 1 sketch size; `seed` fixes the key hash (SeededHash(seed) of
+  /// the user id); `weighted` selects count-scaled exponential scores over
+  /// the unweighted key-derived scores.
   WeightedMinHasher(std::size_t p, std::uint64_t seed, bool weighted);
 
   /// Sketch of one keyword's occurrences in `quantum`: `users` must be
@@ -125,8 +107,8 @@ class WeightedMinHasher {
                                     std::size_t p);
 
   /// The sketch's keys, sorted ascending — the screening signature. In
-  /// unweighted mode, bit-identical to MinHasher::Signature of the same id
-  /// set under the same p and seed.
+  /// unweighted mode, the p smallest distinct SeededHash(seed) values of
+  /// the id set.
   static MinHashSignature Values(const WeightedSketch& sketch);
 
   /// Reconstructs the unweighted sketch carrying these signature values

@@ -57,8 +57,8 @@ class SketchWindow {
 
   /// The keyword's window sketch: fixed-shape Combine tree over its
   /// per-quantum sketches, oldest first. Empty when the keyword did not
-  /// occur in the window. In unweighted mode its Values() equal
-  /// MinHasher::Signature of the window id set bit for bit.
+  /// occur in the window. In unweighted mode its Values() are the p
+  /// smallest distinct key hashes of the window id set, bit for bit.
   WeightedSketch WindowSketch(KeywordId keyword) const;
 
   /// Quanta currently retained (<= window length; uniform across shards).

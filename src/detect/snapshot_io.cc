@@ -42,9 +42,9 @@ const char* LoadErrorName(LoadError error) {
     case LoadError::kCorrupt:
       return "corrupt";
     case LoadError::kBaseMismatch:
-      return "delta base mismatch";
+      return "base mismatch";
     case LoadError::kStateMismatch:
-      return "delta/state mismatch";
+      return "state mismatch";
   }
   return "unknown";
 }
@@ -354,48 +354,6 @@ bool ReadFullSnapshot(
   if (reader.remaining() != 0) return false;
   if (ingest_present != nullptr) *ingest_present = have_ingest;
   if (checkpoint_id != nullptr) *checkpoint_id = id;
-  SetError(error, LoadError::kNone);
-  return true;
-}
-
-bool ReadAndValidateDelta(std::istream& in, std::uint64_t expected_base_id,
-                          QuantumIndex next_index, std::size_t quantum_size,
-                          DeltaPayload& delta, LoadError* error,
-                          IngestState* ingest, bool* ingest_present) {
-  if (ingest_present != nullptr) *ingest_present = false;
-  std::string payload;
-  if (!ReadFrame(in, FrameKind::kDelta, payload, nullptr, error)) {
-    return false;
-  }
-  SetError(error, LoadError::kCorrupt);
-  BinaryReader reader(payload);
-  DeltaPayload parsed;
-  if (!ReadDelta(reader, parsed)) return false;
-  // Version-3 deltas may carry a trailing IngestState; parse (and so
-  // validate) it even when the caller restores a bare detector.
-  IngestState parsed_ingest;
-  bool have_ingest = false;
-  if (reader.remaining() != 0) {
-    if (!ReadIngestSection(reader, parsed_ingest, error)) return false;
-    have_ingest = true;
-    SetError(error, LoadError::kCorrupt);
-  }
-  if (reader.remaining() != 0) return false;
-  if (parsed.base_id != expected_base_id) {
-    SetError(error, LoadError::kBaseMismatch);
-    return false;
-  }
-  if (parsed.pending.size() >= quantum_size ||
-      (!parsed.quanta.empty() &&
-       parsed.quanta.front().index < next_index)) {
-    // Over-full pending, or quanta overlapping state the base already
-    // contains: a well-formed delta aimed at the wrong restore target.
-    SetError(error, LoadError::kStateMismatch);
-    return false;
-  }
-  delta = std::move(parsed);
-  if (have_ingest && ingest != nullptr) *ingest = std::move(parsed_ingest);
-  if (ingest_present != nullptr) *ingest_present = have_ingest;
   SetError(error, LoadError::kNone);
   return true;
 }

@@ -1,11 +1,12 @@
 // The versioned binary container for native structural checkpoints.
 //
-// A checkpoint file is one frame:
+// A snapshot (a WAL segment, or a bare SaveSnapshot stream) is one frame:
 //
 //   offset  size  field
 //   0       8     magic "SCPRTSNP"
 //   8       4     format version (little-endian u32; currently 4)
-//   12      1     kind: 1 = full snapshot, 2 = delta
+//   12      1     kind: 1 = full snapshot (2 was the retired delta file;
+//                 any other value is rejected as a kind mismatch)
 //   13      8     payload length in bytes (u64)
 //   21      4     CRC-32 (IEEE) of the payload bytes
 //   25      ...   payload
@@ -20,10 +21,11 @@
 // every derived structure (AKG layer, graph + clusters with their ids,
 // rank histories, first-report set, quantizer clock + partial quantum).
 //
-// Delta payload: the id of the base full snapshot (its payload CRC), the
-// quanta processed since that base (raw messages — bounded by the full-
-// snapshot interval, not by the window), the pending partial quantum at
-// delta time, and an optional trailing IngestState.
+// Delta payload: the body of every WAL record (durability/wal_backend.h)
+// — the id of the segment it chains to (the segment's payload CRC), the
+// quantum it commits (raw messages), the pending partial quantum and the
+// quantizer clock at commit time. The record appends an IngestState
+// carrying the dictionary tail interned since the previous record.
 //
 // IngestState (version 3) is an optional trailing section with its own
 // magic / section version / length / CRC framing: the ingest frontend's
@@ -68,18 +70,18 @@ inline constexpr std::uint32_t kFormatVersion = 4;
 /// without an IngestState section).
 inline constexpr std::uint32_t kMinFormatVersion = 2;
 
-/// What a frame contains: a complete snapshot or a delta against one.
+/// What a frame contains. Only full snapshots remain; kind 2 was the
+/// retired delta-file frame and is never written.
 enum class FrameKind : std::uint8_t {
   kFull = 1,
-  kDelta = 2,
 };
 
 /// Why a checkpoint failed to load. Everything except kNone means the load
 /// returned failure; the distinctions let an operator tell "this file is
 /// damaged" (kCorrupt — restore from an older checkpoint) from "this file
 /// is from another software version" (kVersionSkew — take a fresh full
-/// snapshot after upgrading) from "this delta belongs to a different base"
-/// (kBaseMismatch — the chain is broken, use the matching full).
+/// snapshot after upgrading) from "this segment is not the one its
+/// manifest names" (kBaseMismatch — the chain is broken).
 enum class LoadError : std::uint8_t {
   kNone = 0,
   /// The stream could not be opened or yielded no bytes at all.
@@ -89,14 +91,15 @@ enum class LoadError : std::uint8_t {
   /// Valid magic, but a container (or IngestState section) version outside
   /// the supported range.
   kVersionSkew,
-  /// A full frame where a delta was expected, or vice versa.
+  /// A frame whose kind byte is not a full snapshot.
   kKindMismatch,
   /// Truncation, CRC failure, or a malformed payload.
   kCorrupt,
-  /// A delta whose base id does not match the restored full snapshot.
+  /// A segment or log record chained to a different base snapshot.
   kBaseMismatch,
-  /// A structurally valid delta that is incompatible with the restore
-  /// target (overlapping quanta or an over-full pending partial quantum).
+  /// No snapshot loader produces this; it keeps the ordinals aligned
+  /// with durability::ErrorCode, whose kStateMismatch the event store
+  /// uses.
   kStateMismatch,
 };
 
@@ -110,8 +113,8 @@ struct IngestState {
   /// text::KeywordDictionary::SaveState blob (spellings + noun flags in
   /// id order) — the vocabulary the snapshot's keyword ids are relative
   /// to. A full snapshot carries the whole dictionary (dictionary_base
-  /// 0); a delta carries only the tail interned since its base full
-  /// snapshot, whose dictionary size is dictionary_base (ids are
+  /// 0); a WAL record carries only the tail interned since the previous
+  /// record, whose dictionary size is dictionary_base (ids are
   /// append-only, so the prefix never changes).
   std::string dictionary_state;
   /// First keyword id of dictionary_state's entries.
@@ -136,7 +139,7 @@ struct IngestState {
 };
 
 /// Writes one framed payload. `checkpoint_id` (optional out) receives the
-/// payload CRC — the id delta checkpoints chain to. Returns false on stream
+/// payload CRC — the id WAL records chain to. Returns false on stream
 /// failure.
 bool WriteFrame(std::ostream& out, FrameKind kind, const std::string& payload,
                 std::uint64_t* checkpoint_id = nullptr);
@@ -196,41 +199,26 @@ bool ReadMessages(BinaryReader& in, std::vector<stream::Message>& messages);
 
 /// A parsed delta payload.
 struct DeltaPayload {
-  /// Payload CRC of the base full snapshot this delta extends.
+  /// Payload CRC of the full snapshot this delta extends.
   std::uint64_t base_id = 0;
   /// Quanta processed since the base, oldest first.
   std::vector<stream::Quantum> quanta;
-  /// Partial quantum pending at delta-save time.
+  /// Partial quantum pending at save time.
   std::vector<stream::Message> pending;
-  /// Quantizer clock at delta-save time.
+  /// Quantizer clock at save time.
   QuantumIndex next_index = 0;
 };
 
-/// Serializes a delta payload straight from the caller's structures (the
-/// quantum log can be large — no intermediate copy).
+/// Serializes a delta payload straight from the caller's structures.
 void WriteDelta(BinaryWriter& out, std::uint64_t base_id,
                 QuantumIndex next_index,
                 const std::vector<stream::Quantum>& quanta,
                 const std::vector<stream::Message>& pending);
 
-/// Parses a delta payload. Returns false on malformed input.
+/// Parses a delta payload. Returns false on malformed input. Whether the
+/// delta fits its restore target is the caller's check (WAL recovery
+/// validates each record against the segment and the previous record).
 bool ReadDelta(BinaryReader& in, DeltaPayload& delta);
-
-/// Reads one delta frame from `in` and validates it against the restore
-/// target: the base id must match (kBaseMismatch otherwise — surfaced, not
-/// swallowed), the pending partial quantum must fit under `quantum_size`,
-/// and the delta's quanta must not overlap state the base already contains
-/// (`next_index` is the target's clock; violations are kStateMismatch).
-/// The single definition of delta acceptance — durability::
-/// ApplyDeltaSnapshot and the snapshot backend's staged resume both go
-/// through it. Returns false on any failure; `delta` is only written on
-/// success. `ingest` (optional out) receives the trailing IngestState when
-/// the frame carries one; `ingest_present` the presence flag.
-bool ReadAndValidateDelta(std::istream& in, std::uint64_t expected_base_id,
-                          QuantumIndex next_index, std::size_t quantum_size,
-                          DeltaPayload& delta, LoadError* error = nullptr,
-                          IngestState* ingest = nullptr,
-                          bool* ingest_present = nullptr);
 
 }  // namespace scprt::detect::snapshot_io
 

@@ -1,37 +1,10 @@
 #include "durability/backend.h"
 
-#include <utility>
-
 #include "common/binary_io.h"
-#include "common/check.h"
-#include "durability/snapshot_backend.h"
-#include "durability/wal_backend.h"
 
 namespace scprt::durability {
 
 namespace sio = detect::snapshot_io;
-
-const char* BackendKindName(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kSnapshot:
-      return "snapshot";
-    case BackendKind::kWal:
-      return "wal";
-  }
-  return "unknown";
-}
-
-bool ParseBackendKind(std::string_view text, BackendKind& kind) {
-  if (text == "snapshot") {
-    kind = BackendKind::kSnapshot;
-    return true;
-  }
-  if (text == "wal") {
-    kind = BackendKind::kWal;
-    return true;
-  }
-  return false;
-}
 
 const char* FsyncLevelName(FsyncLevel level) {
   switch (level) {
@@ -59,18 +32,6 @@ bool ParseFsyncLevel(std::string_view text, FsyncLevel& level) {
     return true;
   }
   return false;
-}
-
-std::unique_ptr<Backend> MakeBackend(const BackendOptions& options) {
-  SCPRT_CHECK(!options.directory.empty());
-  SCPRT_CHECK(options.full_interval >= 1);
-  switch (options.kind) {
-    case BackendKind::kSnapshot:
-      return std::make_unique<SnapshotBackend>(options);
-    case BackendKind::kWal:
-      return std::make_unique<WalBackend>(options);
-  }
-  return nullptr;
 }
 
 Error SaveSnapshot(engine::ParallelDetector& engine, std::ostream& out,
@@ -108,40 +69,6 @@ std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
   if (error != nullptr) *error = Error::FromLoad(load_error);
   if (!loaded) return nullptr;
   return engine;
-}
-
-Error SaveDeltaSnapshot(engine::ParallelDetector& engine,
-                        std::uint64_t base_id,
-                        const std::vector<stream::Quantum>& quanta,
-                        std::ostream& out, const CheckpointExtras& extras) {
-  const stream::Quantizer& quantizer = extras.quantizer_override != nullptr
-                                           ? *extras.quantizer_override
-                                           : engine.quantizer();
-  BinaryWriter payload;
-  sio::WriteDelta(payload, base_id, quantizer.next_index(), quanta,
-                  quantizer.pending());
-  if (extras.ingest != nullptr) {
-    sio::WriteIngestSection(payload, *extras.ingest);
-  }
-  if (!sio::WriteFrame(out, sio::FrameKind::kDelta, payload.data())) {
-    return MakeError(ErrorCode::kIo, "delta stream write failed");
-  }
-  return {};
-}
-
-Error ApplyDeltaSnapshot(engine::ParallelDetector& engine, std::istream& in,
-                         std::uint64_t expected_base_id,
-                         sio::IngestState* ingest, bool* ingest_present) {
-  sio::DeltaPayload delta;
-  sio::LoadError load_error = sio::LoadError::kNone;
-  if (!sio::ReadAndValidateDelta(in, expected_base_id,
-                                 engine.next_quantum_index(),
-                                 engine.core().config().quantum_size, delta,
-                                 &load_error, ingest, ingest_present)) {
-    return Error::FromLoad(load_error);
-  }
-  ReplayDelta(engine, delta);
-  return {};
 }
 
 void ReplayDelta(engine::ParallelDetector& engine,

@@ -1,31 +1,24 @@
-// The durability tier's single entry point.
+// The durability tier's shared vocabulary and its one-shot snapshot API.
 //
-// A durability::Backend owns everything between "a quantum just closed"
-// and "state survives a crash": what gets written, when it is fsynced,
-// which files exist, how recovery rebuilds an engine. Two implementations:
+// Durability is one scheme: durability::WalBackend (wal_backend.h). Every
+// quantum appends one CRC-framed record to a write-ahead log
+// (durability/log_format.h), full-snapshot segments are cut on a cadence,
+// and a manifest + CURRENT pair names the generation in force. Commit
+// stall is O(quantum), not O(state); recovery is newest valid manifest +
+// log tail replay with torn-tail tolerance. A crash loses at most the
+// quantum in flight.
 //
-//   * SnapshotBackend — the cadence full/delta checkpoint scheme the
-//     checkpoint-aware ingest path has always used (full-NNNNNN.ckpt /
-//     delta-NNNNNN.ckpt, tmp + rename, one fallback generation), now with
-//     typed errors and fsync levels.
-//   * WalBackend — the log-structured tier: every quantum appends one
-//     CRC-framed record to a write-ahead log (durability/log_format.h),
-//     full-snapshot segments are cut on the old full-checkpoint cadence,
-//     and a manifest + CURRENT pair names the generation in force.
-//     Commit stall is O(quantum), not O(state); recovery is newest valid
-//     manifest + log tail replay with torn-tail tolerance.
+// The driver (ingest::DurableIngest) calls WalBackend::Commit() once per
+// cut quantum — under the engine's quiesce fence, on the driver thread.
+// Resume is bit-identical to a never-restarted run at any worker and
+// engine thread count (tests/ingest_checkpoint_test.cc).
 //
-// The driver (ingest::DurableIngest) calls Commit() once per cut quantum
-// — under the engine's quiesce fence, on the driver thread — and the
-// backend decides whether that boundary persists anything. Both backends
-// restore to the same place: resume from a backend is bit-identical to a
-// never-restarted run at any worker and engine thread count
-// (tests/ingest_checkpoint_test.cc proves it for both).
-//
-// This header is also the one way to save or restore an engine directly:
-// the Save*/Load*/Apply*/Replay* functions at the bottom are the only
-// implementations of full save, full load, delta save, delta apply and
-// the staged replay both backends use, all reporting durability::Error.
+// This header holds what the backend's callers share: the fsync levels,
+// the placement/cadence options, and the Commit/Recover contexts and
+// results. It is also the one way to save or restore an engine directly:
+// SaveSnapshot / LoadEngineSnapshot are the only implementations of full
+// save and full load, and ReplayDelta is the replay step WAL recovery
+// runs on top of a restored segment, all reporting durability::Error.
 //
 // Snapshot strategy: native structural snapshots. A snapshot serializes
 // the derived state itself — the id-set window histories, node automaton,
@@ -43,18 +36,11 @@
 //     engine's, at any thread count on either side of the restore
 //     (tests/checkpoint_property_test.cc).
 //   * Corrupt input (truncation, bit flips, version skew, forged lengths)
-//     makes the loaders fail with a typed Error; they never crash, abort
-//     or over-allocate (tests/checkpoint_fuzz_test.cc).
+//     makes the loader fail with a typed Error; it never crashes, aborts
+//     or over-allocates (tests/checkpoint_fuzz_test.cc).
 //
 // Keyword ids are dictionary-relative; restore with the same dictionary
 // (or a superset that preserves ids).
-//
-// Delta snapshots: between full snapshots, a delta persists only the
-// quanta processed since its base full snapshot (plus the pending partial
-// quantum). Restore = load the base natively, then apply the latest delta,
-// which re-processes that bounded span deterministically. Deltas chain to
-// their base by the base's checkpoint id (its payload CRC); applying a
-// delta to the wrong base is rejected.
 
 #ifndef SCPRT_DURABILITY_BACKEND_H_
 #define SCPRT_DURABILITY_BACKEND_H_
@@ -64,7 +50,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "detect/snapshot_io.h"
 #include "durability/error.h"
@@ -74,9 +59,10 @@
 
 namespace scprt::durability {
 
-/// Which durability scheme a deployment runs.
+/// The durability scheme a deployment runs. The WAL is the only one; the
+/// enum survives as ingest::DurableConfig::backend's type, a field nothing
+/// reads (see its comment).
 enum class BackendKind : std::uint8_t {
-  kSnapshot = 0,
   kWal = 1,
 };
 
@@ -92,36 +78,31 @@ enum class FsyncLevel : std::uint8_t {
   kEveryCommit = 2,
 };
 
-/// Stable names for flags/JSON ("snapshot"/"wal", "none"/"interval"/
-/// "commit") and the matching parsers (false on unknown spellings).
-const char* BackendKindName(BackendKind kind);
-bool ParseBackendKind(std::string_view text, BackendKind& kind);
+/// Stable names for flags/JSON ("none"/"interval"/"commit") and the
+/// matching parser (false on unknown spellings).
 const char* FsyncLevelName(FsyncLevel level);
 bool ParseFsyncLevel(std::string_view text, FsyncLevel& level);
 
-/// Placement and cadence, shared by both backends.
+/// Placement and cadence of the WAL backend.
 struct BackendOptions {
   /// Directory the durability files live in (created if missing).
   std::string directory;
-  BackendKind kind = BackendKind::kSnapshot;
   FsyncLevel fsync = FsyncLevel::kNone;
-  /// Checkpoint cadence in quanta: SnapshotBackend persists every
-  /// `commit_quanta` quanta; WalBackend persists every quantum and uses
-  /// this as the group-commit fsync interval. 0 disables the count
-  /// trigger (snapshot backend only; at least one trigger must be live).
+  /// Checkpoint cadence in quanta: every quantum is committed to the log;
+  /// this is the group-commit fsync interval. 0 disables the count
+  /// trigger (then `commit_seconds` must be set).
   std::size_t commit_quanta = 8;
   /// Time trigger in seconds, evaluated at quantum boundaries (0 off).
   double commit_seconds = 0.0;
-  /// Full-snapshot interval: every Nth snapshot-backend checkpoint is
-  /// full; the WAL backend cuts a segment every
-  /// `commit_quanta * full_interval` quanta.
+  /// A full-snapshot segment is cut every `commit_quanta * full_interval`
+  /// quanta (or `commit_seconds * full_interval` seconds).
   std::size_t full_interval = 4;
 };
 
 /// Everything one quantum boundary hands the backend. The frontend fields
 /// of `state` (cursor, seq, counters, admission) are filled by the caller;
-/// the dictionary fields are left empty — the backend serializes the blob
-/// or tail its own format needs.
+/// the dictionary fields are left empty — the backend serializes the full
+/// blob (segments) or the tail since the previous record (log records).
 struct CommitContext {
   /// The quantum that just closed (already applied to the engine).
   const stream::Quantum* quantum = nullptr;
@@ -136,15 +117,14 @@ struct CommitContext {
 
 /// What one Commit() did.
 struct CommitResult {
-  /// Failure of this boundary's persistence attempt (kNone when nothing
-  /// was due or everything landed). The stream keeps flowing either way;
-  /// the recovery point just ages until the next attempt succeeds.
+  /// Failure of this boundary's persistence attempt (kNone when
+  /// everything landed). The stream keeps flowing either way; the
+  /// recovery point just ages until the next attempt succeeds.
   Error error;
-  /// State at this fence became durable (a WAL record or checkpoint file
-  /// landed). False when the boundary was not a persistence point.
+  /// State at this fence became durable (a log record or a segment
+  /// landed). False when the attempt failed.
   bool persisted = false;
-  /// This boundary produced a checkpoint-grade artifact (a snapshot file,
-  /// or a WAL segment + manifest cut).
+  /// This boundary cut a new generation (segment + manifest).
   bool checkpoint = false;
   /// Bytes written and wall time stalled by this boundary.
   std::uint64_t bytes = 0;
@@ -178,46 +158,18 @@ struct RecoverResult {
   /// Frontend state at the recovered fence (cursor, seq, counters,
   /// admission; dictionary already installed into options.dictionary).
   detect::snapshot_io::IngestState state;
-  /// Quanta replayed on top of the base snapshot (delta or WAL tail).
+  /// Log records replayed on top of the segment.
   std::uint64_t replayed_quanta = 0;
-  /// Artifacts restored: the base full snapshot / segment, and the delta
-  /// file / WAL whose tail was replayed (empty when unused).
-  std::string base_path;
-  std::string tail_path;
+  /// Artifacts restored: the segment, and the log whose records were
+  /// replayed (empty when no record was).
+  std::string segment_path;
+  std::string wal_path;
 };
-
-/// One durability scheme. Not thread-safe — the ingest driver thread owns
-/// it, exactly as it owns the engine.
-class Backend {
- public:
-  virtual ~Backend() = default;
-
-  virtual BackendKind kind() const = 0;
-
-  /// Recovers the newest durable generation. Call at most once, before
-  /// the first Commit. An empty directory is kFresh, not an error.
-  virtual RecoverResult Recover(const RecoverOptions& options) = 0;
-
-  /// One quantum boundary: persist per the backend's policy. `engine` is
-  /// quiesced by its own save path; `ctx.state`'s frontend fields
-  /// describe this fence.
-  virtual CommitResult Commit(engine::ParallelDetector& engine,
-                              const CommitContext& ctx) = 0;
-
-  /// fsync/fdatasync failures observed so far (commits may still have
-  /// landed; their power-loss durability is what failed). The small-fix
-  /// satellite: these used to be logged and dropped.
-  virtual std::uint64_t sync_failures() const = 0;
-};
-
-/// Builds the backend `options.kind` names. The directory is created if
-/// missing.
-std::unique_ptr<Backend> MakeBackend(const BackendOptions& options);
 
 // ---------------------------------------------------------------------------
 // The typed one-shot snapshot surface.
 
-/// Optional attachments to a snapshot, used by the backends.
+/// Optional attachments to a snapshot, used by the WAL's segments.
 /// `quantizer_override` substitutes another quantizer's clock and pending
 /// partial quantum for the engine's own — in the ingest pipeline,
 /// accumulation lives in the QuantumAssembler's quantizer, not the
@@ -229,8 +181,8 @@ struct CheckpointExtras {
 };
 
 /// Writes a full native snapshot of `engine` (quiescing it) to `out`.
-/// `checkpoint_id` (optional out) receives the snapshot's id, which a
-/// later delta chains to.
+/// `checkpoint_id` (optional out) receives the snapshot's id, which every
+/// log record of a WAL generation chains to.
 Error SaveSnapshot(engine::ParallelDetector& engine, std::ostream& out,
                    std::uint64_t* checkpoint_id = nullptr,
                    const CheckpointExtras& extras = {});
@@ -250,31 +202,11 @@ std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
     detect::snapshot_io::IngestState* ingest = nullptr,
     bool* ingest_present = nullptr);
 
-/// Writes a delta snapshot against the full snapshot identified by
-/// `base_id`: `quanta` processed since it (oldest first), plus the
-/// engine's clock and pending partial quantum (or the override's).
-Error SaveDeltaSnapshot(engine::ParallelDetector& engine,
-                        std::uint64_t base_id,
-                        const std::vector<stream::Quantum>& quanta,
-                        std::ostream& out,
-                        const CheckpointExtras& extras = {});
-
-/// Applies a delta snapshot to `engine`, which must have just been
-/// restored from the delta's base (enforced via `expected_base_id`). The
-/// whole delta is parsed and validated first (snapshot_io::
-/// ReadAndValidateDelta): on failure the engine is unchanged and the
-/// typed reason is returned — a broken chain surfaces as kBaseMismatch.
-/// `ingest` / `ingest_present` mirror LoadEngineSnapshot's.
-Error ApplyDeltaSnapshot(engine::ParallelDetector& engine, std::istream& in,
-                         std::uint64_t expected_base_id,
-                         detect::snapshot_io::IngestState* ingest = nullptr,
-                         bool* ingest_present = nullptr);
-
-/// Replays an already-validated delta onto `engine` (the staged resume
-/// path: the backends install the delta's dictionary tail between
-/// validation and replay). Re-processing is deterministic, so the engine
-/// converges to the exact delta-save state; the engine's pending partial
-/// quantum is superseded by the delta's.
+/// Replays already-validated log records, combined into one delta, onto
+/// `engine` (WAL recovery validates every record and installs its
+/// dictionary tail first). Re-processing is deterministic, so the engine
+/// converges to the exact state at the last record; the engine's pending
+/// partial quantum is superseded by the delta's.
 void ReplayDelta(engine::ParallelDetector& engine,
                  const detect::snapshot_io::DeltaPayload& delta);
 

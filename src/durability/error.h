@@ -30,14 +30,14 @@ enum class ErrorCode : std::uint8_t {
   kBadMagic,
   /// A container or section version outside the supported range.
   kVersionSkew,
-  /// A full frame where a delta was expected, or vice versa.
+  /// A snapshot frame whose kind byte is not a full snapshot.
   kKindMismatch,
   /// Truncation, CRC failure, or a malformed payload.
   kCorrupt,
-  /// A delta/log record chained to a different base snapshot.
+  /// A segment or log record chained to a different base snapshot.
   kBaseMismatch,
-  /// Structurally valid state that is incompatible with the restore
-  /// target (overlapping quanta, over-full pending partial quantum).
+  /// A request the target cannot hold (e.g. an event-store geometry or
+  /// record larger than its page format allows).
   kStateMismatch,
   /// fsync/fdatasync failed — bytes were written but durability of the
   /// commit could not be established.
@@ -68,7 +68,7 @@ struct Error {
   static Error FromLoad(detect::snapshot_io::LoadError error,
                         std::string detail = {});
 
-  /// Projects back onto the payload-level enum (the backends name
+  /// Projects back onto the payload-level enum (the WAL backend names
   /// skipped artifacts with snapshot_io::LoadErrorName).
   /// Storage-layer codes with no payload equivalent map to kIo.
   detect::snapshot_io::LoadError ToLoadError() const;

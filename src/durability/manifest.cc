@@ -165,6 +165,9 @@ DirectoryListing ListDurabilityFiles(const std::string& directory) {
       listing.manifests.emplace_back(number, name);
     } else if (ParseIndexFileName(name, number)) {
       listing.indexes.emplace_back(number, name);
+    } else if (ParseNumberedName("full-%llu.ckpt%n", name, number) ||
+               ParseNumberedName("delta-%llu.ckpt%n", name, number)) {
+      listing.legacy_checkpoints.emplace_back(number, name);
     }
   }
   const auto by_number = [](const auto& a, const auto& b) {
@@ -174,6 +177,8 @@ DirectoryListing ListDurabilityFiles(const std::string& directory) {
   std::sort(listing.wals.begin(), listing.wals.end(), by_number);
   std::sort(listing.manifests.begin(), listing.manifests.end(), by_number);
   std::sort(listing.indexes.begin(), listing.indexes.end(), by_number);
+  std::sort(listing.legacy_checkpoints.begin(),
+            listing.legacy_checkpoints.end(), by_number);
   return listing;
 }
 

@@ -99,6 +99,11 @@ struct DirectoryListing {
   /// Event-store index files. Listed so recovery can see them; the GC
   /// sweeps only segments/wals/manifests, never indexes.
   std::vector<std::pair<std::uint64_t, std::string>> indexes;
+  /// Checkpoint files of the retired snapshot backend (`full-NNNNNN.ckpt`,
+  /// `delta-NNNNNN.ckpt`). Never written or swept; listed so recovery can
+  /// refuse a directory that holds only these instead of silently
+  /// starting fresh over them.
+  std::vector<std::pair<std::uint64_t, std::string>> legacy_checkpoints;
 };
 DirectoryListing ListDurabilityFiles(const std::string& directory);
 

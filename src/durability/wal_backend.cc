@@ -39,13 +39,45 @@ bool TimedSync(AppendFile& file) {
   return file.Sync();
 }
 
+// The one definition of log-record acceptance. A record must chain to the
+// generation's segment, commit exactly the next quantum, carry a pending
+// partial quantum that fits, and continue the dictionary watermark. Returns
+// why `delta` / `state` are refused, or "" when the record is accepted.
+std::string RecordRejection(const sio::DeltaPayload& delta,
+                            const sio::IngestState& state,
+                            std::uint64_t base_id, QuantumIndex next_index,
+                            std::size_t quantum_size,
+                            std::size_t dictionary_size) {
+  if (delta.base_id != base_id) return "chained to another segment";
+  if (delta.quanta.size() != 1) {
+    return std::to_string(delta.quanta.size()) + " quanta, want 1";
+  }
+  if (delta.quanta.front().index != next_index ||
+      delta.next_index != next_index + 1) {
+    return "quantum " + std::to_string(delta.quanta.front().index) +
+           ", want " + std::to_string(next_index);
+  }
+  if (delta.pending.size() >= quantum_size) {
+    return "pending partial of " + std::to_string(delta.pending.size()) +
+           " messages >= quantum size " + std::to_string(quantum_size);
+  }
+  if (state.dictionary_base != static_cast<std::uint64_t>(dictionary_size)) {
+    return "dictionary tail starts at " +
+           std::to_string(state.dictionary_base) + ", want " +
+           std::to_string(dictionary_size);
+  }
+  return "";
+}
+
 }  // namespace
 
 WalBackend::WalBackend(const BackendOptions& options) : options_(options) {
+  SCPRT_CHECK(!options_.directory.empty());
+  // With both triggers off the log would never be synced on a schedule
+  // nor cut into generations — it would grow without bound.
   SCPRT_CHECK(options_.commit_quanta > 0 || options_.commit_seconds > 0.0);
   SCPRT_CHECK(options_.full_interval >= 1);
-  // The segment cadence matches the snapshot backend's *full* cadence:
-  // one generation spans what a full + its chained deltas used to.
+  // A generation spans `full_interval` fsync intervals.
   segment_interval_quanta_ =
       options_.commit_quanta > 0
           ? options_.commit_quanta * options_.full_interval
@@ -74,6 +106,23 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
   SCPRT_CHECK(options.dictionary != nullptr);
   RecoverResult result;
   const DirectoryListing listing = ListDurabilityFiles(options_.directory);
+  if (listing.manifests.empty() && !listing.legacy_checkpoints.empty()) {
+    // Written by the retired snapshot backend: not recoverable here, and
+    // not empty either — a silent fresh start would discard it.
+    std::string names;
+    for (const auto& [number, name] : listing.legacy_checkpoints) {
+      names += (names.empty() ? "" : ", ") + name;
+    }
+    result.outcome = RecoverResult::Outcome::kFailed;
+    result.error = MakeError(
+        ErrorCode::kVersionSkew,
+        "snapshot-backend checkpoints (" + names +
+            ") predate the WAL; only seg-/wal-/MANIFEST- files resume");
+    result.detail =
+        std::to_string(listing.legacy_checkpoints.size()) +
+        " retired snapshot-backend checkpoint files and no manifest; ";
+    return result;
+  }
   const bool anything = !listing.segments.empty() || !listing.wals.empty() ||
                         !listing.manifests.empty();
   if (!anything) return result;  // fresh start
@@ -172,27 +221,19 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
         }
         sio::DeltaPayload delta;
         sio::IngestState record_state;
-        bool record_has_ingest = false;
         if (!sio::ReadDelta(payload, delta) ||
             !sio::ReadIngestSection(payload, record_state) ||
-            !payload.ok()) {
-          stop_reason = "malformed record";
+            !payload.ok() || payload.remaining() != 0) {
+          stop_reason = "record " + std::to_string(reader.records_read()) +
+                        " malformed";
           break;
         }
-        record_has_ingest = true;
-        // The same acceptance rules ReadAndValidateDelta enforces for
-        // delta files, per record: chained to this segment, exactly the
-        // next quantum, a pending partial that fits, a dictionary tail
-        // that continues the watermark.
-        if (delta.base_id != manifest.base_checkpoint_id ||
-            delta.quanta.size() != 1 ||
-            delta.quanta.front().index != next_index ||
-            delta.next_index != next_index + 1 ||
-            delta.pending.size() >= quantum_size ||
-            record_state.dictionary_base !=
-                static_cast<std::uint64_t>(dictionary.size())) {
+        const std::string rejection = RecordRejection(
+            delta, record_state, manifest.base_checkpoint_id, next_index,
+            quantum_size, dictionary.size());
+        if (!rejection.empty()) {
           stop_reason = "record " + std::to_string(reader.records_read()) +
-                        " fails validation";
+                        " rejected: " + rejection;
           break;
         }
         BinaryReader tail(record_state.dictionary_state);
@@ -206,7 +247,6 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
         pending = std::move(delta.pending);
         next_index = delta.next_index;
         state = std::move(record_state);
-        (void)record_has_ingest;
       }
       if (stop_reason.empty()) stop_reason = reader.why_stopped();
       if (!stop_reason.empty()) {
@@ -215,8 +255,7 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
         // consistent prefix, and the damage is a typed, surfaced fact.
         result.detail += wal_name + ": " + stop_reason +
                          " (recovered prefix of " +
-                         std::to_string(reader.records_read()) +
-                         " records); ";
+                         std::to_string(quanta.size()) + " records); ";
         if (result.error.ok()) {
           result.error =
               MakeError(ErrorCode::kCorrupt, wal_name + ": " + stop_reason);
@@ -232,13 +271,13 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
       combined.next_index = next_index;
       result.replayed_quanta = combined.quanta.size();
       ReplayDelta(*engine, combined);
-      result.tail_path = PathOf(wal_name);
+      result.wal_path = PathOf(wal_name);
     }
 
     result.outcome = RecoverResult::Outcome::kRecovered;
     result.engine = std::move(engine);
     result.state = std::move(state);
-    result.base_path = PathOf(segment_name);
+    result.segment_path = PathOf(segment_name);
 
     // Never append to a recovered log — its tail may be torn. The first
     // post-recovery Commit cuts a fresh generation; until then GC must

@@ -1,4 +1,4 @@
-// The log-structured durability tier behind the Backend API.
+// The durability backend: a write-ahead log over full-snapshot segments.
 //
 // Layout of a WAL directory (all numbers from one monotonic sequence):
 //
@@ -30,7 +30,12 @@
 // the first damaged, truncated or out-of-sequence record ends the replay
 // (torn-tail tolerance — see LogReader). Resume is bit-identical to a
 // never-restarted run; the source replays the few records after the last
-// durable fence through the normal ingest path.
+// durable fence through the normal ingest path. A directory holding only
+// checkpoint files of the retired snapshot backend (full-/delta-*.ckpt)
+// fails recovery with kVersionSkew rather than reading as empty.
+//
+// Not thread-safe — the ingest driver thread owns the backend, exactly as
+// it owns the engine.
 
 #ifndef SCPRT_DURABILITY_WAL_BACKEND_H_
 #define SCPRT_DURABILITY_WAL_BACKEND_H_
@@ -49,15 +54,25 @@ namespace scprt::durability {
 /// Payload kind byte leading every logical WAL record.
 inline constexpr std::uint8_t kWalRecordDelta = 1;
 
-class WalBackend : public Backend {
+class WalBackend {
  public:
+  /// Creates `options.directory` if missing.
   explicit WalBackend(const BackendOptions& options);
 
-  BackendKind kind() const override { return BackendKind::kWal; }
-  RecoverResult Recover(const RecoverOptions& options) override;
+  /// Recovers the newest durable generation. Call at most once, before
+  /// the first Commit. An empty directory is kFresh, not an error.
+  RecoverResult Recover(const RecoverOptions& options);
+
+  /// One quantum boundary: appends the quantum's log record, or cuts a
+  /// new generation when the segment cadence is due (always on the first
+  /// Commit). `engine` is quiesced by its own save path; `ctx.state`'s
+  /// frontend fields describe this fence.
   CommitResult Commit(engine::ParallelDetector& engine,
-                      const CommitContext& ctx) override;
-  std::uint64_t sync_failures() const override { return sync_failures_; }
+                      const CommitContext& ctx);
+
+  /// fsync/fdatasync failures observed so far (commits may still have
+  /// landed; their power-loss durability is what failed).
+  std::uint64_t sync_failures() const { return sync_failures_; }
 
  private:
   /// Cuts a new generation at the current fence: segment (subsuming the

@@ -9,28 +9,29 @@ namespace scprt::ingest {
 
 namespace sio = detect::snapshot_io;
 
-DurableIngest::DurableIngest(const IngestConfig& ingest,
-                             const engine::ParallelDetectorConfig& engine,
-                             const DurableConfig& durable)
-    : ingest_config_(ingest), engine_config_(engine), durable_(durable) {
-  SCPRT_CHECK(!durable.directory.empty());
-  SCPRT_CHECK(durable.full_interval >= 1);
-  // At least one cadence trigger must be live: with both off, the
-  // snapshot backend never persists anything and the WAL backend never
-  // cuts a segment — zero durability either way.
-  SCPRT_CHECK(durable.checkpoint_quanta > 0 ||
-              durable.checkpoint_seconds > 0.0);
+namespace {
+
+durability::BackendOptions BackendOptionsFor(const DurableConfig& durable) {
   durability::BackendOptions options;
   options.directory = durable.directory;
-  options.kind = durable.backend;
   options.fsync = durable.fsync;
   options.commit_quanta = durable.checkpoint_quanta;
   options.commit_seconds = durable.checkpoint_seconds;
   options.full_interval = durable.full_interval;
-  backend_ = durability::MakeBackend(options);
-  engine_ = std::make_unique<engine::ParallelDetector>(engine_config_,
-                                                       &dictionary_.view());
+  return options;
 }
+
+}  // namespace
+
+DurableIngest::DurableIngest(const IngestConfig& ingest,
+                             const engine::ParallelDetectorConfig& engine,
+                             const DurableConfig& durable)
+    : ingest_config_(ingest),
+      engine_config_(engine),
+      durable_(durable),
+      engine_(std::make_unique<engine::ParallelDetector>(
+          engine_config_, &dictionary_.view())),
+      backend_(BackendOptionsFor(durable)) {}
 
 DurableIngest::~DurableIngest() = default;
 
@@ -42,7 +43,7 @@ ResumeResult DurableIngest::Resume() {
   durability::RecoverOptions options;
   options.engine_threads = engine_config_.threads;
   options.dictionary = &dictionary_;
-  durability::RecoverResult recovered = backend_->Recover(options);
+  durability::RecoverResult recovered = backend_.Recover(options);
   result.error = std::move(recovered.error);
   result.detail = std::move(recovered.detail);
   switch (recovered.outcome) {
@@ -81,8 +82,8 @@ ResumeResult DurableIngest::Resume() {
   resume_pending_ = true;
 
   result.outcome = ResumeResult::Outcome::kResumed;
-  result.full_path = std::move(recovered.base_path);
-  result.delta_path = std::move(recovered.tail_path);
+  result.segment_path = std::move(recovered.segment_path);
+  result.wal_path = std::move(recovered.wal_path);
   result.next_seq = next_seq_;
   result.next_quantum = resume_next_quantum_;
   result.cursor = resume_cursor_;
@@ -153,7 +154,7 @@ detect::QuantumReport DurableIngest::ProcessQuantum(
   ++quanta_cut_total_;
 
   // Hand the boundary to the backend with the frontend state at this
-  // fence; the backend decides whether (and what) it persists.
+  // fence; it appends a log record or cuts a new generation.
   durability::CommitContext ctx;
   ctx.quantum = &quantum;
   ctx.quantizer = &active_assembler_->quantizer();
@@ -174,7 +175,7 @@ detect::QuantumReport DurableIngest::ProcessQuantum(
   state.records_read = records_read_base_ + live.records_read;
   state.shed = shed_base_ + live.shed;
 
-  durability::CommitResult commit = backend_->Commit(*engine_, ctx);
+  durability::CommitResult commit = backend_.Commit(*engine_, ctx);
   if (!commit.error.ok()) {
     ++checkpoint_failures_;
     last_error_ = commit.error;
@@ -183,7 +184,7 @@ detect::QuantumReport DurableIngest::ProcessQuantum(
                       << commit.error.ToString()
                       << ") — recovery point ages until the next attempt";
   }
-  const std::uint64_t sync_failures = backend_->sync_failures();
+  const std::uint64_t sync_failures = backend_.sync_failures();
   if (sync_failures > sync_failures_seen_) {
     pipeline_->metrics().AddSyncFailure(sync_failures -
                                         sync_failures_seen_);

@@ -1,6 +1,6 @@
 // Checkpoint-aware ingest: a raw-text deployment that survives crashes.
 //
-// DurableIngest wires a durability::Backend into the IngestPipeline.
+// DurableIngest wires a durability::WalBackend into the IngestPipeline.
 // While the pipeline runs, every cut quantum is handed to the backend at
 // the quantum boundary — under the engine's ShardPool::Quiesce fence, on
 // the driver thread — together with the deployment's frontend state:
@@ -11,14 +11,10 @@
 //     cursor of the record that closed the quantum, and the stream
 //     counters (snapshot_io::IngestState).
 //
-// The backend decides what that boundary persists:
-//
-//   * durability::SnapshotBackend — cadence full/delta checkpoint files
-//     (full-NNNNNN.ckpt / delta-NNNNNN.ckpt, tmp + rename, one fallback
-//     generation) — the scheme this class used to implement inline;
-//   * durability::WalBackend — one CRC-framed log record per quantum with
-//     group commit, full-snapshot segments on the full cadence, and a
-//     MANIFEST + CURRENT pair naming the generation in force.
+// The backend commits one CRC-framed log record per quantum with group
+// commit, cuts full-snapshot segments on the full cadence, and keeps a
+// MANIFEST + CURRENT pair naming the generation in force — so a crash
+// loses at most the quantum in flight.
 //
 // Resume() asks the backend to recover the newest durable generation,
 // re-installs the dictionary, admission seeds and stream counters, and
@@ -27,11 +23,11 @@
 // tokenize/intern path with shedding suppressed
 // (RunOptions::suppress_shedding), so the post-restore report stream is
 // bit-identical to a never-restarted pipeline's at any worker and engine
-// thread count, under either backend — tests/ingest_checkpoint_test.cc
-// proves it seeded and fresh-dictionary. Recovery cost is surfaced as a
-// first-class metric (IngestSnapshot::recovery_seconds, checkpoint_* and
-// commit_* counters); commit failures surface typed
-// (IngestSnapshot::checkpoint_failures / sync_failures, last_error()).
+// thread count — tests/ingest_checkpoint_test.cc proves it seeded and
+// fresh-dictionary. Recovery cost is surfaced as a first-class metric
+// (IngestSnapshot::recovery_seconds, checkpoint_* and commit_* counters);
+// commit failures surface typed (IngestSnapshot::checkpoint_failures /
+// sync_failures, last_error()).
 
 #ifndef SCPRT_INGEST_DURABLE_H_
 #define SCPRT_INGEST_DURABLE_H_
@@ -43,6 +39,7 @@
 #include <vector>
 
 #include "durability/backend.h"
+#include "durability/wal_backend.h"
 #include "engine/parallel_detector.h"
 #include "ingest/assembler.h"
 #include "ingest/pipeline.h"
@@ -51,25 +48,25 @@
 
 namespace scprt::ingest {
 
-/// Durability scheme, cadence and placement.
+/// Durability cadence and placement.
 struct DurableConfig {
   /// Directory the durability files live in (created if missing).
   std::string directory;
-  /// Which durability::Backend runs underneath (snapshot or WAL).
-  durability::BackendKind backend = durability::BackendKind::kSnapshot;
+  /// Read by nothing: the WAL is the only backend. The field remains only
+  /// because the repository benchmark (perfbench/src/live.cc) assigns it;
+  /// drop it together with that assignment.
+  durability::BackendKind backend = durability::BackendKind::kWal;
   /// How aggressively commits are fsynced (see durability::FsyncLevel).
   durability::FsyncLevel fsync = durability::FsyncLevel::kNone;
-  /// Checkpoint cadence in quanta: the snapshot backend writes a file
-  /// every K cut quanta; the WAL backend commits every quantum and uses K
-  /// as its group-commit fsync interval. (0 disables the count trigger;
-  /// at least one of the two triggers must stay enabled.)
+  /// Every quantum is committed to the log; K is the group-commit fsync
+  /// interval in quanta. (0 disables the count trigger; at least one of
+  /// the two triggers must stay enabled.)
   std::size_t checkpoint_quanta = 8;
-  /// Also checkpoint when T seconds passed since the last one, evaluated
-  /// at quantum boundaries (0 disables the time trigger).
+  /// Also fsync when T seconds passed since the last sync, evaluated at
+  /// quantum boundaries (0 disables the time trigger).
   double checkpoint_seconds = 0.0;
-  /// Every Nth checkpoint is a full snapshot (snapshot backend); the WAL
-  /// backend cuts a segment every checkpoint_quanta * full_interval
-  /// quanta (1 = every checkpoint is full).
+  /// A full-snapshot segment is cut every checkpoint_quanta *
+  /// full_interval quanta (1 = a segment every K quanta).
   std::size_t full_interval = 4;
   /// Replay the post-checkpoint tail with shedding suppressed, reverting
   /// to the configured policy at the first successful post-resume
@@ -81,7 +78,7 @@ struct DurableConfig {
 /// What Resume() found.
 struct ResumeResult {
   enum class Outcome {
-    /// No usable checkpoint — the session starts from scratch.
+    /// No durable files — the session starts from scratch.
     kFresh,
     /// State restored; Run() will seek the source and continue.
     kResumed,
@@ -94,10 +91,11 @@ struct ResumeResult {
   durability::Error error;
   /// Human-readable trail: which files loaded, which were skipped and why.
   std::string detail;
-  /// Artifacts actually restored (empty when not resumed): the base full
-  /// snapshot / segment, and the delta file / WAL tail replayed on top.
-  std::string full_path;
-  std::string delta_path;
+  /// Artifacts actually restored (empty when not resumed): the segment,
+  /// and the log whose records were replayed on top (empty when none
+  /// were).
+  std::string segment_path;
+  std::string wal_path;
   /// Stream coordinates the session will continue from.
   std::uint64_t next_seq = 0;
   QuantumIndex next_quantum = 0;
@@ -105,7 +103,7 @@ struct ResumeResult {
 };
 
 /// A durable ingest session: owns the dictionary, the sharded engine, the
-/// pipeline and the durability backend. Construct, optionally Resume(),
+/// pipeline and the WAL backend. Construct, optionally Resume(),
 /// then Run() — possibly repeatedly (each Run continues the stream where
 /// the previous one ended).
 class DurableIngest {
@@ -123,8 +121,8 @@ class DurableIngest {
   /// is a fresh start, not an error.
   ResumeResult Resume();
 
-  /// Pumps `source` through the pipeline into the engine, committing at
-  /// quantum boundaries per the backend's policy. After a successful
+  /// Pumps `source` through the pipeline into the engine, committing
+  /// every quantum boundary. After a successful
   /// Resume() the source is first Seek()ed to the saved cursor; returns
   /// nullopt (nothing consumed) when that seek fails — an unseekable
   /// source cannot replay its tail. `on_report` (optional) observes every
@@ -148,9 +146,6 @@ class DurableIngest {
   /// The sharded engine driving detection.
   engine::ParallelDetector& engine() { return *engine_; }
 
-  /// The durability backend in force.
-  const durability::Backend& backend() const { return *backend_; }
-
   /// Live counters (poll from any thread while Run is in flight). Valid
   /// after the first Run() started.
   const IngestMetrics* metrics() const {
@@ -164,7 +159,7 @@ class DurableIngest {
   /// Typed reason of the most recent commit failure (ok() when none yet).
   const durability::Error& last_error() const { return last_error_; }
 
-  /// Quanta replayed from the delta/WAL tail during the last Resume().
+  /// Log records replayed during the last Resume().
   std::uint64_t replayed_quanta() const { return replayed_quanta_; }
 
   const IngestConfig& ingest_config() const { return ingest_config_; }
@@ -181,7 +176,7 @@ class DurableIngest {
   text::ConcurrentKeywordDictionary dictionary_;
   std::unique_ptr<engine::ParallelDetector> engine_;
   std::unique_ptr<IngestPipeline> pipeline_;
-  std::unique_ptr<durability::Backend> backend_;
+  durability::WalBackend backend_;
 
   // Stream coordinates carried across runs and restarts.
   std::uint64_t next_seq_ = 0;

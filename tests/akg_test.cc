@@ -176,10 +176,17 @@ TEST(NodeStateTest, ReentryAfterEviction) {
 
 // --- MinHash ---
 
+// The paper's unweighted signature of a distinct-user set: the unweighted
+// WeightedMinHasher sketch's values.
+MinHashSignature Signature(std::size_t p, std::uint64_t seed,
+                           const std::vector<UserId>& users) {
+  const WeightedMinHasher hasher(p, seed, /*weighted=*/false);
+  return WeightedMinHasher::Values(hasher.QuantumSketch(0, users, {}));
+}
+
 TEST(MinHashTest, SignatureIsBottomP) {
-  MinHasher hasher(3, 42);
   std::vector<UserId> users = {1, 2, 3, 4, 5, 6, 7, 8};
-  const auto sig = hasher.Signature(users);
+  const auto sig = Signature(3, 42, users);
   ASSERT_EQ(sig.size(), 3u);
   EXPECT_TRUE(std::is_sorted(sig.begin(), sig.end()));
   // Must be the three smallest among all hashed values.
@@ -192,56 +199,36 @@ TEST(MinHashTest, SignatureIsBottomP) {
 }
 
 TEST(MinHashTest, SmallSetSignature) {
-  MinHasher hasher(5, 42);
-  EXPECT_EQ(hasher.Signature({7}).size(), 1u);
-  EXPECT_TRUE(hasher.Signature({}).empty());
-}
-
-TEST(MinHashTest, RepeatedIdsCollapseToOneSlot) {
-  // Regression: a duplicated id used to occupy two bottom-p slots, pushing
-  // a genuinely distinct user out of the signature.
-  MinHasher hasher(3, 42);
-  const auto with_dups =
-      hasher.Signature({5, 5, 5, 9, 9, 13, 5, 13, 21, 21});
-  const auto distinct = hasher.Signature({5, 9, 13, 21});
-  EXPECT_EQ(with_dups, distinct);
-  ASSERT_EQ(with_dups.size(), 3u);
-  EXPECT_LT(with_dups[0], with_dups[1]);
-  EXPECT_LT(with_dups[1], with_dups[2]);
-  // With only two distinct ids the signature has two slots, not three.
-  EXPECT_EQ(hasher.Signature({8, 8, 8, 8, 8, 3}).size(), 2u);
+  EXPECT_EQ(Signature(5, 42, {7}).size(), 1u);
+  EXPECT_TRUE(Signature(5, 42, {}).empty());
 }
 
 TEST(MinHashTest, SmallSetEstimateIsExact) {
   // When both signatures are complete sets (|A|, |B| < p), the bottom-p of
   // the union is the whole union and the estimate is the exact Jaccard —
   // the `shared/taken` ratio must not truncate the union sample early.
-  MinHasher hasher(8, 1234);
-  const auto a = hasher.Signature({1, 2, 3});
-  const auto b = hasher.Signature({2, 3, 4, 5});
+  const auto a = Signature(8, 1234, {1, 2, 3});
+  const auto b = Signature(8, 1234, {2, 3, 4, 5});
   // |A n B| = 2, |A u B| = 5.
-  EXPECT_DOUBLE_EQ(MinHasher::EstimateJaccard(a, b, 8), 2.0 / 5.0);
-  const auto lone = hasher.Signature({77});
-  EXPECT_DOUBLE_EQ(MinHasher::EstimateJaccard(lone, lone, 8), 1.0);
-  EXPECT_DOUBLE_EQ(MinHasher::EstimateJaccard(a, hasher.Signature({9}), 8),
-                   0.0);
+  EXPECT_DOUBLE_EQ(EstimateJaccard(a, b, 8), 2.0 / 5.0);
+  const auto lone = Signature(8, 1234, {77});
+  EXPECT_DOUBLE_EQ(EstimateJaccard(lone, lone, 8), 1.0);
+  EXPECT_DOUBLE_EQ(EstimateJaccard(a, Signature(8, 1234, {9}), 8), 0.0);
 }
 
 TEST(MinHashTest, IdenticalSetsShareAllValues) {
-  MinHasher hasher(4, 7);
   std::vector<UserId> users = {10, 20, 30, 40, 50};
-  const auto a = hasher.Signature(users);
-  const auto b = hasher.Signature(users);
+  const auto a = Signature(4, 7, users);
+  const auto b = Signature(4, 7, users);
   EXPECT_EQ(a, b);
-  EXPECT_TRUE(MinHasher::SharesValue(a, b));
-  EXPECT_DOUBLE_EQ(MinHasher::EstimateJaccard(a, b, 4), 1.0);
+  EXPECT_TRUE(SharesValue(a, b));
+  EXPECT_DOUBLE_EQ(EstimateJaccard(a, b, 4), 1.0);
 }
 
 TEST(MinHashTest, DisjointSetsShareNothing) {
-  MinHasher hasher(4, 7);
-  const auto a = hasher.Signature({1, 2, 3, 4});
-  const auto b = hasher.Signature({100, 200, 300, 400});
-  EXPECT_FALSE(MinHasher::SharesValue(a, b));
+  const auto a = Signature(4, 7, {1, 2, 3, 4});
+  const auto b = Signature(4, 7, {100, 200, 300, 400});
+  EXPECT_FALSE(SharesValue(a, b));
 }
 
 TEST(MinHashTest, EstimateTracksExactJaccard) {
@@ -252,7 +239,7 @@ TEST(MinHashTest, EstimateTracksExactJaccard) {
   double error_sum = 0.0;
   const int trials = 200;
   for (int t = 0; t < trials; ++t) {
-    MinHasher hasher(p, rng.Next());
+    const std::uint64_t seed = rng.Next();
     std::vector<UserId> a, b;
     const int shared = 10 + static_cast<int>(rng.UniformInt(30));
     const int only_a = 5 + static_cast<int>(rng.UniformInt(40));
@@ -268,8 +255,8 @@ TEST(MinHashTest, EstimateTracksExactJaccard) {
     const double exact =
         static_cast<double>(shared) /
         static_cast<double>(shared + only_a + only_b);
-    const double estimate = MinHasher::EstimateJaccard(
-        hasher.Signature(a), hasher.Signature(b), p);
+    const double estimate =
+        EstimateJaccard(Signature(p, seed, a), Signature(p, seed, b), p);
     error_sum += estimate - exact;
   }
   EXPECT_NEAR(error_sum / trials, 0.0, 0.03);  // approximately unbiased

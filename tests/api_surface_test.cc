@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "detect/report.h"
 #include "durability/backend.h"
+#include "durability/wal_backend.h"
 #include "engine/parallel_detector.h"
 #include "graph/graph.h"
 #include "stream/quantizer.h"
@@ -127,25 +128,14 @@ TEST(DetectorAccessorsTest, NoDictionaryDisablesNounFilter) {
 // ------------------------------------------ Durability typed surface -----
 
 TEST(DurabilitySurfaceTest, NamesAndParsersRoundTrip) {
-  using durability::BackendKind;
   using durability::FsyncLevel;
   // These spellings are flag/JSON-stable: docs/cli.md and the bench
   // output pin them, so a rename here is a breaking change.
-  EXPECT_STREQ(durability::BackendKindName(BackendKind::kSnapshot),
-               "snapshot");
-  EXPECT_STREQ(durability::BackendKindName(BackendKind::kWal), "wal");
   EXPECT_STREQ(durability::FsyncLevelName(FsyncLevel::kNone), "none");
   EXPECT_STREQ(durability::FsyncLevelName(FsyncLevel::kInterval),
                "interval");
   EXPECT_STREQ(durability::FsyncLevelName(FsyncLevel::kEveryCommit),
                "commit");
-
-  BackendKind kind = BackendKind::kSnapshot;
-  EXPECT_TRUE(durability::ParseBackendKind("wal", kind));
-  EXPECT_EQ(kind, BackendKind::kWal);
-  EXPECT_TRUE(durability::ParseBackendKind("snapshot", kind));
-  EXPECT_EQ(kind, BackendKind::kSnapshot);
-  EXPECT_FALSE(durability::ParseBackendKind("rocksdb", kind));
 
   FsyncLevel level = FsyncLevel::kNone;
   EXPECT_TRUE(durability::ParseFsyncLevel("commit", level));
@@ -183,17 +173,21 @@ TEST(DurabilitySurfaceTest, ErrorAbsorbsLoadErrorBothWays) {
   EXPECT_NE(error.ToString().find("rename CURRENT"), std::string::npos);
 }
 
-TEST(DurabilitySurfaceTest, MakeBackendBuildsTheKindAsked) {
+TEST(DurabilitySurfaceTest, WalBackendStartsFreshInANewDirectory) {
   durability::BackendOptions options;
   options.directory =
       (std::filesystem::path(::testing::TempDir()) / "surface_backend")
           .string();
-  options.kind = durability::BackendKind::kSnapshot;
-  EXPECT_EQ(durability::MakeBackend(options)->kind(),
-            durability::BackendKind::kSnapshot);
-  options.kind = durability::BackendKind::kWal;
-  EXPECT_EQ(durability::MakeBackend(options)->kind(),
-            durability::BackendKind::kWal);
+  std::filesystem::remove_all(options.directory);
+  durability::WalBackend backend(options);
+  EXPECT_TRUE(std::filesystem::is_directory(options.directory));
+  text::ConcurrentKeywordDictionary dictionary;
+  durability::RecoverOptions recover;
+  recover.dictionary = &dictionary;
+  const durability::RecoverResult result = backend.Recover(recover);
+  EXPECT_EQ(result.outcome, durability::RecoverResult::Outcome::kFresh);
+  EXPECT_TRUE(result.error.ok());
+  EXPECT_EQ(result.engine, nullptr);
 }
 
 TEST(DurabilitySurfaceTest, OneShotSaveLoadRoundTripsThroughTypedErrors) {

@@ -1,10 +1,10 @@
 // Corruption / fuzz hardening for the native snapshot loader
-// (durability::LoadEngineSnapshot / ApplyDeltaSnapshot): truncations,
-// single-bit flips, version and kind skew, forged frames with valid CRCs
-// (hostile length fields, invalid configs, cross-section inconsistencies)
-// and plain random garbage must all make the loaders return failure —
-// never crash, abort, leak (this suite runs in the ASan+UBSan CI job) or
-// balloon allocation from a forged count.
+// (durability::LoadEngineSnapshot): truncations, single-bit flips, version
+// and kind skew, forged frames with valid CRCs (hostile length fields,
+// invalid configs, cross-section inconsistencies) and plain random garbage
+// must all make the loader return failure — never crash, abort, leak (this
+// suite runs in the ASan+UBSan CI job) or balloon allocation from a forged
+// count. Hostile WAL records are fuzzed in wal_test.cc.
 
 #include <functional>
 #include <limits>
@@ -32,9 +32,7 @@ using engine::ParallelDetector;
 struct Fixture {
   stream::SyntheticTrace trace;
   detect::DetectorConfig config;
-  std::string full_bytes;   // a valid full snapshot
-  std::string delta_bytes;  // a valid delta against it
-  std::uint64_t base_id = 0;
+  std::string full_bytes;  // a valid full snapshot
 };
 
 const Fixture& SharedFixture() {
@@ -53,21 +51,10 @@ const Fixture& SharedFixture() {
     ParallelDetector detector({f->config, 1}, &f->trace.dictionary);
     const std::vector<stream::Quantum> quanta =
         stream::SplitIntoQuanta(f->trace.messages, f->config.quantum_size);
-    std::stringstream full, delta;
-    std::vector<stream::Quantum> log;  // quanta since the full snapshot
-    for (std::size_t q = 0; q < 30; ++q) {
-      detector.ProcessQuantum(quanta[q]);
-      log.push_back(quanta[q]);
-      if (q == 24) {
-        EXPECT_TRUE(
-            durability::SaveSnapshot(detector, full, &f->base_id).ok());
-        log.clear();
-      }
-    }
-    EXPECT_TRUE(
-        durability::SaveDeltaSnapshot(detector, f->base_id, log, delta).ok());
+    for (std::size_t q = 0; q < 25; ++q) detector.ProcessQuantum(quanta[q]);
+    std::stringstream full;
+    EXPECT_TRUE(durability::SaveSnapshot(detector, full).ok());
     f->full_bytes = full.str();
-    f->delta_bytes = delta.str();
     return f;
   }();
   return *fixture;
@@ -80,13 +67,6 @@ std::unique_ptr<ParallelDetector> LoadBytes(
     std::size_t threads = 1) {
   std::stringstream in(bytes);
   return durability::LoadEngineSnapshot(in, dictionary, threads);
-}
-
-// ApplyDeltaSnapshot's verdict on `bytes` for `engine`.
-bool ApplyBytes(ParallelDetector& engine, const std::string& bytes,
-                std::uint64_t base_id) {
-  std::stringstream in(bytes);
-  return durability::ApplyDeltaSnapshot(engine, in, base_id).ok();
 }
 
 // Rewrites a current (version-4, unweighted) full frame as the byte-exact
@@ -183,12 +163,19 @@ TEST(CheckpointFuzzTest, VersionAndKindSkewAreRejected) {
     skewed[8] = static_cast<char>(sio::kFormatVersion + 1);
     EXPECT_EQ(LoadBytes(skewed), nullptr) << "future version accepted";
   }
-  {
-    // A delta frame is not a full snapshot and vice versa.
-    EXPECT_EQ(LoadBytes(SharedFixture().delta_bytes, nullptr), nullptr);
-    auto detector = LoadBytes(bytes);
-    ASSERT_NE(detector, nullptr);
-    EXPECT_FALSE(ApplyBytes(*detector, bytes, SharedFixture().base_id));
+  // The kind byte at offset 12: 2 was the retired delta-file frame, and
+  // no kind but a full snapshot loads. The CRC covers only the payload, so
+  // the kind check alone must refuse these.
+  for (const char kind : {char(0), char(2), char(3)}) {
+    std::string relabelled = bytes;
+    relabelled[12] = kind;
+    std::stringstream in(relabelled);
+    durability::Error error;
+    EXPECT_EQ(durability::LoadEngineSnapshot(
+                  in, &SharedFixture().trace.dictionary, 1, nullptr, &error),
+              nullptr)
+        << "frame kind " << int(kind) << " accepted";
+    EXPECT_EQ(error.code, durability::ErrorCode::kKindMismatch);
   }
 }
 
@@ -324,27 +311,6 @@ TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {
     ASSERT_TRUE(sio::WriteFrame(out, sio::FrameKind::kFull, payload));
     EXPECT_EQ(LoadBytes(out.str()), nullptr);
   }
-}
-
-TEST(CheckpointFuzzTest, CorruptDeltaLeavesDetectorUsable) {
-  const Fixture& f = SharedFixture();
-  auto detector = LoadBytes(f.full_bytes);
-  ASSERT_NE(detector, nullptr);
-  const QuantumIndex clock_before = detector->next_quantum_index();
-
-  Rng rng(0xDE17A);
-  for (int round = 0; round < 64; ++round) {
-    std::string corrupt = f.delta_bytes;
-    const std::size_t offset = rng.UniformInt(corrupt.size());
-    corrupt[offset] = static_cast<char>(
-        static_cast<unsigned char>(corrupt[offset]) ^
-        (1u << rng.UniformInt(8)));
-    EXPECT_FALSE(ApplyBytes(*detector, corrupt, f.base_id));
-    EXPECT_EQ(detector->next_quantum_index(), clock_before)
-        << "corrupt delta mutated the detector";
-  }
-  // The pristine delta still applies after all the failed attempts.
-  EXPECT_TRUE(ApplyBytes(*detector, f.delta_bytes, f.base_id));
 }
 
 // ---- IngestState trailing section (format version 3) -------------------
@@ -536,63 +502,6 @@ TEST(CheckpointFuzzTest, ForgedIngestSectionFieldsAreRejected) {
                       w.Bytes(garbage.data(), garbage.size());
                     }),
                     "random section garbage");
-  }
-}
-
-TEST(CheckpointFuzzTest, DeltaWithIngestSectionIsCoveredByItsCrc) {
-  const Fixture& f = SharedFixture();
-  ParallelDetector detector({f.config, 1}, &f.trace.dictionary);
-  const std::vector<stream::Quantum> quanta =
-      stream::SplitIntoQuanta(f.trace.messages, f.config.quantum_size);
-  std::stringstream full, delta;
-  std::uint64_t base_id = 0;
-  std::vector<stream::Quantum> log;
-  for (std::size_t q = 0; q < 12; ++q) {
-    detector.ProcessQuantum(quanta[q]);
-    log.push_back(quanta[q]);
-    if (q == 8) {
-      EXPECT_TRUE(durability::SaveSnapshot(detector, full, &base_id).ok());
-      log.clear();
-    }
-  }
-  sio::IngestState state;
-  state.next_seq = 1'200;
-  durability::CheckpointExtras extras;
-  extras.ingest = &state;
-  EXPECT_TRUE(
-      durability::SaveDeltaSnapshot(detector, base_id, log, delta, extras)
-          .ok());
-  const std::string delta_bytes = delta.str();
-
-  {  // The pristine delta applies and surfaces its IngestState.
-    auto restored = LoadBytes(full.str());
-    ASSERT_NE(restored, nullptr);
-    std::stringstream in(delta_bytes);
-    sio::IngestState out_state;
-    bool present = false;
-    ASSERT_TRUE(durability::ApplyDeltaSnapshot(*restored, in, base_id,
-                                               &out_state, &present)
-                    .ok());
-    EXPECT_TRUE(present);
-    EXPECT_EQ(out_state.next_seq, 1'200u);
-  }
-  // Any single-bit flip across the delta (section included) is rejected
-  // and leaves the detector untouched.
-  Rng rng(0xD317A);
-  auto restored = LoadBytes(full.str());
-  ASSERT_NE(restored, nullptr);
-  const QuantumIndex clock_before = restored->next_quantum_index();
-  for (int round = 0; round < 96; ++round) {
-    std::string corrupt = delta_bytes;
-    const std::size_t offset = rng.UniformInt(corrupt.size());
-    // Offset 8 is the version byte: a delta frame has no config section,
-    // so a relabel to 2 or 3 would still parse — but no single-bit flip
-    // of version 4 lands inside [2, 4], so every offset must reject.
-    corrupt[offset] = static_cast<char>(
-        static_cast<unsigned char>(corrupt[offset]) ^
-        (1u << rng.UniformInt(8)));
-    EXPECT_FALSE(ApplyBytes(*restored, corrupt, base_id));
-    EXPECT_EQ(restored->next_quantum_index(), clock_before);
   }
 }
 

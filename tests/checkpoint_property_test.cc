@@ -1,9 +1,9 @@
 // Randomized checkpoint round-trip property: for random streams, random
 // configurations and a random save point, the report stream after a restore
-// is byte-identical to the uninterrupted run's — full and delta snapshots,
-// at 1 and 8 threads, and across thread counts (save at 1 / restore at 8
-// and the reverse: thread count is an engine property, not a snapshot
-// property). Labeled "slow".
+// is byte-identical to the uninterrupted run's — full snapshots and WAL
+// recovery (segment + log replay), at 1 and 8 threads, and across thread
+// counts (save at 1 / restore at 8 and the reverse: thread count is an
+// engine property, not a snapshot property). Labeled "slow".
 
 #include <algorithm>
 #include <functional>
@@ -20,6 +20,7 @@
 #include "engine/parallel_detector.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
+#include "wal_harness.h"
 
 namespace scprt {
 namespace {
@@ -116,35 +117,29 @@ std::unique_ptr<engine::ParallelDetector> Load(const std::string& bytes,
   return engine;
 }
 
-// Saves a full snapshot `quanta_before_save` quanta before `save_at` and a
-// delta at it, restores on `threads` workers and checks the tail.
+// Commits a WAL directory whose segment is cut `quanta_before_save` quanta
+// before `save_at` (or after the first quantum, when that is earlier) and
+// whose log holds one record per quantum up to it, recovers on `threads`
+// workers and checks the tail.
 void ExpectDeltaRoundTrip(const Scenario& s, std::size_t quanta_before_save,
-                          std::size_t threads) {
+                          std::size_t threads, const std::string& name) {
   const std::vector<std::uint64_t> expected = ReferenceTail(s);
-  const std::size_t full_at =
-      s.save_at - std::min(s.save_at, quanta_before_save);
+  const std::size_t full_at = std::max<std::size_t>(
+      1, s.save_at - std::min(s.save_at, quanta_before_save));
   engine::ParallelDetector head({s.config, threads}, &s.trace.dictionary);
-  std::stringstream full, delta;
-  std::uint64_t base_id = 0;
-  std::vector<stream::Quantum> log;
-  if (full_at == 0) {
-    ASSERT_TRUE(durability::SaveSnapshot(head, full, &base_id).ok());
-  }
+  test_util::WalHarness wal(name, s.trace.dictionary);
   for (std::size_t q = 0; q < s.save_at; ++q) {
     head.ProcessQuantum(s.quanta[q]);
-    log.push_back(s.quanta[q]);
-    if (q + 1 == full_at) {
-      ASSERT_TRUE(durability::SaveSnapshot(head, full, &base_id).ok());
-      log.clear();
-    }
+    if (q + 1 >= full_at) wal.Commit(head, s.quanta[q]);
   }
-  ASSERT_TRUE(durability::SaveDeltaSnapshot(head, base_id, log, delta).ok());
 
-  auto restored = Load(full.str(), s, threads);
-  ASSERT_NE(restored, nullptr);
-  ASSERT_TRUE(durability::ApplyDeltaSnapshot(*restored, delta, base_id).ok());
-  ExpectTailMatches(s, expected, *restored,
-                    "delta restore at " + std::to_string(threads) +
+  durability::RecoverResult recovered = wal.Recover(threads);
+  ASSERT_EQ(recovered.outcome, durability::RecoverResult::Outcome::kRecovered)
+      << recovered.detail;
+  EXPECT_EQ(recovered.replayed_quanta, s.save_at - full_at);
+  EXPECT_EQ(recovered.engine->threads(), threads);
+  ExpectTailMatches(s, expected, *recovered.engine,
+                    "wal restore at " + std::to_string(threads) +
                         " threads");
 }
 
@@ -160,11 +155,12 @@ TEST(CheckpointPropertyTest, FullRoundTripTailIsByteIdentical) {
 }
 
 TEST(CheckpointPropertyTest, DeltaRoundTripTailIsByteIdentical) {
-  // Full snapshot a few quanta before the save point, delta at it.
+  // Segment a few quanta before the save point, log records up to it.
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 977);
-    ExpectDeltaRoundTrip(RandomScenario(seed), 1 + rng.UniformInt(10), 1);
+    ExpectDeltaRoundTrip(RandomScenario(seed), 1 + rng.UniformInt(10), 1,
+                         "property_delta_" + std::to_string(seed));
   }
 }
 
@@ -186,7 +182,7 @@ TEST(CheckpointPropertyTest, ShardedRoundTripAcrossThreadCounts) {
 }
 
 TEST(CheckpointPropertyTest, ShardedDeltaRoundTrip) {
-  ExpectDeltaRoundTrip(RandomScenario(33), 6, 8);
+  ExpectDeltaRoundTrip(RandomScenario(33), 6, 8, "property_sharded_delta");
 }
 
 TEST(CheckpointPropertyTest, MidQuantumSaveKeepsPendingExactly) {

@@ -1,5 +1,7 @@
 // Tests for the one-shot snapshot surface of durability/backend.h —
-// native structural snapshots of the detector.
+// native structural snapshots of the detector — and for the WAL log
+// replay on top of them (segment + one record per quantum, driven through
+// a durability::WalBackend directory).
 //
 // The replay-era suite asserted approximate convergence after a restore;
 // the native format is held to the strict contract: the post-restore report
@@ -9,6 +11,7 @@
 // checkpoint_fuzz_test.cc.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -20,9 +23,11 @@
 
 #include "detect/report.h"
 #include "durability/backend.h"
+#include "durability/manifest.h"
 #include "engine/parallel_detector.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
+#include "wal_harness.h"
 
 namespace scprt::detect {
 namespace {
@@ -217,55 +222,53 @@ TEST(CheckpointTest, PendingMessagesSurviveExactly) {
 }
 
 TEST(CheckpointTest, DeltaCheckpointRestoresExactly) {
+  // A WAL generation: the segment is cut after `full_at` quanta and every
+  // later quantum is one log record; recovery restores the segment and
+  // replays the records.
   const stream::SyntheticTrace trace = SmallTrace();
   const DetectorConfig config = SmallConfig();
   const std::vector<stream::Quantum> quanta =
       stream::SplitIntoQuanta(trace.messages, config.quantum_size);
   ASSERT_GT(quanta.size(), 40u);
-  const std::size_t full_at = 20;   // full snapshot after this many quanta
-  const std::size_t delta_at = 29;  // delta after this many
+  const std::size_t full_at = 20;   // segment after this many quanta
+  const std::size_t delta_at = 29;  // log records up to this many
 
   ParallelDetector reference({config, 1}, &trace.dictionary);
-  std::string full;
-  std::uint64_t base_id = 0;
-  std::vector<stream::Quantum> log;  // quanta since the full snapshot
+  test_util::WalHarness wal("delta_restores_exactly", trace.dictionary);
   for (std::size_t q = 0; q < delta_at; ++q) {
     reference.ProcessQuantum(quanta[q]);
-    log.push_back(quanta[q]);
-    if (q + 1 == full_at) {
-      full = Save(reference, &base_id);
-      log.clear();
-    }
+    if (q + 1 >= full_at) wal.Commit(reference, quanta[q]);
   }
-  std::stringstream delta;
-  ASSERT_TRUE(
-      durability::SaveDeltaSnapshot(reference, base_id, log, delta).ok());
 
-  auto restored = Load(full, &trace.dictionary);
-  ASSERT_NE(restored, nullptr);
-  ASSERT_TRUE(durability::ApplyDeltaSnapshot(*restored, delta, base_id).ok());
+  durability::RecoverResult recovered = wal.Recover(1);
+  ASSERT_EQ(recovered.outcome, durability::RecoverResult::Outcome::kRecovered)
+      << recovered.detail;
+  EXPECT_TRUE(recovered.error.ok()) << recovered.error.ToString();
+  EXPECT_EQ(recovered.replayed_quanta, delta_at - full_at);
+  ParallelDetector& restored = *recovered.engine;
 
   // Both continue over the rest of the trace with identical reports.
   for (std::size_t q = delta_at; q < quanta.size(); ++q) {
     const QuantumReport expected = reference.ProcessQuantum(quanta[q]);
-    const QuantumReport actual = restored->ProcessQuantum(quanta[q]);
+    const QuantumReport actual = restored.ProcessQuantum(quanta[q]);
     ASSERT_EQ(actual, expected) << "quantum " << q;
   }
 }
 
 TEST(CheckpointTest, EngineDeltaKeepsMidQuantumPending) {
-  // Deltas must carry the quantizer's pending partial quantum — a delta
-  // saved mid-quantum and restored must not lose buffered messages.
+  // Log records must carry the quantizer's pending partial quantum — a
+  // record committed mid-quantum and recovered must not lose buffered
+  // messages. The last closed quantum is committed late, once `extra`
+  // messages of the next one are buffered.
   const stream::SyntheticTrace trace = SmallTrace();
   const DetectorConfig config = SmallConfig();
   const std::size_t quanta_before = 12;
-  const std::size_t extra = 37;  // messages into quantum 12 at delta time
+  const std::size_t extra = 37;  // messages into quantum 12 at commit time
   const std::size_t split = quanta_before * config.quantum_size + extra;
 
   ParallelDetector head({config, 2}, &trace.dictionary);
-  std::string full;
-  std::uint64_t base_id = 0;
-  std::vector<stream::Quantum> log;
+  test_util::WalHarness wal("delta_keeps_pending", trace.dictionary);
+  stream::Quantum last_closed;
   for (std::size_t i = 0; i < split; ++i) {
     head.Push(trace.messages[i]);
     if ((i + 1) % config.quantum_size == 0) {
@@ -277,24 +280,26 @@ TEST(CheckpointTest, EngineDeltaKeepsMidQuantumPending) {
               static_cast<std::ptrdiff_t>(q * config.quantum_size),
           trace.messages.begin() +
               static_cast<std::ptrdiff_t>((q + 1) * config.quantum_size));
-      if (q == 7) {
-        full = Save(head, &base_id);
-        log.clear();
-      } else {
-        log.push_back(std::move(quantum));
+      if (q + 1 == quanta_before) {
+        last_closed = std::move(quantum);
+      } else if (q >= 7) {  // the segment is cut after quantum 7
+        wal.Commit(head, quantum);
       }
     }
   }
-  std::stringstream delta;
-  ASSERT_TRUE(durability::SaveDeltaSnapshot(head, base_id, log, delta).ok());
+  ASSERT_EQ(head.quantizer().pending().size(), extra);
+  wal.Commit(head, last_closed);
 
-  auto restored = Load(full, &trace.dictionary, 2);
-  ASSERT_NE(restored, nullptr);
-  ASSERT_TRUE(durability::ApplyDeltaSnapshot(*restored, delta, base_id).ok());
+  durability::RecoverResult recovered = wal.Recover(2);
+  ASSERT_EQ(recovered.outcome, durability::RecoverResult::Outcome::kRecovered)
+      << recovered.detail;
+  ParallelDetector& restored = *recovered.engine;
+  EXPECT_EQ(restored.threads(), 2u);
+  EXPECT_EQ(restored.quantizer().pending().size(), extra);
 
   // Reference: uninterrupted one-thread run over the same stream. The
-  // first report after the delta point must match exactly — it can only
-  // if the `extra` buffered messages survived the delta round trip.
+  // first report after the commit point must match exactly — it can only
+  // if the `extra` buffered messages survived the log round trip.
   ParallelDetector reference({config, 1}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     reference.Push(trace.messages[i]);
@@ -302,7 +307,7 @@ TEST(CheckpointTest, EngineDeltaKeepsMidQuantumPending) {
   std::optional<QuantumReport> ref_report, restored_report;
   for (std::size_t i = split; i < trace.messages.size(); ++i) {
     ref_report = reference.Push(trace.messages[i]);
-    restored_report = restored->Push(trace.messages[i]);
+    restored_report = restored.Push(trace.messages[i]);
     ASSERT_EQ(ref_report.has_value(), restored_report.has_value());
     if (ref_report) break;
   }
@@ -311,32 +316,45 @@ TEST(CheckpointTest, EngineDeltaKeepsMidQuantumPending) {
 }
 
 TEST(CheckpointTest, DeltaRejectsWrongBase) {
+  // Log records chained to another segment are refused: the log of one
+  // directory is planted next to a segment cut at the same quantum from a
+  // different engine state. Recovery keeps the segment, replays nothing,
+  // and names the broken chain.
   const stream::SyntheticTrace trace = SmallTrace();
   const DetectorConfig config = SmallConfig();
+  DetectorConfig other_config = config;
+  other_config.akg.window_length = config.akg.window_length + 2;
   const std::vector<stream::Quantum> quanta =
       stream::SplitIntoQuanta(trace.messages, config.quantum_size);
 
-  ParallelDetector detector({config, 1}, &trace.dictionary);
-  std::string full;
-  std::uint64_t base_id = 0;
-  std::vector<stream::Quantum> log;
-  for (std::size_t q = 0; q < 12; ++q) {
-    detector.ProcessQuantum(quanta[q]);
-    log.push_back(quanta[q]);
-    if (q == 7) {
-      full = Save(detector, &base_id);
-      log.clear();
+  const auto drive = [&](const DetectorConfig& c, const std::string& name) {
+    auto wal = std::make_unique<test_util::WalHarness>(name, trace.dictionary);
+    ParallelDetector detector({c, 1}, &trace.dictionary);
+    for (std::size_t q = 0; q < 12; ++q) {
+      detector.ProcessQuantum(quanta[q]);
+      if (q >= 7) wal->Commit(detector, quanta[q]);
     }
-  }
-  std::stringstream delta;
-  ASSERT_TRUE(
-      durability::SaveDeltaSnapshot(detector, base_id, log, delta).ok());
+    return wal;
+  };
+  const auto chained = drive(config, "delta_wrong_base_log");
+  const auto other = drive(other_config, "delta_wrong_base_segment");
+  const auto log_of = [](const test_util::WalHarness& wal) {
+    const auto wals = durability::ListDurabilityFiles(wal.directory()).wals;
+    EXPECT_EQ(wals.size(), 1u);
+    return std::filesystem::path(wal.directory()) / wals.back().second;
+  };
+  const auto overwrite = std::filesystem::copy_options::overwrite_existing;
+  std::filesystem::copy_file(log_of(*chained), log_of(*other), overwrite);
 
-  auto restored = Load(full, &trace.dictionary);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(
-      durability::ApplyDeltaSnapshot(*restored, delta, base_id + 1).code,
-      durability::ErrorCode::kBaseMismatch);
+  durability::RecoverResult recovered = other->Recover(1);
+  ASSERT_EQ(recovered.outcome, durability::RecoverResult::Outcome::kRecovered)
+      << recovered.detail;
+  EXPECT_EQ(recovered.replayed_quanta, 0u);
+  EXPECT_EQ(recovered.engine->next_quantum_index(), 8);
+  EXPECT_EQ(recovered.error.code, durability::ErrorCode::kCorrupt);
+  EXPECT_NE(recovered.detail.find("chained to another segment"),
+            std::string::npos)
+      << recovered.detail;
 }
 
 TEST(CheckpointTest, SaveLoadSaveIsByteIdentical) {

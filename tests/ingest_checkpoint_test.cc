@@ -1,6 +1,6 @@
 // Checkpoint-aware ingest: source cursors, durable-session kill/resume
 // equivalence (the headline property — a pipeline checkpointed mid-stream,
-// its process state discarded, resumed from snapshot + source cursor emits
+// its process state discarded, resumed from the WAL + source cursor emits
 // report digests bit-identical to a never-interrupted run, at 1 and 4
 // tokenizer workers, seeded and fresh-dictionary), PR 2-era snapshot
 // compatibility (no IngestState section), typed load errors, and the
@@ -168,14 +168,12 @@ struct KillResumeCase {
   std::size_t workers;
   bool seeded;
   std::size_t engine_threads;
-  durability::BackendKind backend = durability::BackendKind::kSnapshot;
 };
 
 void RunKillResumeCase(const KillResumeCase& c) {
   SCOPED_TRACE(::testing::Message()
                << "workers=" << c.workers << " seeded=" << c.seeded
-               << " engine_threads=" << c.engine_threads << " backend="
-               << durability::BackendKindName(c.backend));
+               << " engine_threads=" << c.engine_threads);
   const stream::SyntheticTrace trace = SmallTrace();
   const detect::DetectorConfig detector_config = SmallDetectorConfig();
   std::stringstream text;
@@ -202,12 +200,9 @@ void RunKillResumeCase(const KillResumeCase& c) {
   DurableConfig durable;
   durable.directory = TempDir(
       "kill_resume_" + std::to_string(c.workers) +
-      (c.seeded ? "_seeded" : "_fresh") +
-      std::to_string(c.engine_threads) + "_" +
-      durability::BackendKindName(c.backend));
-  durable.backend = c.backend;
+      (c.seeded ? "_seeded" : "_fresh") + std::to_string(c.engine_threads));
   durable.checkpoint_quanta = 3;
-  durable.full_interval = 2;  // exercise the delta path, not just fulls
+  durable.full_interval = 2;  // a segment every 6 quanta, records between
 
   // Phase 1: ingest until the "crash" — 4,700 records in (mid-quantum,
   // several checkpoints deep), then the process state is discarded.
@@ -272,39 +267,24 @@ void RunKillResumeCase(const KillResumeCase& c) {
   EXPECT_EQ(stitched, want);
 }
 
-TEST(KillResumeTest, OneWorkerSeeded) {
+// Every quantum is a log record, so the resumed fence is the last
+// committed quantum — and the stitched report stream must stay
+// bit-identical at 1 and 4 workers, seeded and fresh, 1 and 2 engine
+// threads.
+TEST(KillResumeTest, WalOneWorkerSeeded) {
   RunKillResumeCase({1, true, 1});
 }
 
-TEST(KillResumeTest, FourWorkersSeeded) {
+TEST(KillResumeTest, WalFourWorkersSeeded) {
   RunKillResumeCase({4, true, 1});
 }
 
-TEST(KillResumeTest, OneWorkerFreshDictionary) {
+TEST(KillResumeTest, WalOneWorkerFreshDictionary) {
   RunKillResumeCase({1, false, 1});
 }
 
-TEST(KillResumeTest, FourWorkersFreshDictionarySharded) {
-  RunKillResumeCase({4, false, 2});
-}
-
-// The same matrix over the WAL backend: every quantum is a log record, so
-// the resumed fence is the last *committed quantum*, not the last cadence
-// checkpoint — yet the stitched report stream must stay bit-identical.
-TEST(KillResumeTest, WalOneWorkerSeeded) {
-  RunKillResumeCase({1, true, 1, durability::BackendKind::kWal});
-}
-
-TEST(KillResumeTest, WalFourWorkersSeeded) {
-  RunKillResumeCase({4, true, 1, durability::BackendKind::kWal});
-}
-
-TEST(KillResumeTest, WalOneWorkerFreshDictionary) {
-  RunKillResumeCase({1, false, 1, durability::BackendKind::kWal});
-}
-
 TEST(KillResumeTest, WalFourWorkersFreshDictionarySharded) {
-  RunKillResumeCase({4, false, 2, durability::BackendKind::kWal});
+  RunKillResumeCase({4, false, 2});
 }
 
 TEST(KillResumeTest, ResumeAdoptsTheSnapshotsDetectorConfig) {
@@ -419,57 +399,6 @@ TEST(KillResumeTest, FreshSessionContinuesOrdinalsAboveStaleFiles) {
   EXPECT_GT(resume.cursor.record_index, 0u);
 }
 
-TEST(KillResumeTest, ResumeSurvivesACorruptNewestDelta) {
-  const stream::SyntheticTrace trace = SmallTrace();
-  std::stringstream text;
-  ASSERT_TRUE(WriteJsonl(trace, text));
-  const std::string content = text.str();
-
-  IngestConfig ingest_config;
-  ingest_config.workers = 2;
-  engine::ParallelDetectorConfig engine_config;
-  engine_config.detector = SmallDetectorConfig();
-  engine_config.threads = 1;
-  DurableConfig durable;
-  durable.directory = TempDir("corrupt_delta");
-  durable.checkpoint_quanta = 3;
-  durable.full_interval = 3;
-
-  {
-    DurableIngest session(ingest_config, engine_config, durable);
-    std::stringstream stream1(content);
-    JsonlSource inner(stream1);
-    LimitedSource source(inner, 4'700);
-    ASSERT_TRUE(
-        session.Run(source, nullptr, /*flush_partial=*/false).has_value());
-  }
-
-  // Damage the newest full snapshot (the most recent recovery base).
-  fs::path newest;
-  for (const auto& entry : fs::directory_iterator(durable.directory)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("full-", 0) == 0 &&
-        (newest.empty() || entry.path().filename() > newest.filename())) {
-      newest = entry.path();
-    }
-  }
-  ASSERT_FALSE(newest.empty());
-  fs::resize_file(newest, fs::file_size(newest) / 2);
-
-  DurableIngest session(ingest_config, engine_config, durable);
-  const ResumeResult resume = session.Resume();
-  // The session falls back to the previous generation (its full plus the
-  // newest delta chaining to it) instead of dying, and reports what it
-  // skipped with the typed reason.
-  ASSERT_EQ(resume.outcome, ResumeResult::Outcome::kResumed)
-      << resume.detail;
-  EXPECT_EQ(resume.error.code, durability::ErrorCode::kCorrupt);
-  EXPECT_NE(resume.detail.find(newest.filename().string()),
-            std::string::npos);
-  EXPECT_NE(resume.full_path, newest.string());
-  EXPECT_FALSE(resume.delta_path.empty());
-}
-
 // ------------------------------------- Version skew + PR 2-era reads ----
 
 // A one-thread engine with some real state to snapshot.
@@ -574,8 +503,7 @@ TEST(SnapshotCompatTest, TypedErrorsDistinguishFailureModes) {
   const detect::DetectorConfig config = SmallDetectorConfig();
   const auto detector = WarmDetector(trace, config);
   std::stringstream out;
-  std::uint64_t base_id = 0;
-  ASSERT_TRUE(durability::SaveSnapshot(*detector, out, &base_id).ok());
+  ASSERT_TRUE(durability::SaveSnapshot(*detector, out).ok());
   const std::string bytes = out.str();
 
   {  // Missing file -> kIo.
@@ -593,32 +521,6 @@ TEST(SnapshotCompatTest, TypedErrorsDistinguishFailureModes) {
     std::stringstream in(corrupt);
     EXPECT_EQ(LoadErrorOf(in, trace.dictionary),
               durability::ErrorCode::kCorrupt);
-  }
-  {  // A delta chained to a different full -> kBaseMismatch (the bug this
-     // PR fixes: the load path used to swallow this into a generic false).
-    std::stringstream delta_out;
-    ASSERT_TRUE(
-        durability::SaveDeltaSnapshot(*detector, base_id, {}, delta_out)
-            .ok());
-    std::stringstream full_in(bytes);
-    auto restored =
-        durability::LoadEngineSnapshot(full_in, &trace.dictionary, 1);
-    ASSERT_NE(restored, nullptr);
-    EXPECT_EQ(durability::ApplyDeltaSnapshot(*restored, delta_out,
-                                             base_id + 1)
-                  .code,
-              durability::ErrorCode::kBaseMismatch);
-  }
-  {  // A full frame fed to the delta applier -> kKindMismatch.
-    std::stringstream full_in(bytes);
-    auto restored =
-        durability::LoadEngineSnapshot(full_in, &trace.dictionary, 1);
-    ASSERT_NE(restored, nullptr);
-    std::stringstream full_as_delta(bytes);
-    EXPECT_EQ(
-        durability::ApplyDeltaSnapshot(*restored, full_as_delta, base_id)
-            .code,
-        durability::ErrorCode::kKindMismatch);
   }
 }
 

@@ -2,8 +2,8 @@
 // commutative, empty identity), shard-partitioned merges matching the
 // whole-set sketch bit for bit at 1/2/8 partitions (serially and on a real
 // ShardPool — this suite runs in the TSan CI job), the unweighted sketch's
-// equivalence to the legacy MinHasher signature, the Values/FromValues
-// round trip, and the resemblance estimate.
+// equivalence to the paper's bottom-p signature (a brute-force reference),
+// the Values/FromValues round trip, and the resemblance estimate.
 
 #include <algorithm>
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "akg/minhash.h"
+#include "common/hash.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/types.h"
@@ -40,19 +41,33 @@ std::vector<std::uint32_t> RandomCounts(Rng& rng, std::size_t count) {
   return counts;
 }
 
+// The paper's unweighted signature by brute force: the p smallest distinct
+// SeededHash values of the id set, ascending.
+MinHashSignature BottomPReference(std::size_t p, std::uint64_t seed,
+                                  const std::vector<UserId>& users) {
+  const SeededHash hash(seed);
+  MinHashSignature values;
+  for (const UserId user : users) values.push_back(hash(user));
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  if (values.size() > p) values.resize(p);
+  return values;
+}
+
 TEST(WeightedMinHashTest, UnweightedSketchMatchesLegacySignature) {
   // Same p, same seed: the unweighted sketch's Values() must be
-  // bit-identical to MinHasher::Signature of the same id set — this is
-  // what keeps the golden traces valid with the sketch path in place.
+  // bit-identical to the paper's bottom-p signature of the same id set —
+  // this is what keeps the golden traces valid with the sketch path in
+  // place.
   Rng rng(11);
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t p = 2 + rng.UniformInt(8);
     const std::uint64_t seed = rng.Next();
     const auto users = RandomUsers(rng, 1 + rng.UniformInt(40));
-    MinHasher legacy(p, seed);
     WeightedMinHasher hasher(p, seed, /*weighted=*/false);
     const WeightedSketch sketch = hasher.QuantumSketch(0, users, {});
-    EXPECT_EQ(WeightedMinHasher::Values(sketch), legacy.Signature(users));
+    EXPECT_EQ(WeightedMinHasher::Values(sketch),
+              BottomPReference(p, seed, users));
   }
 }
 
@@ -186,8 +201,8 @@ TEST(WeightedMinHashTest, UnweightedResemblanceEqualsJaccardEstimate) {
     const WeightedSketch sb = hasher.QuantumSketch(0, b, {});
     EXPECT_DOUBLE_EQ(
         WeightedMinHasher::EstimateResemblance(sa, sb, p),
-        MinHasher::EstimateJaccard(WeightedMinHasher::Values(sa),
-                                   WeightedMinHasher::Values(sb), p));
+        EstimateJaccard(WeightedMinHasher::Values(sa),
+                        WeightedMinHasher::Values(sb), p));
   }
 }
 

@@ -1,10 +1,12 @@
 // The log-structured durability tier: block/fragment log framing round
 // trips, the torn-tail fuzz battery (truncated block, bit-flipped CRC,
 // torn final fragment, forged length), the manifest + CURRENT protocol
-// with its stale-CURRENT fallback, and the crash-point matrix — directory
+// with its stale-CURRENT fallback, the crash-point matrix — directory
 // states a crash can leave between append, fsync, manifest publish and GC,
 // each of which a WalBackend-driven ingest session must resume from with a
-// report stream bit-identical to a never-interrupted run's.
+// report stream bit-identical to a never-interrupted run's — hostile log
+// records behind valid CRCs (the record-level acceptance rules), and the
+// refusal to start fresh over a retired snapshot-backend directory.
 
 #include <gtest/gtest.h>
 
@@ -17,13 +19,16 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "detect/report.h"
+#include "detect/snapshot_io.h"
 #include "durability/backend.h"
 #include "durability/log_format.h"
 #include "durability/log_reader.h"
 #include "durability/log_writer.h"
 #include "durability/manifest.h"
 #include "durability/posix_file.h"
+#include "durability/wal_backend.h"
 #include "engine/parallel_detector.h"
 #include "ingest/durable.h"
 #include "ingest/source.h"
@@ -35,6 +40,7 @@ namespace scprt::durability {
 namespace {
 
 namespace fs = std::filesystem;
+namespace sio = detect::snapshot_io;
 
 std::string TempDir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / name;
@@ -225,7 +231,8 @@ TEST(ManifestTest, FileNameCodecsRoundTripAndRejectForeignNames) {
   EXPECT_TRUE(ParseManifestFileName("MANIFEST-000003", number));
   EXPECT_EQ(number, 3u);
 
-  // Partial matches and the snapshot backend's files must not parse.
+  // Partial matches and the retired snapshot backend's files must not
+  // parse.
   EXPECT_FALSE(ParseSegmentFileName("seg-000007.snap.tmp", number));
   EXPECT_FALSE(ParseSegmentFileName("full-000007.ckpt", number));
   EXPECT_FALSE(ParseWalFileName("wal-.log", number));
@@ -357,10 +364,12 @@ fs::path NewestFile(const std::string& dir, const std::string& prefix) {
 // the full stream. Whatever the damage cost, the stitched report stream
 // must stay bit-identical to the never-interrupted reference — damage may
 // only age the recovery fence, never corrupt the state recovered from it.
+// The resume must report `expected_error` (kNone: no error) and a detail
+// trail containing each of `detail_contains`.
 void RunCrashPointCase(const std::string& tag,
                        const std::function<void(const std::string&)>& damage,
-                       bool expect_error = true,
-                       const std::string& detail_contains = "") {
+                       ErrorCode expected_error,
+                       const std::vector<std::string>& detail_contains = {}) {
   SCOPED_TRACE(tag);
   const stream::SyntheticTrace trace = CrashTrace();
   detect::DetectorConfig detector_config;
@@ -388,7 +397,6 @@ void RunCrashPointCase(const std::string& tag,
   engine_config.threads = 1;
   ingest::DurableConfig durable;
   durable.directory = TempDir("wal_crash_" + tag);
-  durable.backend = BackendKind::kWal;
   durable.checkpoint_quanta = 3;
   durable.full_interval = 2;  // a generation every 6 quanta
 
@@ -416,12 +424,10 @@ void RunCrashPointCase(const std::string& tag,
   const ingest::ResumeResult resume = session.Resume();
   ASSERT_EQ(resume.outcome, ingest::ResumeResult::Outcome::kResumed)
       << resume.detail;
-  if (expect_error) {
-    EXPECT_FALSE(resume.error.ok()) << "damage went unnoticed";
-  }
-  if (!detail_contains.empty()) {
-    EXPECT_NE(resume.detail.find(detail_contains), std::string::npos)
-        << "detail trail: " << resume.detail;
+  EXPECT_EQ(resume.error.code, expected_error) << resume.error.ToString();
+  for (const std::string& part : detail_contains) {
+    EXPECT_NE(resume.detail.find(part), std::string::npos)
+        << "detail trail lacks \"" << part << "\": " << resume.detail;
   }
 
   std::map<QuantumIndex, std::uint64_t> after;
@@ -447,7 +453,7 @@ TEST(WalCrashPointTest, CleanKillReplaysTheWalTail) {
   // No damage at all: the baseline crash (process killed between commits)
   // must recover the full WAL prefix with no error.
   RunCrashPointCase(
-      "clean", [](const std::string&) {}, /*expect_error=*/false);
+      "clean", [](const std::string&) {}, ErrorCode::kNone);
 }
 
 TEST(WalCrashPointTest, TornWalTailAgesTheFenceOnly) {
@@ -463,7 +469,7 @@ TEST(WalCrashPointTest, TornWalTailAgesTheFenceOnly) {
         ASSERT_GT(fs::file_size(wal), 80u);
         fs::resize_file(wal, fs::file_size(wal) - 67);
       },
-      /*expect_error=*/false);
+      ErrorCode::kNone);
 }
 
 TEST(WalCrashPointTest, BitFlippedWalRecordStopsReplayAtThePrefix) {
@@ -480,7 +486,7 @@ TEST(WalCrashPointTest, BitFlippedWalRecordStopsReplayAtThePrefix) {
         byte = static_cast<char>(byte ^ 0x10);
         file.seekp(200).write(&byte, 1);
       },
-      /*expect_error=*/true, "fragment checksum mismatch");
+      ErrorCode::kCorrupt, {"fragment checksum mismatch"});
 }
 
 TEST(WalCrashPointTest, MissingWalRecoversTheSegmentAlone) {
@@ -494,7 +500,7 @@ TEST(WalCrashPointTest, MissingWalRecoversTheSegmentAlone) {
         ASSERT_FALSE(wal.empty());
         fs::remove(wal);
       },
-      /*expect_error=*/false, "segment-only recovery");
+      ErrorCode::kNone, {"segment-only recovery"});
 }
 
 TEST(WalCrashPointTest, MissingCurrentFallsBackToTheManifestScan) {
@@ -504,7 +510,7 @@ TEST(WalCrashPointTest, MissingCurrentFallsBackToTheManifestScan) {
   RunCrashPointCase(
       "missing_current",
       [](const std::string& dir) { fs::remove(fs::path(dir) / "CURRENT"); },
-      /*expect_error=*/false, "CURRENT missing");
+      ErrorCode::kNone, {"CURRENT missing"});
 }
 
 TEST(WalCrashPointTest, StaleCurrentFallsBackToTheManifestScan) {
@@ -513,7 +519,7 @@ TEST(WalCrashPointTest, StaleCurrentFallsBackToTheManifestScan) {
       [](const std::string& dir) {
         std::ofstream(fs::path(dir) / "CURRENT") << "MANIFEST-999999\n";
       },
-      /*expect_error=*/false, "CURRENT is stale");
+      ErrorCode::kNone, {"CURRENT is stale"});
 }
 
 TEST(WalCrashPointTest, DamagedSegmentFallsBackToThePreviousGeneration) {
@@ -526,7 +532,7 @@ TEST(WalCrashPointTest, DamagedSegmentFallsBackToThePreviousGeneration) {
         ASSERT_FALSE(segment.empty());
         fs::resize_file(segment, fs::file_size(segment) / 2);
       },
-      /*expect_error=*/true, "seg-");
+      ErrorCode::kCorrupt, {"seg-"});
 }
 
 TEST(WalCrashPointTest, GarbageCollectionKeepsAFallbackGeneration) {
@@ -543,7 +549,192 @@ TEST(WalCrashPointTest, GarbageCollectionKeepsAFallbackGeneration) {
         EXPECT_LE(listing.wals.size(), 2u);
         EXPECT_LE(listing.manifests.size(), 2u);
       },
-      /*expect_error=*/false);
+      ErrorCode::kNone);
+}
+
+// ------------------------------------------ Hostile log records ----------
+//
+// The fragment CRC only proves a record is the one that was written. The
+// forgeries below are re-framed through LogWriter, so every CRC is valid
+// and the record-level acceptance rules (WalBackend's RecordRejection and
+// the bounds-checked payload parser) are the only defense. The first
+// record of the newest log is forged and the second left intact: replay
+// must stop at the empty prefix — never skip ahead, crash or over-allocate
+// — surface kCorrupt with the reason, and the resumed run must still be
+// bit-identical (the source replays from the segment's fence).
+
+// Rewrites the newest log with its first record replaced by
+// `forge(record)`.
+void ForgeFirstRecord(const std::string& dir,
+                      const std::function<std::string(std::string)>& forge) {
+  const fs::path wal = NewestFile(dir, "wal-");
+  ASSERT_FALSE(wal.empty());
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(wal.string(), contents));
+  std::vector<std::string> records;
+  LogReader reader(std::move(contents));
+  std::string record;
+  while (reader.ReadRecord(record)) records.push_back(record);
+  ASSERT_GE(records.size(), 2u) << "the crash must leave a multi-record log";
+  records.front() = forge(std::move(records.front()));
+  auto file = AppendFile::Open(wal.string());
+  ASSERT_NE(file, nullptr);
+  LogWriter writer(file.get());
+  for (const std::string& r : records) ASSERT_TRUE(writer.AddRecord(r));
+  ASSERT_TRUE(file->Flush());
+}
+
+using RecordEdit = std::function<void(sio::DeltaPayload&, sio::IngestState&)>;
+
+// A forgery on the decoded record: `edit` rewrites the delta and its
+// IngestState section, and the record is re-encoded canonically.
+std::function<void(const std::string&)> ForgeDecoded(const RecordEdit& edit) {
+  return [edit](const std::string& dir) {
+    ForgeFirstRecord(dir, [&](std::string bytes) {
+      BinaryReader in(bytes);
+      EXPECT_EQ(in.U8(), kWalRecordDelta);
+      sio::DeltaPayload delta;
+      sio::IngestState state;
+      EXPECT_TRUE(sio::ReadDelta(in, delta));
+      EXPECT_TRUE(sio::ReadIngestSection(in, state));
+      edit(delta, state);
+      BinaryWriter out;
+      out.U8(kWalRecordDelta);
+      sio::WriteDelta(out, delta.base_id, delta.next_index, delta.quanta,
+                      delta.pending);
+      sio::WriteIngestSection(out, state);
+      return out.TakeData();
+    });
+  };
+}
+
+// A forgery on the raw record bytes: a little-endian `value` of `width`
+// bytes overwrites the field at `offset`.
+std::function<void(const std::string&)> ForgeField(std::size_t offset,
+                                                   std::uint64_t value,
+                                                   std::size_t width) {
+  return [=](const std::string& dir) {
+    ForgeFirstRecord(dir, [=](std::string bytes) {
+      EXPECT_LE(offset + width, bytes.size());
+      for (std::size_t i = 0; i < width; ++i) {
+        bytes[offset + i] = static_cast<char>(value >> (8 * i));
+      }
+      return bytes;
+    });
+  };
+}
+
+// Record layout (snapshot_io::WriteDelta behind the kind byte): kind u8,
+// base id u64, clock i64, quantum count u64, then the quantum — index
+// i64, message count u64, and per message user u32, seq u64, event u32,
+// keyword count u32.
+constexpr std::size_t kMessageCountOffset = 1 + 8 + 8 + 8 + 8;
+constexpr std::size_t kKeywordCountOffset = kMessageCountOffset + 8 + 16;
+
+// Every forgery ends replay with the empty prefix.
+constexpr char kEmptyPrefix[] = "(recovered prefix of 0 records)";
+
+TEST(WalRecordForgeryTest, WrongBaseIdStopsReplay) {
+  const RecordEdit edit = [](sio::DeltaPayload& delta, sio::IngestState&) {
+    delta.base_id ^= 1;
+  };
+  RunCrashPointCase("forged_base", ForgeDecoded(edit), ErrorCode::kCorrupt,
+                    {"record 1 rejected: chained to another segment",
+                     kEmptyPrefix});
+}
+
+TEST(WalRecordForgeryTest, OutOfSequenceQuantumStopsReplay) {
+  const RecordEdit edit = [](sio::DeltaPayload& delta, sio::IngestState&) {
+    ++delta.quanta.front().index;  // skips one quantum
+    ++delta.next_index;
+  };
+  RunCrashPointCase("forged_sequence", ForgeDecoded(edit),
+                    ErrorCode::kCorrupt,
+                    {"record 1 rejected: quantum ", kEmptyPrefix});
+}
+
+TEST(WalRecordForgeryTest, TwoQuantaInOneRecordStopReplay) {
+  const RecordEdit edit = [](sio::DeltaPayload& delta, sio::IngestState&) {
+    stream::Quantum twin = delta.quanta.front();
+    ++twin.index;
+    delta.quanta.push_back(std::move(twin));
+    ++delta.next_index;
+  };
+  RunCrashPointCase("forged_quanta_count", ForgeDecoded(edit),
+                    ErrorCode::kCorrupt,
+                    {"record 1 rejected: 2 quanta, want 1", kEmptyPrefix});
+}
+
+TEST(WalRecordForgeryTest, OverfullPendingStopsReplay) {
+  const RecordEdit edit = [](sio::DeltaPayload& delta, sio::IngestState&) {
+    delta.pending = delta.quanta.front().messages;  // a whole quantum
+  };
+  RunCrashPointCase("forged_pending", ForgeDecoded(edit), ErrorCode::kCorrupt,
+                    {"record 1 rejected: pending partial of 120 messages >= "
+                     "quantum size 120",
+                     kEmptyPrefix});
+}
+
+TEST(WalRecordForgeryTest, DictionaryTailGapStopsReplay) {
+  const RecordEdit edit = [](sio::DeltaPayload&, sio::IngestState& state) {
+    ++state.dictionary_base;
+  };
+  RunCrashPointCase("forged_dictionary_base", ForgeDecoded(edit),
+                    ErrorCode::kCorrupt,
+                    {"record 1 rejected: dictionary tail starts at ",
+                     kEmptyPrefix});
+}
+
+TEST(WalRecordForgeryTest, ForgedMessageCountStopsReplayWithoutAllocating) {
+  RunCrashPointCase("forged_message_count",
+                    ForgeField(kMessageCountOffset, 0xFFFF'FFFF'FFFFull, 8),
+                    ErrorCode::kCorrupt, {"record 1 malformed", kEmptyPrefix});
+}
+
+TEST(WalRecordForgeryTest, ForgedKeywordCountStopsReplayWithoutAllocating) {
+  RunCrashPointCase("forged_keyword_count",
+                    ForgeField(kKeywordCountOffset, 0xFFFF'FFF0u, 4),
+                    ErrorCode::kCorrupt, {"record 1 malformed", kEmptyPrefix});
+}
+
+// ------------------------------------ Retired snapshot directories -------
+
+TEST(LegacyDirectoryTest, RetiredCheckpointFilesRefuseAFreshStart) {
+  // A directory the retired snapshot backend wrote holds full-/delta-*.ckpt
+  // files and no manifest. Reading it as empty would make --resume start
+  // from scratch without a word; recovery must refuse it as version skew
+  // and name the files.
+  const std::string dir = TempDir("wal_legacy_snapshot_dir");
+  std::ofstream(fs::path(dir) / "full-000001.ckpt") << "SCPRTSNP legacy";
+  std::ofstream(fs::path(dir) / "delta-000002.ckpt") << "SCPRTSNP legacy";
+  EXPECT_EQ(ListDurabilityFiles(dir).legacy_checkpoints.size(), 2u);
+
+  ingest::DurableConfig durable;
+  durable.directory = dir;
+  engine::ParallelDetectorConfig engine_config;
+  engine_config.threads = 1;
+  ingest::DurableIngest session(ingest::IngestConfig{}, engine_config,
+                                durable);
+  const ingest::ResumeResult resume = session.Resume();
+  EXPECT_EQ(resume.outcome, ingest::ResumeResult::Outcome::kFailed);
+  EXPECT_EQ(resume.error.code, ErrorCode::kVersionSkew);
+  EXPECT_NE(resume.error.detail.find("full-000001.ckpt, delta-000002.ckpt"),
+            std::string::npos)
+      << resume.error.detail;
+  EXPECT_NE(resume.detail.find("2 retired snapshot-backend checkpoint files"),
+            std::string::npos)
+      << resume.detail;
+}
+
+TEST(LegacyDirectoryTest, AWalGenerationBesideLegacyFilesStillRecovers) {
+  // Legacy files only block a directory that has no manifest: one the WAL
+  // already wrote a generation into recovers as usual.
+  RunCrashPointCase(
+      "legacy_beside_wal",
+      [](const std::string& dir) {
+        std::ofstream(fs::path(dir) / "full-000001.ckpt") << "legacy";
+      },
+      ErrorCode::kNone);
 }
 
 }  // namespace
