@@ -97,10 +97,9 @@ void BM_MinHashSignature(benchmark::State& state) {
   // QuantumSketch takes a distinct-user set.
   std::sort(users.begin(), users.end());
   users.erase(std::unique(users.begin(), users.end()), users.end());
-  const akg::WeightedMinHasher hasher(8, 42, /*weighted=*/false);
+  const akg::MinHasher hasher(8, 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        akg::WeightedMinHasher::Values(hasher.QuantumSketch(0, users, {})));
+    benchmark::DoNotOptimize(hasher.QuantumSketch(users));
   }
 }
 BENCHMARK(BM_MinHashSignature)->Arg(16)->Arg(128)->Arg(1024);

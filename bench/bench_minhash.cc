@@ -7,7 +7,7 @@
 // every keyword's per-quantum sketches, then times:
 //
 //   * build_ns_per_entry     — QuantumSketch over every (keyword, quantum)
-//                              aggregate entry, unweighted and weighted;
+//                              aggregate entry;
 //   * serial_fold_ns_per_window / tree_reduce_ns_per_window — producing
 //     every keyword's window sketch from its cached per-quantum sketches,
 //     once by left fold, once by CombineTree (both reductions give
@@ -33,12 +33,12 @@
 
 namespace {
 
-using scprt::akg::WeightedMinHasher;
-using scprt::akg::WeightedSketch;
+using scprt::akg::MinHasher;
+using scprt::akg::MinHashSignature;
 
 struct KeywordRing {
   scprt::KeywordId keyword = 0;
-  std::vector<WeightedSketch> quanta;  // the window's per-quantum sketches
+  std::vector<MinHashSignature> quanta;  // the window's per-quantum sketches
 };
 
 }  // namespace
@@ -79,31 +79,28 @@ int main(int argc, char** argv) {
   constexpr std::size_t kWindow = 30;
   constexpr int kRounds = 5;
 
-  // --- sketch build, both score modes ---
-  double build_ns[2] = {0.0, 0.0};
-  for (const bool weighted : {false, true}) {
-    const WeightedMinHasher hasher(kP, 0x5ca1ab1eULL, weighted);
+  const MinHasher hasher(kP, 0x5ca1ab1eULL);
+
+  // --- sketch build ---
+  double build_ns = 0.0;
+  {
     scprt::eval::Stopwatch watch;
     std::size_t built = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
         for (const scprt::akg::QuantumAggregate::Entry& entry :
              aggregate.keywords) {
-          const WeightedSketch sketch = hasher.QuantumSketch(
-              aggregate.index, entry.users, entry.counts);
-          built += sketch.size();  // defeat dead-code elimination
+          // defeat dead-code elimination
+          built += hasher.QuantumSketch(entry.users).size();
         }
       }
     }
-    build_ns[weighted ? 1 : 0] =
-        watch.ElapsedSeconds() * 1e9 / (kRounds * entries);
-    std::printf("build (%10s)      : %8.1f ns/entry  (checksum %zu)\n",
-                weighted ? "weighted" : "unweighted",
-                build_ns[weighted ? 1 : 0], built);
+    build_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * entries);
+    std::printf("build                 : %8.1f ns/entry  (checksum %zu)\n",
+                build_ns, built);
   }
 
   // --- window merge: serial fold vs tree reduce over the same rings ---
-  const WeightedMinHasher hasher(kP, 0x5ca1ab1eULL, /*weighted=*/true);
   std::unordered_map<scprt::KeywordId, KeywordRing> rings;
   for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
     for (const scprt::akg::QuantumAggregate::Entry& entry :
@@ -111,8 +108,7 @@ int main(int argc, char** argv) {
       KeywordRing& ring = rings[entry.keyword];
       ring.keyword = entry.keyword;
       if (ring.quanta.size() < kWindow) {
-        ring.quanta.push_back(hasher.QuantumSketch(aggregate.index,
-                                                   entry.users, entry.counts));
+        ring.quanta.push_back(hasher.QuantumSketch(entry.users));
       }
     }
   }
@@ -129,9 +125,9 @@ int main(int argc, char** argv) {
     std::size_t sink = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (const auto& [keyword, ring] : rings) {
-        WeightedSketch folded;
-        for (const WeightedSketch& part : ring.quanta) {
-          folded = WeightedMinHasher::Combine(folded, part, kP);
+        MinHashSignature folded;
+        for (const MinHashSignature& part : ring.quanta) {
+          folded = MinHasher::Combine(folded, part, kP);
         }
         sink += folded.size();
       }
@@ -145,7 +141,7 @@ int main(int argc, char** argv) {
     std::size_t sink = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (const auto& [keyword, ring] : rings) {
-        sink += WeightedMinHasher::CombineTree(ring.quanta, kP).size();
+        sink += MinHasher::CombineTree(ring.quanta, kP).size();
       }
     }
     tree_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * rings.size());
@@ -155,11 +151,11 @@ int main(int argc, char** argv) {
 
   // Correctness spot check: the two reductions agree bit for bit.
   for (const auto& [keyword, ring] : rings) {
-    WeightedSketch folded;
-    for (const WeightedSketch& part : ring.quanta) {
-      folded = WeightedMinHasher::Combine(folded, part, kP);
+    MinHashSignature folded;
+    for (const MinHashSignature& part : ring.quanta) {
+      folded = MinHasher::Combine(folded, part, kP);
     }
-    if (folded != WeightedMinHasher::CombineTree(ring.quanta, kP)) {
+    if (folded != MinHasher::CombineTree(ring.quanta, kP)) {
       ++mismatches;
     }
   }
@@ -173,16 +169,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
+    // build.unweighted_ns_per_entry keeps its historical key so the
+    // bench_trend.py series stays continuous.
     std::fprintf(out,
                  "{\n"
                  "  \"p\": %zu,\n"
                  "  \"window\": %zu,\n"
-                 "  \"build\": {\"unweighted_ns_per_entry\": %.1f, "
-                 "\"weighted_ns_per_entry\": %.1f},\n"
+                 "  \"build\": {\"unweighted_ns_per_entry\": %.1f},\n"
                  "  \"merge\": {\"serial_fold_ns_per_window\": %.1f, "
                  "\"tree_reduce_ns_per_window\": %.1f}\n"
                  "}\n",
-                 kP, kWindow, build_ns[0], build_ns[1], fold_ns, tree_ns);
+                 kP, kWindow, build_ns, fold_ns, tree_ns);
     std::fclose(out);
   }
   return 0;

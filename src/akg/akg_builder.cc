@@ -1,7 +1,6 @@
 #include "akg/akg_builder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <unordered_set>
 #include <utility>
@@ -32,7 +31,7 @@ AkgBuilder::AkgBuilder(const AkgConfig& config,
       id_sets_(config.window_length),
       node_state_(config.high_state_threshold, config.window_length),
       sketch_window_(config.window_length, ResolveMinHashSize(config),
-                     config.seed, config.weighted_minhash) {
+                     config.seed) {
   SCPRT_CHECK(config.ec_threshold > 0.0 && config.ec_threshold <= 1.0);
   SCPRT_CHECK(in_cluster_ != nullptr);
 }
@@ -102,7 +101,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   std::vector<KeywordId> refresh = update.bursty;
   refresh.insert(refresh.end(), update.seen_in_akg.begin(),
                  update.seen_in_akg.end());
-  std::vector<KeywordSignature> refreshed(refresh.size());
+  std::vector<MinHashSignature> refreshed(refresh.size());
   {
     // Window-sketch Combine-tree cost for the whole refresh batch — the
     // per-quantum merge bill of the sketch window.
@@ -111,8 +110,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
     obs::ScopedSpan span("akg.refresh");
     obs::ScopedHistogramTimer timer(refresh_hist);
     parallel_for_(refresh.size(), [&](std::size_t i) {
-      refreshed[i].sketch = sketch_window_.WindowSketch(refresh[i]);
-      refreshed[i].values = WeightedMinHasher::Values(refreshed[i].sketch);
+      refreshed[i] = sketch_window_.WindowSketch(refresh[i]);
     });
   }
   for (std::size_t i = 0; i < refresh.size(); ++i) {
@@ -132,7 +130,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   } else {
     std::unordered_map<std::uint64_t, std::vector<KeywordId>> buckets;
     for (KeywordId k : update.bursty) {
-      for (std::uint64_t h : signatures_[k].values) buckets[h].push_back(k);
+      for (std::uint64_t h : signatures_[k]) buckets[h].push_back(k);
     }
     std::unordered_set<std::uint64_t> emitted;
     for (const auto& [h, members] : buckets) {
@@ -156,8 +154,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   std::vector<std::pair<KeywordId, KeywordId>> add_jobs;
   for (const auto& [a, b] : candidates) {
     if (akg_.HasEdge(a, b)) continue;
-    if (!PassesScreen(config_.ec_mode, signatures_[a].values,
-                      signatures_[b].values)) {
+    if (!PassesScreen(config_.ec_mode, signatures_[a], signatures_[b])) {
       continue;
     }
     add_jobs.emplace_back(a, b);
@@ -165,8 +162,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   std::vector<double> add_ecs(add_jobs.size());
   parallel_for_(add_jobs.size(), [&](std::size_t i) {
     const auto [a, b] = add_jobs[i];
-    add_ecs[i] = ComputeEc(config_.ec_mode, config_.weighted_minhash,
-                           id_sets_, a, b, signatures_.at(a),
+    add_ecs[i] = ComputeEc(config_.ec_mode, id_sets_, a, b, signatures_.at(a),
                            signatures_.at(b), sketch_window_.hasher().p());
   });
   last_stats_.ec_computed += add_jobs.size();
@@ -205,9 +201,9 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
     const auto [a, b] = reval_jobs[i];
     // Both signatures may be stale for the untouched endpoint; EC is
     // computed from exact id sets except in kMinHashOnly mode.
-    reval_ecs[i] = ComputeEc(config_.ec_mode, config_.weighted_minhash,
-                             id_sets_, a, b, signatures_.at(a),
-                             signatures_.at(b), sketch_window_.hasher().p());
+    reval_ecs[i] =
+        ComputeEc(config_.ec_mode, id_sets_, a, b, signatures_.at(a),
+                  signatures_.at(b), sketch_window_.hasher().p());
   });
   last_stats_.ec_computed += reval_jobs.size();
   for (std::size_t i = 0; i < reval_jobs.size(); ++i) {
@@ -233,18 +229,18 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   return delta;
 }
 
-WeightedSketch AkgBuilder::ExportClusterSketch(
+MinHashSignature AkgBuilder::ExportClusterSketch(
     const std::vector<KeywordId>& keywords) const {
   const std::size_t p = sketch_window_.hasher().p();
-  std::vector<WeightedSketch> parts;
+  std::vector<MinHashSignature> parts;
   parts.reserve(keywords.size());
   for (KeywordId keyword : keywords) {
     const auto it = signatures_.find(keyword);
-    if (it != signatures_.end() && !it->second.sketch.empty()) {
-      parts.push_back(it->second.sketch);
+    if (it != signatures_.end() && !it->second.empty()) {
+      parts.push_back(it->second);
     }
   }
-  return WeightedMinHasher::CombineTree(std::move(parts), p);
+  return MinHasher::CombineTree(std::move(parts), p);
 }
 
 std::size_t AkgBuilder::sketch_size() const {
@@ -265,28 +261,11 @@ void AkgBuilder::Save(BinaryWriter& out) const {
   std::sort(signed_keywords.begin(), signed_keywords.end());
   out.U64(signed_keywords.size());
   for (KeywordId keyword : signed_keywords) {
-    const KeywordSignature& sig = signatures_.at(keyword);
+    const MinHashSignature& sig = signatures_.at(keyword);
     out.U32(keyword);
-    out.U32(static_cast<std::uint32_t>(sig.values.size()));
-    for (std::uint64_t value : sig.values) out.U64(value);
-    if (config_.weighted_minhash) {
-      // One score per value, value-aligned: the realized weighted draws
-      // cannot be recomputed from the id sets (message counts are gone),
-      // so they ride along. Unweighted scores are a pure function of the
-      // value — the encoding above stays byte-identical to version 3.
-      for (std::uint64_t value : sig.values) {
-        double score = 0.0;
-        for (const SketchEntry& entry : sig.sketch) {
-          if (entry.key == value) {
-            score = entry.score;
-            break;
-          }
-        }
-        out.F64(score);
-      }
-    }
+    out.U32(static_cast<std::uint32_t>(sig.size()));
+    for (std::uint64_t value : sig) out.U64(value);
   }
-  if (config_.weighted_minhash) sketch_window_.Save(out);
 
   std::vector<Edge> ec_edges;
   ec_edges.reserve(edge_ec_.size());
@@ -336,40 +315,15 @@ bool AkgBuilder::Restore(BinaryReader& in) {
       valid = false;
       break;
     }
-    KeywordSignature sig;
-    sig.values.resize(length);
-    for (std::uint32_t j = 0; j < length; ++j) sig.values[j] = in.U64();
-    // Strictly ascending: the values are distinct sketch keys.
+    MinHashSignature sig(length);
+    for (std::uint32_t j = 0; j < length; ++j) sig[j] = in.U64();
+    // Strictly ascending: the values are distinct hash keys.
     if (!in.ok() ||
-        std::adjacent_find(sig.values.begin(), sig.values.end(),
+        std::adjacent_find(sig.begin(), sig.end(),
                            std::greater_equal<std::uint64_t>()) !=
-            sig.values.end()) {
+            sig.end()) {
       valid = false;
       break;
-    }
-    if (config_.weighted_minhash) {
-      // Value-aligned realized scores; the sketch is the (key, score)
-      // pairs in sketch order.
-      if (!in.CheckLength(length, 8)) {
-        valid = false;
-        break;
-      }
-      sig.sketch.reserve(length);
-      for (std::uint32_t j = 0; j < length; ++j) {
-        const double score = in.F64();
-        if (!std::isfinite(score) || score < 0.0) {
-          valid = false;
-          break;
-        }
-        sig.sketch.push_back({sig.values[j], score});
-      }
-      if (!valid || !in.ok()) {
-        valid = false;
-        break;
-      }
-      std::sort(sig.sketch.begin(), sig.sketch.end(), SketchOrderLess);
-    } else {
-      sig.sketch = WeightedMinHasher::FromValues(sig.values);
     }
     if (!signatures_.emplace(keyword, std::move(sig)).second) {
       valid = false;
@@ -377,17 +331,9 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     }
   }
 
-  // The sketch ring: serialized in weighted mode, refolded from the id-set
-  // histories otherwise. Either way its depth must agree with the
-  // histories' — the two structures expire in lockstep.
-  if (valid) {
-    if (config_.weighted_minhash) {
-      valid = sketch_window_.Restore(in) &&
-              sketch_window_.depth() == id_sets_.HistoryDepth();
-    } else {
-      sketch_window_.RebuildFromHistory(id_sets_);
-    }
-  }
+  // The signature ring is not serialized: it is refolded from the id-set
+  // histories, which expire in lockstep with it.
+  if (valid) sketch_window_.RebuildFromHistory(id_sets_);
 
   const std::uint64_t correlations = valid ? in.U64() : 0;
   valid = valid && in.CheckLength(correlations, 4 + 4 + 8);

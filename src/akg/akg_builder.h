@@ -38,12 +38,6 @@ struct AkgConfig {
   EcMode ec_mode = EcMode::kMinHashScreenExactVerify;
   /// Seed of the Min-Hash function.
   std::uint64_t seed = 0x5ca1ab1eULL;
-  /// Weight Min-Hash sketches by per-user message count instead of mere
-  /// presence (the frequency dimension the paper's unweighted id sets
-  /// lack). Off by default: unweighted signatures are bit-identical to the
-  /// historical scheme, so golden traces stay valid. Changes the snapshot
-  /// encoding — weighted state needs container version >= 4.
-  bool weighted_minhash = false;
 };
 
 /// The per-quantum structural delta for the cluster maintainer. Application
@@ -111,18 +105,18 @@ class AkgBuilder {
     return id_sets_.WindowSupport(keyword);
   }
 
-  /// Exports a cluster-level user sketch: the Combine tree of the member
-  /// keywords' current window sketches, bottom-p overall. Because Combine
-  /// is first-key-wins, a user active in several member keywords (or
-  /// spamming one of them) still occupies exactly one slot — the sketch is
-  /// a deduped distinct-user signature of the whole cluster, suitable for
-  /// persisting into the event store at report time. Keywords without a
-  /// live signature contribute nothing. Deterministic for a given member
+  /// Exports a cluster-level user signature: the Combine tree of the
+  /// member keywords' current window signatures, bottom-p overall. Because
+  /// Combine de-duplicates keys, a user active in several member keywords
+  /// (or spamming one of them) still occupies exactly one slot — the
+  /// result is a distinct-user signature of the whole cluster, suitable
+  /// for persisting into the event store at report time. Keywords without
+  /// a live signature contribute nothing. Deterministic for a given member
   /// list (callers pass the snapshot's sorted keyword set).
-  WeightedSketch ExportClusterSketch(
+  MinHashSignature ExportClusterSketch(
       const std::vector<KeywordId>& keywords) const;
 
-  /// Sketch size p of the exported sketches (config-derived).
+  /// Signature size p of the exported signatures (config-derived).
   std::size_t sketch_size() const;
 
   const UserIdSets& id_sets() const { return id_sets_; }
@@ -133,10 +127,9 @@ class AkgBuilder {
   /// Serializes every derived structure of the AKG layer — id-set window
   /// histories, node automaton, Min-Hash signatures, edge correlations
   /// (bit-exact doubles), the graph and the quantum clock — in canonical
-  /// order. The hash function itself is config-derived and not stored.
-  /// Unweighted builders write the historical (version-3) encoding byte
-  /// for byte; weighted builders add per-signature scores and the sketch
-  /// ring (docs/formats.md, weighted signatures).
+  /// order. The hash function itself is config-derived and not stored,
+  /// and the per-quantum signature ring is rebuilt from the id-set
+  /// histories on restore.
   void Save(BinaryWriter& out) const;
 
   /// Replaces this builder's state with Save()'s encoding. Must be called
@@ -150,12 +143,12 @@ class AkgBuilder {
   std::function<bool(KeywordId)> in_cluster_;
   UserIdSets id_sets_;
   NodeStateAutomaton node_state_;
-  // Per-quantum sketch ring: window signatures come from its Combine tree,
-  // never from rehashing the folded window id set.
+  // Per-quantum signature ring: window signatures come from its Combine
+  // tree, never from rehashing the folded window id set.
   SketchWindow sketch_window_;
   graph::DynamicGraph akg_;
   std::unordered_map<graph::Edge, double, graph::EdgeHash> edge_ec_;
-  std::unordered_map<KeywordId, KeywordSignature> signatures_;
+  std::unordered_map<KeywordId, MinHashSignature> signatures_;
   AkgQuantumStats last_stats_;
   QuantumIndex now_ = 0;
 };

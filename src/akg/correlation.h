@@ -23,13 +23,11 @@ enum class EcMode {
 };
 
 /// Computes the EC of pair (a, b) under `mode`. `sig_a`/`sig_b` may be
-/// empty in kExact mode. `weighted` selects the weighted-sketch resemblance
-/// in kMinHashOnly mode — the weighting lives in the sketch evidence; the
-/// exact modes stay set-semantics Jaccard either way. Returns the
-/// correlation in [0, 1].
-double ComputeEc(EcMode mode, bool weighted, const UserIdSets& sets,
-                 KeywordId a, KeywordId b, const KeywordSignature& sig_a,
-                 const KeywordSignature& sig_b, std::size_t p);
+/// empty in kExact mode; kMinHashOnly returns their bottom-p Jaccard
+/// estimate. Returns the correlation in [0, 1].
+double ComputeEc(EcMode mode, const UserIdSets& sets, KeywordId a,
+                 KeywordId b, const MinHashSignature& sig_a,
+                 const MinHashSignature& sig_b, std::size_t p);
 
 /// Pre-screen: true if the pair may have EC > 0 worth computing.
 bool PassesScreen(EcMode mode, const MinHashSignature& sig_a,

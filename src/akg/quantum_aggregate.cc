@@ -13,18 +13,8 @@ QuantumAggregate CanonicalAggregate(
   aggregate.keywords.reserve(users_of.size());
   for (auto& [keyword, users] : users_of) {
     std::sort(users.begin(), users.end());
-    QuantumAggregate::Entry entry;
-    entry.keyword = keyword;
-    // Run-length over the sorted occurrence list: distinct users with their
-    // message counts.
-    for (std::size_t i = 0; i < users.size();) {
-      std::size_t j = i;
-      while (j < users.size() && users[j] == users[i]) ++j;
-      entry.users.push_back(users[i]);
-      entry.counts.push_back(static_cast<std::uint32_t>(j - i));
-      i = j;
-    }
-    aggregate.keywords.push_back(std::move(entry));
+    users.erase(std::unique(users.begin(), users.end()), users.end());
+    aggregate.keywords.push_back({keyword, std::move(users)});
   }
   std::sort(
       aggregate.keywords.begin(), aggregate.keywords.end(),

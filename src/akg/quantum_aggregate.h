@@ -1,6 +1,6 @@
 // Canonical per-quantum ingest form: every keyword that occurred in the
-// quantum with its distinct users and their message counts, keywords
-// ascending, each user list sorted ascending. Aggregates built from the
+// quantum with its distinct users, keywords ascending, each user list
+// sorted ascending. Aggregates built from the
 // same quantum compare equal no matter how they were produced — serially
 // (AggregateQuantum) or merged from keyword shards
 // (engine/parallel_detector.cc) — which is what makes the engine's
@@ -9,7 +9,6 @@
 #ifndef SCPRT_AKG_QUANTUM_AGGREGATE_H_
 #define SCPRT_AKG_QUANTUM_AGGREGATE_H_
 
-#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -21,14 +20,10 @@ namespace scprt::akg {
 /// One quantum reduced to per-keyword occurrence lists in canonical order.
 struct QuantumAggregate {
   /// One keyword's quantum occurrences: `users` sorted ascending and
-  /// distinct; `counts[i]` is the number of messages by `users[i]`
-  /// mentioning the keyword this quantum (>= 1). The counts are a pure
-  /// function of the quantum's (keyword, user) occurrence multiset, so
-  /// every build path produces identical values.
+  /// distinct.
   struct Entry {
     KeywordId keyword = 0;
     std::vector<UserId> users;
-    std::vector<std::uint32_t> counts;
     friend bool operator==(const Entry&, const Entry&) = default;
   };
 
@@ -38,10 +33,10 @@ struct QuantumAggregate {
 };
 
 /// Canonicalizes a raw keyword -> users gather (user lists carry one entry
-/// per occurrence — duplicates become counts — in any order) into an
-/// aggregate. The single definition of the canonical form —
-/// AggregateQuantum and the engine's sharded reduce both end here, which
-/// is what keeps their outputs comparable.
+/// per occurrence, in any order; duplicates collapse) into an aggregate.
+/// The single definition of the canonical form — AggregateQuantum and the
+/// engine's sharded reduce both end here, which is what keeps their
+/// outputs comparable.
 QuantumAggregate CanonicalAggregate(
     std::unordered_map<KeywordId, std::vector<UserId>>&& users_of,
     QuantumIndex index);

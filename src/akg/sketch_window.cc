@@ -1,15 +1,14 @@
 #include "akg/sketch_window.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace scprt::akg {
 
 SketchWindow::SketchWindow(std::size_t window_length, std::size_t p,
-                           std::uint64_t seed, bool weighted)
-    : window_length_(window_length), hasher_(p, seed, weighted) {
+                           std::uint64_t seed)
+    : window_length_(window_length), hasher_(p, seed) {
   SCPRT_CHECK(window_length >= 1);
 }
 
@@ -28,9 +27,7 @@ void SketchWindow::Ingest(const QuantumAggregate& aggregate,
     slot.reserve(owned[s].size());
     for (std::uint32_t i : owned[s]) {
       const QuantumAggregate::Entry& entry = aggregate.keywords[i];
-      slot.emplace_back(entry.keyword,
-                        hasher_.QuantumSketch(aggregate.index, entry.users,
-                                              entry.counts));
+      slot.emplace_back(entry.keyword, hasher_.QuantumSketch(entry.users));
     }
     shard.ring.push_back(std::move(slot));
     if (shard.ring.size() > window_length_) shard.ring.pop_front();
@@ -42,9 +39,9 @@ void SketchWindow::Ingest(const QuantumAggregate& aggregate,
   }
 }
 
-WeightedSketch SketchWindow::WindowSketch(KeywordId keyword) const {
+MinHashSignature SketchWindow::WindowSketch(KeywordId keyword) const {
   const Shard& shard = shards_[ShardOf(keyword)];
-  std::vector<WeightedSketch> parts;
+  std::vector<MinHashSignature> parts;
   parts.reserve(shard.ring.size());
   for (const Slot& slot : shard.ring) {
     const auto it = std::lower_bound(
@@ -52,13 +49,12 @@ WeightedSketch SketchWindow::WindowSketch(KeywordId keyword) const {
         [](const auto& entry, KeywordId k) { return entry.first < k; });
     if (it != slot.end() && it->first == keyword) parts.push_back(it->second);
   }
-  return WeightedMinHasher::CombineTree(std::move(parts), hasher_.p());
+  return MinHasher::CombineTree(std::move(parts), hasher_.p());
 }
 
 void SketchWindow::Clear() { shards_.assign(kShards, Shard{}); }
 
 void SketchWindow::RebuildFromHistory(const UserIdSets& sets) {
-  SCPRT_CHECK(!hasher_.weighted());
   Clear();
   const std::size_t depth = sets.HistoryDepth();
   for (Shard& shard : shards_) shard.ring.resize(depth);
@@ -78,103 +74,9 @@ void SketchWindow::RebuildFromHistory(const UserIdSets& sets) {
         users.push_back(sorted[i].second);
         ++i;
       }
-      // Quantum index 0 is fine: unweighted scores are key-only.
-      slot.emplace_back(keyword, hasher_.QuantumSketch(0, users, {}));
+      slot.emplace_back(keyword, hasher_.QuantumSketch(users));
     }
   });
-}
-
-void SketchWindow::Save(BinaryWriter& out) const {
-  out.U32(static_cast<std::uint32_t>(kShards));
-  out.U64(window_length_);
-  out.U32(static_cast<std::uint32_t>(depth()));
-  for (const Shard& shard : shards_) {
-    for (const Slot& slot : shard.ring) {
-      out.U64(slot.size());
-      for (const auto& [keyword, sketch] : slot) {
-        out.U32(keyword);
-        out.U32(static_cast<std::uint32_t>(sketch.size()));
-        for (const SketchEntry& entry : sketch) {
-          out.U64(entry.key);
-          out.F64(entry.score);
-        }
-      }
-    }
-  }
-}
-
-bool SketchWindow::Restore(BinaryReader& in) {
-  Clear();
-  const std::size_t p = hasher_.p();
-  if (in.U32() != kShards || in.U64() != window_length_) {
-    in.Fail();
-    return false;
-  }
-  const std::uint32_t depth = in.U32();
-  if (!in.ok() || depth > window_length_) {
-    in.Fail();
-    return false;
-  }
-  bool valid = true;
-  for (std::size_t s = 0; valid && s < kShards; ++s) {
-    Shard& shard = shards_[s];
-    for (std::uint32_t q = 0; valid && q < depth; ++q) {
-      const std::uint64_t entries = in.U64();
-      if (!in.CheckLength(entries, 4 + 4)) {
-        valid = false;
-        break;
-      }
-      Slot slot;
-      slot.reserve(entries);
-      for (std::uint64_t e = 0; valid && e < entries; ++e) {
-        const KeywordId keyword = in.U32();
-        const std::uint32_t size = in.U32();
-        // Canonical form: keywords strictly ascending and shard-local, a
-        // sketch of at most p entries in strict sketch order with distinct
-        // keys and finite non-negative scores.
-        if (ShardOf(keyword) != s ||
-            (!slot.empty() && slot.back().first >= keyword) || size > p ||
-            !in.CheckLength(size, 8 + 8)) {
-          valid = false;
-          break;
-        }
-        WeightedSketch sketch;
-        sketch.reserve(size);
-        for (std::uint32_t k = 0; k < size; ++k) {
-          SketchEntry entry;
-          entry.key = in.U64();
-          entry.score = in.F64();
-          if (!std::isfinite(entry.score) || entry.score < 0.0 ||
-              (!sketch.empty() &&
-               !SketchOrderLess(sketch.back(), entry))) {
-            valid = false;
-            break;
-          }
-          for (const SketchEntry& prior : sketch) {
-            if (prior.key == entry.key) {
-              valid = false;
-              break;
-            }
-          }
-          if (!valid) break;
-          sketch.push_back(entry);
-        }
-        if (!valid || !in.ok()) {
-          valid = false;
-          break;
-        }
-        slot.emplace_back(keyword, std::move(sketch));
-      }
-      if (!valid) break;
-      shard.ring.push_back(std::move(slot));
-    }
-  }
-  if (!valid || !in.ok()) {
-    Clear();
-    in.Fail();
-    return false;
-  }
-  return true;
 }
 
 }  // namespace scprt::akg

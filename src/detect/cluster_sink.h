@@ -26,11 +26,11 @@ struct ReportedCluster {
   /// Keyword spellings aligned with snapshot.keywords. Empty when the
   /// detector has no dictionary (trace-only runs without text).
   std::vector<std::string> spellings;
-  /// Deduped distinct-user sketch merged over the member keywords
+  /// Distinct-user Min-Hash signature merged over the member keywords
   /// (akg::AkgBuilder::ExportClusterSketch) — one slot per user no matter
   /// how many messages they sent.
-  akg::WeightedSketch user_sketch;
-  /// Sketch size p the sketch was built under.
+  akg::MinHashSignature user_sketch;
+  /// Signature size p the sketch was built under.
   std::size_t sketch_p = 0;
 };
 

@@ -16,6 +16,10 @@ constexpr std::uint64_t kMaxQuantumSize = 1u << 30;
 constexpr std::uint64_t kMaxWindowLength = 1u << 24;
 constexpr std::uint64_t kMaxMinHashSize = 1u << 20;
 
+// The frame kind byte: every frame is a full snapshot. Kind 2 was the
+// retired delta-file frame; any value but this one fails as kKindMismatch.
+constexpr std::uint8_t kFullFrameKind = 1;
+
 // IngestState trailing-section framing ("INGS" little-endian) and its own
 // version counter, bumped independently of the container version.
 constexpr std::uint32_t kIngestSectionMagic = 0x53474E49;
@@ -49,12 +53,12 @@ const char* LoadErrorName(LoadError error) {
   return "unknown";
 }
 
-bool WriteFrame(std::ostream& out, FrameKind kind, const std::string& payload,
+bool WriteFrame(std::ostream& out, const std::string& payload,
                 std::uint64_t* checkpoint_id) {
   BinaryWriter header;
   header.Bytes(kMagic, sizeof(kMagic));
   header.U32(kFormatVersion);
-  header.U8(static_cast<std::uint8_t>(kind));
+  header.U8(kFullFrameKind);
   header.U64(payload.size());
   const std::uint32_t crc = Crc32(payload);
   header.U32(crc);
@@ -65,9 +69,9 @@ bool WriteFrame(std::ostream& out, FrameKind kind, const std::string& payload,
   return static_cast<bool>(out);
 }
 
-bool ReadFrame(std::istream& in, FrameKind expected_kind,
-               std::string& payload, std::uint64_t* checkpoint_id,
-               LoadError* error, std::uint32_t* frame_version) {
+bool ReadFrame(std::istream& in, std::string& payload,
+               std::uint64_t* checkpoint_id, LoadError* error,
+               std::uint32_t* frame_version) {
   SetError(error, LoadError::kCorrupt);
   char header_bytes[25];
   if (!in.read(header_bytes, sizeof(header_bytes))) {
@@ -88,7 +92,7 @@ bool ReadFrame(std::istream& in, FrameKind expected_kind,
     SetError(error, LoadError::kVersionSkew);
     return false;
   }
-  if (header.U8() != static_cast<std::uint8_t>(expected_kind)) {
+  if (header.U8() != kFullFrameKind) {
     SetError(error, LoadError::kKindMismatch);
     return false;
   }
@@ -209,13 +213,12 @@ void WriteConfig(BinaryWriter& out, const DetectorConfig& config) {
   out.U64(config.min_event_nodes);
   out.F64(config.min_rank_margin);
   out.U8(config.require_noun ? 1 : 0);
-  // Version 4: the weighted-Min-Hash switch rides at the end so a version-3
-  // payload is a strict prefix (absent flag = unweighted).
-  out.U8(config.akg.weighted_minhash ? 1 : 0);
+  // Version 4's trailing flag byte, always 0 (see ReadConfig).
+  out.U8(0);
 }
 
 bool ReadConfig(BinaryReader& in, DetectorConfig& config,
-                std::uint32_t version) {
+                std::uint32_t version, LoadError* error) {
   DetectorConfig parsed;
   parsed.quantum_size = in.U64();
   parsed.akg.high_state_threshold = in.U32();
@@ -227,7 +230,14 @@ bool ReadConfig(BinaryReader& in, DetectorConfig& config,
   parsed.min_event_nodes = in.U64();
   parsed.min_rank_margin = in.F64();
   const std::uint8_t require_noun = in.U8();
-  const std::uint8_t weighted = version >= 4 ? in.U8() : 0;
+  const std::uint8_t flag = version >= 4 ? in.U8() : 0;
+  // A 1 here was written by a build that still had the weighted Min-Hash
+  // mode, whose signature state this build cannot restore.
+  if (in.ok() && flag == 1) {
+    SetError(error, LoadError::kVersionSkew);
+    in.Fail();
+    return false;
+  }
   // Constructor preconditions plus sanity ceilings — a corrupt config must
   // fail the load, not abort the process or reserve gigabytes.
   if (!in.ok() || parsed.quantum_size < 1 ||
@@ -238,13 +248,12 @@ bool ReadConfig(BinaryReader& in, DetectorConfig& config,
       parsed.akg.window_length > kMaxWindowLength ||
       parsed.akg.minhash_size > kMaxMinHashSize || ec_mode > 2 ||
       !std::isfinite(parsed.min_rank_margin) || require_noun > 1 ||
-      weighted > 1) {
+      flag > 1) {
     in.Fail();
     return false;
   }
   parsed.akg.ec_mode = static_cast<akg::EcMode>(ec_mode);
   parsed.require_noun = require_noun != 0;
-  parsed.akg.weighted_minhash = weighted != 0;
   config = parsed;
   return true;
 }
@@ -333,13 +342,13 @@ bool ReadFullSnapshot(
   std::string payload;
   std::uint64_t id = 0;
   std::uint32_t version = kFormatVersion;
-  if (!ReadFrame(in, FrameKind::kFull, payload, &id, error, &version)) {
+  if (!ReadFrame(in, payload, &id, error, &version)) {
     return false;
   }
   SetError(error, LoadError::kCorrupt);
   BinaryReader reader(payload);
   DetectorConfig config;
-  if (!ReadConfig(reader, config, version)) return false;
+  if (!ReadConfig(reader, config, version, error)) return false;
   if (!restore_state(reader, config)) return false;
   // Version >= 3 snapshots may carry a trailing IngestState section; a PR
   // 2-era payload simply ends here and restores a bare detector.

@@ -5,8 +5,8 @@
 //   offset  size  field
 //   0       8     magic "SCPRTSNP"
 //   8       4     format version (little-endian u32; currently 4)
-//   12      1     kind: 1 = full snapshot (2 was the retired delta file;
-//                 any other value is rejected as a kind mismatch)
+//   12      1     kind: always 1 (2 was the retired delta file; any
+//                 other value is rejected as a kind mismatch)
 //   13      8     payload length in bytes (u64)
 //   21      4     CRC-32 (IEEE) of the payload bytes
 //   25      ...   payload
@@ -38,13 +38,11 @@
 // the container version bumps on ANY encoding change. Loaders accept
 // [kMinFormatVersion, kFormatVersion]; version 2 payloads are a strict
 // prefix of version 3's (no IngestState), and version 4 appends one config
-// byte (the weighted-Min-Hash flag, absent = unweighted) plus — only when
-// that flag is set — weighted signature scores and the sketch ring inside
-// the detector-state section, so all three parse through the same path
-// keyed on the frame version. Version 1 (the replay era) and future
-// versions are rejected as kVersionSkew — checkpoints are recovery
-// artifacts, not archives, so there is no migration: take a fresh full
-// snapshot after upgrading.
+// byte that is always 0 (a 1 is rejected as kVersionSkew; see ReadConfig),
+// so all three parse through the same path keyed on the frame version.
+// Version 1 (the replay era) and future versions are rejected as
+// kVersionSkew — checkpoints are recovery artifacts, not archives, so
+// there is no migration: take a fresh full snapshot after upgrading.
 
 #ifndef SCPRT_DETECT_SNAPSHOT_IO_H_
 #define SCPRT_DETECT_SNAPSHOT_IO_H_
@@ -62,19 +60,12 @@
 namespace scprt::detect::snapshot_io {
 
 inline constexpr char kMagic[8] = {'S', 'C', 'P', 'R', 'T', 'S', 'N', 'P'};
-/// Current container version (written by every save). Version 4 added the
-/// weighted-Min-Hash config flag and, when set, the weighted signature
-/// encoding (docs/formats.md).
+/// Current container version (written by every save). Version 4 added a
+/// trailing config byte, now always 0 (docs/formats.md).
 inline constexpr std::uint32_t kFormatVersion = 4;
 /// Oldest container version still accepted by loaders (PR 2-era snapshots
 /// without an IngestState section).
 inline constexpr std::uint32_t kMinFormatVersion = 2;
-
-/// What a frame contains. Only full snapshots remain; kind 2 was the
-/// retired delta-file frame and is never written.
-enum class FrameKind : std::uint8_t {
-  kFull = 1,
-};
 
 /// Why a checkpoint failed to load. Everything except kNone means the load
 /// returned failure; the distinctions let an operator tell "this file is
@@ -141,17 +132,17 @@ struct IngestState {
 /// Writes one framed payload. `checkpoint_id` (optional out) receives the
 /// payload CRC — the id WAL records chain to. Returns false on stream
 /// failure.
-bool WriteFrame(std::ostream& out, FrameKind kind, const std::string& payload,
+bool WriteFrame(std::ostream& out, const std::string& payload,
                 std::uint64_t* checkpoint_id = nullptr);
 
-/// Reads and verifies one frame of the expected kind. Returns false on bad
+/// Reads and verifies one frame. Returns false on bad
 /// magic, version skew, kind mismatch, truncation or CRC failure (`error`,
 /// when non-null, receives the reason); `payload`/`checkpoint_id`/`version`
 /// are only written on success. `version` (optional out) receives the
 /// container version the frame was written under — payload parsers key
 /// version-gated fields off it.
-bool ReadFrame(std::istream& in, FrameKind expected_kind,
-               std::string& payload, std::uint64_t* checkpoint_id = nullptr,
+bool ReadFrame(std::istream& in, std::string& payload,
+               std::uint64_t* checkpoint_id = nullptr,
                LoadError* error = nullptr, std::uint32_t* version = nullptr);
 
 /// Appends the IngestState trailing section (its own magic, section
@@ -185,10 +176,13 @@ void WriteConfig(BinaryWriter& out, const DetectorConfig& config);
 /// Parses and validates a configuration. Returns false if malformed or if
 /// any value would violate a constructor precondition (the loader must
 /// never feed a corrupt config into SCPRT_CHECK). `version` is the
-/// container version of the enclosing frame: frames older than 4 predate
-/// the weighted-Min-Hash flag, which then reads as its default (false).
+/// container version of the enclosing frame: frames older than 4 have no
+/// trailing flag byte. A flag byte of 1 marks state written by a build
+/// with the retired weighted Min-Hash mode and fails with kVersionSkew in
+/// `error` (when non-null); other failures leave `error` untouched.
 bool ReadConfig(BinaryReader& in, DetectorConfig& config,
-                std::uint32_t version = kFormatVersion);
+                std::uint32_t version = kFormatVersion,
+                LoadError* error = nullptr);
 
 /// Serializes a message list (count-prefixed).
 void WriteMessages(BinaryWriter& out,

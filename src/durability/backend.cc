@@ -45,8 +45,7 @@ Error SaveSnapshot(engine::ParallelDetector& engine, std::ostream& out,
   if (extras.ingest != nullptr) {
     sio::WriteIngestSection(payload, *extras.ingest);
   }
-  if (!sio::WriteFrame(out, sio::FrameKind::kFull, payload.data(),
-                       checkpoint_id)) {
+  if (!sio::WriteFrame(out, payload.data(), checkpoint_id)) {
     return MakeError(ErrorCode::kIo, "snapshot stream write failed");
   }
   return {};

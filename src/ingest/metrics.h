@@ -72,9 +72,9 @@ struct IngestSnapshot {
                                  static_cast<double>(checkpoints)
                            : 0.0;
   }
-  /// Mean stall of one durable commit, in microseconds. Under the WAL
-  /// backend this is the per-quantum append cost — the number to hold
-  /// against CheckpointMillis when picking a backend.
+  /// Mean stall of one durable commit, in microseconds: the per-quantum
+  /// WAL cost, against CheckpointMillis for the commits that also wrote a
+  /// segment.
   double CommitMicros() const {
     return commits > 0 ? static_cast<double>(commit_ns) / 1e3 /
                              static_cast<double>(commits)
@@ -116,8 +116,9 @@ class IngestMetrics {
     checkpoint_ns_->Add(ns);
   }
 
-  /// One durable commit (a WAL record append or a checkpoint file): its
-  /// size and the pipeline stall it cost.
+  /// One durable commit (a WAL record append, plus a segment when the
+  /// commit also counts as a checkpoint): its size and the pipeline stall
+  /// it cost.
   void AddCommit(std::uint64_t bytes, std::uint64_t ns) {
     commits_->Increment();
     commit_bytes_->Add(bytes);

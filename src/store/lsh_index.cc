@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -42,6 +43,11 @@ constexpr std::uint64_t kBandSalt = 0xbf58476d1ce4e5b9ULL;
 // Chain-walk bound: a corrupted next pointer cannot send a query on an
 // unbounded tour of the file.
 constexpr std::size_t kMaxChainPages = 1u << 20;
+
+// Reads of a directory page whose CRC fails before a query reports damage:
+// a read-only handle shares the file with a live writer and can catch one
+// of its in-place page rewrites half done.
+constexpr int kDirectoryReadAttempts = 4;
 
 std::uint16_t ReadU16(const char* p) {
   return static_cast<std::uint16_t>(
@@ -103,9 +109,11 @@ std::string EncodeEventPayload(const StoredEvent& event) {
   for (std::uint64_t value : event.signature) out.U64(value);
   out.U64(event.sketch_p);
   out.U32(static_cast<std::uint32_t>(event.user_sketch.size()));
-  for (const akg::SketchEntry& entry : event.user_sketch) {
-    out.U64(entry.key);
-    out.F64(entry.score);
+  for (std::uint64_t key : event.user_sketch) {
+    out.U64(key);
+    // An f64 slot per key keeps the record layout existing stores hold;
+    // it is written as key * 2^-64 and ignored on read.
+    out.F64(static_cast<double>(key) * 0x1.0p-64);
   }
   return out.TakeData();
 }
@@ -142,10 +150,8 @@ bool DecodeEventPayload(std::string_view payload, StoredEvent* event) {
   event->user_sketch.clear();
   event->user_sketch.reserve(sketch_count);
   for (std::uint32_t i = 0; i < sketch_count; ++i) {
-    akg::SketchEntry entry;
-    entry.key = in.U64();
-    entry.score = in.F64();
-    event->user_sketch.push_back(entry);
+    event->user_sketch.push_back(in.U64());
+    in.F64();  // the per-key f64 slot
   }
   return in.ok();
 }
@@ -395,12 +401,17 @@ Error LshIndex::ReadDirectorySlot(std::uint32_t band, std::uint64_t key,
   const std::uint64_t slot =
       static_cast<std::uint64_t>(band) * directory_slots_ +
       (key & (directory_slots_ - 1));
+  const std::uint32_t page =
+      1 + static_cast<std::uint32_t>(slot / kDirSlotsPerPage);
   PageHandle handle;
-  if (Error e = pool_->Fetch(
-          1 + static_cast<std::uint32_t>(slot / kDirSlotsPerPage), &handle);
-      !e.ok()) {
-    return e;
+  Error e = pool_->Fetch(page, &handle);
+  for (int attempt = 1;
+       attempt < kDirectoryReadAttempts && e.code == ErrorCode::kCorrupt;
+       ++attempt) {
+    std::this_thread::yield();
+    e = pool_->Fetch(page, &handle);
   }
+  if (!e.ok()) return e;
   *head = ReadU32(handle.data() + (slot % kDirSlotsPerPage) * 4);
   return {};
 }
@@ -609,7 +620,7 @@ Error LshIndex::Insert(std::uint64_t cluster_id, std::int64_t quantum,
                        std::int64_t born_at, double rank,
                        std::uint64_t support,
                        const std::vector<std::string>& keywords,
-                       const akg::WeightedSketch& user_sketch,
+                       const akg::MinHashSignature& user_sketch,
                        std::uint64_t sketch_p) {
   std::lock_guard<std::mutex> lock(mu_);
   if (read_only_) {
@@ -753,7 +764,7 @@ Error LshIndex::Query(const std::vector<std::string>& keywords,
                                   static_cast<double>(k);
     result.support_estimate =
         event.sketch_p > 0 && !event.user_sketch.empty()
-            ? akg::WeightedMinHasher::EstimateDistinctUsers(
+            ? akg::MinHasher::EstimateDistinctUsers(
                   event.user_sketch, event.sketch_p)
             : static_cast<double>(event.support);
     result.event = std::move(event);

@@ -4,7 +4,7 @@
 //
 // Every reported cluster is persisted once as an event record (its
 // snapshot facts, keyword spellings, a K = bands x rows keyword signature,
-// and the deduped distinct-user sketch from PR 6), and its signature is
+// and the cluster's distinct-user Min-Hash signature), and its signature is
 // posted into `bands` on-disk bucket chains. A query sketches its keywords
 // the same way, probes one bucket per band, dedupes the candidate
 // postings, loads the surviving records and re-ranks them by estimated
@@ -16,7 +16,7 @@
 // and an index outlives the run that built it.
 //
 // Re-ranking ties break by the distinct-user support estimate from the
-// stored sketch (akg::WeightedMinHasher::EstimateDistinctUsers) — keys are
+// stored sketch (akg::MinHasher::EstimateDistinctUsers) — keys are
 // one-per-user regardless of message counts, so a user spamming one
 // keyword cannot promote a past event (tests/lsh_index_test.cc holds the
 // line).
@@ -88,8 +88,8 @@ struct StoredEvent {
   std::vector<std::string> keywords;
   /// K = bands * rows per-function min-hash values of the keyword set.
   akg::MinHashSignature signature;
-  /// Deduped distinct-user sketch (PR 6 semantics) and its size p.
-  akg::WeightedSketch user_sketch;
+  /// Distinct-user Min-Hash signature and its size p.
+  akg::MinHashSignature user_sketch;
   std::uint64_t sketch_p = 0;
 };
 
@@ -133,12 +133,12 @@ class LshIndex {
   /// Inserts one reported event. Idempotent on (cluster_id, quantum) —
   /// checkpoint replay re-offers events and the second offer is a no-op.
   /// `keywords` are spellings (the signature input); `user_sketch` is the
-  /// deduped distinct-user sketch exported at report time.
+  /// distinct-user signature exported at report time.
   durability::Error Insert(std::uint64_t cluster_id, std::int64_t quantum,
                            std::int64_t born_at, double rank,
                            std::uint64_t support,
                            const std::vector<std::string>& keywords,
-                           const akg::WeightedSketch& user_sketch,
+                           const akg::MinHashSignature& user_sketch,
                            std::uint64_t sketch_p);
 
   /// Makes every insert so far durable and query-visible: FlushAll, file

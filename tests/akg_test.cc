@@ -176,12 +176,10 @@ TEST(NodeStateTest, ReentryAfterEviction) {
 
 // --- MinHash ---
 
-// The paper's unweighted signature of a distinct-user set: the unweighted
-// WeightedMinHasher sketch's values.
+// The paper's signature of a distinct-user set.
 MinHashSignature Signature(std::size_t p, std::uint64_t seed,
                            const std::vector<UserId>& users) {
-  const WeightedMinHasher hasher(p, seed, /*weighted=*/false);
-  return WeightedMinHasher::Values(hasher.QuantumSketch(0, users, {}));
+  return MinHasher(p, seed).QuantumSketch(users);
 }
 
 TEST(MinHashTest, SignatureIsBottomP) {

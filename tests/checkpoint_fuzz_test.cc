@@ -69,17 +69,28 @@ std::unique_ptr<ParallelDetector> LoadBytes(
   return durability::LoadEngineSnapshot(in, dictionary, threads);
 }
 
-// Rewrites a current (version-4, unweighted) full frame as the byte-exact
-// legacy encoding `version` wrote: version 4 appended the weighted-Min-Hash
-// flag at config offset 62, so dropping that byte and refreshing the
-// header's version, length and payload-CRC fields reproduces what the
-// version 2/3 serializers emitted (a v2 payload is a strict prefix of v3's:
-// no IngestState section — the fixture's bare save has none).
+constexpr std::size_t kHeaderSize = 25;
+// Version 4's trailing config flag byte (always written as 0).
+constexpr std::size_t kConfigFlagOffset = kHeaderSize + 62;
+
+// Recomputes the header's payload-CRC field after an in-place edit.
+void RefreshPayloadCrc(std::string& bytes) {
+  const std::uint32_t crc =
+      Crc32(std::string_view(bytes).substr(kHeaderSize));
+  for (int i = 0; i < 4; ++i) {
+    bytes[21 + i] = static_cast<char>(crc >> (8 * i));
+  }
+}
+
+// Rewrites a current (version-4) full frame as the byte-exact legacy
+// encoding `version` wrote: version 4 appended the config flag byte at
+// config offset 62, so dropping that byte and refreshing the header's
+// version, length and payload-CRC fields reproduces what the version 2/3
+// serializers emitted (a v2 payload is a strict prefix of v3's: no
+// IngestState section — the fixture's bare save has none).
 std::string AsLegacyVersion(std::string bytes, std::uint8_t version) {
-  constexpr std::size_t kHeaderSize = 25;
-  constexpr std::size_t kWeightedFlagOffset = kHeaderSize + 62;
-  EXPECT_EQ(bytes[kWeightedFlagOffset], 0) << "fixture must be unweighted";
-  bytes.erase(kWeightedFlagOffset, 1);
+  EXPECT_EQ(bytes[kConfigFlagOffset], 0) << "flag byte must be written as 0";
+  bytes.erase(kConfigFlagOffset, 1);
   bytes[8] = static_cast<char>(version);
   std::uint64_t length = 0;
   for (int i = 7; i >= 0; --i) {
@@ -89,11 +100,7 @@ std::string AsLegacyVersion(std::string bytes, std::uint8_t version) {
   for (int i = 0; i < 8; ++i) {
     bytes[13 + i] = static_cast<char>(length >> (8 * i));
   }
-  const std::uint32_t crc =
-      Crc32(std::string_view(bytes).substr(kHeaderSize));
-  for (int i = 0; i < 4; ++i) {
-    bytes[21 + i] = static_cast<char>(crc >> (8 * i));
-  }
+  RefreshPayloadCrc(bytes);
   return bytes;
 }
 
@@ -146,7 +153,7 @@ TEST(CheckpointFuzzTest, EverySingleBitFlipIsRejected) {
   EXPECT_NE(LoadBytes(AsLegacyVersion(bytes, 2)), nullptr)
       << "version 2 (PR 2-era) snapshot must still load";
   EXPECT_NE(LoadBytes(AsLegacyVersion(bytes, 3)), nullptr)
-      << "version 3 (pre-weighted) snapshot must still load";
+      << "version 3 snapshot must still load";
 }
 
 TEST(CheckpointFuzzTest, VersionAndKindSkewAreRejected) {
@@ -179,6 +186,36 @@ TEST(CheckpointFuzzTest, VersionAndKindSkewAreRejected) {
   }
 }
 
+TEST(CheckpointFuzzTest, SetConfigFlagIsVersionSkew) {
+  // A version-4 frame whose config flag byte is 1 was written by a build
+  // with the retired weighted Min-Hash mode. Behind a valid CRC it must
+  // fail as version skew (take a fresh snapshot), not as damage, and must
+  // not crash.
+  std::string flagged = SharedFixture().full_bytes;
+  ASSERT_EQ(flagged[kConfigFlagOffset], 0);
+  flagged[kConfigFlagOffset] = 1;
+  RefreshPayloadCrc(flagged);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    std::stringstream in(flagged);
+    durability::Error error;
+    EXPECT_EQ(durability::LoadEngineSnapshot(
+                  in, &SharedFixture().trace.dictionary, threads, nullptr,
+                  &error),
+              nullptr)
+        << threads << " threads";
+    EXPECT_EQ(error.code, durability::ErrorCode::kVersionSkew);
+  }
+  // Any other non-zero flag byte is damage.
+  flagged[kConfigFlagOffset] = 2;
+  RefreshPayloadCrc(flagged);
+  std::stringstream in(flagged);
+  durability::Error error;
+  EXPECT_EQ(durability::LoadEngineSnapshot(
+                in, &SharedFixture().trace.dictionary, 1, nullptr, &error),
+            nullptr);
+  EXPECT_EQ(error.code, durability::ErrorCode::kCorrupt);
+}
+
 TEST(CheckpointFuzzTest, ForgedLengthFieldsDoNotAllocate) {
   // Hostile payloads with a correct CRC: the parser's bounds checks are the
   // only defense. A forged element count must fail before any reservation.
@@ -187,7 +224,7 @@ TEST(CheckpointFuzzTest, ForgedLengthFieldsDoNotAllocate) {
     body(payload);
     std::stringstream out;
     EXPECT_TRUE(
-        sio::WriteFrame(out, sio::FrameKind::kFull, payload.data()));
+        sio::WriteFrame(out, payload.data()));
     return out.str();
   };
 
@@ -287,7 +324,7 @@ TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
   w.U64(0);  // reported set: empty
 
   std::stringstream out;
-  ASSERT_TRUE(sio::WriteFrame(out, sio::FrameKind::kFull, w.data()));
+  ASSERT_TRUE(sio::WriteFrame(out, w.data()));
   EXPECT_EQ(LoadBytes(out.str(), nullptr), nullptr)
       << "signature-less AKG edge accepted — would crash on next quantum";
 }
@@ -308,7 +345,7 @@ TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {
       c = static_cast<char>(rng.UniformInt(256));
     }
     std::stringstream out;
-    ASSERT_TRUE(sio::WriteFrame(out, sio::FrameKind::kFull, payload));
+    ASSERT_TRUE(sio::WriteFrame(out, payload));
     EXPECT_EQ(LoadBytes(out.str()), nullptr);
   }
 }
@@ -395,7 +432,7 @@ TEST(CheckpointFuzzTest, ForgedIngestSectionFieldsAreRejected) {
     section(payload);
     std::stringstream out;
     EXPECT_TRUE(
-        sio::WriteFrame(out, sio::FrameKind::kFull, payload.data()));
+        sio::WriteFrame(out, payload.data()));
     return out.str();
   };
   // The typed reason the loader gives for `bytes` (kNone on success).

@@ -115,15 +115,14 @@ TEST(CheckpointTest, RoundTripIsBitIdentical) {
   }
 }
 
-TEST(CheckpointTest, WeightedMinHashRoundTripIsBitIdentical) {
-  // Weighted sketches add state a snapshot must carry verbatim: the
-  // realized per-signature scores and the per-quantum sketch ring (the
-  // exponential draws depend on message counts the id sets no longer
-  // have). Save mid-stream, restore at 1 AND 4 threads, and require the
-  // tail reports bit-identical to an uninterrupted weighted run.
+TEST(CheckpointTest, MinHashOnlyRoundTripIsBitIdentical) {
+  // In kMinHashOnly mode every EC is the signature estimate, so the restore
+  // must reproduce the saved signatures and rebuild the per-quantum
+  // signature ring from the id-set histories exactly. Save mid-stream,
+  // restore at 1 AND 4 threads, and require the tail reports bit-identical
+  // to an uninterrupted run.
   const stream::SyntheticTrace trace = SmallTrace();
   DetectorConfig config = SmallConfig();
-  config.akg.weighted_minhash = true;
   config.akg.ec_mode = akg::EcMode::kMinHashOnly;
   const std::size_t split = trace.messages.size() / 2;
 
@@ -145,7 +144,8 @@ TEST(CheckpointTest, WeightedMinHashRoundTripIsBitIdentical) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     auto restored = Load(bytes, &trace.dictionary, threads);
     ASSERT_NE(restored, nullptr);
-    EXPECT_TRUE(restored->core().config().akg.weighted_minhash);
+    EXPECT_EQ(restored->core().config().akg.ec_mode,
+              akg::EcMode::kMinHashOnly);
     const std::vector<QuantumReport> tail =
         PushTail(*restored, trace, split);
     ASSERT_EQ(tail.size(), ref_tail.size());

@@ -360,25 +360,18 @@ TEST(LshIndexTest, KeywordSpamCannotPromoteAPastEvent) {
   ASSERT_NE(index, nullptr);
 
   constexpr std::size_t kSketchP = 8;
-  const akg::WeightedMinHasher hasher(kSketchP, /*seed=*/99,
-                                      /*weighted=*/true);
+  const akg::MinHasher hasher(kSketchP, /*seed=*/99);
   const std::vector<std::string> keywords = Keywords("contested", 6);
 
   // Genuine: 500 distinct users, one message each.
   std::vector<UserId> crowd;
-  std::vector<std::uint32_t> ones;
-  for (UserId u = 1; u <= 500; ++u) {
-    crowd.push_back(u);
-    ones.push_back(1);
-  }
-  const akg::WeightedSketch genuine =
-      hasher.QuantumSketch(0, crowd, ones);
+  for (UserId u = 1; u <= 500; ++u) crowd.push_back(u);
+  const akg::MinHashSignature genuine = hasher.QuantumSketch(crowd);
 
-  // Spam: one user, 100k messages. QuantumSketch's distinct-user contract
-  // means the count lands in ONE entry's weight — exactly how PR 6's
-  // deduped aggregation feeds it.
-  const akg::WeightedSketch spam =
-      hasher.QuantumSketch(0, {777}, {100'000});
+  // Spam: one user, 100k messages. The canonical aggregate collapses the
+  // user's messages to one occurrence per quantum, so the sketch sees ONE
+  // user.
+  const akg::MinHashSignature spam = hasher.QuantumSketch({777});
 
   ASSERT_TRUE(
       index->Insert(1, 5, 0, 1.0, 500, keywords, genuine, kSketchP).ok());
@@ -404,14 +397,14 @@ TEST(LshIndexTest, SpamImmunityHoldsAfterSketchMerge) {
   // Same property through the merge path quanta actually take: the spam
   // user's repeated appearances across quanta still collapse to one key.
   constexpr std::size_t kSketchP = 8;
-  const akg::WeightedMinHasher hasher(kSketchP, 99, true);
-  akg::WeightedSketch merged;
+  const akg::MinHasher hasher(kSketchP, 99);
+  akg::MinHashSignature merged;
   for (QuantumIndex q = 0; q < 50; ++q) {
-    merged = akg::WeightedMinHasher::Combine(
-        merged, hasher.QuantumSketch(q, {777}, {2'000}), kSketchP);
+    merged = akg::MinHasher::Combine(merged, hasher.QuantumSketch({777}),
+                                     kSketchP);
   }
   const double estimate =
-      akg::WeightedMinHasher::EstimateDistinctUsers(merged, kSketchP);
+      akg::MinHasher::EstimateDistinctUsers(merged, kSketchP);
   EXPECT_LT(estimate, 2.5) << "50 quanta of spam inflated one user to "
                            << estimate;
 }
@@ -470,6 +463,54 @@ TEST(LshIndexTest, QueriesRunConcurrentlyWithIngest) {
   ASSERT_TRUE(index->Query(Keywords("c7", 5), 3, &results).ok());
   ASSERT_FALSE(results.empty());
   EXPECT_EQ(results[0].event.cluster_id, 7u);
+}
+
+TEST(LshIndexTest, ReadOnlyHandleQueriesAgainstALiveWriter) {
+  // A separate read-only handle shares the page file with a writer that
+  // commits after every insert, so each commit rewrites directory pages in
+  // place while the reader may be reading them. A torn copy fails its page
+  // CRC; the reader must re-read it rather than fail the query.
+  TempDir dir("live_reader");
+  LshOptions options;
+  options.sync = false;
+  auto writer = LshIndex::Create(dir.path(), options);
+  ASSERT_NE(writer, nullptr);
+
+  constexpr int kEvents = 2000;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    std::vector<QueryResult> results;
+    int target = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      durability::Error error;
+      auto index = LshIndex::OpenReadOnly(dir.path(), 16, &error);
+      if (index == nullptr) {
+        ++failures;
+        continue;
+      }
+      for (int i = 0; i < 20; ++i) {
+        const std::string prefix = "r" + std::to_string(++target % kEvents);
+        if (!index->Query(Keywords(prefix, 3), 5, &results).ok()) {
+          ++failures;
+        }
+      }
+    }
+  });
+  for (int c = 0; c < kEvents; ++c) {
+    // No ASSERT here: returning early would destroy the joinable reader.
+    // A unique keyword set per event spreads the inserts over every
+    // directory page.
+    const std::string prefix = "r" + std::to_string(c);
+    if (!writer->Insert(c, c, 0, 1.0, 3, Keywords(prefix, 3), {}, 0).ok() ||
+        !writer->Commit().ok()) {
+      ADD_FAILURE() << "write " << c << " failed";
+      break;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 // ---- Shape validation --------------------------------------------------

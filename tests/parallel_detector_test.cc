@@ -98,15 +98,14 @@ TEST(ParallelDetectorTest, MatchesOneThreadAt2_8Threads) {
   }
 }
 
-TEST(ParallelDetectorTest, WeightedModeMatchesOneThreadAt2_8Threads) {
-  // The weighted sketches change which edges the kMinHashOnly estimate
-  // admits, but not the determinism contract: reports must stay
-  // bit-identical to the one-thread weighted run at every thread count
-  // (the per-quantum sketch ring merges by tree reduction either way).
+TEST(ParallelDetectorTest, MinHashOnlyModeMatchesOneThreadAt2_8Threads) {
+  // In kMinHashOnly mode the bottom-p estimate alone decides which edges
+  // are admitted, so every edge depends on the signatures the per-quantum
+  // ring tree-reduces: reports must stay bit-identical to the one-thread
+  // run at every thread count.
   const stream::SyntheticTrace trace = SmallTrace();
   detect::DetectorConfig config;
   config.quantum_size = 160;
-  config.akg.weighted_minhash = true;
   config.akg.ec_mode = akg::EcMode::kMinHashOnly;
 
   const std::vector<QuantumReport> expected = RunAt(trace, config, 1);
