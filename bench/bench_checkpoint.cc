@@ -12,7 +12,9 @@
 //     re-processing the last 3w quanta (exactly what the v1 loader
 //     did after parsing).
 //
-// Acceptance gate of the PR: native restore >= 10x faster than replay.
+// Acceptance gate: native load >= 10x faster than replay, and the
+// restored detector's next report bit-identical to the original's; the
+// binary exits 1 otherwise.
 //
 // The WAL arm (--wal-json FILE) streams quanta through the write-ahead
 // log backend: per-quantum commit stall (mean/max), bytes per quantum and
@@ -235,10 +237,13 @@ int main(int argc, char** argv) {
   std::printf("native load          : %9.3f ms\n", native_s * 1e3);
   std::printf("replay restore (3w)  : %9.3f ms   (the replaced v1 path)\n",
               replay_s * 1e3);
-  std::printf("speedup              : %9.1fx\n",
-              native_s > 0 ? replay_s / native_s : 0.0);
+  const double speedup = native_s > 0 ? replay_s / native_s : 0.0;
+  std::printf("speedup              : %9.1fx\n", speedup);
   std::printf("post-restore reports : %s\n",
               identical ? "bit-identical" : "DIVERGED (bug!)");
+  const bool restore_gate = speedup >= 10.0;
+  std::printf("gate      : native load %s 10x faster than replay%s\n",
+              restore_gate ? ">=" : "<", restore_gate ? "" : "  (FAIL)");
 
   if (threads > 0) {
     std::stringstream in(bytes);
@@ -300,5 +305,5 @@ int main(int argc, char** argv) {
     std::fclose(out);
     if (!gate) return 1;
   }
-  return identical ? 0 : 1;
+  return identical && restore_gate ? 0 : 1;
 }

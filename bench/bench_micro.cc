@@ -94,12 +94,12 @@ void BM_MinHashSignature(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     users.push_back(static_cast<UserId>(rng.Next()));
   }
-  // QuantumSketch takes a distinct-user set.
+  // Sketch takes a distinct-user set.
   std::sort(users.begin(), users.end());
   users.erase(std::unique(users.begin(), users.end()), users.end());
   const akg::MinHasher hasher(8, 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hasher.QuantumSketch(users));
+    benchmark::DoNotOptimize(hasher.Sketch(users));
   }
 }
 BENCHMARK(BM_MinHashSignature)->Arg(16)->Arg(128)->Arg(1024);

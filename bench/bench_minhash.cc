@@ -1,23 +1,30 @@
-// Min-Hash sketch micro-bench: per-quantum sketch build cost and the
-// window-merge cost of the two reduction strategies — the serial left fold
-// (the shape of the replaced rebuild-from-folded-union scheme) vs the
-// pairwise tree reduction the AKG builder now uses.
+// Min-Hash sketch micro-bench: sketch build cost and three ways to get a
+// keyword's window signature — rehashing the window's distinct users (what
+// the AKG builder does at refresh time), or merging cached per-quantum
+// sketches by serial left fold or by pairwise tree reduction (the cluster
+// export's CombineTree).
 //
-// Runs a synthetic trace through the canonical aggregation path, caches
-// every keyword's per-quantum sketches, then times:
+// Runs a synthetic trace through the canonical aggregation path, gathers
+// every keyword's first `kWindow` quanta (their per-quantum sketches and
+// the distinct union of their users), then times:
 //
-//   * build_ns_per_entry     — QuantumSketch over every (keyword, quantum)
+//   * build_ns_per_entry     — Sketch over every (keyword, quantum)
 //                              aggregate entry;
-//   * serial_fold_ns_per_window / tree_reduce_ns_per_window — producing
-//     every keyword's window sketch from its cached per-quantum sketches,
-//     once by left fold, once by CombineTree (both reductions give
-//     bit-identical sketches; the harness verifies it).
+//   * window_rehash_ns_per_window — Sketch over each window's distinct
+//                              users;
+//   * serial_fold_ns_per_window / tree_reduce_ns_per_window — each window
+//     signature from its cached per-quantum sketches, once by left fold,
+//     once by CombineTree.
+//
+// All three window signatures must agree bit for bit; the harness checks
+// every window and exits 1 on any mismatch.
 //
 // With --json FILE the results are written as a flat metric dict
 // (nanoseconds — lower is better) for scripts/bench_trend.py.
 //
 //   $ ./bench_minhash [--json FILE]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -39,7 +46,16 @@ using scprt::akg::MinHashSignature;
 struct KeywordRing {
   scprt::KeywordId keyword = 0;
   std::vector<MinHashSignature> quanta;  // the window's per-quantum sketches
+  std::vector<scprt::UserId> users;      // the window's distinct users
 };
+
+MinHashSignature SerialFold(const KeywordRing& ring, std::size_t p) {
+  MinHashSignature folded;
+  for (const MinHashSignature& part : ring.quanta) {
+    folded = MinHasher::Combine(folded, part, p);
+  }
+  return folded;
+}
 
 }  // namespace
 
@@ -91,7 +107,7 @@ int main(int argc, char** argv) {
         for (const scprt::akg::QuantumAggregate::Entry& entry :
              aggregate.keywords) {
           // defeat dead-code elimination
-          built += hasher.QuantumSketch(entry.users).size();
+          built += hasher.Sketch(entry.users).size();
         }
       }
     }
@@ -100,7 +116,8 @@ int main(int argc, char** argv) {
                 build_ns, built);
   }
 
-  // --- window merge: serial fold vs tree reduce over the same rings ---
+  // --- window signature: rehash vs serial fold vs tree reduce over the
+  //     same windows ---
   std::unordered_map<scprt::KeywordId, KeywordRing> rings;
   for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
     for (const scprt::akg::QuantumAggregate::Entry& entry :
@@ -108,9 +125,16 @@ int main(int argc, char** argv) {
       KeywordRing& ring = rings[entry.keyword];
       ring.keyword = entry.keyword;
       if (ring.quanta.size() < kWindow) {
-        ring.quanta.push_back(hasher.QuantumSketch(entry.users));
+        ring.quanta.push_back(hasher.Sketch(entry.users));
+        ring.users.insert(ring.users.end(), entry.users.begin(),
+                          entry.users.end());
       }
     }
+  }
+  for (auto& [keyword, ring] : rings) {
+    std::sort(ring.users.begin(), ring.users.end());
+    ring.users.erase(std::unique(ring.users.begin(), ring.users.end()),
+                     ring.users.end());
   }
   std::size_t windows = 0;
   for (const auto& [keyword, ring] : rings) {
@@ -118,18 +142,26 @@ int main(int argc, char** argv) {
   }
   std::printf("%zu keywords with multi-quantum windows\n", windows);
 
-  double fold_ns = 0.0, tree_ns = 0.0;
+  double rehash_ns = 0.0, fold_ns = 0.0, tree_ns = 0.0;
   std::size_t mismatches = 0;
   {
     scprt::eval::Stopwatch watch;
     std::size_t sink = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (const auto& [keyword, ring] : rings) {
-        MinHashSignature folded;
-        for (const MinHashSignature& part : ring.quanta) {
-          folded = MinHasher::Combine(folded, part, kP);
-        }
-        sink += folded.size();
+        sink += hasher.Sketch(ring.users).size();
+      }
+    }
+    rehash_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * rings.size());
+    std::printf("window rehash         : %8.1f ns/window (checksum %zu)\n",
+                rehash_ns, sink);
+  }
+  {
+    scprt::eval::Stopwatch watch;
+    std::size_t sink = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      for (const auto& [keyword, ring] : rings) {
+        sink += SerialFold(ring, kP).size();
       }
     }
     fold_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * rings.size());
@@ -149,17 +181,15 @@ int main(int argc, char** argv) {
                 tree_ns, sink);
   }
 
-  // Correctness spot check: the two reductions agree bit for bit.
+  // Correctness gate: rehash == fold == tree, bit for bit, on every window.
   for (const auto& [keyword, ring] : rings) {
-    MinHashSignature folded;
-    for (const MinHashSignature& part : ring.quanta) {
-      folded = MinHasher::Combine(folded, part, kP);
-    }
-    if (folded != MinHasher::CombineTree(ring.quanta, kP)) {
+    const MinHashSignature rehashed = hasher.Sketch(ring.users);
+    if (rehashed != SerialFold(ring, kP) ||
+        rehashed != MinHasher::CombineTree(ring.quanta, kP)) {
       ++mismatches;
     }
   }
-  std::printf("fold vs tree          : %s\n",
+  std::printf("rehash vs fold vs tree: %s\n",
               mismatches == 0 ? "bit-identical" : "DIVERGED (bug!)");
   if (mismatches != 0) return 1;
 
@@ -177,9 +207,10 @@ int main(int argc, char** argv) {
                  "  \"window\": %zu,\n"
                  "  \"build\": {\"unweighted_ns_per_entry\": %.1f},\n"
                  "  \"merge\": {\"serial_fold_ns_per_window\": %.1f, "
-                 "\"tree_reduce_ns_per_window\": %.1f}\n"
+                 "\"tree_reduce_ns_per_window\": %.1f, "
+                 "\"window_rehash_ns_per_window\": %.1f}\n"
                  "}\n",
-                 kP, kWindow, build_ns, fold_ns, tree_ns);
+                 kP, kWindow, build_ns, fold_ns, tree_ns, rehash_ns);
     std::fclose(out);
   }
   return 0;

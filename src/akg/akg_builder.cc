@@ -30,8 +30,7 @@ AkgBuilder::AkgBuilder(const AkgConfig& config,
       in_cluster_(std::move(in_cluster)),
       id_sets_(config.window_length),
       node_state_(config.high_state_threshold, config.window_length),
-      sketch_window_(config.window_length, ResolveMinHashSize(config),
-                     config.seed) {
+      hasher_(ResolveMinHashSize(config), config.seed) {
   SCPRT_CHECK(config.ec_threshold > 0.0 && config.ec_threshold <= 1.0);
   SCPRT_CHECK(in_cluster_ != nullptr);
 }
@@ -51,18 +50,16 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   now_ = aggregate.index;
   last_stats_ = AkgQuantumStats{};
 
-  // --- 1. Ingest the quantum's (keyword, user) aggregate into id sets and
-  //        the per-quantum sketch ring; both folds + expiries run
-  //        keyword-shard-parallel ---
+  // --- 1. Ingest the quantum's (keyword, user) aggregate into the window
+  //        id sets; the fold + expiry runs keyword-shard-parallel ---
   {
-    // Sketch-ring ingest cost (id-set fold + per-quantum Min-Hash build);
-    // batch-level timing only — per-keyword clocks would swamp the work.
+    // Id-set window fold cost; batch-level timing only — per-keyword
+    // clocks would swamp the work.
     static obs::Histogram* const sketch_hist =
         obs::Registry::Default().GetHistogram("akg.sketch_ingest_ns");
     obs::ScopedSpan span("akg.sketch");
     obs::ScopedHistogramTimer timer(sketch_hist);
     id_sets_.IngestAggregate(aggregate, parallel_for_);
-    sketch_window_.Ingest(aggregate, parallel_for_);
   }
 
   // --- 2. Node state transitions (Section 3.1) ---
@@ -93,24 +90,21 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
 
   // --- 4. Refresh signatures of keywords whose id sets changed and are
   //        relevant this quantum: set (1) bursty + set (2) AKG-and-seen.
-  //        Each window sketch is a Combine tree over the keyword's cached
-  //        per-quantum sketches (no rehash of the folded window id set);
-  //        sketches depend only on their own ring entries, so the batch
-  //        runs through the parallel hook; writes into signatures_ stay on
-  //        this thread. ---
+  //        Each signature is the bottom-p of the keyword's window id set;
+  //        sketches only read the id sets, so the batch runs through the
+  //        parallel hook; writes into signatures_ stay on this thread. ---
   std::vector<KeywordId> refresh = update.bursty;
   refresh.insert(refresh.end(), update.seen_in_akg.begin(),
                  update.seen_in_akg.end());
   std::vector<MinHashSignature> refreshed(refresh.size());
   {
-    // Window-sketch Combine-tree cost for the whole refresh batch — the
-    // per-quantum merge bill of the sketch window.
+    // Window id-set bottom-p cost for the whole refresh batch.
     static obs::Histogram* const refresh_hist =
         obs::Registry::Default().GetHistogram("akg.signature_refresh_ns");
     obs::ScopedSpan span("akg.refresh");
     obs::ScopedHistogramTimer timer(refresh_hist);
     parallel_for_(refresh.size(), [&](std::size_t i) {
-      refreshed[i] = sketch_window_.WindowSketch(refresh[i]);
+      refreshed[i] = hasher_.Sketch(id_sets_.WindowUsers(refresh[i]));
     });
   }
   for (std::size_t i = 0; i < refresh.size(); ++i) {
@@ -163,7 +157,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   parallel_for_(add_jobs.size(), [&](std::size_t i) {
     const auto [a, b] = add_jobs[i];
     add_ecs[i] = ComputeEc(config_.ec_mode, id_sets_, a, b, signatures_.at(a),
-                           signatures_.at(b), sketch_window_.hasher().p());
+                           signatures_.at(b), hasher_.p());
   });
   last_stats_.ec_computed += add_jobs.size();
   for (std::size_t i = 0; i < add_jobs.size(); ++i) {
@@ -203,7 +197,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
     // computed from exact id sets except in kMinHashOnly mode.
     reval_ecs[i] =
         ComputeEc(config_.ec_mode, id_sets_, a, b, signatures_.at(a),
-                  signatures_.at(b), sketch_window_.hasher().p());
+                  signatures_.at(b), hasher_.p());
   });
   last_stats_.ec_computed += reval_jobs.size();
   for (std::size_t i = 0; i < reval_jobs.size(); ++i) {
@@ -231,7 +225,6 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
 
 MinHashSignature AkgBuilder::ExportClusterSketch(
     const std::vector<KeywordId>& keywords) const {
-  const std::size_t p = sketch_window_.hasher().p();
   std::vector<MinHashSignature> parts;
   parts.reserve(keywords.size());
   for (KeywordId keyword : keywords) {
@@ -240,12 +233,10 @@ MinHashSignature AkgBuilder::ExportClusterSketch(
       parts.push_back(it->second);
     }
   }
-  return MinHasher::CombineTree(std::move(parts), p);
+  return MinHasher::CombineTree(std::move(parts), hasher_.p());
 }
 
-std::size_t AkgBuilder::sketch_size() const {
-  return sketch_window_.hasher().p();
-}
+std::size_t AkgBuilder::sketch_size() const { return hasher_.p(); }
 
 void AkgBuilder::Save(BinaryWriter& out) const {
   out.I64(now_);
@@ -292,7 +283,6 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     akg_.Clear();
     edge_ec_.clear();
     signatures_.clear();
-    sketch_window_.Clear();
     last_stats_ = AkgQuantumStats{};
     now_ = 0;
   };
@@ -304,7 +294,7 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     return false;
   }
 
-  const std::size_t p = sketch_window_.hasher().p();
+  const std::size_t p = hasher_.p();
   const std::uint64_t signatures = in.U64();
   bool valid = in.CheckLength(signatures, 4 + 4 + 8);
   for (std::uint64_t i = 0; valid && i < signatures; ++i) {
@@ -330,10 +320,6 @@ bool AkgBuilder::Restore(BinaryReader& in) {
       break;
     }
   }
-
-  // The signature ring is not serialized: it is refolded from the id-set
-  // histories, which expire in lockstep with it.
-  if (valid) sketch_window_.RebuildFromHistory(id_sets_);
 
   const std::uint64_t correlations = valid ? in.U64() : 0;
   valid = valid && in.CheckLength(correlations, 4 + 4 + 8);

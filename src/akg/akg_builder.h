@@ -1,6 +1,11 @@
 // Per-quantum AKG construction (Section 3): consumes the message stream,
 // maintains the two-state node automaton, id sets and Min-Hash signatures,
 // and emits the node/edge delta that the cluster maintainer applies.
+//
+// The window id sets are the only window state. A keyword's signature is
+// the bottom-p of its window id set, computed only when the keyword is
+// refreshed (bursty, or an AKG node seen this quantum); nothing is sketched
+// for the rest of the quantum's vocabulary.
 
 #ifndef SCPRT_AKG_AKG_BUILDER_H_
 #define SCPRT_AKG_AKG_BUILDER_H_
@@ -15,7 +20,6 @@
 #include "akg/minhash.h"
 #include "akg/node_state.h"
 #include "akg/quantum_aggregate.h"
-#include "akg/sketch_window.h"
 #include "common/binary_io.h"
 #include "common/parallel.h"
 #include "graph/graph.h"
@@ -127,9 +131,7 @@ class AkgBuilder {
   /// Serializes every derived structure of the AKG layer — id-set window
   /// histories, node automaton, Min-Hash signatures, edge correlations
   /// (bit-exact doubles), the graph and the quantum clock — in canonical
-  /// order. The hash function itself is config-derived and not stored,
-  /// and the per-quantum signature ring is rebuilt from the id-set
-  /// histories on restore.
+  /// order. The hash function itself is config-derived and not stored.
   void Save(BinaryWriter& out) const;
 
   /// Replaces this builder's state with Save()'s encoding. Must be called
@@ -143,9 +145,8 @@ class AkgBuilder {
   std::function<bool(KeywordId)> in_cluster_;
   UserIdSets id_sets_;
   NodeStateAutomaton node_state_;
-  // Per-quantum signature ring: window signatures come from its Combine
-  // tree, never from rehashing the folded window id set.
-  SketchWindow sketch_window_;
+  // Signs window id sets at refresh time (config p and seed).
+  MinHasher hasher_;
   graph::DynamicGraph akg_;
   std::unordered_map<graph::Edge, double, graph::EdgeHash> edge_ec_;
   std::unordered_map<KeywordId, MinHashSignature> signatures_;

@@ -152,18 +152,6 @@ double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
                    static_cast<double>(unioned);
 }
 
-void UserIdSets::VisitHistory(
-    const std::function<void(
-        std::size_t shard, std::size_t slot,
-        const std::vector<std::pair<KeywordId, UserId>>& pairs)>& visitor)
-    const {
-  for (std::size_t s = 0; s < kIdSetShards; ++s) {
-    for (std::size_t q = 0; q < shards_[s].history.size(); ++q) {
-      visitor(s, q, shards_[s].history[q]);
-    }
-  }
-}
-
 std::size_t UserIdSets::active_keywords() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) total += shard.window.size();

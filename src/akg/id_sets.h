@@ -18,7 +18,6 @@
 #define SCPRT_AKG_ID_SETS_H_
 
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -82,21 +81,6 @@ class UserIdSets {
 
   /// Number of keywords with non-empty window id sets.
   std::size_t active_keywords() const;
-
-  /// Closed quanta currently retained (<= window length). Every quantum
-  /// pushes one history entry into every shard, so the depth is uniform.
-  std::size_t HistoryDepth() const { return shards_[0].history.size(); }
-
-  /// Visits every shard's retained history slot, oldest slot first:
-  /// visitor(shard, slot, pairs) where `pairs` is that quantum's distinct
-  /// (keyword, user) occurrences owned by the shard. Pair order within a
-  /// slot is unspecified (sorted after Restore, ingest order live) — the
-  /// sketch-window rebuild sorts its own copy.
-  void VisitHistory(
-      const std::function<void(
-          std::size_t shard, std::size_t slot,
-          const std::vector<std::pair<KeywordId, UserId>>& pairs)>& visitor)
-      const;
 
   /// Serializes the per-shard quantum histories (the minimal generating
   /// state: window aggregates and last-quantum views are folds of it), in

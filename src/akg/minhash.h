@@ -7,16 +7,15 @@
 // edges (SharesValue); the bottom-p intersection also yields the standard
 // bottom-k Jaccard estimate (EstimateJaccard).
 //
-// MinHasher builds those signatures incrementally: one signature per
-// keyword per quantum, and a keyword's window signature is the pairwise
-// Combine of its per-quantum signatures rather than a rebuild from the
-// folded window id set.
+// MinHasher::Sketch builds a signature from a distinct user set — the AKG
+// builder passes a keyword's window id set straight from UserIdSets.
 //
 // Combine is exact under truncation (the bottom-p of a union is the
 // bottom-p of the parts' bottom-p's, by the usual KMV argument), hence
-// associative and commutative — which is what lets per-shard, per-quantum
-// signatures reduce through a tree (common/parallel.h TreeReduce) in any
-// grouping with bit-identical results.
+// associative and commutative — which is what lets the member keywords of
+// a cluster reduce to one distinct-user signature through a tree
+// (common/parallel.h TreeReduce) in any grouping with bit-identical
+// results.
 
 #ifndef SCPRT_AKG_MINHASH_H_
 #define SCPRT_AKG_MINHASH_H_
@@ -51,10 +50,10 @@ class MinHasher {
   /// of the user id — bijective, so distinct users never collide).
   MinHasher(std::size_t p, std::uint64_t seed);
 
-  /// Signature of one keyword's users in one quantum: the p smallest
-  /// SeededHash(seed) values, ascending. `users` must be distinct (the
-  /// canonical aggregate's invariant).
-  MinHashSignature QuantumSketch(const std::vector<UserId>& users) const;
+  /// Signature of a user set: the p smallest SeededHash(seed) values,
+  /// ascending. `users` must be distinct (a window id set, or a canonical
+  /// aggregate entry); their order does not matter.
+  MinHashSignature Sketch(const std::vector<UserId>& users) const;
 
   /// Merges two signatures: the sorted de-duplicated union, truncated to
   /// p. Exact (equals the signature of the merged id sets), associative

@@ -17,7 +17,7 @@ void EventIndexer::OnCluster(const detect::ReportedCluster& cluster) {
   keywords.resize(snap.keywords.size());
   for (std::size_t i = 0; i < keywords.size(); ++i) {
     if (keywords[i].empty()) {
-      keywords[i] = "#" + std::to_string(snap.keywords[i]);
+      keywords[i] = '#' + std::to_string(snap.keywords[i]);
     }
   }
   durability::Error error = index_->Insert(

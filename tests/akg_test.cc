@@ -1,5 +1,8 @@
 // Tests for akg/: id sets, node-state automaton, Min-Hash, AKG builder.
 
+#include <algorithm>
+#include <memory>
+#include <unordered_map>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,8 @@
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
 #include "akg/node_state.h"
+#include "common/binary_io.h"
+#include "common/hash.h"
 #include "common/random.h"
 
 namespace scprt::akg {
@@ -179,7 +184,7 @@ TEST(NodeStateTest, ReentryAfterEviction) {
 // The paper's signature of a distinct-user set.
 MinHashSignature Signature(std::size_t p, std::uint64_t seed,
                            const std::vector<UserId>& users) {
-  return MinHasher(p, seed).QuantumSketch(users);
+  return MinHasher(p, seed).Sketch(users);
 }
 
 TEST(MinHashTest, SignatureIsBottomP) {
@@ -412,6 +417,115 @@ TEST(AkgBuilderTest, StatsReflectSizes) {
   EXPECT_EQ(stats.akg_nodes, 2u);
   EXPECT_EQ(stats.akg_edges, 1u);
   EXPECT_GE(stats.ckg_nodes, 4u);
+}
+
+// A window signature is the bottom-p of the keyword's window id set under
+// SeededHash(config.seed): brute force, straight from the id set.
+MinHashSignature BruteForceWindowSignature(const AkgBuilder& builder,
+                                           KeywordId keyword) {
+  const SeededHash hash(builder.config().seed);
+  MinHashSignature values;
+  for (UserId user : builder.id_sets().WindowUsers(keyword)) {
+    values.push_back(hash(user));
+  }
+  std::sort(values.begin(), values.end());
+  if (values.size() > builder.sketch_size()) {
+    values.resize(builder.sketch_size());
+  }
+  return values;
+}
+
+// Keywords the builder refreshed this quantum: occurring now and an AKG
+// node (set (1) bursty, set (2) AKG-and-seen).
+std::vector<KeywordId> RefreshedKeywords(const AkgBuilder& builder) {
+  std::vector<KeywordId> refreshed;
+  for (KeywordId k : builder.id_sets().QuantumKeywords()) {
+    if (builder.akg().HasNode(k)) refreshed.push_back(k);
+  }
+  return refreshed;
+}
+
+// Churning crowds: each quantum draws its users from a range that slides
+// forward, so window entries expire and the bottom-p keeps moving.
+stream::Quantum ChurnQuantum(QuantumIndex index, Rng& rng) {
+  stream::Quantum q;
+  q.index = index;
+  const UserId base = static_cast<UserId>(index * 7);
+  for (int i = 0; i < 40; ++i) {
+    stream::Message m;
+    m.user = base + static_cast<UserId>(rng.UniformInt(24));
+    for (KeywordId k = 1; k <= 6; ++k) {
+      if (rng.UniformInt(3) == 0) m.keywords.push_back(k);
+    }
+    m.keywords.push_back(static_cast<KeywordId>(10 + rng.UniformInt(20)));
+    q.messages.push_back(std::move(m));
+  }
+  return q;
+}
+
+void ExpectSameDelta(const GraphDelta& a, const GraphDelta& b) {
+  EXPECT_EQ(a.quantum, b.quantum);
+  EXPECT_EQ(a.nodes_added, b.nodes_added);
+  EXPECT_EQ(a.nodes_removed, b.nodes_removed);
+  EXPECT_EQ(a.edges_added, b.edges_added);
+  EXPECT_EQ(a.edges_removed, b.edges_removed);
+  EXPECT_EQ(a.ec_updated, b.ec_updated);
+}
+
+TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
+  AkgConfig config = TestConfig();
+  config.ec_mode = EcMode::kMinHashScreenExactVerify;
+  config.ec_threshold = 0.2;
+  config.minhash_size = 4;
+  config.window_length = 4;
+  const auto never = [](KeywordId) { return false; };
+  AkgBuilder builder(config, never);
+  std::unique_ptr<AkgBuilder> restored;
+  Rng rng(404);
+  const QuantumIndex kQuanta = 16;
+  const QuantumIndex kSaveAfter = 9;  // after the window has filled
+  const SeededHash hash(config.seed);
+  std::unordered_map<KeywordId, std::unordered_set<UserId>> ever_used;
+  std::size_t checked = 0, expired_moved = 0;
+  for (QuantumIndex q = 0; q < kQuanta; ++q) {
+    const stream::Quantum quantum = ChurnQuantum(q, rng);
+    for (const stream::Message& m : quantum.messages) {
+      for (KeywordId k : m.keywords) ever_used[k].insert(m.user);
+    }
+    const GraphDelta delta = builder.ProcessQuantum(quantum);
+    for (KeywordId k : RefreshedKeywords(builder)) {
+      const MinHashSignature brute = BruteForceWindowSignature(builder, k);
+      EXPECT_EQ(builder.ExportClusterSketch({k}), brute)
+          << "quantum " << q << " keyword " << k;
+      ++checked;
+      // Expiry visibly moved the signature: the bottom-p over every user
+      // the keyword ever had differs from the window's.
+      MinHashSignature all_time;
+      for (UserId user : ever_used[k]) all_time.push_back(hash(user));
+      std::sort(all_time.begin(), all_time.end());
+      all_time.resize(std::min(all_time.size(), builder.sketch_size()));
+      if (all_time != brute) ++expired_moved;
+    }
+    if (restored) {
+      const GraphDelta again = restored->ProcessQuantum(quantum);
+      ExpectSameDelta(delta, again);
+      for (KeywordId k : RefreshedKeywords(builder)) {
+        EXPECT_EQ(restored->ExportClusterSketch({k}),
+                  builder.ExportClusterSketch({k}));
+        EXPECT_EQ(restored->ExportClusterSketch({k}),
+                  BruteForceWindowSignature(*restored, k));
+      }
+    }
+    if (q + 1 == kSaveAfter) {
+      BinaryWriter out;
+      builder.Save(out);
+      restored = std::make_unique<AkgBuilder>(config, never);
+      BinaryReader in(out.data());
+      ASSERT_TRUE(restored->Restore(in));
+    }
+  }
+  EXPECT_GT(checked, 30u);
+  EXPECT_GT(expired_moved, 0u);
 }
 
 }  // namespace

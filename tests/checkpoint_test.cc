@@ -117,8 +117,8 @@ TEST(CheckpointTest, RoundTripIsBitIdentical) {
 
 TEST(CheckpointTest, MinHashOnlyRoundTripIsBitIdentical) {
   // In kMinHashOnly mode every EC is the signature estimate, so the restore
-  // must reproduce the saved signatures and rebuild the per-quantum
-  // signature ring from the id-set histories exactly. Save mid-stream,
+  // must reproduce the saved signatures and the id-set histories that the
+  // next refreshes sign exactly. Save mid-stream,
   // restore at 1 AND 4 threads, and require the tail reports bit-identical
   // to an uninterrupted run.
   const stream::SyntheticTrace trace = SmallTrace();

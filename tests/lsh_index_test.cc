@@ -253,7 +253,7 @@ TEST(LshIndexTest, RecallMatchesSCurveAcrossBandShapes) {
       // k = 14..20 spans J ~ 0.54 .. 1.0.
       const int overlap = 14 + static_cast<int>(rng.UniformInt(7));
       Pair pair;
-      const std::string stem = "p" + std::to_string(p);
+      const std::string stem = 'p' + std::to_string(p);
       for (int i = 0; i < kUniverse; ++i) {
         pair.stored.push_back(stem + "_s" + std::to_string(i));
       }
@@ -322,7 +322,7 @@ TEST(LshIndexTest, SketchMatchFractionTracksJaccard) {
     const int universe = 24;
     const int overlap = 6 + static_cast<int>(rng.UniformInt(19));
     std::vector<std::string> a, b;
-    const std::string stem = "r" + std::to_string(round);
+    const std::string stem = 'r' + std::to_string(round);
     for (int i = 0; i < universe; ++i) {
       a.push_back(stem + "_a" + std::to_string(i));
     }
@@ -366,12 +366,12 @@ TEST(LshIndexTest, KeywordSpamCannotPromoteAPastEvent) {
   // Genuine: 500 distinct users, one message each.
   std::vector<UserId> crowd;
   for (UserId u = 1; u <= 500; ++u) crowd.push_back(u);
-  const akg::MinHashSignature genuine = hasher.QuantumSketch(crowd);
+  const akg::MinHashSignature genuine = hasher.Sketch(crowd);
 
   // Spam: one user, 100k messages. The canonical aggregate collapses the
   // user's messages to one occurrence per quantum, so the sketch sees ONE
   // user.
-  const akg::MinHashSignature spam = hasher.QuantumSketch({777});
+  const akg::MinHashSignature spam = hasher.Sketch({777});
 
   ASSERT_TRUE(
       index->Insert(1, 5, 0, 1.0, 500, keywords, genuine, kSketchP).ok());
@@ -400,8 +400,7 @@ TEST(LshIndexTest, SpamImmunityHoldsAfterSketchMerge) {
   const akg::MinHasher hasher(kSketchP, 99);
   akg::MinHashSignature merged;
   for (QuantumIndex q = 0; q < 50; ++q) {
-    merged = akg::MinHasher::Combine(merged, hasher.QuantumSketch({777}),
-                                     kSketchP);
+    merged = akg::MinHasher::Combine(merged, hasher.Sketch({777}), kSketchP);
   }
   const double estimate =
       akg::MinHasher::EstimateDistinctUsers(merged, kSketchP);
@@ -433,7 +432,7 @@ TEST(LshIndexTest, QueriesRunConcurrentlyWithIngest) {
         const int target = static_cast<int>(rng.UniformInt(kEvents));
         std::vector<QueryResult> results;
         durability::Error e = index->Query(
-            Keywords("c" + std::to_string(target), 5), 5, &results);
+            Keywords('c' + std::to_string(target), 5), 5, &results);
         if (!e.ok()) {
           ++failures;
           continue;
@@ -448,7 +447,7 @@ TEST(LshIndexTest, QueriesRunConcurrentlyWithIngest) {
   for (int c = 0; c < kEvents; ++c) {
     ASSERT_TRUE(index
                     ->Insert(c, c, 0, 1.0, 10,
-                             Keywords("c" + std::to_string(c), 5), {}, 0)
+                             Keywords('c' + std::to_string(c), 5), {}, 0)
                     .ok());
     if (c % 4 == 3) {
       ASSERT_TRUE(index->Commit().ok());
@@ -490,7 +489,7 @@ TEST(LshIndexTest, ReadOnlyHandleQueriesAgainstALiveWriter) {
         continue;
       }
       for (int i = 0; i < 20; ++i) {
-        const std::string prefix = "r" + std::to_string(++target % kEvents);
+        const std::string prefix = 'r' + std::to_string(++target % kEvents);
         if (!index->Query(Keywords(prefix, 3), 5, &results).ok()) {
           ++failures;
         }
@@ -501,7 +500,7 @@ TEST(LshIndexTest, ReadOnlyHandleQueriesAgainstALiveWriter) {
     // No ASSERT here: returning early would destroy the joinable reader.
     // A unique keyword set per event spreads the inserts over every
     // directory page.
-    const std::string prefix = "r" + std::to_string(c);
+    const std::string prefix = 'r' + std::to_string(c);
     if (!writer->Insert(c, c, 0, 1.0, 3, Keywords(prefix, 3), {}, 0).ok() ||
         !writer->Commit().ok()) {
       ADD_FAILURE() << "write " << c << " failed";

@@ -1,5 +1,5 @@
-// Mergeable bottom-p Min-Hash signatures: the per-quantum signature's
-// equivalence to the paper's bottom-p signature (a brute-force reference),
+// Mergeable bottom-p Min-Hash signatures: Sketch's equivalence to the
+// paper's bottom-p signature (a brute-force reference),
 // the Combine algebra (exact on overlapping inputs, associative,
 // commutative, empty identity), and shard-partitioned merges matching the
 // whole-set signature bit for bit at 1/2/8 partitions (serially and on a
@@ -46,7 +46,7 @@ MinHashSignature BottomPReference(std::size_t p, std::uint64_t seed,
   return values;
 }
 
-TEST(MinHasherTest, QuantumSketchMatchesBruteForceBottomP) {
+TEST(MinHasherTest, SketchMatchesBruteForceBottomP) {
   // Same p, same seed: the signature must be bit-identical to the paper's
   // bottom-p signature of the same id set.
   Rng rng(11);
@@ -54,7 +54,7 @@ TEST(MinHasherTest, QuantumSketchMatchesBruteForceBottomP) {
     const std::size_t p = 2 + rng.UniformInt(8);
     const std::uint64_t seed = rng.Next();
     const auto users = RandomUsers(rng, 1 + rng.UniformInt(40));
-    EXPECT_EQ(MinHasher(p, seed).QuantumSketch(users),
+    EXPECT_EQ(MinHasher(p, seed).Sketch(users),
               BottomPReference(p, seed, users));
   }
 }
@@ -74,15 +74,15 @@ TEST(MinHasherTest, CombineAlgebra) {
         if (rng.UniformInt(3) == 0) set.push_back(u);
       }
     }
-    const MinHashSignature a = hasher.QuantumSketch(sets[0]);
-    const MinHashSignature b = hasher.QuantumSketch(sets[1]);
-    const MinHashSignature c = hasher.QuantumSketch(sets[2]);
+    const MinHashSignature a = hasher.Sketch(sets[0]);
+    const MinHashSignature b = hasher.Sketch(sets[1]);
+    const MinHashSignature c = hasher.Sketch(sets[2]);
     std::vector<UserId> ab = sets[0];
     ab.insert(ab.end(), sets[1].begin(), sets[1].end());
     std::sort(ab.begin(), ab.end());
     ab.erase(std::unique(ab.begin(), ab.end()), ab.end());
     using M = MinHasher;
-    EXPECT_EQ(M::Combine(a, b, p), hasher.QuantumSketch(ab));
+    EXPECT_EQ(M::Combine(a, b, p), hasher.Sketch(ab));
     EXPECT_EQ(M::Combine(M::Combine(a, b, p), c, p),
               M::Combine(a, M::Combine(b, c, p), p));
     EXPECT_EQ(M::Combine(a, b, p), M::Combine(b, a, p));
@@ -93,14 +93,13 @@ TEST(MinHasherTest, CombineAlgebra) {
 
 TEST(MinHasherTest, CombineTreeShapes) {
   const MinHasher hasher(3, 7);
-  const MinHashSignature one = hasher.QuantumSketch({1, 2, 3, 4, 5});
+  const MinHashSignature one = hasher.Sketch({1, 2, 3, 4, 5});
   EXPECT_TRUE(MinHasher::CombineTree({}, 3).empty());
   EXPECT_EQ(MinHasher::CombineTree({one}, 3), one);
   // Odd part counts exercise the carried trailing item.
-  const MinHashSignature two = hasher.QuantumSketch({6, 7});
-  const MinHashSignature three = hasher.QuantumSketch({8});
-  const MinHashSignature whole =
-      hasher.QuantumSketch({1, 2, 3, 4, 5, 6, 7, 8});
+  const MinHashSignature two = hasher.Sketch({6, 7});
+  const MinHashSignature three = hasher.Sketch({8});
+  const MinHashSignature whole = hasher.Sketch({1, 2, 3, 4, 5, 6, 7, 8});
   EXPECT_EQ(MinHasher::CombineTree({one, two, three}, 3), whole);
 }
 
@@ -114,13 +113,13 @@ TEST(MinHasherTest, ShardMergeEqualsWholeSetSketch) {
       const std::size_t p = 2 + rng.UniformInt(7);
       const MinHasher hasher(p, rng.Next());
       const auto users = RandomUsers(rng, 1 + rng.UniformInt(60));
-      const MinHashSignature whole = hasher.QuantumSketch(users);
+      const MinHashSignature whole = hasher.Sketch(users);
 
       std::vector<std::vector<UserId>> part_users(shards);
       for (const UserId user : users) part_users[user % shards].push_back(user);
       std::vector<MinHashSignature> parts;
       for (const auto& part : part_users) {
-        parts.push_back(hasher.QuantumSketch(part));
+        parts.push_back(hasher.Sketch(part));
       }
       EXPECT_EQ(MinHasher::CombineTree(parts, p), whole);
       std::reverse(parts.begin(), parts.end());
@@ -140,7 +139,7 @@ TEST(MinHasherTest, TreeReduceOnShardPoolIsBitIdentical) {
   std::vector<MinHashSignature> parts;
   for (int q = 0; q < 40; ++q) {
     parts.push_back(
-        hasher.QuantumSketch(RandomUsers(rng, 1 + rng.UniformInt(30))));
+        hasher.Sketch(RandomUsers(rng, 1 + rng.UniformInt(30))));
   }
   const auto merge = [p](MinHashSignature a, MinHashSignature b) {
     return MinHasher::Combine(a, b, p);

@@ -100,9 +100,9 @@ TEST(ParallelDetectorTest, MatchesOneThreadAt2_8Threads) {
 
 TEST(ParallelDetectorTest, MinHashOnlyModeMatchesOneThreadAt2_8Threads) {
   // In kMinHashOnly mode the bottom-p estimate alone decides which edges
-  // are admitted, so every edge depends on the signatures the per-quantum
-  // ring tree-reduces: reports must stay bit-identical to the one-thread
-  // run at every thread count.
+  // are admitted, so every edge depends on the window signatures the
+  // refresh batch computes on the pool: reports must stay bit-identical to
+  // the one-thread run at every thread count.
   const stream::SyntheticTrace trace = SmallTrace();
   detect::DetectorConfig config;
   config.quantum_size = 160;

@@ -203,7 +203,7 @@ TEST(TraceFuzzTest, MutatedTracesFailGracefully) {
           mutated.erase(pos, 1 + rng.UniformInt(20));
           break;
         default:
-          mutated.insert(pos, "Z");
+          mutated.insert(pos, 1, 'Z');
       }
     }
     std::stringstream in(mutated);
