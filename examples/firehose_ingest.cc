@@ -4,7 +4,7 @@
 // Act 1 — an in-memory GeneratorSource renders a synthetic microblog
 // stream as raw text; the ingest frontend tokenizes it on a worker pool,
 // interns the vocabulary on the fly, cuts δ-sized quanta and drives the
-// sharded engine, while a monitor thread polls the live ingest metrics the
+// 4-thread engine, while a monitor thread polls the live ingest metrics the
 // way an operations dashboard would. The act closes by proving the
 // raw-text path changed nothing: it replays the same token stream
 // pre-tokenized and compares report digests.
@@ -19,7 +19,7 @@
 //                       [--stats-addr HOST:PORT] [--sample-every T]
 //
 // --trace-out captures the per-quantum span hierarchy of Act 1 (quantum →
-// aggregate → shard.detect / detect.core) as Chrome about:tracing JSON —
+// aggregate / detect.core) as Chrome about:tracing JSON —
 // load it at chrome://tracing or ui.perfetto.dev. --stats-addr starts the
 // live telemetry service (see docs/observability.md) for the whole run, so
 // /metrics and /healthz can be scraped while the firehose is flowing.
@@ -155,10 +155,8 @@ int main(int argc, char** argv) {
       if (agg != nullptr && agg->count > 0 && detect != nullptr &&
           detect->count > 0) {
         std::printf(
-            "  ... stages: quantum p95 %.0f us (aggregate p95 %.0f us), "
-            "shard imbalance %.2f\n",
-            detect->Percentile(0.95) / 1e3, agg->Percentile(0.95) / 1e3,
-            reg.GaugeValue("engine.shard_imbalance"));
+            "  ... stages: quantum p95 %.0f us (aggregate p95 %.0f us)\n",
+            detect->Percentile(0.95) / 1e3, agg->Percentile(0.95) / 1e3);
       }
     }
   });
@@ -180,9 +178,7 @@ int main(int argc, char** argv) {
     std::printf("stage latencies (us):\n");
     for (const char* name :
          {"ingest.quantum_process_ns", "engine.aggregate_ns",
-          "engine.route_ns", "engine.reduce_ns", "engine.merge_ns",
-          "engine.shard_detect_ns", "akg.sketch_ingest_ns",
-          "akg.signature_refresh_ns"}) {
+          "akg.sketch_ingest_ns", "akg.signature_refresh_ns"}) {
       const obs::HistogramSnapshot* h = reg.FindHistogram(name);
       if (h == nullptr || h->count == 0) continue;
       std::printf("  %-26s p50 %8.1f  p95 %8.1f  max %8.1f  (n=%llu)\n",

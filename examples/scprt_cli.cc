@@ -8,7 +8,8 @@
 //                 [--metrics-json FILE] [--trace-out FILE]
 //       Run the detector over a saved trace, print the event feed and the
 //       final precision/recall against the trace's ground truth.
-//       --threads > 1 runs the sharded engine (identical reports).
+//       --threads > 1 runs the engine's hot loops on a worker pool
+//       (identical reports).
 //       --metrics-json dumps the full obs registry (per-stage latency
 //       histograms and counters) at exit; --trace-out writes the
 //       per-quantum span trace as Chrome about:tracing JSON. See
@@ -24,7 +25,7 @@
 //                 [--durability-cadence K] [--durability-seconds T]
 //                 [--durability-full-every N] [--resume] [--trace-out FILE]
 //       Stream raw text (JSON-lines or TSV; "-" reads stdin) through the
-//       parallel tokenize/intern frontend into the sharded detector and
+//       parallel tokenize/intern frontend into the detector and
 //       print events as they are discovered, plus final ingest metrics.
 //       --durability-dir makes the deployment durable: every quantum is
 //       committed to a write-ahead log in DIR with group-commit fsync
@@ -195,6 +196,27 @@ T NumericFlag(const Args& args, const std::string& name, const char* dflt) {
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
   if (!ok) throw BadFlagValue{name, value};
   return parsed;
+}
+
+// NumericFlag plus a range check: a value that parses but `in_range`
+// refuses is rejected the same way as one that does not parse.
+template <typename T, typename InRange>
+T BoundedFlag(const Args& args, const std::string& name, const char* dflt,
+              const InRange& in_range) {
+  const T value = NumericFlag<T>(args, name, dflt);
+  if (!in_range(value)) throw BadFlagValue{name, args.Get(name, dflt)};
+  return value;
+}
+
+// Cap on --threads and --workers: a larger count is a typo, and thread
+// creation would fail on it. 0 means "all hardware threads".
+constexpr std::size_t kMaxThreadCount = 1024;
+
+// The one reader of thread-count flags (--threads, --workers).
+std::size_t ThreadCountFlag(const Args& args, const std::string& name,
+                            const char* dflt) {
+  return BoundedFlag<std::size_t>(
+      args, name, dflt, [](std::size_t n) { return n <= kMaxThreadCount; });
 }
 
 Args Parse(int argc, char** argv) {
@@ -387,13 +409,19 @@ int CmdInfo(const Args& args) {
   return 0;
 }
 
+// The detector parameters, range-checked here so a bad value exits 2
+// instead of tripping a library invariant: δ, w, θ >= 1 and 0 < γ <= 1.
 detect::DetectorConfig DetectorConfigFromArgs(const Args& args) {
+  const auto at_least_one = [](auto v) { return v >= 1; };
   detect::DetectorConfig config;
-  config.quantum_size = NumericFlag<std::size_t>(args, "delta", "160");
-  config.akg.ec_threshold = NumericFlag<double>(args, "gamma", "0.20");
+  config.quantum_size =
+      BoundedFlag<std::size_t>(args, "delta", "160", at_least_one);
+  config.akg.ec_threshold = BoundedFlag<double>(
+      args, "gamma", "0.20", [](double g) { return g > 0.0 && g <= 1.0; });
   config.akg.high_state_threshold =
-      NumericFlag<std::uint32_t>(args, "theta", "4");
-  config.akg.window_length = NumericFlag<std::size_t>(args, "w", "30");
+      BoundedFlag<std::uint32_t>(args, "theta", "4", at_least_one);
+  config.akg.window_length =
+      BoundedFlag<std::size_t>(args, "w", "30", at_least_one);
   return config;
 }
 
@@ -408,7 +436,7 @@ int CmdRun(const Args& args) {
   // emits bit-identical reports.
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = config;
-  engine_config.threads = NumericFlag<std::size_t>(args, "threads", "1");
+  engine_config.threads = ThreadCountFlag(args, "threads", "1");
   stream::SyntheticTrace trace;
   if (!stream::ReadTraceFile(args.positional[1], trace)) {
     std::fprintf(stderr, "error: cannot read %s\n",
@@ -530,7 +558,7 @@ int CmdIngest(const Args& args) {
   }
 
   ingest::IngestConfig config;
-  config.workers = NumericFlag<std::size_t>(args, "workers", "4");
+  config.workers = ThreadCountFlag(args, "workers", "4");
   config.queue_capacity = NumericFlag<std::size_t>(args, "queue", "1024");
   if (config.queue_capacity < 2 ||
       (config.queue_capacity & (config.queue_capacity - 1)) != 0) {
@@ -569,7 +597,7 @@ int CmdIngest(const Args& args) {
   const auto top = NumericFlag<std::size_t>(args, "top", "3");
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = DetectorConfigFromArgs(args);
-  engine_config.threads = NumericFlag<std::size_t>(args, "threads", "1");
+  engine_config.threads = ThreadCountFlag(args, "threads", "1");
   MaybeEnableTracing(args);
   std::unique_ptr<obs::Telemetry> telemetry;
   if (!MaybeStartTelemetry(

@@ -86,8 +86,8 @@ class AkgBuilder {
   GraphDelta ProcessQuantum(const stream::Quantum& quantum);
 
   /// Processes one quantum already reduced to its canonical aggregate (the
-  /// parallel engine builds the aggregate on keyword shards). The delta is
-  /// identical to ProcessQuantum on the originating quantum.
+  /// engine times AggregateQuantum separately, then calls this). The delta
+  /// is identical to ProcessQuantum on the originating quantum.
   GraphDelta ProcessAggregate(const QuantumAggregate& aggregate);
 
   /// Installs the hook used for the pure per-item hot loops (signature

@@ -69,8 +69,7 @@ void UserIdSets::MergeQuantumKeywords() {
                                   shard.last_quantum_keywords.end());
   }
   // Canonical order: reports derived downstream must not depend on message
-  // arrival order within the quantum (the parallel engine ingests
-  // keyword-sharded aggregates in slice order).
+  // arrival order within the quantum or on the id-set shard layout.
   std::sort(last_quantum_keywords_.begin(), last_quantum_keywords_.end());
 }
 

@@ -96,12 +96,10 @@ MinHashSignature MinHasher::Combine(const MinHashSignature& a,
 
 MinHashSignature MinHasher::CombineTree(std::vector<MinHashSignature> parts,
                                         std::size_t p) {
-  return TreeReduce(
-      std::move(parts),
-      [p](MinHashSignature a, MinHashSignature b) {
-        return Combine(a, b, p);
-      },
-      nullptr);
+  return TreeReduce(std::move(parts),
+                    [p](MinHashSignature a, MinHashSignature b) {
+                      return Combine(a, b, p);
+                    });
 }
 
 double MinHasher::EstimateDistinctUsers(const MinHashSignature& signature,

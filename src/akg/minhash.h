@@ -62,7 +62,7 @@ class MinHasher {
                                   const MinHashSignature& b, std::size_t p);
 
   /// Reduces `parts` with Combine in the fixed pairwise-tree shape
-  /// (TreeReduce, serial). Any grouping gives the same result; the fixed
+  /// (TreeReduce). Any grouping gives the same result; the fixed
   /// shape makes that property cheap to audit.
   static MinHashSignature CombineTree(std::vector<MinHashSignature> parts,
                                       std::size_t p);

@@ -5,11 +5,13 @@
 
 namespace scprt::akg {
 
-QuantumAggregate CanonicalAggregate(
-    std::unordered_map<KeywordId, std::vector<UserId>>&& users_of,
-    QuantumIndex index) {
+QuantumAggregate AggregateQuantum(const stream::Quantum& quantum) {
+  std::unordered_map<KeywordId, std::vector<UserId>> users_of;
+  for (const stream::Message& m : quantum.messages) {
+    for (KeywordId k : m.keywords) users_of[k].push_back(m.user);
+  }
   QuantumAggregate aggregate;
-  aggregate.index = index;
+  aggregate.index = quantum.index;
   aggregate.keywords.reserve(users_of.size());
   for (auto& [keyword, users] : users_of) {
     std::sort(users.begin(), users.end());
@@ -20,14 +22,6 @@ QuantumAggregate CanonicalAggregate(
       aggregate.keywords.begin(), aggregate.keywords.end(),
       [](const auto& a, const auto& b) { return a.keyword < b.keyword; });
   return aggregate;
-}
-
-QuantumAggregate AggregateQuantum(const stream::Quantum& quantum) {
-  std::unordered_map<KeywordId, std::vector<UserId>> users_of;
-  for (const stream::Message& m : quantum.messages) {
-    for (KeywordId k : m.keywords) users_of[k].push_back(m.user);
-  }
-  return CanonicalAggregate(std::move(users_of), quantum.index);
 }
 
 }  // namespace scprt::akg

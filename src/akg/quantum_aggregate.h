@@ -1,15 +1,13 @@
 // Canonical per-quantum ingest form: every keyword that occurred in the
 // quantum with its distinct users, keywords ascending, each user list
-// sorted ascending. Aggregates built from the
-// same quantum compare equal no matter how they were produced — serially
-// (AggregateQuantum) or merged from keyword shards
-// (engine/parallel_detector.cc) — which is what makes the engine's
-// reports bit-identical at every thread count.
+// sorted ascending. AggregateQuantum is the one producer; the engine
+// (engine/parallel_detector.cc) calls it at every thread count, and the
+// form depends only on the quantum's contents — which is part of what
+// makes the engine's reports bit-identical at every thread count.
 
 #ifndef SCPRT_AKG_QUANTUM_AGGREGATE_H_
 #define SCPRT_AKG_QUANTUM_AGGREGATE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -32,18 +30,7 @@ struct QuantumAggregate {
   std::vector<Entry> keywords;
 };
 
-/// Canonicalizes a raw keyword -> users gather (user lists carry one entry
-/// per occurrence, in any order; duplicates collapse) into an aggregate.
-/// The single definition of the canonical form — AggregateQuantum and the
-/// engine's sharded reduce both end here, which is what keeps their
-/// outputs comparable.
-QuantumAggregate CanonicalAggregate(
-    std::unordered_map<KeywordId, std::vector<UserId>>&& users_of,
-    QuantumIndex index);
-
-/// Reduces one quantum serially. The parallel engine produces the same
-/// value by routing (keyword, user) pairs to keyword shards and reducing
-/// each shard through CanonicalAggregate.
+/// Reduces one quantum to its canonical aggregate.
 QuantumAggregate AggregateQuantum(const stream::Quantum& quantum);
 
 }  // namespace scprt::akg

@@ -1,4 +1,5 @@
-// Hook type for data-parallel loops over independent items.
+// Hook type for data-parallel loops over independent items, plus the
+// serial pairwise-tree reduction the Min-Hash layer combines signatures with.
 //
 // Subsystems with pure per-item hot loops (Min-Hash signature refresh, edge
 // correlation batches, per-cluster snapshot cores) run them through a
@@ -32,26 +33,18 @@ inline void SerialFor(std::size_t n,
 
 /// Reduces `items` to a single value by level-by-level pairwise merges:
 /// adjacent pairs merge first, then pairs of those results, and so on. The
-/// reduction shape is a pure function of the item count, and each level's
-/// merges write only their own output slot, so the result is identical
-/// under any scheduler — and identical to every other association whenever
-/// `merge` is associative. Each level runs through `parallel_for` (serial
-/// when null). An odd trailing item is carried to the next level unmerged.
-/// Returns `empty` when `items` is empty.
+/// reduction shape is a pure function of the item count, so the result is
+/// deterministic — and identical to every other association whenever
+/// `merge` is associative. An odd trailing item is carried to the next
+/// level unmerged. Returns T{} when `items` is empty.
 template <typename T, typename Merge>
-T TreeReduce(std::vector<T> items, const Merge& merge,
-             const ParallelForFn& parallel_for, T empty = T{}) {
-  if (items.empty()) return empty;
+T TreeReduce(std::vector<T> items, const Merge& merge) {
+  if (items.empty()) return T{};
   while (items.size() > 1) {
     const std::size_t pairs = items.size() / 2;
     std::vector<T> next(pairs + items.size() % 2);
-    const auto merge_pair = [&](std::size_t i) {
+    for (std::size_t i = 0; i < pairs; ++i) {
       next[i] = merge(std::move(items[2 * i]), std::move(items[2 * i + 1]));
-    };
-    if (parallel_for) {
-      parallel_for(pairs, merge_pair);
-    } else {
-      SerialFor(pairs, merge_pair);
     }
     if (items.size() % 2 == 1) next.back() = std::move(items.back());
     items = std::move(next);

@@ -36,8 +36,8 @@ class EventDetector {
                 const text::KeywordDictionary* dictionary);
 
   /// Processes one quantum given its canonical aggregate, which must equal
-  /// akg::AggregateQuantum(quantum) (the engine builds it on keyword
-  /// shards, or serially at one thread).
+  /// akg::AggregateQuantum(quantum) (the engine's own call, timed as
+  /// engine.aggregate_ns).
   QuantumReport ProcessQuantumWithAggregate(
       const stream::Quantum& quantum,
       const akg::QuantumAggregate& aggregate);

@@ -1,33 +1,26 @@
 // The detector: the one driver users push messages into. It cuts the stream
 // into quanta and runs each through the single-writer EventDetector core,
-// sharded over keyword-owning workers.
+// with the core's pure per-item hot loops spread over a worker pool.
 //
-// Work is partitioned by keyword: shard s of S owns every keyword k with
-// k % S == s. Each quantum flows through four stages:
+// Each quantum flows through three stages:
 //
-//   1. aggregate   (parallel)  — workers scan disjoint message slices and
-//                                route (keyword, user) pairs to their
-//                                owning shards (fed through the pool's
-//                                per-shard SPSC queues), then each shard
-//                                reduces its keywords to (keyword,
-//                                distinct users);
-//   2. merge       (parallel)  — shard outputs tree-reduce (pairwise
-//                                sorted merges, common/parallel.h) into
-//                                the canonical QuantumAggregate;
-//   3. graph + SCP (serial core, parallel hot loops) — the AKG builder
+//   1. aggregate   (serial)    — akg::AggregateQuantum reduces the quantum
+//                                to (keyword, distinct users) in canonical
+//                                order;
+//   2. graph + SCP (serial core, parallel hot loops) — the AKG builder
 //                                batches Min-Hash signature refreshes and
 //                                edge-correlation computations through the
 //                                pool, then the single-writer ScpMaintainer
 //                                applies the structural delta;
-//   4. snapshot    (parallel)  — per-cluster report cores compute on the
+//   3. snapshot    (parallel)  — per-cluster report cores compute on the
 //                                pool and merge in canonical (cluster id,
 //                                then rank) order.
 //
-// Every parallel stage writes only per-index slots and every serial stage
+// Every parallel loop writes only per-index slots and every serial stage
 // consumes canonical orderings, so the emitted QuantumReport sequence is
 // bit-identical at any thread count; threads = 1 runs every stage inline
-// on the caller with the serial aggregate (tests/parallel_detector_test.cc
-// compares 2 and 8 threads against 1; tests/golden_test.cc pins 1 and 4).
+// on the caller (tests/parallel_detector_test.cc compares 2 and 8 threads
+// against 1; tests/golden_test.cc pins 1 and 4).
 //
 // Saving and restoring an engine goes through durability/backend.h; the
 // engine itself only exposes its state encoding (SaveState/RestoreState).
@@ -52,8 +45,8 @@ namespace scprt::engine {
 /// Engine tuning on top of the detector configuration.
 struct ParallelDetectorConfig {
   detect::DetectorConfig detector;
-  /// Worker threads (= keyword shards). 0 derives the hardware concurrency;
-  /// 1 runs everything inline on the calling thread.
+  /// Pool worker threads. 0 derives the hardware concurrency; 1 runs
+  /// everything inline on the calling thread.
   std::size_t threads = 0;
 };
 
@@ -104,8 +97,8 @@ class ParallelDetector {
   /// Writes the core's state encoding (detect::EventDetector::SaveState)
   /// with `clock`'s clock and pending messages — this engine's quantizer(),
   /// or an outer accumulator's such as the ingest assembler's — after
-  /// quiescing the shard pool: every in-flight shard task completes before
-  /// a state byte is read.
+  /// quiescing the pool: every in-flight pool task completes before a
+  /// state byte is read.
   void SaveState(BinaryWriter& out, const stream::Quantizer& clock);
 
   /// Restores SaveState's encoding into this freshly constructed engine;
@@ -114,9 +107,6 @@ class ParallelDetector {
   bool RestoreState(BinaryReader& in);
 
  private:
-  /// Stage 1 + 2: the canonical aggregate, built on keyword shards.
-  akg::QuantumAggregate ShardAggregate(const stream::Quantum& quantum);
-
   ShardPool pool_;  // outlives detector_'s parallel hook
   detect::EventDetector detector_;
   stream::Quantizer quantizer_;

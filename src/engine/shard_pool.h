@@ -1,13 +1,13 @@
-// Fixed pool of std::jthread shard workers fed by per-worker lock-free
-// SPSC queues.
+// Fixed pool of std::jthread workers fed by per-worker lock-free SPSC
+// queues, behind two driver-thread calls: ParallelFor (the engine's
+// ParallelForFn hook) and the Quiesce fence.
 //
-// The driver thread is the single producer: it pushes one task per shard
+// The driver thread is the single producer: it pushes one task per chunk
 // into the workers' queues, then blocks on an atomic counter until every
-// task has run. Worker w consumes shards w, w + threads, w + 2*threads, ...
-// — a static assignment, so a given shard's work always lands on the same
-// worker and per-shard state needs no synchronization. With threads == 1
-// the pool spawns no workers and runs everything inline on the caller
-// (exactly the serial execution).
+// task has run. Worker w consumes tasks w, w + threads, w + 2*threads, ...
+// — a static assignment, so a given task index always lands on the same
+// worker. With threads == 1 the pool spawns no workers and runs
+// everything inline on the caller (exactly the serial execution).
 
 #ifndef SCPRT_ENGINE_SHARD_POOL_H_
 #define SCPRT_ENGINE_SHARD_POOL_H_
@@ -24,9 +24,9 @@
 
 namespace scprt::engine {
 
-/// A pool of shard workers. All submission methods are driver-thread-only
-/// and block until the submitted work completes; task bodies must not call
-/// back into the pool.
+/// A pool of workers. Both submission methods are driver-thread-only and
+/// block until the submitted work completes; task bodies must not call back
+/// into the pool.
 class ShardPool {
  public:
   /// `threads` >= 1; 1 means inline execution, n > 1 spawns n workers.
@@ -41,11 +41,6 @@ class ShardPool {
     return workers_.empty() ? 1 : workers_.size();
   }
 
-  /// Runs body(shard) for every shard in [0, shards); bodies for distinct
-  /// shards may run concurrently. Blocks until all have run.
-  void RunShards(std::size_t shards,
-                 const std::function<void(std::size_t)>& body);
-
   /// ParallelForFn-compatible loop over [0, n): static chunking, one chunk
   /// per worker. Deterministic slot writes make results order-independent.
   void ParallelFor(std::size_t n,
@@ -53,12 +48,17 @@ class ShardPool {
 
   /// Quiesce barrier: returns once every worker has drained its queue and
   /// gone idle, with all of their writes visible to the driver (the
-  /// snapshot fence of ParallelDetector::SaveState). All submission
-  /// methods already block until completion, so this is a formal fence —
-  /// but checkpointing goes through it rather than relying on that detail.
+  /// snapshot fence of ParallelDetector::SaveState). ParallelFor already
+  /// blocks until completion, so this is a formal fence — but
+  /// checkpointing goes through it rather than relying on that detail.
   void Quiesce();
 
  private:
+  /// Runs body(shard) for every shard in [0, shards); bodies for distinct
+  /// shards may run concurrently. Blocks until all have run.
+  void RunShards(std::size_t shards,
+                 const std::function<void(std::size_t)>& body);
+
   struct Task {
     const std::function<void(std::size_t)>* body = nullptr;
     std::size_t shard = 0;

@@ -91,7 +91,7 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (queue depth, imbalance ratio).
+/// Last-write-wins instantaneous value (queue depth, health state).
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }

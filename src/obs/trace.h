@@ -39,7 +39,7 @@ std::string FormatSpansJson(const std::vector<SpanEvent>& events);
 
 /// One completed span: a named interval on one thread. Chrome nests
 /// same-thread intervals by containment, so scoped emission is enough
-/// to render the quantum → stage → shard hierarchy.
+/// to render the quantum → stage → sub-stage hierarchy.
 struct SpanEvent {
   const char* name = nullptr;
   std::uint32_t tid = 0;

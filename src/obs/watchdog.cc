@@ -129,7 +129,10 @@ bool ParseWatchdogRule(std::string_view text, WatchdogRule* rule,
   if (!UnitMultiplier(unit, &mult)) {
     return fail("unknown unit \"" + std::string(unit) + "\"");
   }
+  // A NaN threshold never trips and an infinite one never or always does;
+  // scaling can overflow a finite literal too, so check the scaled value.
   r.threshold *= mult;
+  if (!std::isfinite(r.threshold)) return fail("bad threshold");
   rest = rest.substr(at + 1);
 
   std::string_view severity;
@@ -148,6 +151,7 @@ bool ParseWatchdogRule(std::string_view text, WatchdogRule* rule,
   } else if (!window_unit.empty() && window_unit != "s") {
     return fail("bad window unit \"" + std::string(window_unit) + "\"");
   }
+  if (!std::isfinite(r.window_seconds)) return fail("bad window");
 
   if (severity.empty() || severity == "unhealthy") {
     r.severity = Health::kUnhealthy;
@@ -184,7 +188,6 @@ std::vector<WatchdogRule> DefaultWatchdogRules() {
   static const char* const kDefaults =
       "ingest.dispatch_stall_ns:p95>250ms@30s:degraded,"
       "wal.append_ns:mean>20ms@30s:degraded,"
-      "engine.shard_imbalance:value>8@30s:degraded,"
       "store.query_latency:p95>50ms@60s:degraded";
   std::vector<WatchdogRule> rules;
   std::string error;

@@ -22,11 +22,11 @@
 // a reason for a load balancer to pull the instance. Every transition
 // increments obs.health_transitions and emits one structured log line.
 //
-// The default rules watch the four standing objectives from the
+// The default rules watch the three standing objectives from the
 // related work: dispatch-stall p95 (admission latency burn), WAL mean
-// commit stall (durability tax), shard imbalance (parallel efficiency)
-// and store query p95 (interactive search SLO). All default to
-// `degraded` — the thresholds are tuned for CI hardware, not a page.
+// commit stall (durability tax) and store query p95 (interactive search
+// SLO). All default to `degraded` — the thresholds are tuned for CI
+// hardware, not a page.
 
 #ifndef SCPRT_OBS_WATCHDOG_H_
 #define SCPRT_OBS_WATCHDOG_H_

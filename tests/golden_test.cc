@@ -231,7 +231,7 @@ TEST_P(GoldenTest, OneAndFourThreadsMatchCommittedDigests) {
     }
   }
 
-  // The sharded engine must reproduce the same digest stream.
+  // The 4-thread engine must reproduce the same digest stream.
   engine::ParallelDetectorConfig pconfig;
   pconfig.detector = c.detector_config();
   pconfig.threads = 4;
@@ -241,7 +241,7 @@ TEST_P(GoldenTest, OneAndFourThreadsMatchCommittedDigests) {
   ASSERT_EQ(preports.size(), reports.size());
   for (std::size_t q = 0; q < preports.size(); ++q) {
     ASSERT_EQ(detect::ReportDigest(preports[q]), digests[q])
-        << c.name << ": sharded engine diverged at quantum " << q;
+        << c.name << ": 4-thread engine diverged at quantum " << q;
   }
 }
 

@@ -1,9 +1,9 @@
 // Mergeable bottom-p Min-Hash signatures: Sketch's equivalence to the
 // paper's bottom-p signature (a brute-force reference),
 // the Combine algebra (exact on overlapping inputs, associative,
-// commutative, empty identity), and shard-partitioned merges matching the
-// whole-set signature bit for bit at 1/2/8 partitions (serially and on a
-// real ShardPool — this suite runs in the TSan CI job).
+// commutative, empty identity), and partitioned merges matching the
+// whole-set signature bit for bit at 1/2/8 partitions through the serial
+// CombineTree.
 
 #include <algorithm>
 #include <cstdint>
@@ -13,10 +13,8 @@
 
 #include "akg/minhash.h"
 #include "common/hash.h"
-#include "common/parallel.h"
 #include "common/random.h"
 #include "common/types.h"
-#include "engine/shard_pool.h"
 
 namespace scprt::akg {
 namespace {
@@ -127,33 +125,6 @@ TEST(MinHasherTest, ShardMergeEqualsWholeSetSketch) {
       rng.Shuffle(parts);
       EXPECT_EQ(MinHasher::CombineTree(std::move(parts), p), whole);
     }
-  }
-}
-
-TEST(MinHasherTest, TreeReduceOnShardPoolIsBitIdentical) {
-  // The same reduction through a real thread pool at 2 and 8 workers must
-  // produce the serial result bit for bit (and run clean under TSan).
-  Rng rng(44);
-  const std::size_t p = 6;
-  const MinHasher hasher(p, 123);
-  std::vector<MinHashSignature> parts;
-  for (int q = 0; q < 40; ++q) {
-    parts.push_back(
-        hasher.Sketch(RandomUsers(rng, 1 + rng.UniformInt(30))));
-  }
-  const auto merge = [p](MinHashSignature a, MinHashSignature b) {
-    return MinHasher::Combine(a, b, p);
-  };
-  const MinHashSignature serial =
-      TreeReduce(parts, merge, ParallelForFn(nullptr));
-  for (const std::size_t threads : {2u, 8u}) {
-    engine::ShardPool pool(threads);
-    const MinHashSignature pooled = TreeReduce(
-        parts, merge,
-        [&pool](std::size_t n, const std::function<void(std::size_t)>& body) {
-          pool.ParallelFor(n, body);
-        });
-    EXPECT_EQ(pooled, serial) << threads << " threads";
   }
 }
 

@@ -1,8 +1,9 @@
-// Tests of the sharded engine: the ParallelDetector must emit the exact
+// Tests of the parallel engine: the ParallelDetector must emit the exact
 // QuantumReport sequence at every thread count — 2 and 8 threads against
-// the one-thread run, which executes inline with the serial
-// akg::AggregateQuantum (tests/golden_test.cc pins that run to committed
-// digests) — and the pool/queue primitives must survive
+// the one-thread run, which executes inline (tests/golden_test.cc pins
+// that run to committed digests); every thread count builds the quantum
+// aggregate with akg::AggregateQuantum and differs only in the pool under
+// the core's hot loops — and the pool/queue primitives must survive
 // ThreadSanitizer-friendly stress.
 
 #include <atomic>
@@ -188,8 +189,8 @@ TEST(ShardPoolTest, ManySmallRoundsDoNotDeadlockOrDropWork) {
   ShardPool pool(8);
   std::atomic<std::size_t> total{0};
   for (int round = 0; round < 2'000; ++round) {
-    pool.RunShards(8, [&](std::size_t shard) {
-      total.fetch_add(shard + 1, std::memory_order_relaxed);
+    pool.ParallelFor(8, [&](std::size_t i) {
+      total.fetch_add(i + 1, std::memory_order_relaxed);
     });
   }
   EXPECT_EQ(total.load(), 2'000u * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8));
@@ -200,7 +201,7 @@ TEST(ShardPoolTest, InlineModeRunsOnCallerThread) {
   EXPECT_EQ(pool.threads(), 1u);
   const std::thread::id caller = std::this_thread::get_id();
   bool on_caller = true;
-  pool.RunShards(16, [&](std::size_t) {
+  pool.ParallelFor(16, [&](std::size_t) {
     on_caller = on_caller && std::this_thread::get_id() == caller;
   });
   EXPECT_TRUE(on_caller);

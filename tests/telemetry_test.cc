@@ -79,7 +79,7 @@ TEST(WatchdogRules, DefaultsSeverityToUnhealthyAndScalesUnits) {
   EXPECT_EQ(rule.severity, obs::Health::kUnhealthy);
 
   ASSERT_TRUE(
-      obs::ParseWatchdogRule("engine.shard_imbalance:value>8@30s", &rule,
+      obs::ParseWatchdogRule("ingest.queue_depth:value>8@30s", &rule,
                              &error))
       << error;
   EXPECT_DOUBLE_EQ(rule.threshold, 8.0);  // bare number: unscaled
@@ -96,6 +96,16 @@ TEST(WatchdogRules, RejectsMalformedRules) {
   EXPECT_FALSE(obs::ParseWatchdogRule("m:p95>1xyz@30s", &rule, &error));
   EXPECT_FALSE(obs::ParseWatchdogRule("m:p95>1@30s:meh", &rule, &error));
   EXPECT_FALSE(obs::ParseWatchdogRule("m:p95>1@0s", &rule, &error));
+  // Non-finite numbers: a NaN rule could never trip.
+  for (const char* text :
+       {"m:p95>nan@30s", "m:p95>inf@30s", "m:p95>-inf@30s"}) {
+    EXPECT_FALSE(obs::ParseWatchdogRule(text, &rule, &error)) << text;
+    EXPECT_NE(error.find("bad threshold"), std::string::npos) << error;
+  }
+  for (const char* text : {"m:p95>1@nan", "m:p95>1@inf"}) {
+    EXPECT_FALSE(obs::ParseWatchdogRule(text, &rule, &error)) << text;
+    EXPECT_NE(error.find("bad window"), std::string::npos) << error;
+  }
 }
 
 TEST(WatchdogRules, ParsesCommaListsAndDefaults) {
@@ -110,7 +120,7 @@ TEST(WatchdogRules, ParsesCommaListsAndDefaults) {
 
   const std::vector<obs::WatchdogRule> defaults =
       obs::DefaultWatchdogRules();
-  ASSERT_EQ(defaults.size(), 4u);
+  ASSERT_EQ(defaults.size(), 3u);
   for (const obs::WatchdogRule& rule : defaults) {
     EXPECT_EQ(rule.severity, obs::Health::kDegraded) << rule.source;
   }
@@ -450,8 +460,8 @@ TEST(Telemetry, ScrapeDuringDetectionIsRaceFree) {
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
-  // Detection writes engine histograms and tracer spans on its shard
-  // threads while we hammer every endpoint from here.
+  // Detection writes engine histograms and tracer spans and runs its hot
+  // loops on a 4-thread pool while we hammer every endpoint from here.
   std::atomic<bool> done{false};
   std::thread detector_thread([&] {
     detect::DetectorConfig detector_config;
