@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the hot primitives: graph
 // mutation, short-cycle queries, incremental cluster maintenance vs offline
-// recomputation, Min-Hash signatures and exact Jaccard.
+// recomputation, Min-Hash signatures, exact Jaccard and cluster support.
 
 #include <algorithm>
+#include <set>
 
 #include <benchmark/benchmark.h>
 
@@ -104,20 +105,49 @@ void BM_MinHashSignature(benchmark::State& state) {
 }
 BENCHMARK(BM_MinHashSignature)->Arg(16)->Arg(128)->Arg(1024);
 
+// One quantum aggregate: `keywords` keywords 0, 1, ..., each with `users`
+// distinct users drawn from [0, 4 * users), so the lists overlap.
+akg::QuantumAggregate RandomAggregate(std::size_t keywords, std::size_t users,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  akg::QuantumAggregate aggregate;
+  for (std::size_t k = 0; k < keywords; ++k) {
+    std::set<UserId> ids;
+    while (ids.size() < users) {
+      ids.insert(static_cast<UserId>(rng.UniformInt(4 * users)));
+    }
+    aggregate.keywords.push_back(
+        {static_cast<KeywordId>(k), {ids.begin(), ids.end()}});
+  }
+  return aggregate;
+}
+
+// Exact EC: the merge intersection of two sorted window id sets.
 void BM_ExactJaccard(benchmark::State& state) {
   akg::UserIdSets sets(30);
-  Rng rng(7);
-  sets.BeginQuantum();
-  for (int i = 0; i < state.range(0); ++i) {
-    sets.Add(1, static_cast<UserId>(rng.UniformInt(100000)));
-    sets.Add(2, static_cast<UserId>(rng.UniformInt(100000)));
-  }
-  sets.EndQuantum();
+  sets.IngestAggregate(
+      RandomAggregate(2, static_cast<std::size_t>(state.range(0)), 7),
+      nullptr);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sets.Jaccard(1, 2));
+    benchmark::DoNotOptimize(sets.Jaccard(0, 1));
   }
 }
 BENCHMARK(BM_ExactJaccard)->Arg(16)->Arg(128)->Arg(1024);
+
+// Cluster support: the union size of k sorted member id sets of n users.
+void BM_ClusterSupport(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  akg::UserIdSets sets(30);
+  sets.IngestAggregate(
+      RandomAggregate(k, static_cast<std::size_t>(state.range(1)), 8),
+      nullptr);
+  std::vector<KeywordId> members(k);
+  for (std::size_t i = 0; i < k; ++i) members[i] = static_cast<KeywordId>(i);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sets.UnionSupport(members));
+  }
+}
+BENCHMARK(BM_ClusterSupport)->ArgsProduct({{2, 4, 8}, {128, 1024}});
 
 }  // namespace
 

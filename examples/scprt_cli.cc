@@ -208,6 +208,11 @@ T BoundedFlag(const Args& args, const std::string& name, const char* dflt,
   return value;
 }
 
+// BoundedFlag range for an integer flag with a minimum.
+auto AtLeast(std::uint64_t floor) {
+  return [floor](auto value) { return value >= floor; };
+}
+
 // Cap on --threads and --workers: a larger count is a typo, and thread
 // creation would fail on it. 0 means "all hardware threads".
 constexpr std::size_t kMaxThreadCount = 1024;
@@ -282,8 +287,8 @@ bool MaybeStartTelemetry(
     std::unique_ptr<obs::Telemetry>* out) {
   obs::TelemetryOptions options;
   options.stats_addr = args.Get("stats-addr", "");
-  options.sample_every_seconds =
-      NumericFlag<double>(args, "sample-every", "1");
+  options.sample_every_seconds = BoundedFlag<double>(
+      args, "sample-every", "1", [](double t) { return t >= 0.0; });
   options.health_rules = args.Get("health-rule", "");
   options.postmortem_dir = args.Get("postmortem-dir", "");
   options.build_info = std::string("scprt_cli ") + command;
@@ -339,9 +344,14 @@ bool MaybeOpenStore(const Args& args, StoreAttachment* out) {
   if (!args.Has("store-dir")) return true;
   const std::string dir = args.Get("store-dir", "");
   store::LshOptions options;
-  options.bands = NumericFlag<std::uint32_t>(args, "store-bands", "8");
-  options.rows = NumericFlag<std::uint32_t>(args, "store-rows", "2");
-  options.pool_frames = NumericFlag<std::size_t>(args, "store-frames", "256");
+  options.bands =
+      BoundedFlag<std::uint32_t>(args, "store-bands", "8", AtLeast(1));
+  options.rows =
+      BoundedFlag<std::uint32_t>(args, "store-rows", "2", AtLeast(1));
+  // Extending a page chain pins the old tail and the new page at once, so
+  // the writer needs two frames.
+  options.pool_frames =
+      BoundedFlag<std::size_t>(args, "store-frames", "256", AtLeast(2));
   const auto commit_every =
       NumericFlag<std::uint32_t>(args, "store-commit-every", "1");
   durability::Error error;
@@ -412,16 +422,15 @@ int CmdInfo(const Args& args) {
 // The detector parameters, range-checked here so a bad value exits 2
 // instead of tripping a library invariant: δ, w, θ >= 1 and 0 < γ <= 1.
 detect::DetectorConfig DetectorConfigFromArgs(const Args& args) {
-  const auto at_least_one = [](auto v) { return v >= 1; };
   detect::DetectorConfig config;
   config.quantum_size =
-      BoundedFlag<std::size_t>(args, "delta", "160", at_least_one);
+      BoundedFlag<std::size_t>(args, "delta", "160", AtLeast(1));
   config.akg.ec_threshold = BoundedFlag<double>(
       args, "gamma", "0.20", [](double g) { return g > 0.0 && g <= 1.0; });
   config.akg.high_state_threshold =
-      BoundedFlag<std::uint32_t>(args, "theta", "4", at_least_one);
+      BoundedFlag<std::uint32_t>(args, "theta", "4", AtLeast(1));
   config.akg.window_length =
-      BoundedFlag<std::size_t>(args, "w", "30", at_least_one);
+      BoundedFlag<std::size_t>(args, "w", "30", AtLeast(1));
   return config;
 }
 

@@ -111,19 +111,43 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
     signatures_[refresh[i]] = std::move(refreshed[i]);
   }
 
+  // --- 5-6. Edge correlation: new edges among set (1), then lazy
+  //          re-validation of the refreshed keywords' edges ---
+  {
+    // EC stage cost for the whole quantum: candidate join, screen, both
+    // EC batches and their application.
+    static obs::Histogram* const ec_hist =
+        obs::Registry::Default().GetHistogram("akg.ec_ns");
+    obs::ScopedSpan span("akg.ec");
+    obs::ScopedHistogramTimer timer(ec_hist);
+    CorrelateEdges(update.bursty, refresh, delta);
+  }
+
+  // --- 7. Stats snapshot (Section 7.4) ---
+  last_stats_.ckg_nodes = node_state_.tracked_keywords();
+  last_stats_.quantum_keywords = quantum_keywords.size();
+  last_stats_.akg_nodes = akg_.node_count();
+  last_stats_.akg_edges = akg_.edge_count();
+  last_stats_.bursty = update.bursty.size();
+  return delta;
+}
+
+void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
+                                const std::vector<KeywordId>& refresh,
+                                GraphDelta& delta) {
   // --- 5. New edges among set (1) (Section 3.2.1): bucket-join on shared
   //        Min-Hash values to avoid the quadratic pair scan ---
   const double gamma = config_.ec_threshold;
   std::vector<std::pair<KeywordId, KeywordId>> candidates;
   if (config_.ec_mode == EcMode::kExact) {
-    for (std::size_t i = 0; i < update.bursty.size(); ++i) {
-      for (std::size_t j = i + 1; j < update.bursty.size(); ++j) {
-        candidates.emplace_back(update.bursty[i], update.bursty[j]);
+    for (std::size_t i = 0; i < bursty.size(); ++i) {
+      for (std::size_t j = i + 1; j < bursty.size(); ++j) {
+        candidates.emplace_back(bursty[i], bursty[j]);
       }
     }
   } else {
     std::unordered_map<std::uint64_t, std::vector<KeywordId>> buckets;
-    for (KeywordId k : update.bursty) {
+    for (KeywordId k : bursty) {
       for (std::uint64_t h : signatures_[k]) buckets[h].push_back(k);
     }
     std::unordered_set<std::uint64_t> emitted;
@@ -213,14 +237,6 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
       delta.ec_updated.emplace_back(e, ec);
     }
   }
-
-  // --- 7. Stats snapshot (Section 7.4) ---
-  last_stats_.ckg_nodes = node_state_.tracked_keywords();
-  last_stats_.quantum_keywords = quantum_keywords.size();
-  last_stats_.akg_nodes = akg_.node_count();
-  last_stats_.akg_edges = akg_.edge_count();
-  last_stats_.bursty = update.bursty.size();
-  return delta;
 }
 
 MinHashSignature AkgBuilder::ExportClusterSketch(

@@ -140,6 +140,13 @@ class AkgBuilder {
   bool Restore(BinaryReader& in);
 
  private:
+  /// Steps 5-6 of ProcessAggregate: adds edges among the `bursty`
+  /// keywords (Section 3.2.1 set (1)) and re-validates the edges of the
+  /// `refresh` keywords (set (2)), recording both into `delta`.
+  void CorrelateEdges(const std::vector<KeywordId>& bursty,
+                      const std::vector<KeywordId>& refresh,
+                      GraphDelta& delta);
+
   AkgConfig config_;
   ParallelForFn parallel_for_ = SerialFor;
   std::function<bool(KeywordId)> in_cluster_;

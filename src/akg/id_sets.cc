@@ -1,6 +1,8 @@
 #include "akg/id_sets.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 
 #include "common/check.h"
 
@@ -11,54 +13,98 @@ UserIdSets::UserIdSets(std::size_t window_length)
   SCPRT_CHECK(window_length >= 1);
 }
 
-void UserIdSets::BeginQuantum() {
-  SCPRT_CHECK(!quantum_open_);
-  quantum_open_ = true;
-  for (Shard& shard : shards_) shard.current.clear();
+void UserIdSets::FoldUsers(WindowSet& set, const std::vector<UserId>& users) {
+  std::vector<UserId>& have = set.users;
+  std::vector<std::uint32_t>& quanta = set.quanta;
+  // Count the users new to the window, so the merge can run backward in
+  // place: every slot it writes has already been read.
+  std::size_t fresh = 0;
+  std::size_t i = 0;
+  for (UserId user : users) {
+    while (i < have.size() && have[i] < user) ++i;
+    if (i == have.size() || have[i] != user) ++fresh;
+  }
+  std::size_t read = have.size();
+  std::size_t write = read + fresh;
+  have.resize(write);
+  quanta.resize(write);
+  for (std::size_t j = users.size(); j > 0;) {
+    const UserId user = users[j - 1];
+    --write;
+    if (read > 0 && have[read - 1] > user) {
+      --read;
+      have[write] = have[read];
+      quanta[write] = quanta[read];
+    } else if (read > 0 && have[read - 1] == user) {
+      --read;
+      --j;
+      quanta[write] = quanta[read] + 1;
+      have[write] = user;
+    } else {
+      --j;
+      have[write] = user;
+      quanta[write] = 1;
+    }
+  }
+  // The first `read` entries were already in place (write == read).
 }
 
-void UserIdSets::Add(KeywordId keyword, UserId user) {
-  SCPRT_DCHECK(quantum_open_);
-  shards_[ShardOf(keyword)].current[keyword].insert(user);
-}
-
-void UserIdSets::ExpireShard(Shard& shard) {
-  if (shard.history.size() <= window_length_) return;
-  for (const auto& [keyword, user] : shard.history.front()) {
-    auto wit = shard.window.find(keyword);
-    SCPRT_DCHECK(wit != shard.window.end());
-    auto uit = wit->second.find(user);
-    SCPRT_DCHECK(uit != wit->second.end());
-    if (--uit->second == 0) wit->second.erase(uit);
-    if (wit->second.empty()) shard.window.erase(wit);
+void UserIdSets::ExpireOldest(Shard& shard) {
+  const HistoryEntry& oldest = shard.history.front();
+  for (std::size_t run = 0; run < oldest.size();) {
+    const KeywordId keyword = oldest[run].first;
+    const auto it = shard.window.find(keyword);
+    SCPRT_DCHECK(it != shard.window.end());
+    WindowSet& set = it->second;
+    // The run's users are ascending and each is in the set.
+    bool emptied = false;
+    std::size_t i = 0;
+    for (; run < oldest.size() && oldest[run].first == keyword; ++run) {
+      while (set.users[i] < oldest[run].second) ++i;
+      SCPRT_DCHECK(set.users[i] == oldest[run].second);
+      if (--set.quanta[i] == 0) emptied = true;
+    }
+    if (!emptied) continue;
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < set.users.size(); ++j) {
+      if (set.quanta[j] == 0) continue;
+      set.users[kept] = set.users[j];
+      set.quanta[kept] = set.quanta[j];
+      ++kept;
+    }
+    if (kept == 0) {
+      shard.window.erase(it);
+    } else {
+      set.users.resize(kept);
+      set.quanta.resize(kept);
+    }
   }
   shard.history.pop_front();
 }
 
-template <typename Users>
-void UserIdSets::FoldKeyword(
-    Shard& shard, KeywordId keyword, const Users& users,
-    std::vector<std::pair<KeywordId, UserId>>& compact) {
-  shard.last_quantum_support[keyword] =
-      static_cast<std::uint32_t>(users.size());
-  shard.last_quantum_keywords.push_back(keyword);
-  UserCounts& counts = shard.window[keyword];
-  for (UserId user : users) {
-    ++counts[user];
-    compact.emplace_back(keyword, user);
+void UserIdSets::RefoldWindow(Shard& shard) {
+  // Each (keyword, user) pair packed into one integer, so the sort orders
+  // by keyword, then user, with one comparison.
+  std::vector<std::uint64_t> keys;
+  std::size_t total = 0;
+  for (const HistoryEntry& entry : shard.history) total += entry.size();
+  keys.reserve(total);
+  for (const HistoryEntry& entry : shard.history) {
+    for (const auto& [keyword, user] : entry) {
+      keys.push_back(std::uint64_t{keyword} << 32 | user);
+    }
   }
-}
-
-void UserIdSets::FoldShard(Shard& shard) {
-  shard.last_quantum_support.clear();
-  shard.last_quantum_keywords.clear();
-  std::vector<std::pair<KeywordId, UserId>> compact;
-  for (const auto& [keyword, users] : shard.current) {
-    FoldKeyword(shard, keyword, users, compact);
+  std::sort(keys.begin(), keys.end());
+  WindowSet* set = nullptr;
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t end = i + 1;
+    while (end < keys.size() && keys[end] == keys[i]) ++end;
+    const auto keyword = static_cast<KeywordId>(keys[i] >> 32);
+    if (i == 0 || keys[i - 1] >> 32 != keyword) set = &shard.window[keyword];
+    set->users.push_back(static_cast<UserId>(keys[i]));
+    set->quanta.push_back(static_cast<std::uint32_t>(end - i));
+    i = end;
   }
-  shard.current.clear();
-  shard.history.push_back(std::move(compact));
-  ExpireShard(shard);
 }
 
 void UserIdSets::MergeQuantumKeywords() {
@@ -68,38 +114,41 @@ void UserIdSets::MergeQuantumKeywords() {
                                   shard.last_quantum_keywords.begin(),
                                   shard.last_quantum_keywords.end());
   }
-  // Canonical order: reports derived downstream must not depend on message
-  // arrival order within the quantum or on the id-set shard layout.
+  // Canonical order: reports derived downstream must not depend on the
+  // id-set shard layout.
   std::sort(last_quantum_keywords_.begin(), last_quantum_keywords_.end());
-}
-
-void UserIdSets::EndQuantum() {
-  SCPRT_CHECK(quantum_open_);
-  quantum_open_ = false;
-  for (Shard& shard : shards_) FoldShard(shard);
-  MergeQuantumKeywords();
 }
 
 void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
                                  const ParallelForFn& parallel_for) {
-  SCPRT_CHECK(!quantum_open_);
   // One routing pass up front so each shard folds only its own entries
-  // instead of re-scanning the whole aggregate.
+  // instead of re-scanning the whole aggregate. Keywords ascending keep
+  // every shard's history entry (keyword, user)-sorted.
   std::vector<std::vector<std::uint32_t>> owned(kIdSetShards);
   for (std::uint32_t i = 0; i < aggregate.keywords.size(); ++i) {
+    SCPRT_CHECK(i == 0 || aggregate.keywords[i - 1].keyword <
+                              aggregate.keywords[i].keyword);
     owned[ShardOf(aggregate.keywords[i].keyword)].push_back(i);
   }
   const auto ingest_shard = [&](std::size_t s) {
     Shard& shard = shards_[s];
+    if (shard.history.size() == window_length_) ExpireOldest(shard);
     shard.last_quantum_support.clear();
     shard.last_quantum_keywords.clear();
-    std::vector<std::pair<KeywordId, UserId>> compact;
+    HistoryEntry entry;
     for (std::uint32_t i : owned[s]) {
-      const QuantumAggregate::Entry& entry = aggregate.keywords[i];
-      FoldKeyword(shard, entry.keyword, entry.users, compact);
+      const auto& [keyword, users] = aggregate.keywords[i];
+      SCPRT_CHECK(!users.empty() &&
+                  std::adjacent_find(users.begin(), users.end(),
+                                     std::greater_equal<UserId>()) ==
+                      users.end());
+      shard.last_quantum_support[keyword] =
+          static_cast<std::uint32_t>(users.size());
+      shard.last_quantum_keywords.push_back(keyword);
+      FoldUsers(shard.window[keyword], users);
+      for (UserId user : users) entry.emplace_back(keyword, user);
     }
-    shard.history.push_back(std::move(compact));
-    ExpireShard(shard);
+    shard.history.push_back(std::move(entry));
   };
   if (parallel_for) {
     parallel_for(kIdSetShards, ingest_shard);
@@ -116,39 +165,44 @@ std::size_t UserIdSets::QuantumSupport(KeywordId keyword) const {
 }
 
 std::size_t UserIdSets::WindowSupport(KeywordId keyword) const {
-  const Shard& shard = shards_[ShardOf(keyword)];
-  auto it = shard.window.find(keyword);
-  return it == shard.window.end() ? 0 : it->second.size();
+  return WindowUsers(keyword).size();
 }
 
-std::vector<UserId> UserIdSets::WindowUsers(KeywordId keyword) const {
-  std::vector<UserId> users;
+const std::vector<UserId>& UserIdSets::WindowUsers(KeywordId keyword) const {
+  static const std::vector<UserId> kAbsent;
   const Shard& shard = shards_[ShardOf(keyword)];
   auto it = shard.window.find(keyword);
-  if (it == shard.window.end()) return users;
-  users.reserve(it->second.size());
-  for (const auto& [user, _] : it->second) users.push_back(user);
-  return users;
+  return it == shard.window.end() ? kAbsent : it->second.users;
+}
+
+std::size_t UserIdSets::UnionSupport(
+    const std::vector<KeywordId>& keywords) const {
+  std::vector<UserId> users, merged;
+  for (KeywordId keyword : keywords) {
+    const std::vector<UserId>& window = WindowUsers(keyword);
+    merged.clear();
+    std::set_union(users.begin(), users.end(), window.begin(), window.end(),
+                   std::back_inserter(merged));
+    users.swap(merged);
+  }
+  return users.size();
 }
 
 double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
-  const Shard& shard_a = shards_[ShardOf(a)];
-  const Shard& shard_b = shards_[ShardOf(b)];
-  auto ita = shard_a.window.find(a);
-  auto itb = shard_b.window.find(b);
-  if (ita == shard_a.window.end() || itb == shard_b.window.end()) return 0.0;
-  const UserCounts* small = &ita->second;
-  const UserCounts* large = &itb->second;
-  if (small->size() > large->size()) std::swap(small, large);
+  const std::vector<UserId>& users_a = WindowUsers(a);
+  const std::vector<UserId>& users_b = WindowUsers(b);
+  if (users_a.empty() || users_b.empty()) return 0.0;
   std::size_t intersection = 0;
-  for (const auto& [user, _] : *small) {
-    if (large->count(user)) ++intersection;
+  std::size_t i = 0, j = 0;
+  while (i < users_a.size() && j < users_b.size()) {
+    const UserId x = users_a[i];
+    const UserId y = users_b[j];
+    intersection += x == y;
+    i += x <= y;
+    j += y <= x;
   }
-  const std::size_t unioned = small->size() + large->size() - intersection;
-  return unioned == 0
-             ? 0.0
-             : static_cast<double>(intersection) /
-                   static_cast<double>(unioned);
+  const std::size_t unioned = users_a.size() + users_b.size() - intersection;
+  return static_cast<double>(intersection) / static_cast<double>(unioned);
 }
 
 std::size_t UserIdSets::active_keywords() const {
@@ -158,16 +212,13 @@ std::size_t UserIdSets::active_keywords() const {
 }
 
 void UserIdSets::Save(BinaryWriter& out) const {
-  SCPRT_CHECK(!quantum_open_);
   out.U32(static_cast<std::uint32_t>(kIdSetShards));
   out.U64(window_length_);
   for (const Shard& shard : shards_) {
     out.U32(static_cast<std::uint32_t>(shard.history.size()));
-    for (const auto& entry : shard.history) {
-      std::vector<std::pair<KeywordId, UserId>> sorted = entry;
-      std::sort(sorted.begin(), sorted.end());
-      out.U64(sorted.size());
-      for (const auto& [keyword, user] : sorted) {
+    for (const HistoryEntry& entry : shard.history) {
+      out.U64(entry.size());
+      for (const auto& [keyword, user] : entry) {
         out.U32(keyword);
         out.U32(user);
       }
@@ -179,7 +230,6 @@ bool UserIdSets::Restore(BinaryReader& in) {
   const auto reset = [this] {
     shards_.assign(kIdSetShards, Shard{});
     last_quantum_keywords_.clear();
-    quantum_open_ = false;
   };
   reset();
   if (in.U32() != kIdSetShards || in.U64() != window_length_) {
@@ -200,7 +250,7 @@ bool UserIdSets::Restore(BinaryReader& in) {
     for (std::uint32_t q = 0; q < depth; ++q) {
       const std::uint64_t pairs = in.U64();
       if (!in.CheckLength(pairs, 8)) break;
-      std::vector<std::pair<KeywordId, UserId>> entry;
+      HistoryEntry entry;
       entry.reserve(pairs);
       for (std::uint64_t i = 0; i < pairs; ++i) {
         const KeywordId keyword = in.U32();
@@ -215,20 +265,19 @@ bool UserIdSets::Restore(BinaryReader& in) {
         entry.emplace_back(keyword, user);
       }
       if (!in.ok()) break;
-      const bool last = q + 1 == depth;
-      for (const auto& [keyword, user] : entry) {
-        ++shard.window[keyword][user];
-        if (last) {
-          if (shard.last_quantum_keywords.empty() ||
-              shard.last_quantum_keywords.back() != keyword) {
-            shard.last_quantum_keywords.push_back(keyword);
-          }
-          ++shard.last_quantum_support[keyword];
-        }
-      }
       shard.history.push_back(std::move(entry));
     }
     if (!in.ok()) break;
+    if (!shard.history.empty()) {
+      for (const auto& [keyword, user] : shard.history.back()) {
+        if (shard.last_quantum_keywords.empty() ||
+            shard.last_quantum_keywords.back() != keyword) {
+          shard.last_quantum_keywords.push_back(keyword);
+        }
+        ++shard.last_quantum_support[keyword];
+      }
+    }
+    RefoldWindow(shard);
   }
   if (!in.ok()) {
     reset();

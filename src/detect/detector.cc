@@ -6,6 +6,8 @@
 
 #include "common/check.h"
 #include "detect/snapshot_io.h"
+#include "obs/registry.h"
+#include "obs/trace.h"
 #include "rank/ranking.h"
 
 namespace scprt::detect {
@@ -99,15 +101,16 @@ EventSnapshot EventDetector::SnapshotCore(ClusterId id,
                     ? 0.0
                     : ec_sum / static_cast<double>(cluster.edge_count());
   // Support: distinct users over the window across member keywords.
-  std::unordered_set<UserId> users;
-  for (KeywordId k : snap.keywords) {
-    for (UserId u : akg_.id_sets().WindowUsers(k)) users.insert(u);
-  }
-  snap.support = users.size();
+  snap.support = akg_.id_sets().UnionSupport(snap.keywords);
   return snap;
 }
 
 std::vector<EventSnapshot> EventDetector::SnapshotEvents(QuantumIndex now) {
+  // Snapshot stage cost per quantum: support, rank, tracker and filters.
+  static obs::Histogram* const snapshot_hist =
+      obs::Registry::Default().GetHistogram("detect.snapshot_ns");
+  obs::ScopedSpan span("detect.snapshot");
+  obs::ScopedHistogramTimer timer(snapshot_hist);
   // Canonical cluster order: id ascending. The cores are pure per-cluster
   // reads and run through the parallel hook; everything order-sensitive
   // (tracker observation, filtering, report order) stays serial below, so

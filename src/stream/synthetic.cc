@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -159,13 +160,12 @@ SyntheticTrace GenerateSyntheticTrace(const SyntheticConfig& config) {
     event.headline = std::string(noun_stem) + " event " + std::to_string(e);
 
     // Adopter pool: sampled without replacement from the population.
-    std::unordered_set<UserId> pool;
+    std::set<UserId> pool;
     while (pool.size() < std::min<std::size_t>(config.event_user_pool,
                                                config.num_users)) {
       pool.insert(static_cast<UserId>(rng.UniformInt(config.num_users)));
     }
     event.user_pool.assign(pool.begin(), pool.end());
-    std::sort(event.user_pool.begin(), event.user_pool.end());
     rng.Shuffle(event.user_pool);
 
     trace.script.events.push_back(std::move(event));

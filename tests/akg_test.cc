@@ -1,9 +1,14 @@
 // Tests for akg/: id sets, node-state automaton, Min-Hash, AKG builder.
 
 #include <algorithm>
+#include <bit>
+#include <deque>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +20,7 @@
 #include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "engine/shard_pool.h"
 
 namespace scprt::akg {
 namespace {
@@ -23,14 +29,29 @@ using graph::Edge;
 
 // --- UserIdSets ---
 
+stream::Quantum MakeQuantum(
+    QuantumIndex index,
+    std::initializer_list<std::pair<UserId, std::vector<KeywordId>>> msgs) {
+  stream::Quantum q;
+  q.index = index;
+  for (const auto& [user, keywords] : msgs) {
+    stream::Message m;
+    m.user = user;
+    m.keywords = keywords;
+    q.messages.push_back(std::move(m));
+  }
+  return q;
+}
+
+// Ingests one quantum through its canonical aggregate (duplicate
+// (keyword, user) occurrences collapse there).
+void Ingest(UserIdSets& sets, const stream::Quantum& quantum) {
+  sets.IngestAggregate(AggregateQuantum(quantum), nullptr);
+}
+
 TEST(UserIdSetsTest, QuantumSupportCountsDistinctUsers) {
   UserIdSets sets(3);
-  sets.BeginQuantum();
-  sets.Add(1, 100);
-  sets.Add(1, 100);  // duplicate collapses
-  sets.Add(1, 101);
-  sets.Add(2, 100);
-  sets.EndQuantum();
+  Ingest(sets, MakeQuantum(0, {{100, {1}}, {100, {1, 2}}, {101, {1}}}));
   EXPECT_EQ(sets.QuantumSupport(1), 2u);
   EXPECT_EQ(sets.QuantumSupport(2), 1u);
   EXPECT_EQ(sets.QuantumSupport(3), 0u);
@@ -39,63 +60,190 @@ TEST(UserIdSetsTest, QuantumSupportCountsDistinctUsers) {
 TEST(UserIdSetsTest, WindowAggregatesAcrossQuanta) {
   UserIdSets sets(3);
   for (int q = 0; q < 3; ++q) {
-    sets.BeginQuantum();
-    sets.Add(1, static_cast<UserId>(100 + q));
-    sets.EndQuantum();
+    Ingest(sets, MakeQuantum(q, {{static_cast<UserId>(102 - q), {1}}}));
   }
   EXPECT_EQ(sets.WindowSupport(1), 3u);
   // Fourth quantum evicts the first.
-  sets.BeginQuantum();
-  sets.Add(1, 200);
-  sets.EndQuantum();
-  EXPECT_EQ(sets.WindowSupport(1), 3u);  // {101, 102, 200}
-  auto users = sets.WindowUsers(1);
-  std::unordered_set<UserId> user_set(users.begin(), users.end());
-  EXPECT_FALSE(user_set.count(100));
-  EXPECT_TRUE(user_set.count(200));
+  Ingest(sets, MakeQuantum(3, {{101, {1}}, {200, {1}}}));
+  EXPECT_EQ(sets.WindowUsers(1), (std::vector<UserId>{100, 101, 200}));
 }
 
 TEST(UserIdSetsTest, ExpiryRemovesKeywordEntirely) {
   UserIdSets sets(2);
-  sets.BeginQuantum();
-  sets.Add(7, 1);
-  sets.EndQuantum();
+  Ingest(sets, MakeQuantum(0, {{1, {7}}}));
   EXPECT_EQ(sets.active_keywords(), 1u);
-  for (int q = 0; q < 2; ++q) {
-    sets.BeginQuantum();
-    sets.Add(8, 2);
-    sets.EndQuantum();
-  }
+  for (int q = 1; q <= 2; ++q) Ingest(sets, MakeQuantum(q, {{2, {8}}}));
   EXPECT_EQ(sets.WindowSupport(7), 0u);
+  EXPECT_TRUE(sets.WindowUsers(7).empty());
   EXPECT_EQ(sets.active_keywords(), 1u);
 }
 
 TEST(UserIdSetsTest, UserInMultipleQuantaSurvivesPartialExpiry) {
   UserIdSets sets(2);
-  for (int q = 0; q < 2; ++q) {
-    sets.BeginQuantum();
-    sets.Add(1, 42);
-    sets.EndQuantum();
-  }
+  for (int q = 0; q < 2; ++q) Ingest(sets, MakeQuantum(q, {{42, {1}}}));
   // User 42 appeared in both quanta; evicting the first keeps them.
-  sets.BeginQuantum();
-  sets.EndQuantum();
+  Ingest(sets, MakeQuantum(2, {}));
   EXPECT_EQ(sets.WindowSupport(1), 1u);
-  sets.BeginQuantum();
-  sets.EndQuantum();
+  Ingest(sets, MakeQuantum(3, {}));
   EXPECT_EQ(sets.WindowSupport(1), 0u);
 }
 
 TEST(UserIdSetsTest, ExactJaccard) {
   UserIdSets sets(5);
-  sets.BeginQuantum();
-  for (UserId u : {1, 2, 3, 4}) sets.Add(10, u);
-  for (UserId u : {3, 4, 5, 6}) sets.Add(20, u);
-  sets.EndQuantum();
+  Ingest(sets, MakeQuantum(0, {{1, {10}}, {2, {10}}, {3, {10, 20}},
+                               {4, {10, 20}}, {5, {20}}, {6, {20}}}));
   // |{3,4}| / |{1..6}| = 2/6.
   EXPECT_NEAR(sets.Jaccard(10, 20), 2.0 / 6.0, 1e-12);
   EXPECT_DOUBLE_EQ(sets.Jaccard(10, 99), 0.0);
   EXPECT_DOUBLE_EQ(sets.Jaccard(10, 10), 1.0);
+}
+
+// Brute-force window model: each keyword's users as a multiset with one
+// copy per window quantum, plus the quanta themselves for expiry.
+struct IdSetModel {
+  std::size_t window_length;
+  std::deque<QuantumAggregate> quanta;
+  std::map<KeywordId, std::multiset<UserId>> window;
+
+  void Ingest(const QuantumAggregate& aggregate) {
+    quanta.push_back(aggregate);
+    for (const auto& entry : aggregate.keywords) {
+      window[entry.keyword].insert(entry.users.begin(), entry.users.end());
+    }
+    if (quanta.size() > window_length) {
+      for (const auto& entry : quanta.front().keywords) {
+        std::multiset<UserId>& users = window[entry.keyword];
+        for (UserId user : entry.users) users.erase(users.find(user));
+        if (users.empty()) window.erase(entry.keyword);
+      }
+      quanta.pop_front();
+    }
+  }
+
+  std::vector<UserId> Users(KeywordId keyword) const {
+    const auto it = window.find(keyword);
+    if (it == window.end()) return {};
+    std::vector<UserId> users(it->second.begin(), it->second.end());
+    users.erase(std::unique(users.begin(), users.end()), users.end());
+    return users;
+  }
+};
+
+// A churning quantum: the vocabulary and the user range both slide
+// forward with `index`, so keywords and users keep entering and expiring.
+QuantumAggregate ChurnAggregate(QuantumIndex index, Rng& rng) {
+  QuantumAggregate aggregate;
+  aggregate.index = index;
+  const KeywordId first_keyword = static_cast<KeywordId>(index * 2);
+  const UserId first_user = static_cast<UserId>(index * 5);
+  for (KeywordId k = first_keyword; k < first_keyword + 40; ++k) {
+    if (rng.UniformInt(3) != 0) continue;
+    std::vector<UserId> users;
+    const std::size_t draws = 1 + rng.UniformInt(30);
+    for (std::size_t i = 0; i < draws; ++i) {
+      users.push_back(first_user + static_cast<UserId>(rng.UniformInt(60)));
+    }
+    std::sort(users.begin(), users.end());
+    users.erase(std::unique(users.begin(), users.end()), users.end());
+    aggregate.keywords.push_back({k, std::move(users)});
+  }
+  return aggregate;
+}
+
+// Everything the store answers, checked against the model. Keywords range
+// over the whole vocabulary seen so far, so absent keywords are probed too.
+void ExpectMatchesModel(const UserIdSets& sets, const IdSetModel& model,
+                        KeywordId max_keyword) {
+  const QuantumAggregate& last = model.quanta.back();
+  std::vector<KeywordId> last_keywords;
+  for (const auto& entry : last.keywords) {
+    last_keywords.push_back(entry.keyword);
+  }
+  ASSERT_EQ(sets.QuantumKeywords(), last_keywords);
+  ASSERT_EQ(sets.active_keywords(), model.window.size());
+  for (KeywordId k = 0; k <= max_keyword; ++k) {
+    const std::vector<UserId> users = model.Users(k);
+    ASSERT_EQ(sets.WindowUsers(k), users) << "keyword " << k;
+    ASSERT_EQ(sets.WindowSupport(k), users.size());
+    const auto entry = std::find_if(
+        last.keywords.begin(), last.keywords.end(),
+        [k](const QuantumAggregate::Entry& e) { return e.keyword == k; });
+    ASSERT_EQ(sets.QuantumSupport(k),
+              entry == last.keywords.end() ? 0u : entry->users.size());
+  }
+  for (KeywordId a = 0; a <= max_keyword; ++a) {
+    for (KeywordId b = a; b <= max_keyword; b += 3) {
+      const std::vector<UserId> ua = model.Users(a);
+      const std::vector<UserId> ub = model.Users(b);
+      double expected = 0.0;
+      if (!ua.empty() && !ub.empty()) {
+        std::vector<UserId> common;
+        std::set_intersection(ua.begin(), ua.end(), ub.begin(), ub.end(),
+                              std::back_inserter(common));
+        expected = static_cast<double>(common.size()) /
+                   static_cast<double>(ua.size() + ub.size() - common.size());
+      }
+      // Bit for bit: both sides divide the same two exact counts.
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sets.Jaccard(a, b)),
+                std::bit_cast<std::uint64_t>(expected))
+          << "keywords " << a << ", " << b;
+    }
+  }
+}
+
+std::string SaveBytes(const UserIdSets& sets) {
+  BinaryWriter out;
+  sets.Save(out);
+  return out.data();
+}
+
+// Random churning quanta through IngestAggregate against the brute-force
+// model, with a mid-stream Save -> Restore that must continue exactly like
+// the uninterrupted store.
+void RunDifferential(const ParallelForFn& parallel_for) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::size_t window = 1 + seed % 6;
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " window " << window);
+    Rng rng(seed);
+    UserIdSets sets(window);
+    std::unique_ptr<UserIdSets> restored;
+    IdSetModel model{window, {}, {}};
+    const QuantumIndex kQuanta = 24;
+    const QuantumIndex kSaveAfter = 2 + static_cast<QuantumIndex>(seed % 9);
+    for (QuantumIndex q = 0; q < kQuanta; ++q) {
+      const QuantumAggregate aggregate = ChurnAggregate(q, rng);
+      sets.IngestAggregate(aggregate, parallel_for);
+      model.Ingest(aggregate);
+      const KeywordId max_keyword = static_cast<KeywordId>(q * 2 + 40);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(sets, model, max_keyword));
+      if (restored) {
+        restored->IngestAggregate(aggregate, parallel_for);
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectMatchesModel(*restored, model, max_keyword));
+        ASSERT_EQ(SaveBytes(*restored), SaveBytes(sets));
+      }
+      if (q + 1 == kSaveAfter) {
+        const std::string bytes = SaveBytes(sets);
+        restored = std::make_unique<UserIdSets>(window);
+        BinaryReader in(bytes);
+        ASSERT_TRUE(restored->Restore(in));
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectMatchesModel(*restored, model, max_keyword));
+      }
+    }
+  }
+}
+
+TEST(UserIdSetsTest, MatchesBruteForceModelSerially) {
+  RunDifferential(nullptr);
+}
+
+TEST(UserIdSetsTest, MatchesBruteForceModelOnShardPool) {
+  engine::ShardPool pool(4);
+  RunDifferential([&pool](std::size_t n,
+                          const std::function<void(std::size_t)>& body) {
+    pool.ParallelFor(n, body);
+  });
 }
 
 // --- NodeStateAutomaton ---
@@ -292,20 +440,6 @@ TEST(MinHashTest, DefaultSizeFollowsPaperFormula) {
 
 // --- AkgBuilder end-to-end on handcrafted quanta ---
 
-stream::Quantum MakeQuantum(
-    QuantumIndex index,
-    std::initializer_list<std::pair<UserId, std::vector<KeywordId>>> msgs) {
-  stream::Quantum q;
-  q.index = index;
-  for (const auto& [user, keywords] : msgs) {
-    stream::Message m;
-    m.user = user;
-    m.keywords = keywords;
-    q.messages.push_back(std::move(m));
-  }
-  return q;
-}
-
 AkgConfig TestConfig() {
   AkgConfig config;
   config.high_state_threshold = 3;
@@ -485,7 +619,7 @@ TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
   const QuantumIndex kQuanta = 16;
   const QuantumIndex kSaveAfter = 9;  // after the window has filled
   const SeededHash hash(config.seed);
-  std::unordered_map<KeywordId, std::unordered_set<UserId>> ever_used;
+  std::unordered_map<KeywordId, std::set<UserId>> ever_used;
   std::size_t checked = 0, expired_moved = 0;
   for (QuantumIndex q = 0; q < kQuanta; ++q) {
     const stream::Quantum quantum = ChurnQuantum(q, rng);
