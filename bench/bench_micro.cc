@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot primitives: graph
 // mutation, short-cycle queries, incremental cluster maintenance vs offline
-// recomputation, Min-Hash signatures, exact Jaccard and cluster support.
+// recomputation, Min-Hash signatures, quantum aggregation and id-set
+// ingest, exact Jaccard and cluster support.
 
 #include <algorithm>
 #include <set>
@@ -9,11 +10,13 @@
 
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
+#include "akg/quantum_aggregate.h"
 #include "cluster/maintenance.h"
 #include "cluster/offline.h"
 #include "common/random.h"
 #include "graph/graph.h"
 #include "graph/short_cycle.h"
+#include "stream/message.h"
 
 namespace {
 
@@ -116,11 +119,68 @@ akg::QuantumAggregate RandomAggregate(std::size_t keywords, std::size_t users,
     while (ids.size() < users) {
       ids.insert(static_cast<UserId>(rng.UniformInt(4 * users)));
     }
-    aggregate.keywords.push_back(
-        {static_cast<KeywordId>(k), {ids.begin(), ids.end()}});
+    for (UserId user : ids) {
+      aggregate.pairs.push_back(
+          akg::PackPair(static_cast<KeywordId>(k), user));
+    }
   }
   return aggregate;
 }
+
+// A Zipf stream cut into 200-message quanta: each message has a user
+// drawn from 2000 (Zipf 0.8) and 1-6 keywords drawn from a 5000-word
+// vocabulary (Zipf 1.0), the long-tailed regime of the paper's streams.
+std::vector<stream::Quantum> ZipfQuanta(std::size_t count,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  const ZipfSampler users(2000, 0.8);
+  const ZipfSampler vocabulary(5000, 1.0);
+  std::vector<stream::Quantum> quanta(count);
+  for (std::size_t q = 0; q < count; ++q) {
+    quanta[q].index = static_cast<QuantumIndex>(q);
+    quanta[q].messages.resize(200);
+    for (stream::Message& m : quanta[q].messages) {
+      m.user = static_cast<UserId>(users.Sample(rng));
+      const std::size_t keywords = 1 + rng.UniformInt(6);
+      for (std::size_t i = 0; i < keywords; ++i) {
+        m.keywords.push_back(static_cast<KeywordId>(vocabulary.Sample(rng)));
+      }
+    }
+  }
+  return quanta;
+}
+
+// One quantum reduced to its canonical (keyword, user) aggregate.
+void BM_AggregateQuantum(benchmark::State& state) {
+  const std::vector<stream::Quantum> quanta = ZipfQuanta(64, 9);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(akg::AggregateQuantum(quanta[i++ % 64]));
+  }
+}
+BENCHMARK(BM_AggregateQuantum);
+
+// Steady-state id-set ingest at w = 30: one quantum's aggregate merged
+// into the window tables, the quantum 30 back expiring. The window is
+// full before timing starts.
+void BM_IdSetIngest(benchmark::State& state) {
+  const std::vector<stream::Quantum> quanta = ZipfQuanta(256, 10);
+  std::vector<akg::QuantumAggregate> aggregates;
+  aggregates.reserve(quanta.size());
+  for (const stream::Quantum& quantum : quanta) {
+    aggregates.push_back(akg::AggregateQuantum(quantum));
+  }
+  akg::UserIdSets sets(30);
+  for (std::size_t q = 0; q < 30; ++q) {
+    sets.IngestAggregate(aggregates[q], nullptr);
+  }
+  std::size_t i = 30;
+  for (auto _ : state) {
+    sets.IngestAggregate(aggregates[i++ % aggregates.size()], nullptr);
+  }
+  benchmark::DoNotOptimize(sets.active_keywords());
+}
+BENCHMARK(BM_IdSetIngest);
 
 // Exact EC: the merge intersection of two sorted window id sets.
 void BM_ExactJaccard(benchmark::State& state) {

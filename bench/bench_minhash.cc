@@ -25,6 +25,7 @@
 //   $ ./bench_minhash [--json FILE]
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -42,6 +43,26 @@ namespace {
 
 using scprt::akg::MinHasher;
 using scprt::akg::MinHashSignature;
+
+// One keyword's users in one quantum: a run of the aggregate's pairs.
+struct QuantumEntry {
+  scprt::KeywordId keyword = 0;
+  std::vector<scprt::UserId> users;
+};
+
+// Splits each aggregate into its keyword runs, quantum by quantum.
+std::vector<QuantumEntry> EntriesOf(
+    const scprt::akg::QuantumAggregate& aggregate) {
+  std::vector<QuantumEntry> entries;
+  for (std::uint64_t pair : aggregate.pairs) {
+    const scprt::KeywordId keyword = scprt::akg::PairKeyword(pair);
+    if (entries.empty() || entries.back().keyword != keyword) {
+      entries.push_back({keyword, {}});
+    }
+    entries.back().users.push_back(scprt::akg::PairUser(pair));
+  }
+  return entries;
+}
 
 struct KeywordRing {
   scprt::KeywordId keyword = 0;
@@ -82,12 +103,12 @@ int main(int argc, char** argv) {
       scprt::stream::SplitIntoQuanta(trace.messages, 200,
                                      /*keep_partial=*/false);
 
-  std::vector<scprt::akg::QuantumAggregate> aggregates;
+  std::vector<std::vector<QuantumEntry>> aggregates;
   aggregates.reserve(quanta.size());
   std::size_t entries = 0;
   for (const scprt::stream::Quantum& quantum : quanta) {
-    aggregates.push_back(scprt::akg::AggregateQuantum(quantum));
-    entries += aggregates.back().keywords.size();
+    aggregates.push_back(EntriesOf(scprt::akg::AggregateQuantum(quantum)));
+    entries += aggregates.back().size();
   }
   std::printf("%zu quanta, %zu aggregate entries\n", quanta.size(), entries);
 
@@ -103,9 +124,8 @@ int main(int argc, char** argv) {
     scprt::eval::Stopwatch watch;
     std::size_t built = 0;
     for (int round = 0; round < kRounds; ++round) {
-      for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
-        for (const scprt::akg::QuantumAggregate::Entry& entry :
-             aggregate.keywords) {
+      for (const std::vector<QuantumEntry>& aggregate : aggregates) {
+        for (const QuantumEntry& entry : aggregate) {
           // defeat dead-code elimination
           built += hasher.Sketch(entry.users).size();
         }
@@ -119,9 +139,8 @@ int main(int argc, char** argv) {
   // --- window signature: rehash vs serial fold vs tree reduce over the
   //     same windows ---
   std::unordered_map<scprt::KeywordId, KeywordRing> rings;
-  for (const scprt::akg::QuantumAggregate& aggregate : aggregates) {
-    for (const scprt::akg::QuantumAggregate::Entry& entry :
-         aggregate.keywords) {
+  for (const std::vector<QuantumEntry>& aggregate : aggregates) {
+    for (const QuantumEntry& entry : aggregate) {
       KeywordRing& ring = rings[entry.keyword];
       ring.keyword = entry.keyword;
       if (ring.quanta.size() < kWindow) {

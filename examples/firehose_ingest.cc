@@ -178,8 +178,9 @@ int main(int argc, char** argv) {
     std::printf("stage latencies (us):\n");
     for (const char* name :
          {"ingest.quantum_process_ns", "engine.aggregate_ns",
-          "akg.sketch_ingest_ns", "akg.signature_refresh_ns", "akg.ec_ns",
-          "detect.snapshot_ns"}) {
+          "akg.sketch_ingest_ns", "akg.node_state_ns",
+          "akg.signature_refresh_ns", "akg.ec_ns", "cluster.apply_delta_ns",
+          "detect.snapshot_ns", "detect.sink_ns"}) {
       const obs::HistogramSnapshot* h = reg.FindHistogram(name);
       if (h == nullptr || h->count == 0) continue;
       std::printf("  %-26s p50 %8.1f  p95 %8.1f  max %8.1f  (n=%llu)\n",

@@ -62,31 +62,44 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
     id_sets_.IngestAggregate(aggregate, parallel_for_);
   }
 
-  // --- 2. Node state transitions (Section 3.1) ---
+  // --- 2-3. Node state transitions and evictions ---
   std::vector<std::pair<KeywordId, std::uint32_t>> quantum_keywords;
-  quantum_keywords.reserve(id_sets_.QuantumKeywords().size());
-  for (KeywordId k : id_sets_.QuantumKeywords()) {
-    quantum_keywords.emplace_back(
-        k, static_cast<std::uint32_t>(id_sets_.QuantumSupport(k)));
-  }
-  const NodeStateUpdate update =
-      node_state_.ProcessQuantum(now_, quantum_keywords, in_cluster_);
-  delta.nodes_added = update.entered;
+  NodeStateUpdate update;
+  {
+    // Automaton and eviction cost: the keyword runs, the state sweep and
+    // the removed nodes' edges.
+    static obs::Histogram* const node_state_hist =
+        obs::Registry::Default().GetHistogram("akg.node_state_ns");
+    obs::ScopedSpan span("akg.node_state");
+    obs::ScopedHistogramTimer timer(node_state_hist);
 
-  // --- 3. Evict removed nodes and their edges ---
-  for (KeywordId k : update.removed) {
-    if (akg_.HasNode(k)) {
-      for (KeywordId neighbor : akg_.Neighbors(k)) {
-        const Edge e = Edge::Of(k, neighbor);
-        delta.edges_removed.push_back(e);
-        edge_ec_.erase(e);
+    // --- 2. Node state transitions (Section 3.1): each keyword run of
+    //        the aggregate is the keyword's distinct users this quantum ---
+    for (std::uint64_t pair : aggregate.pairs) {
+      const KeywordId k = PairKeyword(pair);
+      if (quantum_keywords.empty() || quantum_keywords.back().first != k) {
+        quantum_keywords.emplace_back(k, 0);
       }
-      akg_.RemoveNode(k);
+      ++quantum_keywords.back().second;
     }
-    signatures_.erase(k);
-    delta.nodes_removed.push_back(k);
+    update = node_state_.ProcessQuantum(now_, quantum_keywords, in_cluster_);
+    delta.nodes_added = update.entered;
+
+    // --- 3. Evict removed nodes and their edges ---
+    for (KeywordId k : update.removed) {
+      if (akg_.HasNode(k)) {
+        for (KeywordId neighbor : akg_.Neighbors(k)) {
+          const Edge e = Edge::Of(k, neighbor);
+          delta.edges_removed.push_back(e);
+          edge_ec_.erase(e);
+        }
+        akg_.RemoveNode(k);
+      }
+      signatures_.erase(k);
+      delta.nodes_removed.push_back(k);
+    }
+    for (KeywordId k : update.entered) akg_.AddNode(k);
   }
-  for (KeywordId k : update.entered) akg_.AddNode(k);
 
   // --- 4. Refresh signatures of keywords whose id sets changed and are
   //        relevant this quantum: set (1) bursty + set (2) AKG-and-seen.

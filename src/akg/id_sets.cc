@@ -1,7 +1,6 @@
 #include "akg/id_sets.h"
 
 #include <algorithm>
-#include <functional>
 #include <iterator>
 
 #include "common/check.h"
@@ -13,173 +12,202 @@ UserIdSets::UserIdSets(std::size_t window_length)
   SCPRT_CHECK(window_length >= 1);
 }
 
-void UserIdSets::FoldUsers(WindowSet& set, const std::vector<UserId>& users) {
-  std::vector<UserId>& have = set.users;
-  std::vector<std::uint32_t>& quanta = set.quanta;
-  // Count the users new to the window, so the merge can run backward in
-  // place: every slot it writes has already been read.
-  std::size_t fresh = 0;
-  std::size_t i = 0;
-  for (UserId user : users) {
-    while (i < have.size() && have[i] < user) ++i;
-    if (i == have.size() || have[i] != user) ++fresh;
+namespace {
+
+// Index of the first of the `n` ascending `keys` not below `key`, by a
+// branch-free binary search.
+std::size_t LowerBound(const KeywordId* keys, std::size_t n, KeywordId key) {
+  if (n == 0) return 0;
+  const KeywordId* base = keys;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base += base[half] < key ? half : 0;
+    n -= half;
   }
-  std::size_t read = have.size();
-  std::size_t write = read + fresh;
-  have.resize(write);
-  quanta.resize(write);
-  for (std::size_t j = users.size(); j > 0;) {
-    const UserId user = users[j - 1];
-    --write;
-    if (read > 0 && have[read - 1] > user) {
-      --read;
-      have[write] = have[read];
-      quanta[write] = quanta[read];
-    } else if (read > 0 && have[read - 1] == user) {
-      --read;
-      --j;
-      quanta[write] = quanta[read] + 1;
-      have[write] = user;
-    } else {
-      --j;
-      have[write] = user;
-      quanta[write] = 1;
-    }
-  }
-  // The first `read` entries were already in place (write == read).
+  return static_cast<std::size_t>(base - keys) + (*base < key);
 }
 
-void UserIdSets::ExpireOldest(Shard& shard) {
-  const HistoryEntry& oldest = shard.history.front();
-  for (std::size_t run = 0; run < oldest.size();) {
-    const KeywordId keyword = oldest[run].first;
-    const auto it = shard.window.find(keyword);
-    SCPRT_DCHECK(it != shard.window.end());
-    WindowSet& set = it->second;
-    // The run's users are ascending and each is in the set.
-    bool emptied = false;
-    std::size_t i = 0;
-    for (; run < oldest.size() && oldest[run].first == keyword; ++run) {
-      while (set.users[i] < oldest[run].second) ++i;
-      SCPRT_DCHECK(set.users[i] == oldest[run].second);
-      if (--set.quanta[i] == 0) emptied = true;
+}  // namespace
+
+void UserIdSets::MergeWindow(const WindowTable& window,
+                             const HistoryEntry& added,
+                             const HistoryEntry& expired, WindowTable& out) {
+  // Above every keyword and every user: the "no more pairs" key part.
+  constexpr std::uint64_t kNone = std::uint64_t{1} << 32;
+  // Sized for the worst case (every added pair a new row of a new
+  // keyword) and trimmed at the end; the buffer held the table of the
+  // quantum before last, so resizing touches only the growth.
+  out.users.resize(window.users.size() + added.size());
+  out.counts.resize(out.users.size());
+  out.directory.resize(window.directory.size() + added.size());
+  out.starts.resize(out.directory.size());
+  const UserId* const in_users = window.users.data();
+  const std::uint32_t* const in_counts = window.counts.data();
+  const KeywordId* const in_directory = window.directory.data();
+  const std::size_t in_runs = window.directory.size();
+  UserId* const users = out.users.data();
+  std::uint32_t* const counts = out.counts.data();
+  std::size_t rows = 0, runs = 0;
+
+  std::size_t a = 0, e = 0, run = 0;
+  for (;;) {
+    const std::uint64_t next_keyword =
+        std::min(a < added.size() ? added[a] >> 32 : kNone,
+                 e < expired.size() ? expired[e] >> 32 : kNone);
+    // Window runs before the next touched keyword are copied whole.
+    const std::size_t first = run;
+    const std::size_t begin =
+        first < in_runs ? window.starts[first] : window.users.size();
+    for (; run < in_runs && in_directory[run] < next_keyword; ++run) {
+      out.directory[runs] = in_directory[run];
+      out.starts[runs] = rows + (window.starts[run] - begin);
+      ++runs;
     }
-    if (!emptied) continue;
-    std::size_t kept = 0;
-    for (std::size_t j = 0; j < set.users.size(); ++j) {
-      if (set.quanta[j] == 0) continue;
-      set.users[kept] = set.users[j];
-      set.quanta[kept] = set.quanta[j];
-      ++kept;
+    if (run > first) {
+      const std::size_t end = window.RunEnd(run - 1);
+      std::copy(in_users + begin, in_users + end, users + rows);
+      std::copy(in_counts + begin, in_counts + end, counts + rows);
+      rows += end - begin;
     }
-    if (kept == 0) {
-      shard.window.erase(it);
-    } else {
-      set.users.resize(kept);
-      set.quanta.resize(kept);
+    if (next_keyword == kNone) break;
+    const auto keyword = static_cast<KeywordId>(next_keyword);
+
+    // The keyword's window rows (none for a keyword new to the window).
+    std::size_t row = 0, row_end = 0;
+    if (run < in_runs && in_directory[run] == keyword) {
+      row = window.starts[run];
+      row_end = window.RunEnd(run);
+      ++run;
+    }
+    const auto next_user = [keyword](const HistoryEntry& pairs,
+                                     std::size_t i) {
+      return i < pairs.size() && PairKeyword(pairs[i]) == keyword
+                 ? std::uint64_t{PairUser(pairs[i])}
+                 : kNone;
+    };
+    const std::size_t run_start = rows;
+    for (;;) {
+      const std::uint64_t user_added = next_user(added, a);
+      const std::uint64_t user_expired = next_user(expired, e);
+      const std::uint64_t user = std::min(user_added, user_expired);
+      // Rows before the next touched user are copied as they are.
+      for (; row < row_end && in_users[row] < user; ++row, ++rows) {
+        users[rows] = in_users[row];
+        counts[rows] = in_counts[row];
+      }
+      if (user == kNone) break;
+      std::uint32_t count = 0;
+      if (row < row_end && in_users[row] == user) {
+        count = in_counts[row];
+        ++row;
+      }
+      if (user_added == user) {
+        ++count;
+        ++a;
+      }
+      // Expired pairs are window rows, so count was at least one.
+      if (user_expired == user) {
+        SCPRT_DCHECK(count > 0);
+        --count;
+        ++e;
+      }
+      if (count > 0) {
+        users[rows] = static_cast<UserId>(user);
+        counts[rows] = count;
+        ++rows;
+      }
+    }
+    if (rows > run_start) {
+      out.directory[runs] = keyword;
+      out.starts[runs] = run_start;
+      ++runs;
     }
   }
-  shard.history.pop_front();
+  SCPRT_DCHECK(e == expired.size());
+  out.users.resize(rows);
+  out.counts.resize(rows);
+  out.directory.resize(runs);
+  out.starts.resize(runs);
 }
 
 void UserIdSets::RefoldWindow(Shard& shard) {
-  // Each (keyword, user) pair packed into one integer, so the sort orders
-  // by keyword, then user, with one comparison.
   std::vector<std::uint64_t> keys;
   std::size_t total = 0;
   for (const HistoryEntry& entry : shard.history) total += entry.size();
   keys.reserve(total);
   for (const HistoryEntry& entry : shard.history) {
-    for (const auto& [keyword, user] : entry) {
-      keys.push_back(std::uint64_t{keyword} << 32 | user);
-    }
+    keys.insert(keys.end(), entry.begin(), entry.end());
   }
   std::sort(keys.begin(), keys.end());
-  WindowSet* set = nullptr;
+  WindowTable& window = shard.window;
   for (std::size_t i = 0; i < keys.size();) {
     std::size_t end = i + 1;
     while (end < keys.size() && keys[end] == keys[i]) ++end;
-    const auto keyword = static_cast<KeywordId>(keys[i] >> 32);
-    if (i == 0 || keys[i - 1] >> 32 != keyword) set = &shard.window[keyword];
-    set->users.push_back(static_cast<UserId>(keys[i]));
-    set->quanta.push_back(static_cast<std::uint32_t>(end - i));
+    const KeywordId keyword = PairKeyword(keys[i]);
+    if (window.directory.empty() || window.directory.back() != keyword) {
+      window.directory.push_back(keyword);
+      window.starts.push_back(window.users.size());
+    }
+    window.users.push_back(PairUser(keys[i]));
+    window.counts.push_back(static_cast<std::uint32_t>(end - i));
     i = end;
   }
 }
 
-void UserIdSets::MergeQuantumKeywords() {
-  last_quantum_keywords_.clear();
-  for (const Shard& shard : shards_) {
-    last_quantum_keywords_.insert(last_quantum_keywords_.end(),
-                                  shard.last_quantum_keywords.begin(),
-                                  shard.last_quantum_keywords.end());
-  }
-  // Canonical order: reports derived downstream must not depend on the
-  // id-set shard layout.
-  std::sort(last_quantum_keywords_.begin(), last_quantum_keywords_.end());
-}
-
 void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
                                  const ParallelForFn& parallel_for) {
-  // One routing pass up front so each shard folds only its own entries
-  // instead of re-scanning the whole aggregate. Keywords ascending keep
+  // One routing pass up front so each shard merges only its own pairs
+  // instead of re-scanning the whole aggregate. Ascending input keeps
   // every shard's history entry (keyword, user)-sorted.
-  std::vector<std::vector<std::uint32_t>> owned(kIdSetShards);
-  for (std::uint32_t i = 0; i < aggregate.keywords.size(); ++i) {
-    SCPRT_CHECK(i == 0 || aggregate.keywords[i - 1].keyword <
-                              aggregate.keywords[i].keyword);
-    owned[ShardOf(aggregate.keywords[i].keyword)].push_back(i);
+  const std::vector<std::uint64_t>& pairs = aggregate.pairs;
+  for (Shard& shard : shards_) shard.incoming.clear();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    SCPRT_CHECK(i == 0 || pairs[i - 1] < pairs[i]);
+    shards_[ShardOf(PairKeyword(pairs[i]))].incoming.push_back(pairs[i]);
   }
-  const auto ingest_shard = [&](std::size_t s) {
+  const auto ingest_shard = [this](std::size_t s) {
+    static const HistoryEntry kNothing;
     Shard& shard = shards_[s];
-    if (shard.history.size() == window_length_) ExpireOldest(shard);
-    shard.last_quantum_support.clear();
-    shard.last_quantum_keywords.clear();
-    HistoryEntry entry;
-    for (std::uint32_t i : owned[s]) {
-      const auto& [keyword, users] = aggregate.keywords[i];
-      SCPRT_CHECK(!users.empty() &&
-                  std::adjacent_find(users.begin(), users.end(),
-                                     std::greater_equal<UserId>()) ==
-                      users.end());
-      shard.last_quantum_support[keyword] =
-          static_cast<std::uint32_t>(users.size());
-      shard.last_quantum_keywords.push_back(keyword);
-      FoldUsers(shard.window[keyword], users);
-      for (UserId user : users) entry.emplace_back(keyword, user);
+    const bool full = shard.history.size() == window_length_;
+    MergeWindow(shard.window, shard.incoming,
+                full ? shard.history.front() : kNothing, shard.next);
+    std::swap(shard.window, shard.next);
+    HistoryEntry recycled;
+    if (full) {
+      recycled = std::move(shard.history.front());
+      shard.history.pop_front();
     }
-    shard.history.push_back(std::move(entry));
+    shard.history.push_back(std::move(shard.incoming));
+    // The expired entry's buffer takes the next quantum's pairs.
+    shard.incoming = std::move(recycled);
   };
   if (parallel_for) {
     parallel_for(kIdSetShards, ingest_shard);
   } else {
     SerialFor(kIdSetShards, ingest_shard);
   }
-  MergeQuantumKeywords();
-}
-
-std::size_t UserIdSets::QuantumSupport(KeywordId keyword) const {
-  const Shard& shard = shards_[ShardOf(keyword)];
-  auto it = shard.last_quantum_support.find(keyword);
-  return it == shard.last_quantum_support.end() ? 0 : it->second;
 }
 
 std::size_t UserIdSets::WindowSupport(KeywordId keyword) const {
   return WindowUsers(keyword).size();
 }
 
-const std::vector<UserId>& UserIdSets::WindowUsers(KeywordId keyword) const {
-  static const std::vector<UserId> kAbsent;
-  const Shard& shard = shards_[ShardOf(keyword)];
-  auto it = shard.window.find(keyword);
-  return it == shard.window.end() ? kAbsent : it->second.users;
+std::span<const UserId> UserIdSets::WindowUsers(KeywordId keyword) const {
+  const WindowTable& table = shards_[ShardOf(keyword)].window;
+  const std::size_t run =
+      LowerBound(table.directory.data(), table.directory.size(), keyword);
+  if (run == table.directory.size() || table.directory[run] != keyword) {
+    return {};
+  }
+  const std::size_t begin = table.starts[run];
+  return {table.users.data() + begin, table.RunEnd(run) - begin};
 }
 
 std::size_t UserIdSets::UnionSupport(
     const std::vector<KeywordId>& keywords) const {
   std::vector<UserId> users, merged;
   for (KeywordId keyword : keywords) {
-    const std::vector<UserId>& window = WindowUsers(keyword);
+    const std::span<const UserId> window = WindowUsers(keyword);
     merged.clear();
     std::set_union(users.begin(), users.end(), window.begin(), window.end(),
                    std::back_inserter(merged));
@@ -189,8 +217,8 @@ std::size_t UserIdSets::UnionSupport(
 }
 
 double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
-  const std::vector<UserId>& users_a = WindowUsers(a);
-  const std::vector<UserId>& users_b = WindowUsers(b);
+  const std::span<const UserId> users_a = WindowUsers(a);
+  const std::span<const UserId> users_b = WindowUsers(b);
   if (users_a.empty() || users_b.empty()) return 0.0;
   std::size_t intersection = 0;
   std::size_t i = 0, j = 0;
@@ -207,7 +235,7 @@ double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
 
 std::size_t UserIdSets::active_keywords() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.window.size();
+  for (const Shard& shard : shards_) total += shard.window.directory.size();
   return total;
 }
 
@@ -218,19 +246,16 @@ void UserIdSets::Save(BinaryWriter& out) const {
     out.U32(static_cast<std::uint32_t>(shard.history.size()));
     for (const HistoryEntry& entry : shard.history) {
       out.U64(entry.size());
-      for (const auto& [keyword, user] : entry) {
-        out.U32(keyword);
-        out.U32(user);
+      for (std::uint64_t pair : entry) {
+        out.U32(PairKeyword(pair));
+        out.U32(PairUser(pair));
       }
     }
   }
 }
 
 bool UserIdSets::Restore(BinaryReader& in) {
-  const auto reset = [this] {
-    shards_.assign(kIdSetShards, Shard{});
-    last_quantum_keywords_.clear();
-  };
+  const auto reset = [this] { shards_.assign(kIdSetShards, Shard{}); };
   reset();
   if (in.U32() != kIdSetShards || in.U64() != window_length_) {
     in.Fail();
@@ -257,33 +282,23 @@ bool UserIdSets::Restore(BinaryReader& in) {
         const UserId user = in.U32();
         // Canonical form: strictly ascending (so pairs are distinct) and
         // shard-local keywords.
-        if (ShardOf(keyword) != s ||
-            (!entry.empty() && entry.back() >= std::pair{keyword, user})) {
+        const std::uint64_t pair = PackPair(keyword, user);
+        if (ShardOf(keyword) != s || (!entry.empty() && entry.back() >= pair)) {
           in.Fail();
           break;
         }
-        entry.emplace_back(keyword, user);
+        entry.push_back(pair);
       }
       if (!in.ok()) break;
       shard.history.push_back(std::move(entry));
     }
     if (!in.ok()) break;
-    if (!shard.history.empty()) {
-      for (const auto& [keyword, user] : shard.history.back()) {
-        if (shard.last_quantum_keywords.empty() ||
-            shard.last_quantum_keywords.back() != keyword) {
-          shard.last_quantum_keywords.push_back(keyword);
-        }
-        ++shard.last_quantum_support[keyword];
-      }
-    }
     RefoldWindow(shard);
   }
   if (!in.ok()) {
     reset();
     return false;
   }
-  MergeQuantumKeywords();
   return true;
 }
 

@@ -2,21 +2,30 @@
 // U1 (called the id set) associated with a keyword n1 contains the ids of
 // all those users who used this word in the current window").
 //
-// A keyword's window id set is stored flat, as two parallel arrays: its
-// users in ascending order, and for each user the number of window quanta
-// it occurs in. A quantum's aggregate entry (sorted, distinct) is folded in
-// with a backward in-place merge; expiry walks the oldest quantum's history
-// entry, which is (keyword, user)-sorted by construction, and compacts out
-// users whose count reaches zero. Both cost O(|window set| + |quantum
-// users|) per keyword. Every consumer is a linear scan of contiguous
-// memory: the exact Jaccard (the edge correlation EC) is a merge
-// intersection, signatures read the sorted users in place, and cluster
-// support is a sorted union.
-//
 // The store is partitioned into a fixed number of keyword shards
-// (keyword % kIdSetShards). Shards never share state, so the per-quantum
-// fold + expiry runs shard-parallel through IngestAggregate's hook. All
-// outputs are canonical (QuantumKeywords ascending, window users
+// (keyword % kIdSetShards). Each shard keeps its window as one flat table
+// with a row per distinct (keyword, user) pair of the window, sorted by
+// (keyword, user): two parallel arrays (users, counts), where a row's
+// count is the number of window quanta the pair occurs in, and a
+// directory of the distinct keywords with the offsets where their runs of
+// rows start (the keyword column, run-length encoded). A keyword's window
+// id set is therefore one contiguous, ascending run of the users array,
+// found by a binary search of the directory.
+//
+// Each quantum, every shard builds its new table in one linear three-way
+// merge into a second, reused buffer: the window, plus the quantum's
+// aggregate pairs, minus the expiring quantum's history entry (which is
+// (keyword, user)-sorted by construction). Rows whose count reaches zero
+// are dropped and the directory is written as the merge goes. Keyword
+// runs that neither input touches are block-copied and touched runs are
+// merged row by row, so the cost is O(|window rows| + |quantum pairs| +
+// |expiring pairs|) per shard, with no per-keyword allocation or hash
+// lookup. Every consumer is a linear scan of contiguous memory: the exact
+// Jaccard (the edge correlation EC) is a merge intersection, signatures
+// read the sorted users in place, and cluster support is a sorted union.
+//
+// Shards never share state, so the per-quantum merge runs shard-parallel
+// through IngestAggregate's hook. All outputs are canonical (window users
 // ascending, everything else content-addressed), so results do not depend
 // on the shard count or on which thread folded which shard.
 
@@ -25,8 +34,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "akg/quantum_aggregate.h"
@@ -48,20 +56,12 @@ class UserIdSets {
   /// `window_length` is the paper's w, >= 1.
   explicit UserIdSets(std::size_t window_length);
 
-  /// Ingests one whole quantum from its canonical aggregate (keywords
-  /// ascending, each user list ascending and distinct) and expires the
-  /// quantum that fell out of the window. `parallel_for` (serial default
-  /// when null) runs the independent per-shard folds concurrently.
+  /// Ingests one whole quantum from its canonical aggregate (pairs
+  /// strictly ascending) and expires the quantum that fell out of the
+  /// window. `parallel_for` (serial default when null) runs the
+  /// independent per-shard merges concurrently.
   void IngestAggregate(const QuantumAggregate& aggregate,
                        const ParallelForFn& parallel_for);
-
-  /// Distinct users of `keyword` in the most recent quantum.
-  std::size_t QuantumSupport(KeywordId keyword) const;
-
-  /// Keywords that occurred in the most recent quantum, ascending.
-  const std::vector<KeywordId>& QuantumKeywords() const {
-    return last_quantum_keywords_;
-  }
 
   /// Distinct users of `keyword` across the whole window (the node weight
   /// w_i of the rank function).
@@ -70,7 +70,7 @@ class UserIdSets {
   /// Distinct users of `keyword` across the window, ascending (empty for
   /// an absent keyword). The view is valid until the next IngestAggregate
   /// or Restore.
-  const std::vector<UserId>& WindowUsers(KeywordId keyword) const;
+  std::span<const UserId> WindowUsers(KeywordId keyword) const;
 
   /// Distinct users across the window id sets of all `keywords` (a
   /// cluster's support), by a chain of sorted unions.
@@ -85,61 +85,65 @@ class UserIdSets {
   std::size_t active_keywords() const;
 
   /// Serializes the per-shard quantum histories (the minimal generating
-  /// state: window sets and last-quantum views are folds of it), each in
-  /// canonical (keyword, user)-sorted order.
+  /// state: the window tables are folds of it), each in canonical
+  /// (keyword, user)-sorted order.
   void Save(BinaryWriter& out) const;
 
   /// Replaces this store with Save()'s encoding, refolding each shard's
-  /// histories into window sets in one sort-and-count pass. Returns false
-  /// on malformed input (shard count or history depth mismatch, overrun,
-  /// unsorted entry); the store is cleared then.
+  /// histories into its window table in one sort-and-count pass. Returns
+  /// false on malformed input (shard count or history depth mismatch,
+  /// overrun, unsorted entry); the store is cleared then.
   bool Restore(BinaryReader& in);
 
  private:
-  /// One keyword's window id set: `users` ascending and distinct;
-  /// `quanta[i]` counts the window quanta in which `users[i]` occurred.
-  struct WindowSet {
+  /// One shard's window: a row per distinct (keyword, user) pair, sorted
+  /// by (keyword, user), and a directory over the keyword runs.
+  struct WindowTable {
+    // Row users: each keyword's run ascending.
     std::vector<UserId> users;
-    std::vector<std::uint32_t> quanta;
+    // Window quanta in which the row's pair occurs; never zero.
+    std::vector<std::uint32_t> counts;
+    // Distinct keywords, ascending; run i is rows [starts[i], RunEnd(i)).
+    std::vector<KeywordId> directory;
+    std::vector<std::size_t> starts;
+
+    std::size_t RunEnd(std::size_t run) const {
+      return run + 1 < starts.size() ? starts[run + 1] : users.size();
+    }
   };
 
-  /// One closed quantum's (keyword, user) pairs, ascending.
-  using HistoryEntry = std::vector<std::pair<KeywordId, UserId>>;
+  /// One closed quantum's PackPair values, ascending.
+  using HistoryEntry = std::vector<std::uint64_t>;
 
   /// One keyword partition; a quantum touches every shard independently.
   struct Shard {
     // Closed quanta, oldest first; the generating state for expiry.
     std::deque<HistoryEntry> history;
-    // Window id sets of the shard's keywords.
-    std::unordered_map<KeywordId, WindowSet> window;
-    // Most recent quantum's per-keyword distinct-user counts.
-    std::unordered_map<KeywordId, std::uint32_t> last_quantum_support;
-    // Keywords of the most recent quantum, ascending.
-    std::vector<KeywordId> last_quantum_keywords;
+    // The current window, and the buffer the next merge writes into.
+    WindowTable window;
+    WindowTable next;
+    // The ingesting quantum's pairs of this shard (a recycled history
+    // buffer between quanta).
+    HistoryEntry incoming;
   };
 
   static std::size_t ShardOf(KeywordId keyword) {
     return keyword % kIdSetShards;
   }
 
-  /// Merges a quantum's sorted, distinct `users` into `set`, counting one
-  /// more window quantum for each.
-  static void FoldUsers(WindowSet& set, const std::vector<UserId>& users);
+  /// Writes into `out` the table `window` + `added` - `expired`: one merge
+  /// over the three (keyword, user)-sorted inputs. Every pair of `expired`
+  /// must be a row of `window`.
+  static void MergeWindow(const WindowTable& window,
+                          const HistoryEntry& added,
+                          const HistoryEntry& expired, WindowTable& out);
 
-  /// Drops the shard's oldest quantum from its window sets and history.
-  static void ExpireOldest(Shard& shard);
-
-  /// Rebuilds the shard's window sets from its whole history: all pairs
+  /// Rebuilds the shard's window table from its whole history: all pairs
   /// sorted once, each (keyword, user) run counted.
   static void RefoldWindow(Shard& shard);
 
-  /// Rebuilds the merged QuantumKeywords vector from the shards.
-  void MergeQuantumKeywords();
-
   std::size_t window_length_;
   std::vector<Shard> shards_{kIdSetShards};
-  // Merged view of the shards' last-quantum keywords, ascending.
-  std::vector<KeywordId> last_quantum_keywords_;
 };
 
 }  // namespace scprt::akg

@@ -54,7 +54,7 @@ MinHasher::MinHasher(std::size_t p, std::uint64_t seed)
   SCPRT_CHECK(p >= 1);
 }
 
-MinHashSignature MinHasher::Sketch(const std::vector<UserId>& users) const {
+MinHashSignature MinHasher::Sketch(std::span<const UserId> users) const {
   // Bounded insertion: a max-heap of the p smallest keys seen so far.
   // Distinct users hash to distinct keys, so no de-duplication is needed.
   MinHashSignature signature;

@@ -21,6 +21,7 @@
 #define SCPRT_AKG_MINHASH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/hash.h"
@@ -51,9 +52,9 @@ class MinHasher {
   MinHasher(std::size_t p, std::uint64_t seed);
 
   /// Signature of a user set: the p smallest SeededHash(seed) values,
-  /// ascending. `users` must be distinct (a window id set, or a canonical
-  /// aggregate entry); their order does not matter.
-  MinHashSignature Sketch(const std::vector<UserId>& users) const;
+  /// ascending. `users` must be distinct (a window id set); their order
+  /// does not matter.
+  MinHashSignature Sketch(std::span<const UserId> users) const;
 
   /// Merges two signatures: the sorted de-duplicated union, truncated to
   /// p. Exact (equals the signature of the merged id sets), associative

@@ -1,13 +1,16 @@
-// Canonical per-quantum ingest form: every keyword that occurred in the
-// quantum with its distinct users, keywords ascending, each user list
-// sorted ascending. AggregateQuantum is the one producer; the engine
-// (engine/parallel_detector.cc) calls it at every thread count, and the
-// form depends only on the quantum's contents — which is part of what
+// Canonical per-quantum ingest form: the quantum's distinct (keyword, user)
+// pairs, each packed into one integer `keyword << 32 | user`, in one flat
+// array sorted ascending. Integer order is (keyword, user) order, so a
+// keyword's users form one contiguous run and the run length is the
+// keyword's distinct-user count. AggregateQuantum is the one producer; the
+// engine (engine/parallel_detector.cc) calls it at every thread count, and
+// the form depends only on the quantum's contents — which is part of what
 // makes the engine's reports bit-identical at every thread count.
 
 #ifndef SCPRT_AKG_QUANTUM_AGGREGATE_H_
 #define SCPRT_AKG_QUANTUM_AGGREGATE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -15,22 +18,27 @@
 
 namespace scprt::akg {
 
-/// One quantum reduced to per-keyword occurrence lists in canonical order.
-struct QuantumAggregate {
-  /// One keyword's quantum occurrences: `users` sorted ascending and
-  /// distinct.
-  struct Entry {
-    KeywordId keyword = 0;
-    std::vector<UserId> users;
-    friend bool operator==(const Entry&, const Entry&) = default;
-  };
+/// Packs one (keyword, user) pair so integer order is (keyword, user)
+/// order.
+constexpr std::uint64_t PackPair(KeywordId keyword, UserId user) {
+  return std::uint64_t{keyword} << 32 | user;
+}
+constexpr KeywordId PairKeyword(std::uint64_t pair) {
+  return static_cast<KeywordId>(pair >> 32);
+}
+constexpr UserId PairUser(std::uint64_t pair) {
+  return static_cast<UserId>(pair);
+}
 
+/// One quantum reduced to its distinct (keyword, user) pairs.
+struct QuantumAggregate {
   QuantumIndex index = 0;
-  /// Sorted by keyword.
-  std::vector<Entry> keywords;
+  /// PackPair values, strictly ascending.
+  std::vector<std::uint64_t> pairs;
 };
 
-/// Reduces one quantum to its canonical aggregate.
+/// Reduces one quantum to its canonical aggregate: packs every occurrence,
+/// sorts once and drops duplicates.
 QuantumAggregate AggregateQuantum(const stream::Quantum& quantum);
 
 }  // namespace scprt::akg

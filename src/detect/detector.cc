@@ -35,13 +35,23 @@ QuantumReport EventDetector::ProcessQuantumWithAggregate(
   maintainer_.SetClock(quantum.index);
   const akg::GraphDelta delta = akg_.ProcessAggregate(aggregate);
 
-  // Structural application order: node evictions (which drop their incident
-  // edges inside the maintainer too), then edge drops, then edge adds.
-  for (KeywordId k : delta.nodes_removed) maintainer_.RemoveNode(k);
-  for (const Edge& e : delta.edges_removed) maintainer_.RemoveEdge(e.u, e.v);
-  for (const auto& [e, ec] : delta.edges_added) {
-    (void)ec;  // correlations live in the AKG builder
-    maintainer_.AddEdge(e.u, e.v);
+  {
+    // Cluster maintenance cost of the whole delta per quantum.
+    static obs::Histogram* const apply_hist =
+        obs::Registry::Default().GetHistogram("cluster.apply_delta_ns");
+    obs::ScopedSpan span("cluster.apply_delta");
+    obs::ScopedHistogramTimer timer(apply_hist);
+    // Structural application order: node evictions (which drop their
+    // incident edges inside the maintainer too), then edge drops, then
+    // edge adds.
+    for (KeywordId k : delta.nodes_removed) maintainer_.RemoveNode(k);
+    for (const Edge& e : delta.edges_removed) {
+      maintainer_.RemoveEdge(e.u, e.v);
+    }
+    for (const auto& [e, ec] : delta.edges_added) {
+      (void)ec;  // correlations live in the AKG builder
+      maintainer_.AddEdge(e.u, e.v);
+    }
   }
 
   QuantumReport report;
@@ -52,7 +62,15 @@ QuantumReport EventDetector::ProcessQuantumWithAggregate(
   report.ckg_nodes = stats.ckg_nodes;
   report.bursty_keywords = stats.bursty;
   report.events = SnapshotEvents(quantum.index);
-  if (cluster_sink_ != nullptr) EmitToSink(report.events);
+  if (cluster_sink_ != nullptr) {
+    // Sink hand-off cost per quantum: spellings, cluster sketches and the
+    // sink's own OnCluster work (the event store's indexing).
+    static obs::Histogram* const sink_hist =
+        obs::Registry::Default().GetHistogram("detect.sink_ns");
+    obs::ScopedSpan span("detect.sink");
+    obs::ScopedHistogramTimer timer(sink_hist);
+    EmitToSink(report.events);
+  }
   return report;
 }
 

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -17,6 +20,7 @@
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
 #include "akg/node_state.h"
+#include "akg/quantum_aggregate.h"
 #include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/random.h"
@@ -49,12 +53,33 @@ void Ingest(UserIdSets& sets, const stream::Quantum& quantum) {
   sets.IngestAggregate(AggregateQuantum(quantum), nullptr);
 }
 
+// The window id set as a vector, for whole-set comparisons.
+std::vector<UserId> Users(const UserIdSets& sets, KeywordId keyword) {
+  const std::span<const UserId> users = sets.WindowUsers(keyword);
+  return {users.begin(), users.end()};
+}
+
+// Length of the keyword's run in the aggregate: its distinct users this
+// quantum (the node automaton's input).
+std::size_t QuantumSupport(const QuantumAggregate& aggregate,
+                           KeywordId keyword) {
+  return static_cast<std::size_t>(
+      std::count_if(aggregate.pairs.begin(), aggregate.pairs.end(),
+                    [keyword](std::uint64_t pair) {
+                      return PairKeyword(pair) == keyword;
+                    }));
+}
+
 TEST(UserIdSetsTest, QuantumSupportCountsDistinctUsers) {
+  const QuantumAggregate aggregate = AggregateQuantum(
+      MakeQuantum(0, {{100, {1}}, {100, {1, 2}}, {101, {1}}}));
+  EXPECT_EQ(QuantumSupport(aggregate, 1), 2u);
+  EXPECT_EQ(QuantumSupport(aggregate, 2), 1u);
+  EXPECT_EQ(QuantumSupport(aggregate, 3), 0u);
   UserIdSets sets(3);
-  Ingest(sets, MakeQuantum(0, {{100, {1}}, {100, {1, 2}}, {101, {1}}}));
-  EXPECT_EQ(sets.QuantumSupport(1), 2u);
-  EXPECT_EQ(sets.QuantumSupport(2), 1u);
-  EXPECT_EQ(sets.QuantumSupport(3), 0u);
+  sets.IngestAggregate(aggregate, nullptr);
+  EXPECT_EQ(Users(sets, 1), (std::vector<UserId>{100, 101}));
+  EXPECT_EQ(Users(sets, 2), (std::vector<UserId>{100}));
 }
 
 TEST(UserIdSetsTest, WindowAggregatesAcrossQuanta) {
@@ -65,7 +90,7 @@ TEST(UserIdSetsTest, WindowAggregatesAcrossQuanta) {
   EXPECT_EQ(sets.WindowSupport(1), 3u);
   // Fourth quantum evicts the first.
   Ingest(sets, MakeQuantum(3, {{101, {1}}, {200, {1}}}));
-  EXPECT_EQ(sets.WindowUsers(1), (std::vector<UserId>{100, 101, 200}));
+  EXPECT_EQ(Users(sets, 1), (std::vector<UserId>{100, 101, 200}));
 }
 
 TEST(UserIdSetsTest, ExpiryRemovesKeywordEntirely) {
@@ -107,14 +132,14 @@ struct IdSetModel {
 
   void Ingest(const QuantumAggregate& aggregate) {
     quanta.push_back(aggregate);
-    for (const auto& entry : aggregate.keywords) {
-      window[entry.keyword].insert(entry.users.begin(), entry.users.end());
+    for (std::uint64_t pair : aggregate.pairs) {
+      window[PairKeyword(pair)].insert(PairUser(pair));
     }
     if (quanta.size() > window_length) {
-      for (const auto& entry : quanta.front().keywords) {
-        std::multiset<UserId>& users = window[entry.keyword];
-        for (UserId user : entry.users) users.erase(users.find(user));
-        if (users.empty()) window.erase(entry.keyword);
+      for (std::uint64_t pair : quanta.front().pairs) {
+        std::multiset<UserId>& users = window[PairKeyword(pair)];
+        users.erase(users.find(PairUser(pair)));
+        if (users.empty()) window.erase(PairKeyword(pair));
       }
       quanta.pop_front();
     }
@@ -145,7 +170,7 @@ QuantumAggregate ChurnAggregate(QuantumIndex index, Rng& rng) {
     }
     std::sort(users.begin(), users.end());
     users.erase(std::unique(users.begin(), users.end()), users.end());
-    aggregate.keywords.push_back({k, std::move(users)});
+    for (UserId user : users) aggregate.pairs.push_back(PackPair(k, user));
   }
   return aggregate;
 }
@@ -154,22 +179,11 @@ QuantumAggregate ChurnAggregate(QuantumIndex index, Rng& rng) {
 // over the whole vocabulary seen so far, so absent keywords are probed too.
 void ExpectMatchesModel(const UserIdSets& sets, const IdSetModel& model,
                         KeywordId max_keyword) {
-  const QuantumAggregate& last = model.quanta.back();
-  std::vector<KeywordId> last_keywords;
-  for (const auto& entry : last.keywords) {
-    last_keywords.push_back(entry.keyword);
-  }
-  ASSERT_EQ(sets.QuantumKeywords(), last_keywords);
   ASSERT_EQ(sets.active_keywords(), model.window.size());
   for (KeywordId k = 0; k <= max_keyword; ++k) {
     const std::vector<UserId> users = model.Users(k);
-    ASSERT_EQ(sets.WindowUsers(k), users) << "keyword " << k;
+    ASSERT_EQ(Users(sets, k), users) << "keyword " << k;
     ASSERT_EQ(sets.WindowSupport(k), users.size());
-    const auto entry = std::find_if(
-        last.keywords.begin(), last.keywords.end(),
-        [k](const QuantumAggregate::Entry& e) { return e.keyword == k; });
-    ASSERT_EQ(sets.QuantumSupport(k),
-              entry == last.keywords.end() ? 0u : entry->users.size());
   }
   for (KeywordId a = 0; a <= max_keyword; ++a) {
     for (KeywordId b = a; b <= max_keyword; b += 3) {
@@ -244,6 +258,140 @@ TEST(UserIdSetsTest, MatchesBruteForceModelOnShardPool) {
                           const std::function<void(std::size_t)>& body) {
     pool.ParallelFor(n, body);
   });
+}
+
+// --- AggregateQuantum ---
+
+// Ids at the edges of the packing next to ordinary ones.
+constexpr std::uint32_t kEdgeIds[] = {0, 1, 7, 0xfffffffeu, 0xffffffffu};
+
+std::uint32_t DrawId(Rng& rng) {
+  return kEdgeIds[rng.UniformInt(std::size(kEdgeIds))];
+}
+
+TEST(AggregateQuantumTest, MatchesBruteForceModel) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    stream::Quantum quantum;
+    quantum.index = static_cast<QuantumIndex>(seed);
+    // Seed 1 is the empty quantum; otherwise messages may carry no
+    // keyword, repeat a keyword, or repeat a (keyword, user) pair of an
+    // earlier message.
+    const std::size_t messages = seed == 1 ? 0 : rng.UniformInt(30);
+    std::map<KeywordId, std::set<UserId>> model;
+    for (std::size_t i = 0; i < messages; ++i) {
+      stream::Message m;
+      m.user = DrawId(rng);
+      const std::size_t keywords = rng.UniformInt(5);
+      for (std::size_t j = 0; j < keywords; ++j) {
+        m.keywords.push_back(DrawId(rng));
+        if (rng.UniformInt(4) == 0) m.keywords.push_back(m.keywords.back());
+      }
+      for (KeywordId k : m.keywords) model[k].insert(m.user);
+      quantum.messages.push_back(std::move(m));
+    }
+    const QuantumAggregate aggregate = AggregateQuantum(quantum);
+    EXPECT_EQ(aggregate.index, quantum.index);
+    ASSERT_TRUE(std::adjacent_find(aggregate.pairs.begin(),
+                                   aggregate.pairs.end(),
+                                   std::greater_equal<std::uint64_t>()) ==
+                aggregate.pairs.end());
+    std::map<KeywordId, std::set<UserId>> got;
+    for (std::uint64_t pair : aggregate.pairs) {
+      got[PairKeyword(pair)].insert(PairUser(pair));
+    }
+    EXPECT_EQ(got, model);
+  }
+}
+
+TEST(AggregateQuantumTest, PackingKeepsEdgeIdsApart) {
+  const QuantumAggregate aggregate = AggregateQuantum(MakeQuantum(4, {
+      {0xffffffffu, {0, 0xffffffffu, 0}},
+      {0, {0xffffffffu, 0xffffffffu}},
+      {0, {0}},
+      {9, {}},
+  }));
+  const std::vector<std::uint64_t> expected = {
+      PackPair(0, 0),
+      PackPair(0, 0xffffffffu),
+      PackPair(0xffffffffu, 0),
+      PackPair(0xffffffffu, 0xffffffffu),
+  };
+  EXPECT_EQ(aggregate.pairs, expected);
+  EXPECT_EQ(PairKeyword(aggregate.pairs[2]), 0xffffffffu);
+  EXPECT_EQ(PairUser(aggregate.pairs[2]), 0u);
+  EXPECT_TRUE(AggregateQuantum(MakeQuantum(5, {})).pairs.empty());
+}
+
+// --- UserIdSets snapshot compatibility ---
+
+// UserIdSets(3)::Save after five quanta, written by the per-keyword
+// hash-map store that preceded the flat window tables. The quanta were
+// (keyword: users):
+//   q0  1: 0 5 9        17: 5 9      4294967295: 0 4294967295
+//   q1  1: 5 7          2: 0 7 4294967295        18: 7
+//   q2  1: 9            17: 5        33: 1 2 3
+//   q3  2: 7 8          4000000000: 0            4294967295: 4294967295
+//   q4  1: 1 2          2: 7         3: 4 7      17: 5 11     33: 9
+constexpr char kPinnedIdSetsHex[] =
+    "1000000003000000000000000300000000000000000000000100000000000000"
+    "00286bee00000000000000000000000003000000050000000000000001000000"
+    "0900000011000000050000002100000001000000210000000200000021000000"
+    "0300000000000000000000000500000000000000010000000100000001000000"
+    "020000001100000005000000110000000b000000210000000900000003000000"
+    "0000000000000000020000000000000002000000070000000200000008000000"
+    "0100000000000000020000000700000003000000000000000000000000000000"
+    "0000000002000000000000000300000004000000030000000700000003000000"
+    "0000000000000000000000000000000000000000000000000300000000000000"
+    "0000000000000000000000000000000000000000030000000000000000000000"
+    "0000000000000000000000000000000003000000000000000000000000000000"
+    "0000000000000000000000000300000000000000000000000000000000000000"
+    "0000000000000000030000000000000000000000000000000000000000000000"
+    "0000000003000000000000000000000000000000000000000000000000000000"
+    "0300000000000000000000000000000000000000000000000000000003000000"
+    "0000000000000000000000000000000000000000000000000300000000000000"
+    "0000000000000000000000000000000000000000030000000000000000000000"
+    "0000000000000000000000000000000003000000000000000000000001000000"
+    "00000000ffffffffffffffff0000000000000000";
+
+std::string FromHex(const char* hex) {
+  std::string bytes;
+  for (const char* c = hex; c[0] != '\0' && c[1] != '\0'; c += 2) {
+    const std::string byte(c, 2);
+    bytes.push_back(static_cast<char>(std::stoi(byte, nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(UserIdSetsTest, RestoresPinnedSnapshotFromHashMapStore) {
+  const std::string bytes = FromHex(kPinnedIdSetsHex);
+  ASSERT_EQ(bytes.size(), 596u);
+  UserIdSets sets(3);
+  BinaryReader in(bytes);
+  ASSERT_TRUE(sets.Restore(in));
+  // Values the hash-map store answered for the same state.
+  EXPECT_EQ(sets.active_keywords(), 7u);
+  const std::map<KeywordId, std::vector<UserId>> expected = {
+      {1, {1, 2, 9}},
+      {2, {7, 8}},
+      {3, {4, 7}},
+      {17, {5, 11}},
+      {18, {}},
+      {33, {1, 2, 3, 9}},
+      {4000000000u, {0}},
+      {0xffffffffu, {0xffffffffu}},
+      {99, {}}};
+  for (const auto& [keyword, users] : expected) {
+    EXPECT_EQ(Users(sets, keyword), users) << "keyword " << keyword;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sets.Jaccard(1, 33)),
+            0x3fe8000000000000u);  // 3/4
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sets.Jaccard(2, 3)),
+            0x3fd5555555555555u);  // 1/3
+  EXPECT_EQ(sets.Jaccard(1, 17), 0.0);
+  EXPECT_EQ(sets.Jaccard(18, 33), 0.0);
+  EXPECT_EQ(SaveBytes(sets), bytes);
 }
 
 // --- NodeStateAutomaton ---
@@ -569,11 +717,16 @@ MinHashSignature BruteForceWindowSignature(const AkgBuilder& builder,
   return values;
 }
 
-// Keywords the builder refreshed this quantum: occurring now and an AKG
+// Keywords the builder refreshed on `quantum`: occurring in it and an AKG
 // node (set (1) bursty, set (2) AKG-and-seen).
-std::vector<KeywordId> RefreshedKeywords(const AkgBuilder& builder) {
+std::vector<KeywordId> RefreshedKeywords(const AkgBuilder& builder,
+                                         const stream::Quantum& quantum) {
+  std::set<KeywordId> occurring;
+  for (const stream::Message& m : quantum.messages) {
+    occurring.insert(m.keywords.begin(), m.keywords.end());
+  }
   std::vector<KeywordId> refreshed;
-  for (KeywordId k : builder.id_sets().QuantumKeywords()) {
+  for (KeywordId k : occurring) {
     if (builder.akg().HasNode(k)) refreshed.push_back(k);
   }
   return refreshed;
@@ -627,7 +780,7 @@ TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
       for (KeywordId k : m.keywords) ever_used[k].insert(m.user);
     }
     const GraphDelta delta = builder.ProcessQuantum(quantum);
-    for (KeywordId k : RefreshedKeywords(builder)) {
+    for (KeywordId k : RefreshedKeywords(builder, quantum)) {
       const MinHashSignature brute = BruteForceWindowSignature(builder, k);
       EXPECT_EQ(builder.ExportClusterSketch({k}), brute)
           << "quantum " << q << " keyword " << k;
@@ -643,7 +796,7 @@ TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
     if (restored) {
       const GraphDelta again = restored->ProcessQuantum(quantum);
       ExpectSameDelta(delta, again);
-      for (KeywordId k : RefreshedKeywords(builder)) {
+      for (KeywordId k : RefreshedKeywords(builder, quantum)) {
         EXPECT_EQ(restored->ExportClusterSketch({k}),
                   builder.ExportClusterSketch({k}));
         EXPECT_EQ(restored->ExportClusterSketch({k}),

@@ -371,7 +371,7 @@ TEST(LshIndexTest, KeywordSpamCannotPromoteAPastEvent) {
   // Spam: one user, 100k messages. The canonical aggregate collapses the
   // user's messages to one occurrence per quantum, so the sketch sees ONE
   // user.
-  const akg::MinHashSignature spam = hasher.Sketch({777});
+  const akg::MinHashSignature spam = hasher.Sketch(std::vector<UserId>{777});
 
   ASSERT_TRUE(
       index->Insert(1, 5, 0, 1.0, 500, keywords, genuine, kSketchP).ok());
@@ -400,7 +400,8 @@ TEST(LshIndexTest, SpamImmunityHoldsAfterSketchMerge) {
   const akg::MinHasher hasher(kSketchP, 99);
   akg::MinHashSignature merged;
   for (QuantumIndex q = 0; q < 50; ++q) {
-    merged = akg::MinHasher::Combine(merged, hasher.Sketch({777}), kSketchP);
+    merged = akg::MinHasher::Combine(
+        merged, hasher.Sketch(std::vector<UserId>{777}), kSketchP);
   }
   const double estimate =
       akg::MinHasher::EstimateDistinctUsers(merged, kSketchP);

@@ -91,13 +91,15 @@ TEST(MinHasherTest, CombineAlgebra) {
 
 TEST(MinHasherTest, CombineTreeShapes) {
   const MinHasher hasher(3, 7);
-  const MinHashSignature one = hasher.Sketch({1, 2, 3, 4, 5});
+  const MinHashSignature one =
+      hasher.Sketch(std::vector<UserId>{1, 2, 3, 4, 5});
   EXPECT_TRUE(MinHasher::CombineTree({}, 3).empty());
   EXPECT_EQ(MinHasher::CombineTree({one}, 3), one);
   // Odd part counts exercise the carried trailing item.
-  const MinHashSignature two = hasher.Sketch({6, 7});
-  const MinHashSignature three = hasher.Sketch({8});
-  const MinHashSignature whole = hasher.Sketch({1, 2, 3, 4, 5, 6, 7, 8});
+  const MinHashSignature two = hasher.Sketch(std::vector<UserId>{6, 7});
+  const MinHashSignature three = hasher.Sketch(std::vector<UserId>{8});
+  const MinHashSignature whole =
+      hasher.Sketch(std::vector<UserId>{1, 2, 3, 4, 5, 6, 7, 8});
   EXPECT_EQ(MinHasher::CombineTree({one, two, three}, 3), whole);
 }
 
