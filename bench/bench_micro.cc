@@ -1,15 +1,17 @@
 // Micro-benchmarks (google-benchmark) of the hot primitives: graph
 // mutation, short-cycle queries, incremental cluster maintenance vs offline
-// recomputation, Min-Hash signatures, quantum aggregation and id-set
-// ingest, exact Jaccard and cluster support.
+// recomputation, Min-Hash signatures, quantum aggregation, id-set ingest,
+// the node automaton, exact Jaccard and cluster support.
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include <benchmark/benchmark.h>
 
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
+#include "akg/node_state.h"
 #include "akg/quantum_aggregate.h"
 #include "cluster/maintenance.h"
 #include "cluster/offline.h"
@@ -128,13 +130,13 @@ akg::QuantumAggregate RandomAggregate(std::size_t keywords, std::size_t users,
 }
 
 // A Zipf stream cut into 200-message quanta: each message has a user
-// drawn from 2000 (Zipf 0.8) and 1-6 keywords drawn from a 5000-word
-// vocabulary (Zipf 1.0), the long-tailed regime of the paper's streams.
-std::vector<stream::Quantum> ZipfQuanta(std::size_t count,
-                                        std::uint64_t seed) {
+// drawn from 2000 (Zipf 0.8) and 1-6 keywords drawn from a vocabulary of
+// `words` (Zipf 1.0), the long-tailed regime of the paper's streams.
+std::vector<stream::Quantum> ZipfQuanta(std::size_t count, std::uint64_t seed,
+                                        std::size_t words = 5000) {
   Rng rng(seed);
   const ZipfSampler users(2000, 0.8);
-  const ZipfSampler vocabulary(5000, 1.0);
+  const ZipfSampler vocabulary(words, 1.0);
   std::vector<stream::Quantum> quanta(count);
   for (std::size_t q = 0; q < count; ++q) {
     quanta[q].index = static_cast<QuantumIndex>(q);
@@ -181,6 +183,34 @@ void BM_IdSetIngest(benchmark::State& state) {
   benchmark::DoNotOptimize(sets.active_keywords());
 }
 BENCHMARK(BM_IdSetIngest);
+
+// Steady-state node automaton at w = 30, theta = 3: each quantum's
+// keyword runs (~410 keywords of a 20000-word Zipf vocabulary) merged into
+// ~5.5k tracked keywords and ~170 AKG members, a quarter of the keywords
+// held by a cluster. The window is full before timing starts.
+void BM_NodeStateQuantum(benchmark::State& state) {
+  const std::vector<stream::Quantum> quanta = ZipfQuanta(256, 11, 20000);
+  std::vector<std::vector<std::pair<KeywordId, std::uint32_t>>> runs;
+  runs.reserve(quanta.size());
+  for (const stream::Quantum& quantum : quanta) {
+    runs.push_back(akg::KeywordCounts(akg::AggregateQuantum(quantum)));
+  }
+  const std::function<bool(KeywordId)> in_cluster = [](KeywordId k) {
+    return k % 4 == 0;
+  };
+  akg::NodeStateAutomaton automaton(3, 30);
+  QuantumIndex now = 0;
+  for (; now < 30; ++now) automaton.ProcessQuantum(now, runs[now], in_cluster);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(automaton.ProcessQuantum(
+        now, runs[static_cast<std::size_t>(now) % runs.size()], in_cluster));
+    ++now;
+  }
+  state.counters["tracked"] =
+      static_cast<double>(automaton.tracked_keywords());
+  state.counters["akg"] = static_cast<double>(automaton.akg_size());
+}
+BENCHMARK(BM_NodeStateQuantum);
 
 // Exact EC: the merge intersection of two sorted window id sets.
 void BM_ExactJaccard(benchmark::State& state) {

@@ -75,13 +75,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
 
     // --- 2. Node state transitions (Section 3.1): each keyword run of
     //        the aggregate is the keyword's distinct users this quantum ---
-    for (std::uint64_t pair : aggregate.pairs) {
-      const KeywordId k = PairKeyword(pair);
-      if (quantum_keywords.empty() || quantum_keywords.back().first != k) {
-        quantum_keywords.emplace_back(k, 0);
-      }
-      ++quantum_keywords.back().second;
-    }
+    quantum_keywords = KeywordCounts(aggregate);
     update = node_state_.ProcessQuantum(now_, quantum_keywords, in_cluster_);
     delta.nodes_added = update.entered;
 

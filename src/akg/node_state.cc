@@ -14,95 +14,130 @@ NodeStateAutomaton::NodeStateAutomaton(std::uint32_t high_threshold,
 }
 
 NodeStateUpdate NodeStateAutomaton::ProcessQuantum(
-    QuantumIndex now,
-    const std::vector<std::pair<KeywordId, std::uint32_t>>& quantum_keywords,
+    QuantumIndex now, const QuantumKeywords& quantum_keywords,
     const std::function<bool(KeywordId)>& in_cluster) {
+  SCPRT_DCHECK(std::adjacent_find(quantum_keywords.begin(),
+                                  quantum_keywords.end(),
+                                  [](const auto& a, const auto& b) {
+                                    return a.first >= b.first;
+                                  }) == quantum_keywords.end());
+  const QuantumIndex horizon = now - static_cast<QuantumIndex>(window_length_);
   NodeStateUpdate update;
+  MergeMembers(now, horizon, quantum_keywords, in_cluster, update);
+  MergeSeen(now, horizon, quantum_keywords);
+  return update;
+}
 
+void NodeStateAutomaton::MergeSeen(QuantumIndex now, QuantumIndex horizon,
+                                   const QuantumKeywords& quantum_keywords) {
+  const std::size_t rows = seen_keywords_.size();
+  next_seen_keywords_.resize(rows + quantum_keywords.size());
+  next_seen_stamps_.resize(rows + quantum_keywords.size());
+  const KeywordId* const in_keywords = seen_keywords_.data();
+  const QuantumIndex* const in_stamps = seen_stamps_.data();
+  KeywordId* const out_keywords = next_seen_keywords_.data();
+  QuantumIndex* const out_stamps = next_seen_stamps_.data();
+  std::size_t out = 0;
+  // Copies an untouched row, keeping it only if seen after the horizon
+  // (written unconditionally, kept by advancing `out`).
+  const auto keep_if_fresh = [&](std::size_t row) {
+    out_keywords[out] = in_keywords[row];
+    out_stamps[out] = in_stamps[row];
+    out += in_stamps[row] > horizon ? 1 : 0;
+  };
+  std::size_t row = 0;
   for (const auto& [keyword, users] : quantum_keywords) {
-    last_seen_[keyword] = now;
+    for (; row < rows && in_keywords[row] < keyword; ++row) {
+      keep_if_fresh(row);
+    }
+    if (row < rows && in_keywords[row] == keyword) ++row;
+    out_keywords[out] = keyword;
+    out_stamps[out] = now;
+    ++out;
+  }
+  for (; row < rows; ++row) keep_if_fresh(row);
+  next_seen_keywords_.resize(out);
+  next_seen_stamps_.resize(out);
+  seen_keywords_.swap(next_seen_keywords_);
+  seen_stamps_.swap(next_seen_stamps_);
+}
+
+void NodeStateAutomaton::MergeMembers(
+    QuantumIndex now, QuantumIndex horizon,
+    const QuantumKeywords& quantum_keywords,
+    const std::function<bool(KeywordId)>& in_cluster,
+    NodeStateUpdate& update) {
+  next_members_.clear();
+  // The eviction sweep (the AKG is small; Section 7.4 measures < 5% of
+  // keywords bursty). A member goes when it is
+  //   stale:    no occurrence in the last w quanta, or
+  //   faded:    not bursty in the last w quanta and in no cluster.
+  const auto sweep = [&](const Member& member) {
+    const bool stale = member.last_seen <= horizon;
+    const bool recently_bursty =
+        member.has_last_bursty && member.last_bursty > horizon;
+    if (stale || (!recently_bursty && !in_cluster(member.keyword))) {
+      update.removed.push_back(member.keyword);
+    } else {
+      next_members_.push_back(member);
+    }
+  };
+  const std::size_t rows = members_.size();
+  std::size_t row = 0;
+  for (const auto& [keyword, users] : quantum_keywords) {
+    for (; row < rows && members_[row].keyword < keyword; ++row) {
+      sweep(members_[row]);
+    }
+    const bool member = row < rows && members_[row].keyword == keyword;
     const bool bursty = users >= high_threshold_;
+    if (!member && !bursty) continue;
+    Member updated = member ? members_[row++] : Member{keyword, false, now, 0};
+    updated.last_seen = now;
     if (bursty) {
-      last_bursty_[keyword] = now;
+      if (!member) update.entered.push_back(keyword);
+      updated.has_last_bursty = true;
+      updated.last_bursty = now;
       update.bursty.push_back(keyword);
-      if (akg_.emplace(keyword, true).second) {
-        update.entered.push_back(keyword);
-      }
-    } else if (akg_.count(keyword)) {
+    } else {
       update.seen_in_akg.push_back(keyword);
     }
+    sweep(updated);
   }
+  for (; row < rows; ++row) sweep(members_[row]);
+  members_.swap(next_members_);
+}
 
-  // Eviction sweep over AKG members (the AKG is small; Section 7.4 measures
-  // < 5% of keywords bursty). Two rules:
-  //   stale:    no occurrence in the last w quanta;
-  //   faded:    not bursty in the last w quanta and in no cluster.
-  const QuantumIndex horizon = now - static_cast<QuantumIndex>(window_length_);
-  std::vector<KeywordId> evict;
-  for (const auto& [keyword, _] : akg_) {
-    auto seen_it = last_seen_.find(keyword);
-    SCPRT_DCHECK(seen_it != last_seen_.end());
-    const bool stale = seen_it->second <= horizon;
-    bool faded = false;
-    if (!stale) {
-      auto bursty_it = last_bursty_.find(keyword);
-      const bool recently_bursty =
-          bursty_it != last_bursty_.end() && bursty_it->second > horizon;
-      faded = !recently_bursty && !in_cluster(keyword);
-    }
-    if (stale || faded) evict.push_back(keyword);
-  }
-  for (KeywordId keyword : evict) {
-    akg_.erase(keyword);
-    last_bursty_.erase(keyword);
-    update.removed.push_back(keyword);
-  }
+bool NodeStateAutomaton::InAkg(KeywordId keyword) const {
+  const auto it = std::lower_bound(
+      members_.begin(), members_.end(), keyword,
+      [](const Member& member, KeywordId k) { return member.keyword < k; });
+  return it != members_.end() && it->keyword == keyword;
+}
 
-  // Prune the CKG-side bookkeeping of stale keywords so memory tracks the
-  // window, not the whole stream history.
-  for (auto it = last_seen_.begin(); it != last_seen_.end();) {
-    if (it->second <= horizon && !akg_.count(it->first)) {
-      last_bursty_.erase(it->first);
-      it = last_seen_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  std::sort(update.entered.begin(), update.entered.end());
-  std::sort(update.bursty.begin(), update.bursty.end());
-  std::sort(update.seen_in_akg.begin(), update.seen_in_akg.end());
-  std::sort(update.removed.begin(), update.removed.end());
-  return update;
+void NodeStateAutomaton::Clear() {
+  seen_keywords_.clear();
+  seen_stamps_.clear();
+  members_.clear();
 }
 
 namespace {
 
-void SaveStampMap(BinaryWriter& out,
-                  const std::unordered_map<KeywordId, QuantumIndex>& map) {
-  std::vector<std::pair<KeywordId, QuantumIndex>> sorted(map.begin(),
-                                                         map.end());
-  std::sort(sorted.begin(), sorted.end());
-  out.U64(sorted.size());
-  for (const auto& [keyword, stamp] : sorted) {
-    out.U32(keyword);
-    out.I64(stamp);
-  }
-}
-
-bool RestoreStampMap(BinaryReader& in,
-                     std::unordered_map<KeywordId, QuantumIndex>& map) {
-  map.clear();
+// Reads one stamp list; its keywords must be strictly ascending.
+bool ReadStampList(BinaryReader& in, std::vector<KeywordId>& keywords,
+                   std::vector<QuantumIndex>& stamps) {
   const std::uint64_t count = in.U64();
   if (!in.CheckLength(count, 12)) return false;
-  map.reserve(count);
+  keywords.reserve(count);
+  stamps.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const KeywordId keyword = in.U32();
     const QuantumIndex stamp = in.I64();
-    if (!in.ok() || !map.emplace(keyword, stamp).second) {
+    if (!in.ok() || (!keywords.empty() && keywords.back() >= keyword)) {
       in.Fail();
       return false;
     }
+    keywords.push_back(keyword);
+    stamps.push_back(stamp);
   }
   return true;
 }
@@ -110,39 +145,60 @@ bool RestoreStampMap(BinaryReader& in,
 }  // namespace
 
 void NodeStateAutomaton::Save(BinaryWriter& out) const {
-  SaveStampMap(out, last_seen_);
-  SaveStampMap(out, last_bursty_);
-  std::vector<KeywordId> members;
-  members.reserve(akg_.size());
-  for (const auto& [keyword, _] : akg_) members.push_back(keyword);
-  std::sort(members.begin(), members.end());
-  out.U64(members.size());
-  for (KeywordId keyword : members) out.U32(keyword);
+  out.U64(seen_keywords_.size());
+  for (std::size_t i = 0; i < seen_keywords_.size(); ++i) {
+    out.U32(seen_keywords_[i]);
+    out.I64(seen_stamps_[i]);
+  }
+  out.U64(static_cast<std::uint64_t>(
+      std::count_if(members_.begin(), members_.end(),
+                    [](const Member& m) { return m.has_last_bursty; })));
+  for (const Member& member : members_) {
+    if (!member.has_last_bursty) continue;
+    out.U32(member.keyword);
+    out.I64(member.last_bursty);
+  }
+  out.U64(members_.size());
+  for (const Member& member : members_) out.U32(member.keyword);
 }
 
 bool NodeStateAutomaton::Restore(BinaryReader& in) {
-  akg_.clear();
-  if (!RestoreStampMap(in, last_seen_) ||
-      !RestoreStampMap(in, last_bursty_)) {
-    last_seen_.clear();
-    last_bursty_.clear();
-    return false;
-  }
-  const std::uint64_t members = in.U64();
-  bool valid = in.CheckLength(members, 4);
+  Clear();
+  std::vector<KeywordId> bursty_keywords;
+  std::vector<QuantumIndex> bursty_stamps;
+  bool valid = ReadStampList(in, seen_keywords_, seen_stamps_) &&
+               ReadStampList(in, bursty_keywords, bursty_stamps);
+  const std::uint64_t members = valid ? in.U64() : 0;
+  valid = valid && in.CheckLength(members, 4);
+  std::size_t seen_row = 0;
+  std::size_t bursty_row = 0;
   for (std::uint64_t i = 0; valid && i < members; ++i) {
     const KeywordId keyword = in.U32();
-    // Every member must carry a last-seen stamp (the eviction sweep
-    // dereferences it).
-    if (!in.ok() || last_seen_.count(keyword) == 0 ||
-        !akg_.emplace(keyword, true).second) {
-      valid = false;
+    while (seen_row < seen_keywords_.size() &&
+           seen_keywords_[seen_row] < keyword) {
+      ++seen_row;
     }
+    // Members are strictly ascending, each carries a last-seen stamp (the
+    // eviction sweep reads it), and a last-bursty stamp below this member
+    // belongs to no member.
+    if (!in.ok() || (!members_.empty() && members_.back().keyword >= keyword) ||
+        seen_row == seen_keywords_.size() ||
+        seen_keywords_[seen_row] != keyword ||
+        (bursty_row < bursty_keywords.size() &&
+         bursty_keywords[bursty_row] < keyword)) {
+      valid = false;
+      break;
+    }
+    Member member{keyword, false, seen_stamps_[seen_row], 0};
+    if (bursty_row < bursty_keywords.size() &&
+        bursty_keywords[bursty_row] == keyword) {
+      member.has_last_bursty = true;
+      member.last_bursty = bursty_stamps[bursty_row++];
+    }
+    members_.push_back(member);
   }
-  if (!valid || !in.ok()) {
-    last_seen_.clear();
-    last_bursty_.clear();
-    akg_.clear();
+  if (!valid || !in.ok() || bursty_row != bursty_keywords.size()) {
+    Clear();
     in.Fail();
     return false;
   }

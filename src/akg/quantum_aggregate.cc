@@ -21,4 +21,17 @@ QuantumAggregate AggregateQuantum(const stream::Quantum& quantum) {
   return aggregate;
 }
 
+std::vector<std::pair<KeywordId, std::uint32_t>> KeywordCounts(
+    const QuantumAggregate& aggregate) {
+  std::vector<std::pair<KeywordId, std::uint32_t>> counts;
+  for (std::uint64_t pair : aggregate.pairs) {
+    const KeywordId keyword = PairKeyword(pair);
+    if (counts.empty() || counts.back().first != keyword) {
+      counts.emplace_back(keyword, 0);
+    }
+    ++counts.back().second;
+  }
+  return counts;
+}
+
 }  // namespace scprt::akg

@@ -11,6 +11,7 @@
 #define SCPRT_AKG_QUANTUM_AGGREGATE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -40,6 +41,11 @@ struct QuantumAggregate {
 /// Reduces one quantum to its canonical aggregate: packs every occurrence,
 /// sorts once and drops duplicates.
 QuantumAggregate AggregateQuantum(const stream::Quantum& quantum);
+
+/// The aggregate's keyword runs as (keyword, distinct-user count), strictly
+/// keyword-ascending: the node automaton's per-quantum input.
+std::vector<std::pair<KeywordId, std::uint32_t>> KeywordCounts(
+    const QuantumAggregate& aggregate);
 
 }  // namespace scprt::akg
 

@@ -59,23 +59,13 @@ std::vector<UserId> Users(const UserIdSets& sets, KeywordId keyword) {
   return {users.begin(), users.end()};
 }
 
-// Length of the keyword's run in the aggregate: its distinct users this
-// quantum (the node automaton's input).
-std::size_t QuantumSupport(const QuantumAggregate& aggregate,
-                           KeywordId keyword) {
-  return static_cast<std::size_t>(
-      std::count_if(aggregate.pairs.begin(), aggregate.pairs.end(),
-                    [keyword](std::uint64_t pair) {
-                      return PairKeyword(pair) == keyword;
-                    }));
-}
-
 TEST(UserIdSetsTest, QuantumSupportCountsDistinctUsers) {
   const QuantumAggregate aggregate = AggregateQuantum(
       MakeQuantum(0, {{100, {1}}, {100, {1, 2}}, {101, {1}}}));
-  EXPECT_EQ(QuantumSupport(aggregate, 1), 2u);
-  EXPECT_EQ(QuantumSupport(aggregate, 2), 1u);
-  EXPECT_EQ(QuantumSupport(aggregate, 3), 0u);
+  // The keyword runs: each keyword's distinct users this quantum (the node
+  // automaton's input).
+  EXPECT_EQ(KeywordCounts(aggregate),
+            (std::vector<std::pair<KeywordId, std::uint32_t>>{{1, 2}, {2, 1}}));
   UserIdSets sets(3);
   sets.IngestAggregate(aggregate, nullptr);
   EXPECT_EQ(Users(sets, 1), (std::vector<UserId>{100, 101}));
@@ -473,6 +463,268 @@ TEST(NodeStateTest, ReentryAfterEviction) {
   auto update = automaton.ProcessQuantum(3, Counts({{1, 6}}), kNeverInCluster);
   EXPECT_EQ(update.entered, std::vector<KeywordId>{1});
   EXPECT_TRUE(automaton.InAkg(1));
+}
+
+// The automaton's rules as the hash-map automaton applied them, over
+// std::maps: stamp every occurring keyword, admit the bursty ones, sweep
+// the members for stale/faded ones, then prune every stale non-member.
+class NodeStateModel {
+ public:
+  NodeStateModel(std::uint32_t theta, std::size_t w)
+      : theta_(theta), w_(static_cast<QuantumIndex>(w)) {}
+
+  NodeStateUpdate Process(
+      QuantumIndex now,
+      const std::vector<std::pair<KeywordId, std::uint32_t>>& keywords,
+      const std::function<bool(KeywordId)>& in_cluster) {
+    NodeStateUpdate update;
+    for (const auto& [keyword, users] : keywords) {
+      last_seen_[keyword] = now;
+      if (users >= theta_) {
+        last_bursty_[keyword] = now;
+        update.bursty.push_back(keyword);
+        if (akg_.insert(keyword).second) update.entered.push_back(keyword);
+      } else if (akg_.count(keyword)) {
+        update.seen_in_akg.push_back(keyword);
+      }
+    }
+    const QuantumIndex horizon = now - w_;
+    for (auto it = akg_.begin(); it != akg_.end();) {
+      const bool stale = last_seen_.at(*it) <= horizon;
+      const auto bursty = last_bursty_.find(*it);
+      const bool recent =
+          bursty != last_bursty_.end() && bursty->second > horizon;
+      if (stale || (!recent && !in_cluster(*it))) {
+        update.removed.push_back(*it);
+        last_bursty_.erase(*it);
+        it = akg_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    for (auto it = last_seen_.begin(); it != last_seen_.end();) {
+      if (it->second <= horizon && !akg_.count(it->first)) {
+        last_bursty_.erase(it->first);
+        it = last_seen_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return update;
+  }
+
+  // The hash-map automaton's Save encoding.
+  std::string SaveBytes() const {
+    BinaryWriter out;
+    for (const auto* stamps : {&last_seen_, &last_bursty_}) {
+      out.U64(stamps->size());
+      for (const auto& [keyword, stamp] : *stamps) {
+        out.U32(keyword);
+        out.I64(stamp);
+      }
+    }
+    out.U64(akg_.size());
+    for (KeywordId keyword : akg_) out.U32(keyword);
+    return out.data();
+  }
+
+  bool InAkg(KeywordId keyword) const { return akg_.count(keyword) > 0; }
+  std::size_t akg_size() const { return akg_.size(); }
+  std::size_t tracked_keywords() const { return last_seen_.size(); }
+
+ private:
+  std::uint32_t theta_;
+  QuantumIndex w_;
+  std::map<KeywordId, QuantumIndex> last_seen_;
+  std::map<KeywordId, QuantumIndex> last_bursty_;
+  std::set<KeywordId> akg_;
+};
+
+std::string SaveBytes(const NodeStateAutomaton& automaton) {
+  BinaryWriter out;
+  automaton.Save(out);
+  return out.data();
+}
+
+TEST(NodeStateTest, MatchesMapModelOfTheRules) {
+  // 48 small ids plus the top of the id range.
+  std::vector<KeywordId> universe;
+  for (KeywordId k = 0; k < 48; ++k) universe.push_back(k);
+  for (KeywordId k : {4000000000u, 0xfffffffeu, 0xffffffffu}) {
+    universe.push_back(k);
+  }
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto theta = static_cast<std::uint32_t>(1 + rng.UniformInt(5));
+    const std::size_t w = 1 + rng.UniformInt(6);
+    NodeStateAutomaton automaton(theta, w);
+    NodeStateModel model(theta, w);
+    const std::size_t quanta = 40;
+    const std::size_t restore_after = rng.UniformInt(quanta);
+    QuantumIndex now = static_cast<QuantumIndex>(rng.UniformInt(3));
+    for (std::size_t q = 0; q < quanta; ++q) {
+      // Mostly consecutive quanta; now and then a gap, up to past w.
+      if (q > 0) {
+        now += 1 + (rng.UniformInt(5) == 0
+                        ? static_cast<QuantumIndex>(rng.UniformInt(w + 2))
+                        : 0);
+      }
+      const std::uint64_t occur = 1 + rng.UniformInt(3);  // in 4
+      std::vector<std::pair<KeywordId, std::uint32_t>> keywords;
+      for (KeywordId k : universe) {
+        if (rng.UniformInt(4) >= occur) continue;
+        keywords.emplace_back(
+            k, static_cast<std::uint32_t>(1 + rng.UniformInt(theta + 2)));
+      }
+      // A cluster predicate that changes every quantum.
+      const std::uint64_t salt = rng.Next();
+      const std::function<bool(KeywordId)> in_cluster =
+          [salt](KeywordId k) { return SplitMix64(k ^ salt) % 3 == 0; };
+
+      const NodeStateUpdate got =
+          automaton.ProcessQuantum(now, keywords, in_cluster);
+      const NodeStateUpdate want = model.Process(now, keywords, in_cluster);
+      ASSERT_EQ(got.entered, want.entered) << "quantum " << now;
+      ASSERT_EQ(got.bursty, want.bursty) << "quantum " << now;
+      ASSERT_EQ(got.seen_in_akg, want.seen_in_akg) << "quantum " << now;
+      ASSERT_EQ(got.removed, want.removed) << "quantum " << now;
+      ASSERT_EQ(automaton.akg_size(), model.akg_size());
+      ASSERT_EQ(automaton.tracked_keywords(), model.tracked_keywords());
+      for (KeywordId k : universe) {
+        ASSERT_EQ(automaton.InAkg(k), model.InAkg(k)) << "keyword " << k;
+      }
+      const std::string bytes = SaveBytes(automaton);
+      ASSERT_EQ(bytes, model.SaveBytes()) << "quantum " << now;
+
+      if (q == restore_after) {
+        // Continue on an automaton restored from this quantum's bytes.
+        automaton = NodeStateAutomaton(theta, w);
+        BinaryReader in(bytes);
+        ASSERT_TRUE(automaton.Restore(in));
+        ASSERT_EQ(SaveBytes(automaton), bytes);
+      }
+    }
+  }
+}
+
+// Save() bytes of a hash-map automaton (theta = 3, w = 4, cluster members
+// 7 and 4000000000) after quanta 0, 1, 2, 3 and 5: last-seen stamps of 10
+// keywords, last-bursty stamps and AKG membership of 5.
+constexpr char kPinnedNodeStateHex[] =
+    "0a00000000000000000000000500000000000000010000000300000000000000"
+    "0200000002000000000000000500000005000000000000000700000003000000"
+    "000000000900000005000000000000000b00000003000000000000000c000000"
+    "050000000000000000286bee0200000000000000ffffffff0300000000000000"
+    "0500000000000000010000000300000000000000070000000000000000000000"
+    "0c000000050000000000000000286bee0200000000000000ffffffff03000000"
+    "00000000050000000000000001000000070000000c00000000286beeffffffff";
+
+TEST(NodeStateTest, RestoresPinnedSnapshotFromHashMapStore) {
+  const std::string bytes = FromHex(kPinnedNodeStateHex);
+  ASSERT_EQ(bytes.size(), 224u);
+  NodeStateAutomaton automaton(3, 4);
+  BinaryReader in(bytes);
+  ASSERT_TRUE(automaton.Restore(in));
+  // Values the hash-map automaton answered for the same state.
+  EXPECT_EQ(automaton.akg_size(), 5u);
+  EXPECT_EQ(automaton.tracked_keywords(), 10u);
+  for (KeywordId k : {1u, 7u, 12u, 4000000000u, 0xffffffffu}) {
+    EXPECT_TRUE(automaton.InAkg(k)) << "keyword " << k;
+  }
+  for (KeywordId k : {0u, 2u, 5u, 9u, 11u}) {
+    EXPECT_FALSE(automaton.InAkg(k)) << "keyword " << k;
+  }
+  EXPECT_EQ(SaveBytes(automaton), bytes);
+
+  // The hash-map automaton's next two quanta, decided by the stamps.
+  const std::function<bool(KeywordId)> in_cluster = [](KeywordId k) {
+    return k == 7 || k == 4000000000u;
+  };
+  NodeStateUpdate update = automaton.ProcessQuantum(
+      6, Counts({{1, 1}, {7, 1}, {9, 1}}), in_cluster);
+  EXPECT_TRUE(update.entered.empty());
+  EXPECT_TRUE(update.bursty.empty());
+  EXPECT_EQ(update.seen_in_akg, (std::vector<KeywordId>{1, 7}));
+  // Last seen at quantum 2: stale at horizon 2 although in a cluster.
+  EXPECT_EQ(update.removed, std::vector<KeywordId>{4000000000u});
+  EXPECT_EQ(automaton.akg_size(), 4u);
+  EXPECT_EQ(automaton.tracked_keywords(), 8u);
+  update = automaton.ProcessQuantum(8, Counts({{12, 1}, {4000000000u, 1}}),
+                                    in_cluster);
+  EXPECT_EQ(update.seen_in_akg, std::vector<KeywordId>{12});
+  // Both last bursty at quantum 3: faded at horizon 4.
+  EXPECT_EQ(update.removed, (std::vector<KeywordId>{1, 0xffffffffu}));
+  EXPECT_EQ(automaton.akg_size(), 2u);
+  EXPECT_EQ(automaton.tracked_keywords(), 7u);
+}
+
+// The Save() encoding of the given last-seen stamps, last-bursty stamps
+// and AKG members, in the order given.
+std::string NodeStatePayload(
+    std::initializer_list<std::pair<KeywordId, QuantumIndex>> last_seen,
+    std::initializer_list<std::pair<KeywordId, QuantumIndex>> last_bursty,
+    std::initializer_list<KeywordId> members) {
+  BinaryWriter out;
+  for (const auto* stamps : {&last_seen, &last_bursty}) {
+    out.U64(stamps->size());
+    for (const auto& [keyword, stamp] : *stamps) {
+      out.U32(keyword);
+      out.I64(stamp);
+    }
+  }
+  out.U64(members.size());
+  for (KeywordId keyword : members) out.U32(keyword);
+  return out.data();
+}
+
+TEST(NodeStateTest, RestoreRejectsNonCanonicalState) {
+  const std::string valid = NodeStatePayload({{1, 5}, {2, 5}}, {{1, 5}}, {1});
+  for (const std::string& bytes : {
+           // A last-bursty stamp for keyword 2, tracked but no member.
+           NodeStatePayload({{1, 5}, {2, 5}}, {{1, 5}, {2, 5}}, {1}),
+           NodeStatePayload({{1, 5}, {2, 5}}, {{0, 5}, {1, 5}}, {1}),
+           // A member without a last-seen stamp.
+           NodeStatePayload({{1, 5}, {2, 5}}, {{1, 5}}, {1, 3}),
+           // Lists out of order or repeated.
+           NodeStatePayload({{2, 5}, {1, 5}}, {{1, 5}}, {1}),
+           NodeStatePayload({{1, 5}, {1, 6}}, {{1, 5}}, {1}),
+           NodeStatePayload({{1, 5}, {2, 5}}, {{1, 5}, {2, 5}}, {2, 1}),
+           NodeStatePayload({{1, 5}, {2, 5}}, {{1, 5}}, {1, 1}),
+           // Truncated.
+           valid.substr(0, valid.size() - 1),
+       }) {
+    NodeStateAutomaton automaton(3, 4);
+    automaton.ProcessQuantum(0, Counts({{7, 3}}), kNeverInCluster);
+    BinaryReader in(bytes);
+    EXPECT_FALSE(automaton.Restore(in));
+    // Cleared on failure.
+    EXPECT_EQ(automaton.akg_size(), 0u);
+    EXPECT_EQ(automaton.tracked_keywords(), 0u);
+  }
+  NodeStateAutomaton automaton(3, 4);
+  BinaryReader in(valid);
+  ASSERT_TRUE(automaton.Restore(in));
+  EXPECT_TRUE(automaton.InAkg(1));
+  EXPECT_EQ(SaveBytes(automaton), valid);
+}
+
+TEST(NodeStateTest, MemberWithoutBurstStampLoadsAsNeverBursty) {
+  const std::string bytes = NodeStatePayload({{1, 5}, {2, 5}}, {}, {1, 2});
+  NodeStateAutomaton automaton(3, 4);
+  BinaryReader in(bytes);
+  ASSERT_TRUE(automaton.Restore(in));
+  EXPECT_EQ(automaton.akg_size(), 2u);
+  EXPECT_EQ(SaveBytes(automaton), bytes);
+  // Seen below theta and in no cluster: faded at once. Keyword 2 turns
+  // bursty and gains a stamp.
+  const NodeStateUpdate update = automaton.ProcessQuantum(
+      6, Counts({{1, 1}, {2, 3}}), kNeverInCluster);
+  EXPECT_EQ(update.removed, std::vector<KeywordId>{1});
+  EXPECT_EQ(update.bursty, std::vector<KeywordId>{2});
+  EXPECT_TRUE(update.entered.empty());
+  EXPECT_EQ(SaveBytes(automaton),
+            NodeStatePayload({{1, 6}, {2, 6}}, {{2, 6}}, {2}));
 }
 
 // --- MinHash ---

@@ -329,6 +329,66 @@ TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
       << "signature-less AKG edge accepted — would crash on next quantum";
 }
 
+TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
+  // A CRC-valid payload whose node automaton holds a last-bursty stamp for
+  // keyword 3, tracked but not an AKG member. No run writes one (eviction
+  // drops a member's stamp with it), so the loader refuses it instead of
+  // keeping orphan state. The same payload without that stamp loads, so
+  // the stamp is the only fault. Field order as in the test above.
+  detect::DetectorConfig config;
+  config.quantum_size = 100;
+  config.akg.window_length = 8;
+
+  const auto forge = [&](bool orphan) {
+    BinaryWriter w;
+    sio::WriteConfig(w, config);
+    w.I64(1);  // next_index
+    w.U64(0);  // no pending messages
+    w.I64(0);  // AkgBuilder clock
+    w.U32(16);  // id-set shard count
+    w.U64(config.akg.window_length);
+    for (int shard = 0; shard < 16; ++shard) w.U32(0);  // empty histories
+    w.U64(3);  // last_seen: keywords 1, 2, 3 at quantum 0
+    for (KeywordId keyword : {1u, 2u, 3u}) {
+      w.U32(keyword);
+      w.I64(0);
+    }
+    // last_bursty: members 1, 2, and the orphan keyword 3.
+    const std::vector<KeywordId> stamped =
+        orphan ? std::vector<KeywordId>{1, 2, 3} : std::vector<KeywordId>{1, 2};
+    w.U64(stamped.size());
+    for (KeywordId keyword : stamped) {
+      w.U32(keyword);
+      w.I64(0);
+    }
+    w.U64(2);  // AKG members 1, 2
+    w.U32(1);
+    w.U32(2);
+    w.U64(2);  // graph nodes 1, 2
+    w.U32(1);
+    w.U32(2);
+    w.U64(0);  // no edges
+    w.U64(0);  // no signatures
+    w.U64(0);  // no correlations
+    for (int i = 0; i < 7; ++i) w.U64(0);  // AkgQuantumStats
+    // Maintainer: empty graph + cluster set, clock, stats.
+    w.U64(0);
+    w.U64(0);
+    w.U64(0);  // cluster next_id
+    w.U64(0);  // cluster count
+    w.I64(0);
+    for (int i = 0; i < 8; ++i) w.U64(0);  // MaintenanceStats
+    w.U64(0);  // rank tracker: no histories
+    w.U64(0);  // reported set: empty
+    std::stringstream out;
+    EXPECT_TRUE(sio::WriteFrame(out, w.data()));
+    return out.str();
+  };
+  EXPECT_NE(LoadBytes(forge(false), nullptr), nullptr);
+  EXPECT_EQ(LoadBytes(forge(true), nullptr), nullptr)
+      << "last-bursty stamp of a non-member accepted";
+}
+
 TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {
   Rng rng(0xFA11);
   for (int round = 0; round < 200; ++round) {
