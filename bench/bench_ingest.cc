@@ -80,7 +80,6 @@ struct Measurement {
   double seconds = 0;
   double msgs_per_sec = 0;
   std::uint64_t shed = 0;
-  ingest::IngestSnapshot snapshot;  // zeroed for the core run
 };
 
 double Rate(std::uint64_t messages, double seconds) {
@@ -147,7 +146,6 @@ int main(int argc, char** argv) {
     m.seconds = snapshot.elapsed_seconds;
     m.msgs_per_sec = snapshot.MessagesPerSecond();
     m.shed = snapshot.shed;
-    m.snapshot = snapshot;
     results.push_back(m);
     if (workers >= 4) {
       frontend_4plus_rate = std::max(frontend_4plus_rate, m.msgs_per_sec);
@@ -181,7 +179,6 @@ int main(int argc, char** argv) {
     m.seconds = snapshot.elapsed_seconds;
     m.msgs_per_sec = snapshot.MessagesPerSecond();
     m.shed = snapshot.shed;
-    m.snapshot = snapshot;
     results.push_back(m);
     std::printf("e2e      (%zu workers + %zu engine):   %9.0f msg/s  "
                 "(%llu quanta, shed %llu)\n",
@@ -220,10 +217,9 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"workers\": %zu, "
                  "\"seconds\": %.6f, \"msgs_per_sec\": %.1f, "
-                 "\"shed\": %llu, \"metrics\": %s}%s\n",
+                 "\"shed\": %llu}%s\n",
                  m.name.c_str(), m.workers, m.seconds, m.msgs_per_sec,
                  static_cast<unsigned long long>(m.shed),
-                 m.snapshot.FormatJson().c_str(),
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");

@@ -265,15 +265,12 @@ bool MaybeWriteTrace(const Args& args) {
                        obs::Tracer::Default().DrainJson());
 }
 
-// Splices the obs-registry flat JSON into the ingest snapshot's object so
-// --metrics-json stays one flat document (registry keys are ingest_/
-// engine_/wal_-prefixed; the snapshot's are bare — no collisions).
-std::string MergedMetricsJson(const std::string& snapshot_json) {
-  const std::string registry_json =
-      obs::Registry::Default().SnapshotAll().FormatJson();
-  if (registry_json.size() <= 2) return snapshot_json;  // registry empty
-  return snapshot_json.substr(0, snapshot_json.size() - 1) + ", " +
-         registry_json.substr(1);
+// --metrics-json: the obs registry's flat JSON export, the one
+// machine-readable metrics format of every subcommand.
+bool MaybeWriteMetrics(const Args& args) {
+  if (!args.Has("metrics-json")) return true;
+  return WriteTextFile(args.Get("metrics-json", ""),
+                       obs::Registry::Default().SnapshotAll().FormatJson());
 }
 
 // --stats-addr / --sample-every / --health-rule / --postmortem-dir: the
@@ -525,11 +522,7 @@ int CmdRun(const Args& args) {
       m.precision, m.recall, m.f1, m.clusters_reported, m.events_discovered,
       m.events_planted);
   const bool store_ok = event_store.Finish();
-  if (args.Has("metrics-json") &&
-      !WriteTextFile(args.Get("metrics-json", ""),
-                     obs::Registry::Default().SnapshotAll().FormatJson())) {
-    return 1;
-  }
+  if (!MaybeWriteMetrics(args)) return 1;
   if (!MaybeWriteTrace(args)) return 1;
   return store_ok ? 0 : 3;
 }
@@ -733,11 +726,7 @@ int CmdIngest(const Args& args) {
     }
     std::printf("vocabulary: %zu keywords\n", session.dictionary().size());
     const bool store_ok = event_store.Finish();
-    if (args.Has("metrics-json") &&
-        !WriteTextFile(args.Get("metrics-json", ""),
-                       MergedMetricsJson(snapshot->FormatJson()))) {
-      return 1;
-    }
+    if (!MaybeWriteMetrics(args)) return 1;
     if (!MaybeWriteTrace(args)) return 1;
     if (!store_ok) return 3;
     if (session.checkpoint_failures() > 0) {
@@ -787,11 +776,7 @@ int CmdIngest(const Args& args) {
   std::printf("vocabulary: %zu keywords, %zu workers, %zu engine threads\n",
               dictionary.size(), pipeline.workers(), detector.threads());
   const bool store_ok = event_store.Finish();
-  if (args.Has("metrics-json") &&
-      !WriteTextFile(args.Get("metrics-json", ""),
-                     MergedMetricsJson(stats.FormatJson()))) {
-    return 1;
-  }
+  if (!MaybeWriteMetrics(args)) return 1;
   if (!MaybeWriteTrace(args)) return 1;
   return store_ok ? 0 : 3;
 }
@@ -836,11 +821,7 @@ int CmdQuery(const Args& args) {
         static_cast<long long>(r.event.quantum), r.event.rank,
         r.support_estimate, joined.c_str());
   }
-  if (args.Has("metrics-json") &&
-      !WriteTextFile(args.Get("metrics-json", ""),
-                     obs::Registry::Default().SnapshotAll().FormatJson())) {
-    return 1;
-  }
+  if (!MaybeWriteMetrics(args)) return 1;
   return 0;
 }
 

@@ -25,75 +25,42 @@ constexpr std::uint8_t kFullFrameKind = 1;
 constexpr std::uint32_t kIngestSectionMagic = 0x53474E49;
 constexpr std::uint32_t kIngestSectionVersion = 1;
 
-void SetError(LoadError* error, LoadError value) {
+using durability::ErrorCode;
+
+void SetError(ErrorCode* error, ErrorCode value) {
   if (error != nullptr) *error = value;
 }
 
-}  // namespace
-
-const char* LoadErrorName(LoadError error) {
-  switch (error) {
-    case LoadError::kNone:
-      return "ok";
-    case LoadError::kIo:
-      return "io error";
-    case LoadError::kBadMagic:
-      return "not a checkpoint file";
-    case LoadError::kVersionSkew:
-      return "version skew";
-    case LoadError::kKindMismatch:
-      return "frame kind mismatch";
-    case LoadError::kCorrupt:
-      return "corrupt";
-    case LoadError::kBaseMismatch:
-      return "base mismatch";
-    case LoadError::kStateMismatch:
-      return "state mismatch";
-  }
-  return "unknown";
-}
-
-bool WriteFrame(std::ostream& out, const std::string& payload,
-                std::uint64_t* checkpoint_id) {
-  BinaryWriter header;
-  header.Bytes(kMagic, sizeof(kMagic));
-  header.U32(kFormatVersion);
-  header.U8(kFullFrameKind);
-  header.U64(payload.size());
-  const std::uint32_t crc = Crc32(payload);
-  header.U32(crc);
-  out.write(header.data().data(),
-            static_cast<std::streamsize>(header.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (checkpoint_id != nullptr) *checkpoint_id = crc;
-  return static_cast<bool>(out);
-}
-
+// Reads and verifies one frame. Fails with kIo on an unreadable or empty
+// stream, kBadMagic, kVersionSkew, kKindMismatch, or kCorrupt on
+// truncation or CRC failure; the outputs are only written on success.
+// `frame_version` receives the container version the frame was written
+// under — payload parsers key version-gated fields off it.
 bool ReadFrame(std::istream& in, std::string& payload,
-               std::uint64_t* checkpoint_id, LoadError* error,
+               std::uint64_t* checkpoint_id, ErrorCode* error,
                std::uint32_t* frame_version) {
-  SetError(error, LoadError::kCorrupt);
+  SetError(error, ErrorCode::kCorrupt);
   char header_bytes[25];
   if (!in.read(header_bytes, sizeof(header_bytes))) {
     // An unreadable or empty stream is an I/O problem; a stream that
     // yielded some bytes but not a whole header is a truncated file.
-    if (in.gcount() == 0) SetError(error, LoadError::kIo);
+    if (in.gcount() == 0) SetError(error, ErrorCode::kIo);
     return false;
   }
   BinaryReader header(std::string_view(header_bytes, sizeof(header_bytes)));
   char magic[8];
   if (!header.ReadBytes(magic, sizeof(magic)) ||
       std::char_traits<char>::compare(magic, kMagic, sizeof(kMagic)) != 0) {
-    SetError(error, LoadError::kBadMagic);
+    SetError(error, ErrorCode::kBadMagic);
     return false;
   }
   const std::uint32_t version = header.U32();
   if (version < kMinFormatVersion || version > kFormatVersion) {
-    SetError(error, LoadError::kVersionSkew);
+    SetError(error, ErrorCode::kVersionSkew);
     return false;
   }
   if (header.U8() != kFullFrameKind) {
-    SetError(error, LoadError::kKindMismatch);
+    SetError(error, ErrorCode::kKindMismatch);
     return false;
   }
   const std::uint64_t length = header.U64();
@@ -117,8 +84,74 @@ bool ReadFrame(std::istream& in, std::string& payload,
   payload = std::move(body);
   if (checkpoint_id != nullptr) *checkpoint_id = expected_crc;
   if (frame_version != nullptr) *frame_version = version;
-  SetError(error, LoadError::kNone);
+  SetError(error, ErrorCode::kNone);
   return true;
+}
+
+// Parses and validates a configuration. Fails if malformed or if any value
+// would violate a constructor precondition (the loader must never feed a
+// corrupt config into SCPRT_CHECK). `version` is the container version of
+// the enclosing frame: frames older than 4 have no trailing flag byte. A
+// flag byte of 1 marks state written by a build with the retired weighted
+// Min-Hash mode and sets kVersionSkew; other failures leave `error`
+// untouched.
+bool ReadConfig(BinaryReader& in, DetectorConfig& config,
+                std::uint32_t version, ErrorCode* error) {
+  DetectorConfig parsed;
+  parsed.quantum_size = in.U64();
+  parsed.akg.high_state_threshold = in.U32();
+  parsed.akg.ec_threshold = in.F64();
+  parsed.akg.window_length = in.U64();
+  parsed.akg.minhash_size = in.U64();
+  const std::uint8_t ec_mode = in.U8();
+  parsed.akg.seed = in.U64();
+  parsed.min_event_nodes = in.U64();
+  parsed.min_rank_margin = in.F64();
+  const std::uint8_t require_noun = in.U8();
+  const std::uint8_t flag = version >= 4 ? in.U8() : 0;
+  // A 1 here was written by a build that still had the weighted Min-Hash
+  // mode, whose signature state this build cannot restore.
+  if (in.ok() && flag == 1) {
+    SetError(error, ErrorCode::kVersionSkew);
+    in.Fail();
+    return false;
+  }
+  // Constructor preconditions plus sanity ceilings — a corrupt config must
+  // fail the load, not abort the process or reserve gigabytes.
+  if (!in.ok() || parsed.quantum_size < 1 ||
+      parsed.quantum_size > kMaxQuantumSize ||
+      parsed.akg.high_state_threshold < 1 ||
+      !(parsed.akg.ec_threshold > 0.0) || !(parsed.akg.ec_threshold <= 1.0) ||
+      parsed.akg.window_length < 1 ||
+      parsed.akg.window_length > kMaxWindowLength ||
+      parsed.akg.minhash_size > kMaxMinHashSize || ec_mode > 2 ||
+      !std::isfinite(parsed.min_rank_margin) || require_noun > 1 ||
+      flag > 1) {
+    in.Fail();
+    return false;
+  }
+  parsed.akg.ec_mode = static_cast<akg::EcMode>(ec_mode);
+  parsed.require_noun = require_noun != 0;
+  config = parsed;
+  return true;
+}
+
+}  // namespace
+
+bool WriteFrame(std::ostream& out, const std::string& payload,
+                std::uint64_t* checkpoint_id) {
+  BinaryWriter header;
+  header.Bytes(kMagic, sizeof(kMagic));
+  header.U32(kFormatVersion);
+  header.U8(kFullFrameKind);
+  header.U64(payload.size());
+  const std::uint32_t crc = Crc32(payload);
+  header.U32(crc);
+  out.write(header.data().data(),
+            static_cast<std::streamsize>(header.size()));
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  if (checkpoint_id != nullptr) *checkpoint_id = crc;
+  return static_cast<bool>(out);
 }
 
 void WriteIngestSection(BinaryWriter& out, const IngestState& state) {
@@ -143,8 +176,8 @@ void WriteIngestSection(BinaryWriter& out, const IngestState& state) {
 }
 
 bool ReadIngestSection(BinaryReader& in, IngestState& state,
-                       LoadError* error) {
-  SetError(error, LoadError::kCorrupt);
+                       ErrorCode* error) {
+  SetError(error, ErrorCode::kCorrupt);
   if (in.U32() != kIngestSectionMagic) {
     in.Fail();
     return false;
@@ -157,7 +190,7 @@ bool ReadIngestSection(BinaryReader& in, IngestState& state,
     // The length field lets an old reader skip a future section, but this
     // codebase has exactly one reader — reject as skew, like the container.
     in.Fail();
-    SetError(error, LoadError::kVersionSkew);
+    SetError(error, ErrorCode::kVersionSkew);
     return false;
   }
   std::string body(length, '\0');
@@ -198,7 +231,7 @@ bool ReadIngestSection(BinaryReader& in, IngestState& state,
     return false;
   }
   state = std::move(parsed);
-  SetError(error, LoadError::kNone);
+  SetError(error, ErrorCode::kNone);
   return true;
 }
 
@@ -215,47 +248,6 @@ void WriteConfig(BinaryWriter& out, const DetectorConfig& config) {
   out.U8(config.require_noun ? 1 : 0);
   // Version 4's trailing flag byte, always 0 (see ReadConfig).
   out.U8(0);
-}
-
-bool ReadConfig(BinaryReader& in, DetectorConfig& config,
-                std::uint32_t version, LoadError* error) {
-  DetectorConfig parsed;
-  parsed.quantum_size = in.U64();
-  parsed.akg.high_state_threshold = in.U32();
-  parsed.akg.ec_threshold = in.F64();
-  parsed.akg.window_length = in.U64();
-  parsed.akg.minhash_size = in.U64();
-  const std::uint8_t ec_mode = in.U8();
-  parsed.akg.seed = in.U64();
-  parsed.min_event_nodes = in.U64();
-  parsed.min_rank_margin = in.F64();
-  const std::uint8_t require_noun = in.U8();
-  const std::uint8_t flag = version >= 4 ? in.U8() : 0;
-  // A 1 here was written by a build that still had the weighted Min-Hash
-  // mode, whose signature state this build cannot restore.
-  if (in.ok() && flag == 1) {
-    SetError(error, LoadError::kVersionSkew);
-    in.Fail();
-    return false;
-  }
-  // Constructor preconditions plus sanity ceilings — a corrupt config must
-  // fail the load, not abort the process or reserve gigabytes.
-  if (!in.ok() || parsed.quantum_size < 1 ||
-      parsed.quantum_size > kMaxQuantumSize ||
-      parsed.akg.high_state_threshold < 1 ||
-      !(parsed.akg.ec_threshold > 0.0) || !(parsed.akg.ec_threshold <= 1.0) ||
-      parsed.akg.window_length < 1 ||
-      parsed.akg.window_length > kMaxWindowLength ||
-      parsed.akg.minhash_size > kMaxMinHashSize || ec_mode > 2 ||
-      !std::isfinite(parsed.min_rank_margin) || require_noun > 1 ||
-      flag > 1) {
-    in.Fail();
-    return false;
-  }
-  parsed.akg.ec_mode = static_cast<akg::EcMode>(ec_mode);
-  parsed.require_noun = require_noun != 0;
-  config = parsed;
-  return true;
 }
 
 void WriteMessages(BinaryWriter& out,
@@ -336,7 +328,7 @@ bool ReadFullSnapshot(
     std::istream& in,
     const std::function<bool(BinaryReader&, const DetectorConfig&)>&
         restore_state,
-    std::uint64_t* checkpoint_id, LoadError* error, IngestState* ingest,
+    std::uint64_t* checkpoint_id, ErrorCode* error, IngestState* ingest,
     bool* ingest_present) {
   if (ingest_present != nullptr) *ingest_present = false;
   std::string payload;
@@ -345,7 +337,7 @@ bool ReadFullSnapshot(
   if (!ReadFrame(in, payload, &id, error, &version)) {
     return false;
   }
-  SetError(error, LoadError::kCorrupt);
+  SetError(error, ErrorCode::kCorrupt);
   BinaryReader reader(payload);
   DetectorConfig config;
   if (!ReadConfig(reader, config, version, error)) return false;
@@ -356,14 +348,14 @@ bool ReadFullSnapshot(
   if (reader.remaining() != 0) {
     IngestState parsed;
     if (!ReadIngestSection(reader, parsed, error)) return false;
-    SetError(error, LoadError::kCorrupt);
+    SetError(error, ErrorCode::kCorrupt);
     if (ingest != nullptr) *ingest = std::move(parsed);
     have_ingest = true;
   }
   if (reader.remaining() != 0) return false;
   if (ingest_present != nullptr) *ingest_present = have_ingest;
   if (checkpoint_id != nullptr) *checkpoint_id = id;
-  SetError(error, LoadError::kNone);
+  SetError(error, ErrorCode::kNone);
   return true;
 }
 

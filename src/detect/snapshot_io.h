@@ -38,11 +38,15 @@
 // the container version bumps on ANY encoding change. Loaders accept
 // [kMinFormatVersion, kFormatVersion]; version 2 payloads are a strict
 // prefix of version 3's (no IngestState), and version 4 appends one config
-// byte that is always 0 (a 1 is rejected as kVersionSkew; see ReadConfig),
-// so all three parse through the same path keyed on the frame version.
-// Version 1 (the replay era) and future versions are rejected as
-// kVersionSkew — checkpoints are recovery artifacts, not archives, so
-// there is no migration: take a fresh full snapshot after upgrading.
+// byte that is always 0 (a 1 is rejected as kVersionSkew; see
+// ReadFullSnapshot), so all three parse through the same path keyed on the
+// frame version. Version 1 (the replay era) and future versions are
+// rejected as kVersionSkew — checkpoints are recovery artifacts, not
+// archives, so there is no migration: take a fresh full snapshot after
+// upgrading.
+//
+// Loaders report why a load failed as a durability::ErrorCode, the one
+// error enum of the persistence tier; the codes are never written to disk.
 
 #ifndef SCPRT_DETECT_SNAPSHOT_IO_H_
 #define SCPRT_DETECT_SNAPSHOT_IO_H_
@@ -55,6 +59,7 @@
 
 #include "common/binary_io.h"
 #include "detect/config.h"
+#include "durability/error.h"
 #include "stream/message.h"
 
 namespace scprt::detect::snapshot_io {
@@ -66,36 +71,6 @@ inline constexpr std::uint32_t kFormatVersion = 4;
 /// Oldest container version still accepted by loaders (PR 2-era snapshots
 /// without an IngestState section).
 inline constexpr std::uint32_t kMinFormatVersion = 2;
-
-/// Why a checkpoint failed to load. Everything except kNone means the load
-/// returned failure; the distinctions let an operator tell "this file is
-/// damaged" (kCorrupt — restore from an older checkpoint) from "this file
-/// is from another software version" (kVersionSkew — take a fresh full
-/// snapshot after upgrading) from "this segment is not the one its
-/// manifest names" (kBaseMismatch — the chain is broken).
-enum class LoadError : std::uint8_t {
-  kNone = 0,
-  /// The stream could not be opened or yielded no bytes at all.
-  kIo,
-  /// The first 8 bytes are not the snapshot magic — not a checkpoint file.
-  kBadMagic,
-  /// Valid magic, but a container (or IngestState section) version outside
-  /// the supported range.
-  kVersionSkew,
-  /// A frame whose kind byte is not a full snapshot.
-  kKindMismatch,
-  /// Truncation, CRC failure, or a malformed payload.
-  kCorrupt,
-  /// A segment or log record chained to a different base snapshot.
-  kBaseMismatch,
-  /// No snapshot loader produces this; it keeps the ordinals aligned
-  /// with durability::ErrorCode, whose kStateMismatch the event store
-  /// uses.
-  kStateMismatch,
-};
-
-/// Stable human-readable name ("corrupt", "version skew", ...).
-const char* LoadErrorName(LoadError error);
 
 /// The ingest frontend's durable state, carried as the optional trailing
 /// section of a snapshot payload. All fields are the values at the fence
@@ -135,16 +110,6 @@ struct IngestState {
 bool WriteFrame(std::ostream& out, const std::string& payload,
                 std::uint64_t* checkpoint_id = nullptr);
 
-/// Reads and verifies one frame. Returns false on bad
-/// magic, version skew, kind mismatch, truncation or CRC failure (`error`,
-/// when non-null, receives the reason); `payload`/`checkpoint_id`/`version`
-/// are only written on success. `version` (optional out) receives the
-/// container version the frame was written under — payload parsers key
-/// version-gated fields off it.
-bool ReadFrame(std::istream& in, std::string& payload,
-               std::uint64_t* checkpoint_id = nullptr,
-               LoadError* error = nullptr, std::uint32_t* version = nullptr);
-
 /// Appends the IngestState trailing section (its own magic, section
 /// version, length and CRC — see docs/formats.md) to a payload.
 void WriteIngestSection(BinaryWriter& out, const IngestState& state);
@@ -155,34 +120,29 @@ void WriteIngestSection(BinaryWriter& out, const IngestState& state);
 /// and length-checked here but decoded by the caller (text/ owns the
 /// entry codec).
 bool ReadIngestSection(BinaryReader& in, IngestState& state,
-                       LoadError* error = nullptr);
+                       durability::ErrorCode* error = nullptr);
 
 /// Reads one full frame and parses its payload: config section, then
 /// `restore_state` (which consumes the detector-state section — the
 /// loader constructs its engine from `config` and runs RestoreState
 /// inside it), then the optional trailing IngestState. The single
 /// definition of full-payload acceptance (durability::LoadEngineSnapshot).
-/// Returns false (with the typed reason in `error`) on any failure.
+/// Returns false (with the typed reason in `error`) on any failure: kIo
+/// for an unreadable or empty stream, kBadMagic, kVersionSkew (container,
+/// config flag or IngestState section), kKindMismatch, or kCorrupt for
+/// truncation, CRC failure and malformed payloads. A frame older than
+/// version 4 has no trailing config byte; a config byte of 1 marks state
+/// written by a build with the retired weighted Min-Hash mode.
 bool ReadFullSnapshot(
     std::istream& in,
     const std::function<bool(BinaryReader&, const DetectorConfig&)>&
         restore_state,
-    std::uint64_t* checkpoint_id = nullptr, LoadError* error = nullptr,
-    IngestState* ingest = nullptr, bool* ingest_present = nullptr);
+    std::uint64_t* checkpoint_id = nullptr,
+    durability::ErrorCode* error = nullptr, IngestState* ingest = nullptr,
+    bool* ingest_present = nullptr);
 
 /// Serializes the detector configuration.
 void WriteConfig(BinaryWriter& out, const DetectorConfig& config);
-
-/// Parses and validates a configuration. Returns false if malformed or if
-/// any value would violate a constructor precondition (the loader must
-/// never feed a corrupt config into SCPRT_CHECK). `version` is the
-/// container version of the enclosing frame: frames older than 4 have no
-/// trailing flag byte. A flag byte of 1 marks state written by a build
-/// with the retired weighted Min-Hash mode and fails with kVersionSkew in
-/// `error` (when non-null); other failures leave `error` untouched.
-bool ReadConfig(BinaryReader& in, DetectorConfig& config,
-                std::uint32_t version = kFormatVersion,
-                LoadError* error = nullptr);
 
 /// Serializes a message list (count-prefixed).
 void WriteMessages(BinaryWriter& out,

@@ -56,7 +56,7 @@ std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
     std::size_t threads, std::uint64_t* checkpoint_id, Error* error,
     sio::IngestState* ingest, bool* ingest_present) {
   std::unique_ptr<engine::ParallelDetector> engine;
-  sio::LoadError load_error = sio::LoadError::kNone;
+  ErrorCode code = ErrorCode::kNone;
   const bool loaded = sio::ReadFullSnapshot(
       in,
       [&](BinaryReader& reader, const detect::DetectorConfig& config) {
@@ -64,8 +64,8 @@ std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
             engine::ParallelDetectorConfig{config, threads}, dictionary);
         return engine->RestoreState(reader);
       },
-      checkpoint_id, &load_error, ingest, ingest_present);
-  if (error != nullptr) *error = Error::FromLoad(load_error);
+      checkpoint_id, &code, ingest, ingest_present);
+  if (error != nullptr) *error = MakeError(code, {});
   if (!loaded) return nullptr;
   return engine;
 }

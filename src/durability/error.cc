@@ -2,8 +2,6 @@
 
 namespace scprt::durability {
 
-namespace sio = detect::snapshot_io;
-
 const char* ErrorCodeName(ErrorCode code) {
   switch (code) {
     case ErrorCode::kNone:
@@ -32,51 +30,6 @@ const char* ErrorCodeName(ErrorCode code) {
       return "busy";
   }
   return "unknown";
-}
-
-Error Error::FromLoad(sio::LoadError error, std::string detail) {
-  Error result;
-  // The first eight codes mirror LoadError ordinal-for-ordinal; the
-  // static_asserts pin that equivalence so neither enum can drift.
-  static_assert(static_cast<int>(ErrorCode::kNone) ==
-                static_cast<int>(sio::LoadError::kNone));
-  static_assert(static_cast<int>(ErrorCode::kIo) ==
-                static_cast<int>(sio::LoadError::kIo));
-  static_assert(static_cast<int>(ErrorCode::kBadMagic) ==
-                static_cast<int>(sio::LoadError::kBadMagic));
-  static_assert(static_cast<int>(ErrorCode::kVersionSkew) ==
-                static_cast<int>(sio::LoadError::kVersionSkew));
-  static_assert(static_cast<int>(ErrorCode::kKindMismatch) ==
-                static_cast<int>(sio::LoadError::kKindMismatch));
-  static_assert(static_cast<int>(ErrorCode::kCorrupt) ==
-                static_cast<int>(sio::LoadError::kCorrupt));
-  static_assert(static_cast<int>(ErrorCode::kBaseMismatch) ==
-                static_cast<int>(sio::LoadError::kBaseMismatch));
-  static_assert(static_cast<int>(ErrorCode::kStateMismatch) ==
-                static_cast<int>(sio::LoadError::kStateMismatch));
-  result.code = static_cast<ErrorCode>(error);
-  result.detail = std::move(detail);
-  return result;
-}
-
-sio::LoadError Error::ToLoadError() const {
-  switch (code) {
-    case ErrorCode::kNone:
-    case ErrorCode::kIo:
-    case ErrorCode::kBadMagic:
-    case ErrorCode::kVersionSkew:
-    case ErrorCode::kKindMismatch:
-    case ErrorCode::kCorrupt:
-    case ErrorCode::kBaseMismatch:
-    case ErrorCode::kStateMismatch:
-      return static_cast<sio::LoadError>(code);
-    case ErrorCode::kSyncFailed:
-    case ErrorCode::kRenameFailed:
-    case ErrorCode::kNoManifest:
-    case ErrorCode::kBusy:
-      return sio::LoadError::kIo;
-  }
-  return sio::LoadError::kIo;
 }
 
 std::string Error::ToString() const {

@@ -2,11 +2,12 @@
 //
 // Every save, load, commit and recovery path under src/durability/ reports
 // failure as a durability::Error: a stable code plus a human-readable
-// detail trail. The codes absorb detect::snapshot_io::LoadError one-to-one
-// (the payload-level reasons) and add the file-system reasons the old
-// free-function surface logged and dropped — fsync failures, rename
-// failures, a missing manifest. Callers branch on `code`; operators read
-// `detail`.
+// detail trail. ErrorCode is the one error enum of the persistence tier:
+// the snapshot container's loaders (detect/snapshot_io.h) report the
+// payload-level reasons with it directly, and the storage layers add the
+// file-system reasons — fsync failures, rename failures, a missing
+// manifest. Callers branch on `code`; operators read `detail`. Neither is
+// ever written to disk.
 
 #ifndef SCPRT_DURABILITY_ERROR_H_
 #define SCPRT_DURABILITY_ERROR_H_
@@ -15,13 +16,12 @@
 #include <string>
 #include <string_view>
 
-#include "detect/snapshot_io.h"
-
 namespace scprt::durability {
 
-/// Why a durability operation failed. The first eight values mirror
-/// snapshot_io::LoadError (same meaning, same ordinals); the rest are
-/// storage-layer failures that have no payload-level equivalent.
+/// Why a durability operation failed. kIo through kCorrupt are what the
+/// snapshot container's loaders report (kCorrupt — restore from an older
+/// generation; kVersionSkew — take a fresh full snapshot after
+/// upgrading); the rest come from the storage layers.
 enum class ErrorCode : std::uint8_t {
   kNone = 0,
   /// A file could not be opened, read or written.
@@ -63,15 +63,6 @@ struct Error {
   std::string detail;
 
   bool ok() const { return code == ErrorCode::kNone; }
-
-  /// Lifts a payload-level load failure into the unified surface.
-  static Error FromLoad(detect::snapshot_io::LoadError error,
-                        std::string detail = {});
-
-  /// Projects back onto the payload-level enum (the WAL backend names
-  /// skipped artifacts with snapshot_io::LoadErrorName).
-  /// Storage-layer codes with no payload equivalent map to kIo.
-  detect::snapshot_io::LoadError ToLoadError() const;
 
   /// "code: detail" (or just the code name when detail is empty).
   std::string ToString() const;

@@ -182,8 +182,8 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
                               : ErrorCode::kCorrupt;
       }
       if (result.error.ok()) result.error = load_error;
-      result.detail += segment_name + ": " +
-                       sio::LoadErrorName(load_error.ToLoadError()) + "; ";
+      result.detail +=
+          segment_name + ": " + ErrorCodeName(load_error.code) + "; ";
       continue;
     }
     BinaryReader segment_dictionary(segment_state.dictionary_state);

@@ -28,7 +28,6 @@ DurableIngest::DurableIngest(const IngestConfig& ingest,
                              const DurableConfig& durable)
     : ingest_config_(ingest),
       engine_config_(engine),
-      durable_(durable),
       engine_(std::make_unique<engine::ParallelDetector>(
           engine_config_, &dictionary_.view())),
       backend_(BackendOptionsFor(durable)) {}
@@ -127,8 +126,7 @@ std::optional<IngestSnapshot> DurableIngest::Run(
 
   RunOptions options;
   options.first_seq = next_seq_;
-  options.suppress_shedding = resume_pending_ && !resume_consumed_ &&
-                              durable_.suppress_shedding_on_resume;
+  options.suppress_shedding = resume_pending_ && !resume_consumed_;
   suppression_active_ = options.suppress_shedding;
   resume_consumed_ = true;
 

@@ -20,12 +20,14 @@
 // re-installs the dictionary, admission seeds and stream counters, and
 // Run() then Seek()s the source back to the saved cursor and replays only
 // the tail since the recovered fence. Replayed records re-enter the normal
-// tokenize/intern path with shedding suppressed
-// (RunOptions::suppress_shedding), so the post-restore report stream is
+// tokenize/intern path with shedding suppressed until the first successful
+// post-resume commit (RunOptions::suppress_shedding; the resume runbook in
+// docs/operations.md), so the post-restore report stream is
 // bit-identical to a never-restarted pipeline's at any worker and engine
 // thread count — tests/ingest_checkpoint_test.cc proves it seeded and
 // fresh-dictionary. Recovery cost is surfaced as a first-class metric
-// (IngestSnapshot::recovery_seconds, checkpoint_* and commit_* counters);
+// (the ingest.recovery_seconds gauge, also IngestSnapshot::recovery_seconds,
+// and the checkpoint_* and commit_* counters);
 // commit failures surface typed (IngestSnapshot::checkpoint_failures /
 // sync_failures, last_error()).
 
@@ -68,11 +70,6 @@ struct DurableConfig {
   /// A full-snapshot segment is cut every checkpoint_quanta *
   /// full_interval quanta (1 = a segment every K quanta).
   std::size_t full_interval = 4;
-  /// Replay the post-checkpoint tail with shedding suppressed, reverting
-  /// to the configured policy at the first successful post-resume
-  /// commit (see RunOptions::suppress_shedding and the resume
-  /// runbook in docs/operations.md).
-  bool suppress_shedding_on_resume = true;
 };
 
 /// What Resume() found.
@@ -171,7 +168,6 @@ class DurableIngest {
 
   IngestConfig ingest_config_;
   engine::ParallelDetectorConfig engine_config_;
-  DurableConfig durable_;
 
   text::ConcurrentKeywordDictionary dictionary_;
   std::unique_ptr<engine::ParallelDetector> engine_;

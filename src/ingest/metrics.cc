@@ -26,6 +26,9 @@ IngestMetrics::IngestMetrics(obs::Registry* registry) {
   commit_ns_ = r.GetCounter("ingest.commit_ns");
   checkpoint_failures_ = r.GetCounter("ingest.checkpoint_failures");
   sync_failures_ = r.GetCounter("ingest.sync_failures");
+  // A new instance has no resume behind it until SetRecoveryNs says so.
+  recovery_seconds_ = r.GetGauge("ingest.recovery_seconds");
+  recovery_seconds_->Set(0.0);
 }
 
 void IngestMetrics::Reset() {
@@ -48,8 +51,8 @@ void IngestMetrics::Reset() {
   commit_ns_->Store(0);
   checkpoint_failures_->Store(0);
   sync_failures_->Store(0);
-  // recovery_ns_ deliberately survives: it is set by the resume that led
-  // into the Run whose Reset this is.
+  // recovery_seconds_ deliberately survives: it is set by the resume that
+  // led into the Run whose Reset this is.
   start_ns_.store(MonotonicNanos(), std::memory_order_relaxed);
 }
 
@@ -74,15 +77,11 @@ IngestSnapshot IngestMetrics::Snapshot() const {
   s.commit_ns = commit_ns_->Value();
   s.checkpoint_failures = checkpoint_failures_->Value();
   s.sync_failures = sync_failures_->Value();
-  s.recovery_seconds =
-      static_cast<double>(recovery_ns_.load(std::memory_order_relaxed)) /
-      1e9;
+  s.recovery_seconds = recovery_seconds_->Value();
   const std::int64_t start = start_ns_.load(std::memory_order_relaxed);
   s.elapsed_seconds =
       start > 0 ? static_cast<double>(MonotonicNanos() - start) / 1e9
                 : 0.0;
-  s.uptime_seconds = obs::ProcessUptimeSeconds();
-  s.process_start_unix = obs::ProcessStartUnixSeconds();
   return s;
 }
 
@@ -121,48 +120,6 @@ std::string IngestSnapshot::Format() const {
                   static_cast<unsigned long long>(checkpoint_failures),
                   static_cast<unsigned long long>(sync_failures));
   }
-  return buf;
-}
-
-std::string IngestSnapshot::FormatJson() const {
-  char buf[1536];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"records_read\": %llu, \"malformed\": %llu, \"admitted\": %llu, "
-      "\"shed\": %llu, \"messages_emitted\": %llu, \"quanta_emitted\": %llu, "
-      "\"tokens\": %llu, \"keywords\": %llu, \"tokenize_ns\": %llu, "
-      "\"peak_queue_depth\": %llu, \"queue_depth\": %llu, "
-      "\"checkpoints\": %llu, "
-      "\"checkpoint_bytes\": %llu, \"checkpoint_ns\": %llu, "
-      "\"commits\": %llu, \"commit_bytes\": %llu, \"commit_ns\": %llu, "
-      "\"checkpoint_failures\": %llu, \"sync_failures\": %llu, "
-      "\"recovery_seconds\": %.6f, \"elapsed_seconds\": %.6f, "
-      "\"uptime_seconds\": %.6f, \"process_start_unix\": %.6f, "
-      "\"messages_per_second\": %.1f, "
-      "\"tokenize_micros_per_message\": %.3f, "
-      "\"checkpoint_millis\": %.3f, \"commit_micros\": %.3f}",
-      static_cast<unsigned long long>(records_read),
-      static_cast<unsigned long long>(malformed),
-      static_cast<unsigned long long>(admitted),
-      static_cast<unsigned long long>(shed),
-      static_cast<unsigned long long>(messages_emitted),
-      static_cast<unsigned long long>(quanta_emitted),
-      static_cast<unsigned long long>(tokens),
-      static_cast<unsigned long long>(keywords),
-      static_cast<unsigned long long>(tokenize_ns),
-      static_cast<unsigned long long>(peak_queue_depth),
-      static_cast<unsigned long long>(queue_depth),
-      static_cast<unsigned long long>(checkpoints),
-      static_cast<unsigned long long>(checkpoint_bytes),
-      static_cast<unsigned long long>(checkpoint_ns),
-      static_cast<unsigned long long>(commits),
-      static_cast<unsigned long long>(commit_bytes),
-      static_cast<unsigned long long>(commit_ns),
-      static_cast<unsigned long long>(checkpoint_failures),
-      static_cast<unsigned long long>(sync_failures), recovery_seconds,
-      elapsed_seconds, uptime_seconds, process_start_unix,
-      MessagesPerSecond(), TokenizeMicrosPerMessage(), CheckpointMillis(),
-      CommitMicros());
   return buf;
 }
 

@@ -5,11 +5,12 @@
 // Since the obs layer landed this is a facade: every counter is a handle
 // into an obs::Registry (Registry::Default() unless a test injects its
 // own), so the same numbers the pipeline reports through Snapshot() are
-// visible to Registry::SnapshotAll() — one Prometheus scrape covers
-// ingest, engine, and durability together. The per-run API is unchanged:
-// Reset() re-baselines before each Run(), Snapshot() copies, Format() /
-// FormatJson() render. Only start/recovery timestamps stay local — they
-// describe this pipeline instance, not the process.
+// visible to Registry::SnapshotAll() — one Prometheus scrape or flat JSON
+// export covers ingest, engine, and durability together, and is the only
+// machine-readable encoding of them. The per-run API: Reset() re-baselines
+// before each Run(), Snapshot() copies into a typed struct, Format()
+// renders the human line. Only the run's start timestamp stays local — it
+// describes this pipeline instance, not the process.
 
 #ifndef SCPRT_INGEST_METRICS_H_
 #define SCPRT_INGEST_METRICS_H_
@@ -50,8 +51,6 @@ struct IngestSnapshot {
   std::uint64_t sync_failures = 0;    ///< fsync/fdatasync calls that failed
   double recovery_seconds = 0;        ///< load+seek cost of a resume, else 0
   double elapsed_seconds = 0;         ///< wall time (Run() start to snapshot)
-  double uptime_seconds = 0;          ///< process uptime (monotonic clock)
-  double process_start_unix = 0;      ///< wall-clock anchor of the uptime
 
   /// Source-to-sink throughput; 0 before any time elapses.
   double MessagesPerSecond() const {
@@ -83,10 +82,6 @@ struct IngestSnapshot {
 
   /// One-line human rendering.
   std::string Format() const;
-  /// Flat JSON object (machine-readable bench/monitoring output). Carries
-  /// every raw counter plus the derived rates above, so monitoring sees
-  /// the same numbers Format() prints.
-  std::string FormatJson() const;
 };
 
 /// The live counters. Writers use relaxed atomics — counts are statistics,
@@ -134,9 +129,10 @@ class IngestMetrics {
   void AddSyncFailure(std::uint64_t n) { sync_failures_->Add(n); }
 
   /// Recovery cost (load + delta replay + source seek) of the resume that
-  /// preceded this run. Survives Reset() — it describes how the run began.
+  /// preceded this run, exported as the ingest.recovery_seconds gauge.
+  /// Survives Reset() — it describes how the run began.
   void SetRecoveryNs(std::uint64_t ns) {
-    recovery_ns_.store(ns, std::memory_order_relaxed);
+    recovery_seconds_->Set(static_cast<double>(ns) / 1e9);
   }
 
   /// Records the staging depth just observed: raises the lifetime peak
@@ -176,7 +172,7 @@ class IngestMetrics {
   obs::Counter* commit_ns_;
   obs::Counter* checkpoint_failures_;
   obs::Counter* sync_failures_;
-  std::atomic<std::uint64_t> recovery_ns_{0};
+  obs::Gauge* recovery_seconds_;
   std::atomic<std::int64_t> start_ns_{0};
 };
 

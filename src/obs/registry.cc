@@ -1,6 +1,7 @@
 #include "obs/registry.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,10 +30,13 @@ std::string SanitizedName(const std::string& name) {
   return out;
 }
 
+// The shortest text that reads back as exactly `v`: six significant
+// digits would round a Unix-seconds gauge such as process.start_unix to
+// hours.
 void AppendDouble(std::string& out, double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, result.ptr);
 }
 
 void AppendU64(std::string& out, std::uint64_t v) {

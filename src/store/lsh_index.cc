@@ -1,6 +1,7 @@
 #include "store/lsh_index.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <unordered_map>
@@ -44,10 +45,14 @@ constexpr std::uint64_t kBandSalt = 0xbf58476d1ce4e5b9ULL;
 // unbounded tour of the file.
 constexpr std::size_t kMaxChainPages = 1u << 20;
 
-// Reads of a directory page whose CRC fails before a query reports damage:
-// a read-only handle shares the file with a live writer and can catch one
-// of its in-place page rewrites half done.
-constexpr int kDirectoryReadAttempts = 4;
+// How long a read of a directory page whose CRC fails is retried before a
+// query reports damage, and the pause between reads: a read-only handle
+// shares the file with a live writer and can catch one of its in-place
+// page rewrites half done. A deadline rather than an attempt count, so a
+// writer descheduled in the middle of a rewrite on a loaded host still
+// finishes it in time; real damage costs the query the full deadline.
+constexpr std::chrono::milliseconds kDirectoryRetryDeadline{250};
+constexpr std::chrono::microseconds kDirectoryRetryPause{100};
 
 std::uint16_t ReadU16(const char* p) {
   return static_cast<std::uint16_t>(
@@ -405,11 +410,14 @@ Error LshIndex::ReadDirectorySlot(std::uint32_t band, std::uint64_t key,
       1 + static_cast<std::uint32_t>(slot / kDirSlotsPerPage);
   PageHandle handle;
   Error e = pool_->Fetch(page, &handle);
-  for (int attempt = 1;
-       attempt < kDirectoryReadAttempts && e.code == ErrorCode::kCorrupt;
-       ++attempt) {
-    std::this_thread::yield();
-    e = pool_->Fetch(page, &handle);
+  if (e.code == ErrorCode::kCorrupt) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + kDirectoryRetryDeadline;
+    while (e.code == ErrorCode::kCorrupt &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(kDirectoryRetryPause);
+      e = pool_->Fetch(page, &handle);
+    }
   }
   if (!e.ok()) return e;
   *head = ReadU32(handle.data() + (slot % kDirSlotsPerPage) * 4);

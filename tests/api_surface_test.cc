@@ -145,31 +145,10 @@ TEST(DurabilitySurfaceTest, NamesAndParsersRoundTrip) {
   EXPECT_TRUE(durability::ParseFsyncLevel("none", level));
   EXPECT_EQ(level, FsyncLevel::kNone);
   EXPECT_FALSE(durability::ParseFsyncLevel("always", level));
-}
 
-TEST(DurabilitySurfaceTest, ErrorAbsorbsLoadErrorBothWays) {
-  using durability::Error;
-  using durability::ErrorCode;
-  namespace sio = detect::snapshot_io;
-  // The typed Error is a superset of snapshot_io::LoadError: the shared
-  // codes map 1:1 in both directions, the durability-only codes collapse
-  // to kIo on the legacy side.
-  EXPECT_TRUE(Error::FromLoad(sio::LoadError::kNone).ok());
-  EXPECT_EQ(Error::FromLoad(sio::LoadError::kCorrupt).code,
-            ErrorCode::kCorrupt);
-  EXPECT_EQ(Error::FromLoad(sio::LoadError::kVersionSkew).code,
-            ErrorCode::kVersionSkew);
-  EXPECT_EQ(Error::FromLoad(sio::LoadError::kBaseMismatch).code,
-            ErrorCode::kBaseMismatch);
-  EXPECT_EQ(durability::MakeError(ErrorCode::kCorrupt, "x").ToLoadError(),
-            sio::LoadError::kCorrupt);
-  EXPECT_EQ(durability::MakeError(ErrorCode::kSyncFailed, "x").ToLoadError(),
-            sio::LoadError::kIo);
-  EXPECT_EQ(durability::MakeError(ErrorCode::kNoManifest, "x").ToLoadError(),
-            sio::LoadError::kIo);
-  // ToString carries both the code name and the caller's detail.
-  const Error error = durability::MakeError(ErrorCode::kRenameFailed,
-                                            "rename CURRENT");
+  // Error::ToString carries both the code name and the caller's detail.
+  const durability::Error error = durability::MakeError(
+      durability::ErrorCode::kRenameFailed, "rename CURRENT");
   EXPECT_NE(error.ToString().find("rename CURRENT"), std::string::npos);
 }
 

@@ -26,6 +26,7 @@
 #include "ingest/pipeline.h"
 #include "ingest/source.h"
 #include "ingest/text_export.h"
+#include "obs/registry.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
 #include "text/concurrent_dictionary.h"
@@ -244,6 +245,10 @@ void RunKillResumeCase(const KillResumeCase& c) {
       /*flush_partial=*/true);
   ASSERT_TRUE(snapshot.has_value());
   EXPECT_GT(snapshot->recovery_seconds, 0.0);
+  // The resume cost is exported by the registry, not by a second schema.
+  EXPECT_EQ(obs::Registry::Default().SnapshotAll().GaugeValue(
+                "ingest.recovery_seconds"),
+            snapshot->recovery_seconds);
 
   // The resumed run starts exactly at the fence quantum...
   ASSERT_FALSE(after.empty());

@@ -478,7 +478,12 @@ TEST(LshIndexTest, ReadOnlyHandleQueriesAgainstALiveWriter) {
 
   constexpr int kEvents = 2000;
   std::atomic<bool> done{false};
-  std::atomic<int> failures{0};
+  // Written by the reader thread only; read after the join.
+  int failures = 0;
+  std::string first_failure;
+  auto record = [&](const char* op, const durability::Error& error) {
+    if (failures++ == 0) first_failure = op + (": " + error.ToString());
+  };
   std::thread reader([&] {
     std::vector<QueryResult> results;
     int target = 0;
@@ -486,14 +491,14 @@ TEST(LshIndexTest, ReadOnlyHandleQueriesAgainstALiveWriter) {
       durability::Error error;
       auto index = LshIndex::OpenReadOnly(dir.path(), 16, &error);
       if (index == nullptr) {
-        ++failures;
+        record("open", error);
         continue;
       }
       for (int i = 0; i < 20; ++i) {
         const std::string prefix = 'r' + std::to_string(++target % kEvents);
-        if (!index->Query(Keywords(prefix, 3), 5, &results).ok()) {
-          ++failures;
-        }
+        const durability::Error e =
+            index->Query(Keywords(prefix, 3), 5, &results);
+        if (!e.ok()) record("query", e);
       }
     }
   });
@@ -510,7 +515,7 @@ TEST(LshIndexTest, ReadOnlyHandleQueriesAgainstALiveWriter) {
   }
   done.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(failures, 0) << "first failure: " << first_failure;
 }
 
 // ---- Shape validation --------------------------------------------------

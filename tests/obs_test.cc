@@ -332,23 +332,7 @@ TEST(Tracer, SnapshotTailPeeksWithoutConsuming) {
   EXPECT_EQ(tracer.Drain().size(), 10u);
 }
 
-// --- ingest facade: queue-depth gauge + JSON schema round-trip ---
-
-// Minimal flat-JSON scanner for the snapshot format: {"k": v, ...}.
-std::map<std::string, double> ParseFlatJson(const std::string& json) {
-  std::map<std::string, double> out;
-  std::size_t pos = 0;
-  while ((pos = json.find('"', pos)) != std::string::npos) {
-    const std::size_t end = json.find('"', pos + 1);
-    if (end == std::string::npos) break;
-    const std::string key = json.substr(pos + 1, end - pos - 1);
-    const std::size_t colon = json.find(':', end);
-    if (colon == std::string::npos) break;
-    out[key] = std::stod(json.substr(colon + 1));
-    pos = colon;
-  }
-  return out;
-}
+// --- ingest facade: queue-depth and recovery gauges, derived rates ---
 
 TEST(IngestMetricsFacade, ObserveQueueDepthTracksPeakAndCurrent) {
   obs::Registry registry;
@@ -381,64 +365,36 @@ TEST(IngestMetricsFacade, CountersVisibleThroughRegistry) {
   EXPECT_EQ(snap.commits, 1u);
 }
 
-TEST(IngestSnapshotJson, SchemaRoundTripsEveryFieldAndDerivedRate) {
+TEST(IngestMetricsFacade, RecoveryGaugeSurvivesReset) {
+  obs::Registry registry;
+  ingest::IngestMetrics metrics(&registry);
+  metrics.SetRecoveryNs(250'000'000);
+  metrics.Reset();  // each Run re-baselines; the resume cost stays
+  EXPECT_DOUBLE_EQ(metrics.Snapshot().recovery_seconds, 0.25);
+  EXPECT_DOUBLE_EQ(
+      registry.SnapshotAll().GaugeValue("ingest.recovery_seconds"), 0.25);
+  // A new instance has no resume behind it.
+  ingest::IngestMetrics next(&registry);
+  EXPECT_DOUBLE_EQ(next.Snapshot().recovery_seconds, 0.0);
+}
+
+TEST(IngestSnapshot, DerivedRatesFollowTheCounters) {
   ingest::IngestSnapshot snap;
-  snap.records_read = 100;
-  snap.malformed = 2;
-  snap.admitted = 95;
-  snap.shed = 3;
+  EXPECT_EQ(snap.MessagesPerSecond(), 0.0);  // no division by zero
+  EXPECT_EQ(snap.TokenizeMicrosPerMessage(), 0.0);
+  EXPECT_EQ(snap.CheckpointMillis(), 0.0);
+  EXPECT_EQ(snap.CommitMicros(), 0.0);
   snap.messages_emitted = 95;
-  snap.quanta_emitted = 5;
-  snap.tokens = 950;
-  snap.keywords = 400;
+  snap.elapsed_seconds = 2.0;
   snap.tokenize_ns = 95'000;        // 1 us per message
-  snap.peak_queue_depth = 64;
-  snap.queue_depth = 8;
   snap.checkpoints = 2;
-  snap.checkpoint_bytes = 4096;
   snap.checkpoint_ns = 10'000'000;  // 5 ms per checkpoint
   snap.commits = 4;
-  snap.commit_bytes = 1024;
   snap.commit_ns = 80'000;          // 20 us per commit
-  snap.checkpoint_failures = 1;
-  snap.sync_failures = 1;
-  snap.recovery_seconds = 0.25;
-  snap.elapsed_seconds = 2.0;
-  snap.uptime_seconds = 3.5;
-  snap.process_start_unix = 1700000000.125;
-
-  const auto fields = ParseFlatJson(snap.FormatJson());
-  const std::map<std::string, double> expected = {
-      {"records_read", 100},    {"malformed", 2},
-      {"admitted", 95},         {"shed", 3},
-      {"messages_emitted", 95}, {"quanta_emitted", 5},
-      {"tokens", 950},          {"keywords", 400},
-      {"tokenize_ns", 95'000},  {"peak_queue_depth", 64},
-      {"queue_depth", 8},       {"checkpoints", 2},
-      {"checkpoint_bytes", 4096}, {"checkpoint_ns", 10'000'000},
-      {"commits", 4},           {"commit_bytes", 1024},
-      {"commit_ns", 80'000},    {"checkpoint_failures", 1},
-      {"sync_failures", 1},     {"recovery_seconds", 0.25},
-      {"elapsed_seconds", 2.0}, {"uptime_seconds", 3.5},
-      {"process_start_unix", 1700000000.125},
-      {"messages_per_second", 47.5},
-      {"tokenize_micros_per_message", 1.0},
-      {"checkpoint_millis", 5.0},
-      {"commit_micros", 20.0},
-  };
-  for (const auto& [key, value] : expected) {
-    ASSERT_TRUE(fields.count(key)) << "missing key " << key;
-    EXPECT_NEAR(fields.at(key), value, 1e-6) << key;
-  }
-  // Nothing undeclared leaks into the schema.
-  EXPECT_EQ(fields.size(), expected.size());
-  // And the derived values agree with the accessor methods Format() uses.
-  EXPECT_NEAR(fields.at("messages_per_second"), snap.MessagesPerSecond(),
-              1e-9);
-  EXPECT_NEAR(fields.at("commit_micros"), snap.CommitMicros(), 1e-9);
-  EXPECT_NEAR(fields.at("checkpoint_millis"), snap.CheckpointMillis(), 1e-9);
-  EXPECT_NEAR(fields.at("tokenize_micros_per_message"),
-              snap.TokenizeMicrosPerMessage(), 1e-9);
+  EXPECT_NEAR(snap.MessagesPerSecond(), 47.5, 1e-9);
+  EXPECT_NEAR(snap.TokenizeMicrosPerMessage(), 1.0, 1e-9);
+  EXPECT_NEAR(snap.CheckpointMillis(), 5.0, 1e-9);
+  EXPECT_NEAR(snap.CommitMicros(), 20.0, 1e-9);
 }
 
 // --- enable/disable ---

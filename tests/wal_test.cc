@@ -532,7 +532,8 @@ TEST(WalCrashPointTest, DamagedSegmentFallsBackToThePreviousGeneration) {
         ASSERT_FALSE(segment.empty());
         fs::resize_file(segment, fs::file_size(segment) / 2);
       },
-      ErrorCode::kCorrupt, {"seg-"});
+      // The trail names the skipped segment and its error code.
+      ErrorCode::kCorrupt, {"seg-", ".snap: corrupt;"});
 }
 
 TEST(WalCrashPointTest, GarbageCollectionKeepsAFallbackGeneration) {
