@@ -6,8 +6,7 @@
 // deserializes the derived state directly — O(state). This harness runs a
 // full-window trace, saves a native snapshot, and times:
 //
-//   * native save / native load (durability/backend.h), at one thread and
-//     at --threads N;
+//   * native save / native load (durability/backend.h);
 //   * the replaced replay path, simulated faithfully: a fresh detector
 //     re-processing the last 3w quanta (exactly what the v1 loader
 //     did after parsing).
@@ -25,11 +24,10 @@
 // saving the state is O(state), and the log has no reason to exist if
 // the former is not the cheaper one.
 //
-//   $ ./bench_checkpoint [--threads N] [--wal-json FILE]
+//   $ ./bench_checkpoint [--wal-json FILE]
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -63,7 +61,7 @@ struct WalArmStats {
 WalArmStats RunWalArm(const scprt::stream::SyntheticTrace& trace,
                       const scprt::detect::DetectorConfig& config,
                       const std::vector<scprt::stream::Quantum>& quanta,
-                      std::size_t count, std::size_t threads) {
+                      std::size_t count) {
   using namespace scprt;
   namespace fs = std::filesystem;
   WalArmStats stats;
@@ -83,7 +81,6 @@ WalArmStats RunWalArm(const scprt::stream::SyntheticTrace& trace,
   dictionary.SeedFrom(trace.dictionary);
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = config;
-  engine_config.threads = threads == 0 ? 1 : threads;
   engine::ParallelDetector engine(engine_config, &dictionary.view());
   stream::Quantizer quantizer(config.quantum_size);
 
@@ -131,7 +128,6 @@ WalArmStats RunWalArm(const scprt::stream::SyntheticTrace& trace,
   // Cold recovery: a new backend over the same directory.
   text::ConcurrentKeywordDictionary recovered_dictionary;
   durability::RecoverOptions recover_options;
-  recover_options.engine_threads = engine_config.threads;
   recover_options.dictionary = &recovered_dictionary;
   durability::WalBackend cold(options);
   eval::Stopwatch recover_watch;
@@ -163,14 +159,13 @@ WalArmStats RunWalArm(const scprt::stream::SyntheticTrace& trace,
 
 int main(int argc, char** argv) {
   using namespace scprt;
-  std::size_t threads = 0;
   std::string wal_json;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      threads =
-          static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--wal-json") == 0) {
-      wal_json = argv[i + 1];
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--wal-json") == 0 && i + 1 < argc) {
+      wal_json = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--wal-json FILE]\n", argv[0]);
+      return 2;
     }
   }
   bench::PrintHeader("Checkpoint: native structural restore vs replay");
@@ -185,7 +180,7 @@ int main(int argc, char** argv) {
   // a long-running deployment.
   const std::size_t warmup =
       std::min(quanta.size() - 1, 5 * config.akg.window_length);
-  engine::ParallelDetector detector({config, 1}, &trace.dictionary);
+  engine::ParallelDetector detector({config}, &trace.dictionary);
   for (std::size_t q = 0; q < warmup; ++q) {
     detector.ProcessQuantum(quanta[q]);
   }
@@ -218,7 +213,7 @@ int main(int argc, char** argv) {
   const std::size_t replay_span =
       std::min(warmup, 3 * config.akg.window_length);
   eval::Stopwatch replay_watch;
-  engine::ParallelDetector replayed({config, 1}, &trace.dictionary);
+  engine::ParallelDetector replayed({config}, &trace.dictionary);
   for (std::size_t q = warmup - replay_span; q < warmup; ++q) {
     replayed.ProcessQuantum(quanta[q]);
   }
@@ -245,27 +240,12 @@ int main(int argc, char** argv) {
   std::printf("gate      : native load %s 10x faster than replay%s\n",
               restore_gate ? ">=" : "<", restore_gate ? "" : "  (FAIL)");
 
-  if (threads > 0) {
-    std::stringstream in(bytes);
-    eval::Stopwatch engine_watch;
-    auto engine = durability::LoadEngineSnapshot(in, &trace.dictionary,
-                                                 threads);
-    const double engine_s = engine_watch.ElapsedSeconds();
-    if (engine == nullptr) {
-      std::fprintf(stderr, "engine load failed\n");
-      return 1;
-    }
-    std::printf("engine load (%2zu thr) : %9.3f ms (same snapshot, sharded "
-                "engine)\n",
-                engine->threads(), engine_s * 1e3);
-  }
-
   if (!wal_json.empty()) {
     std::printf("\nWAL durability (fsync interval 8, segment every 32 "
                 "quanta):\n");
     const std::size_t arm_quanta = std::min<std::size_t>(quanta.size(), 64);
     const WalArmStats wal_arm =
-        RunWalArm(trace, config, quanta, arm_quanta, threads);
+        RunWalArm(trace, config, quanta, arm_quanta);
     if (!wal_arm.ok) return 1;
     std::printf(
         "wal       : %7.3f ms mean / %7.3f ms max stall  (%3llu persist "
@@ -291,14 +271,12 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"quanta\": %zu,\n"
                  "  \"quantum_size\": %zu,\n"
-                 "  \"threads\": %zu,\n"
                  "  \"wal\": {\"stall_ms_mean\": %.4f, "
                  "\"stall_ms_max\": %.4f, \"bytes_per_quantum\": %.1f, "
                  "\"recovery_seconds\": %.4f, \"full_save_ms\": %.4f},\n"
                  "  \"gate\": {\"wal_mean_stall_below_full_save\": %s}\n"
                  "}\n",
                  arm_quanta, config.quantum_size,
-                 threads == 0 ? std::size_t{1} : threads,
                  wal_arm.stall_ms_mean, wal_arm.stall_ms_max,
                  wal_arm.bytes_per_quantum, wal_arm.recovery_seconds,
                  wal_arm.full_save_ms, gate ? "true" : "false");

@@ -7,16 +7,14 @@
 //               frontend must sustain so tokenization never becomes the
 //               bottleneck);
 //   frontend  — tokenize/intern only (NullSink), swept over worker counts;
-//   e2e       — the full raw-text path: JSONL -> frontend -> sharded
-//               engine.
+//   e2e       — the full raw-text path: JSONL -> frontend -> engine.
 //
 // Emits a human table and a machine-readable BENCH_ingest.json (path
 // overridable with --json). The acceptance bar of PR 3: frontend msg/s at
 // >= 4 workers must be at least the core detector's msg/s, with zero
 // drops under the block policy.
 //
-//   bench_ingest [--messages N] [--workers a,b,c] [--threads N]
-//                [--delta N] [--json PATH]
+//   bench_ingest [--messages N] [--workers a,b,c] [--delta N] [--json PATH]
 
 #include <algorithm>
 #include <cstdio>
@@ -39,7 +37,6 @@ namespace {
 struct Options {
   std::uint64_t messages = 120'000;
   std::vector<std::size_t> workers = {1, 2, 4, 8};
-  std::size_t engine_threads = 4;
   std::size_t quantum_size = 160;
   std::string json_path = "BENCH_ingest.json";
 };
@@ -60,8 +57,6 @@ Options ParseOptions(int argc, char** argv) {
       while (std::getline(list, item, ',')) {
         options.workers.push_back(std::stoul(item));
       }
-    } else if (arg == "--threads") {
-      options.engine_threads = std::stoul(value());
     } else if (arg == "--delta") {
       options.quantum_size = std::stoul(value());
     } else if (arg == "--json") {
@@ -114,17 +109,16 @@ int main(int argc, char** argv) {
   // --- core: detector alone on pre-tokenized messages ---
   double core_rate = 0;
   {
-    const bench::RunResult run = bench::RunDetector(
-        trace, detector_config, options.engine_threads);
+    const bench::RunResult run = bench::RunDetector(trace, detector_config);
     Measurement m;
     m.name = "core";
-    m.workers = options.engine_threads;
+    m.workers = 1;  // the driver thread
     m.seconds = run.throughput.seconds;
     m.msgs_per_sec = Rate(trace.messages.size(), run.throughput.seconds);
     core_rate = m.msgs_per_sec;
     results.push_back(m);
-    std::printf("core     (engine %zu thr):            %9.0f msg/s\n",
-                options.engine_threads, core_rate);
+    std::printf("core     (engine):                   %9.0f msg/s\n",
+                core_rate);
   }
 
   // --- frontend-only sweep: tokenize + intern into a NullSink ---
@@ -168,7 +162,6 @@ int main(int argc, char** argv) {
     ingest::IngestPipeline pipeline(ingest_config, &dictionary);
     engine::ParallelDetectorConfig engine_config;
     engine_config.detector = detector_config;
-    engine_config.threads = options.engine_threads;
     engine::ParallelDetector detector(engine_config, &dictionary.view());
     ingest::QuantumAssembler sink = ingest::QuantumAssembler::For(detector);
     const ingest::IngestSnapshot snapshot = pipeline.Run(source, sink);
@@ -180,9 +173,9 @@ int main(int argc, char** argv) {
     m.msgs_per_sec = snapshot.MessagesPerSecond();
     m.shed = snapshot.shed;
     results.push_back(m);
-    std::printf("e2e      (%zu workers + %zu engine):   %9.0f msg/s  "
+    std::printf("e2e      (%zu workers + engine):      %9.0f msg/s  "
                 "(%llu quanta, shed %llu)\n",
-                workers, options.engine_threads, m.msgs_per_sec,
+                workers, m.msgs_per_sec,
                 static_cast<unsigned long long>(snapshot.quanta_emitted),
                 static_cast<unsigned long long>(snapshot.shed));
   }
@@ -206,11 +199,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json,
                "{\n  \"bench\": \"ingest\",\n  \"messages\": %llu,\n"
-               "  \"engine_threads\": %zu,\n  \"quantum_size\": %zu,\n"
+               "  \"quantum_size\": %zu,\n"
                "  \"core_msgs_per_sec\": %.1f,\n"
                "  \"frontend_keeps_up\": %s,\n  \"runs\": [\n",
                static_cast<unsigned long long>(options.messages),
-               options.engine_threads, options.quantum_size, core_rate,
+               options.quantum_size, core_rate,
                frontend_keeps_up ? "true" : "false");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];

@@ -174,11 +174,11 @@ void BM_IdSetIngest(benchmark::State& state) {
   }
   akg::UserIdSets sets(30);
   for (std::size_t q = 0; q < 30; ++q) {
-    sets.IngestAggregate(aggregates[q], nullptr);
+    sets.IngestAggregate(aggregates[q]);
   }
   std::size_t i = 30;
   for (auto _ : state) {
-    sets.IngestAggregate(aggregates[i++ % aggregates.size()], nullptr);
+    sets.IngestAggregate(aggregates[i++ % aggregates.size()]);
   }
   benchmark::DoNotOptimize(sets.active_keywords());
 }
@@ -216,8 +216,7 @@ BENCHMARK(BM_NodeStateQuantum);
 void BM_ExactJaccard(benchmark::State& state) {
   akg::UserIdSets sets(30);
   sets.IngestAggregate(
-      RandomAggregate(2, static_cast<std::size_t>(state.range(0)), 7),
-      nullptr);
+      RandomAggregate(2, static_cast<std::size_t>(state.range(0)), 7));
   for (auto _ : state) {
     benchmark::DoNotOptimize(sets.Jaccard(0, 1));
   }
@@ -229,8 +228,7 @@ void BM_ClusterSupport(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   akg::UserIdSets sets(30);
   sets.IngestAggregate(
-      RandomAggregate(k, static_cast<std::size_t>(state.range(1)), 8),
-      nullptr);
+      RandomAggregate(k, static_cast<std::size_t>(state.range(1)), 8));
   std::vector<KeywordId> members(k);
   for (std::size_t i = 0; i < k; ++i) members[i] = static_cast<KeywordId>(i);
   for (auto _ : state) {

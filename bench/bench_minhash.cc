@@ -1,8 +1,7 @@
-// Min-Hash sketch micro-bench: sketch build cost and three ways to get a
+// Min-Hash sketch micro-bench: sketch build cost and two ways to get a
 // keyword's window signature — rehashing the window's distinct users (what
 // the AKG builder does at refresh time), or merging cached per-quantum
-// sketches by serial left fold or by pairwise tree reduction (the cluster
-// export's CombineTree).
+// sketches by left fold (CombineAll, as the cluster export does).
 //
 // Runs a synthetic trace through the canonical aggregation path, gathers
 // every keyword's first `kWindow` quanta (their per-quantum sketches and
@@ -12,12 +11,11 @@
 //                              aggregate entry;
 //   * window_rehash_ns_per_window — Sketch over each window's distinct
 //                              users;
-//   * serial_fold_ns_per_window / tree_reduce_ns_per_window — each window
-//     signature from its cached per-quantum sketches, once by left fold,
-//     once by CombineTree.
+//   * serial_fold_ns_per_window — each window signature from its cached
+//     per-quantum sketches by CombineAll.
 //
-// All three window signatures must agree bit for bit; the harness checks
-// every window and exits 1 on any mismatch.
+// Both window signatures must agree bit for bit; the harness checks every
+// window and exits 1 on any mismatch.
 //
 // With --json FILE the results are written as a flat metric dict
 // (nanoseconds — lower is better) for scripts/bench_trend.py.
@@ -69,14 +67,6 @@ struct KeywordRing {
   std::vector<MinHashSignature> quanta;  // the window's per-quantum sketches
   std::vector<scprt::UserId> users;      // the window's distinct users
 };
-
-MinHashSignature SerialFold(const KeywordRing& ring, std::size_t p) {
-  MinHashSignature folded;
-  for (const MinHashSignature& part : ring.quanta) {
-    folded = MinHasher::Combine(folded, part, p);
-  }
-  return folded;
-}
 
 }  // namespace
 
@@ -136,8 +126,7 @@ int main(int argc, char** argv) {
                 build_ns, built);
   }
 
-  // --- window signature: rehash vs serial fold vs tree reduce over the
-  //     same windows ---
+  // --- window signature: rehash vs fold over the same windows ---
   std::unordered_map<scprt::KeywordId, KeywordRing> rings;
   for (const std::vector<QuantumEntry>& aggregate : aggregates) {
     for (const QuantumEntry& entry : aggregate) {
@@ -161,7 +150,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%zu keywords with multi-quantum windows\n", windows);
 
-  double rehash_ns = 0.0, fold_ns = 0.0, tree_ns = 0.0;
+  double rehash_ns = 0.0, fold_ns = 0.0;
   std::size_t mismatches = 0;
   {
     scprt::eval::Stopwatch watch;
@@ -180,35 +169,21 @@ int main(int argc, char** argv) {
     std::size_t sink = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (const auto& [keyword, ring] : rings) {
-        sink += SerialFold(ring, kP).size();
+        sink += MinHasher::CombineAll(ring.quanta, kP).size();
       }
     }
     fold_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * rings.size());
     std::printf("serial fold           : %8.1f ns/window (checksum %zu)\n",
                 fold_ns, sink);
   }
-  {
-    scprt::eval::Stopwatch watch;
-    std::size_t sink = 0;
-    for (int round = 0; round < kRounds; ++round) {
-      for (const auto& [keyword, ring] : rings) {
-        sink += MinHasher::CombineTree(ring.quanta, kP).size();
-      }
-    }
-    tree_ns = watch.ElapsedSeconds() * 1e9 / (kRounds * rings.size());
-    std::printf("tree reduce           : %8.1f ns/window (checksum %zu)\n",
-                tree_ns, sink);
-  }
 
-  // Correctness gate: rehash == fold == tree, bit for bit, on every window.
+  // Correctness gate: rehash == fold, bit for bit, on every window.
   for (const auto& [keyword, ring] : rings) {
-    const MinHashSignature rehashed = hasher.Sketch(ring.users);
-    if (rehashed != SerialFold(ring, kP) ||
-        rehashed != MinHasher::CombineTree(ring.quanta, kP)) {
+    if (hasher.Sketch(ring.users) != MinHasher::CombineAll(ring.quanta, kP)) {
       ++mismatches;
     }
   }
-  std::printf("rehash vs fold vs tree: %s\n",
+  std::printf("rehash vs fold        : %s\n",
               mismatches == 0 ? "bit-identical" : "DIVERGED (bug!)");
   if (mismatches != 0) return 1;
 
@@ -226,10 +201,9 @@ int main(int argc, char** argv) {
                  "  \"window\": %zu,\n"
                  "  \"build\": {\"unweighted_ns_per_entry\": %.1f},\n"
                  "  \"merge\": {\"serial_fold_ns_per_window\": %.1f, "
-                 "\"tree_reduce_ns_per_window\": %.1f, "
                  "\"window_rehash_ns_per_window\": %.1f}\n"
                  "}\n",
-                 kP, kWindow, build_ns, fold_ns, tree_ns, rehash_ns);
+                 kP, kWindow, build_ns, fold_ns, rehash_ns);
     std::fclose(out);
   }
   return 0;

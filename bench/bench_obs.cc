@@ -4,7 +4,7 @@
 // enough to leave on in production: stage timers and span hooks cost
 // relaxed atomic writes plus a bounded number of clock reads per batch.
 // This harness measures that claim on the bench_ingest e2e workload
-// (raw JSONL -> tokenize/intern frontend -> sharded engine), alternating
+// (raw JSONL -> tokenize/intern frontend -> engine), alternating
 // obs::SetEnabled(true/false) across repetitions, and gates the
 // enabled-vs-disabled cost difference at < 2%.
 //
@@ -86,7 +86,6 @@ double RunOnce(const std::string& jsonl, std::uint64_t messages,
   ingest::IngestPipeline pipeline(ingest_config, &dictionary);
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = detector_config;
-  engine_config.threads = 4;
   engine::ParallelDetector detector(engine_config, &dictionary.view());
   ingest::QuantumAssembler sink = ingest::QuantumAssembler::For(detector);
   sink.set_keep_reports(false);
@@ -112,8 +111,8 @@ int main(int argc, char** argv) {
     jsonl = std::move(buffer).str();
   }
   const detect::DetectorConfig detector_config = bench::NominalConfig();
-  std::printf("workload: %zu messages of raw JSONL, 4 workers + 4 engine "
-              "threads, %d reps per mode\n\n",
+  std::printf("workload: %zu messages of raw JSONL, 4 workers + the "
+              "engine, %d reps per mode\n\n",
               trace.messages.size(), options.reps);
 
   // Warm-up pass (dictionary seeding, page cache, registry registration)

@@ -1,5 +1,5 @@
 // Event-store bench: ingest a >= 100k-message trace into the LSH index
-// with the 4-thread engine, then serve top-10 keyword queries from a
+// with the engine, then serve top-10 keyword queries from a
 // cold read-only handle whose buffer pool is capped at 1/8 of the index
 // size — the memory envelope the store promises.
 //
@@ -7,8 +7,7 @@
 // (exit 1 on failure). Written as BENCH_store.json (metric-dict shape:
 // lower is better) for the CI trend diff.
 //
-//   $ ./bench_store [--messages N] [--threads N] [--queries N]
-//                   [--json FILE]
+//   $ ./bench_store [--messages N] [--queries N] [--json FILE]
 
 #include <algorithm>
 #include <chrono>
@@ -42,22 +41,18 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
 
   std::size_t messages = 120'000;
-  std::size_t threads = 4;
   std::size_t query_count = 300;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--messages") == 0 && i + 1 < argc) {
       messages = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--queries") == 0 && i + 1 < argc) {
       query_count = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--messages N] [--threads N] [--queries N] "
-                   "[--json FILE]\n",
+                   "usage: %s [--messages N] [--queries N] [--json FILE]\n",
                    argv[0]);
       return 2;
     }
@@ -86,9 +81,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   store::EventIndexer indexer(index.get(), /*commit_every=*/1);
-  engine::ParallelDetectorConfig engine_config;
-  engine_config.threads = threads;
-  engine::ParallelDetector engine(engine_config, &trace.dictionary);
+  engine::ParallelDetector engine(engine::ParallelDetectorConfig{},
+                                  &trace.dictionary);
   engine.set_cluster_sink(&indexer);
 
   const auto ingest_start = Clock::now();
@@ -104,9 +98,8 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - ingest_start).count();
   const std::uint32_t pages = index->page_count();
   const std::uint32_t events = index->committed_events();
-  std::printf("ingest   : %.2f s on %zu threads — %u events, %u pages "
-              "(%.1f MB)\n",
-              ingest_seconds, threads, events, pages,
+  std::printf("ingest   : %.2f s — %u events, %u pages (%.1f MB)\n",
+              ingest_seconds, events, pages,
               static_cast<double>(pages) * store::kPageSize / 1e6);
   if (events == 0) {
     std::fprintf(stderr, "no events reported — trace degenerated\n");
@@ -195,7 +188,6 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "{\n"
                  "  \"messages\": %zu,\n"
-                 "  \"threads\": %zu,\n"
                  "  \"events\": %u,\n"
                  "  \"pages\": %u,\n"
                  "  \"pool_frames\": %zu,\n"
@@ -204,7 +196,7 @@ int main(int argc, char** argv) {
                  "\"p99_ms\": %.4f},\n"
                  "  \"gate\": {\"query_p95_below_50ms\": %s}\n"
                  "}\n",
-                 trace.messages.size(), threads, events, pages, frames,
+                 trace.messages.size(), events, pages, frames,
                  ingest_seconds, p50, p95, p99, gate ? "true" : "false");
     std::fclose(out);
   }

@@ -21,14 +21,12 @@ struct RunResult {
   std::vector<detect::QuantumReport> reports;
 };
 
-/// Runs the detector on `threads` workers over `trace` with `config`,
-/// times it, and evaluates the reports against the planted ground truth —
-/// the one definition of how a run is measured. Reports are identical at
-/// every thread count; only wall-clock differs.
+/// Runs the detector over `trace` with `config`, times it, and evaluates
+/// the reports against the planted ground truth — the one definition of
+/// how a run is measured.
 inline RunResult RunDetector(const stream::SyntheticTrace& trace,
-                             const detect::DetectorConfig& config,
-                             std::size_t threads = 1) {
-  engine::ParallelDetector detector({config, threads}, &trace.dictionary);
+                             const detect::DetectorConfig& config) {
+  engine::ParallelDetector detector({config}, &trace.dictionary);
   eval::Stopwatch watch;
   RunResult result;
   result.reports = detector.Run(trace.messages);

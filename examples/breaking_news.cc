@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   detect::DetectorConfig config;
   config.quantum_size = 160;
-  engine::ParallelDetector detector({config, 1}, &trace.dictionary);
+  engine::ParallelDetector detector({config}, &trace.dictionary);
   const eval::GroundTruthMatcher matcher(trace.script);
 
   std::vector<detect::QuantumReport> reports;

@@ -69,9 +69,8 @@ int main() {
   }
   store::EventIndexer indexer(index.get(), /*commit_every=*/1);
 
-  engine::ParallelDetectorConfig config;
-  config.threads = 2;
-  engine::ParallelDetector detector(config, &trace.dictionary);
+  engine::ParallelDetector detector(engine::ParallelDetectorConfig{},
+                                    &trace.dictionary);
   detector.set_cluster_sink(&indexer);
   for (const stream::Message& message : trace.messages) {
     (void)detector.Push(message);

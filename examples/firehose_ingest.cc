@@ -4,7 +4,7 @@
 // Act 1 — an in-memory GeneratorSource renders a synthetic microblog
 // stream as raw text; the ingest frontend tokenizes it on a worker pool,
 // interns the vocabulary on the fly, cuts δ-sized quanta and drives the
-// 4-thread engine, while a monitor thread polls the live ingest metrics the
+// engine, while a monitor thread polls the live ingest metrics the
 // way an operations dashboard would. The act closes by proving the
 // raw-text path changed nothing: it replays the same token stream
 // pre-tokenized and compares report digests.
@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
   dictionary.SeedFrom(source.trace().dictionary);
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = detector_config;
-  engine_config.threads = 4;
   engine::ParallelDetector detector(engine_config, &dictionary.view());
   ingest::IngestPipeline pipeline(ingest_config, &dictionary);
 
@@ -161,8 +160,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  std::printf("ingesting raw text on %zu workers + %zu engine threads:\n",
-              pipeline.workers(), detector.threads());
+  std::printf("ingesting raw text on %zu workers:\n", pipeline.workers());
   const ingest::IngestSnapshot stats = pipeline.Run(source, sink);
   running.store(false, std::memory_order_release);
   monitor.join();

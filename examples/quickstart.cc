@@ -47,7 +47,7 @@ int main() {
   config.akg.ec_threshold = 0.3;
   config.akg.window_length = 6;
   config.min_rank_margin = 0.0;
-  engine::ParallelDetector detector({config, 1}, &dictionary);
+  engine::ParallelDetector detector({config}, &dictionary);
 
   // Quantum 0: the event breaks. Several users, overlapping keyword choices
   // (nobody uses all the words — the imperfect correlation of Figure 1),

@@ -4,19 +4,17 @@
 //       Generate a synthetic trace (with ground truth) to a file.
 //
 //   scprt_cli run <in.trace> [--delta N] [--gamma F] [--theta N] [--w N]
-//                 [--top N] [--stories] [--suppress-spurious] [--threads N]
+//                 [--top N] [--stories] [--suppress-spurious]
 //                 [--metrics-json FILE] [--trace-out FILE]
 //       Run the detector over a saved trace, print the event feed and the
 //       final precision/recall against the trace's ground truth.
-//       --threads > 1 runs the engine's hot loops on a worker pool
-//       (identical reports).
 //       --metrics-json dumps the full obs registry (per-stage latency
 //       histograms and counters) at exit; --trace-out writes the
 //       per-quantum span trace as Chrome about:tracing JSON. See
 //       docs/observability.md.
 //
 //   scprt_cli ingest <in.jsonl|in.tsv|-> [--format jsonl|tsv] [--workers N]
-//                 [--threads N] [--policy block|drop|sample]
+//                 [--policy block|drop|sample]
 //                 [--sample-keep F] [--seed N] [--queue N] [--delta N]
 //                 [--gamma F] [--theta N] [--w N] [--top N]
 //                 [--synonyms FILE] [--metrics-json FILE]
@@ -124,13 +122,13 @@ constexpr char kUsage[] =
     "usage:\n"
     "  scprt_cli gen <out.trace> [--preset tw|es] [--seed N] [--messages N]\n"
     "  scprt_cli run <in.trace> [--delta N] [--gamma F] [--theta N] [--w N] "
-    "[--top N] [--stories] [--suppress-spurious] [--threads N] "
+    "[--top N] [--stories] [--suppress-spurious] "
     "[--metrics-json FILE] [--trace-out FILE] [--store-dir DIR] "
     "[--store-bands B] [--store-rows R] [--store-commit-every K] "
     "[--store-frames N] [--stats-addr HOST:PORT] [--sample-every T] "
     "[--health-rule RULES] [--postmortem-dir DIR]\n"
     "  scprt_cli ingest <in.jsonl|in.tsv|-> [--format jsonl|tsv] [--workers N] "
-    "[--threads N] [--policy block|drop|sample] [--sample-keep F] [--seed N] "
+    "[--policy block|drop|sample] [--sample-keep F] [--seed N] "
     "[--queue N] [--delta N] [--gamma F] [--theta N] [--w N] [--top N] "
     "[--synonyms FILE] [--metrics-json FILE] [--durability-dir DIR] "
     "[--durability-fsync none|interval|commit] [--durability-cadence K] "
@@ -213,11 +211,11 @@ auto AtLeast(std::uint64_t floor) {
   return [floor](auto value) { return value >= floor; };
 }
 
-// Cap on --threads and --workers: a larger count is a typo, and thread
-// creation would fail on it. 0 means "all hardware threads".
+// Cap on --workers: a larger count is a typo, and thread creation would
+// fail on it. 0 means "all hardware threads".
 constexpr std::size_t kMaxThreadCount = 1024;
 
-// The one reader of thread-count flags (--threads, --workers).
+// The one reader of thread-count flags (--workers).
 std::size_t ThreadCountFlag(const Args& args, const std::string& name,
                             const char* dflt) {
   return BoundedFlag<std::size_t>(
@@ -438,11 +436,8 @@ int CmdRun(const Args& args) {
   const bool stories = args.Has("stories");
   const bool suppress = args.Has("suppress-spurious");
 
-  // threads == 1 runs the engine inline on this thread; any thread count
-  // emits bit-identical reports.
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = config;
-  engine_config.threads = ThreadCountFlag(args, "threads", "1");
   stream::SyntheticTrace trace;
   if (!stream::ReadTraceFile(args.positional[1], trace)) {
     std::fprintf(stderr, "error: cannot read %s\n",
@@ -452,7 +447,6 @@ int CmdRun(const Args& args) {
   std::unique_ptr<obs::Telemetry> telemetry;
   if (!MaybeStartTelemetry(args, "run",
                            {{"trace", args.positional[1]},
-                            {"threads", args.Get("threads", "1")},
                             {"store-dir", args.Get("store-dir", "-")}},
                            &telemetry)) {
     return 2;
@@ -599,7 +593,6 @@ int CmdIngest(const Args& args) {
   const auto top = NumericFlag<std::size_t>(args, "top", "3");
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = DetectorConfigFromArgs(args);
-  engine_config.threads = ThreadCountFlag(args, "threads", "1");
   MaybeEnableTracing(args);
   std::unique_ptr<obs::Telemetry> telemetry;
   if (!MaybeStartTelemetry(
@@ -607,7 +600,6 @@ int CmdIngest(const Args& args) {
           {{"input", input},
            {"format", format},
            {"workers", args.Get("workers", "4")},
-           {"threads", args.Get("threads", "1")},
            {"policy", policy}},
           &telemetry)) {
     return 2;
@@ -773,8 +765,8 @@ int CmdIngest(const Args& args) {
 
   const ingest::IngestSnapshot stats = pipeline.Run(*source, sink);
   std::printf("\ningest: %s\n", stats.Format().c_str());
-  std::printf("vocabulary: %zu keywords, %zu workers, %zu engine threads\n",
-              dictionary.size(), pipeline.workers(), detector.threads());
+  std::printf("vocabulary: %zu keywords, %zu workers\n", dictionary.size(),
+              pipeline.workers());
   const bool store_ok = event_store.Finish();
   if (!MaybeWriteMetrics(args)) return 1;
   if (!MaybeWriteTrace(args)) return 1;

@@ -57,7 +57,7 @@ int main() {
 
   detect::DetectorConfig config;
   config.quantum_size = 160;
-  engine::ParallelDetector detector({config, 1}, &trace.dictionary);
+  engine::ParallelDetector detector({config}, &trace.dictionary);
   detect::EventFeed feed;
 
   const std::size_t crash_at = trace.messages.size() / 2;

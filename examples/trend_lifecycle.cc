@@ -40,7 +40,7 @@ int main() {
 
   detect::DetectorConfig config;
   config.quantum_size = 160;
-  engine::ParallelDetector detector({config, 1}, &trace.dictionary);
+  engine::ParallelDetector detector({config}, &trace.dictionary);
   const eval::GroundTruthMatcher matcher(trace.script);
 
   // Follow the first real event and the spurious burst.

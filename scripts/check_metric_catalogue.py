@@ -11,6 +11,12 @@ undocumented. In the JSON export every key must map back to a
 catalogued name: dots become underscores, and a histogram's keys add
 _count, _sum, _max, _p50, _p95 and _p99.
 
+A JSON export must also be consistent in time: the process uptime
+covers every one-thread nanosecond sum in UPTIME_COVERS, so
+process_uptime_seconds * 1e9 >= ingest_quantum_process_ns_sum. An uptime
+anchored late (at the first metrics read rather than at process start)
+fails it.
+
 Catalogued metrics missing from the scrape are reported but never
 fatal: a given run only exercises the paths it ran (a non-durable
 ingest records no wal.* samples, a run without --store-dir no
@@ -42,7 +48,6 @@ TYPE_RE = re.compile(r"^# TYPE (scprt_[A-Za-z0-9_]+) ", re.MULTILINE)
 
 # The keys RegistrySnapshot::FormatJson expands one histogram into.
 HISTOGRAM_SUFFIXES = ("_count", "_sum", "_max", "_p50", "_p95", "_p99")
-
 
 def catalogue_names(doc_text):
     """Dotted metric name -> type cell from the catalogue tables, with the
@@ -146,6 +151,15 @@ def main():
                       if not isinstance(value, (int, float))
                       or isinstance(value, bool)]
         exported = json_names(keys, documented)
+        values = dict(export)
+        # The driver thread records every quantum's processing time, so
+        # the process must have been up at least that long.
+        uptime = values.get("process_uptime_seconds")
+        busy = values.get("ingest_quantum_process_ns_sum")
+        if (isinstance(uptime, (int, float))
+                and isinstance(busy, (int, float)) and uptime * 1e9 < busy):
+            malformed.append(f"process_uptime_seconds {uptime} s is shorter "
+                             f"than ingest_quantum_process_ns_sum {busy} ns")
     else:
         exported = scraped_names(scrape)
     if not exported:

@@ -51,7 +51,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
   last_stats_ = AkgQuantumStats{};
 
   // --- 1. Ingest the quantum's (keyword, user) aggregate into the window
-  //        id sets; the fold + expiry runs keyword-shard-parallel ---
+  //        id sets: one merge + expiry per keyword shard ---
   {
     // Id-set window fold cost; batch-level timing only — per-keyword
     // clocks would swamp the work.
@@ -59,7 +59,7 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
         obs::Registry::Default().GetHistogram("akg.sketch_ingest_ns");
     obs::ScopedSpan span("akg.sketch");
     obs::ScopedHistogramTimer timer(sketch_hist);
-    id_sets_.IngestAggregate(aggregate, parallel_for_);
+    id_sets_.IngestAggregate(aggregate);
   }
 
   // --- 2-3. Node state transitions and evictions ---
@@ -97,25 +97,20 @@ GraphDelta AkgBuilder::ProcessAggregate(const QuantumAggregate& aggregate) {
 
   // --- 4. Refresh signatures of keywords whose id sets changed and are
   //        relevant this quantum: set (1) bursty + set (2) AKG-and-seen.
-  //        Each signature is the bottom-p of the keyword's window id set;
-  //        sketches only read the id sets, so the batch runs through the
-  //        parallel hook; writes into signatures_ stay on this thread. ---
+  //        Each signature is the bottom-p of the keyword's window id
+  //        set. ---
   std::vector<KeywordId> refresh = update.bursty;
   refresh.insert(refresh.end(), update.seen_in_akg.begin(),
                  update.seen_in_akg.end());
-  std::vector<MinHashSignature> refreshed(refresh.size());
   {
     // Window id-set bottom-p cost for the whole refresh batch.
     static obs::Histogram* const refresh_hist =
         obs::Registry::Default().GetHistogram("akg.signature_refresh_ns");
     obs::ScopedSpan span("akg.refresh");
     obs::ScopedHistogramTimer timer(refresh_hist);
-    parallel_for_(refresh.size(), [&](std::size_t i) {
-      refreshed[i] = hasher_.Sketch(id_sets_.WindowUsers(refresh[i]));
-    });
-  }
-  for (std::size_t i = 0; i < refresh.size(); ++i) {
-    signatures_[refresh[i]] = std::move(refreshed[i]);
+    for (KeywordId k : refresh) {
+      signatures_[k] = hasher_.Sketch(id_sets_.WindowUsers(k));
+    }
   }
 
   // --- 5-6. Edge correlation: new edges among set (1), then lazy
@@ -173,27 +168,16 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
   }
   last_stats_.pairs_screened = candidates.size();
 
-  // Screen serially (cheap signature comparison), batch the EC
-  // computations through the parallel hook (pure reads of id sets and
-  // signatures), then apply results in candidate order.
-  std::vector<std::pair<KeywordId, KeywordId>> add_jobs;
+  // Screen each candidate (cheap signature comparison), then compute and
+  // apply its EC in candidate order.
   for (const auto& [a, b] : candidates) {
     if (akg_.HasEdge(a, b)) continue;
-    if (!PassesScreen(config_.ec_mode, signatures_[a], signatures_[b])) {
-      continue;
-    }
-    add_jobs.emplace_back(a, b);
-  }
-  std::vector<double> add_ecs(add_jobs.size());
-  parallel_for_(add_jobs.size(), [&](std::size_t i) {
-    const auto [a, b] = add_jobs[i];
-    add_ecs[i] = ComputeEc(config_.ec_mode, id_sets_, a, b, signatures_.at(a),
-                           signatures_.at(b), hasher_.p());
-  });
-  last_stats_.ec_computed += add_jobs.size();
-  for (std::size_t i = 0; i < add_jobs.size(); ++i) {
-    const auto [a, b] = add_jobs[i];
-    const double ec = add_ecs[i];
+    const MinHashSignature& sig_a = signatures_[a];
+    const MinHashSignature& sig_b = signatures_[b];
+    if (!PassesScreen(config_.ec_mode, sig_a, sig_b)) continue;
+    ++last_stats_.ec_computed;
+    const double ec =
+        ComputeEc(config_.ec_mode, id_sets_, a, b, sig_a, sig_b, hasher_.p());
     if (ec >= gamma) {
       akg_.AddEdge(a, b);
       const Edge e = Edge::Of(a, b);
@@ -205,11 +189,11 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
   // --- 6. Lazy re-validation (Section 3.2.1 set (2)): keywords seen this
   //        quantum update the EC with their current neighbors; edges whose
   //        correlation fell below gamma are dropped ---
-  // The pair set is fixed up front (removals below can only drop pairs
-  // that are already in the batch), so the EC batch runs through the
-  // parallel hook; EC reads only id sets and signatures, which the
-  // removals do not touch. Results apply in collection order. The touched
-  // set is exactly the signature-refresh set built in step 4.
+  // The pair set is collected before any edge is removed: removing an
+  // edge takes it out of Neighbors(), so collecting while removing would
+  // skip pairs. EC reads only id sets and signatures, which the removals
+  // do not touch. Results apply in collection order. The touched set is
+  // exactly the signature-refresh set built in step 4.
   std::unordered_set<std::uint64_t> revalidated;
   std::vector<std::pair<KeywordId, KeywordId>> reval_jobs;
   for (KeywordId k : refresh) {
@@ -221,20 +205,14 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
       if (revalidated.insert(key).second) reval_jobs.emplace_back(a, b);
     }
   }
-  std::vector<double> reval_ecs(reval_jobs.size());
-  parallel_for_(reval_jobs.size(), [&](std::size_t i) {
-    const auto [a, b] = reval_jobs[i];
-    // Both signatures may be stale for the untouched endpoint; EC is
-    // computed from exact id sets except in kMinHashOnly mode.
-    reval_ecs[i] =
-        ComputeEc(config_.ec_mode, id_sets_, a, b, signatures_.at(a),
-                  signatures_.at(b), hasher_.p());
-  });
   last_stats_.ec_computed += reval_jobs.size();
-  for (std::size_t i = 0; i < reval_jobs.size(); ++i) {
-    const auto [a, b] = reval_jobs[i];
+  for (const auto& [a, b] : reval_jobs) {
+    // The untouched endpoint's signature may be stale; EC is computed
+    // from exact id sets except in kMinHashOnly mode.
+    const double ec = ComputeEc(config_.ec_mode, id_sets_, a, b,
+                                signatures_.at(a), signatures_.at(b),
+                                hasher_.p());
     const Edge e = Edge::Of(a, b);
-    const double ec = reval_ecs[i];
     if (ec < gamma) {
       akg_.RemoveEdge(a, b);
       edge_ec_.erase(e);
@@ -256,7 +234,7 @@ MinHashSignature AkgBuilder::ExportClusterSketch(
       parts.push_back(it->second);
     }
   }
-  return MinHasher::CombineTree(std::move(parts), hasher_.p());
+  return MinHasher::CombineAll(parts, hasher_.p());
 }
 
 std::size_t AkgBuilder::sketch_size() const { return hasher_.p(); }

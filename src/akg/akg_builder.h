@@ -21,7 +21,6 @@
 #include "akg/node_state.h"
 #include "akg/quantum_aggregate.h"
 #include "common/binary_io.h"
-#include "common/parallel.h"
 #include "graph/graph.h"
 #include "stream/message.h"
 
@@ -90,13 +89,6 @@ class AkgBuilder {
   /// is identical to ProcessQuantum on the originating quantum.
   GraphDelta ProcessAggregate(const QuantumAggregate& aggregate);
 
-  /// Installs the hook used for the pure per-item hot loops (signature
-  /// refresh, EC batches). The delta is identical under any hook; pass
-  /// nullptr to restore the serial default.
-  void set_parallel_for(ParallelForFn parallel_for) {
-    parallel_for_ = parallel_for ? std::move(parallel_for) : SerialFor;
-  }
-
   /// The AKG as a graph (mirror of what the deltas described).
   const graph::DynamicGraph& akg() const { return akg_; }
 
@@ -109,7 +101,7 @@ class AkgBuilder {
     return id_sets_.WindowSupport(keyword);
   }
 
-  /// Exports a cluster-level user signature: the Combine tree of the
+  /// Exports a cluster-level user signature: the Combine fold of the
   /// member keywords' current window signatures, bottom-p overall. Because
   /// Combine de-duplicates keys, a user active in several member keywords
   /// (or spamming one of them) still occupies exactly one slot — the
@@ -148,7 +140,6 @@ class AkgBuilder {
                       GraphDelta& delta);
 
   AkgConfig config_;
-  ParallelForFn parallel_for_ = SerialFor;
   std::function<bool(KeywordId)> in_cluster_;
   UserIdSets id_sets_;
   NodeStateAutomaton node_state_;

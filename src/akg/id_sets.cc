@@ -154,8 +154,7 @@ void UserIdSets::RefoldWindow(Shard& shard) {
   }
 }
 
-void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
-                                 const ParallelForFn& parallel_for) {
+void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate) {
   // One routing pass up front so each shard merges only its own pairs
   // instead of re-scanning the whole aggregate. Ascending input keeps
   // every shard's history entry (keyword, user)-sorted.
@@ -165,9 +164,8 @@ void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
     SCPRT_CHECK(i == 0 || pairs[i - 1] < pairs[i]);
     shards_[ShardOf(PairKeyword(pairs[i]))].incoming.push_back(pairs[i]);
   }
-  const auto ingest_shard = [this](std::size_t s) {
-    static const HistoryEntry kNothing;
-    Shard& shard = shards_[s];
+  static const HistoryEntry kNothing;
+  for (Shard& shard : shards_) {
     const bool full = shard.history.size() == window_length_;
     MergeWindow(shard.window, shard.incoming,
                 full ? shard.history.front() : kNothing, shard.next);
@@ -180,11 +178,6 @@ void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate,
     shard.history.push_back(std::move(shard.incoming));
     // The expired entry's buffer takes the next quantum's pairs.
     shard.incoming = std::move(recycled);
-  };
-  if (parallel_for) {
-    parallel_for(kIdSetShards, ingest_shard);
-  } else {
-    SerialFor(kIdSetShards, ingest_shard);
   }
 }
 

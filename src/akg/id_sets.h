@@ -24,10 +24,10 @@
 // Jaccard (the edge correlation EC) is a merge intersection, signatures
 // read the sorted users in place, and cluster support is a sorted union.
 //
-// Shards never share state, so the per-quantum merge runs shard-parallel
-// through IngestAggregate's hook. All outputs are canonical (window users
-// ascending, everything else content-addressed), so results do not depend
-// on the shard count or on which thread folded which shard.
+// Shards never share state; IngestAggregate merges them one after
+// another. All outputs are canonical (window users ascending, everything
+// else content-addressed), so results do not depend on the shard count;
+// the count stays fixed because the snapshot format saves the shards.
 
 #ifndef SCPRT_AKG_ID_SETS_H_
 #define SCPRT_AKG_ID_SETS_H_
@@ -39,7 +39,6 @@
 
 #include "akg/quantum_aggregate.h"
 #include "common/binary_io.h"
-#include "common/parallel.h"
 #include "common/types.h"
 
 namespace scprt::akg {
@@ -49,8 +48,8 @@ namespace scprt::akg {
 /// quantum's canonical aggregate.
 class UserIdSets {
  public:
-  /// Keyword shards per store. Fixed (not tied to the thread count) so the
-  /// data layout is identical no matter who drives the ingestion.
+  /// Keyword shards per store. Fixed, so the saved data layout is always
+  /// the same.
   static constexpr std::size_t kIdSetShards = 16;
 
   /// `window_length` is the paper's w, >= 1.
@@ -58,10 +57,8 @@ class UserIdSets {
 
   /// Ingests one whole quantum from its canonical aggregate (pairs
   /// strictly ascending) and expires the quantum that fell out of the
-  /// window. `parallel_for` (serial default when null) runs the
-  /// independent per-shard merges concurrently.
-  void IngestAggregate(const QuantumAggregate& aggregate,
-                       const ParallelForFn& parallel_for);
+  /// window.
+  void IngestAggregate(const QuantumAggregate& aggregate);
 
   /// Distinct users of `keyword` across the whole window (the node weight
   /// w_i of the rank function).

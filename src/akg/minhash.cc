@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/parallel.h"
 
 namespace scprt::akg {
 
@@ -94,12 +93,11 @@ MinHashSignature MinHasher::Combine(const MinHashSignature& a,
   return out;
 }
 
-MinHashSignature MinHasher::CombineTree(std::vector<MinHashSignature> parts,
-                                        std::size_t p) {
-  return TreeReduce(std::move(parts),
-                    [p](MinHashSignature a, MinHashSignature b) {
-                      return Combine(a, b, p);
-                    });
+MinHashSignature MinHasher::CombineAll(
+    std::span<const MinHashSignature> parts, std::size_t p) {
+  MinHashSignature out;
+  for (const MinHashSignature& part : parts) out = Combine(out, part, p);
+  return out;
 }
 
 double MinHasher::EstimateDistinctUsers(const MinHashSignature& signature,

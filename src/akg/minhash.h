@@ -13,9 +13,8 @@
 // Combine is exact under truncation (the bottom-p of a union is the
 // bottom-p of the parts' bottom-p's, by the usual KMV argument), hence
 // associative and commutative — which is what lets the member keywords of
-// a cluster reduce to one distinct-user signature through a tree
-// (common/parallel.h TreeReduce) in any grouping with bit-identical
-// results.
+// a cluster reduce to one distinct-user signature by a plain left fold
+// (CombineAll) with the same result as any other grouping.
 
 #ifndef SCPRT_AKG_MINHASH_H_
 #define SCPRT_AKG_MINHASH_H_
@@ -62,11 +61,11 @@ class MinHasher {
   static MinHashSignature Combine(const MinHashSignature& a,
                                   const MinHashSignature& b, std::size_t p);
 
-  /// Reduces `parts` with Combine in the fixed pairwise-tree shape
-  /// (TreeReduce). Any grouping gives the same result; the fixed
-  /// shape makes that property cheap to audit.
-  static MinHashSignature CombineTree(std::vector<MinHashSignature> parts,
-                                      std::size_t p);
+  /// Reduces `parts` with Combine, left to right; empty when `parts` is.
+  /// Combine is exact, so the result is the signature of the union of
+  /// the parts' id sets, whatever their order.
+  static MinHashSignature CombineAll(std::span<const MinHashSignature> parts,
+                                     std::size_t p);
 
   /// Distinct-user estimate from a signature. One user contributes exactly
   /// one key no matter how many messages they sent, so the estimate is

@@ -2,10 +2,10 @@
 // pairs, each packed into one integer `keyword << 32 | user`, in one flat
 // array sorted ascending. Integer order is (keyword, user) order, so a
 // keyword's users form one contiguous run and the run length is the
-// keyword's distinct-user count. AggregateQuantum is the one producer; the
-// engine (engine/parallel_detector.cc) calls it at every thread count, and
-// the form depends only on the quantum's contents — which is part of what
-// makes the engine's reports bit-identical at every thread count.
+// keyword's distinct-user count. AggregateQuantum is the one producer (the
+// engine, engine/parallel_detector.cc, calls it once per quantum), and the
+// form depends only on the quantum's contents — which is part of what
+// makes the engine's reports a pure function of the message stream.
 
 #ifndef SCPRT_AKG_QUANTUM_AGGREGATE_H_
 #define SCPRT_AKG_QUANTUM_AGGREGATE_H_

@@ -1,6 +1,6 @@
 // The report-time export hook: consumers that persist reported clusters
 // (the LSH event store, store/event_indexer.h) implement ClusterSink and
-// attach it to the detector or the sharded engine. The sink fires inside
+// attach it to the detector or the engine. The sink fires inside
 // ProcessQuantum, before the caller sees the report — so anything the sink
 // persists is already on its way to disk when a durability backend fences
 // the same quantum boundary (the ordering the store's crash-consistency

@@ -24,11 +24,6 @@ EventDetector::EventDetector(const DetectorConfig& config,
              return maintainer_.clusters().NodeInAnyCluster(k);
            }) {}
 
-void EventDetector::set_parallel_for(ParallelForFn parallel_for) {
-  parallel_for_ = parallel_for ? parallel_for : SerialFor;
-  akg_.set_parallel_for(std::move(parallel_for));
-}
-
 QuantumReport EventDetector::ProcessQuantumWithAggregate(
     const stream::Quantum& quantum, const akg::QuantumAggregate& aggregate) {
   SCPRT_DCHECK(aggregate.index == quantum.index);
@@ -129,10 +124,8 @@ std::vector<EventSnapshot> EventDetector::SnapshotEvents(QuantumIndex now) {
       obs::Registry::Default().GetHistogram("detect.snapshot_ns");
   obs::ScopedSpan span("detect.snapshot");
   obs::ScopedHistogramTimer timer(snapshot_hist);
-  // Canonical cluster order: id ascending. The cores are pure per-cluster
-  // reads and run through the parallel hook; everything order-sensitive
-  // (tracker observation, filtering, report order) stays serial below, so
-  // reports are identical under any hook.
+  // Canonical cluster order: id ascending, so tracker observation and
+  // first-report marking see the clusters in a fixed order.
   std::vector<std::pair<ClusterId, const Cluster*>> live_clusters;
   live_clusters.reserve(maintainer_.clusters().clusters().size());
   for (const auto& [id, cluster] : maintainer_.clusters().clusters()) {
@@ -141,16 +134,10 @@ std::vector<EventSnapshot> EventDetector::SnapshotEvents(QuantumIndex now) {
   std::sort(live_clusters.begin(), live_clusters.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  std::vector<EventSnapshot> cores(live_clusters.size());
-  parallel_for_(live_clusters.size(), [&](std::size_t i) {
-    cores[i] = SnapshotCore(live_clusters[i].first, *live_clusters[i].second,
-                            now);
-  });
-
   std::vector<EventSnapshot> snapshots;
   std::unordered_set<ClusterId> live;
-  for (EventSnapshot& snap : cores) {
-    const ClusterId id = snap.cluster_id;
+  for (const auto& [id, cluster] : live_clusters) {
+    EventSnapshot snap = SnapshotCore(id, *cluster, now);
     live.insert(id);
     tracker_.Observe(id, rank::RankObservation{
                              now, snap.rank,

@@ -13,7 +13,6 @@
 #include "akg/quantum_aggregate.h"
 #include "cluster/maintenance.h"
 #include "common/binary_io.h"
-#include "common/parallel.h"
 #include "detect/cluster_sink.h"
 #include "detect/config.h"
 #include "detect/event.h"
@@ -41,12 +40,6 @@ class EventDetector {
   QuantumReport ProcessQuantumWithAggregate(
       const stream::Quantum& quantum,
       const akg::QuantumAggregate& aggregate);
-
-  /// Installs the hook for the pure per-item hot loops here and in the AKG
-  /// builder (signature refresh, EC batches, per-cluster snapshot cores).
-  /// Reports are identical under any hook; nullptr restores the serial
-  /// default. See engine/parallel_detector.h for the pooled setup.
-  void set_parallel_for(ParallelForFn parallel_for);
 
   /// Attaches a sink that receives every newly reported cluster (with its
   /// spellings and deduped user sketch) inside ProcessQuantumWithAggregate,
@@ -86,8 +79,7 @@ class EventDetector {
   std::vector<EventSnapshot> SnapshotEvents(QuantumIndex now);
 
   /// Computes the tracker-independent fields of one cluster's snapshot
-  /// (pure reads of the maintainer and AKG; safe to run concurrently for
-  /// distinct clusters).
+  /// (pure reads of the maintainer and AKG).
   EventSnapshot SnapshotCore(ClusterId id, const cluster::Cluster& cluster,
                              QuantumIndex now) const;
 
@@ -98,7 +90,6 @@ class EventDetector {
   void EmitToSink(const std::vector<EventSnapshot>& events);
 
   DetectorConfig config_;
-  ParallelForFn parallel_for_ = SerialFor;
   ClusterSink* cluster_sink_ = nullptr;
   const text::KeywordDictionary* dictionary_;
   cluster::ScpMaintainer maintainer_;

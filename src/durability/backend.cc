@@ -34,7 +34,7 @@ bool ParseFsyncLevel(std::string_view text, FsyncLevel& level) {
   return false;
 }
 
-Error SaveSnapshot(engine::ParallelDetector& engine, std::ostream& out,
+Error SaveSnapshot(const engine::ParallelDetector& engine, std::ostream& out,
                    std::uint64_t* checkpoint_id,
                    const CheckpointExtras& extras) {
   BinaryWriter payload;

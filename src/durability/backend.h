@@ -9,9 +9,9 @@
 // quantum in flight.
 //
 // The driver (ingest::DurableIngest) calls WalBackend::Commit() once per
-// cut quantum — under the engine's quiesce fence, on the driver thread.
-// Resume is bit-identical to a never-restarted run at any worker and
-// engine thread count (tests/ingest_checkpoint_test.cc).
+// cut quantum, on the driver thread, after the engine has processed it.
+// Resume is bit-identical to a never-restarted run at any worker count
+// (tests/ingest_checkpoint_test.cc).
 //
 // This header holds what the backend's callers share: the fsync levels,
 // the placement/cadence options, and the Commit/Recover contexts and
@@ -33,8 +33,7 @@
 //   * Cluster ids and birth stamps survive the restore, so event identity
 //     is continuous across a crash and "NEW" markers do not refire.
 //   * The subsequent report stream is bit-identical to a never-restarted
-//     engine's, at any thread count on either side of the restore
-//     (tests/checkpoint_property_test.cc).
+//     engine's (tests/checkpoint_property_test.cc).
 //   * Corrupt input (truncation, bit flips, version skew, forged lengths)
 //     makes the loader fail with a typed Error; it never crashes, aborts
 //     or over-allocates (tests/checkpoint_fuzz_test.cc).
@@ -132,8 +131,6 @@ struct CommitResult {
 };
 
 struct RecoverOptions {
-  /// Engine worker threads for the restored detector (0 = hardware).
-  std::size_t engine_threads = 0;
   /// The deployment's dictionary; must be empty (recovery installs the
   /// persisted vocabulary into it).
   text::ConcurrentKeywordDictionary* dictionary = nullptr;
@@ -180,16 +177,17 @@ struct CheckpointExtras {
   const detect::snapshot_io::IngestState* ingest = nullptr;
 };
 
-/// Writes a full native snapshot of `engine` (quiescing it) to `out`.
+/// Writes a full native snapshot of `engine` to `out`.
 /// `checkpoint_id` (optional out) receives the snapshot's id, which every
 /// log record of a WAL generation chains to.
-Error SaveSnapshot(engine::ParallelDetector& engine, std::ostream& out,
+Error SaveSnapshot(const engine::ParallelDetector& engine, std::ostream& out,
                    std::uint64_t* checkpoint_id = nullptr,
                    const CheckpointExtras& extras = {});
 
-/// Restores an engine running on `threads` workers (0 derives hardware
-/// concurrency) from a full snapshot; thread count is an engine property,
-/// not a snapshot property. The stored configuration is used; `dictionary`
+/// Restores an engine from a full snapshot. `threads` must be 1: it
+/// remains only because the repository benchmark (perfbench/src/replay.cc)
+/// passes it; drop it together with that argument. The stored
+/// configuration is used; `dictionary`
 /// follows the ParallelDetector constructor contract. Returns nullptr on
 /// malformed input; `error` (optional out) receives the typed reason, or
 /// success. `ingest` / `ingest_present` (optional outs) receive the

@@ -170,7 +170,7 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
     std::uint64_t base_id = 0;
     std::ifstream in(PathOf(segment_name), std::ios::binary);
     auto engine = LoadEngineSnapshot(in, &dictionary.view(),
-                                     options.engine_threads, &base_id,
+                                     /*threads=*/1, &base_id,
                                      &load_error, &segment_state,
                                      &has_ingest);
     if (engine == nullptr || !has_ingest ||
@@ -297,7 +297,7 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
   return result;
 }
 
-CommitResult WalBackend::Commit(engine::ParallelDetector& engine,
+CommitResult WalBackend::Commit(const engine::ParallelDetector& engine,
                                 const CommitContext& ctx) {
   SCPRT_CHECK(ctx.quantum != nullptr && ctx.quantizer != nullptr &&
               ctx.dictionary != nullptr);
@@ -315,7 +315,7 @@ CommitResult WalBackend::Commit(engine::ParallelDetector& engine,
   return AppendRecord(ctx);
 }
 
-CommitResult WalBackend::CutGeneration(engine::ParallelDetector& engine,
+CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
                                        const CommitContext& ctx) {
   CommitResult result;
   obs::ScopedSpan span("wal.segment");

@@ -65,9 +65,9 @@ class WalBackend {
 
   /// One quantum boundary: appends the quantum's log record, or cuts a
   /// new generation when the segment cadence is due (always on the first
-  /// Commit). `engine` is quiesced by its own save path; `ctx.state`'s
+  /// Commit). `engine` has processed `ctx.quantum`; `ctx.state`'s
   /// frontend fields describe this fence.
-  CommitResult Commit(engine::ParallelDetector& engine,
+  CommitResult Commit(const engine::ParallelDetector& engine,
                       const CommitContext& ctx);
 
   /// fsync/fdatasync failures observed so far (commits may still have
@@ -77,7 +77,7 @@ class WalBackend {
  private:
   /// Cuts a new generation at the current fence: segment (subsuming the
   /// quantum just processed), manifest, CURRENT, fresh log, GC.
-  CommitResult CutGeneration(engine::ParallelDetector& engine,
+  CommitResult CutGeneration(const engine::ParallelDetector& engine,
                              const CommitContext& ctx);
 
   /// Appends one quantum record to the live log, syncing per FsyncLevel.

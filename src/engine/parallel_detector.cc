@@ -1,34 +1,19 @@
 #include "engine/parallel_detector.h"
 
-#include <thread>
 #include <utility>
 
 #include "akg/quantum_aggregate.h"
+#include "common/check.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace scprt::engine {
-namespace {
-
-std::size_t ResolveThreads(std::size_t threads) {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
-}  // namespace
 
 ParallelDetector::ParallelDetector(const ParallelDetectorConfig& config,
                                    const text::KeywordDictionary* dictionary)
-    : pool_(ResolveThreads(config.threads)),
-      detector_(config.detector, dictionary),
+    : detector_(config.detector, dictionary),
       quantizer_(config.detector.quantum_size) {
-  if (pool_.threads() > 1) {
-    detector_.set_parallel_for(
-        [this](std::size_t n, const std::function<void(std::size_t)>& body) {
-          pool_.ParallelFor(n, body);
-        });
-  }
+  SCPRT_CHECK(config.threads == 1);  // the engine runs inline
 }
 
 std::optional<detect::QuantumReport> ParallelDetector::Push(
@@ -68,8 +53,7 @@ std::vector<detect::QuantumReport> ParallelDetector::Run(
 }
 
 void ParallelDetector::SaveState(BinaryWriter& out,
-                                 const stream::Quantizer& clock) {
-  pool_.Quiesce();  // all pool work fenced; core state is ours to read
+                                 const stream::Quantizer& clock) const {
   detector_.SaveState(out, clock);
 }
 

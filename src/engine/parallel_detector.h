@@ -1,26 +1,20 @@
 // The detector: the one driver users push messages into. It cuts the stream
 // into quanta and runs each through the single-writer EventDetector core,
-// with the core's pure per-item hot loops spread over a worker pool.
+// every stage inline on the calling thread:
 //
-// Each quantum flows through three stages:
+//   1. aggregate   — akg::AggregateQuantum reduces the quantum to
+//                    (keyword, distinct users) in canonical order;
+//   2. graph + SCP — the AKG builder refreshes Min-Hash signatures and
+//                    computes edge correlations, then the ScpMaintainer
+//                    applies the structural delta;
+//   3. snapshot    — per-cluster report cores in canonical (cluster id,
+//                    then rank) order.
 //
-//   1. aggregate   (serial)    — akg::AggregateQuantum reduces the quantum
-//                                to (keyword, distinct users) in canonical
-//                                order;
-//   2. graph + SCP (serial core, parallel hot loops) — the AKG builder
-//                                batches Min-Hash signature refreshes and
-//                                edge-correlation computations through the
-//                                pool, then the single-writer ScpMaintainer
-//                                applies the structural delta;
-//   3. snapshot    (parallel)  — per-cluster report cores compute on the
-//                                pool and merge in canonical (cluster id,
-//                                then rank) order.
-//
-// Every parallel loop writes only per-index slots and every serial stage
-// consumes canonical orderings, so the emitted QuantumReport sequence is
-// bit-identical at any thread count; threads = 1 runs every stage inline
-// on the caller (tests/parallel_detector_test.cc compares 2 and 8 threads
-// against 1; tests/golden_test.cc pins 1 and 4).
+// Each quantum costs a few hundred microseconds, split into batches of
+// microsecond jobs, so the core has no worker pool: fork-join would
+// outweigh the work. The emitted QuantumReport sequence is a pure function
+// of the message stream (tests/golden_test.cc pins it). Parallelism lives
+// in the separate ingest stage (ingest/pipeline.h: tokenizer workers).
 //
 // Saving and restoring an engine goes through durability/backend.h; the
 // engine itself only exposes its state encoding (SaveState/RestoreState).
@@ -35,7 +29,6 @@
 #include "common/binary_io.h"
 #include "detect/config.h"
 #include "detect/detector.h"
-#include "engine/shard_pool.h"
 #include "stream/message.h"
 #include "stream/quantizer.h"
 #include "text/keyword_dictionary.h"
@@ -45,14 +38,18 @@ namespace scprt::engine {
 /// Engine tuning on top of the detector configuration.
 struct ParallelDetectorConfig {
   detect::DetectorConfig detector;
-  /// Pool worker threads. 0 derives the hardware concurrency; 1 runs
-  /// everything inline on the calling thread.
-  std::size_t threads = 0;
+  /// Must be 1: the engine runs every stage inline on the calling thread.
+  /// The field remains only because the repository benchmark
+  /// (perfbench/src/harness.cc) assigns it; drop it together with that
+  /// assignment.
+  std::size_t threads = 1;
 };
 
 /// The streaming detector: Push messages (or whole quanta), get a
-/// QuantumReport each time a quantum closes. Not thread-safe itself — one
-/// driver thread feeds it, the pool parallelizes underneath.
+/// QuantumReport each time a quantum closes. Not thread-safe: one driver
+/// thread feeds it. ("Parallel" is a leftover of the retired worker pool;
+/// the repository benchmark spells the name, so it stays until that
+/// changes.)
 class ParallelDetector {
  public:
   ParallelDetector(const ParallelDetectorConfig& config,
@@ -67,9 +64,6 @@ class ParallelDetector {
   /// Runs a whole trace; returns every quantum report.
   std::vector<detect::QuantumReport> Run(
       const std::vector<stream::Message>& trace);
-
-  /// Degree of parallelism actually in use.
-  std::size_t threads() const { return pool_.threads(); }
 
   /// The wrapped single-writer core (state inspection).
   const detect::EventDetector& core() const { return detector_; }
@@ -96,10 +90,8 @@ class ParallelDetector {
 
   /// Writes the core's state encoding (detect::EventDetector::SaveState)
   /// with `clock`'s clock and pending messages — this engine's quantizer(),
-  /// or an outer accumulator's such as the ingest assembler's — after
-  /// quiescing the pool: every in-flight pool task completes before a
-  /// state byte is read.
-  void SaveState(BinaryWriter& out, const stream::Quantizer& clock);
+  /// or an outer accumulator's such as the ingest assembler's.
+  void SaveState(BinaryWriter& out, const stream::Quantizer& clock) const;
 
   /// Restores SaveState's encoding into this freshly constructed engine;
   /// the clock and pending messages land in quantizer(). Returns false on
@@ -107,7 +99,6 @@ class ParallelDetector {
   bool RestoreState(BinaryReader& in);
 
  private:
-  ShardPool pool_;  // outlives detector_'s parallel hook
   detect::EventDetector detector_;
   stream::Quantizer quantizer_;
 };

@@ -40,7 +40,6 @@ ResumeResult DurableIngest::Resume() {
   const std::int64_t t0 = MonotonicNanos();
 
   durability::RecoverOptions options;
-  options.engine_threads = engine_config_.threads;
   options.dictionary = &dictionary_;
   durability::RecoverResult recovered = backend_.Recover(options);
   result.error = std::move(recovered.error);
@@ -163,15 +162,16 @@ detect::QuantumReport DurableIngest::ProcessQuantum(
   state.admission_seed = ingest_config_.admission.seed;
   state.sample_keep_fraction = ingest_config_.admission.sample_keep_fraction;
   // The record that closed this quantum is the last one the driver
-  // collected, so the pipeline's cursor is exactly the fence point.
-  const SourcePosition cursor = pipeline_->last_collected_position();
-  state.cursor_record = cursor.record_index;
-  state.cursor_byte = cursor.byte_offset;
+  // collected, so its mark is exactly the fence point: the cursor, and
+  // the records read and shed up to it (not the driver's read-ahead,
+  // which a resume reads again from the cursor).
+  const StreamMark& fence = pipeline_->last_collected();
+  state.cursor_record = fence.position.record_index;
+  state.cursor_byte = fence.position.byte_offset;
   state.next_seq = quantum.messages.back().seq + 1;
   state.quanta_cut = quanta_cut_total_;
-  const IngestSnapshot live = pipeline_->metrics().Snapshot();
-  state.records_read = records_read_base_ + live.records_read;
-  state.shed = shed_base_ + live.shed;
+  state.records_read = records_read_base_ + fence.records_read;
+  state.shed = shed_base_ + fence.shed;
 
   durability::CommitResult commit = backend_.Commit(*engine_, ctx);
   if (!commit.error.ok()) {

@@ -2,14 +2,14 @@
 //
 // DurableIngest wires a durability::WalBackend into the IngestPipeline.
 // While the pipeline runs, every cut quantum is handed to the backend at
-// the quantum boundary — under the engine's ShardPool::Quiesce fence, on
-// the driver thread — together with the deployment's frontend state:
+// the quantum boundary — on the driver thread, right after the engine has
+// processed it — together with the deployment's frontend state:
 //
 //   * the assembler's quantizer clock + pending partial quantum (the
 //     outermost accumulation point of the ingest path),
 //   * the live keyword dictionary, the admission policy/seed, the source
-//     cursor of the record that closed the quantum, and the stream
-//     counters (snapshot_io::IngestState).
+//     cursor of the record that closed the quantum, and the records read
+//     and shed up to that cursor (snapshot_io::IngestState).
 //
 // The backend commits one CRC-framed log record per quantum with group
 // commit, cuts full-snapshot segments on the full cadence, and keeps a
@@ -23,13 +23,13 @@
 // tokenize/intern path with shedding suppressed until the first successful
 // post-resume commit (RunOptions::suppress_shedding; the resume runbook in
 // docs/operations.md), so the post-restore report stream is
-// bit-identical to a never-restarted pipeline's at any worker and engine
-// thread count — tests/ingest_checkpoint_test.cc proves it seeded and
-// fresh-dictionary. Recovery cost is surfaced as a first-class metric
-// (the ingest.recovery_seconds gauge, also IngestSnapshot::recovery_seconds,
-// and the checkpoint_* and commit_* counters);
-// commit failures surface typed (IngestSnapshot::checkpoint_failures /
-// sync_failures, last_error()).
+// bit-identical to a never-restarted pipeline's at any worker count —
+// tests/ingest_checkpoint_test.cc proves it seeded and fresh-dictionary.
+// Recovery cost is surfaced as a first-class metric (the
+// ingest.recovery_seconds gauge, also IngestSnapshot::recovery_seconds,
+// and the checkpoint_* and commit_* counters); commit failures surface
+// typed (IngestSnapshot::checkpoint_failures / sync_failures,
+// last_error()).
 
 #ifndef SCPRT_INGEST_DURABLE_H_
 #define SCPRT_INGEST_DURABLE_H_
@@ -99,7 +99,7 @@ struct ResumeResult {
   SourcePosition cursor;
 };
 
-/// A durable ingest session: owns the dictionary, the sharded engine, the
+/// A durable ingest session: owns the dictionary, the engine, the
 /// pipeline and the WAL backend. Construct, optionally Resume(),
 /// then Run() — possibly repeatedly (each Run continues the stream where
 /// the previous one ended).
@@ -140,7 +140,7 @@ class DurableIngest {
     return dictionary_;
   }
 
-  /// The sharded engine driving detection.
+  /// The engine driving detection.
   engine::ParallelDetector& engine() { return *engine_; }
 
   /// Live counters (poll from any thread while Run is in flight). Valid

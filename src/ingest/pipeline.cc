@@ -14,12 +14,15 @@ namespace scprt::ingest {
 
 namespace {
 
-// A record in flight from driver to worker. The source cursor rides along
+// A record in flight from driver to worker. Its stream mark rides along
 // so the driver knows, at collect time, how far the source had been
 // consumed when this record was read (checkpoint fence bookkeeping).
+// Both queues are read in place (SpscQueue::Front), so the strings and
+// vectors in a slot are freed by the thread that filled it, when it next
+// assigns that slot, never by the other thread.
 struct WorkItem {
   RawRecord record;
-  SourcePosition position;
+  StreamMark mark;
 };
 
 // A record on its way back: resolved tokens plus passthrough fields.
@@ -27,7 +30,7 @@ struct DoneItem {
   UserId user = 0;
   std::int32_t event_id = stream::kBackground;
   std::vector<ResolvedToken> tokens;
-  SourcePosition position;
+  StreamMark mark;
 };
 
 }  // namespace
@@ -63,7 +66,9 @@ struct IngestPipeline::Worker {
   engine::SpscQueue<WorkItem> in;
   engine::SpscQueue<DoneItem> out;
   // Bumped by the driver after every push (and at stop) to wake the worker.
-  alignas(64) std::atomic<std::uint64_t> signal{0};
+  // 32 bits, so wait/notify use the futex word directly: notify_one with
+  // no waiter is then a load, not a read-modify-write of a shared slot.
+  alignas(64) std::atomic<std::uint32_t> signal{0};
   std::jthread thread;  // last: joins before the queues are destroyed
 };
 
@@ -110,8 +115,10 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
   bool source_done = false;
   bool have_pending = false;
   RawRecord pending;
-  SourcePosition pending_position;
-  last_collected_position_ = source.Position();
+  // Advances with every record read and shed. While a record is pending,
+  // nothing else moves it, so at admission it is that record's mark.
+  StreamMark reading{source.Position()};
+  last_collected_ = reading;
   suppress_shedding_ = options.suppress_shedding;
 
   // Stage histograms (process-wide; one clock pair per batch / stall, so
@@ -127,15 +134,18 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
     const std::int64_t collect_start =
         obs::Enabled() ? obs::MonotonicNanos() : 0;
     std::size_t delivered = 0;
-    DoneItem done;
-    while (collect_seq < dispatch_seq &&
-           workers_[collect_seq % num_workers]->out.TryPop(done)) {
+    while (collect_seq < dispatch_seq) {
+      engine::SpscQueue<DoneItem>& out =
+          workers_[collect_seq % num_workers]->out;
+      const DoneItem* const ready = out.Front();
+      if (ready == nullptr) break;
+      const DoneItem& done = *ready;
       stream::Message message;
       message.user = done.user;
       message.seq = options.first_seq + collect_seq;
       message.event_id = done.event_id;
       message.keywords.reserve(done.tokens.size());
-      for (ResolvedToken& token : done.tokens) {
+      for (const ResolvedToken& token : done.tokens) {
         const KeywordId id = token.id != kInvalidKeyword
                                  ? token.id
                                  : dictionary_->Intern(token.spelling);
@@ -147,10 +157,11 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
         }
       }
       metrics_.AddKeywords(message.keywords.size());
-      // Publish this record's cursor before delivery: a checkpoint hook
-      // inside sink.Push sees exactly the position of the record that
-      // closed the quantum.
-      last_collected_position_ = done.position;
+      // Publish this record's mark before delivery: a checkpoint hook
+      // inside sink.Push sees exactly the mark of the record that closed
+      // the quantum.
+      last_collected_ = done.mark;
+      out.Pop();
       sink.Push(std::move(message));
       metrics_.AddMessagesEmitted(1);
       ++collect_seq;
@@ -173,7 +184,8 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
       const std::uint64_t malformed_before = source.malformed_count();
       if (source.Next(pending)) {
         have_pending = true;
-        pending_position = source.Position();
+        reading.position = source.Position();
+        ++reading.records_read;
         metrics_.AddRecordsRead(1);
       } else {
         source_done = true;
@@ -188,7 +200,7 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
     bool progressed = false;
     if (have_pending) {
       Worker& target = *workers_[dispatch_seq % num_workers];
-      const bool queue_full = target.in.size() >= target.in.capacity();
+      const bool queue_full = target.in.full();
       const Admission verdict =
           suppress_shedding_
               ? (queue_full ? Admission::kRetry : Admission::kAdmit)
@@ -196,7 +208,7 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
       switch (verdict) {
         case Admission::kAdmit: {
           target.in.TryPush(
-              WorkItem{std::move(pending), pending_position});  // fits
+              WorkItem{std::move(pending), reading});  // fits
           target.signal.fetch_add(1, std::memory_order_release);
           target.signal.notify_one();
           metrics_.AddAdmitted(1);
@@ -207,6 +219,7 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
           break;
         }
         case Admission::kShed:
+          ++reading.shed;
           metrics_.AddShed(1);
           have_pending = false;
           progressed = true;
@@ -239,14 +252,27 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
 }
 
 void IngestPipeline::WorkerLoop(std::stop_token stop, Worker& worker) {
-  std::uint64_t seen = 0;
+  // Token counts and tokenize time go to the shared counters in batches:
+  // a per-record atomic add from every worker keeps their cache lines
+  // moving between cores.
+  constexpr std::uint64_t kMetricsBatch = 64;
+  constexpr int kIdleSpins = 64;
+  std::uint64_t batched = 0;
+  std::uint64_t tokens = 0;
+  std::uint64_t tokenize_ns = 0;
+  std::uint32_t seen = 0;
+  const auto flush_metrics = [&] {
+    metrics_.AddTokens(tokens);
+    metrics_.AddTokenizeNs(tokenize_ns);
+    batched = tokens = tokenize_ns = 0;
+  };
   while (true) {
-    WorkItem item;
-    while (worker.in.TryPop(item)) {
+    while (const WorkItem* const next = worker.in.Front()) {
+      const WorkItem& item = *next;
       DoneItem done;
       done.user = item.record.user;
       done.event_id = item.record.event_id;
-      done.position = item.position;
+      done.mark = item.mark;
       if (item.record.pretokenized) {
         done.tokens.reserve(item.record.keywords.size());
         for (const KeywordId id : item.record.keywords) {
@@ -257,22 +283,36 @@ void IngestPipeline::WorkerLoop(std::stop_token stop, Worker& worker) {
         std::uint64_t raw_tokens = 0;
         done.tokens = TokenizeAndResolve(item.record.text, config_,
                                          *dictionary_, &raw_tokens);
-        metrics_.AddTokens(raw_tokens);
-        metrics_.AddTokenizeNs(
-            static_cast<std::uint64_t>(MonotonicNanos() - t0));
+        tokens += raw_tokens;
+        tokenize_ns += static_cast<std::uint64_t>(MonotonicNanos() - t0);
+      }
+      worker.in.Pop();
+      // Flush before handing the record back once the queue has run dry:
+      // a driver that has collected every record then sees every count.
+      if (++batched == kMetricsBatch || worker.in.Front() == nullptr) {
+        flush_metrics();
       }
       // The out-queue is the same capacity as the in-queue, but the driver
-      // may lag; as this worker is the only producer, a non-full size
-      // check guarantees the subsequent push succeeds (the driver only
-      // ever shrinks the queue).
-      while (worker.out.size() >= worker.out.capacity()) {
+      // may lag; as this worker is the only producer, a non-full check
+      // guarantees the subsequent push succeeds (the driver only ever
+      // shrinks the queue).
+      while (worker.out.full()) {
         if (stop.stop_requested()) return;  // driver abandoned the run
         std::this_thread::yield();
       }
       worker.out.TryPush(std::move(done));
     }
     if (stop.stop_requested()) return;
-    const std::uint64_t signal = worker.signal.load(std::memory_order_acquire);
+    // Poll a little before sleeping: under load the next record arrives
+    // within microseconds, and catching it here spares the driver a futex
+    // wake per record. Yielding keeps an oversubscribed host fair.
+    bool arrived = false;
+    for (int spin = 0; spin < kIdleSpins && !arrived; ++spin) {
+      std::this_thread::yield();
+      arrived = worker.in.Front() != nullptr;
+    }
+    if (arrived) continue;
+    const std::uint32_t signal = worker.signal.load(std::memory_order_acquire);
     if (signal != seen) {
       seen = signal;  // new pushes raced with the drain loop — re-check
       continue;

@@ -93,6 +93,17 @@ struct RunOptions {
   bool suppress_shedding = false;
 };
 
+/// How far one Run had consumed the stream when it read a record: the
+/// source cursor just past the record, and the Run's records read and
+/// shed up to and including it. Records the driver reads ahead of it are
+/// not counted, so a checkpoint taken at that record persists counts
+/// that match its cursor.
+struct StreamMark {
+  SourcePosition position;
+  std::uint64_t records_read = 0;
+  std::uint64_t shed = 0;
+};
+
 /// The pipeline. Construct once, Run() to exhaustion (Run blocks and may
 /// be called again with a new source; the dictionary keeps growing).
 class IngestPipeline {
@@ -119,14 +130,12 @@ class IngestPipeline {
   /// costs into the same snapshot the frontend counters land in).
   IngestMetrics& metrics() { return metrics_; }
 
-  /// Source cursor of the last record delivered to the sink. Valid on the
+  /// Stream mark of the last record delivered to the sink. Valid on the
   /// driver thread during Run (in particular inside sink callbacks — the
   /// checkpoint hook reads it there: at a quantum boundary it is exactly
-  /// the cursor of the record that closed the quantum, because dispatch,
+  /// the mark of the record that closed the quantum, because dispatch,
   /// collect and sink delivery all happen on the driver thread).
-  const SourcePosition& last_collected_position() const {
-    return last_collected_position_;
-  }
+  const StreamMark& last_collected() const { return last_collected_; }
 
   /// Flips the shedding override mid-run. Driver-thread only — callable
   /// from inside sink callbacks (the durable session ends its resume
@@ -149,7 +158,7 @@ class IngestPipeline {
   text::ConcurrentKeywordDictionary* dictionary_;
   AdmissionController admission_;
   IngestMetrics metrics_;
-  SourcePosition last_collected_position_;
+  StreamMark last_collected_;
   bool suppress_shedding_ = false;  // driver thread only
   std::vector<std::unique_ptr<Worker>> workers_;
 };

@@ -49,8 +49,8 @@ void AppendU64(std::string& out, std::uint64_t v) {
 
 namespace {
 
-// One anchor pair, captured together on first use: the wall clock names
-// the instant, the monotonic clock measures from it.
+// One anchor pair, captured together: the wall clock names the instant,
+// the monotonic clock measures from it.
 struct ProcessClockAnchor {
   double start_unix;
   std::int64_t start_mono_ns;
@@ -68,6 +68,10 @@ const ProcessClockAnchor& ClockAnchor() {
   }();
   return anchor;
 }
+
+// Takes the anchor during static initialisation, so uptime counts from
+// process start rather than from the first metrics read.
+[[maybe_unused]] const ProcessClockAnchor& kStartupAnchor = ClockAnchor();
 
 }  // namespace
 

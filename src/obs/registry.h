@@ -45,8 +45,8 @@ inline std::int64_t MonotonicNanos() {
       .count();
 }
 
-/// Unix seconds at process start — in practice, at the first obs touch,
-/// which every instrumented binary makes during startup. Captured once;
+/// Unix seconds at process start: captured during static initialisation
+/// of any binary that links the registry, before main. Captured once;
 /// every later call returns the same value, so windowed rates derived
 /// from (counter, uptime) pairs in different scrapes share one anchor.
 double ProcessStartUnixSeconds();

@@ -7,39 +7,47 @@
 // function of thread timing. This wrapper therefore splits the two
 // operations the ingest pipeline actually needs:
 //
-//   * TryLookup — called concurrently by every tokenizer worker under a
-//     shared lock. After vocabulary warm-up this is ~100% of calls.
+//   * TryLookup — called concurrently by every tokenizer worker. After
+//     vocabulary warm-up this is ~100% of calls. It takes no lock: it
+//     probes an append-only open-addressing index whose slots point at the
+//     dictionary's own spellings.
 //   * Intern    — called only by the single collector thread, in stream
-//     order, under an exclusive lock. New ids are thus assigned in
-//     first-arrival *sequence* order regardless of worker count, which is
-//     what keeps the raw-text path bit-identical to the trace path
-//     (tests/ingest_pipeline_test.cc).
+//     order. New ids are thus assigned in first-arrival *sequence* order
+//     regardless of worker count, which is what keeps the raw-text path
+//     bit-identical to the trace path (tests/ingest_pipeline_test.cc).
+//     A new entry is published to the index after its spelling is written,
+//     so a reader either misses it (and the collector interns the word,
+//     finding the id it already has) or sees it whole.
 //
-// The underlying KeywordDictionary is exposed read-only for the detector
-// (noun filter, report formatting). That is safe because the detector runs
-// on the same thread that interns: no write can be concurrent with its
-// reads, and worker TryLookups synchronize through the shared mutex.
+// Readers never touch the KeywordDictionary itself, only the index and
+// the spellings it points at, which never move or change. The dictionary
+// is exposed read-only for the detector (noun filter, report formatting),
+// which runs on the interning thread, so no write is concurrent with its
+// reads. A reader that loaded an index generation before a resize keeps
+// probing it, so old generations live as long as this object.
 
 #ifndef SCPRT_TEXT_CONCURRENT_DICTIONARY_H_
 #define SCPRT_TEXT_CONCURRENT_DICTIONARY_H_
 
-#include <shared_mutex>
+#include <atomic>
+#include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/types.h"
 #include "text/keyword_dictionary.h"
 
 namespace scprt::text {
 
-/// Shared-read / exclusive-write facade over a KeywordDictionary.
+/// Lock-free-read / single-writer facade over a KeywordDictionary.
 class ConcurrentKeywordDictionary {
  public:
   ConcurrentKeywordDictionary() = default;
 
   /// Takes ownership of an existing dictionary (ids are preserved), e.g. a
   /// synthetic trace's vocabulary when replaying it as raw text.
-  explicit ConcurrentKeywordDictionary(KeywordDictionary dictionary)
-      : dictionary_(std::move(dictionary)) {}
+  explicit ConcurrentKeywordDictionary(KeywordDictionary dictionary);
 
   ConcurrentKeywordDictionary(const ConcurrentKeywordDictionary&) = delete;
   ConcurrentKeywordDictionary& operator=(const ConcurrentKeywordDictionary&) =
@@ -50,8 +58,8 @@ class ConcurrentKeywordDictionary {
   /// hence the copy loop). Must not run concurrently with any other member.
   void SeedFrom(const KeywordDictionary& source);
 
-  /// Id of `keyword`, or kInvalidKeyword if never interned. Safe to call
-  /// from any number of threads concurrently with Intern.
+  /// Id of `keyword`, or kInvalidKeyword if not (yet) visible. Lock-free;
+  /// safe to call from any number of threads concurrently with Intern.
   KeywordId TryLookup(std::string_view keyword) const;
 
   /// Interns `keyword` (id of the existing entry when already present).
@@ -60,10 +68,9 @@ class ConcurrentKeywordDictionary {
   KeywordId Intern(std::string_view keyword);
 
   /// Serializes the entries with id >= from_id
-  /// (KeywordDictionary::SaveState) under the shared lock — safe while
-  /// workers TryLookup; the single writer must not be interning (the
-  /// ingest checkpoint fence guarantees that: saves happen on the
-  /// interning thread itself, at quantum boundaries).
+  /// (KeywordDictionary::SaveState). Runs on the interning thread (the
+  /// ingest checkpoint fence saves there, at quantum boundaries) or while
+  /// no one interns; workers may TryLookup meanwhile.
   void SaveState(BinaryWriter& out, KeywordId from_id = 0) const;
 
   /// Restores a SaveState(from_id) blob; the dictionary's size must equal
@@ -73,8 +80,9 @@ class ConcurrentKeywordDictionary {
   /// with any other member.
   bool RestoreState(BinaryReader& in, KeywordId from_id = 0);
 
-  /// Number of interned keywords (exact only when no Intern is in flight).
-  std::size_t size() const;
+  /// Number of interned keywords. Interning thread, or while no one
+  /// interns.
+  std::size_t size() const { return dictionary_.size(); }
 
   /// Read-only view for the detector and report formatting. Callers must
   /// not use it concurrently with Intern; the ingest pipeline guarantees
@@ -82,8 +90,23 @@ class ConcurrentKeywordDictionary {
   const KeywordDictionary& view() const { return dictionary_; }
 
  private:
-  mutable std::shared_mutex mutex_;
+  // One generation of the index: linear probing, at most half full. Slot i
+  // is empty while keys[i] is null; ids[i] is written before keys[i] is
+  // published (release), and neither changes afterwards.
+  struct Index {
+    explicit Index(std::size_t capacity) : keys(capacity), ids(capacity) {}
+    std::vector<std::atomic<const std::string*>> keys;
+    std::vector<KeywordId> ids;
+  };
+
+  // Publishes dictionary entries [indexed_, size()) to the index, moving
+  // to a larger generation first when they would make it over half full.
+  void IndexNewEntries();
+
   KeywordDictionary dictionary_;
+  std::vector<std::unique_ptr<Index>> generations_;  // back() is live
+  std::atomic<const Index*> live_{nullptr};
+  std::size_t indexed_ = 0;  // entries published to the index
 };
 
 }  // namespace scprt::text

@@ -6,7 +6,7 @@
 namespace scprt::text {
 
 KeywordId KeywordDictionary::Intern(std::string_view keyword) {
-  auto it = index_.find(std::string(keyword));
+  auto it = index_.find(keyword);
   if (it != index_.end()) return it->second;
   const KeywordId id = static_cast<KeywordId>(spellings_.size());
   spellings_.emplace_back(keyword);
@@ -16,7 +16,7 @@ KeywordId KeywordDictionary::Intern(std::string_view keyword) {
 }
 
 KeywordId KeywordDictionary::Lookup(std::string_view keyword) const {
-  auto it = index_.find(std::string(keyword));
+  auto it = index_.find(keyword);
   return it == index_.end() ? kInvalidKeyword : it->second;
 }
 
@@ -53,7 +53,6 @@ bool KeywordDictionary::RestoreState(BinaryReader& in, KeywordId from_id) {
   // Parse into a scratch dictionary so a malformed blob leaves this one
   // untouched, then append the scratch entries atomically.
   KeywordDictionary parsed;
-  parsed.spellings_.reserve(count);
   parsed.is_noun_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint32_t length = in.U32();

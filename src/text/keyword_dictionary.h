@@ -4,6 +4,7 @@
 #ifndef SCPRT_TEXT_KEYWORD_DICTIONARY_H_
 #define SCPRT_TEXT_KEYWORD_DICTIONARY_H_
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -16,7 +17,11 @@ namespace scprt::text {
 
 /// Interns keyword strings to dense KeywordIds. Ids are assigned in first-
 /// arrival order and never recycled; the dictionary grows for the lifetime of
-/// the stream (vocabulary is far smaller than the message count).
+/// the stream (vocabulary is far smaller than the message count). Each
+/// spelling is stored once and never moves: a Spelling() reference stays
+/// valid, and keeps its bytes, until the dictionary is destroyed or
+/// assigned to (ConcurrentKeywordDictionary's lock-free index points at
+/// them).
 class KeywordDictionary {
  public:
   KeywordDictionary() = default;
@@ -62,8 +67,10 @@ class KeywordDictionary {
   bool RestoreState(BinaryReader& in, KeywordId from_id = 0);
 
  private:
-  std::unordered_map<std::string, KeywordId> index_;
-  std::vector<std::string> spellings_;
+  // The deque keeps every spelling at a fixed address, so the index can
+  // key on views of them instead of second copies.
+  std::deque<std::string> spellings_;
+  std::unordered_map<std::string_view, KeywordId> index_;
   std::vector<bool> is_noun_;
 };
 

@@ -24,7 +24,6 @@
 #include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/random.h"
-#include "engine/shard_pool.h"
 
 namespace scprt::akg {
 namespace {
@@ -50,7 +49,7 @@ stream::Quantum MakeQuantum(
 // Ingests one quantum through its canonical aggregate (duplicate
 // (keyword, user) occurrences collapse there).
 void Ingest(UserIdSets& sets, const stream::Quantum& quantum) {
-  sets.IngestAggregate(AggregateQuantum(quantum), nullptr);
+  sets.IngestAggregate(AggregateQuantum(quantum));
 }
 
 // The window id set as a vector, for whole-set comparisons.
@@ -67,7 +66,7 @@ TEST(UserIdSetsTest, QuantumSupportCountsDistinctUsers) {
   EXPECT_EQ(KeywordCounts(aggregate),
             (std::vector<std::pair<KeywordId, std::uint32_t>>{{1, 2}, {2, 1}}));
   UserIdSets sets(3);
-  sets.IngestAggregate(aggregate, nullptr);
+  sets.IngestAggregate(aggregate);
   EXPECT_EQ(Users(sets, 1), (std::vector<UserId>{100, 101}));
   EXPECT_EQ(Users(sets, 2), (std::vector<UserId>{100}));
 }
@@ -204,7 +203,7 @@ std::string SaveBytes(const UserIdSets& sets) {
 // Random churning quanta through IngestAggregate against the brute-force
 // model, with a mid-stream Save -> Restore that must continue exactly like
 // the uninterrupted store.
-void RunDifferential(const ParallelForFn& parallel_for) {
+TEST(UserIdSetsTest, MatchesBruteForceModel) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const std::size_t window = 1 + seed % 6;
     SCOPED_TRACE(testing::Message() << "seed " << seed << " window " << window);
@@ -216,12 +215,12 @@ void RunDifferential(const ParallelForFn& parallel_for) {
     const QuantumIndex kSaveAfter = 2 + static_cast<QuantumIndex>(seed % 9);
     for (QuantumIndex q = 0; q < kQuanta; ++q) {
       const QuantumAggregate aggregate = ChurnAggregate(q, rng);
-      sets.IngestAggregate(aggregate, parallel_for);
+      sets.IngestAggregate(aggregate);
       model.Ingest(aggregate);
       const KeywordId max_keyword = static_cast<KeywordId>(q * 2 + 40);
       ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(sets, model, max_keyword));
       if (restored) {
-        restored->IngestAggregate(aggregate, parallel_for);
+        restored->IngestAggregate(aggregate);
         ASSERT_NO_FATAL_FAILURE(
             ExpectMatchesModel(*restored, model, max_keyword));
         ASSERT_EQ(SaveBytes(*restored), SaveBytes(sets));
@@ -236,18 +235,6 @@ void RunDifferential(const ParallelForFn& parallel_for) {
       }
     }
   }
-}
-
-TEST(UserIdSetsTest, MatchesBruteForceModelSerially) {
-  RunDifferential(nullptr);
-}
-
-TEST(UserIdSetsTest, MatchesBruteForceModelOnShardPool) {
-  engine::ShardPool pool(4);
-  RunDifferential([&pool](std::size_t n,
-                          const std::function<void(std::size_t)>& body) {
-    pool.ParallelFor(n, body);
-  });
 }
 
 // --- AggregateQuantum ---

@@ -92,7 +92,7 @@ TEST(DetectorAccessorsTest, ClockAndPendingTrackInput) {
   detect::DetectorConfig config;
   config.quantum_size = 5;
   config.akg.window_length = 2;
-  engine::ParallelDetector detector({config, 1}, nullptr);
+  engine::ParallelDetector detector({config}, nullptr);
   stream::Message m;
   m.user = 1;
   m.keywords = {1, 2};
@@ -109,7 +109,7 @@ TEST(DetectorAccessorsTest, NoDictionaryDisablesNounFilter) {
   config.akg.ec_threshold = 0.3;
   config.min_rank_margin = 0.0;
   config.require_noun = true;  // no dictionary -> must be ignored
-  engine::ParallelDetector detector({config, 1}, nullptr);
+  engine::ParallelDetector detector({config}, nullptr);
   std::vector<stream::Message> msgs;
   for (UserId u = 0; u < 6; ++u) {
     stream::Message m;
@@ -173,7 +173,6 @@ TEST(DurabilitySurfaceTest, OneShotSaveLoadRoundTripsThroughTypedErrors) {
   text::KeywordDictionary dictionary;
   engine::ParallelDetectorConfig config;
   config.detector.quantum_size = 6;
-  config.threads = 1;
   engine::ParallelDetector engine(config, &dictionary);
   stream::Message m;
   m.user = 1;

@@ -63,10 +63,9 @@ const Fixture& SharedFixture() {
 std::unique_ptr<ParallelDetector> LoadBytes(
     const std::string& bytes,
     const text::KeywordDictionary* dictionary =
-        &SharedFixture().trace.dictionary,
-    std::size_t threads = 1) {
+        &SharedFixture().trace.dictionary) {
   std::stringstream in(bytes);
-  return durability::LoadEngineSnapshot(in, dictionary, threads);
+  return durability::LoadEngineSnapshot(in, dictionary, 1);
 }
 
 constexpr std::size_t kHeaderSize = 25;
@@ -105,13 +104,7 @@ std::string AsLegacyVersion(std::string bytes, std::uint8_t version) {
 }
 
 TEST(CheckpointFuzzTest, ValidFixtureLoads) {
-  // Thread count is an engine property: the same bytes load at any.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    const auto engine = LoadBytes(SharedFixture().full_bytes,
-                                  &SharedFixture().trace.dictionary, threads);
-    ASSERT_NE(engine, nullptr) << threads << " threads";
-    EXPECT_EQ(engine->threads(), threads);
-  }
+  EXPECT_NE(LoadBytes(SharedFixture().full_bytes), nullptr);
 }
 
 TEST(CheckpointFuzzTest, EveryTruncationIsRejected) {
@@ -195,14 +188,12 @@ TEST(CheckpointFuzzTest, SetConfigFlagIsVersionSkew) {
   ASSERT_EQ(flagged[kConfigFlagOffset], 0);
   flagged[kConfigFlagOffset] = 1;
   RefreshPayloadCrc(flagged);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+  {
     std::stringstream in(flagged);
     durability::Error error;
     EXPECT_EQ(durability::LoadEngineSnapshot(
-                  in, &SharedFixture().trace.dictionary, threads, nullptr,
-                  &error),
-              nullptr)
-        << threads << " threads";
+                  in, &SharedFixture().trace.dictionary, 1, nullptr, &error),
+              nullptr);
     EXPECT_EQ(error.code, durability::ErrorCode::kVersionSkew);
   }
   // Any other non-zero flag byte is damage.
@@ -420,7 +411,7 @@ TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {
 // A full snapshot carrying a real IngestState.
 std::string IngestSnapshotBytes() {
   const Fixture& f = SharedFixture();
-  ParallelDetector detector({f.config, 1}, &f.trace.dictionary);
+  ParallelDetector detector({f.config}, &f.trace.dictionary);
   const std::vector<stream::Quantum> quanta =
       stream::SplitIntoQuanta(f.trace.messages, f.config.quantum_size);
   for (std::size_t q = 0; q < 10; ++q) detector.ProcessQuantum(quanta[q]);
@@ -479,7 +470,7 @@ TEST(CheckpointFuzzTest, IngestSectionRoundTripsAndRejectsDamage) {
 TEST(CheckpointFuzzTest, ForgedIngestSectionFieldsAreRejected) {
   // Hostile sections behind a *valid* frame CRC: the section parser's own
   // framing (magic, version, length, CRC) is the only defense.
-  ParallelDetector reference({SharedFixture().config, 1},
+  ParallelDetector reference({SharedFixture().config},
                              &SharedFixture().trace.dictionary);
   BinaryWriter base;
   sio::WriteConfig(base, SharedFixture().config);

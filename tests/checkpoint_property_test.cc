@@ -1,9 +1,7 @@
 // Randomized checkpoint round-trip property: for random streams, random
 // configurations and a random save point, the report stream after a restore
 // is byte-identical to the uninterrupted run's — full snapshots and WAL
-// recovery (segment + log replay), at 1 and 8 threads, and across thread
-// counts (save at 1 / restore at 8 and the reverse: thread count is an
-// engine property, not a snapshot property). Labeled "slow".
+// recovery (segment + log replay). Labeled "slow".
 
 #include <algorithm>
 #include <functional>
@@ -69,7 +67,7 @@ Scenario RandomScenario(std::uint64_t seed) {
 
 // Reference tail: digests of every report after `save_at`, uninterrupted.
 std::vector<std::uint64_t> ReferenceTail(const Scenario& s) {
-  engine::ParallelDetector reference({s.config, 1}, &s.trace.dictionary);
+  engine::ParallelDetector reference({s.config}, &s.trace.dictionary);
   std::vector<std::uint64_t> tail;
   for (std::size_t q = 0; q < s.quanta.size(); ++q) {
     const detect::QuantumReport report =
@@ -94,9 +92,9 @@ void ExpectTailMatches(const Scenario& s,
   }
 }
 
-// A full snapshot of an engine on `threads` workers after `save_at` quanta.
-std::string SaveHead(const Scenario& s, std::size_t threads) {
-  engine::ParallelDetector head({s.config, threads}, &s.trace.dictionary);
+// A full snapshot of an engine after `save_at` quanta.
+std::string SaveHead(const Scenario& s) {
+  engine::ParallelDetector head({s.config}, &s.trace.dictionary);
   for (std::size_t q = 0; q < s.save_at; ++q) {
     head.ProcessQuantum(s.quanta[q]);
   }
@@ -106,41 +104,32 @@ std::string SaveHead(const Scenario& s, std::size_t threads) {
 }
 
 std::unique_ptr<engine::ParallelDetector> Load(const std::string& bytes,
-                                               const Scenario& s,
-                                               std::size_t threads) {
+                                               const Scenario& s) {
   std::stringstream in(bytes);
-  auto engine =
-      durability::LoadEngineSnapshot(in, &s.trace.dictionary, threads);
-  if (engine != nullptr) {
-    EXPECT_EQ(engine->threads(), threads);
-  }
-  return engine;
+  return durability::LoadEngineSnapshot(in, &s.trace.dictionary, 1);
 }
 
 // Commits a WAL directory whose segment is cut `quanta_before_save` quanta
 // before `save_at` (or after the first quantum, when that is earlier) and
-// whose log holds one record per quantum up to it, recovers on `threads`
-// workers and checks the tail.
+// whose log holds one record per quantum up to it, recovers it and checks
+// the tail.
 void ExpectDeltaRoundTrip(const Scenario& s, std::size_t quanta_before_save,
-                          std::size_t threads, const std::string& name) {
+                          const std::string& name) {
   const std::vector<std::uint64_t> expected = ReferenceTail(s);
   const std::size_t full_at = std::max<std::size_t>(
       1, s.save_at - std::min(s.save_at, quanta_before_save));
-  engine::ParallelDetector head({s.config, threads}, &s.trace.dictionary);
+  engine::ParallelDetector head({s.config}, &s.trace.dictionary);
   test_util::WalHarness wal(name, s.trace.dictionary);
   for (std::size_t q = 0; q < s.save_at; ++q) {
     head.ProcessQuantum(s.quanta[q]);
     if (q + 1 >= full_at) wal.Commit(head, s.quanta[q]);
   }
 
-  durability::RecoverResult recovered = wal.Recover(threads);
+  durability::RecoverResult recovered = wal.Recover();
   ASSERT_EQ(recovered.outcome, durability::RecoverResult::Outcome::kRecovered)
       << recovered.detail;
   EXPECT_EQ(recovered.replayed_quanta, s.save_at - full_at);
-  EXPECT_EQ(recovered.engine->threads(), threads);
-  ExpectTailMatches(s, expected, *recovered.engine,
-                    "wal restore at " + std::to_string(threads) +
-                        " threads");
+  ExpectTailMatches(s, expected, *recovered.engine, "wal restore");
 }
 
 TEST(CheckpointPropertyTest, FullRoundTripTailIsByteIdentical) {
@@ -148,7 +137,7 @@ TEST(CheckpointPropertyTest, FullRoundTripTailIsByteIdentical) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const Scenario s = RandomScenario(seed);
     const std::vector<std::uint64_t> expected = ReferenceTail(s);
-    auto restored = Load(SaveHead(s, 1), s, 1);
+    auto restored = Load(SaveHead(s), s);
     ASSERT_NE(restored, nullptr);
     ExpectTailMatches(s, expected, *restored, "full restore");
   }
@@ -159,30 +148,10 @@ TEST(CheckpointPropertyTest, DeltaRoundTripTailIsByteIdentical) {
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed * 977);
-    ExpectDeltaRoundTrip(RandomScenario(seed), 1 + rng.UniformInt(10), 1,
+    ExpectDeltaRoundTrip(RandomScenario(seed), 1 + rng.UniformInt(10),
                          "property_delta_" + std::to_string(seed));
   }
-}
-
-TEST(CheckpointPropertyTest, ShardedRoundTripAcrossThreadCounts) {
-  // Save at 1 and 8 threads, restore each at 1 and 8 threads.
-  const Scenario s = RandomScenario(21);
-  const std::vector<std::uint64_t> expected = ReferenceTail(s);
-  for (const std::size_t save_threads : {std::size_t{1}, std::size_t{8}}) {
-    const std::string snapshot = SaveHead(s, save_threads);
-    for (const std::size_t load_threads :
-         {std::size_t{1}, std::size_t{8}}) {
-      auto restored = Load(snapshot, s, load_threads);
-      ASSERT_NE(restored, nullptr);
-      ExpectTailMatches(s, expected, *restored,
-                        "save@" + std::to_string(save_threads) + " load@" +
-                            std::to_string(load_threads));
-    }
-  }
-}
-
-TEST(CheckpointPropertyTest, ShardedDeltaRoundTrip) {
-  ExpectDeltaRoundTrip(RandomScenario(33), 6, 8, "property_sharded_delta");
+  ExpectDeltaRoundTrip(RandomScenario(33), 6, "property_delta_33");
 }
 
 TEST(CheckpointPropertyTest, MidQuantumSaveKeepsPendingExactly) {
@@ -195,8 +164,8 @@ TEST(CheckpointPropertyTest, MidQuantumSaveKeepsPendingExactly) {
         s.save_at * s.config.quantum_size +
         1 + rng.UniformInt(s.config.quantum_size - 1);
 
-    engine::ParallelDetector reference({s.config, 1}, &s.trace.dictionary);
-    engine::ParallelDetector head({s.config, 1}, &s.trace.dictionary);
+    engine::ParallelDetector reference({s.config}, &s.trace.dictionary);
+    engine::ParallelDetector head({s.config}, &s.trace.dictionary);
     std::vector<std::uint64_t> expected;
     for (std::size_t i = 0; i < s.trace.messages.size(); ++i) {
       auto report = reference.Push(s.trace.messages[i]);
@@ -209,7 +178,7 @@ TEST(CheckpointPropertyTest, MidQuantumSaveKeepsPendingExactly) {
 
     std::stringstream buffer;
     ASSERT_TRUE(durability::SaveSnapshot(head, buffer).ok());
-    auto restored = Load(buffer.str(), s, 1);
+    auto restored = Load(buffer.str(), s);
     ASSERT_NE(restored, nullptr);
     EXPECT_EQ(restored->quantizer().pending().size(),
               head.quantizer().pending().size());

@@ -62,13 +62,12 @@ std::string Save(ParallelDetector& detector,
   return out.str();
 }
 
-// Restores `bytes` into an engine on `threads` workers.
+// Restores `bytes` into an engine.
 std::unique_ptr<ParallelDetector> Load(
     const std::string& bytes, const text::KeywordDictionary* dictionary,
-    std::size_t threads = 1, std::uint64_t* checkpoint_id = nullptr) {
+    std::uint64_t* checkpoint_id = nullptr) {
   std::stringstream in(bytes);
-  return durability::LoadEngineSnapshot(in, dictionary, threads,
-                                        checkpoint_id);
+  return durability::LoadEngineSnapshot(in, dictionary, 1, checkpoint_id);
 }
 
 // Reports of `detector` over messages [from, end) of `trace`.
@@ -90,7 +89,7 @@ TEST(CheckpointTest, RoundTripIsBitIdentical) {
   const std::size_t split = trace.messages.size() / 2;
 
   // Reference detector: runs the whole trace uninterrupted.
-  ParallelDetector reference({config, 1}, &trace.dictionary);
+  ParallelDetector reference({config}, &trace.dictionary);
   std::vector<QuantumReport> ref_tail;
   for (std::size_t i = 0; i < trace.messages.size(); ++i) {
     auto report = reference.Push(trace.messages[i]);
@@ -98,7 +97,7 @@ TEST(CheckpointTest, RoundTripIsBitIdentical) {
   }
 
   // Checkpointed detector: first half, save, load, second half.
-  ParallelDetector first_half({config, 1}, &trace.dictionary);
+  ParallelDetector first_half({config}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     first_half.Push(trace.messages[i]);
   }
@@ -118,15 +117,14 @@ TEST(CheckpointTest, RoundTripIsBitIdentical) {
 TEST(CheckpointTest, MinHashOnlyRoundTripIsBitIdentical) {
   // In kMinHashOnly mode every EC is the signature estimate, so the restore
   // must reproduce the saved signatures and the id-set histories that the
-  // next refreshes sign exactly. Save mid-stream,
-  // restore at 1 AND 4 threads, and require the tail reports bit-identical
-  // to an uninterrupted run.
+  // next refreshes sign exactly. Save mid-stream, restore, and require the
+  // tail reports bit-identical to an uninterrupted run.
   const stream::SyntheticTrace trace = SmallTrace();
   DetectorConfig config = SmallConfig();
   config.akg.ec_mode = akg::EcMode::kMinHashOnly;
   const std::size_t split = trace.messages.size() / 2;
 
-  ParallelDetector reference({config, 1}, &trace.dictionary);
+  ParallelDetector reference({config}, &trace.dictionary);
   std::vector<QuantumReport> ref_tail;
   for (std::size_t i = 0; i < trace.messages.size(); ++i) {
     auto report = reference.Push(trace.messages[i]);
@@ -134,24 +132,19 @@ TEST(CheckpointTest, MinHashOnlyRoundTripIsBitIdentical) {
   }
   ASSERT_GT(ref_tail.size(), 10u);
 
-  ParallelDetector first_half({config, 1}, &trace.dictionary);
+  ParallelDetector first_half({config}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     first_half.Push(trace.messages[i]);
   }
   const std::string bytes = Save(first_half);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    auto restored = Load(bytes, &trace.dictionary, threads);
-    ASSERT_NE(restored, nullptr);
-    EXPECT_EQ(restored->core().config().akg.ec_mode,
-              akg::EcMode::kMinHashOnly);
-    const std::vector<QuantumReport> tail =
-        PushTail(*restored, trace, split);
-    ASSERT_EQ(tail.size(), ref_tail.size());
-    for (std::size_t i = 0; i < ref_tail.size(); ++i) {
-      EXPECT_EQ(tail[i], ref_tail[i]) << "tail report " << i;
-    }
+  auto restored = Load(bytes, &trace.dictionary);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->core().config().akg.ec_mode, akg::EcMode::kMinHashOnly);
+  const std::vector<QuantumReport> tail = PushTail(*restored, trace, split);
+  ASSERT_EQ(tail.size(), ref_tail.size());
+  for (std::size_t i = 0; i < ref_tail.size(); ++i) {
+    EXPECT_EQ(tail[i], ref_tail[i]) << "tail report " << i;
   }
 }
 
@@ -160,7 +153,7 @@ TEST(CheckpointTest, StableIdsAndNoNewRefire) {
   const DetectorConfig config = SmallConfig();
   const std::size_t split = trace.messages.size() / 2;
 
-  ParallelDetector detector({config, 1}, &trace.dictionary);
+  ParallelDetector detector({config}, &trace.dictionary);
   std::vector<QuantumReport> head;
   for (std::size_t i = 0; i < split; ++i) {
     if (auto report = detector.Push(trace.messages[i])) {
@@ -196,8 +189,8 @@ TEST(CheckpointTest, PendingMessagesSurviveExactly) {
   // Split mid-quantum so the partial quantum matters.
   const std::size_t split = 5 * config.quantum_size + 37;
 
-  ParallelDetector reference({config, 1}, &trace.dictionary);
-  ParallelDetector first_half({config, 1}, &trace.dictionary);
+  ParallelDetector reference({config}, &trace.dictionary);
+  ParallelDetector first_half({config}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     reference.Push(trace.messages[i]);
     first_half.Push(trace.messages[i]);
@@ -233,14 +226,14 @@ TEST(CheckpointTest, DeltaCheckpointRestoresExactly) {
   const std::size_t full_at = 20;   // segment after this many quanta
   const std::size_t delta_at = 29;  // log records up to this many
 
-  ParallelDetector reference({config, 1}, &trace.dictionary);
+  ParallelDetector reference({config}, &trace.dictionary);
   test_util::WalHarness wal("delta_restores_exactly", trace.dictionary);
   for (std::size_t q = 0; q < delta_at; ++q) {
     reference.ProcessQuantum(quanta[q]);
     if (q + 1 >= full_at) wal.Commit(reference, quanta[q]);
   }
 
-  durability::RecoverResult recovered = wal.Recover(1);
+  durability::RecoverResult recovered = wal.Recover();
   ASSERT_EQ(recovered.outcome, durability::RecoverResult::Outcome::kRecovered)
       << recovered.detail;
   EXPECT_TRUE(recovered.error.ok()) << recovered.error.ToString();
@@ -266,7 +259,7 @@ TEST(CheckpointTest, EngineDeltaKeepsMidQuantumPending) {
   const std::size_t extra = 37;  // messages into quantum 12 at commit time
   const std::size_t split = quanta_before * config.quantum_size + extra;
 
-  ParallelDetector head({config, 2}, &trace.dictionary);
+  ParallelDetector head({config}, &trace.dictionary);
   test_util::WalHarness wal("delta_keeps_pending", trace.dictionary);
   stream::Quantum last_closed;
   for (std::size_t i = 0; i < split; ++i) {
@@ -290,17 +283,16 @@ TEST(CheckpointTest, EngineDeltaKeepsMidQuantumPending) {
   ASSERT_EQ(head.quantizer().pending().size(), extra);
   wal.Commit(head, last_closed);
 
-  durability::RecoverResult recovered = wal.Recover(2);
+  durability::RecoverResult recovered = wal.Recover();
   ASSERT_EQ(recovered.outcome, durability::RecoverResult::Outcome::kRecovered)
       << recovered.detail;
   ParallelDetector& restored = *recovered.engine;
-  EXPECT_EQ(restored.threads(), 2u);
   EXPECT_EQ(restored.quantizer().pending().size(), extra);
 
-  // Reference: uninterrupted one-thread run over the same stream. The
+  // Reference: an uninterrupted run over the same stream. The
   // first report after the commit point must match exactly — it can only
   // if the `extra` buffered messages survived the log round trip.
-  ParallelDetector reference({config, 1}, &trace.dictionary);
+  ParallelDetector reference({config}, &trace.dictionary);
   for (std::size_t i = 0; i < split; ++i) {
     reference.Push(trace.messages[i]);
   }
@@ -329,7 +321,7 @@ TEST(CheckpointTest, DeltaRejectsWrongBase) {
 
   const auto drive = [&](const DetectorConfig& c, const std::string& name) {
     auto wal = std::make_unique<test_util::WalHarness>(name, trace.dictionary);
-    ParallelDetector detector({c, 1}, &trace.dictionary);
+    ParallelDetector detector({c}, &trace.dictionary);
     for (std::size_t q = 0; q < 12; ++q) {
       detector.ProcessQuantum(quanta[q]);
       if (q >= 7) wal->Commit(detector, quanta[q]);
@@ -346,7 +338,7 @@ TEST(CheckpointTest, DeltaRejectsWrongBase) {
   const auto overwrite = std::filesystem::copy_options::overwrite_existing;
   std::filesystem::copy_file(log_of(*chained), log_of(*other), overwrite);
 
-  durability::RecoverResult recovered = other->Recover(1);
+  durability::RecoverResult recovered = other->Recover();
   ASSERT_EQ(recovered.outcome, durability::RecoverResult::Outcome::kRecovered)
       << recovered.detail;
   EXPECT_EQ(recovered.replayed_quanta, 0u);
@@ -361,14 +353,14 @@ TEST(CheckpointTest, SaveLoadSaveIsByteIdentical) {
   // The encoding is canonical (all unordered structures serialize sorted),
   // so a loaded detector re-saves to the exact same bytes.
   const stream::SyntheticTrace trace = SmallTrace();
-  ParallelDetector detector({SmallConfig(), 1}, &trace.dictionary);
+  ParallelDetector detector({SmallConfig()}, &trace.dictionary);
   for (std::size_t i = 0; i < trace.messages.size() / 2; ++i) {
     detector.Push(trace.messages[i]);
   }
   std::uint64_t first_id = 0;
   const std::string first = Save(detector, &first_id);
   std::uint64_t loaded_id = 0;
-  auto restored = Load(first, &trace.dictionary, 1, &loaded_id);
+  auto restored = Load(first, &trace.dictionary, &loaded_id);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(loaded_id, first_id);
   std::uint64_t second_id = 0;
@@ -383,7 +375,7 @@ TEST(CheckpointTest, RejectsGarbage) {
 
 TEST(CheckpointTest, FileStreamRoundTrip) {
   const stream::SyntheticTrace trace = SmallTrace();
-  ParallelDetector detector({SmallConfig(), 1}, &trace.dictionary);
+  ParallelDetector detector({SmallConfig()}, &trace.dictionary);
   for (std::size_t i = 0; i < 5'000; ++i) {
     detector.Push(trace.messages[i]);
   }
@@ -421,7 +413,7 @@ TEST(CheckpointTest, ConfigSurvivesRoundTrip) {
   config.akg.high_state_threshold = 6;
   config.min_event_nodes = 4;
   config.require_noun = false;
-  ParallelDetector detector({config, 1}, nullptr);
+  ParallelDetector detector({config}, nullptr);
   auto restored = Load(Save(detector), nullptr);
   ASSERT_NE(restored, nullptr);
   const DetectorConfig& loaded = restored->core().config();

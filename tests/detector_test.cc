@@ -1,4 +1,4 @@
-// End-to-end tests of the detector (one engine thread): the Figure 1
+// End-to-end tests of the detector: the Figure 1
 // earthquake scenario, cluster evolution (the "5.9" keyword joining late),
 // filters, and a small synthetic-trace integration run.
 

@@ -102,7 +102,7 @@ TEST(EventFeedTest, DedupeInvariantOnRealRun) {
   DetectorConfig dconfig;
   dconfig.quantum_size = 120;
   dconfig.akg.window_length = 15;
-  engine::ParallelDetector detector({dconfig, 1}, &trace.dictionary);
+  engine::ParallelDetector detector({dconfig}, &trace.dictionary);
   FeedConfig fconfig;
   EventFeed feed(fconfig);
 

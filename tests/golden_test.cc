@@ -2,9 +2,7 @@
 // tests/golden/ with the expected per-quantum report digests. Any change to
 // detector behavior — intended or not — shows up as a digest mismatch here,
 // so silent drift cannot slip into a future PR. The detector replays the
-// corpus at 1 thread (inline, serial aggregate) and at 4 threads, and both
-// must match the same digests (bit-identical parallel execution is part of
-// the contract).
+// corpus and must match the committed digests.
 //
 // Regenerating after an INTENTIONAL behavior change:
 //
@@ -196,7 +194,7 @@ bool WriteDigestFile(const std::string& path,
 
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
-TEST_P(GoldenTest, OneAndFourThreadsMatchCommittedDigests) {
+TEST_P(GoldenTest, ReportsMatchCommittedDigests) {
   const GoldenCase& c = GetParam();
 
   stream::SyntheticTrace trace;
@@ -208,8 +206,7 @@ TEST_P(GoldenTest, OneAndFourThreadsMatchCommittedDigests) {
     ASSERT_TRUE(stream::WriteTraceFile(trace, TracePath(c)));
   }
 
-  // One-thread reference run (inline, serial aggregate).
-  engine::ParallelDetector detector({c.detector_config(), 1},
+  engine::ParallelDetector detector({c.detector_config()},
                                     &trace.dictionary);
   const std::vector<detect::QuantumReport> reports =
       detector.Run(trace.messages);
@@ -230,19 +227,6 @@ TEST_P(GoldenTest, OneAndFourThreadsMatchCommittedDigests) {
              "explain in the PR";
     }
   }
-
-  // The 4-thread engine must reproduce the same digest stream.
-  engine::ParallelDetectorConfig pconfig;
-  pconfig.detector = c.detector_config();
-  pconfig.threads = 4;
-  engine::ParallelDetector parallel(pconfig, &trace.dictionary);
-  const std::vector<detect::QuantumReport> preports =
-      parallel.Run(trace.messages);
-  ASSERT_EQ(preports.size(), reports.size());
-  for (std::size_t q = 0; q < preports.size(); ++q) {
-    ASSERT_EQ(detect::ReportDigest(preports[q]), digests[q])
-        << c.name << ": 4-thread engine diverged at quantum " << q;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTest, ::testing::ValuesIn(kCorpus),
@@ -254,8 +238,8 @@ INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTest, ::testing::ValuesIn(kCorpus),
 // --- LSH event store and probed with queries derived deterministically
 // --- from the committed events themselves. The committed digests pin the
 // --- full ranked answer (ids, order, jaccard and support-estimate bits);
-// --- serial ingest, 4-thread ingest and a kill/replay resume must all
-// --- reproduce them bit-identically.
+// --- a single-pass ingest and a kill/replay resume must both reproduce
+// --- them bit-identically.
 
 class ScopedStoreDir {
  public:
@@ -288,12 +272,9 @@ store::LshOptions GoldenStoreOptions() {
 void IngestIntoStore(const stream::SyntheticTrace& trace,
                      const std::vector<stream::Message>& messages,
                      const detect::DetectorConfig& config,
-                     std::size_t threads, store::LshIndex* index) {
+                     store::LshIndex* index) {
   store::EventIndexer indexer(index, /*commit_every=*/1);
-  engine::ParallelDetectorConfig pconfig;
-  pconfig.detector = config;
-  pconfig.threads = threads;
-  engine::ParallelDetector engine(pconfig, &trace.dictionary);
+  engine::ParallelDetector engine({config}, &trace.dictionary);
   engine.set_cluster_sink(&indexer);
   for (const stream::Message& message : messages) {
     (void)engine.Push(message);
@@ -363,7 +344,7 @@ TEST(GoldenQueryTest, StoreAnswersMatchCommittedDigestsAtAnyIngestPath) {
   const std::string digest_path =
       std::string(SCPRT_GOLDEN_DIR) + "/golden_queries.digests";
 
-  // Serial ingest (threads = 1).
+  // Single-pass ingest.
   ScopedStoreDir serial_dir("serial");
   std::vector<std::uint64_t> digests;
   std::vector<std::vector<std::string>> queries;
@@ -371,8 +352,7 @@ TEST(GoldenQueryTest, StoreAnswersMatchCommittedDigestsAtAnyIngestPath) {
     auto index = store::LshIndex::Create(serial_dir.path(),
                                          GoldenStoreOptions());
     ASSERT_NE(index, nullptr);
-    IngestIntoStore(trace, trace.messages, c.detector_config(), 1,
-                    index.get());
+    IngestIntoStore(trace, trace.messages, c.detector_config(), index.get());
     queries = DeriveQueries(*index);
     ASSERT_GT(queries.size(), 10u);
     digests = QueryDigests(*index, queries);
@@ -392,19 +372,6 @@ TEST(GoldenQueryTest, StoreAnswersMatchCommittedDigestsAtAnyIngestPath) {
     }
   }
 
-  // 4-thread ingest builds a store giving bit-identical answers (the
-  // engine's reports are bit-identical, so the insert stream is too).
-  {
-    ScopedStoreDir parallel_dir("par");
-    auto index = store::LshIndex::Create(parallel_dir.path(),
-                                         GoldenStoreOptions());
-    ASSERT_NE(index, nullptr);
-    IngestIntoStore(trace, trace.messages, c.detector_config(), 4,
-                    index.get());
-    EXPECT_EQ(QueryDigests(*index, queries), digests)
-        << "4-thread ingest changed query answers";
-  }
-
   // Kill/resume: ingest half the trace, drop the writer (commit_every = 1
   // left everything committed), re-open and replay the WHOLE trace — the
   // (cluster, quantum) idempotency set absorbs the overlap and the final
@@ -418,14 +385,13 @@ TEST(GoldenQueryTest, StoreAnswersMatchCommittedDigestsAtAnyIngestPath) {
       const std::vector<stream::Message> half(
           trace.messages.begin(),
           trace.messages.begin() + trace.messages.size() / 2);
-      IngestIntoStore(trace, half, c.detector_config(), 1, index.get());
+      IngestIntoStore(trace, half, c.detector_config(), index.get());
     }
     durability::Error error;
     auto index = store::LshIndex::Open(resume_dir.path(),
                                        GoldenStoreOptions(), &error);
     ASSERT_NE(index, nullptr) << error.ToString();
-    IngestIntoStore(trace, trace.messages, c.detector_config(), 1,
-                    index.get());
+    IngestIntoStore(trace, trace.messages, c.detector_config(), index.get());
     EXPECT_EQ(QueryDigests(*index, queries), digests)
         << "kill/replay resume changed query answers";
   }

@@ -2,18 +2,21 @@
 // equivalence (the headline property — a pipeline checkpointed mid-stream,
 // its process state discarded, resumed from the WAL + source cursor emits
 // report digests bit-identical to a never-interrupted run, at 1 and 4
-// tokenizer workers, seeded and fresh-dictionary), PR 2-era snapshot
-// compatibility (no IngestState section), typed load errors, and the
-// dictionary blob codec.
+// tokenizer workers, seeded and fresh-dictionary), the stream counts every
+// commit persists (records read and shed up to the saved cursor, never the
+// driver's read-ahead), PR 2-era snapshot compatibility (no IngestState
+// section), typed load errors, and the dictionary blob codec.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -21,6 +24,9 @@
 #include "detect/report.h"
 #include "detect/snapshot_io.h"
 #include "durability/backend.h"
+#include "durability/log_reader.h"
+#include "durability/manifest.h"
+#include "durability/wal_backend.h"
 #include "engine/parallel_detector.h"
 #include "ingest/durable.h"
 #include "ingest/pipeline.h"
@@ -80,14 +86,13 @@ ReinternedTrace ReinternSerially(const stream::SyntheticTrace& trace) {
   return out;
 }
 
-// Per-quantum digests of the pre-tokenized trace path at one engine thread
-// (the ground truth both the interrupted and uninterrupted ingest runs
-// must match).
+// Per-quantum digests of the pre-tokenized trace path (the ground truth
+// both the interrupted and uninterrupted ingest runs must match).
 std::map<QuantumIndex, std::uint64_t> ReferenceDigests(
     const std::vector<stream::Message>& messages,
     const text::KeywordDictionary& dictionary,
     const detect::DetectorConfig& config) {
-  engine::ParallelDetector detector({config, 1}, &dictionary);
+  engine::ParallelDetector detector({config}, &dictionary);
   std::map<QuantumIndex, std::uint64_t> digests;
   for (const stream::Quantum& quantum : stream::SplitIntoQuanta(
            messages, config.quantum_size, /*keep_partial=*/true)) {
@@ -168,13 +173,11 @@ TEST(SourceCursorTest, GeneratorAndTraceSourcesSeekByIndex) {
 struct KillResumeCase {
   std::size_t workers;
   bool seeded;
-  std::size_t engine_threads;
 };
 
 void RunKillResumeCase(const KillResumeCase& c) {
   SCOPED_TRACE(::testing::Message()
-               << "workers=" << c.workers << " seeded=" << c.seeded
-               << " engine_threads=" << c.engine_threads);
+               << "workers=" << c.workers << " seeded=" << c.seeded);
   const stream::SyntheticTrace trace = SmallTrace();
   const detect::DetectorConfig detector_config = SmallDetectorConfig();
   std::stringstream text;
@@ -197,11 +200,9 @@ void RunKillResumeCase(const KillResumeCase& c) {
   ingest_config.queue_capacity = 64;
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = detector_config;
-  engine_config.threads = c.engine_threads;
   DurableConfig durable;
-  durable.directory = TempDir(
-      "kill_resume_" + std::to_string(c.workers) +
-      (c.seeded ? "_seeded" : "_fresh") + std::to_string(c.engine_threads));
+  durable.directory = TempDir("kill_resume_" + std::to_string(c.workers) +
+                              (c.seeded ? "_seeded" : "_fresh"));
   durable.checkpoint_quanta = 3;
   durable.full_interval = 2;  // a segment every 6 quanta, records between
 
@@ -274,22 +275,17 @@ void RunKillResumeCase(const KillResumeCase& c) {
 
 // Every quantum is a log record, so the resumed fence is the last
 // committed quantum — and the stitched report stream must stay
-// bit-identical at 1 and 4 workers, seeded and fresh, 1 and 2 engine
-// threads.
-TEST(KillResumeTest, WalOneWorkerSeeded) {
-  RunKillResumeCase({1, true, 1});
-}
+// bit-identical at 1 and 4 workers, seeded and fresh.
+TEST(KillResumeTest, WalOneWorkerSeeded) { RunKillResumeCase({1, true}); }
 
-TEST(KillResumeTest, WalFourWorkersSeeded) {
-  RunKillResumeCase({4, true, 1});
-}
+TEST(KillResumeTest, WalFourWorkersSeeded) { RunKillResumeCase({4, true}); }
 
 TEST(KillResumeTest, WalOneWorkerFreshDictionary) {
-  RunKillResumeCase({1, false, 1});
+  RunKillResumeCase({1, false});
 }
 
-TEST(KillResumeTest, WalFourWorkersFreshDictionarySharded) {
-  RunKillResumeCase({4, false, 2});
+TEST(KillResumeTest, WalFourWorkersFreshDictionary) {
+  RunKillResumeCase({4, false});
 }
 
 TEST(KillResumeTest, ResumeAdoptsTheSnapshotsDetectorConfig) {
@@ -309,7 +305,6 @@ TEST(KillResumeTest, ResumeAdoptsTheSnapshotsDetectorConfig) {
   ingest_config.workers = 2;
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = detector_config;
-  engine_config.threads = 1;
   DurableConfig durable;
   durable.directory = TempDir("delta_mismatch");
   durable.checkpoint_quanta = 3;
@@ -372,7 +367,6 @@ TEST(KillResumeTest, FreshSessionContinuesOrdinalsAboveStaleFiles) {
   ingest_config.workers = 1;
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = SmallDetectorConfig();
-  engine_config.threads = 1;
   DurableConfig durable;
   durable.directory = TempDir("stale_generation");
   durable.checkpoint_quanta = 3;
@@ -404,14 +398,280 @@ TEST(KillResumeTest, FreshSessionContinuesOrdinalsAboveStaleFiles) {
   EXPECT_GT(resume.cursor.record_index, 0u);
 }
 
+// ------------------------------------ Persisted counts at the fence ----
+
+// Every IngestState a WAL directory holds, in commit order: segments and
+// log records by file number (one monotonic sequence), each log's records
+// in append order.
+std::vector<sio::IngestState> PersistedStates(const std::string& directory) {
+  std::map<std::uint64_t, fs::path> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(directory)) {
+    const std::string name = entry.path().filename().string();
+    std::uint64_t number = 0;
+    if (durability::ParseSegmentFileName(name, number) ||
+        durability::ParseWalFileName(name, number)) {
+      files[number] = entry.path();
+    }
+  }
+  std::vector<sio::IngestState> states;
+  for (const auto& [number, path] : files) {
+    std::ifstream in(path, std::ios::binary);
+    if (path.extension() == ".snap") {
+      sio::IngestState state;
+      bool present = false;
+      EXPECT_NE(durability::LoadEngineSnapshot(in, nullptr, 1, nullptr,
+                                               nullptr, &state, &present),
+                nullptr)
+          << path;
+      EXPECT_TRUE(present) << path;
+      states.push_back(std::move(state));
+      continue;
+    }
+    std::stringstream contents;
+    contents << in.rdbuf();
+    durability::LogReader reader(contents.str());
+    std::string record;
+    while (reader.ReadRecord(record)) {
+      BinaryReader payload(record);
+      EXPECT_EQ(payload.U8(), durability::kWalRecordDelta);
+      sio::DeltaPayload delta;
+      sio::IngestState state;
+      EXPECT_TRUE(sio::ReadDelta(payload, delta) &&
+                  sio::ReadIngestSection(payload, state))
+          << path;
+      states.push_back(std::move(state));
+    }
+    EXPECT_EQ(reader.why_stopped(), "") << path;
+  }
+  return states;
+}
+
+// The bytes of every segment and log file in `directory`, by name.
+std::map<std::string, std::string> DurableFileBytes(
+    const std::string& directory) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(directory)) {
+    const std::string name = entry.path().filename().string();
+    std::uint64_t number = 0;
+    if (durability::ParseSegmentFileName(name, number) ||
+        durability::ParseWalFileName(name, number)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::stringstream contents;
+      contents << in.rdbuf();
+      files[name] = contents.str();
+    }
+  }
+  return files;
+}
+
+TEST(DurableCountsTest, CommitsPersistCountsAtTheCursor) {
+  // One tokenizer worker behind a 64-record queue: the driver reads well
+  // ahead of the record that closes each quantum. What a commit persists
+  // must still be the counts up to its cursor — so two identical runs
+  // write identical bytes, and a resume (which re-reads from the cursor)
+  // does not count the read-ahead twice.
+  const stream::SyntheticTrace trace = SmallTrace();
+  std::stringstream text;
+  ASSERT_TRUE(WriteJsonl(trace, text));
+  const std::string content = text.str();
+
+  IngestConfig ingest_config;
+  ingest_config.workers = 1;
+  ingest_config.queue_capacity = 64;
+  engine::ParallelDetectorConfig engine_config;
+  engine_config.detector = SmallDetectorConfig();
+  DurableConfig durable;
+  durable.checkpoint_quanta = 4;
+  durable.full_interval = 5;  // a segment every 20 quanta, records between
+
+  const auto run_uninterrupted = [&](const std::string& name) {
+    DurableConfig config = durable;
+    config.directory = TempDir(name);
+    DurableIngest session(ingest_config, engine_config, config);
+    std::stringstream stream(content);
+    JsonlSource source(stream);
+    EXPECT_TRUE(session.Run(source, nullptr).has_value());
+    return config.directory;
+  };
+  const std::string first = run_uninterrupted("counts_first");
+  const std::string second = run_uninterrupted("counts_second");
+
+  const std::vector<sio::IngestState> states = PersistedStates(first);
+  ASSERT_GT(states.size(), 10u);
+  for (const sio::IngestState& state : states) {
+    EXPECT_EQ(state.records_read, state.cursor_record)
+        << "commit at record " << state.cursor_record;
+    EXPECT_EQ(state.shed, 0u);
+  }
+  EXPECT_EQ(states.back().records_read, trace.messages.size());
+  EXPECT_EQ(DurableFileBytes(first), DurableFileBytes(second))
+      << "identical runs wrote different durable bytes";
+
+  // Kill mid-stream, resume from the directory, finish the stream.
+  DurableConfig config = durable;
+  config.directory = TempDir("counts_resumed");
+  {
+    DurableIngest session(ingest_config, engine_config, config);
+    std::stringstream stream(content);
+    JsonlSource inner(stream);
+    LimitedSource source(inner, 4'700);
+    ASSERT_TRUE(
+        session.Run(source, nullptr, /*flush_partial=*/false).has_value());
+  }
+  DurableIngest session(ingest_config, engine_config, config);
+  ASSERT_EQ(session.Resume().outcome, ResumeResult::Outcome::kResumed);
+  std::stringstream stream(content);
+  JsonlSource source(stream);
+  ASSERT_TRUE(session.Run(source, nullptr).has_value());
+
+  const std::vector<sio::IngestState> resumed =
+      PersistedStates(config.directory);
+  ASSERT_FALSE(resumed.empty());
+  for (const sio::IngestState& state : resumed) {
+    EXPECT_EQ(state.records_read, state.cursor_record)
+        << "commit at record " << state.cursor_record;
+  }
+  EXPECT_EQ(resumed.back().records_read, states.back().records_read);
+}
+
+// Pads every message text with stop words: the same keywords reach the
+// engine, but each record costs a tokenizer worker several times what the
+// driver spends reading it.
+std::string PadWithStopWords(const std::string& jsonl) {
+  const std::string key = "\"text\": \"";
+  std::string filler;
+  for (int i = 0; i < 20; ++i) filler += "the ";
+  std::string padded;
+  std::size_t from = 0;
+  for (std::size_t at = jsonl.find(key); at != std::string::npos;
+       at = jsonl.find(key, from)) {
+    padded.append(jsonl, from, at + key.size() - from);
+    padded += filler;
+    from = at + key.size();
+  }
+  padded.append(jsonl, from);
+  return padded;
+}
+
+// Hands records over in bursts of kBurst with a pause between bursts: a
+// burst overflows a staging queue shorter than it (so drop-tail sheds),
+// and the pause lets the worker drain the queue even when it shares a
+// core with the driver (so most records still get through).
+class BurstySource : public MessageSource {
+ public:
+  static constexpr std::uint64_t kBurst = 8;
+
+  explicit BurstySource(MessageSource& inner) : inner_(&inner) {}
+
+  bool Next(RawRecord& out) override {
+    if (++handed_ % kBurst == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return inner_->Next(out);
+  }
+  std::uint64_t malformed_count() const override {
+    return inner_->malformed_count();
+  }
+  SourcePosition Position() const override { return inner_->Position(); }
+  bool seekable() const override { return inner_->seekable(); }
+  bool Seek(const SourcePosition& position) override {
+    return inner_->Seek(position);
+  }
+
+ private:
+  MessageSource* inner_;
+  std::uint64_t handed_ = 0;
+};
+
+TEST(DurableCountsTest, ShedCountsStopAtTheCursor) {
+  // Drop-tail behind a 4-record queue sheds part of each burst, and the
+  // driver reads past the record that closes each quantum. A commit must count the
+  // records read and shed up to its cursor only: then every record up to
+  // the cursor is either a message the engine has (next_seq of them) or
+  // shed. Which records are shed depends on thread timing, so two runs
+  // (or a killed-and-resumed run) need not shed the same ones; the
+  // invariant holds at every commit of each.
+  const stream::SyntheticTrace trace = SmallTrace();
+  std::stringstream text;
+  ASSERT_TRUE(WriteJsonl(trace, text));
+  const std::string content = PadWithStopWords(text.str());
+
+  IngestConfig ingest_config;
+  ingest_config.workers = 1;
+  ingest_config.queue_capacity = 4;
+  ingest_config.admission.policy = OverloadPolicy::kDropTail;
+  engine::ParallelDetectorConfig engine_config;
+  engine_config.detector = SmallDetectorConfig();
+  DurableConfig durable;
+  durable.checkpoint_quanta = 2;
+  durable.full_interval = 5;
+
+  const auto expect_counts_at_cursor =
+      [](const std::vector<sio::IngestState>& states) {
+        for (const sio::IngestState& state : states) {
+          EXPECT_EQ(state.records_read, state.cursor_record)
+              << "commit at record " << state.cursor_record;
+          EXPECT_EQ(state.records_read - state.shed, state.next_seq)
+              << "commit at record " << state.cursor_record;
+        }
+      };
+
+  DurableConfig config = durable;
+  config.directory = TempDir("shed_counts");
+  {
+    DurableIngest session(ingest_config, engine_config, config);
+    std::stringstream stream(content);
+    JsonlSource inner(stream);
+    BurstySource source(inner);
+    ASSERT_TRUE(session.Run(source, nullptr).has_value());
+  }
+  const std::vector<sio::IngestState> states =
+      PersistedStates(config.directory);
+  ASSERT_GE(states.size(), 5u);
+  ASSERT_GT(states.back().shed, 0u) << "the queue never overflowed";
+  expect_counts_at_cursor(states);
+
+  // Kill mid-stream and resume: the resumed commits continue the counts
+  // from the restored fence without counting the read-ahead again.
+  config.directory = TempDir("shed_counts_resumed");
+  {
+    DurableIngest session(ingest_config, engine_config, config);
+    std::stringstream stream(content);
+    JsonlSource inner(stream);
+    LimitedSource limited(inner, 4'700);
+    BurstySource source(limited);
+    ASSERT_TRUE(
+        session.Run(source, nullptr, /*flush_partial=*/false).has_value());
+  }
+  const std::vector<sio::IngestState> killed =
+      PersistedStates(config.directory);
+  ASSERT_FALSE(killed.empty());
+  DurableIngest session(ingest_config, engine_config, config);
+  ASSERT_EQ(session.Resume().outcome, ResumeResult::Outcome::kResumed);
+  std::stringstream stream(content);
+  JsonlSource inner(stream);
+  BurstySource source(inner);
+  ASSERT_TRUE(session.Run(source, nullptr).has_value());
+
+  // (Older generations may be pruned by now, so compare the last states.)
+  const std::vector<sio::IngestState> resumed =
+      PersistedStates(config.directory);
+  ASSERT_FALSE(resumed.empty());
+  expect_counts_at_cursor(resumed);
+  EXPECT_GE(resumed.back().shed, killed.back().shed);
+  // Records shed after the last admitted one lie past the final cursor.
+  EXPECT_GT(resumed.back().records_read, killed.back().records_read);
+  EXPECT_LE(resumed.back().records_read, trace.messages.size());
+}
+
 // ------------------------------------- Version skew + PR 2-era reads ----
 
-// A one-thread engine with some real state to snapshot.
+// An engine with some real state to snapshot.
 std::unique_ptr<engine::ParallelDetector> WarmDetector(
     const stream::SyntheticTrace& trace,
     const detect::DetectorConfig& config) {
   auto detector = std::make_unique<engine::ParallelDetector>(
-      engine::ParallelDetectorConfig{config, 1}, &trace.dictionary);
+      engine::ParallelDetectorConfig{config}, &trace.dictionary);
   for (const stream::Quantum& quantum : stream::SplitIntoQuanta(
            trace.messages, config.quantum_size, /*keep_partial=*/false)) {
     detector->ProcessQuantum(quantum);

@@ -2,8 +2,7 @@
 // worker-count determinism, backpressure bounds, load-shedding policies,
 // and the headline equivalence property — the raw-text path (JSONL ->
 // tokenize -> intern -> quanta -> detector) emits bit-identical reports to
-// the pre-tokenized trace path on the same token stream, serial or
-// sharded.
+// the pre-tokenized trace path on the same token stream.
 
 #include <gtest/gtest.h>
 
@@ -89,7 +88,7 @@ std::vector<detect::QuantumReport> RunTracePath(
     const std::vector<stream::Message>& messages,
     const text::KeywordDictionary& dictionary,
     const detect::DetectorConfig& config) {
-  engine::ParallelDetector detector({config, 1}, &dictionary);
+  engine::ParallelDetector detector({config}, &dictionary);
   std::vector<detect::QuantumReport> reports;
   for (const stream::Quantum& quantum : stream::SplitIntoQuanta(
            messages, config.quantum_size, /*keep_partial=*/true)) {
@@ -159,33 +158,29 @@ TEST(IngestPipelineTest, RawTextPathMatchesTracePathBitIdentically) {
   const stream::SyntheticTrace trace = SmallTrace();
   const detect::DetectorConfig detector_config = SmallDetectorConfig();
 
-  // Reference: the pre-tokenized trace through a one-thread detector.
+  // Reference: the pre-tokenized trace through the detector.
   const std::vector<std::uint64_t> want = Digests(
       RunTracePath(trace.messages, trace.dictionary, detector_config));
   ASSERT_GT(want.size(), 50u);
 
-  // Raw-text path: JSONL -> 4 tokenizer workers -> sharded engine, with
-  // the vocabulary seeded so ids line up with the reference run.
-  for (const std::size_t engine_threads : {1u, 4u}) {
-    std::stringstream jsonl;
-    ASSERT_TRUE(WriteJsonl(trace, jsonl));
-    IngestConfig config;
-    config.workers = 4;
-    text::ConcurrentKeywordDictionary dictionary;
-    dictionary.SeedFrom(trace.dictionary);
-    IngestPipeline pipeline(config, &dictionary);
+  // Raw-text path: JSONL -> 4 tokenizer workers -> engine, with the
+  // vocabulary seeded so ids line up with the reference run.
+  std::stringstream jsonl;
+  ASSERT_TRUE(WriteJsonl(trace, jsonl));
+  IngestConfig config;
+  config.workers = 4;
+  text::ConcurrentKeywordDictionary dictionary;
+  dictionary.SeedFrom(trace.dictionary);
+  IngestPipeline pipeline(config, &dictionary);
 
-    engine::ParallelDetectorConfig engine_config;
-    engine_config.detector = detector_config;
-    engine_config.threads = engine_threads;
-    engine::ParallelDetector detector(engine_config, &dictionary.view());
-    QuantumAssembler sink = QuantumAssembler::For(detector);
+  engine::ParallelDetectorConfig engine_config;
+  engine_config.detector = detector_config;
+  engine::ParallelDetector detector(engine_config, &dictionary.view());
+  QuantumAssembler sink = QuantumAssembler::For(detector);
 
-    JsonlSource source(jsonl);
-    pipeline.Run(source, sink);
-    EXPECT_EQ(Digests(sink.reports()), want)
-        << "engine_threads=" << engine_threads;
-  }
+  JsonlSource source(jsonl);
+  pipeline.Run(source, sink);
+  EXPECT_EQ(Digests(sink.reports()), want);
 }
 
 TEST(IngestPipelineTest, FreshDictionaryRawTextMatchesReinternedTracePath) {
@@ -206,7 +201,6 @@ TEST(IngestPipelineTest, FreshDictionaryRawTextMatchesReinternedTracePath) {
   IngestPipeline pipeline(config, &dictionary);
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = detector_config;
-  engine_config.threads = 2;
   engine::ParallelDetector detector(engine_config, &dictionary.view());
   QuantumAssembler sink = QuantumAssembler::For(detector);
   JsonlSource source(jsonl);
@@ -228,7 +222,7 @@ TEST(IngestPipelineTest, PretokenizedTraceSourceMatchesTracePath) {
   text::ConcurrentKeywordDictionary dictionary;
   dictionary.SeedFrom(trace.dictionary);
   IngestPipeline pipeline(config, &dictionary);
-  engine::ParallelDetector detector({detector_config, 1}, &dictionary.view());
+  engine::ParallelDetector detector({detector_config}, &dictionary.view());
   QuantumAssembler sink = QuantumAssembler::For(detector);
   TraceSource source(trace.messages);
   pipeline.Run(source, sink);

@@ -352,8 +352,9 @@ TEST(ConcurrentDictionaryTest, InternIsIdempotent) {
 
 TEST(ConcurrentDictionaryTest, LookupsRaceSafelyWithInterning) {
   // Readers hammer TryLookup while one writer interns a growing
-  // vocabulary; under TSan this is the data-race check for the
-  // shared-mutex protocol.
+  // vocabulary through several index resizes; under TSan this is the
+  // data-race check for the lock-free read path. A reader may miss a
+  // word that is being published, but a hit must carry the word's id.
   text::ConcurrentKeywordDictionary dictionary;
   constexpr int kWords = 2000;
   // snprintf instead of "w" + to_string: sidesteps a gcc-12 -Wrestrict
@@ -364,18 +365,18 @@ TEST(ConcurrentDictionaryTest, LookupsRaceSafelyWithInterning) {
     return std::string(buf);
   };
   std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> wrong{0};
   std::vector<std::jthread> readers;
   for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&dictionary, &done, &word] {
-      std::uint64_t hits = 0;
+    readers.emplace_back([&dictionary, &done, &wrong, &word] {
       while (!done.load(std::memory_order_acquire)) {
         for (int i = 0; i < kWords; i += 17) {
-          if (dictionary.TryLookup(word(i)) != kInvalidKeyword) {
-            ++hits;
+          const KeywordId id = dictionary.TryLookup(word(i));
+          if (id != kInvalidKeyword && id != static_cast<KeywordId>(i)) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
           }
         }
       }
-      (void)hits;
     });
   }
   for (int i = 0; i < kWords; ++i) {
@@ -383,7 +384,38 @@ TEST(ConcurrentDictionaryTest, LookupsRaceSafelyWithInterning) {
   }
   done.store(true, std::memory_order_release);
   readers.clear();
+  EXPECT_EQ(wrong.load(), 0u);
   EXPECT_EQ(dictionary.size(), static_cast<std::size_t>(kWords));
+  for (int i = 0; i < kWords; ++i) {
+    EXPECT_EQ(dictionary.TryLookup(word(i)), static_cast<KeywordId>(i));
+  }
+}
+
+TEST(ConcurrentDictionaryTest, RestoredAndMovedInEntriesAreVisible) {
+  text::KeywordDictionary plain;
+  for (const char* keyword : {"quake", "storm", "flood"}) {
+    plain.Intern(keyword);
+  }
+  BinaryWriter full;
+  plain.SaveState(full);
+  BinaryReader full_reader(full.data());
+  text::ConcurrentKeywordDictionary restored;
+  ASSERT_TRUE(restored.RestoreState(full_reader));
+  EXPECT_EQ(restored.TryLookup("storm"), 1u);
+
+  // A delta blob appends past the restored prefix.
+  const KeywordId fire = plain.Intern("fire");
+  BinaryWriter delta;
+  plain.SaveState(delta, fire);
+  BinaryReader delta_reader(delta.data());
+  ASSERT_TRUE(restored.RestoreState(delta_reader, fire));
+  EXPECT_EQ(restored.TryLookup("fire"), fire);
+  EXPECT_EQ(restored.TryLookup("quake"), 0u);
+
+  const text::ConcurrentKeywordDictionary adopted(std::move(plain));
+  EXPECT_EQ(adopted.TryLookup("flood"), 2u);
+  EXPECT_EQ(adopted.TryLookup("fire"), fire);
+  EXPECT_EQ(adopted.TryLookup("absent"), kInvalidKeyword);
 }
 
 // ------------------------------------------------- Worker transform -----

@@ -2,8 +2,8 @@
 // paper's bottom-p signature (a brute-force reference),
 // the Combine algebra (exact on overlapping inputs, associative,
 // commutative, empty identity), and partitioned merges matching the
-// whole-set signature bit for bit at 1/2/8 partitions through the serial
-// CombineTree.
+// whole-set signature bit for bit at 1/2/8 partitions through
+// CombineAll.
 
 #include <algorithm>
 #include <cstdint>
@@ -89,23 +89,30 @@ TEST(MinHasherTest, CombineAlgebra) {
   }
 }
 
-TEST(MinHasherTest, CombineTreeShapes) {
+TEST(MinHasherTest, CombineAllCases) {
   const MinHasher hasher(3, 7);
   const MinHashSignature one =
       hasher.Sketch(std::vector<UserId>{1, 2, 3, 4, 5});
-  EXPECT_TRUE(MinHasher::CombineTree({}, 3).empty());
-  EXPECT_EQ(MinHasher::CombineTree({one}, 3), one);
-  // Odd part counts exercise the carried trailing item.
   const MinHashSignature two = hasher.Sketch(std::vector<UserId>{6, 7});
   const MinHashSignature three = hasher.Sketch(std::vector<UserId>{8});
   const MinHashSignature whole =
       hasher.Sketch(std::vector<UserId>{1, 2, 3, 4, 5, 6, 7, 8});
-  EXPECT_EQ(MinHasher::CombineTree({one, two, three}, 3), whole);
+  // No parts: the empty signature, Combine's identity.
+  EXPECT_TRUE(MinHasher::CombineAll({}, 3).empty());
+  // One part comes back unchanged.
+  const std::vector<MinHashSignature> single = {one};
+  EXPECT_EQ(MinHasher::CombineAll(single, 3), one);
+  // Several parts fold to the signature of their union.
+  const std::vector<MinHashSignature> parts = {one, two, three};
+  EXPECT_EQ(MinHasher::CombineAll(parts, 3), whole);
+  // A part repeated or overlapping another claims no extra slot.
+  const std::vector<MinHashSignature> repeated = {one, two, one, three};
+  EXPECT_EQ(MinHasher::CombineAll(repeated, 3), whole);
 }
 
 // The tentpole property: a keyword's users split across shards, sketched
-// per part and tree-reduced, must equal the whole-set signature bit for
-// bit — for any partition count and any part order.
+// per part and folded, must equal the whole-set signature bit for bit —
+// for any partition count and any part order.
 TEST(MinHasherTest, ShardMergeEqualsWholeSetSketch) {
   Rng rng(33);
   for (const std::size_t shards : {1u, 2u, 8u}) {
@@ -121,11 +128,11 @@ TEST(MinHasherTest, ShardMergeEqualsWholeSetSketch) {
       for (const auto& part : part_users) {
         parts.push_back(hasher.Sketch(part));
       }
-      EXPECT_EQ(MinHasher::CombineTree(parts, p), whole);
+      EXPECT_EQ(MinHasher::CombineAll(parts, p), whole);
       std::reverse(parts.begin(), parts.end());
-      EXPECT_EQ(MinHasher::CombineTree(parts, p), whole);
+      EXPECT_EQ(MinHasher::CombineAll(parts, p), whole);
       rng.Shuffle(parts);
-      EXPECT_EQ(MinHasher::CombineTree(std::move(parts), p), whole);
+      EXPECT_EQ(MinHasher::CombineAll(parts, p), whole);
     }
   }
 }

@@ -163,8 +163,8 @@ TEST(DeterminismTest, DetectorRunsAreReproducible) {
   dconfig.quantum_size = 120;
   dconfig.akg.window_length = 12;
 
-  engine::ParallelDetector a({dconfig, 1}, &trace.dictionary);
-  engine::ParallelDetector b({dconfig, 1}, &trace.dictionary);
+  engine::ParallelDetector a({dconfig}, &trace.dictionary);
+  engine::ParallelDetector b({dconfig}, &trace.dictionary);
   const auto ra = a.Run(trace.messages);
   const auto rb = b.Run(trace.messages);
   ASSERT_EQ(ra.size(), rb.size());

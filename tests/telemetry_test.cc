@@ -5,7 +5,7 @@
 // sample tick), flight-recorder bundle schema after injected fatal
 // errors, scrape-during-detection races (the CI TSan job runs this
 // suite), and the determinism bar: report digests bit-identical with
-// the full telemetry stack on or off at 1 and 4 threads.
+// the full telemetry stack on or off.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -460,16 +460,13 @@ TEST(Telemetry, ScrapeDuringDetectionIsRaceFree) {
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
-  // Detection writes engine histograms and tracer spans and runs its hot
-  // loops on a 4-thread pool while we hammer every endpoint from here.
+  // Detection writes engine histograms and tracer spans on its own thread
+  // while we hammer every endpoint from here.
   std::atomic<bool> done{false};
   std::thread detector_thread([&] {
     detect::DetectorConfig detector_config;
     detector_config.quantum_size = 120;
-    engine::ParallelDetectorConfig pconfig;
-    pconfig.detector = detector_config;
-    pconfig.threads = 4;
-    engine::ParallelDetector detector(pconfig, &trace.dictionary);
+    engine::ParallelDetector detector({detector_config}, &trace.dictionary);
     detector.Run(trace.messages);
     done.store(true, std::memory_order_relaxed);
   });
@@ -493,16 +490,13 @@ TEST(Telemetry, ScrapeDuringDetectionIsRaceFree) {
   EXPECT_GE(scrapes, 10);
 }
 
-// --- determinism: telemetry on vs off, 1 and 4 threads ---
+// --- determinism: telemetry on vs off ---
 
 std::vector<std::uint64_t> DetectionDigests(
-    const stream::SyntheticTrace& trace, std::size_t threads) {
+    const stream::SyntheticTrace& trace) {
   detect::DetectorConfig config;
   config.quantum_size = 120;
-  engine::ParallelDetectorConfig pconfig;
-  pconfig.detector = config;
-  pconfig.threads = threads;
-  engine::ParallelDetector detector(pconfig, &trace.dictionary);
+  engine::ParallelDetector detector({config}, &trace.dictionary);
   const std::vector<detect::QuantumReport> reports =
       detector.Run(trace.messages);
   std::vector<std::uint64_t> digests;
@@ -525,12 +519,8 @@ TEST(Telemetry, ReportsBitIdenticalWithServiceOnOrOff) {
   config.event_duration_max = 4'000;
   const stream::SyntheticTrace trace = GenerateSyntheticTrace(config);
 
-  const std::vector<std::uint64_t> expected_1 =
-      DetectionDigests(trace, 1);
-  const std::vector<std::uint64_t> expected_4 =
-      DetectionDigests(trace, 4);
-  ASSERT_GT(expected_1.size(), 10u);
-  ASSERT_EQ(expected_1, expected_4);
+  const std::vector<std::uint64_t> expected = DetectionDigests(trace);
+  ASSERT_GT(expected.size(), 10u);
 
   // Full stack up: server + fast sampler + default watchdog rules.
   obs::TelemetryOptions telemetry_options;
@@ -542,8 +532,7 @@ TEST(Telemetry, ReportsBitIdenticalWithServiceOnOrOff) {
   ASSERT_NE(telemetry, nullptr) << error;
   ASSERT_NE(telemetry->stats_server(), nullptr);
 
-  EXPECT_EQ(DetectionDigests(trace, 1), expected_1);
-  EXPECT_EQ(DetectionDigests(trace, 4), expected_4);
+  EXPECT_EQ(DetectionDigests(trace), expected);
   EXPECT_EQ(obs::HttpGet("127.0.0.1", telemetry->stats_server()->port(),
                          "/metrics", nullptr),
             200);

@@ -54,14 +54,12 @@ class WalHarness {
     EXPECT_TRUE(result.persisted);
   }
 
-  /// Recovers the directory (as a restarted process would) into an engine
-  /// on `threads` workers. The engine's dictionary lives as long as this
-  /// harness.
-  durability::RecoverResult Recover(std::size_t threads) {
+  /// Recovers the directory (as a restarted process would) into a fresh
+  /// engine. The engine's dictionary lives as long as this harness.
+  durability::RecoverResult Recover() {
     recovered_dictionaries_.push_back(
         std::make_unique<text::ConcurrentKeywordDictionary>());
     durability::RecoverOptions options;
-    options.engine_threads = threads;
     options.dictionary = recovered_dictionaries_.back().get();
     return durability::WalBackend(options_).Recover(options);
   }

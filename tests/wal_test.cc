@@ -380,7 +380,7 @@ void RunCrashPointCase(const std::string& tag,
 
   std::map<QuantumIndex, std::uint64_t> want;
   {
-    engine::ParallelDetector reference({detector_config, 1},
+    engine::ParallelDetector reference({detector_config},
                                        &trace.dictionary);
     for (const stream::Quantum& quantum : stream::SplitIntoQuanta(
              trace.messages, detector_config.quantum_size,
@@ -394,7 +394,6 @@ void RunCrashPointCase(const std::string& tag,
   ingest_config.workers = 1;
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = detector_config;
-  engine_config.threads = 1;
   ingest::DurableConfig durable;
   durable.directory = TempDir("wal_crash_" + tag);
   durable.checkpoint_quanta = 3;
@@ -713,7 +712,6 @@ TEST(LegacyDirectoryTest, RetiredCheckpointFilesRefuseAFreshStart) {
   ingest::DurableConfig durable;
   durable.directory = dir;
   engine::ParallelDetectorConfig engine_config;
-  engine_config.threads = 1;
   ingest::DurableIngest session(ingest::IngestConfig{}, engine_config,
                                 durable);
   const ingest::ResumeResult resume = session.Resume();
