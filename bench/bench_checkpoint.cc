@@ -82,20 +82,15 @@ WalArmStats RunWalArm(const scprt::stream::SyntheticTrace& trace,
   engine::ParallelDetectorConfig engine_config;
   engine_config.detector = config;
   engine::ParallelDetector engine(engine_config, &dictionary.view());
-  stream::Quantizer quantizer(config.quantum_size);
 
   std::uint64_t total_bytes = 0;
   std::vector<double> stalls_ms;
   std::uint64_t next_seq = 0;
   for (std::size_t i = 0; i < count; ++i) {
     engine.ProcessQuantum(quanta[i]);
-    // Keep the outer clock truthful: the commit context's quantizer must
-    // sit exactly at this fence (records validate against its next_index).
-    for (const stream::Message& m : quanta[i].messages) quantizer.Push(m);
     next_seq += quanta[i].messages.size();
     durability::CommitContext ctx;
     ctx.quantum = &quanta[i];
-    ctx.quantizer = &quantizer;
     ctx.dictionary = &dictionary;
     ctx.state.cursor_record = next_seq;
     ctx.state.next_seq = next_seq;

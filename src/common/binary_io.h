@@ -1,6 +1,11 @@
 // Bounds-checked little-endian binary encoding for the native structural
 // snapshots (detect/snapshot_io.h) and any other persisted derived state.
 //
+// LoadU16/32/64 and StoreU16/32/64 read and write one fixed-width
+// little-endian field at a fixed offset of a caller-sized buffer — the
+// one codec behind page frames (store/), log fragment headers
+// (durability/log_format.h) and the two stream classes below.
+//
 // BinaryWriter appends fixed-width little-endian fields to an in-memory
 // buffer; BinaryReader is the strict inverse. The reader never throws and
 // never reads past the buffer: the first malformed field trips a sticky
@@ -24,17 +29,64 @@
 
 namespace scprt {
 
+namespace binary_io_internal {
+
+template <typename T>
+T LoadLittleEndian(const char* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>(v | (static_cast<T>(static_cast<std::uint8_t>(p[i]))
+                            << (8 * i)));
+  }
+  return v;
+}
+
+template <typename T>
+void StoreLittleEndian(char* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    p[i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+}  // namespace binary_io_internal
+
+/// Fixed-width little-endian loads from `p`, which must hold the field.
+inline std::uint16_t LoadU16(const char* p) {
+  return binary_io_internal::LoadLittleEndian<std::uint16_t>(p);
+}
+inline std::uint32_t LoadU32(const char* p) {
+  return binary_io_internal::LoadLittleEndian<std::uint32_t>(p);
+}
+inline std::uint64_t LoadU64(const char* p) {
+  return binary_io_internal::LoadLittleEndian<std::uint64_t>(p);
+}
+
+/// Fixed-width little-endian stores into `p`, which must hold the field.
+inline void StoreU16(char* p, std::uint16_t v) {
+  binary_io_internal::StoreLittleEndian(p, v);
+}
+inline void StoreU32(char* p, std::uint32_t v) {
+  binary_io_internal::StoreLittleEndian(p, v);
+}
+inline void StoreU64(char* p, std::uint64_t v) {
+  binary_io_internal::StoreLittleEndian(p, v);
+}
+
 /// Append-only little-endian encoder over a growable byte buffer.
 class BinaryWriter {
  public:
   void U8(std::uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
 
   void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) U8(static_cast<std::uint8_t>(v >> (8 * i)));
+    char field[4];
+    StoreU32(field, v);
+    Bytes(field, sizeof(field));
   }
 
   void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<std::uint8_t>(v >> (8 * i)));
+    char field[8];
+    StoreU64(field, v);
+    Bytes(field, sizeof(field));
   }
 
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
@@ -66,25 +118,15 @@ class BinaryReader {
   }
 
   std::uint32_t U32() {
-    std::uint32_t v = 0;
     if (!Require(4)) return 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    const std::uint32_t v = LoadU32(data_.data() + pos_);
     pos_ += 4;
     return v;
   }
 
   std::uint64_t U64() {
-    std::uint64_t v = 0;
     if (!Require(8)) return 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    const std::uint64_t v = LoadU64(data_.data() + pos_);
     pos_ += 8;
     return v;
   }

@@ -36,15 +36,11 @@ bool ParseFsyncLevel(std::string_view text, FsyncLevel& level) {
 
 Error SaveSnapshot(const engine::ParallelDetector& engine, std::ostream& out,
                    std::uint64_t* checkpoint_id,
-                   const CheckpointExtras& extras) {
+                   const sio::IngestState* ingest) {
   BinaryWriter payload;
   sio::WriteConfig(payload, engine.core().config());
-  engine.SaveState(payload, extras.quantizer_override != nullptr
-                                ? *extras.quantizer_override
-                                : engine.quantizer());
-  if (extras.ingest != nullptr) {
-    sio::WriteIngestSection(payload, *extras.ingest);
-  }
+  engine.SaveState(payload);
+  if (ingest != nullptr) sio::WriteIngestSection(payload, *ingest);
   if (!sio::WriteFrame(out, payload.data(), checkpoint_id)) {
     return MakeError(ErrorCode::kIo, "snapshot stream write failed");
   }
@@ -68,20 +64,6 @@ std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
   if (error != nullptr) *error = MakeError(code, {});
   if (!loaded) return nullptr;
   return engine;
-}
-
-void ReplayDelta(engine::ParallelDetector& engine,
-                 const sio::DeltaPayload& delta) {
-  // The base's pending partial quantum is superseded: its messages are the
-  // head of the delta's first quantum (or of the delta's own pending when
-  // no quantum closed since the base).
-  engine.TakePendingMessages();
-  for (const stream::Quantum& quantum : delta.quanta) {
-    engine.ProcessQuantum(quantum);
-  }
-  for (const stream::Message& m : delta.pending) {
-    engine.Push(m);
-  }
 }
 
 }  // namespace scprt::durability

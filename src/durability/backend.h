@@ -2,11 +2,11 @@
 //
 // Durability is one scheme: durability::WalBackend (wal_backend.h). Every
 // quantum appends one CRC-framed record to a write-ahead log
-// (durability/log_format.h), full-snapshot segments are cut on a cadence,
-// and a manifest + CURRENT pair names the generation in force. Commit
-// stall is O(quantum), not O(state); recovery is newest valid manifest +
-// log tail replay with torn-tail tolerance. A crash loses at most the
-// quantum in flight.
+// (durability/log_format.h), and full-snapshot segments are cut on a
+// cadence; the atomically renamed segment is its generation's commit
+// point. Commit stall is O(quantum), not O(state); recovery is the newest
+// segment that loads + its log's consistent prefix, with torn-tail
+// tolerance. A crash loses at most the quantum in flight.
 //
 // The driver (ingest::DurableIngest) calls WalBackend::Commit() once per
 // cut quantum, on the driver thread, after the engine has processed it.
@@ -17,8 +17,7 @@
 // the placement/cadence options, and the Commit/Recover contexts and
 // results. It is also the one way to save or restore an engine directly:
 // SaveSnapshot / LoadEngineSnapshot are the only implementations of full
-// save and full load, and ReplayDelta is the replay step WAL recovery
-// runs on top of a restored segment, all reporting durability::Error.
+// save and full load, both reporting durability::Error.
 //
 // Snapshot strategy: native structural snapshots. A snapshot serializes
 // the derived state itself — the id-set window histories, node automaton,
@@ -53,7 +52,6 @@
 #include "detect/snapshot_io.h"
 #include "durability/error.h"
 #include "engine/parallel_detector.h"
-#include "stream/quantizer.h"
 #include "text/concurrent_dictionary.h"
 
 namespace scprt::durability {
@@ -102,12 +100,12 @@ struct BackendOptions {
 /// of `state` (cursor, seq, counters, admission) are filled by the caller;
 /// the dictionary fields are left empty — the backend serializes the full
 /// blob (segments) or the tail since the previous record (log records).
+/// The clock and pending partial quantum at the fence are the engine's
+/// own: a commit runs right after the quantum was cut, when the cutting
+/// quantizer holds nothing pending and its clock equals the engine's.
 struct CommitContext {
   /// The quantum that just closed (already applied to the engine).
   const stream::Quantum* quantum = nullptr;
-  /// The outermost accumulation point (the assembler's quantizer): clock
-  /// and pending partial quantum at this fence.
-  const stream::Quantizer* quantizer = nullptr;
   /// The live vocabulary.
   const text::ConcurrentKeywordDictionary* dictionary = nullptr;
   /// Frontend state at this fence (dictionary fields ignored).
@@ -123,7 +121,7 @@ struct CommitResult {
   /// State at this fence became durable (a log record or a segment
   /// landed). False when the attempt failed.
   bool persisted = false;
-  /// This boundary cut a new generation (segment + manifest).
+  /// This boundary cut a new generation (a segment landed).
   bool checkpoint = false;
   /// Bytes written and wall time stalled by this boundary.
   std::uint64_t bytes = 0;
@@ -149,8 +147,8 @@ struct RecoverResult {
   Error error;
   /// Trail: which files loaded, which were skipped and why.
   std::string detail;
-  /// The restored engine (null unless kRecovered). Its outer quantizer
-  /// holds the pending partial quantum and clock at the recovered fence.
+  /// The restored engine (null unless kRecovered). Its quantizer holds
+  /// the pending partial quantum and clock at the recovered fence.
   std::unique_ptr<engine::ParallelDetector> engine;
   /// Frontend state at the recovered fence (cursor, seq, counters,
   /// admission; dictionary already installed into options.dictionary).
@@ -166,23 +164,15 @@ struct RecoverResult {
 // ---------------------------------------------------------------------------
 // The typed one-shot snapshot surface.
 
-/// Optional attachments to a snapshot, used by the WAL's segments.
-/// `quantizer_override` substitutes another quantizer's clock and pending
-/// partial quantum for the engine's own — in the ingest pipeline,
-/// accumulation lives in the QuantumAssembler's quantizer, not the
-/// engine's. `ingest` appends the IngestState trailing section
-/// (dictionary, admission seeds, source cursor).
-struct CheckpointExtras {
-  const stream::Quantizer* quantizer_override = nullptr;
-  const detect::snapshot_io::IngestState* ingest = nullptr;
-};
-
-/// Writes a full native snapshot of `engine` to `out`.
-/// `checkpoint_id` (optional out) receives the snapshot's id, which every
-/// log record of a WAL generation chains to.
+/// Writes a full native snapshot of `engine` (with its own quantizer's
+/// clock and pending partial quantum) to `out`. `checkpoint_id` (optional
+/// out) receives the snapshot's id, which every log record of a WAL
+/// generation chains to. `ingest` (optional) appends the IngestState
+/// trailing section (dictionary, admission seeds, source cursor) — the
+/// WAL's segments carry it.
 Error SaveSnapshot(const engine::ParallelDetector& engine, std::ostream& out,
                    std::uint64_t* checkpoint_id = nullptr,
-                   const CheckpointExtras& extras = {});
+                   const detect::snapshot_io::IngestState* ingest = nullptr);
 
 /// Restores an engine from a full snapshot. `threads` must be 1: it
 /// remains only because the repository benchmark (perfbench/src/replay.cc)
@@ -199,14 +189,6 @@ std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
     Error* error = nullptr,
     detect::snapshot_io::IngestState* ingest = nullptr,
     bool* ingest_present = nullptr);
-
-/// Replays already-validated log records, combined into one delta, onto
-/// `engine` (WAL recovery validates every record and installs its
-/// dictionary tail first). Re-processing is deterministic, so the engine
-/// converges to the exact state at the last record; the engine's pending
-/// partial quantum is superseded by the delta's.
-void ReplayDelta(engine::ParallelDetector& engine,
-                 const detect::snapshot_io::DeltaPayload& delta);
 
 }  // namespace scprt::durability
 

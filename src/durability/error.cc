@@ -16,16 +16,12 @@ const char* ErrorCodeName(ErrorCode code) {
       return "kind mismatch";
     case ErrorCode::kCorrupt:
       return "corrupt";
-    case ErrorCode::kBaseMismatch:
-      return "base mismatch";
     case ErrorCode::kStateMismatch:
       return "state mismatch";
     case ErrorCode::kSyncFailed:
       return "sync failed";
     case ErrorCode::kRenameFailed:
       return "rename failed";
-    case ErrorCode::kNoManifest:
-      return "no manifest";
     case ErrorCode::kBusy:
       return "busy";
   }

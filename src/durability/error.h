@@ -5,9 +5,9 @@
 // detail trail. ErrorCode is the one error enum of the persistence tier:
 // the snapshot container's loaders (detect/snapshot_io.h) report the
 // payload-level reasons with it directly, and the storage layers add the
-// file-system reasons — fsync failures, rename failures, a missing
-// manifest. Callers branch on `code`; operators read `detail`. Neither is
-// ever written to disk.
+// file-system reasons — fsync failures, rename failures, an exhausted
+// buffer pool. Callers branch on `code`; operators read `detail`. Neither
+// is ever written to disk.
 
 #ifndef SCPRT_DURABILITY_ERROR_H_
 #define SCPRT_DURABILITY_ERROR_H_
@@ -26,7 +26,7 @@ enum class ErrorCode : std::uint8_t {
   kNone = 0,
   /// A file could not be opened, read or written.
   kIo,
-  /// Not a snapshot/manifest file at all (wrong magic).
+  /// Not a snapshot or page file at all (wrong magic).
   kBadMagic,
   /// A container or section version outside the supported range.
   kVersionSkew,
@@ -34,8 +34,6 @@ enum class ErrorCode : std::uint8_t {
   kKindMismatch,
   /// Truncation, CRC failure, or a malformed payload.
   kCorrupt,
-  /// A segment or log record chained to a different base snapshot.
-  kBaseMismatch,
   /// A request the target cannot hold (e.g. an event-store geometry or
   /// record larger than its page format allows).
   kStateMismatch,
@@ -45,14 +43,12 @@ enum class ErrorCode : std::uint8_t {
   /// The atomic publish rename failed — the new state never became
   /// visible (the previous generation is still intact).
   kRenameFailed,
-  /// Recovery found durability files but no loadable manifest.
-  kNoManifest,
   /// A bounded resource is exhausted — e.g. every buffer-pool frame is
   /// pinned when a page must be brought in.
   kBusy,
 };
 
-/// Stable human-readable name ("sync failed", "no manifest", ...).
+/// Stable human-readable name ("sync failed", "version skew", ...).
 const char* ErrorCodeName(ErrorCode code);
 
 /// A typed failure: code for programs, detail for operators. Default

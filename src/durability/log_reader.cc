@@ -43,15 +43,10 @@ bool LogReader::ReadRecord(std::string& payload) {
       // Partial header: the append it belonged to never completed.
       return Stop(in_fragmented ? torn : "");
     }
-    const unsigned char* h =
-        reinterpret_cast<const unsigned char*>(contents_.data() + pos_);
-    const std::uint32_t crc = static_cast<std::uint32_t>(h[0]) |
-                              (static_cast<std::uint32_t>(h[1]) << 8) |
-                              (static_cast<std::uint32_t>(h[2]) << 16) |
-                              (static_cast<std::uint32_t>(h[3]) << 24);
-    const std::size_t length = static_cast<std::size_t>(h[4]) |
-                               (static_cast<std::size_t>(h[5]) << 8);
-    const std::uint8_t type = h[6];
+    const char* header = contents_.data() + pos_;
+    const std::uint32_t crc = LoadU32(header);
+    const std::size_t length = LoadU16(header + 4);
+    const std::uint8_t type = static_cast<std::uint8_t>(header[6]);
     if (type == log::kZero && length == 0 && crc == 0) {
       // All-zero header: padding / preallocated space, data ends here.
       return Stop(in_fragmented ? torn : "");

@@ -63,15 +63,10 @@ bool LogWriter::EmitPhysicalRecord(log::RecordType type, const char* data,
   hashed.reserve(1 + n);
   hashed.push_back(static_cast<char>(type));
   hashed.append(data, n);
-  const std::uint32_t crc = Crc32(hashed);
 
   char header[log::kHeaderSize];
-  header[0] = static_cast<char>(crc & 0xff);
-  header[1] = static_cast<char>((crc >> 8) & 0xff);
-  header[2] = static_cast<char>((crc >> 16) & 0xff);
-  header[3] = static_cast<char>((crc >> 24) & 0xff);
-  header[4] = static_cast<char>(n & 0xff);
-  header[5] = static_cast<char>((n >> 8) & 0xff);
+  StoreU32(header, Crc32(hashed));
+  StoreU16(header + 4, static_cast<std::uint16_t>(n));
   header[6] = static_cast<char>(type);
 
   if (!file_->Append(std::string_view(header, log::kHeaderSize))) return false;

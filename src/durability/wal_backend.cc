@@ -11,6 +11,7 @@
 
 #include "common/binary_io.h"
 #include "common/check.h"
+#include "durability/file_names.h"
 #include "durability/log_reader.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -93,9 +94,6 @@ WalBackend::WalBackend(const BackendOptions& options) : options_(options) {
   for (const auto& [number, name] : listing.wals) {
     next_file_number_ = std::max(next_file_number_, number + 1);
   }
-  for (const auto& [number, name] : listing.manifests) {
-    next_file_number_ = std::max(next_file_number_, number + 1);
-  }
 }
 
 std::string WalBackend::PathOf(const std::string& name) const {
@@ -106,7 +104,7 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
   SCPRT_CHECK(options.dictionary != nullptr);
   RecoverResult result;
   const DirectoryListing listing = ListDurabilityFiles(options_.directory);
-  if (listing.manifests.empty() && !listing.legacy_checkpoints.empty()) {
+  if (listing.segments.empty() && !listing.legacy_checkpoints.empty()) {
     // Written by the retired snapshot backend: not recoverable here, and
     // not empty either — a silent fresh start would discard it.
     std::string names;
@@ -117,97 +115,60 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
     result.error = MakeError(
         ErrorCode::kVersionSkew,
         "snapshot-backend checkpoints (" + names +
-            ") predate the WAL; only seg-/wal-/MANIFEST- files resume");
+            ") predate the WAL; only seg-/wal- files resume");
     result.detail =
         std::to_string(listing.legacy_checkpoints.size()) +
-        " retired snapshot-backend checkpoint files and no manifest; ";
+        " retired snapshot-backend checkpoint files and no segment; ";
     return result;
   }
-  const bool anything = !listing.segments.empty() || !listing.wals.empty() ||
-                        !listing.manifests.empty();
-  if (!anything) return result;  // fresh start
-
-  // Candidate manifests, preferred first: the one CURRENT names, then the
-  // stale-CURRENT fallback chain (newest decodable first). A damaged
-  // segment fails over to the next candidate — recovery only gives up
-  // when no generation restores.
-  std::vector<Manifest> candidates;
-  {
-    Error current_error;
-    std::string current_detail;
-    if (auto manifest = LoadCurrentManifest(options_.directory,
-                                            &current_error, &current_detail)) {
-      candidates.push_back(*manifest);
-    }
-    result.detail += current_detail;
-    if (candidates.empty()) {
-      result.outcome = RecoverResult::Outcome::kFailed;
-      result.error = current_error.ok()
-                         ? MakeError(ErrorCode::kNoManifest,
-                                     "durability files but no manifest")
-                         : std::move(current_error);
-      return result;
-    }
-  }
-  for (auto it = listing.manifests.rbegin(); it != listing.manifests.rend();
-       ++it) {
-    if (it->first == candidates.front().manifest_number) continue;
-    std::string bytes;
-    Manifest manifest;
-    manifest.manifest_number = it->first;
-    if (ReadFileToString(PathOf(it->second), bytes) &&
-        DecodeManifest(bytes, manifest)) {
-      candidates.push_back(manifest);
-    }
+  if (listing.segments.empty() && listing.wals.empty()) {
+    return result;  // fresh start
   }
 
+  // Newest segment first: a segment that does not load fails over to the
+  // previous generation — recovery only gives up when none restores.
   text::ConcurrentKeywordDictionary& dictionary = *options.dictionary;
-  for (const Manifest& manifest : candidates) {
-    const std::string segment_name = SegmentFileName(manifest.segment_number);
+  for (auto it = listing.segments.rbegin(); it != listing.segments.rend();
+       ++it) {
+    const auto& [segment_number, segment_name] = *it;
     Error load_error;
-    sio::IngestState segment_state;
+    sio::IngestState state;
     bool has_ingest = false;
     std::uint64_t base_id = 0;
     std::ifstream in(PathOf(segment_name), std::ios::binary);
     auto engine = LoadEngineSnapshot(in, &dictionary.view(),
-                                     /*threads=*/1, &base_id,
-                                     &load_error, &segment_state,
-                                     &has_ingest);
-    if (engine == nullptr || !has_ingest ||
-        segment_state.dictionary_base != 0 ||
-        base_id != manifest.base_checkpoint_id) {
-      if (engine != nullptr) {
-        load_error.code = base_id != manifest.base_checkpoint_id
-                              ? ErrorCode::kBaseMismatch
-                              : ErrorCode::kCorrupt;
-      }
+                                     /*threads=*/1, &base_id, &load_error,
+                                     &state, &has_ingest);
+    if (engine != nullptr && (!has_ingest || state.dictionary_base != 0)) {
+      engine.reset();
+      load_error.code = ErrorCode::kCorrupt;
+    }
+    if (engine == nullptr) {
       if (result.error.ok()) result.error = load_error;
       result.detail +=
           segment_name + ": " + ErrorCodeName(load_error.code) + "; ";
       continue;
     }
-    BinaryReader segment_dictionary(segment_state.dictionary_state);
+    BinaryReader segment_dictionary(state.dictionary_state);
     if (!dictionary.RestoreState(segment_dictionary)) {
       if (result.error.ok()) {
         result.error =
             MakeError(ErrorCode::kCorrupt, "dictionary blob malformed");
       }
       result.detail += segment_name + ": dictionary blob malformed; ";
-      continue;  // dictionary unchanged (still empty) — try older manifests
+      continue;  // dictionary unchanged (still empty) — try older segments
     }
 
-    // This generation is committed from here on. Replay the log's newest
-    // consistent prefix on top of the segment.
+    // The segment restored: this generation is the one recovered. Replay
+    // its log's newest consistent prefix on top, one record at a time.
     const std::size_t quantum_size = engine->core().config().quantum_size;
-    sio::IngestState state = segment_state;
-    std::vector<stream::Quantum> quanta;
-    std::vector<stream::Message> pending;
     QuantumIndex next_index = engine->next_quantum_index();
-    const std::string wal_name = WalFileName(manifest.wal_number);
+    std::vector<stream::Message> pending;
+    const std::string wal_name = WalFileName(segment_number + 1);
     std::string wal_contents;
     if (!ReadFileToString(PathOf(wal_name), wal_contents)) {
-      // A crash between CURRENT publish and log creation leaves a
-      // generation with no log yet: segment-only recovery.
+      // A crash between the segment rename and the log's creation leaves
+      // a generation with no log yet: segment-only recovery.
       result.detail += wal_name + ": missing (segment-only recovery); ";
     } else {
       LogReader reader(std::move(wal_contents));
@@ -228,9 +189,9 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
                         " malformed";
           break;
         }
-        const std::string rejection = RecordRejection(
-            delta, record_state, manifest.base_checkpoint_id, next_index,
-            quantum_size, dictionary.size());
+        const std::string rejection =
+            RecordRejection(delta, record_state, base_id, next_index,
+                            quantum_size, dictionary.size());
         if (!rejection.empty()) {
           stop_reason = "record " + std::to_string(reader.records_read()) +
                         " rejected: " + rejection;
@@ -243,10 +204,14 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
           stop_reason = "dictionary tail malformed";
           break;
         }
-        quanta.push_back(std::move(delta.quanta.front()));
+        // The first record's quantum supersedes the segment's pending
+        // partial quantum: those messages are its head.
+        if (result.replayed_quanta == 0) engine->TakePendingMessages();
+        engine->ProcessQuantum(delta.quanta.front());
         pending = std::move(delta.pending);
         next_index = delta.next_index;
         state = std::move(record_state);
+        ++result.replayed_quanta;
       }
       if (stop_reason.empty()) stop_reason = reader.why_stopped();
       if (!stop_reason.empty()) {
@@ -255,22 +220,17 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
         // consistent prefix, and the damage is a typed, surfaced fact.
         result.detail += wal_name + ": " + stop_reason +
                          " (recovered prefix of " +
-                         std::to_string(quanta.size()) + " records); ";
+                         std::to_string(result.replayed_quanta) +
+                         " records); ";
         if (result.error.ok()) {
           result.error =
               MakeError(ErrorCode::kCorrupt, wal_name + ": " + stop_reason);
         }
       }
     }
-
-    if (!quanta.empty()) {
-      sio::DeltaPayload combined;
-      combined.base_id = manifest.base_checkpoint_id;
-      combined.quanta = std::move(quanta);
-      combined.pending = std::move(pending);
-      combined.next_index = next_index;
-      result.replayed_quanta = combined.quanta.size();
-      ReplayDelta(*engine, combined);
+    if (result.replayed_quanta > 0) {
+      // Fewer messages than a quantum (RecordRejection): no quantum cuts.
+      for (const stream::Message& m : pending) engine->Push(m);
       result.wal_path = PathOf(wal_name);
     }
 
@@ -282,11 +242,8 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
     // Never append to a recovered log — its tail may be torn. The first
     // post-recovery Commit cuts a fresh generation; until then GC must
     // keep the recovered one as the fallback.
-    next_file_number_ =
-        std::max(next_file_number_, manifest.next_file_number);
-    prev_segment_number_ = manifest.segment_number;
-    have_prev_generation_ = true;
-    have_generation_ = false;
+    segment_number_ = segment_number;
+    have_segment_ = true;
     return result;
   }
 
@@ -299,8 +256,7 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
 
 CommitResult WalBackend::Commit(const engine::ParallelDetector& engine,
                                 const CommitContext& ctx) {
-  SCPRT_CHECK(ctx.quantum != nullptr && ctx.quantizer != nullptr &&
-              ctx.dictionary != nullptr);
+  SCPRT_CHECK(ctx.quantum != nullptr && ctx.dictionary != nullptr);
   const bool count_due =
       segment_interval_quanta_ > 0 &&
       quanta_since_segment_ + 1 >= segment_interval_quanta_;
@@ -309,10 +265,10 @@ CommitResult WalBackend::Commit(const engine::ParallelDetector& engine,
       static_cast<double>(NowNanos() - last_segment_ns_) / 1e9 >=
           options_.commit_seconds *
               static_cast<double>(options_.full_interval);
-  if (!have_generation_ || count_due || time_due) {
+  if (writer_ == nullptr || count_due || time_due) {
     return CutGeneration(engine, ctx);
   }
-  return AppendRecord(ctx);
+  return AppendRecord(engine, ctx);
 }
 
 CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
@@ -322,7 +278,6 @@ CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
   const std::int64_t t0 = NowNanos();
   const std::uint64_t segment_number = next_file_number_++;
   const std::uint64_t wal_number = next_file_number_++;
-  const std::uint64_t manifest_number = next_file_number_++;
 
   // The segment is a standard full snapshot cut at this fence — it
   // subsumes the quantum that just closed, so no log record is written
@@ -332,74 +287,62 @@ CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
   BinaryWriter dictionary_blob;
   ctx.dictionary->SaveState(dictionary_blob);
   state.dictionary_state = dictionary_blob.TakeData();
-  CheckpointExtras extras;
-  extras.quantizer_override = ctx.quantizer;
-  extras.ingest = &state;
 
   std::ostringstream out(std::ios::binary);
   std::uint64_t checkpoint_id = 0;
-  if (!SaveSnapshot(engine, out, &checkpoint_id, extras).ok() || !out) {
+  if (!SaveSnapshot(engine, out, &checkpoint_id, &state).ok() || !out) {
     result.error = MakeError(ErrorCode::kIo, "encode segment failed");
     return result;  // old generation stays live; retried next boundary
   }
   const std::string contents = std::move(out).str();
-  const bool sync = options_.fsync != FsyncLevel::kNone;
-  const std::string segment_name = SegmentFileName(segment_number);
-  Error error = WriteFileAtomic(PathOf(segment_name), contents, sync);
-  if (!error.ok()) {
-    if (error.code == ErrorCode::kSyncFailed) ++sync_failures_;
+  const std::string segment_path = PathOf(SegmentFileName(segment_number));
+  Error error = WriteFileAtomic(segment_path, contents,
+                                options_.fsync != FsyncLevel::kNone);
+  if (error.code == ErrorCode::kSyncFailed) NoteSyncFailure();
+  std::error_code ec;
+  if (!error.ok() && !fs::exists(segment_path, ec)) {
+    // The rename never landed (the number is fresh, so the name exists
+    // only if it did): the previous generation stays live.
     result.error = std::move(error);
     return result;
   }
 
-  Manifest manifest;
-  manifest.manifest_number = manifest_number;
-  manifest.segment_number = segment_number;
-  manifest.wal_number = wal_number;
-  manifest.base_checkpoint_id = checkpoint_id;
-  manifest.next_file_number = next_file_number_;
-  manifest.next_quantum = ctx.quantizer->next_index();
-  error = PublishManifest(options_.directory, manifest, sync);
-  if (!error.ok()) {
-    // The new segment is an orphan (GC will sweep it); the previous
-    // generation is still the one CURRENT names.
-    if (error.code == ErrorCode::kSyncFailed) ++sync_failures_;
-    result.error = std::move(error);
-    return result;
-  }
-
-  // The generation is committed: open its log. A crash before the log
-  // exists recovers segment-only.
-  Error open_error;
-  auto wal_file = AppendFile::Open(PathOf(WalFileName(wal_number)),
-                                   &open_error);
-  if (wal_file == nullptr) {
-    result.error = std::move(open_error);
-    return result;
-  }
-  wal_file_ = std::move(wal_file);
-  writer_ = std::make_unique<LogWriter>(wal_file_.get());
-
-  if (have_generation_) {
+  // The rename landed — the commit point. The new segment is the live
+  // generation even if only its directory fsync failed (`error` is then
+  // kSyncFailed), so the previous log is closed for good.
+  writer_.reset();
+  wal_file_.reset();
+  if (have_segment_) {
     prev_segment_number_ = segment_number_;
-    have_prev_generation_ = true;
+    have_prev_segment_ = true;
   }
   segment_number_ = segment_number;
-  wal_number_ = wal_number;
+  have_segment_ = true;
   base_checkpoint_id_ = checkpoint_id;
-  have_generation_ = true;
   last_dictionary_size_ = ctx.dictionary->size();
   quanta_since_segment_ = 0;
   appends_since_sync_ = 0;
   last_sync_ns_ = NowNanos();
   last_segment_ns_ = last_sync_ns_;
+  result.persisted = true;
+  result.checkpoint = true;
+  result.bytes = contents.size();
+  result.error = std::move(error);
+
+  // Then its log. A crash before the log exists recovers segment-only; a
+  // log that cannot be opened leaves writer_ null, so the next commit
+  // cuts again.
+  Error open_error;
+  wal_file_ = AppendFile::Open(PathOf(WalFileName(wal_number)), &open_error);
+  if (wal_file_ != nullptr) {
+    writer_ = std::make_unique<LogWriter>(wal_file_.get());
+  } else {
+    result.error = std::move(open_error);
+  }
   // GC after the bookkeeping, so the retained pair is exactly the new
   // generation plus its immediate predecessor as the fallback.
   CollectGarbage();
 
-  result.persisted = true;
-  result.checkpoint = true;
-  result.bytes = contents.size();
   result.stall_ns = static_cast<std::uint64_t>(NowNanos() - t0);
   // The stall is already clocked for CommitResult; mirroring it into the
   // registry histogram costs no extra clock reads.
@@ -409,7 +352,8 @@ CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
   return result;
 }
 
-CommitResult WalBackend::AppendRecord(const CommitContext& ctx) {
+CommitResult WalBackend::AppendRecord(const engine::ParallelDetector& engine,
+                                      const CommitContext& ctx) {
   CommitResult result;
   obs::ScopedSpan span("wal.append");
   const std::int64_t t0 = NowNanos();
@@ -427,8 +371,8 @@ CommitResult WalBackend::AppendRecord(const CommitContext& ctx) {
   BinaryWriter record;
   record.U8(kWalRecordDelta);
   const std::vector<stream::Quantum> one(1, *ctx.quantum);
-  sio::WriteDelta(record, base_checkpoint_id_, ctx.quantizer->next_index(),
-                  one, ctx.quantizer->pending());
+  sio::WriteDelta(record, base_checkpoint_id_, engine.next_quantum_index(),
+                  one, engine.quantizer().pending());
   sio::WriteIngestSection(record, state);
 
   const std::uint64_t before = wal_file_->size();
@@ -437,7 +381,8 @@ CommitResult WalBackend::AppendRecord(const CommitContext& ctx) {
         ErrorCode::kIo, "append to " + wal_file_->path() + " failed");
     // The log tail is undefined; force a fresh generation at the next
     // boundary rather than appending after a torn record.
-    have_generation_ = false;
+    writer_.reset();
+    wal_file_.reset();
     return result;
   }
 
@@ -461,8 +406,7 @@ CommitResult WalBackend::AppendRecord(const CommitContext& ctx) {
     }
   }
   if (sync_failed) {
-    ++sync_failures_;
-    obs::Registry::Default().GetCounter("wal.sync_failures")->Increment();
+    NoteSyncFailure();
     // The record reached the kernel (process-crash durable); only its
     // power-loss durability failed — surfaced, not dropped.
     result.error = MakeError(ErrorCode::kSyncFailed,
@@ -480,12 +424,18 @@ CommitResult WalBackend::AppendRecord(const CommitContext& ctx) {
   return result;
 }
 
+void WalBackend::NoteSyncFailure() {
+  static obs::Counter* const counter =
+      obs::Registry::Default().GetCounter("wal.sync_failures");
+  ++sync_failures_;
+  counter->Increment();
+}
+
 void WalBackend::CollectGarbage() {
   // Keep the live generation and one whole fallback generation; every
   // numbered file older than the fallback's segment is superseded.
-  if (!have_prev_generation_ && !have_generation_) return;
   const std::uint64_t keep_from =
-      have_prev_generation_ ? prev_segment_number_ : segment_number_;
+      have_prev_segment_ ? prev_segment_number_ : segment_number_;
   std::error_code ec;
   const DirectoryListing listing = ListDurabilityFiles(options_.directory);
   const auto sweep =
@@ -496,7 +446,6 @@ void WalBackend::CollectGarbage() {
       };
   sweep(listing.segments);
   sweep(listing.wals);
-  sweep(listing.manifests);
 }
 
 }  // namespace scprt::durability

@@ -4,35 +4,37 @@
 //
 //   seg-NNNNNN.snap   immutable full-snapshot segment (a snapshot_io full
 //                     frame with IngestState — loadable by
-//                     LoadEngineSnapshot like any checkpoint)
-//   wal-NNNNNN.log    the write-ahead log of the generation anchored at
-//                     that segment (block/fragment framing of
-//                     durability/log_format.h)
-//   MANIFEST-NNNNNN   the (segment, wal) recovery recipe (manifest.h)
-//   CURRENT           one line naming the manifest in force
+//                     LoadEngineSnapshot like any checkpoint); the commit
+//                     point of its generation
+//   wal-MMMMMM.log    the write-ahead log of that generation, M = N + 1
+//                     (block/fragment framing of durability/log_format.h)
 //
 // Commit appends one logical record per quantum: a snapshot_io delta
-// payload (one quantum + the pending partial quantum + the quantizer
-// clock, chained to the segment's checkpoint id) followed by an
-// IngestState section whose dictionary blob is only the tail interned
-// since the previous record — each commit is O(quantum), never O(state).
-// Group commit: records reach the kernel at every commit (process-crash
+// payload (one quantum + the engine's pending partial quantum and clock,
+// chained to the segment's checkpoint id) followed by an IngestState
+// section whose dictionary blob is only the tail interned since the
+// previous record — each commit is O(quantum), never O(state). Group
+// commit: records reach the kernel at every commit (process-crash
 // durable); fdatasync runs per FsyncLevel — every commit, on the
 // checkpoint cadence, or never.
 //
 // Every `commit_quanta * full_interval` quanta the backend cuts a new
-// generation: segment → manifest → CURRENT rename (the commit point) →
-// new log. Generations older than the previous one are garbage-collected.
+// generation: segment (tmp + rename — the commit point), then its log.
+// Once the rename lands the new segment is the live generation: no record
+// is ever appended to an older log, and a log that fails to open makes
+// the next commit cut again. Generations older than the previous one are
+// garbage-collected.
 //
-// Recovery = CURRENT's manifest (falling back to the newest decodable
-// manifest, then to older generations if the named segment is damaged),
-// restore the segment, then replay the log's newest consistent prefix:
-// the first damaged, truncated or out-of-sequence record ends the replay
-// (torn-tail tolerance — see LogReader). Resume is bit-identical to a
-// never-restarted run; the source replays the few records after the last
-// durable fence through the normal ingest path. A directory holding only
-// checkpoint files of the retired snapshot backend (full-/delta-*.ckpt)
-// fails recovery with kVersionSkew rather than reading as empty.
+// Recovery tries segments newest first: load the segment, restore its
+// dictionary, then replay its log's newest consistent prefix, applying
+// each accepted record as it is read. The first damaged, truncated or
+// out-of-sequence record ends the replay (torn-tail tolerance — see
+// LogReader); a segment that does not load falls back to the previous
+// generation. Resume is bit-identical to a never-restarted run; the
+// source replays the few records after the last durable fence through the
+// normal ingest path. A directory holding only checkpoint files of the
+// retired snapshot backend (full-/delta-*.ckpt) fails recovery with
+// kVersionSkew rather than reading as empty.
 //
 // Not thread-safe — the ingest driver thread owns the backend, exactly as
 // it owns the engine.
@@ -46,7 +48,6 @@
 
 #include "durability/backend.h"
 #include "durability/log_writer.h"
-#include "durability/manifest.h"
 #include "durability/posix_file.h"
 
 namespace scprt::durability {
@@ -76,12 +77,17 @@ class WalBackend {
 
  private:
   /// Cuts a new generation at the current fence: segment (subsuming the
-  /// quantum just processed), manifest, CURRENT, fresh log, GC.
+  /// quantum just processed), then its fresh log, then GC.
   CommitResult CutGeneration(const engine::ParallelDetector& engine,
                              const CommitContext& ctx);
 
   /// Appends one quantum record to the live log, syncing per FsyncLevel.
-  CommitResult AppendRecord(const CommitContext& ctx);
+  CommitResult AppendRecord(const engine::ParallelDetector& engine,
+                            const CommitContext& ctx);
+
+  /// Counts a failed fsync/fdatasync of a segment or log in
+  /// sync_failures() and the `wal.sync_failures` counter.
+  void NoteSyncFailure();
 
   /// Retires every numbered file older than the previous generation.
   void CollectGarbage();
@@ -93,14 +99,18 @@ class WalBackend {
   std::size_t segment_interval_quanta_ = 0;
 
   std::uint64_t next_file_number_ = 1;
-  bool have_generation_ = false;
-  std::uint64_t base_checkpoint_id_ = 0;
+  /// The newest segment on disk this session knows of (cut or recovered)
+  /// and the checkpoint id its log records chain to.
+  bool have_segment_ = false;
   std::uint64_t segment_number_ = 0;
-  std::uint64_t wal_number_ = 0;
+  std::uint64_t base_checkpoint_id_ = 0;
   /// Segment number of the previous generation (GC keeps files >= this).
   std::uint64_t prev_segment_number_ = 0;
-  bool have_prev_generation_ = false;
+  bool have_prev_segment_ = false;
 
+  /// The live segment's log; null when none is open for appending (before
+  /// the first cut, after a failed append or a failed open), which makes
+  /// the next Commit cut a new generation.
   std::unique_ptr<AppendFile> wal_file_;
   std::unique_ptr<LogWriter> writer_;
 

@@ -52,9 +52,8 @@ std::vector<detect::QuantumReport> ParallelDetector::Run(
   return reports;
 }
 
-void ParallelDetector::SaveState(BinaryWriter& out,
-                                 const stream::Quantizer& clock) const {
-  detector_.SaveState(out, clock);
+void ParallelDetector::SaveState(BinaryWriter& out) const {
+  detector_.SaveState(out, quantizer_);
 }
 
 bool ParallelDetector::RestoreState(BinaryReader& in) {

@@ -82,16 +82,15 @@ class ParallelDetector {
   QuantumIndex next_quantum_index() const { return quantizer_.next_index(); }
 
   /// Moves the pending partial quantum out of the quantizer (ingest resume
-  /// hands accumulation onward to its assembler; delta replay supersedes
+  /// hands accumulation onward to its assembler; WAL log replay supersedes
   /// it).
   std::vector<stream::Message> TakePendingMessages() {
     return quantizer_.TakePending();
   }
 
   /// Writes the core's state encoding (detect::EventDetector::SaveState)
-  /// with `clock`'s clock and pending messages — this engine's quantizer(),
-  /// or an outer accumulator's such as the ingest assembler's.
-  void SaveState(BinaryWriter& out, const stream::Quantizer& clock) const;
+  /// with quantizer()'s clock and pending messages.
+  void SaveState(BinaryWriter& out) const;
 
   /// Restores SaveState's encoding into this freshly constructed engine;
   /// the clock and pending messages land in quantizer(). Returns false on

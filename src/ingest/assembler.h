@@ -78,7 +78,7 @@ class QuantumAssembler final : public MessageSink {
 
   /// The δ-cut quantizer — in the ingest pipeline this is the outermost
   /// accumulation point, so its clock and pending partial quantum are what
-  /// a checkpoint must capture (durability::CheckpointExtras).
+  /// a segmented durable session carries from one Run to the next.
   const stream::Quantizer& quantizer() const { return quantizer_; }
 
   /// Checkpoint resume: installs the restored clock, pending partial

@@ -129,9 +129,7 @@ std::optional<IngestSnapshot> DurableIngest::Run(
   suppression_active_ = options.suppress_shedding;
   resume_consumed_ = true;
 
-  active_assembler_ = &assembler;
   IngestSnapshot snapshot = pipeline_->Run(source, assembler, options);
-  active_assembler_ = nullptr;
 
   // Carry the stream coordinates into a possible next Run: the clock,
   // (when this run did not flush) the still-pending partial quantum, and
@@ -154,7 +152,6 @@ detect::QuantumReport DurableIngest::ProcessQuantum(
   // fence; it appends a log record or cuts a new generation.
   durability::CommitContext ctx;
   ctx.quantum = &quantum;
-  ctx.quantizer = &active_assembler_->quantizer();
   ctx.dictionary = &dictionary_;
   sio::IngestState& state = ctx.state;
   state.admission_policy =

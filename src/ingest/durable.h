@@ -2,19 +2,18 @@
 //
 // DurableIngest wires a durability::WalBackend into the IngestPipeline.
 // While the pipeline runs, every cut quantum is handed to the backend at
-// the quantum boundary — on the driver thread, right after the engine has
-// processed it — together with the deployment's frontend state:
-//
-//   * the assembler's quantizer clock + pending partial quantum (the
-//     outermost accumulation point of the ingest path),
-//   * the live keyword dictionary, the admission policy/seed, the source
-//     cursor of the record that closed the quantum, and the records read
-//     and shed up to that cursor (snapshot_io::IngestState).
+// the quantum boundary — on the driver thread, right after the assembler
+// cut it and the engine processed it — together with the deployment's
+// frontend state: the live keyword dictionary, the admission policy/seed,
+// the source cursor of the record that closed the quantum, and the
+// records read and shed up to that cursor (snapshot_io::IngestState). The
+// clock at that fence is the engine's own: the assembler has just emptied
+// its pending buffer into the quantum, and its clock equals the engine's.
 //
 // The backend commits one CRC-framed log record per quantum with group
-// commit, cuts full-snapshot segments on the full cadence, and keeps a
-// MANIFEST + CURRENT pair naming the generation in force — so a crash
-// loses at most the quantum in flight.
+// commit and cuts full-snapshot segments on the full cadence; each
+// atomically renamed segment is the commit point of its generation — so a
+// crash loses at most the quantum in flight.
 //
 // Resume() asks the backend to recover the newest durable generation,
 // re-installs the dictionary, admission seeds and stream counters, and
@@ -195,9 +194,6 @@ class DurableIngest {
   QuantumIndex resume_next_quantum_ = 0;
   std::uint64_t resume_ns_ = 0;
   std::uint64_t replayed_quanta_ = 0;
-
-  // Active-run wiring (driver thread only).
-  QuantumAssembler* active_assembler_ = nullptr;
 };
 
 }  // namespace scprt::ingest

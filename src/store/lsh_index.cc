@@ -10,7 +10,7 @@
 #include "common/binary_io.h"
 #include "common/check.h"
 #include "common/hash.h"
-#include "durability/manifest.h"
+#include "durability/file_names.h"
 #include "durability/posix_file.h"
 
 namespace scprt::store {
@@ -53,43 +53,6 @@ constexpr std::size_t kMaxChainPages = 1u << 20;
 // finishes it in time; real damage costs the query the full deadline.
 constexpr std::chrono::milliseconds kDirectoryRetryDeadline{250};
 constexpr std::chrono::microseconds kDirectoryRetryPause{100};
-
-std::uint16_t ReadU16(const char* p) {
-  return static_cast<std::uint16_t>(
-      static_cast<std::uint8_t>(p[0]) |
-      (static_cast<std::uint16_t>(static_cast<std::uint8_t>(p[1])) << 8));
-}
-
-std::uint32_t ReadU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t ReadU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-void WriteU16(char* p, std::uint16_t v) {
-  p[0] = static_cast<char>(v);
-  p[1] = static_cast<char>(v >> 8);
-}
-
-void WriteU32(char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
-}
-
-void WriteU64(char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
-}
 
 std::string NormalizeKeyword(const std::string& keyword) {
   return keyword.size() <= kMaxSpellingBytes
@@ -350,8 +313,8 @@ std::unique_ptr<LshIndex> LshIndex::OpenImpl(const std::string& directory,
         !e.ok()) {
       return fail(std::move(e));
     }
-    WriteU32(tail.data(), 0);  // next: the chain ends at the committed tail
-    WriteU16(tail.data() + 4, index->event_tail_offset_);
+    StoreU32(tail.data(), 0);  // next: the chain ends at the committed tail
+    StoreU16(tail.data() + 4, index->event_tail_offset_);
     tail.MarkDirty();
   }
   if (physical_pages > index->committed_pages_) {
@@ -420,7 +383,7 @@ Error LshIndex::ReadDirectorySlot(std::uint32_t band, std::uint64_t key,
     }
   }
   if (!e.ok()) return e;
-  *head = ReadU32(handle.data() + (slot % kDirSlotsPerPage) * 4);
+  *head = LoadU32(handle.data() + (slot % kDirSlotsPerPage) * 4);
   return {};
 }
 
@@ -435,7 +398,7 @@ Error LshIndex::WriteDirectorySlot(std::uint32_t band, std::uint64_t key,
       !e.ok()) {
     return e;
   }
-  WriteU32(handle.data() + (slot % kDirSlotsPerPage) * 4, head);
+  StoreU32(handle.data() + (slot % kDirSlotsPerPage) * 4, head);
   handle.MarkDirty();
   return {};
 }
@@ -450,29 +413,29 @@ Error LshIndex::AppendEventRecord(const std::string& payload,
   PageHandle tail;
   if (event_head_page_ == 0) {
     if (Error e = pool_->NewPage(&tail); !e.ok()) return e;
-    WriteU16(tail.data() + 4, kChainHeaderSize);
+    StoreU16(tail.data() + 4, kChainHeaderSize);
     tail.MarkDirty();
     event_head_page_ = event_tail_page_ = tail.page_no();
   } else {
     if (Error e = pool_->Fetch(event_tail_page_, &tail); !e.ok()) return e;
   }
-  std::uint16_t used = ReadU16(tail.data() + 4);
+  std::uint16_t used = LoadU16(tail.data() + 4);
   if (used + total > kPagePayloadSize) {
     PageHandle next;
     if (Error e = pool_->NewPage(&next); !e.ok()) return e;
-    WriteU16(next.data() + 4, kChainHeaderSize);
+    StoreU16(next.data() + 4, kChainHeaderSize);
     next.MarkDirty();
-    WriteU32(tail.data(), next.page_no());
+    StoreU32(tail.data(), next.page_no());
     tail.MarkDirty();
     event_tail_page_ = next.page_no();
     tail = std::move(next);
     used = kChainHeaderSize;
   }
   char* at = tail.data() + used;
-  WriteU32(at, static_cast<std::uint32_t>(payload.size()));
-  WriteU32(at + 4, Crc32(payload));
+  StoreU32(at, static_cast<std::uint32_t>(payload.size()));
+  StoreU32(at + 4, Crc32(payload));
   std::memcpy(at + 8, payload.data(), payload.size());
-  WriteU16(tail.data() + 4, static_cast<std::uint16_t>(used + total));
+  StoreU16(tail.data() + 4, static_cast<std::uint16_t>(used + total));
   tail.MarkDirty();
   *page = event_tail_page_;
   *offset = used;
@@ -490,14 +453,14 @@ Error LshIndex::AppendPosting(std::uint32_t band, const Posting& posting) {
   PageHandle handle;
   if (head != 0) {
     if (Error e = pool_->Fetch(head, &handle); !e.ok()) return e;
-    const std::uint16_t used = ReadU16(handle.data() + 4);
+    const std::uint16_t used = LoadU16(handle.data() + 4);
     if (used < kPostingsPerPage) {
       char* at = handle.data() + kChainHeaderSize + used * kPostingSize;
-      WriteU64(at, posting.band_key);
-      WriteU32(at + 8, posting.event_id);
-      WriteU32(at + 12, posting.page);
-      WriteU16(at + 16, posting.offset);
-      WriteU16(handle.data() + 4, static_cast<std::uint16_t>(used + 1));
+      StoreU64(at, posting.band_key);
+      StoreU32(at + 8, posting.event_id);
+      StoreU32(at + 12, posting.page);
+      StoreU16(at + 16, posting.offset);
+      StoreU16(handle.data() + 4, static_cast<std::uint16_t>(used + 1));
       handle.MarkDirty();
       return {};
     }
@@ -505,13 +468,13 @@ Error LshIndex::AppendPosting(std::uint32_t band, const Posting& posting) {
   }
   PageHandle fresh;
   if (Error e = pool_->NewPage(&fresh); !e.ok()) return e;
-  WriteU32(fresh.data(), head);  // next: the full (or absent) old head
-  WriteU16(fresh.data() + 4, 1);
+  StoreU32(fresh.data(), head);  // next: the full (or absent) old head
+  StoreU16(fresh.data() + 4, 1);
   char* at = fresh.data() + kChainHeaderSize;
-  WriteU64(at, posting.band_key);
-  WriteU32(at + 8, posting.event_id);
-  WriteU32(at + 12, posting.page);
-  WriteU16(at + 16, posting.offset);
+  StoreU64(at, posting.band_key);
+  StoreU32(at + 8, posting.event_id);
+  StoreU32(at + 12, posting.page);
+  StoreU16(at + 16, posting.offset);
   fresh.MarkDirty();
   const std::uint32_t fresh_page = fresh.page_no();
   fresh.Release();
@@ -532,17 +495,17 @@ Error LshIndex::CollectBand(std::uint32_t band, std::uint64_t key,
       if (e.code == ErrorCode::kCorrupt) break;
       return e;
     }
-    const std::uint32_t next = ReadU32(handle.data());
-    std::size_t used = ReadU16(handle.data() + 4);
+    const std::uint32_t next = LoadU32(handle.data());
+    std::size_t used = LoadU16(handle.data() + 4);
     if (used > kPostingsPerPage) used = kPostingsPerPage;
     for (std::size_t i = 0; i < used; ++i) {
       const char* at =
           handle.data() + kChainHeaderSize + i * kPostingSize;
       Posting posting;
-      posting.band_key = ReadU64(at);
-      posting.event_id = ReadU32(at + 8);
-      posting.page = ReadU32(at + 12);
-      posting.offset = ReadU16(at + 16);
+      posting.band_key = LoadU64(at);
+      posting.event_id = LoadU32(at + 8);
+      posting.page = LoadU32(at + 12);
+      posting.offset = LoadU16(at + 16);
       if (posting.band_key == key && posting.event_id < committed_events_) {
         postings->push_back(posting);
       }
@@ -567,9 +530,9 @@ Error LshIndex::LoadRecord(std::uint32_t page, std::uint16_t offset,
     return e;
   }
   const char* at = handle.data() + offset;
-  const std::uint32_t len = ReadU32(at);
+  const std::uint32_t len = LoadU32(at);
   if (offset + 8 + len > kPagePayloadSize) return {};
-  const std::uint32_t crc = ReadU32(at + 4);
+  const std::uint32_t crc = LoadU32(at + 4);
   const std::string_view payload(at + 8, len);
   if (Crc32(payload) != crc) return {};
   StoredEvent decoded;
@@ -597,18 +560,18 @@ Error LshIndex::ScanChain(
     if (Error e = pool_->Fetch(page, &handle); !e.ok()) return e;
     const bool is_tail = page == event_tail_page_;
     std::size_t limit = is_tail ? event_tail_offset_
-                                : ReadU16(handle.data() + 4);
+                                : LoadU16(handle.data() + 4);
     if (limit > kPagePayloadSize) limit = kPagePayloadSize;
     std::size_t offset = kChainHeaderSize;
     while (offset + 8 <= limit) {
       const char* at = handle.data() + offset;
-      const std::uint32_t len = ReadU32(at);
+      const std::uint32_t len = LoadU32(at);
       if (offset + 8 + len > limit) {
         return MakeError(ErrorCode::kCorrupt,
                          "event record overruns its page");
       }
       const std::string_view payload(at + 8, len);
-      if (Crc32(payload) != ReadU32(at + 4)) {
+      if (Crc32(payload) != LoadU32(at + 4)) {
         return MakeError(ErrorCode::kCorrupt, "event record CRC mismatch");
       }
       StoredEvent event;
@@ -619,7 +582,7 @@ Error LshIndex::ScanChain(
       offset += 8 + len;
     }
     if (is_tail) break;
-    page = ReadU32(handle.data());
+    page = LoadU32(handle.data());
   }
   return {};
 }
@@ -692,7 +655,7 @@ Error LshIndex::PublishMeta() {
   if (event_tail_page_ != 0) {
     PageHandle tail;
     if (Error e = pool_->Fetch(event_tail_page_, &tail); !e.ok()) return e;
-    tail_offset = ReadU16(tail.data() + 4);
+    tail_offset = LoadU16(tail.data() + 4);
   }
   event_tail_offset_ = tail_offset;
 

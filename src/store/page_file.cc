@@ -26,25 +26,9 @@ Error Errno(ErrorCode code, const std::string& what, const std::string& path) {
 
 // Frames `payload` as page `page_no` into `frame` (kPageSize bytes).
 void FramePage(std::uint32_t page_no, const char* payload, char* frame) {
-  const std::uint32_t echo = page_no;
-  for (int i = 0; i < 4; ++i) {
-    frame[4 + i] = static_cast<char>(echo >> (8 * i));
-  }
+  StoreU32(frame + 4, page_no);
   std::memcpy(frame + kPageHeaderSize, payload, kPagePayloadSize);
-  const std::uint32_t crc =
-      Crc32(std::string_view(frame + 4, kPageSize - 4));
-  for (int i = 0; i < 4; ++i) {
-    frame[i] = static_cast<char>(crc >> (8 * i));
-  }
-}
-
-std::uint32_t ReadU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i]))
-         << (8 * i);
-  }
-  return v;
+  StoreU32(frame, Crc32(std::string_view(frame + 4, kPageSize - 4)));
 }
 
 bool PreadFull(int fd, char* buf, std::size_t n, off_t offset) {
@@ -92,11 +76,8 @@ std::unique_ptr<PageFile> PageFile::Create(const std::string& path,
   auto file = std::unique_ptr<PageFile>(new PageFile(fd, path, 0));
   char payload[kPagePayloadSize] = {};
   std::memcpy(payload, kPageFileMagic, sizeof(kPageFileMagic));
-  for (int i = 0; i < 4; ++i) {
-    payload[8 + i] = static_cast<char>(kPageFileVersion >> (8 * i));
-    payload[12 + i] =
-        static_cast<char>(static_cast<std::uint32_t>(kPageSize) >> (8 * i));
-  }
+  StoreU32(payload + 8, kPageFileVersion);
+  StoreU32(payload + 12, static_cast<std::uint32_t>(kPageSize));
   const std::uint32_t header = file->AllocatePage();  // page 0
   if (Error e = file->WritePage(header, payload); !e.ok()) {
     if (error != nullptr) *error = std::move(e);
@@ -136,14 +117,14 @@ std::unique_ptr<PageFile> PageFile::Open(const std::string& path,
     }
     return nullptr;
   }
-  if (ReadU32(payload + 8) != kPageFileVersion) {
+  if (LoadU32(payload + 8) != kPageFileVersion) {
     if (error != nullptr) {
       *error = MakeError(ErrorCode::kVersionSkew,
                          path + ": unsupported page file version");
     }
     return nullptr;
   }
-  if (ReadU32(payload + 12) != kPageSize) {
+  if (LoadU32(payload + 12) != kPageSize) {
     if (error != nullptr) {
       *error = MakeError(ErrorCode::kCorrupt,
                          path + ": page size mismatch");
@@ -161,18 +142,18 @@ Error PageFile::ReadPage(std::uint32_t page_no, char* payload) {
     return Errno(ErrorCode::kIo,
                  "read page " + std::to_string(page_no) + " of", path_);
   }
-  const std::uint32_t stored_crc = ReadU32(frame);
+  const std::uint32_t stored_crc = LoadU32(frame);
   const std::uint32_t crc = Crc32(std::string_view(frame + 4, kPageSize - 4));
   if (crc != stored_crc) {
     return MakeError(ErrorCode::kCorrupt,
                      path_ + ": CRC mismatch on page " +
                          std::to_string(page_no));
   }
-  if (ReadU32(frame + 4) != page_no) {
+  if (LoadU32(frame + 4) != page_no) {
     return MakeError(ErrorCode::kCorrupt,
                      path_ + ": page " + std::to_string(page_no) +
                          " carries number " +
-                         std::to_string(ReadU32(frame + 4)));
+                         std::to_string(LoadU32(frame + 4)));
   }
   std::memcpy(payload, frame + kPageHeaderSize, kPagePayloadSize);
   return {};

@@ -427,10 +427,8 @@ std::string IngestSnapshotBytes() {
   state.cursor_byte = 123'456;
   state.next_seq = 1'000;
   state.quanta_cut = 10;
-  durability::CheckpointExtras extras;
-  extras.ingest = &state;
   std::stringstream out;
-  EXPECT_TRUE(durability::SaveSnapshot(detector, out, nullptr, extras).ok());
+  EXPECT_TRUE(durability::SaveSnapshot(detector, out, nullptr, &state).ok());
   return out.str();
 }
 
@@ -474,7 +472,7 @@ TEST(CheckpointFuzzTest, ForgedIngestSectionFieldsAreRejected) {
                              &SharedFixture().trace.dictionary);
   BinaryWriter base;
   sio::WriteConfig(base, SharedFixture().config);
-  reference.SaveState(base, reference.quantizer());
+  reference.SaveState(base);
 
   const auto forge = [&](const std::function<void(BinaryWriter&)>& section)
       -> std::string {

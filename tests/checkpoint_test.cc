@@ -23,7 +23,7 @@
 
 #include "detect/report.h"
 #include "durability/backend.h"
-#include "durability/manifest.h"
+#include "durability/file_names.h"
 #include "engine/parallel_detector.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"

@@ -1,12 +1,15 @@
-// Tests for common/: hashing, RNG, Zipf sampling, union-find.
+// Tests for common/: hashing, RNG, Zipf sampling, union-find, and the
+// fixed-offset little-endian field codec.
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/union_find.h"
@@ -170,6 +173,41 @@ TEST(UnionFindTest, TransitiveChain) {
   for (std::size_t i = 0; i + 1 < 100; ++i) uf.Union(i, i + 1);
   EXPECT_TRUE(uf.Same(0, 99));
   EXPECT_EQ(uf.SetSize(50), 100u);
+}
+
+TEST(LittleEndianFieldTest, StoresLeastSignificantByteFirst) {
+  char buf[8] = {};
+  StoreU16(buf, 0xBEEF);
+  EXPECT_EQ(std::string(buf, 2), std::string("\xEF\xBE", 2));
+  StoreU32(buf, 0x01020304u);
+  EXPECT_EQ(std::string(buf, 4), std::string("\x04\x03\x02\x01", 4));
+  StoreU64(buf, 0x8877665544332211ull);
+  EXPECT_EQ(std::string(buf, 8),
+            std::string("\x11\x22\x33\x44\x55\x66\x77\x88", 8));
+}
+
+TEST(LittleEndianFieldTest, LoadsRoundTripStoresAndMatchTheStreamCodec) {
+  char buf[8];
+  for (const std::uint64_t v :
+       {0ull, 1ull, 0xFFull, 0x8000'0000'0000'0000ull, 0xFFFF'FFFF'FFFF'FFFFull,
+        0x0123'4567'89AB'CDEFull}) {
+    StoreU16(buf, static_cast<std::uint16_t>(v));
+    EXPECT_EQ(LoadU16(buf), static_cast<std::uint16_t>(v));
+    StoreU32(buf, static_cast<std::uint32_t>(v));
+    EXPECT_EQ(LoadU32(buf), static_cast<std::uint32_t>(v));
+    StoreU64(buf, v);
+    EXPECT_EQ(LoadU64(buf), v);
+
+    BinaryWriter writer;
+    writer.U32(static_cast<std::uint32_t>(v));
+    writer.U64(v);
+    EXPECT_EQ(LoadU32(writer.data().data()), static_cast<std::uint32_t>(v));
+    EXPECT_EQ(LoadU64(writer.data().data() + 4), v);
+    BinaryReader reader(writer.data());
+    EXPECT_EQ(reader.U32(), static_cast<std::uint32_t>(v));
+    EXPECT_EQ(reader.U64(), v);
+    EXPECT_TRUE(reader.ok());
+  }
 }
 
 }  // namespace

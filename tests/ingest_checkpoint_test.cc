@@ -24,8 +24,8 @@
 #include "detect/report.h"
 #include "detect/snapshot_io.h"
 #include "durability/backend.h"
+#include "durability/file_names.h"
 #include "durability/log_reader.h"
-#include "durability/manifest.h"
 #include "durability/wal_backend.h"
 #include "engine/parallel_detector.h"
 #include "ingest/durable.h"

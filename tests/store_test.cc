@@ -25,7 +25,7 @@
 #include "common/binary_io.h"
 #include "common/random.h"
 #include "durability/error.h"
-#include "durability/manifest.h"
+#include "durability/file_names.h"
 #include "store/buffer_pool.h"
 #include "store/lsh_index.h"
 #include "store/page_file.h"

@@ -1,4 +1,4 @@
-// Test helper shared by the snapshot round-trip suites: drives a
+// Test helper shared by the snapshot round-trip and WAL suites: drives a
 // durability::WalBackend directory the way ingest::DurableIngest does —
 // one Commit per closed quantum, at the fence the engine's own quantizer
 // describes — and recovers it into a fresh engine.
@@ -26,30 +26,38 @@ class WalHarness {
  public:
   /// A fresh WAL directory `name` under the test temp dir. `vocabulary` is
   /// the dictionary the driven engine's keyword ids refer to. A generation
-  /// spans 32 quanta, more than any suite commits, so every Commit after
-  /// the first (which cuts the segment) appends one log record.
-  WalHarness(const std::string& name, const text::KeywordDictionary& vocabulary)
+  /// spans 8 * `full_interval` quanta; at the default 32, more than the
+  /// round-trip suites commit, every Commit after the first (which cuts
+  /// the segment) appends one log record.
+  WalHarness(const std::string& name, const text::KeywordDictionary& vocabulary,
+             std::size_t full_interval = 4)
       : directory_(
             (std::filesystem::path(::testing::TempDir()) / name).string()) {
     std::filesystem::remove_all(directory_);
     options_.directory = directory_;
     options_.commit_quanta = 8;
-    options_.full_interval = 4;
+    options_.full_interval = full_interval;
     dictionary_.SeedFrom(vocabulary);
     backend_ = std::make_unique<durability::WalBackend>(options_);
   }
 
   const std::string& directory() const { return directory_; }
 
-  /// Commits `quantum`, already processed by `engine`, with the clock and
-  /// pending partial quantum of `engine.quantizer()`.
-  void Commit(engine::ParallelDetector& engine,
-              const stream::Quantum& quantum) {
+  /// Commits `quantum`, already processed by `engine` (the backend
+  /// records the clock and pending partial quantum of
+  /// `engine.quantizer()`), and returns what the commit did.
+  durability::CommitResult TryCommit(const engine::ParallelDetector& engine,
+                                     const stream::Quantum& quantum) {
     durability::CommitContext ctx;
     ctx.quantum = &quantum;
-    ctx.quantizer = &engine.quantizer();
     ctx.dictionary = &dictionary_;
-    const durability::CommitResult result = backend_->Commit(engine, ctx);
+    return backend_->Commit(engine, ctx);
+  }
+
+  /// TryCommit, expecting it to succeed.
+  void Commit(const engine::ParallelDetector& engine,
+              const stream::Quantum& quantum) {
+    const durability::CommitResult result = TryCommit(engine, quantum);
     EXPECT_TRUE(result.error.ok()) << result.error.ToString();
     EXPECT_TRUE(result.persisted);
   }

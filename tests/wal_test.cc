@@ -1,12 +1,14 @@
 // The log-structured durability tier: block/fragment log framing round
 // trips, the torn-tail fuzz battery (truncated block, bit-flipped CRC,
-// torn final fragment, forged length), the manifest + CURRENT protocol
-// with its stale-CURRENT fallback, the crash-point matrix — directory
-// states a crash can leave between append, fsync, manifest publish and GC,
-// each of which a WalBackend-driven ingest session must resume from with a
-// report stream bit-identical to a never-interrupted run's — hostile log
-// records behind valid CRCs (the record-level acceptance rules), and the
-// refusal to start fresh over a retired snapshot-backend directory.
+// torn final fragment, forged length), the file-name codecs, the
+// crash-point matrix — directory states a crash can leave between
+// append, fsync, segment rename and GC, each of which a WalBackend-driven
+// ingest session must resume from with a report stream bit-identical to a
+// never-interrupted run's — the segment as commit point (a log that
+// cannot be opened), randomized damage to the newest generations,
+// hostile log records behind valid CRCs (the record-level acceptance
+// rules), and the refusal to start fresh over a retired snapshot-backend
+// directory.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,8 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,10 +27,10 @@
 #include "detect/report.h"
 #include "detect/snapshot_io.h"
 #include "durability/backend.h"
+#include "durability/file_names.h"
 #include "durability/log_format.h"
 #include "durability/log_reader.h"
 #include "durability/log_writer.h"
-#include "durability/manifest.h"
 #include "durability/posix_file.h"
 #include "durability/wal_backend.h"
 #include "engine/parallel_detector.h"
@@ -35,6 +39,7 @@
 #include "ingest/text_export.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
+#include "wal_harness.h"
 
 namespace scprt::durability {
 namespace {
@@ -216,115 +221,25 @@ TEST(LogReaderFuzzTest, UnknownFragmentTypeAndBrokenSequencingStop) {
   }
 }
 
-// ------------------------------------------- Manifest + CURRENT ----------
+// ------------------------------------------------------ File names -------
 
-TEST(ManifestTest, FileNameCodecsRoundTripAndRejectForeignNames) {
+TEST(FileNamesTest, CodecsRoundTripAndRejectForeignNames) {
   EXPECT_EQ(SegmentFileName(7), "seg-000007.snap");
   EXPECT_EQ(WalFileName(42), "wal-000042.log");
-  EXPECT_EQ(ManifestFileName(3), "MANIFEST-000003");
 
   std::uint64_t number = 0;
   EXPECT_TRUE(ParseSegmentFileName("seg-000007.snap", number));
   EXPECT_EQ(number, 7u);
   EXPECT_TRUE(ParseWalFileName("wal-1000001.log", number));
   EXPECT_EQ(number, 1'000'001u);
-  EXPECT_TRUE(ParseManifestFileName("MANIFEST-000003", number));
-  EXPECT_EQ(number, 3u);
 
-  // Partial matches and the retired snapshot backend's files must not
-  // parse.
+  // Partial matches, the retired snapshot backend's files and older
+  // builds' manifest files must not parse.
   EXPECT_FALSE(ParseSegmentFileName("seg-000007.snap.tmp", number));
   EXPECT_FALSE(ParseSegmentFileName("full-000007.ckpt", number));
   EXPECT_FALSE(ParseWalFileName("wal-.log", number));
-  EXPECT_FALSE(ParseManifestFileName("MANIFEST-000003x", number));
-  EXPECT_FALSE(ParseManifestFileName("CURRENT", number));
-}
-
-TEST(ManifestTest, EncodeDecodeRoundTripAndTypedRejects) {
-  Manifest manifest;
-  manifest.manifest_number = 9;
-  manifest.segment_number = 7;
-  manifest.wal_number = 8;
-  manifest.base_checkpoint_id = 0xDEADBEEFCAFEF00Dull;
-  manifest.next_file_number = 10;
-  manifest.next_quantum = 1234;
-  const std::string bytes = EncodeManifest(manifest);
-
-  Manifest decoded;
-  decoded.manifest_number = 9;  // from the file name, not the payload
-  ASSERT_TRUE(DecodeManifest(bytes, decoded));
-  EXPECT_EQ(decoded.segment_number, 7u);
-  EXPECT_EQ(decoded.wal_number, 8u);
-  EXPECT_EQ(decoded.base_checkpoint_id, 0xDEADBEEFCAFEF00Dull);
-  EXPECT_EQ(decoded.next_file_number, 10u);
-  EXPECT_EQ(decoded.next_quantum, 1234);
-
-  Error error;
-  Manifest scratch;
-  {  // Payload bit flip -> kCorrupt.
-    std::string corrupt = bytes;
-    corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);
-    EXPECT_FALSE(DecodeManifest(corrupt, scratch, &error));
-    EXPECT_EQ(error.code, ErrorCode::kCorrupt);
-  }
-  {  // Truncation -> kCorrupt.
-    EXPECT_FALSE(
-        DecodeManifest(bytes.substr(0, bytes.size() - 5), scratch, &error));
-    EXPECT_EQ(error.code, ErrorCode::kCorrupt);
-  }
-  {  // Not a manifest -> kBadMagic.
-    EXPECT_FALSE(DecodeManifest("CURRENTly not a manifest", scratch, &error));
-    EXPECT_EQ(error.code, ErrorCode::kBadMagic);
-  }
-  {  // Future version -> kVersionSkew, distinct from corruption.
-    std::string skewed = bytes;
-    skewed[8] = 2;
-    EXPECT_FALSE(DecodeManifest(skewed, scratch, &error));
-    EXPECT_EQ(error.code, ErrorCode::kVersionSkew);
-  }
-}
-
-TEST(ManifestTest, PublishRepointsCurrentAndStaleCurrentFallsBack) {
-  const std::string dir = TempDir("wal_manifest_publish");
-  Manifest first;
-  first.manifest_number = 3;
-  first.segment_number = 1;
-  first.wal_number = 2;
-  ASSERT_TRUE(PublishManifest(dir, first, /*sync=*/false).ok());
-  Manifest second;
-  second.manifest_number = 6;
-  second.segment_number = 4;
-  second.wal_number = 5;
-  ASSERT_TRUE(PublishManifest(dir, second, /*sync=*/false).ok());
-
-  ASSERT_EQ(ReadCurrent(dir), std::optional<std::uint64_t>(6));
-  auto loaded = LoadCurrentManifest(dir);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->manifest_number, 6u);
-  EXPECT_EQ(loaded->segment_number, 4u);
-
-  // Stale CURRENT: names a manifest that was lost. Recovery must fall
-  // back to the newest manifest that decodes rather than giving up.
-  std::ofstream(fs::path(dir) / "CURRENT") << "MANIFEST-000099\n";
-  std::string detail;
-  loaded = LoadCurrentManifest(dir, nullptr, &detail);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->manifest_number, 6u);
-  EXPECT_NE(detail.find("MANIFEST-000099"), std::string::npos);
-
-  // Stale CURRENT *and* a damaged newest manifest: the older one rescues.
-  std::ofstream(fs::path(dir) / "MANIFEST-000006",
-                std::ios::binary | std::ios::trunc)
-      << "shredded";
-  loaded = LoadCurrentManifest(dir);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->manifest_number, 3u);
-
-  // Nothing decodable at all -> typed kNoManifest.
-  const std::string empty = TempDir("wal_manifest_empty");
-  Error error;
-  EXPECT_FALSE(LoadCurrentManifest(empty, &error).has_value());
-  EXPECT_EQ(error.code, ErrorCode::kNoManifest);
+  EXPECT_FALSE(ParseSegmentFileName("MANIFEST-000003", number));
+  EXPECT_FALSE(ParseWalFileName("MANIFEST-000003", number));
 }
 
 // --------------------------------------------- Crash-point matrix --------
@@ -489,8 +404,8 @@ TEST(WalCrashPointTest, BitFlippedWalRecordStopsReplayAtThePrefix) {
 }
 
 TEST(WalCrashPointTest, MissingWalRecoversTheSegmentAlone) {
-  // Crash between CURRENT rename and the new log's creation: the manifest
-  // names a log that never hit the disk. Segment-only recovery — a normal
+  // Crash between the segment rename and the new log's creation: the
+  // newest segment has no log yet. Segment-only recovery — a normal
   // protocol state, noted in the trail but not an error.
   RunCrashPointCase(
       "missing_wal",
@@ -502,23 +417,17 @@ TEST(WalCrashPointTest, MissingWalRecoversTheSegmentAlone) {
       ErrorCode::kNone, {"segment-only recovery"});
 }
 
-TEST(WalCrashPointTest, MissingCurrentFallsBackToTheManifestScan) {
-  // Crash between the manifest write and the CURRENT rename (or CURRENT
-  // lost outright): the newest decodable manifest still names the
-  // generation.
-  RunCrashPointCase(
-      "missing_current",
-      [](const std::string& dir) { fs::remove(fs::path(dir) / "CURRENT"); },
-      ErrorCode::kNone, {"CURRENT missing"});
+// Writes the manifest files older builds published beside each segment,
+// here as garbage: this build neither writes nor reads them.
+void PlantOldManifestFiles(const std::string& dir) {
+  std::ofstream(fs::path(dir) / "MANIFEST-000001", std::ios::binary)
+      << "SCPRTMAN shredded";
+  std::ofstream(fs::path(dir) / "CURRENT") << "MANIFEST-999999\n";
 }
 
-TEST(WalCrashPointTest, StaleCurrentFallsBackToTheManifestScan) {
-  RunCrashPointCase(
-      "stale_current",
-      [](const std::string& dir) {
-        std::ofstream(fs::path(dir) / "CURRENT") << "MANIFEST-999999\n";
-      },
-      ErrorCode::kNone, {"CURRENT is stale"});
+TEST(WalCrashPointTest, OlderBuildsManifestFilesAreInert) {
+  RunCrashPointCase("old_manifest_files", PlantOldManifestFiles,
+                    ErrorCode::kNone);
 }
 
 TEST(WalCrashPointTest, DamagedSegmentFallsBackToThePreviousGeneration) {
@@ -547,9 +456,234 @@ TEST(WalCrashPointTest, GarbageCollectionKeepsAFallbackGeneration) {
         EXPECT_GE(listing.segments.size(), 1u);
         EXPECT_LE(listing.segments.size(), 2u);
         EXPECT_LE(listing.wals.size(), 2u);
-        EXPECT_LE(listing.manifests.size(), 2u);
+        // A generation is its segment and log; nothing else is written.
+        for (const auto& entry : fs::directory_iterator(dir)) {
+          const std::string name = entry.path().filename().string();
+          std::uint64_t number = 0;
+          EXPECT_TRUE(ParseSegmentFileName(name, number) ||
+                      ParseWalFileName(name, number))
+              << name;
+        }
       },
       ErrorCode::kNone);
+}
+
+// ------------------------------------- The segment is the commit point ---
+
+// CrashTrace cut into quanta, and an uninterrupted engine's report digest
+// of each.
+struct HarnessRun {
+  stream::SyntheticTrace trace = CrashTrace();
+  detect::DetectorConfig config;
+  std::vector<stream::Quantum> quanta;
+  std::vector<std::uint64_t> want;
+
+  HarnessRun() {
+    config.quantum_size = 120;
+    quanta = stream::SplitIntoQuanta(trace.messages, config.quantum_size);
+    engine::ParallelDetector reference({config}, &trace.dictionary);
+    for (const stream::Quantum& quantum : quanta) {
+      want.push_back(detect::ReportDigest(reference.ProcessQuantum(quantum)));
+    }
+  }
+};
+
+const HarnessRun& SharedHarnessRun() {
+  static const HarnessRun run;
+  return run;
+}
+
+// Feeds the quanta after `recovered`'s clock into it and expects the
+// uninterrupted run's digests.
+void ExpectSameTail(const HarnessRun& run,
+                    engine::ParallelDetector& recovered) {
+  const auto from = static_cast<std::size_t>(recovered.next_quantum_index());
+  EXPECT_TRUE(recovered.quantizer().pending().empty());
+  for (std::size_t q = from; q < run.quanta.size(); ++q) {
+    const std::uint64_t digest =
+        detect::ReportDigest(recovered.ProcessQuantum(run.quanta[q]));
+    if (digest != run.want[q]) {
+      ADD_FAILURE() << "quantum " << q << " diverged after recovering at "
+                    << from;
+      break;
+    }
+  }
+}
+
+TEST(WalCommitPointTest, UnopenableLogMakesTheNextCommitCutAgain) {
+  // A generation every 8 quanta: commits 0-7 write seg-1 and 7 records
+  // into wal-2; commit 8 cuts seg-3, whose log wal-4 cannot be opened
+  // because a directory sits at its path. The landed segment is the live
+  // generation all the same: nothing more may reach wal-2, and commit 9
+  // must cut a fresh generation (seg-5, wal-6) rather than append.
+  const HarnessRun& run = SharedHarnessRun();
+  test_util::WalHarness wal("wal_unopenable_log", run.trace.dictionary,
+                            /*full_interval=*/1);
+  const fs::path dir = wal.directory();
+  fs::create_directories(dir / WalFileName(4));
+  engine::ParallelDetector head({run.config}, &run.trace.dictionary);
+  for (std::size_t q = 0; q < 8; ++q) {
+    head.ProcessQuantum(run.quanta[q]);
+    wal.Commit(head, run.quanta[q]);
+  }
+  const std::uintmax_t old_log_size = fs::file_size(dir / WalFileName(2));
+
+  head.ProcessQuantum(run.quanta[8]);
+  CommitResult result = wal.TryCommit(head, run.quanta[8]);
+  EXPECT_EQ(result.error.code, ErrorCode::kIo) << result.error.ToString();
+  EXPECT_TRUE(result.persisted);
+  EXPECT_TRUE(result.checkpoint);
+  EXPECT_TRUE(fs::is_regular_file(dir / SegmentFileName(3)));
+  EXPECT_EQ(fs::file_size(dir / WalFileName(2)), old_log_size);
+
+  head.ProcessQuantum(run.quanta[9]);
+  result = wal.TryCommit(head, run.quanta[9]);
+  EXPECT_TRUE(result.error.ok()) << result.error.ToString();
+  EXPECT_TRUE(result.checkpoint);
+  EXPECT_TRUE(fs::is_regular_file(dir / SegmentFileName(5)));
+  EXPECT_TRUE(fs::is_regular_file(dir / WalFileName(6)));
+  if (fs::exists(dir / WalFileName(2))) {
+    EXPECT_EQ(fs::file_size(dir / WalFileName(2)), old_log_size);
+  }
+  for (std::size_t q = 10; q < 14; ++q) {
+    head.ProcessQuantum(run.quanta[q]);
+    wal.Commit(head, run.quanta[q]);
+  }
+
+  RecoverResult recovered = wal.Recover();
+  ASSERT_EQ(recovered.outcome, RecoverResult::Outcome::kRecovered)
+      << recovered.detail;
+  EXPECT_TRUE(recovered.error.ok()) << recovered.error.ToString();
+  EXPECT_EQ(fs::path(recovered.segment_path).filename(), SegmentFileName(5));
+  EXPECT_EQ(fs::path(recovered.wal_path).filename(), WalFileName(6));
+  EXPECT_EQ(recovered.replayed_quanta, 4u);
+  EXPECT_EQ(recovered.engine->next_quantum_index(), 14);
+  ExpectSameTail(run, *recovered.engine);
+}
+
+TEST(WalCommitPointTest, LogsWithoutAnySegmentFailTyped) {
+  // Logs alone are no recovery point: with every segment gone, recovery
+  // must fail with a typed code rather than start fresh over the logs.
+  const HarnessRun& run = SharedHarnessRun();
+  test_util::WalHarness wal("wal_no_segment", run.trace.dictionary,
+                            /*full_interval=*/1);
+  engine::ParallelDetector head({run.config}, &run.trace.dictionary);
+  for (std::size_t q = 0; q < 20; ++q) {
+    head.ProcessQuantum(run.quanta[q]);
+    wal.Commit(head, run.quanta[q]);
+  }
+  for (const auto& [number, name] :
+       ListDurabilityFiles(wal.directory()).segments) {
+    fs::remove(fs::path(wal.directory()) / name);
+  }
+  const RecoverResult recovered = wal.Recover();
+  EXPECT_EQ(recovered.outcome, RecoverResult::Outcome::kFailed);
+  EXPECT_EQ(recovered.error.code, ErrorCode::kCorrupt)
+      << recovered.error.ToString();
+}
+
+// ------------------------------------------- Randomized recovery --------
+//
+// Each seed commits a random number of quanta (at least 4 generations at
+// 8 quanta each), then applies 1-3 random damages to the two newest
+// segments and logs — truncation, a flipped byte, deletion — or plants
+// garbage manifest files of older builds. Recovery must restore the
+// newest undamaged segment, or fail with a typed code when none is left,
+// and never crash; a restored engine fed the remaining quanta from its
+// clock must report what the uninterrupted run reported.
+
+constexpr std::size_t kRecoveryFuzzSeeds = 32;
+
+TEST(WalRecoveryFuzzTest, DamagedNewestGenerationsRecoverOrFailTyped) {
+  const HarnessRun& run = SharedHarnessRun();
+  std::size_t recovered_count = 0;
+  std::size_t failed_count = 0;
+  for (std::uint64_t seed = 1; seed <= kRecoveryFuzzSeeds; ++seed) {
+    std::mt19937_64 rng(seed * 7919);
+    const std::size_t committed = 26 + rng() % 40;
+    ASSERT_LE(committed, run.quanta.size());
+    test_util::WalHarness wal("wal_recovery_fuzz_" + std::to_string(seed),
+                              run.trace.dictionary, /*full_interval=*/1);
+    {
+      engine::ParallelDetector head({run.config}, &run.trace.dictionary);
+      for (std::size_t q = 0; q < committed; ++q) {
+        head.ProcessQuantum(run.quanta[q]);
+        wal.Commit(head, run.quanta[q]);
+      }
+    }
+
+    const DirectoryListing listing = ListDurabilityFiles(wal.directory());
+    ASSERT_EQ(listing.segments.size(), 2u);
+    ASSERT_EQ(listing.wals.size(), 2u);
+    std::vector<fs::path> targets;
+    for (const auto* files : {&listing.segments, &listing.wals}) {
+      for (const auto& [number, name] : *files) {
+        targets.push_back(fs::path(wal.directory()) / name);
+      }
+    }
+    std::string damage = std::to_string(committed) + " quanta;";
+    std::set<std::string> damaged;
+    const std::size_t damages = 1 + rng() % 3;
+    for (std::size_t d = 0; d < damages; ++d) {
+      const fs::path& target = targets[rng() % targets.size()];
+      const std::string name = target.filename().string();
+      const std::uint64_t kind = rng() % 4;
+      if (kind == 3) {
+        PlantOldManifestFiles(wal.directory());
+        damage += " manifest files planted;";
+        continue;
+      }
+      if (!fs::exists(target)) continue;
+      damaged.insert(name);
+      const std::uintmax_t size = fs::file_size(target);
+      if (kind == 0) {
+        const std::uintmax_t keep = size == 0 ? 0 : rng() % size;
+        fs::resize_file(target, keep);
+        damage += " " + name + " cut to " + std::to_string(keep) + ";";
+      } else if (kind == 1 && size > 0) {
+        const std::uintmax_t offset = rng() % size;
+        std::fstream file(target,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        char byte = 0;
+        file.seekg(static_cast<std::streamoff>(offset)).read(&byte, 1);
+        byte = static_cast<char>(byte ^ static_cast<char>(1 + rng() % 255));
+        file.seekp(static_cast<std::streamoff>(offset)).write(&byte, 1);
+        damage += " " + name + " byte " + std::to_string(offset) +
+                  " flipped;";
+      } else {
+        fs::remove(target);
+        damage += " " + name + " deleted;";
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + damage);
+    // Every damage to a segment (a shorter file, a flipped byte, none at
+    // all) makes it fail to load, and an untouched one always loads: the
+    // newest untouched segment is the one recovery must restore.
+    std::string want_segment;
+    for (const auto& [number, name] : listing.segments) {
+      if (damaged.count(name) == 0) want_segment = name;
+    }
+
+    RecoverResult recovered = wal.Recover();
+    if (want_segment.empty()) {
+      ++failed_count;
+      EXPECT_EQ(recovered.outcome, RecoverResult::Outcome::kFailed);
+      EXPECT_NE(recovered.error.code, ErrorCode::kNone) << recovered.detail;
+      EXPECT_EQ(recovered.engine, nullptr);
+      continue;
+    }
+    ASSERT_EQ(recovered.outcome, RecoverResult::Outcome::kRecovered)
+        << recovered.detail;
+    EXPECT_EQ(fs::path(recovered.segment_path).filename(), want_segment);
+    ++recovered_count;
+    ASSERT_NE(recovered.engine, nullptr);
+    EXPECT_LE(recovered.engine->next_quantum_index(),
+              static_cast<QuantumIndex>(committed));
+    ExpectSameTail(run, *recovered.engine);
+  }
+  // The seeds cover both outcomes, mostly recoveries.
+  EXPECT_GT(recovered_count, failed_count);
+  EXPECT_GT(failed_count, 0u);
 }
 
 // ------------------------------------------ Hostile log records ----------
@@ -701,7 +835,7 @@ TEST(WalRecordForgeryTest, ForgedKeywordCountStopsReplayWithoutAllocating) {
 
 TEST(LegacyDirectoryTest, RetiredCheckpointFilesRefuseAFreshStart) {
   // A directory the retired snapshot backend wrote holds full-/delta-*.ckpt
-  // files and no manifest. Reading it as empty would make --resume start
+  // files and no segment. Reading it as empty would make --resume start
   // from scratch without a word; recovery must refuse it as version skew
   // and name the files.
   const std::string dir = TempDir("wal_legacy_snapshot_dir");
@@ -726,7 +860,7 @@ TEST(LegacyDirectoryTest, RetiredCheckpointFilesRefuseAFreshStart) {
 }
 
 TEST(LegacyDirectoryTest, AWalGenerationBesideLegacyFilesStillRecovers) {
-  // Legacy files only block a directory that has no manifest: one the WAL
+  // Legacy files only block a directory that has no segment: one the WAL
   // already wrote a generation into recovers as usual.
   RunCrashPointCase(
       "legacy_beside_wal",
