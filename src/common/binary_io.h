@@ -3,8 +3,8 @@
 //
 // LoadU16/32/64 and StoreU16/32/64 read and write one fixed-width
 // little-endian field at a fixed offset of a caller-sized buffer — the
-// one codec behind page frames (store/), log fragment headers
-// (durability/log_format.h) and the two stream classes below.
+// one codec behind page frames (store/), log record headers
+// (durability/wal_record.h) and the two stream classes below.
 //
 // BinaryWriter appends fixed-width little-endian fields to an in-memory
 // buffer; BinaryReader is the strict inverse. The reader never throws and

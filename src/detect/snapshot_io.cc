@@ -285,45 +285,6 @@ bool ReadMessages(BinaryReader& in, std::vector<stream::Message>& messages) {
   return true;
 }
 
-void WriteDelta(BinaryWriter& out, std::uint64_t base_id,
-                QuantumIndex next_index,
-                const std::vector<stream::Quantum>& quanta,
-                const std::vector<stream::Message>& pending) {
-  out.U64(base_id);
-  out.I64(next_index);
-  out.U64(quanta.size());
-  for (const stream::Quantum& quantum : quanta) {
-    out.I64(quantum.index);
-    WriteMessages(out, quantum.messages);
-  }
-  WriteMessages(out, pending);
-}
-
-bool ReadDelta(BinaryReader& in, DeltaPayload& delta) {
-  delta = DeltaPayload{};
-  delta.base_id = in.U64();
-  delta.next_index = in.I64();
-  const std::uint64_t quanta = in.U64();
-  if (!in.CheckLength(quanta, 8 + 8)) return false;
-  delta.quanta.reserve(quanta);
-  for (std::uint64_t i = 0; i < quanta; ++i) {
-    stream::Quantum quantum;
-    quantum.index = in.I64();
-    if (!ReadMessages(in, quantum.messages)) return false;
-    // Quanta replay oldest-first; the clock may skip (pre-built quanta) but
-    // never runs backwards, and it ends before the saved next_index.
-    if ((!delta.quanta.empty() &&
-         quantum.index <= delta.quanta.back().index) ||
-        quantum.index >= delta.next_index) {
-      in.Fail();
-      return false;
-    }
-    delta.quanta.push_back(std::move(quantum));
-  }
-  if (!ReadMessages(in, delta.pending)) return false;
-  return in.ok();
-}
-
 bool ReadFullSnapshot(
     std::istream& in,
     const std::function<bool(BinaryReader&, const DetectorConfig&)>&

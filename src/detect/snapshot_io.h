@@ -21,11 +21,8 @@
 // every derived structure (AKG layer, graph + clusters with their ids,
 // rank histories, first-report set, quantizer clock + partial quantum).
 //
-// Delta payload: the body of every WAL record (durability/wal_backend.h)
-// — the id of the segment it chains to (the segment's payload CRC), the
-// quantum it commits (raw messages), the pending partial quantum and the
-// quantizer clock at commit time. The record appends an IngestState
-// carrying the dictionary tail interned since the previous record.
+// Message lists and the IngestState section are also the building blocks
+// of every WAL record, whose payload codec durability/wal_record.h owns.
 //
 // IngestState (version 3) is an optional trailing section with its own
 // magic / section version / length / CRC framing: the ingest frontend's
@@ -150,29 +147,6 @@ void WriteMessages(BinaryWriter& out,
 
 /// Parses a message list. Returns false on malformed input.
 bool ReadMessages(BinaryReader& in, std::vector<stream::Message>& messages);
-
-/// A parsed delta payload.
-struct DeltaPayload {
-  /// Payload CRC of the full snapshot this delta extends.
-  std::uint64_t base_id = 0;
-  /// Quanta processed since the base, oldest first.
-  std::vector<stream::Quantum> quanta;
-  /// Partial quantum pending at save time.
-  std::vector<stream::Message> pending;
-  /// Quantizer clock at save time.
-  QuantumIndex next_index = 0;
-};
-
-/// Serializes a delta payload straight from the caller's structures.
-void WriteDelta(BinaryWriter& out, std::uint64_t base_id,
-                QuantumIndex next_index,
-                const std::vector<stream::Quantum>& quanta,
-                const std::vector<stream::Message>& pending);
-
-/// Parses a delta payload. Returns false on malformed input. Whether the
-/// delta fits its restore target is the caller's check (WAL recovery
-/// validates each record against the segment and the previous record).
-bool ReadDelta(BinaryReader& in, DeltaPayload& delta);
 
 }  // namespace scprt::detect::snapshot_io
 

@@ -1,8 +1,8 @@
 // The durability tier's shared vocabulary and its one-shot snapshot API.
 //
 // Durability is one scheme: durability::WalBackend (wal_backend.h). Every
-// quantum appends one CRC-framed record to a write-ahead log
-// (durability/log_format.h), and full-snapshot segments are cut on a
+// quantum appends one length + CRC framed record to a write-ahead log
+// (durability/wal_record.h), and full-snapshot segments are cut on a
 // cadence; the atomically renamed segment is its generation's commit
 // point. Commit stall is O(quantum), not O(state); recovery is the newest
 // segment that loads + its log's consistent prefix, with torn-tail

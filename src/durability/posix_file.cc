@@ -15,8 +15,8 @@ namespace scprt::durability {
 
 namespace {
 
-// Spill threshold of the user-space buffer: one log block, so a steady
-// stream of small appends costs one write(2) per block, not per record.
+// Spill threshold of the user-space buffer: a steady stream of small
+// appends costs one write(2) per 32 KB, not per record.
 constexpr std::size_t kBufferLimit = 32768;
 
 std::string Errno(int err) {

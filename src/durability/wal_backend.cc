@@ -1,10 +1,10 @@
 #include "durability/wal_backend.h"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -12,7 +12,7 @@
 #include "common/binary_io.h"
 #include "common/check.h"
 #include "durability/file_names.h"
-#include "durability/log_reader.h"
+#include "durability/wal_record.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
@@ -22,12 +22,6 @@ namespace fs = std::filesystem;
 namespace sio = detect::snapshot_io;
 
 namespace {
-
-std::int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // fsync/fdatasync wrapped in its own histogram + span: the fsync stall is
 // the number the group-commit levels exist to amortize, so it gets its
@@ -43,28 +37,24 @@ bool TimedSync(AppendFile& file) {
 // The one definition of log-record acceptance. A record must chain to the
 // generation's segment, commit exactly the next quantum, carry a pending
 // partial quantum that fits, and continue the dictionary watermark. Returns
-// why `delta` / `state` are refused, or "" when the record is accepted.
-std::string RecordRejection(const sio::DeltaPayload& delta,
-                            const sio::IngestState& state,
-                            std::uint64_t base_id, QuantumIndex next_index,
+// why `record` is refused, or "" when it is accepted.
+std::string RecordRejection(const WalRecord& record, std::uint64_t base_id,
+                            QuantumIndex next_index,
                             std::size_t quantum_size,
                             std::size_t dictionary_size) {
-  if (delta.base_id != base_id) return "chained to another segment";
-  if (delta.quanta.size() != 1) {
-    return std::to_string(delta.quanta.size()) + " quanta, want 1";
+  if (record.base_id != base_id) return "chained to another segment";
+  if (record.quantum.index != next_index) {
+    return "quantum " + std::to_string(record.quantum.index) + ", want " +
+           std::to_string(next_index);
   }
-  if (delta.quanta.front().index != next_index ||
-      delta.next_index != next_index + 1) {
-    return "quantum " + std::to_string(delta.quanta.front().index) +
-           ", want " + std::to_string(next_index);
-  }
-  if (delta.pending.size() >= quantum_size) {
-    return "pending partial of " + std::to_string(delta.pending.size()) +
+  if (record.pending.size() >= quantum_size) {
+    return "pending partial of " + std::to_string(record.pending.size()) +
            " messages >= quantum size " + std::to_string(quantum_size);
   }
-  if (state.dictionary_base != static_cast<std::uint64_t>(dictionary_size)) {
+  if (record.state.dictionary_base !=
+      static_cast<std::uint64_t>(dictionary_size)) {
     return "dictionary tail starts at " +
-           std::to_string(state.dictionary_base) + ", want " +
+           std::to_string(record.state.dictionary_base) + ", want " +
            std::to_string(dictionary_size);
   }
   return "";
@@ -173,44 +163,35 @@ RecoverResult WalBackend::Recover(const RecoverOptions& options) {
     } else {
       LogReader reader(std::move(wal_contents));
       std::string stop_reason;
-      std::string record;
-      while (reader.ReadRecord(record)) {
-        BinaryReader payload(record);
-        if (payload.U8() != kWalRecordDelta) {
-          stop_reason = "unknown record kind";
-          break;
-        }
-        sio::DeltaPayload delta;
-        sio::IngestState record_state;
-        if (!sio::ReadDelta(payload, delta) ||
-            !sio::ReadIngestSection(payload, record_state) ||
-            !payload.ok() || payload.remaining() != 0) {
+      std::string_view payload;
+      while (reader.ReadRecord(payload)) {
+        WalRecord record;
+        if (!DecodeWalRecord(payload, record)) {
           stop_reason = "record " + std::to_string(reader.records_read()) +
                         " malformed";
           break;
         }
         const std::string rejection =
-            RecordRejection(delta, record_state, base_id, next_index,
-                            quantum_size, dictionary.size());
+            RecordRejection(record, base_id, next_index, quantum_size,
+                            dictionary.size());
         if (!rejection.empty()) {
           stop_reason = "record " + std::to_string(reader.records_read()) +
                         " rejected: " + rejection;
           break;
         }
-        BinaryReader tail(record_state.dictionary_state);
+        BinaryReader tail(record.state.dictionary_state);
         if (!dictionary.RestoreState(
-                tail,
-                static_cast<KeywordId>(record_state.dictionary_base))) {
+                tail, static_cast<KeywordId>(record.state.dictionary_base))) {
           stop_reason = "dictionary tail malformed";
           break;
         }
         // The first record's quantum supersedes the segment's pending
         // partial quantum: those messages are its head.
         if (result.replayed_quanta == 0) engine->TakePendingMessages();
-        engine->ProcessQuantum(delta.quanta.front());
-        pending = std::move(delta.pending);
-        next_index = delta.next_index;
-        state = std::move(record_state);
+        engine->ProcessQuantum(record.quantum);
+        pending = std::move(record.pending);
+        next_index = record.quantum.index + 1;
+        state = std::move(record.state);
         ++result.replayed_quanta;
       }
       if (stop_reason.empty()) stop_reason = reader.why_stopped();
@@ -262,10 +243,10 @@ CommitResult WalBackend::Commit(const engine::ParallelDetector& engine,
       quanta_since_segment_ + 1 >= segment_interval_quanta_;
   const bool time_due =
       options_.commit_seconds > 0.0 && last_segment_ns_ != 0 &&
-      static_cast<double>(NowNanos() - last_segment_ns_) / 1e9 >=
+      static_cast<double>(obs::MonotonicNanos() - last_segment_ns_) / 1e9 >=
           options_.commit_seconds *
               static_cast<double>(options_.full_interval);
-  if (writer_ == nullptr || count_due || time_due) {
+  if (wal_file_ == nullptr || count_due || time_due) {
     return CutGeneration(engine, ctx);
   }
   return AppendRecord(engine, ctx);
@@ -275,7 +256,7 @@ CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
                                        const CommitContext& ctx) {
   CommitResult result;
   obs::ScopedSpan span("wal.segment");
-  const std::int64_t t0 = NowNanos();
+  const std::int64_t t0 = obs::MonotonicNanos();
   const std::uint64_t segment_number = next_file_number_++;
   const std::uint64_t wal_number = next_file_number_++;
 
@@ -310,7 +291,6 @@ CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
   // The rename landed — the commit point. The new segment is the live
   // generation even if only its directory fsync failed (`error` is then
   // kSyncFailed), so the previous log is closed for good.
-  writer_.reset();
   wal_file_.reset();
   if (have_segment_) {
     prev_segment_number_ = segment_number_;
@@ -322,7 +302,7 @@ CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
   last_dictionary_size_ = ctx.dictionary->size();
   quanta_since_segment_ = 0;
   appends_since_sync_ = 0;
-  last_sync_ns_ = NowNanos();
+  last_sync_ns_ = obs::MonotonicNanos();
   last_segment_ns_ = last_sync_ns_;
   result.persisted = true;
   result.checkpoint = true;
@@ -330,20 +310,16 @@ CommitResult WalBackend::CutGeneration(const engine::ParallelDetector& engine,
   result.error = std::move(error);
 
   // Then its log. A crash before the log exists recovers segment-only; a
-  // log that cannot be opened leaves writer_ null, so the next commit
+  // log that cannot be opened leaves wal_file_ null, so the next commit
   // cuts again.
   Error open_error;
   wal_file_ = AppendFile::Open(PathOf(WalFileName(wal_number)), &open_error);
-  if (wal_file_ != nullptr) {
-    writer_ = std::make_unique<LogWriter>(wal_file_.get());
-  } else {
-    result.error = std::move(open_error);
-  }
+  if (wal_file_ == nullptr) result.error = std::move(open_error);
   // GC after the bookkeeping, so the retained pair is exactly the new
   // generation plus its immediate predecessor as the fallback.
   CollectGarbage();
 
-  result.stall_ns = static_cast<std::uint64_t>(NowNanos() - t0);
+  result.stall_ns = static_cast<std::uint64_t>(obs::MonotonicNanos() - t0);
   // The stall is already clocked for CommitResult; mirroring it into the
   // registry histogram costs no extra clock reads.
   static obs::Histogram* const segment_hist =
@@ -356,7 +332,7 @@ CommitResult WalBackend::AppendRecord(const engine::ParallelDetector& engine,
                                       const CommitContext& ctx) {
   CommitResult result;
   obs::ScopedSpan span("wal.append");
-  const std::int64_t t0 = NowNanos();
+  const std::int64_t t0 = obs::MonotonicNanos();
 
   sio::IngestState state = ctx.state;
   // Each record carries only the vocabulary tail interned since the
@@ -368,20 +344,15 @@ CommitResult WalBackend::AppendRecord(const engine::ParallelDetector& engine,
                             static_cast<KeywordId>(state.dictionary_base));
   state.dictionary_state = dictionary_blob.TakeData();
 
-  BinaryWriter record;
-  record.U8(kWalRecordDelta);
-  const std::vector<stream::Quantum> one(1, *ctx.quantum);
-  sio::WriteDelta(record, base_checkpoint_id_, engine.next_quantum_index(),
-                  one, engine.quantizer().pending());
-  sio::WriteIngestSection(record, state);
-
+  const std::string record =
+      EncodeWalRecord(base_checkpoint_id_, *ctx.quantum,
+                      engine.quantizer().pending(), state);
   const std::uint64_t before = wal_file_->size();
-  if (!writer_->AddRecord(record.data()) || !wal_file_->Flush()) {
+  if (!AppendLogRecord(*wal_file_, record) || !wal_file_->Flush()) {
     result.error = MakeError(
         ErrorCode::kIo, "append to " + wal_file_->path() + " failed");
     // The log tail is undefined; force a fresh generation at the next
     // boundary rather than appending after a torn record.
-    writer_.reset();
     wal_file_.reset();
     return result;
   }
@@ -395,13 +366,13 @@ CommitResult WalBackend::AppendRecord(const engine::ParallelDetector& engine,
                                 appends_since_sync_ >= options_.commit_quanta;
     const bool sync_time_due =
         options_.commit_seconds > 0.0 &&
-        static_cast<double>(NowNanos() - last_sync_ns_) / 1e9 >=
+        static_cast<double>(obs::MonotonicNanos() - last_sync_ns_) / 1e9 >=
             options_.commit_seconds;
     if (sync_count_due || sync_time_due) {
       sync_failed = !TimedSync(*wal_file_);
       if (!sync_failed) {
         appends_since_sync_ = 0;
-        last_sync_ns_ = NowNanos();
+        last_sync_ns_ = obs::MonotonicNanos();
       }
     }
   }
@@ -417,7 +388,7 @@ CommitResult WalBackend::AppendRecord(const engine::ParallelDetector& engine,
   ++quanta_since_segment_;
   result.persisted = true;
   result.bytes = wal_file_->size() - before;
-  result.stall_ns = static_cast<std::uint64_t>(NowNanos() - t0);
+  result.stall_ns = static_cast<std::uint64_t>(obs::MonotonicNanos() - t0);
   static obs::Histogram* const append_hist =
       obs::Registry::Default().GetHistogram("wal.append_ns");
   append_hist->Record(result.stall_ns);

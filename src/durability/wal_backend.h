@@ -7,16 +7,15 @@
 //                     LoadEngineSnapshot like any checkpoint); the commit
 //                     point of its generation
 //   wal-MMMMMM.log    the write-ahead log of that generation, M = N + 1
-//                     (block/fragment framing of durability/log_format.h)
+//                     (length + CRC framed records, durability/wal_record.h)
 //
-// Commit appends one logical record per quantum: a snapshot_io delta
-// payload (one quantum + the engine's pending partial quantum and clock,
-// chained to the segment's checkpoint id) followed by an IngestState
-// section whose dictionary blob is only the tail interned since the
-// previous record — each commit is O(quantum), never O(state). Group
-// commit: records reach the kernel at every commit (process-crash
-// durable); fdatasync runs per FsyncLevel — every commit, on the
-// checkpoint cadence, or never.
+// Commit appends one record per quantum: the quantum, the engine's
+// pending partial quantum and an IngestState section whose dictionary
+// blob is only the tail interned since the previous record, chained to
+// the segment's checkpoint id — each commit is O(quantum), never
+// O(state). Group commit: records reach the kernel at every commit
+// (process-crash durable); fdatasync runs per FsyncLevel — every commit,
+// on the checkpoint cadence, or never.
 //
 // Every `commit_quanta * full_interval` quanta the backend cuts a new
 // generation: segment (tmp + rename — the commit point), then its log.
@@ -27,9 +26,9 @@
 //
 // Recovery tries segments newest first: load the segment, restore its
 // dictionary, then replay its log's newest consistent prefix, applying
-// each accepted record as it is read. The first damaged, truncated or
-// out-of-sequence record ends the replay (torn-tail tolerance — see
-// LogReader); a segment that does not load falls back to the previous
+// each accepted record as it is read. The first damaged or out-of-sequence
+// record ends the replay, and a torn final append reads as a clean end
+// (see LogReader); a segment that does not load falls back to the previous
 // generation. Resume is bit-identical to a never-restarted run; the
 // source replays the few records after the last durable fence through the
 // normal ingest path. A directory holding only checkpoint files of the
@@ -47,13 +46,9 @@
 #include <string>
 
 #include "durability/backend.h"
-#include "durability/log_writer.h"
 #include "durability/posix_file.h"
 
 namespace scprt::durability {
-
-/// Payload kind byte leading every logical WAL record.
-inline constexpr std::uint8_t kWalRecordDelta = 1;
 
 class WalBackend {
  public:
@@ -112,7 +107,6 @@ class WalBackend {
   /// the first cut, after a failed append or a failed open), which makes
   /// the next Commit cut a new generation.
   std::unique_ptr<AppendFile> wal_file_;
-  std::unique_ptr<LogWriter> writer_;
 
   /// Dictionary size watermark of the last persisted record (each record
   /// carries only the tail interned since the previous one).

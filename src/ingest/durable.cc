@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "obs/registry.h"
 
 namespace scprt::ingest {
 
@@ -37,7 +38,7 @@ DurableIngest::~DurableIngest() = default;
 ResumeResult DurableIngest::Resume() {
   SCPRT_CHECK(pipeline_ == nullptr);  // before the first Run
   ResumeResult result;
-  const std::int64_t t0 = MonotonicNanos();
+  const std::int64_t t0 = obs::MonotonicNanos();
 
   durability::RecoverOptions options;
   options.dictionary = &dictionary_;
@@ -85,7 +86,7 @@ ResumeResult DurableIngest::Resume() {
   result.next_seq = next_seq_;
   result.next_quantum = resume_next_quantum_;
   result.cursor = resume_cursor_;
-  resume_ns_ = static_cast<std::uint64_t>(MonotonicNanos() - t0);
+  resume_ns_ = static_cast<std::uint64_t>(obs::MonotonicNanos() - t0);
   return result;
 }
 
@@ -93,7 +94,7 @@ std::optional<IngestSnapshot> DurableIngest::Run(
     MessageSource& source, QuantumAssembler::ReportFn on_report,
     bool flush_partial) {
   if (resume_pending_ && !resume_consumed_) {
-    const std::int64_t t0 = MonotonicNanos();
+    const std::int64_t t0 = obs::MonotonicNanos();
     if (!source.Seek(resume_cursor_)) {
       SCPRT_LOG(kWarning) << "resume cursor seek failed (record "
                         << resume_cursor_.record_index << ", byte "
@@ -101,7 +102,7 @@ std::optional<IngestSnapshot> DurableIngest::Run(
                         << ") — source cannot replay its tail";
       return std::nullopt;
     }
-    resume_ns_ += static_cast<std::uint64_t>(MonotonicNanos() - t0);
+    resume_ns_ += static_cast<std::uint64_t>(obs::MonotonicNanos() - t0);
   }
   if (pipeline_ == nullptr) {
     pipeline_ =

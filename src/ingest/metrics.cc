@@ -53,7 +53,7 @@ void IngestMetrics::Reset() {
   sync_failures_->Store(0);
   // recovery_seconds_ deliberately survives: it is set by the resume that
   // led into the Run whose Reset this is.
-  start_ns_.store(MonotonicNanos(), std::memory_order_relaxed);
+  start_ns_.store(obs::MonotonicNanos(), std::memory_order_relaxed);
 }
 
 IngestSnapshot IngestMetrics::Snapshot() const {
@@ -80,7 +80,7 @@ IngestSnapshot IngestMetrics::Snapshot() const {
   s.recovery_seconds = recovery_seconds_->Value();
   const std::int64_t start = start_ns_.load(std::memory_order_relaxed);
   s.elapsed_seconds =
-      start > 0 ? static_cast<double>(MonotonicNanos() - start) / 1e9
+      start > 0 ? static_cast<double>(obs::MonotonicNanos() - start) / 1e9
                 : 0.0;
   return s;
 }

@@ -16,17 +16,12 @@
 #define SCPRT_INGEST_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 
 #include "obs/registry.h"
 
 namespace scprt::ingest {
-
-/// Monotonic nanoseconds — the one clock for tokenize-latency accounting
-/// and elapsed-time baselines (keeping the two on the same source).
-inline std::int64_t MonotonicNanos() { return obs::MonotonicNanos(); }
 
 /// Point-in-time copy of the counters, plus derived rates.
 struct IngestSnapshot {

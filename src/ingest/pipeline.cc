@@ -279,12 +279,12 @@ void IngestPipeline::WorkerLoop(std::stop_token stop, Worker& worker) {
           done.tokens.push_back(ResolvedToken{id, {}});
         }
       } else {
-        const std::int64_t t0 = MonotonicNanos();
+        const std::int64_t t0 = obs::MonotonicNanos();
         std::uint64_t raw_tokens = 0;
         done.tokens = TokenizeAndResolve(item.record.text, config_,
                                          *dictionary_, &raw_tokens);
         tokens += raw_tokens;
-        tokenize_ns += static_cast<std::uint64_t>(MonotonicNanos() - t0);
+        tokenize_ns += static_cast<std::uint64_t>(obs::MonotonicNanos() - t0);
       }
       worker.in.Pop();
       // Flush before handing the record back once the queue has run dry:

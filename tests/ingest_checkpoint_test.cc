@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,8 +26,8 @@
 #include "detect/snapshot_io.h"
 #include "durability/backend.h"
 #include "durability/file_names.h"
-#include "durability/log_reader.h"
 #include "durability/wal_backend.h"
+#include "durability/wal_record.h"
 #include "engine/parallel_detector.h"
 #include "ingest/durable.h"
 #include "ingest/pipeline.h"
@@ -430,16 +431,11 @@ std::vector<sio::IngestState> PersistedStates(const std::string& directory) {
     std::stringstream contents;
     contents << in.rdbuf();
     durability::LogReader reader(contents.str());
-    std::string record;
-    while (reader.ReadRecord(record)) {
-      BinaryReader payload(record);
-      EXPECT_EQ(payload.U8(), durability::kWalRecordDelta);
-      sio::DeltaPayload delta;
-      sio::IngestState state;
-      EXPECT_TRUE(sio::ReadDelta(payload, delta) &&
-                  sio::ReadIngestSection(payload, state))
-          << path;
-      states.push_back(std::move(state));
+    std::string_view payload;
+    while (reader.ReadRecord(payload)) {
+      durability::WalRecord record;
+      EXPECT_TRUE(durability::DecodeWalRecord(payload, record)) << path;
+      states.push_back(std::move(record.state));
     }
     EXPECT_EQ(reader.why_stopped(), "") << path;
   }

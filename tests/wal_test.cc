@@ -1,6 +1,6 @@
-// The log-structured durability tier: block/fragment log framing round
-// trips, the torn-tail fuzz battery (truncated block, bit-flipped CRC,
-// torn final fragment, forged length), the file-name codecs, the
+// The log-structured durability tier: length + CRC log framing round
+// trips, the torn-tail fuzz battery (truncation at and inside a record,
+// bit-flipped payload, length past the end), the file-name codecs, the
 // crash-point matrix — directory states a crash can leave between
 // append, fsync, segment rename and GC, each of which a WalBackend-driven
 // ingest session must resume from with a report stream bit-identical to a
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,18 +22,16 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "detect/report.h"
-#include "detect/snapshot_io.h"
 #include "durability/backend.h"
 #include "durability/file_names.h"
-#include "durability/log_format.h"
-#include "durability/log_reader.h"
-#include "durability/log_writer.h"
 #include "durability/posix_file.h"
 #include "durability/wal_backend.h"
+#include "durability/wal_record.h"
 #include "engine/parallel_detector.h"
 #include "ingest/durable.h"
 #include "ingest/source.h"
@@ -45,7 +44,6 @@ namespace scprt::durability {
 namespace {
 
 namespace fs = std::filesystem;
-namespace sio = detect::snapshot_io;
 
 std::string TempDir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / name;
@@ -56,15 +54,14 @@ std::string TempDir(const std::string& name) {
 
 // ---------------------------------------------------- Log framing --------
 
-// Writes `records` through the real file layer and returns the log bytes.
+// Appends `records` through the real file layer and returns the log bytes.
 std::string WriteLog(const std::string& dir,
                      const std::vector<std::string>& records) {
   const std::string path = (fs::path(dir) / "test.log").string();
   auto file = AppendFile::Open(path);
   EXPECT_NE(file, nullptr);
-  LogWriter writer(file.get());
   for (const std::string& record : records) {
-    EXPECT_TRUE(writer.AddRecord(record));
+    EXPECT_TRUE(AppendLogRecord(*file, record));
   }
   EXPECT_TRUE(file->Flush());
   std::string contents;
@@ -72,8 +69,8 @@ std::string WriteLog(const std::string& dir,
   return contents;
 }
 
-// A payload with position-dependent bytes, so reassembly glitches (a
-// fragment dropped, reordered or double-applied) cannot cancel out.
+// A payload with position-dependent bytes, so a record read from the
+// wrong offset or with the wrong length cannot pass for the original.
 std::string Patterned(std::size_t n, std::uint8_t salt = 0) {
   std::string payload(n, '\0');
   for (std::size_t i = 0; i < n; ++i) {
@@ -82,143 +79,83 @@ std::string Patterned(std::size_t n, std::uint8_t salt = 0) {
   return payload;
 }
 
-TEST(LogFormatTest, RoundTripsSmallEmptyAndMultiBlockRecords) {
-  const std::string dir = TempDir("wal_roundtrip");
-  const std::vector<std::string> records = {
-      "", "x", Patterned(100, 1), Patterned(3 * log::kBlockSize + 123, 2),
-      Patterned(log::kBlockSize, 3)};
-  LogReader reader(WriteLog(dir, records));
-
-  std::string payload;
-  for (std::size_t i = 0; i < records.size(); ++i) {
+// Reads `contents` to its end and expects exactly `want`, then a stop
+// for `why` ("" for a clean end).
+void ExpectRecords(std::string contents,
+                   const std::vector<std::string>& want,
+                   const std::string& why = "") {
+  LogReader reader(std::move(contents));
+  std::string_view payload;
+  for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_TRUE(reader.ReadRecord(payload)) << "record " << i;
-    EXPECT_EQ(payload, records[i]) << "record " << i;
+    EXPECT_EQ(payload, want[i]) << "record " << i;
   }
   EXPECT_FALSE(reader.ReadRecord(payload));
-  EXPECT_EQ(reader.why_stopped(), "");  // clean end, not damage
-  EXPECT_EQ(reader.records_read(), records.size());
+  EXPECT_EQ(reader.why_stopped(), why);
+  EXPECT_EQ(reader.records_read(), want.size());
+  EXPECT_FALSE(reader.ReadRecord(payload));  // stopped for good
 }
 
-TEST(LogFormatTest, ZeroFilledBlockTrailerIsSkippedNotParsed) {
-  // First record sized so the block trailer (6 bytes) is too small for a
-  // header: the writer zero-fills it and the second record starts in the
-  // next block. The reader must treat the trailer as padding, not as a
-  // truncated fragment.
-  const std::string dir = TempDir("wal_trailer");
+TEST(LogFormatTest, RoundTripsEmptySmallAndLargeRecords) {
   const std::vector<std::string> records = {
-      Patterned(log::kBlockSize - log::kHeaderSize - 6, 4), Patterned(50, 5)};
-  const std::string contents = WriteLog(dir, records);
-  ASSERT_EQ(contents.size(),
-            log::kBlockSize + log::kHeaderSize + 50);  // trailer zero-filled
+      "", "x", Patterned(100, 1), Patterned(70'000, 2), Patterned(3, 3)};
+  const std::string contents = WriteLog(TempDir("wal_roundtrip"), records);
+  std::size_t framed = 0;
+  for (const std::string& record : records) {
+    framed += kLogHeaderSize + record.size();
+  }
+  EXPECT_EQ(contents.size(), framed);  // no padding, no trailers
+  ExpectRecords(contents, records);
+}
 
-  LogReader reader(contents);
-  std::string payload;
-  ASSERT_TRUE(reader.ReadRecord(payload));
-  EXPECT_EQ(payload, records[0]);
-  ASSERT_TRUE(reader.ReadRecord(payload));
-  EXPECT_EQ(payload, records[1]);
-  EXPECT_FALSE(reader.ReadRecord(payload));
-  EXPECT_EQ(reader.why_stopped(), "");
+TEST(LogFormatTest, RecordHeaderBytesMatchTheDocumentedLayout) {
+  // docs/formats.md's worked example: "abc" is framed as its length, then
+  // the CRC-32 of the payload (0x352441C2), both little-endian.
+  const std::string contents = WriteLog(TempDir("wal_header"), {"abc"});
+  const std::string want("\x03\x00\x00\x00\xC2\x41\x24\x35" "abc", 11);
+  EXPECT_EQ(contents, want);
 }
 
 // ------------------------------------------------- Torn-tail battery -----
 
-TEST(LogReaderFuzzTest, TruncationInsideARecordYieldsThePrefix) {
-  const std::string dir = TempDir("wal_truncated");
+TEST(LogReaderFuzzTest, TruncationAtARecordBoundaryIsACleanEnd) {
   const std::vector<std::string> records = {
       Patterned(100, 1), Patterned(100, 2), Patterned(100, 3)};
-  std::string contents = WriteLog(dir, records);
-  // Cut into the third record's payload: that append never completed, so
-  // the first two records are the newest consistent prefix and the cut is
-  // a clean (crash-shaped) end, not damage.
-  contents.resize(2 * (log::kHeaderSize + 100) + 40);
+  std::string contents = WriteLog(TempDir("wal_cut_boundary"), records);
+  contents.resize(2 * (kLogHeaderSize + 100));
+  ExpectRecords(contents, {records[0], records[1]});
+}
 
-  LogReader reader(contents);
-  std::string payload;
-  ASSERT_TRUE(reader.ReadRecord(payload));
-  EXPECT_EQ(payload, records[0]);
-  ASSERT_TRUE(reader.ReadRecord(payload));
-  EXPECT_EQ(payload, records[1]);
-  EXPECT_FALSE(reader.ReadRecord(payload));
-  EXPECT_EQ(reader.why_stopped(), "");
-  EXPECT_EQ(reader.records_read(), 2u);
+TEST(LogReaderFuzzTest, TruncationInsideARecordYieldsThePrefix) {
+  // A cut inside the third record's header or payload: that append never
+  // completed, so the first two records are the newest consistent prefix
+  // and the cut is a clean (crash-shaped) end, not damage.
+  const std::vector<std::string> records = {
+      Patterned(100, 1), Patterned(100, 2), Patterned(100, 3)};
+  const std::string contents = WriteLog(TempDir("wal_cut_inside"), records);
+  const std::size_t third = 2 * (kLogHeaderSize + 100);
+  for (const std::size_t cut : {third + 3, third + kLogHeaderSize + 40}) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    ExpectRecords(contents.substr(0, cut), {records[0], records[1]});
+  }
 }
 
 TEST(LogReaderFuzzTest, BitFlippedPayloadStopsAtTheChecksum) {
-  const std::string dir = TempDir("wal_bitflip");
   const std::vector<std::string> records = {
       Patterned(100, 1), Patterned(100, 2), Patterned(100, 3)};
-  std::string contents = WriteLog(dir, records);
-  // Flip one bit in the second record's payload.
-  const std::size_t victim = (log::kHeaderSize + 100) + log::kHeaderSize + 13;
+  std::string contents = WriteLog(TempDir("wal_bitflip"), records);
+  const std::size_t victim = (kLogHeaderSize + 100) + kLogHeaderSize + 13;
   contents[victim] = static_cast<char>(contents[victim] ^ 0x20);
-
-  LogReader reader(contents);
-  std::string payload;
-  ASSERT_TRUE(reader.ReadRecord(payload));
-  EXPECT_EQ(payload, records[0]);
-  EXPECT_FALSE(reader.ReadRecord(payload));
-  EXPECT_EQ(reader.why_stopped(), "fragment checksum mismatch");
-  EXPECT_EQ(reader.records_read(), 1u);
+  ExpectRecords(contents, {records[0]}, "record checksum mismatch");
 }
 
-TEST(LogReaderFuzzTest, TornFinalFragmentIsReportedAsATornTail) {
-  const std::string dir = TempDir("wal_torn");
-  const std::vector<std::string> records = {
-      Patterned(100, 1), Patterned(3 * log::kBlockSize, 2)};
-  std::string contents = WriteLog(dir, records);
-  // Cut inside the big record's middle fragments: a fragment sequence
-  // started (kFirst landed) but never finished — distinguishable from the
-  // clean truncation above.
-  contents.resize(2 * log::kBlockSize - 17);
-
-  LogReader reader(contents);
-  std::string payload;
-  ASSERT_TRUE(reader.ReadRecord(payload));
-  EXPECT_EQ(payload, records[0]);
-  EXPECT_FALSE(reader.ReadRecord(payload));
-  EXPECT_EQ(reader.why_stopped(),
-            "log ends inside a fragmented record (torn tail)");
-}
-
-TEST(LogReaderFuzzTest, ForgedLengthCannotEscapeItsBlock) {
-  // Hand-craft a header whose length field points past the block: the
-  // reader must refuse before trusting a single payload byte (a forged
-  // length must never drive a read past the block, let alone allocation).
-  std::string contents(log::kHeaderSize, '\0');
-  contents[0] = 0x12;  // CRC bytes — never reached
-  contents[4] = static_cast<char>(0xFF);
-  contents[5] = static_cast<char>(0x7F);  // length 0x7FFF > block capacity
-  contents[6] = log::kFullRecord;
+TEST(LogReaderFuzzTest, LengthPastTheEndIsACleanEndWithoutAllocating) {
+  // A length that runs past the end of the file is the torn final append:
+  // the reader must end cleanly before sizing anything by it.
+  std::string contents = WriteLog(TempDir("wal_long_length"), {"ok"});
+  contents += std::string("\xFF\xFF\xFF\xFF\x12\x34\x56\x78", 8);
   contents += Patterned(100, 6);
-
-  LogReader reader(contents);
-  std::string payload;
-  EXPECT_FALSE(reader.ReadRecord(payload));
-  EXPECT_EQ(reader.why_stopped(), "fragment length overruns its block");
-  EXPECT_EQ(reader.records_read(), 0u);
-}
-
-TEST(LogReaderFuzzTest, UnknownFragmentTypeAndBrokenSequencingStop) {
-  {  // Type byte beyond kLast.
-    std::string contents(log::kHeaderSize, '\0');
-    contents[6] = 9;
-    LogReader reader(contents);
-    std::string payload;
-    EXPECT_FALSE(reader.ReadRecord(payload));
-    EXPECT_EQ(reader.why_stopped(), "unknown fragment type 9");
-  }
-  {  // A middle fragment with no first: out-of-sequence, not padding.
-    const std::string dir = TempDir("wal_sequencing");
-    std::string contents =
-        WriteLog(dir, {Patterned(3 * log::kBlockSize, 7)});
-    // Drop the first block wholesale: replay now starts at a kMiddle.
-    contents.erase(0, log::kBlockSize);
-    LogReader reader(contents);
-    std::string payload;
-    EXPECT_FALSE(reader.ReadRecord(payload));
-    EXPECT_EQ(reader.why_stopped(), "middle fragment without a first");
-  }
+  ExpectRecords(contents, {"ok"});
 }
 
 // ------------------------------------------------------ File names -------
@@ -280,11 +217,14 @@ fs::path NewestFile(const std::string& dir, const std::string& prefix) {
 // must stay bit-identical to the never-interrupted reference — damage may
 // only age the recovery fence, never corrupt the state recovered from it.
 // The resume must report `expected_error` (kNone: no error) and a detail
-// trail containing each of `detail_contains`.
-void RunCrashPointCase(const std::string& tag,
-                       const std::function<void(const std::string&)>& damage,
-                       ErrorCode expected_error,
-                       const std::vector<std::string>& detail_contains = {}) {
+// trail containing each of `detail_contains`, and pass `check_resume`.
+void RunCrashPointCase(
+    const std::string& tag,
+    const std::function<void(const std::string&)>& damage,
+    ErrorCode expected_error,
+    const std::vector<std::string>& detail_contains = {},
+    const std::function<void(const ingest::ResumeResult&)>& check_resume =
+        nullptr) {
   SCOPED_TRACE(tag);
   const stream::SyntheticTrace trace = CrashTrace();
   detect::DetectorConfig detector_config;
@@ -343,6 +283,7 @@ void RunCrashPointCase(const std::string& tag,
     EXPECT_NE(resume.detail.find(part), std::string::npos)
         << "detail trail lacks \"" << part << "\": " << resume.detail;
   }
+  if (check_resume) check_resume(resume);
 
   std::map<QuantumIndex, std::uint64_t> after;
   std::stringstream stream2(content);
@@ -400,7 +341,22 @@ TEST(WalCrashPointTest, BitFlippedWalRecordStopsReplayAtThePrefix) {
         byte = static_cast<char>(byte ^ 0x10);
         file.seekp(200).write(&byte, 1);
       },
-      ErrorCode::kCorrupt, {"fragment checksum mismatch"});
+      ErrorCode::kCorrupt, {"record checksum mismatch"});
+}
+
+TEST(WalCrashPointTest, ZeroFilledLogTailStopsReplayAsMalformed) {
+  // A file system may expose allocated-but-unwritten space as zeros after
+  // a crash. Zeros frame as empty records, which no record payload is:
+  // replay keeps the prefix and surfaces the tail as damage.
+  RunCrashPointCase(
+      "zero_tail",
+      [](const std::string& dir) {
+        const fs::path wal = NewestFile(dir, "wal-");
+        ASSERT_FALSE(wal.empty());
+        std::ofstream(wal, std::ios::binary | std::ios::app)
+            << std::string(4096, '\0');
+      },
+      ErrorCode::kCorrupt, {" malformed (recovered prefix of "});
 }
 
 TEST(WalCrashPointTest, MissingWalRecoversTheSegmentAlone) {
@@ -688,14 +644,28 @@ TEST(WalRecoveryFuzzTest, DamagedNewestGenerationsRecoverOrFailTyped) {
 
 // ------------------------------------------ Hostile log records ----------
 //
-// The fragment CRC only proves a record is the one that was written. The
-// forgeries below are re-framed through LogWriter, so every CRC is valid
-// and the record-level acceptance rules (WalBackend's RecordRejection and
-// the bounds-checked payload parser) are the only defense. The first
-// record of the newest log is forged and the second left intact: replay
-// must stop at the empty prefix — never skip ahead, crash or over-allocate
-// — surface kCorrupt with the reason, and the resumed run must still be
-// bit-identical (the source replays from the segment's fence).
+// The record CRC only proves a record is the one that was written. The
+// forgeries below are re-framed through AppendLogRecord, so every CRC is
+// valid and the record-level acceptance rules (WalBackend's
+// RecordRejection and the bounds-checked payload decoder) are the only
+// defense. The first record of the newest log is forged and the second
+// left intact: replay must stop at the empty prefix — never skip ahead,
+// crash or over-allocate — surface kCorrupt with the reason, and the
+// resumed run must still be bit-identical (the source replays from the
+// segment's fence).
+
+// Every record payload of the log at `path`, which must read to a clean
+// end.
+std::vector<std::string> ReadLogRecords(const fs::path& path) {
+  std::string contents;
+  EXPECT_TRUE(ReadFileToString(path.string(), contents)) << path;
+  LogReader reader(std::move(contents));
+  std::vector<std::string> records;
+  std::string_view record;
+  while (reader.ReadRecord(record)) records.emplace_back(record);
+  EXPECT_EQ(reader.why_stopped(), "") << path;
+  return records;
+}
 
 // Rewrites the newest log with its first record replaced by
 // `forge(record)`.
@@ -703,41 +673,29 @@ void ForgeFirstRecord(const std::string& dir,
                       const std::function<std::string(std::string)>& forge) {
   const fs::path wal = NewestFile(dir, "wal-");
   ASSERT_FALSE(wal.empty());
-  std::string contents;
-  ASSERT_TRUE(ReadFileToString(wal.string(), contents));
-  std::vector<std::string> records;
-  LogReader reader(std::move(contents));
-  std::string record;
-  while (reader.ReadRecord(record)) records.push_back(record);
+  std::vector<std::string> records = ReadLogRecords(wal);
   ASSERT_GE(records.size(), 2u) << "the crash must leave a multi-record log";
   records.front() = forge(std::move(records.front()));
   auto file = AppendFile::Open(wal.string());
   ASSERT_NE(file, nullptr);
-  LogWriter writer(file.get());
-  for (const std::string& r : records) ASSERT_TRUE(writer.AddRecord(r));
+  for (const std::string& r : records) {
+    ASSERT_TRUE(AppendLogRecord(*file, r));
+  }
   ASSERT_TRUE(file->Flush());
 }
 
-using RecordEdit = std::function<void(sio::DeltaPayload&, sio::IngestState&)>;
+using RecordEdit = std::function<void(WalRecord&)>;
 
-// A forgery on the decoded record: `edit` rewrites the delta and its
-// IngestState section, and the record is re-encoded canonically.
+// A forgery on the decoded record: `edit` rewrites it, and the record is
+// re-encoded canonically.
 std::function<void(const std::string&)> ForgeDecoded(const RecordEdit& edit) {
   return [edit](const std::string& dir) {
     ForgeFirstRecord(dir, [&](std::string bytes) {
-      BinaryReader in(bytes);
-      EXPECT_EQ(in.U8(), kWalRecordDelta);
-      sio::DeltaPayload delta;
-      sio::IngestState state;
-      EXPECT_TRUE(sio::ReadDelta(in, delta));
-      EXPECT_TRUE(sio::ReadIngestSection(in, state));
-      edit(delta, state);
-      BinaryWriter out;
-      out.U8(kWalRecordDelta);
-      sio::WriteDelta(out, delta.base_id, delta.next_index, delta.quanta,
-                      delta.pending);
-      sio::WriteIngestSection(out, state);
-      return out.TakeData();
+      WalRecord record;
+      EXPECT_TRUE(DecodeWalRecord(bytes, record));
+      edit(record);
+      return EncodeWalRecord(record.base_id, record.quantum, record.pending,
+                             record.state);
     });
   };
 }
@@ -758,50 +716,34 @@ std::function<void(const std::string&)> ForgeField(std::size_t offset,
   };
 }
 
-// Record layout (snapshot_io::WriteDelta behind the kind byte): kind u8,
-// base id u64, clock i64, quantum count u64, then the quantum — index
+// Record payload layout (EncodeWalRecord): base id u64, quantum index
 // i64, message count u64, and per message user u32, seq u64, event u32,
 // keyword count u32.
-constexpr std::size_t kMessageCountOffset = 1 + 8 + 8 + 8 + 8;
+constexpr std::size_t kMessageCountOffset = 8 + 8;
 constexpr std::size_t kKeywordCountOffset = kMessageCountOffset + 8 + 16;
 
 // Every forgery ends replay with the empty prefix.
 constexpr char kEmptyPrefix[] = "(recovered prefix of 0 records)";
 
 TEST(WalRecordForgeryTest, WrongBaseIdStopsReplay) {
-  const RecordEdit edit = [](sio::DeltaPayload& delta, sio::IngestState&) {
-    delta.base_id ^= 1;
-  };
+  const RecordEdit edit = [](WalRecord& record) { record.base_id ^= 1; };
   RunCrashPointCase("forged_base", ForgeDecoded(edit), ErrorCode::kCorrupt,
                     {"record 1 rejected: chained to another segment",
                      kEmptyPrefix});
 }
 
 TEST(WalRecordForgeryTest, OutOfSequenceQuantumStopsReplay) {
-  const RecordEdit edit = [](sio::DeltaPayload& delta, sio::IngestState&) {
-    ++delta.quanta.front().index;  // skips one quantum
-    ++delta.next_index;
+  const RecordEdit edit = [](WalRecord& record) {
+    ++record.quantum.index;  // skips one quantum
   };
   RunCrashPointCase("forged_sequence", ForgeDecoded(edit),
                     ErrorCode::kCorrupt,
                     {"record 1 rejected: quantum ", kEmptyPrefix});
 }
 
-TEST(WalRecordForgeryTest, TwoQuantaInOneRecordStopReplay) {
-  const RecordEdit edit = [](sio::DeltaPayload& delta, sio::IngestState&) {
-    stream::Quantum twin = delta.quanta.front();
-    ++twin.index;
-    delta.quanta.push_back(std::move(twin));
-    ++delta.next_index;
-  };
-  RunCrashPointCase("forged_quanta_count", ForgeDecoded(edit),
-                    ErrorCode::kCorrupt,
-                    {"record 1 rejected: 2 quanta, want 1", kEmptyPrefix});
-}
-
 TEST(WalRecordForgeryTest, OverfullPendingStopsReplay) {
-  const RecordEdit edit = [](sio::DeltaPayload& delta, sio::IngestState&) {
-    delta.pending = delta.quanta.front().messages;  // a whole quantum
+  const RecordEdit edit = [](WalRecord& record) {
+    record.pending = record.quantum.messages;  // a whole quantum
   };
   RunCrashPointCase("forged_pending", ForgeDecoded(edit), ErrorCode::kCorrupt,
                     {"record 1 rejected: pending partial of 120 messages >= "
@@ -810,8 +752,8 @@ TEST(WalRecordForgeryTest, OverfullPendingStopsReplay) {
 }
 
 TEST(WalRecordForgeryTest, DictionaryTailGapStopsReplay) {
-  const RecordEdit edit = [](sio::DeltaPayload&, sio::IngestState& state) {
-    ++state.dictionary_base;
+  const RecordEdit edit = [](WalRecord& record) {
+    ++record.state.dictionary_base;
   };
   RunCrashPointCase("forged_dictionary_base", ForgeDecoded(edit),
                     ErrorCode::kCorrupt,
@@ -829,6 +771,87 @@ TEST(WalRecordForgeryTest, ForgedKeywordCountStopsReplayWithoutAllocating) {
   RunCrashPointCase("forged_keyword_count",
                     ForgeField(kKeywordCountOffset, 0xFFFF'FFF0u, 4),
                     ErrorCode::kCorrupt, {"record 1 malformed", kEmptyPrefix});
+}
+
+// --------------------------------------------------- Retired formats ----
+
+// A log record as older builds encoded it: kind byte 1, base id, the
+// clock after the quantum, a quantum count of 1, then the quantum,
+// pending list and IngestState section exactly as a record carries them
+// now.
+std::string RetiredRecordPayload(const std::string& record) {
+  BinaryReader in(record);
+  const std::uint64_t base_id = in.U64();
+  const std::int64_t index = in.I64();
+  EXPECT_TRUE(in.ok());
+  BinaryWriter out;
+  out.U8(1);
+  out.U64(base_id);
+  out.I64(index + 1);
+  out.U64(1);
+  out.I64(index);
+  return out.TakeData() + record.substr(16);
+}
+
+// `records` in the retired LevelDB-style framing: 32 KB blocks of
+// fragments with a 7-byte header — CRC-32 of [type byte ‖ fragment], u16
+// length, type (1 full, 2 first, 3 middle, 4 last) — and block trailers
+// too small for a header zero-filled.
+std::string RetiredBlockFramedLog(const std::vector<std::string>& records) {
+  constexpr std::size_t kBlock = 32768;
+  constexpr std::size_t kHeader = 7;
+  std::string log;
+  for (const std::string& record : records) {
+    std::size_t done = 0;
+    do {
+      std::size_t room = kBlock - log.size() % kBlock;
+      if (room < kHeader) {
+        log.append(room, '\0');
+        room = kBlock;
+      }
+      const std::size_t n = std::min(record.size() - done, room - kHeader);
+      const bool last = done + n == record.size();
+      const char type = done == 0 ? (last ? 1 : 2) : (last ? 4 : 3);
+      const std::string fragment = record.substr(done, n);
+      char header[kHeader];
+      StoreU32(header, Crc32(std::string(1, type) + fragment));
+      StoreU16(header + 4, static_cast<std::uint16_t>(n));
+      header[6] = type;
+      log.append(header, kHeader);
+      log += fragment;
+      done += n;
+    } while (done < record.size());
+  }
+  return log;
+}
+
+TEST(RetiredLogFramingTest, BlockFramedLogRecoversItsSegmentAlone) {
+  // A log an older build wrote in the 32 KB block framing, beside a valid
+  // segment: its first fragment header misreads as a length that runs
+  // past the end of the file — a torn append, so a clean end. Recovery
+  // restores the segment alone, and the source replays from the
+  // segment's cursor into a bit-identical report stream.
+  std::string segment;
+  RunCrashPointCase(
+      "retired_log_framing",
+      [&](const std::string& dir) {
+        const fs::path wal = NewestFile(dir, "wal-");
+        ASSERT_FALSE(wal.empty());
+        segment = NewestFile(dir, "seg-").string();
+        std::vector<std::string> records = ReadLogRecords(wal);
+        ASSERT_GE(records.size(), 2u);
+        for (std::string& record : records) {
+          record = RetiredRecordPayload(record);
+        }
+        const std::string old_log = RetiredBlockFramedLog(records);
+        ASSERT_GT(LoadU32(old_log.data()), old_log.size() - kLogHeaderSize);
+        std::ofstream(wal, std::ios::binary | std::ios::trunc) << old_log;
+      },
+      ErrorCode::kNone, {},
+      [&](const ingest::ResumeResult& resume) {
+        EXPECT_EQ(resume.segment_path, segment);
+        EXPECT_EQ(resume.wal_path, "");  // no record replayed
+      });
 }
 
 // ------------------------------------ Retired snapshot directories -------
