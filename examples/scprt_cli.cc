@@ -533,24 +533,20 @@ int CmdIngest(const Args& args) {
                  : "jsonl";
   }
   const bool use_stdin = input == "-";
-  std::unique_ptr<ingest::MessageSource> source;
+  std::unique_ptr<ingest::LineSource> source;
   if (format == "jsonl") {
     source = use_stdin ? std::make_unique<ingest::JsonlSource>(std::cin)
                        : std::make_unique<ingest::JsonlSource>(input);
-    if (!use_stdin && !static_cast<ingest::JsonlSource&>(*source).ok()) {
-      std::fprintf(stderr, "error: cannot read %s\n", input.c_str());
-      return 1;
-    }
   } else if (format == "tsv") {
     source = use_stdin ? std::make_unique<ingest::TsvSource>(std::cin)
                        : std::make_unique<ingest::TsvSource>(input);
-    if (!use_stdin && !static_cast<ingest::TsvSource&>(*source).ok()) {
-      std::fprintf(stderr, "error: cannot read %s\n", input.c_str());
-      return 1;
-    }
   } else {
     std::fprintf(stderr, "error: unknown --format %s\n", format.c_str());
     return Usage();
+  }
+  if (!source->ok()) {
+    std::fprintf(stderr, "error: cannot read %s\n", input.c_str());
+    return 1;
   }
 
   ingest::IngestConfig config;
@@ -613,8 +609,8 @@ int CmdIngest(const Args& args) {
     durable.directory = args.Get("durability-dir", "");
     durable.checkpoint_quanta =
         NumericFlag<std::size_t>(args, "durability-cadence", "16");
-    durable.checkpoint_seconds =
-        NumericFlag<double>(args, "durability-seconds", "0");
+    durable.checkpoint_seconds = BoundedFlag<double>(
+        args, "durability-seconds", "0", [](double t) { return t >= 0.0; });
     durable.full_interval =
         NumericFlag<std::size_t>(args, "durability-full-every", "4");
     const std::string fsync_name = args.Get("durability-fsync", "none");

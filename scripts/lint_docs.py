@@ -4,10 +4,10 @@
 1. Link check: every relative markdown link in docs/*.md and README.md
    must point at an existing file, and a #fragment into a markdown file
    must match a heading anchor there (GitHub slug rules, simplified).
-2. Header comment lint: public headers in src/ingest/ and src/detect/
-   must open with a file-level comment, and every namespace-scope class,
-   struct or enum declaration must be preceded by a doc comment
-   (`///` or `//`).
+2. Header comment lint: public headers in HEADER_DIRS must open with a
+   file-level comment, and every namespace-scope class, struct or enum
+   declaration must be preceded by a doc comment (`///` or `//`); for a
+   class template the comment sits above its `template <...>` line.
 
 Usage: lint_docs.py [--root REPO_ROOT]
 Exits non-zero listing every violation.
@@ -22,7 +22,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 DECL_RE = re.compile(r"^(class|struct|enum(?:\s+class)?)\s+\w+")
 
-HEADER_DIRS = ("src/ingest", "src/detect")
+HEADER_DIRS = ("src/akg", "src/baseline", "src/cluster", "src/detect",
+               "src/engine", "src/eval", "src/graph", "src/ingest",
+               "src/rank", "src/stream", "src/text")
 
 
 def github_slug(heading):
@@ -95,8 +97,11 @@ def check_headers(root):
                 if depth <= 1 and line and not line[0].isspace():
                     m = DECL_RE.match(stripped)
                     if m and not stripped.endswith(";"):
-                        prev = lines[lineno - 2].strip() if lineno > 1 \
-                            else ""
+                        above = lineno - 2
+                        if above >= 0 and \
+                                lines[above].startswith("template"):
+                            above -= 1
+                        prev = lines[above].strip() if above >= 0 else ""
                         if not prev.startswith(("//", "///")):
                             errors.append(
                                 f"{rel}:{lineno}: {m.group(0)!r} needs a "

@@ -19,7 +19,6 @@
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
 #include "akg/node_state.h"
-#include "akg/quantum_aggregate.h"
 #include "common/binary_io.h"
 #include "graph/graph.h"
 #include "stream/message.h"
@@ -81,13 +80,9 @@ class AkgBuilder {
              std::function<bool(KeywordId)> in_cluster);
 
   /// Processes one quantum of messages and returns the structural delta.
-  /// Equivalent to ProcessAggregate(AggregateQuantum(quantum)).
+  /// The quantum is first reduced to its canonical aggregate
+  /// (AggregateQuantum, timed as engine.aggregate_ns).
   GraphDelta ProcessQuantum(const stream::Quantum& quantum);
-
-  /// Processes one quantum already reduced to its canonical aggregate (the
-  /// engine times AggregateQuantum separately, then calls this). The delta
-  /// is identical to ProcessQuantum on the originating quantum.
-  GraphDelta ProcessAggregate(const QuantumAggregate& aggregate);
 
   /// The AKG as a graph (mirror of what the deltas described).
   const graph::DynamicGraph& akg() const { return akg_; }
@@ -132,7 +127,7 @@ class AkgBuilder {
   bool Restore(BinaryReader& in);
 
  private:
-  /// Steps 5-6 of ProcessAggregate: adds edges among the `bursty`
+  /// Steps 5-6 of ProcessQuantum: adds edges among the `bursty`
   /// keywords (Section 3.2.1 set (1)) and re-validates the edges of the
   /// `refresh` keywords (set (2)), recording both into `delta`.
   void CorrelateEdges(const std::vector<KeywordId>& bursty,

@@ -6,7 +6,6 @@ namespace scprt::akg {
 
 QuantumAggregate AggregateQuantum(const stream::Quantum& quantum) {
   QuantumAggregate aggregate;
-  aggregate.index = quantum.index;
   std::size_t occurrences = 0;
   for (const stream::Message& m : quantum.messages) {
     occurrences += m.keywords.size();

@@ -2,8 +2,8 @@
 // pairs, each packed into one integer `keyword << 32 | user`, in one flat
 // array sorted ascending. Integer order is (keyword, user) order, so a
 // keyword's users form one contiguous run and the run length is the
-// keyword's distinct-user count. AggregateQuantum is the one producer (the
-// engine, engine/parallel_detector.cc, calls it once per quantum), and the
+// keyword's distinct-user count. AggregateQuantum is the one producer
+// (akg::AkgBuilder::ProcessQuantum calls it once per quantum), and the
 // form depends only on the quantum's contents — which is part of what
 // makes the engine's reports a pure function of the message stream.
 
@@ -33,7 +33,6 @@ constexpr UserId PairUser(std::uint64_t pair) {
 
 /// One quantum reduced to its distinct (keyword, user) pairs.
 struct QuantumAggregate {
-  QuantumIndex index = 0;
   /// PackPair values, strictly ascending.
   std::vector<std::uint64_t> pairs;
 };

@@ -4,7 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/check.h"
 #include "detect/snapshot_io.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -24,11 +23,9 @@ EventDetector::EventDetector(const DetectorConfig& config,
              return maintainer_.clusters().NodeInAnyCluster(k);
            }) {}
 
-QuantumReport EventDetector::ProcessQuantumWithAggregate(
-    const stream::Quantum& quantum, const akg::QuantumAggregate& aggregate) {
-  SCPRT_DCHECK(aggregate.index == quantum.index);
+QuantumReport EventDetector::ProcessQuantum(const stream::Quantum& quantum) {
   maintainer_.SetClock(quantum.index);
-  const akg::GraphDelta delta = akg_.ProcessAggregate(aggregate);
+  const akg::GraphDelta delta = akg_.ProcessQuantum(quantum);
 
   {
     // Cluster maintenance cost of the whole delta per quantum.

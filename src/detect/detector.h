@@ -1,7 +1,8 @@
-// The single-writer detection core: quantum aggregate -> AKG delta ->
-// incremental SCP clusters -> ranked event reports. This is the system of
-// the paper, assembled; engine::ParallelDetector (engine/parallel_detector.h)
-// is the driver that cuts the message stream into quanta and feeds it.
+// The single-writer detection core: quantum -> AKG delta (the AKG builder
+// reduces the quantum to its aggregate first) -> incremental SCP clusters
+// -> ranked event reports. This is the system of the paper, assembled;
+// engine::ParallelDetector (engine/parallel_detector.h) is the driver that
+// cuts the message stream into quanta and feeds it.
 
 #ifndef SCPRT_DETECT_DETECTOR_H_
 #define SCPRT_DETECT_DETECTOR_H_
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "akg/akg_builder.h"
-#include "akg/quantum_aggregate.h"
 #include "cluster/maintenance.h"
 #include "common/binary_io.h"
 #include "detect/cluster_sink.h"
@@ -23,8 +23,8 @@
 
 namespace scprt::detect {
 
-/// Single-threaded detection core. The engine hands it one quantum and its
-/// canonical aggregate at a time and gets that quantum's QuantumReport.
+/// Single-threaded detection core. The engine hands it one quantum at a
+/// time and gets that quantum's QuantumReport.
 class EventDetector {
  public:
   /// `dictionary` is optional and only consulted by the noun filter and by
@@ -34,15 +34,11 @@ class EventDetector {
   EventDetector(const DetectorConfig& config,
                 const text::KeywordDictionary* dictionary);
 
-  /// Processes one quantum given its canonical aggregate, which must equal
-  /// akg::AggregateQuantum(quantum) (the engine's own call, timed as
-  /// engine.aggregate_ns).
-  QuantumReport ProcessQuantumWithAggregate(
-      const stream::Quantum& quantum,
-      const akg::QuantumAggregate& aggregate);
+  /// Processes one quantum and returns its report.
+  QuantumReport ProcessQuantum(const stream::Quantum& quantum);
 
   /// Attaches a sink that receives every newly reported cluster (with its
-  /// spellings and deduped user sketch) inside ProcessQuantumWithAggregate,
+  /// spellings and deduped user sketch) inside ProcessQuantum,
   /// before the report is returned — so a durability fence taken after the
   /// quantum always covers what the sink saw. nullptr detaches. The sink
   /// must outlive the detector or be detached first; it does not take part

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "akg/quantum_aggregate.h"
 #include "common/check.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace scprt::engine {
@@ -28,19 +26,10 @@ detect::QuantumReport ParallelDetector::ProcessQuantum(
   if (quantizer_.next_index() <= quantum.index) {
     quantizer_.SetNextIndex(quantum.index + 1);
   }
-  // Clock reads only, so the aggregate is the same with observability on
-  // or off.
-  static obs::Histogram* const aggregate_hist =
-      obs::Registry::Default().GetHistogram("engine.aggregate_ns");
-  const akg::QuantumAggregate aggregate = [&] {
-    obs::ScopedSpan span("aggregate");
-    obs::ScopedHistogramTimer timer(aggregate_hist);
-    return akg::AggregateQuantum(quantum);
-  }();
-  // Core detection (AKG update, clustering, ranking) as its own span so a
-  // trace separates aggregation cost from detection cost per quantum.
+  // Core detection (aggregate, AKG update, clustering, ranking) as one span
+  // so a trace shows each quantum's detection cost.
   obs::ScopedSpan span("detect.core");
-  return detector_.ProcessQuantumWithAggregate(quantum, aggregate);
+  return detector_.ProcessQuantum(quantum);
 }
 
 std::vector<detect::QuantumReport> ParallelDetector::Run(

@@ -1,9 +1,11 @@
 // The detector: the one driver users push messages into. It cuts the stream
-// into quanta and runs each through the single-writer EventDetector core,
-// every stage inline on the calling thread:
+// into quanta and hands each to the single-writer EventDetector core
+// (detect/detector.h), which runs every stage inline on the calling
+// thread:
 //
-//   1. aggregate   — akg::AggregateQuantum reduces the quantum to
-//                    (keyword, distinct users) in canonical order;
+//   1. aggregate   — the AKG builder reduces the quantum to its distinct
+//                    (keyword, user) pairs in canonical order
+//                    (akg::AggregateQuantum);
 //   2. graph + SCP — the AKG builder refreshes Min-Hash signatures and
 //                    computes edge correlations, then the ScpMaintainer
 //                    applies the structural delta;

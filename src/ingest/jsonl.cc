@@ -307,44 +307,4 @@ bool ParseJsonlRecord(std::string_view line, JsonlRecord& out) {
   return have_user && have_text;
 }
 
-void AppendJsonString(std::string_view text, std::string& out) {
-  out.push_back('"');
-  for (char ch : text) {
-    const unsigned char byte = static_cast<unsigned char>(ch);
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (byte < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(hex[byte >> 4]);
-          out.push_back(hex[byte & 0xF]);
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 }  // namespace scprt::ingest

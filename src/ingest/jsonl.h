@@ -38,10 +38,6 @@ struct JsonlRecord {
 /// unspecified. Blank lines are malformed — callers skip them beforehand.
 bool ParseJsonlRecord(std::string_view line, JsonlRecord& out);
 
-/// Appends `text` to `out` as a JSON string literal (quotes included),
-/// escaping per RFC 8259. Bytes >= 0x80 pass through (UTF-8 stays UTF-8).
-void AppendJsonString(std::string_view text, std::string& out);
-
 }  // namespace scprt::ingest
 
 #endif  // SCPRT_INGEST_JSONL_H_

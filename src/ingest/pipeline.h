@@ -16,7 +16,7 @@
 // therefore a pure function of the admitted stream, and the emitted
 // messages (hence every downstream report) are bit-identical at any worker
 // count (tests/ingest_pipeline_test.cc proves it, and proves equality with
-// the pre-tokenized trace path).
+// feeding the detector the pre-tokenized trace directly).
 //
 // All queues are bounded, which is the backpressure: when tokenizers fall
 // behind, the driver's dispatch stalls and the AdmissionController decides

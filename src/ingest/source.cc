@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <fstream>
+#include <string_view>
+#include <utility>
 
 #include "ingest/jsonl.h"
 #include "ingest/text_export.h"
@@ -45,129 +47,84 @@ std::streamoff TellAfterRecord(std::istream& in) {
   return pos;
 }
 
-void AdvancePosition(std::istream& in, SourcePosition& position) {
-  ++position.record_index;
-  const std::streamoff offset = TellAfterRecord(in);
-  position.byte_offset =
-      offset >= 0 ? static_cast<std::uint64_t>(offset) : 0;
-}
-
-bool StreamSeekable(std::istream* in) {
-  return in != nullptr && TellAfterRecord(*in) >= 0;
-}
-
-bool SeekStream(std::istream* in, const SourcePosition& position,
-                SourcePosition& tracked) {
-  if (in == nullptr) return false;
-  in->clear();
-  in->seekg(static_cast<std::streamoff>(position.byte_offset));
-  if (!*in) return false;
-  tracked = position;
-  return true;
-}
-
 }  // namespace
 
-JsonlSource::JsonlSource(const std::string& path) {
+LineSource::LineSource(const std::string& path) {
   auto file = std::make_unique<std::ifstream>(path);
   if (!*file) return;
   in_ = file.get();
   owned_ = std::move(file);
 }
 
-bool JsonlSource::Next(RawRecord& out) {
+bool LineSource::Next(RawRecord& out) {
   if (!in_) return false;
   while (NextLine(*in_, line_)) {
-    JsonlRecord record;
-    if (!ParseJsonlRecord(line_, record)) {
-      ++malformed_;
-      continue;
-    }
     out = RawRecord{};
-    out.user = record.user;
-    out.event_id = record.event_id;
-    out.text = std::move(record.text);
-    AdvancePosition(*in_, position_);
-    return true;
-  }
-  return false;
-}
-
-bool JsonlSource::seekable() const { return StreamSeekable(in_); }
-
-bool JsonlSource::Seek(const SourcePosition& position) {
-  return SeekStream(in_, position, position_);
-}
-
-TsvSource::TsvSource(const std::string& path) {
-  auto file = std::make_unique<std::ifstream>(path);
-  if (!*file) return;
-  in_ = file.get();
-  owned_ = std::move(file);
-}
-
-bool TsvSource::seekable() const { return StreamSeekable(in_); }
-
-bool TsvSource::Seek(const SourcePosition& position) {
-  return SeekStream(in_, position, position_);
-}
-
-bool TsvSource::Next(RawRecord& out) {
-  if (!in_) return false;
-  while (NextLine(*in_, line_)) {
-    if (line_[0] == '#') continue;
-    const std::string_view line = line_;
-    const std::size_t tab = line.find('\t');
-    if (tab == std::string_view::npos) {
-      ++malformed_;
-      continue;
-    }
-    UserId user = 0;
-    if (!ParseField(line.substr(0, tab), user)) {
-      ++malformed_;
-      continue;
-    }
-    std::string_view rest = line.substr(tab + 1);
-    std::int32_t event_id = stream::kBackground;
-    // Optional middle column: `user \t event \t text`. Text may not contain
-    // tabs, so a second tab whose prefix parses as an integer is the label.
-    const std::size_t tab2 = rest.find('\t');
-    if (tab2 != std::string_view::npos) {
-      std::int32_t label = 0;
-      if (ParseField(rest.substr(0, tab2), label)) {
-        event_id = label;
-        rest = rest.substr(tab2 + 1);
+    switch (ParseLine(line_, out)) {
+      case LineKind::kRecord: {
+        ++position_.record_index;
+        const std::streamoff offset = TellAfterRecord(*in_);
+        position_.byte_offset =
+            offset >= 0 ? static_cast<std::uint64_t>(offset) : 0;
+        return true;
       }
+      case LineKind::kMalformed:
+        ++malformed_;
+        break;
+      case LineKind::kSkipped:
+        break;
     }
-    if (rest.empty()) {
-      ++malformed_;
-      continue;
-    }
-    out = RawRecord{};
-    out.user = user;
-    out.event_id = event_id;
-    out.text.assign(rest);
-    AdvancePosition(*in_, position_);
-    return true;
   }
   return false;
 }
 
-bool TraceSource::Next(RawRecord& out) {
-  if (next_ >= messages_->size()) return false;
-  const stream::Message& message = (*messages_)[next_++];
-  out = RawRecord{};
-  out.user = message.user;
-  out.event_id = message.event_id;
-  out.keywords = message.keywords;
-  out.pretokenized = true;
+bool LineSource::seekable() const {
+  return in_ != nullptr && TellAfterRecord(*in_) >= 0;
+}
+
+bool LineSource::Seek(const SourcePosition& position) {
+  if (in_ == nullptr) return false;
+  in_->clear();
+  in_->seekg(static_cast<std::streamoff>(position.byte_offset));
+  if (!*in_) return false;
+  position_ = position;
   return true;
 }
 
-bool TraceSource::Seek(const SourcePosition& position) {
-  if (position.record_index > messages_->size()) return false;
-  next_ = position.record_index;
-  return true;
+LineSource::LineKind JsonlSource::ParseLine(std::string_view line,
+                                            RawRecord& out) {
+  JsonlRecord record;
+  if (!ParseJsonlRecord(line, record)) return LineKind::kMalformed;
+  out.user = record.user;
+  out.event_id = record.event_id;
+  out.text = std::move(record.text);
+  return LineKind::kRecord;
+}
+
+LineSource::LineKind TsvSource::ParseLine(std::string_view line,
+                                          RawRecord& out) {
+  if (line[0] == '#') return LineKind::kSkipped;
+  const std::size_t tab = line.find('\t');
+  if (tab == std::string_view::npos) return LineKind::kMalformed;
+  UserId user = 0;
+  if (!ParseField(line.substr(0, tab), user)) return LineKind::kMalformed;
+  std::string_view rest = line.substr(tab + 1);
+  std::int32_t event_id = stream::kBackground;
+  // Optional middle column: `user \t event \t text`. Text may not contain
+  // tabs, so a second tab whose prefix parses as an integer is the label.
+  const std::size_t tab2 = rest.find('\t');
+  if (tab2 != std::string_view::npos) {
+    std::int32_t label = 0;
+    if (ParseField(rest.substr(0, tab2), label)) {
+      event_id = label;
+      rest = rest.substr(tab2 + 1);
+    }
+  }
+  if (rest.empty()) return LineKind::kMalformed;
+  out.user = user;
+  out.event_id = event_id;
+  out.text.assign(rest);
+  return LineKind::kRecord;
 }
 
 GeneratorSource::GeneratorSource(const stream::SyntheticConfig& config)

@@ -1,10 +1,10 @@
 // Pluggable message sources for the ingest pipeline.
 //
-// A MessageSource pulls one RawRecord at a time. Raw-text sources (JSONL,
-// TSV, the in-memory generator) emit text that the frontend workers
-// tokenize; the trace source emits pre-tokenized keyword ids and bypasses
-// tokenization entirely, which is how the equivalence tests compare the two
-// paths over the same token stream.
+// A MessageSource pulls one RawRecord at a time. Every record is raw text
+// (one message) that the frontend workers tokenize: the stream-backed
+// JSONL and TSV sources share one line reader (LineSource) and differ only
+// in their line parsers; the in-memory generator renders a synthetic trace
+// back to text.
 
 #ifndef SCPRT_INGEST_SOURCE_H_
 #define SCPRT_INGEST_SOURCE_H_
@@ -13,7 +13,7 @@
 #include <istream>
 #include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/types.h"
 #include "stream/message.h"
@@ -26,12 +26,8 @@ struct RawRecord {
   UserId user = 0;
   /// Ground-truth passthrough for evaluation; the detector never reads it.
   std::int32_t event_id = stream::kBackground;
-  /// Raw message text (raw-text sources; empty when pretokenized).
+  /// Raw message text.
   std::string text;
-  /// Interned keywords (pre-tokenized sources; empty otherwise).
-  std::vector<KeywordId> keywords;
-  /// True when `keywords` is authoritative and `text` is to be ignored.
-  bool pretokenized = false;
 };
 
 /// A resumable cursor into a source: how far it has been consumed. The
@@ -76,22 +72,32 @@ class MessageSource {
   }
 };
 
-/// JSON-lines raw text: one {"user":N,"text":"...","event":N?} per line
-/// (see ingest/jsonl.h for the schema). Blank lines are skipped silently;
-/// malformed lines are skipped and counted.
-class JsonlSource : public MessageSource {
+/// A line-oriented stream of records: owns the stream, the SourcePosition
+/// cursor (a byte offset just past each returned record's line), Seek and
+/// the malformed count. Blank lines are skipped silently; each other line
+/// goes to the subclass's ParseLine.
+class LineSource : public MessageSource {
  public:
-  /// Reads from a stream owned by the caller (must outlive the source).
-  explicit JsonlSource(std::istream& in) : in_(&in) {}
-  /// Opens `path`; ok() reports whether the open succeeded.
-  explicit JsonlSource(const std::string& path);
-
+  /// False when the path constructor could not open its file.
   bool ok() const { return in_ != nullptr; }
-  bool Next(RawRecord& out) override;
-  std::uint64_t malformed_count() const override { return malformed_; }
-  SourcePosition Position() const override { return position_; }
-  bool seekable() const override;
-  bool Seek(const SourcePosition& position) override;
+  bool Next(RawRecord& out) final;
+  std::uint64_t malformed_count() const final { return malformed_; }
+  SourcePosition Position() const final { return position_; }
+  bool seekable() const final;
+  bool Seek(const SourcePosition& position) final;
+
+ protected:
+  /// Reads from a stream owned by the caller (must outlive the source).
+  explicit LineSource(std::istream& in) : in_(&in) {}
+  /// Opens `path`; ok() reports whether the open succeeded.
+  explicit LineSource(const std::string& path);
+
+  /// What one non-blank line holds.
+  enum class LineKind { kRecord, kSkipped, kMalformed };
+
+  /// Parses one non-blank line (trailing '\r' removed) into `out`, which
+  /// arrives default-constructed; only kRecord lines are returned.
+  virtual LineKind ParseLine(std::string_view line, RawRecord& out) = 0;
 
  private:
   std::unique_ptr<std::istream> owned_;
@@ -99,46 +105,30 @@ class JsonlSource : public MessageSource {
   std::string line_;
   std::uint64_t malformed_ = 0;
   SourcePosition position_;
+};
+
+/// JSON-lines raw text: one {"user":N,"text":"...","event":N?} per line
+/// (see ingest/jsonl.h for the schema). Malformed lines are skipped and
+/// counted.
+class JsonlSource final : public LineSource {
+ public:
+  explicit JsonlSource(std::istream& in) : LineSource(in) {}
+  explicit JsonlSource(const std::string& path) : LineSource(path) {}
+
+ private:
+  LineKind ParseLine(std::string_view line, RawRecord& out) override;
 };
 
 /// Tab-separated raw text: `user<TAB>text` or `user<TAB>event<TAB>text`.
-/// Lines starting with '#' and blank lines are skipped silently; malformed
-/// lines (bad user id, missing text column) are skipped and counted.
-class TsvSource : public MessageSource {
+/// Lines starting with '#' are skipped silently; malformed lines (bad user
+/// id, missing text column) are skipped and counted.
+class TsvSource final : public LineSource {
  public:
-  explicit TsvSource(std::istream& in) : in_(&in) {}
-  explicit TsvSource(const std::string& path);
-
-  bool ok() const { return in_ != nullptr; }
-  bool Next(RawRecord& out) override;
-  std::uint64_t malformed_count() const override { return malformed_; }
-  SourcePosition Position() const override { return position_; }
-  bool seekable() const override;
-  bool Seek(const SourcePosition& position) override;
+  explicit TsvSource(std::istream& in) : LineSource(in) {}
+  explicit TsvSource(const std::string& path) : LineSource(path) {}
 
  private:
-  std::unique_ptr<std::istream> owned_;
-  std::istream* in_ = nullptr;
-  std::string line_;
-  std::uint64_t malformed_ = 0;
-  SourcePosition position_;
-};
-
-/// Pre-tokenized messages (a synthetic trace or a loaded trace file). The
-/// messages are borrowed and must outlive the source.
-class TraceSource : public MessageSource {
- public:
-  explicit TraceSource(const std::vector<stream::Message>& messages)
-      : messages_(&messages) {}
-
-  bool Next(RawRecord& out) override;
-  SourcePosition Position() const override { return {next_, next_}; }
-  bool seekable() const override { return true; }
-  bool Seek(const SourcePosition& position) override;
-
- private:
-  const std::vector<stream::Message>* messages_;
-  std::uint64_t next_ = 0;
+  LineKind ParseLine(std::string_view line, RawRecord& out) override;
 };
 
 /// Pass-through adapter that ends the stream once the inner source's

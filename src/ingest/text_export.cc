@@ -3,7 +3,7 @@
 #include <fstream>
 #include <ostream>
 
-#include "ingest/jsonl.h"
+#include "common/json.h"
 
 namespace scprt::ingest {
 

@@ -11,6 +11,8 @@
 #include <mutex>
 #include <system_error>
 
+#include "common/json.h"
+
 namespace scprt::obs {
 namespace {
 
@@ -65,20 +67,6 @@ void SignalTrampoline(int signo) {
   ::raise(signo);
 }
 
-void AppendEscaped(std::string& out, const char* s) {
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-}
-
 }  // namespace
 
 FlightRecorder& FlightRecorder::Install(const Options& options) {
@@ -107,9 +95,9 @@ void FlightRecorder::NoteFatalError(const char* detail) {
   if (recorder == nullptr) return;
   recorder->Refresh();
   recorder->crashing_.store(true, std::memory_order_relaxed);
-  std::string fragment = "\"reason\":\"fatal_error\",\"detail\":\"";
-  AppendEscaped(fragment, detail);
-  fragment += "\",";
+  std::string fragment = "\"reason\":\"fatal_error\",\"detail\":";
+  AppendJsonString(detail != nullptr ? detail : "", fragment);
+  fragment += ',';
   recorder->WriteBundle(fragment.c_str());
 }
 
@@ -212,10 +200,10 @@ std::string FlightRecorder::RenderBody() const {
     for (const SpanEvent& e : spans) {
       if (!first) body += ',';
       first = false;
-      body += "{\"name\":\"";
-      AppendEscaped(body, e.name != nullptr ? e.name : "span");
+      body += "{\"name\":";
+      AppendJsonString(e.name != nullptr ? e.name : "span", body);
       std::snprintf(buf, sizeof(buf),
-                    "\",\"tid\":%u,\"start_ns\":%lld,\"dur_ns\":%lld}",
+                    ",\"tid\":%u,\"start_ns\":%lld,\"dur_ns\":%lld}",
                     e.tid, static_cast<long long>(e.start_ns),
                     static_cast<long long>(e.dur_ns));
       body += buf;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace scprt::obs {
@@ -54,24 +55,6 @@ bool UnitMultiplier(std::string_view unit, double* mult) {
   else if (unit == "s") *mult = 1e9;
   else return false;
   return true;
-}
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
 }
 
 void AppendFiniteDouble(std::string& out, double v) {
@@ -281,7 +264,7 @@ std::vector<Watchdog::RuleState> Watchdog::States() const {
 std::string Watchdog::StatusJson() const {
   const Health h = health();
   std::string out = "{\"health\":";
-  AppendJsonString(out, HealthName(h));
+  AppendJsonString(HealthName(h), out);
   out += ",\"health_code\":";
   out += std::to_string(static_cast<int>(h));
   out += ",\"transitions\":";
@@ -293,17 +276,17 @@ std::string Watchdog::StatusJson() const {
     if (!first) out += ',';
     first = false;
     out += "{\"source\":";
-    AppendJsonString(out, state.rule.source);
+    AppendJsonString(state.rule.source, out);
     out += ",\"metric\":";
-    AppendJsonString(out, state.rule.metric);
+    AppendJsonString(state.rule.metric, out);
     out += ",\"agg\":";
-    AppendJsonString(out, AggName(state.rule.agg));
+    AppendJsonString(AggName(state.rule.agg), out);
     out += ",\"threshold\":";
     AppendFiniteDouble(out, state.rule.threshold);
     out += ",\"window_seconds\":";
     AppendFiniteDouble(out, state.rule.window_seconds);
     out += ",\"severity\":";
-    AppendJsonString(out, HealthName(state.rule.severity));
+    AppendJsonString(HealthName(state.rule.severity), out);
     out += ",\"tripped\":";
     out += state.tripped ? "true" : "false";
     out += ",\"value\":";

@@ -1,8 +1,9 @@
 // Thread-safe keyword interner for the ingest frontend.
 //
 // KeywordDictionary assigns ids in first-arrival order, and the whole
-// detection stack (keyword sharding, report digests, golden traces) depends
-// on that order being deterministic. A naive lock-free concurrent interner
+// detection stack (canonical keyword and edge order, snapshot bytes,
+// report digests, golden traces) depends on that order being
+// deterministic. A naive lock-free concurrent interner
 // would assign ids in scheduling order and make every downstream report a
 // function of thread timing. This wrapper therefore splits the two
 // operations the ingest pipeline actually needs:

@@ -147,7 +147,6 @@ struct IdSetModel {
 // forward with `index`, so keywords and users keep entering and expiring.
 QuantumAggregate ChurnAggregate(QuantumIndex index, Rng& rng) {
   QuantumAggregate aggregate;
-  aggregate.index = index;
   const KeywordId first_keyword = static_cast<KeywordId>(index * 2);
   const UserId first_user = static_cast<UserId>(index * 5);
   for (KeywordId k = first_keyword; k < first_keyword + 40; ++k) {
@@ -269,7 +268,6 @@ TEST(AggregateQuantumTest, MatchesBruteForceModel) {
       quantum.messages.push_back(std::move(m));
     }
     const QuantumAggregate aggregate = AggregateQuantum(quantum);
-    EXPECT_EQ(aggregate.index, quantum.index);
     ASSERT_TRUE(std::adjacent_find(aggregate.pairs.begin(),
                                    aggregate.pairs.end(),
                                    std::greater_equal<std::uint64_t>()) ==

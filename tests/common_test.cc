@@ -1,5 +1,5 @@
-// Tests for common/: hashing, RNG, Zipf sampling, union-find, and the
-// fixed-offset little-endian field codec.
+// Tests for common/: hashing, RNG, Zipf sampling, union-find, the
+// fixed-offset little-endian field codec and the JSON string encoder.
 
 #include <algorithm>
 #include <cmath>
@@ -11,8 +11,10 @@
 
 #include "common/binary_io.h"
 #include "common/hash.h"
+#include "common/json.h"
 #include "common/random.h"
 #include "common/union_find.h"
+#include "ingest/jsonl.h"
 
 namespace scprt {
 namespace {
@@ -208,6 +210,18 @@ TEST(LittleEndianFieldTest, LoadsRoundTripStoresAndMatchTheStreamCodec) {
     EXPECT_EQ(reader.U64(), v);
     EXPECT_TRUE(reader.ok());
   }
+}
+
+// The encoder's output must decode back to the input through the ingest
+// frontend's JSONL parser (the export -> ingest round trip).
+TEST(JsonlTest, EscapeRoundTripsThroughParser) {
+  const std::string nasty = "tab\there \"quotes\" back\\slash\nnewline \x01";
+  std::string line = "{\"user\": 5, \"text\": ";
+  AppendJsonString(nasty, line);
+  line += "}";
+  ingest::JsonlRecord record;
+  ASSERT_TRUE(ingest::ParseJsonlRecord(line, record));
+  EXPECT_EQ(record.text, nasty);
 }
 
 }  // namespace

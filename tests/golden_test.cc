@@ -8,9 +8,14 @@
 //
 //   SCPRT_UPDATE_GOLDEN=1 ./golden_test
 //
-// rewrites the .digests files (and materializes any missing .trace file
-// from its fixed generator config). Commit the diff together with the
-// change that caused it, and say why in the PR.
+// rewrites the .digests and .snapshots files (and materializes any missing
+// .trace file from its fixed generator config). Commit the diff together
+// with the change that caused it, and say why in the PR.
+//
+// The .snapshots files pin the engine's persisted state the same way: the
+// hash of durability::SaveSnapshot's bytes right after each of a few fixed
+// quanta closed. A refactor that must not change the snapshot (or WAL
+// segment) format fails here rather than in a manual `cmp`.
 
 #include <unistd.h>
 
@@ -20,6 +25,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +34,7 @@
 
 #include "common/hash.h"
 #include "detect/report.h"
+#include "durability/backend.h"
 #include "engine/parallel_detector.h"
 #include "store/event_indexer.h"
 #include "store/lsh_index.h"
@@ -226,6 +234,50 @@ TEST_P(GoldenTest, ReportsMatchCommittedDigests) {
           << " — if intentional, regenerate with SCPRT_UPDATE_GOLDEN=1 and "
              "explain in the PR";
     }
+  }
+}
+
+std::string SnapshotPath(const GoldenCase& c) {
+  return std::string(SCPRT_GOLDEN_DIR) + "/" + c.name + ".snapshots";
+}
+
+/// The quanta after which the engine's snapshot is fingerprinted: early
+/// (window still filling), mid-trace and late. Every golden trace closes
+/// more than 60 quanta. Line i of a .snapshots file holds the hash taken
+/// after quantum kSnapshotQuanta[i].
+constexpr std::uint64_t kSnapshotQuanta[] = {10, 35, 60};
+
+TEST_P(GoldenTest, SnapshotsMatchCommittedFingerprints) {
+  const GoldenCase& c = GetParam();
+  stream::SyntheticTrace trace;
+  ASSERT_TRUE(stream::ReadTraceFile(TracePath(c), trace))
+      << "golden trace missing — run golden_test with SCPRT_UPDATE_GOLDEN=1"
+         " first";
+
+  engine::ParallelDetector detector({c.detector_config()},
+                                    &trace.dictionary);
+  std::vector<std::uint64_t> fingerprints;
+  std::uint64_t closed = 0;
+  for (const stream::Message& message : trace.messages) {
+    if (fingerprints.size() == std::size(kSnapshotQuanta)) break;
+    if (!detector.Push(message)) continue;
+    if (closed++ != kSnapshotQuanta[fingerprints.size()]) continue;
+    std::ostringstream bytes;
+    ASSERT_TRUE(durability::SaveSnapshot(detector, bytes).ok());
+    fingerprints.push_back(HashBytes(bytes.str(), 0));
+  }
+  ASSERT_EQ(fingerprints.size(), std::size(kSnapshotQuanta))
+      << "golden trace closed too few quanta";
+
+  if (UpdateMode()) {
+    ASSERT_TRUE(WriteDigestFile(SnapshotPath(c), fingerprints));
+  } else {
+    std::vector<std::uint64_t> expected;
+    ASSERT_TRUE(ReadDigestFile(SnapshotPath(c), expected))
+        << "missing/corrupt " << SnapshotPath(c);
+    EXPECT_EQ(fingerprints, expected)
+        << c.name << " snapshot bytes drifted — if intentional, regenerate "
+           "with SCPRT_UPDATE_GOLDEN=1 and explain in the PR";
   }
 }
 

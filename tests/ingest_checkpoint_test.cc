@@ -44,7 +44,7 @@ namespace {
 namespace fs = std::filesystem;
 namespace sio = detect::snapshot_io;
 
-stream::SyntheticTrace SmallTrace(std::uint64_t seed = 29) {
+stream::SyntheticConfig SmallTraceConfig(std::uint64_t seed) {
   stream::SyntheticConfig config;
   config.seed = seed;
   config.num_messages = 9'000;
@@ -56,7 +56,11 @@ stream::SyntheticTrace SmallTrace(std::uint64_t seed = 29) {
   config.event_duration_max = 5'000;
   config.peak_share_min = 0.04;
   config.peak_share_max = 0.10;
-  return GenerateSyntheticTrace(config);
+  return config;
+}
+
+stream::SyntheticTrace SmallTrace(std::uint64_t seed = 29) {
+  return GenerateSyntheticTrace(SmallTraceConfig(seed));
 }
 
 detect::DetectorConfig SmallDetectorConfig() {
@@ -156,15 +160,20 @@ TEST(SourceCursorTest, TsvPositionSeekRoundTrip) {
   EXPECT_EQ(record.text, "word20 common text");
 }
 
-TEST(SourceCursorTest, GeneratorAndTraceSourcesSeekByIndex) {
-  const stream::SyntheticTrace trace = SmallTrace(37);
-  TraceSource source(trace.messages);
+TEST(SourceCursorTest, GeneratorSourceSeeksByIndex) {
+  GeneratorSource source(SmallTraceConfig(37));
+  const stream::SyntheticTrace& trace = source.trace();
+  EXPECT_TRUE(source.seekable());
   RawRecord record;
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(source.Next(record));
+  EXPECT_EQ(source.Position().record_index, 10u);
   ASSERT_TRUE(source.Seek(SourcePosition{3, 3}));
   ASSERT_TRUE(source.Next(record));
   EXPECT_EQ(record.user, trace.messages[3].user);
-  EXPECT_EQ(record.keywords, trace.messages[3].keywords);
+  EXPECT_EQ(record.event_id, trace.messages[3].event_id);
+  EXPECT_EQ(record.text,
+            RenderMessageText(trace.messages[3], trace.dictionary));
+  EXPECT_EQ(source.Position().record_index, 4u);
   EXPECT_FALSE(
       source.Seek(SourcePosition{trace.messages.size() + 1, 0}));
 }

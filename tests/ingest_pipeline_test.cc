@@ -209,27 +209,6 @@ TEST(IngestPipelineTest, FreshDictionaryRawTextMatchesReinternedTracePath) {
   EXPECT_EQ(Digests(sink.reports()), want);
 }
 
-TEST(IngestPipelineTest, PretokenizedTraceSourceMatchesTracePath) {
-  // The binary-trace source bypasses tokenization; the pipeline must be a
-  // pure pass-through for it.
-  const stream::SyntheticTrace trace = SmallTrace(13);
-  const detect::DetectorConfig detector_config = SmallDetectorConfig();
-  const std::vector<std::uint64_t> want = Digests(
-      RunTracePath(trace.messages, trace.dictionary, detector_config));
-
-  IngestConfig config;
-  config.workers = 2;
-  text::ConcurrentKeywordDictionary dictionary;
-  dictionary.SeedFrom(trace.dictionary);
-  IngestPipeline pipeline(config, &dictionary);
-  engine::ParallelDetector detector({detector_config}, &dictionary.view());
-  QuantumAssembler sink = QuantumAssembler::For(detector);
-  TraceSource source(trace.messages);
-  pipeline.Run(source, sink);
-
-  EXPECT_EQ(Digests(sink.reports()), want);
-}
-
 TEST(IngestPipelineTest, SecondRunGetsFreshCounters) {
   IngestConfig config;
   config.workers = 2;

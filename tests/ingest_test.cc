@@ -101,16 +101,6 @@ TEST(JsonlTest, RejectsMalformedLines) {
   }
 }
 
-TEST(JsonlTest, EscapeRoundTripsThroughParser) {
-  const std::string nasty = "tab\there \"quotes\" back\\slash\nnewline \x01";
-  std::string line = "{\"user\": 5, \"text\": ";
-  AppendJsonString(nasty, line);
-  line += "}";
-  JsonlRecord record;
-  ASSERT_TRUE(ParseJsonlRecord(line, record));
-  EXPECT_EQ(record.text, nasty);
-}
-
 // -------------------------------------------------------------- Sources --
 
 TEST(JsonlSourceTest, StreamsRecordsSkippingMalformed) {
@@ -124,7 +114,6 @@ TEST(JsonlSourceTest, StreamsRecordsSkippingMalformed) {
   ASSERT_TRUE(source.Next(record));
   EXPECT_EQ(record.user, 1u);
   EXPECT_EQ(record.text, "first message");
-  EXPECT_FALSE(record.pretokenized);
   ASSERT_TRUE(source.Next(record));
   EXPECT_EQ(record.user, 2u);
   EXPECT_EQ(record.event_id, 3);
@@ -162,28 +151,6 @@ TEST(TsvSourceTest, ParsesTwoAndThreeColumnForms) {
   EXPECT_EQ(record.text, "12:30 update");
   EXPECT_FALSE(source.Next(record));
   EXPECT_EQ(source.malformed_count(), 2u);
-}
-
-TEST(TraceSourceTest, EmitsPretokenizedMessagesInOrder) {
-  stream::SyntheticConfig config;
-  config.num_messages = 200;
-  config.num_users = 50;
-  config.background_vocab = 100;
-  config.num_events = 1;
-  config.num_spurious = 0;
-  config.event_duration_min = config.event_duration_max = 100;
-  const stream::SyntheticTrace trace = GenerateSyntheticTrace(config);
-
-  TraceSource source(trace.messages);
-  RawRecord record;
-  for (const stream::Message& message : trace.messages) {
-    ASSERT_TRUE(source.Next(record));
-    EXPECT_TRUE(record.pretokenized);
-    EXPECT_EQ(record.user, message.user);
-    EXPECT_EQ(record.event_id, message.event_id);
-    EXPECT_EQ(record.keywords, message.keywords);
-  }
-  EXPECT_FALSE(source.Next(record));
 }
 
 TEST(GeneratorSourceTest, RendersTokenizerStableText) {
