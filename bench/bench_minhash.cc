@@ -72,11 +72,11 @@ struct KeywordRing {
 
 int main(int argc, char** argv) {
   std::string json_path;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "usage: %s [--json FILE]\n", argv[0]);
       return 2;
     }
   }

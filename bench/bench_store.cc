@@ -10,6 +10,8 @@
 //   $ ./bench_store [--messages N] [--queries N] [--json FILE]
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +35,18 @@ double Percentile(std::vector<double> values, double p) {
   return values[std::min(index, values.size() - 1)];
 }
 
+// Parses a whole decimal count > 0; false on anything else.
+bool ParsePositive(const char* text, std::size_t* out) {
+  // strtoull alone would accept leading blanks and wrap "-5".
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno != 0 || value == 0) return false;
+  *out = static_cast<std::size_t>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -44,10 +58,12 @@ int main(int argc, char** argv) {
   std::size_t query_count = 300;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--messages") == 0 && i + 1 < argc) {
-      messages = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--queries") == 0 && i + 1 < argc) {
-      query_count = static_cast<std::size_t>(std::atoll(argv[++i]));
+    if (std::strcmp(argv[i], "--messages") == 0 && i + 1 < argc &&
+        ParsePositive(argv[i + 1], &messages)) {
+      ++i;
+    } else if (std::strcmp(argv[i], "--queries") == 0 && i + 1 < argc &&
+               ParsePositive(argv[i + 1], &query_count)) {
+      ++i;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {

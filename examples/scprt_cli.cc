@@ -457,7 +457,7 @@ int CmdRun(const Args& args) {
   if (event_store.indexer != nullptr) {
     detector.set_cluster_sink(event_store.indexer.get());
   }
-  detect::SpuriousSuppressor suppressor(3);
+  detect::SpuriousSuppressor suppressor;
   MaybeEnableTracing(args);
   std::vector<detect::QuantumReport> reports;
   for (const stream::Message& m : trace.messages) {

@@ -4,7 +4,7 @@
 1. Link check: every relative markdown link in docs/*.md and README.md
    must point at an existing file, and a #fragment into a markdown file
    must match a heading anchor there (GitHub slug rules, simplified).
-2. Header comment lint: public headers in HEADER_DIRS must open with a
+2. Header comment lint: every header under src/ must open with a
    file-level comment, and every namespace-scope class, struct or enum
    declaration must be preceded by a doc comment (`///` or `//`); for a
    class template the comment sits above its `template <...>` line.
@@ -22,9 +22,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 DECL_RE = re.compile(r"^(class|struct|enum(?:\s+class)?)\s+\w+")
 
-HEADER_DIRS = ("src/akg", "src/baseline", "src/cluster", "src/detect",
-               "src/engine", "src/eval", "src/graph", "src/ingest",
-               "src/rank", "src/stream", "src/text")
+HEADER_GLOB = "src/**/*.h"
 
 
 def github_slug(heading):
@@ -80,33 +78,32 @@ def check_links(root):
 
 def check_headers(root):
     errors = []
-    for directory in HEADER_DIRS:
-        for header in sorted((root / directory).glob("*.h")):
-            rel = header.relative_to(root)
-            lines = header.read_text(encoding="utf-8").splitlines()
-            if not lines or not lines[0].startswith("//"):
-                errors.append(f"{rel}:1: header must open with a "
-                              "file-level comment block")
-            depth = 0
-            for lineno, line in enumerate(lines, 1):
-                stripped = line.strip()
-                code = line.split("//")[0]
-                # Only lint namespace-scope declarations: inside a class
-                # body (brace depth beyond the namespace) nested types are
-                # implementation detail.
-                if depth <= 1 and line and not line[0].isspace():
-                    m = DECL_RE.match(stripped)
-                    if m and not stripped.endswith(";"):
-                        above = lineno - 2
-                        if above >= 0 and \
-                                lines[above].startswith("template"):
-                            above -= 1
-                        prev = lines[above].strip() if above >= 0 else ""
-                        if not prev.startswith(("//", "///")):
-                            errors.append(
-                                f"{rel}:{lineno}: {m.group(0)!r} needs a "
-                                "doc comment on the preceding line")
-                depth += code.count("{") - code.count("}")
+    for header in sorted(root.glob(HEADER_GLOB)):
+        rel = header.relative_to(root)
+        lines = header.read_text(encoding="utf-8").splitlines()
+        if not lines or not lines[0].startswith("//"):
+            errors.append(f"{rel}:1: header must open with a "
+                          "file-level comment block")
+        depth = 0
+        for lineno, line in enumerate(lines, 1):
+            stripped = line.strip()
+            code = line.split("//")[0]
+            # Only lint namespace-scope declarations: inside a class
+            # body (brace depth beyond the namespace) nested types are
+            # implementation detail.
+            if depth <= 1 and line and not line[0].isspace():
+                m = DECL_RE.match(stripped)
+                if m and not stripped.endswith(";"):
+                    above = lineno - 2
+                    if above >= 0 and \
+                            lines[above].startswith("template"):
+                        above -= 1
+                    prev = lines[above].strip() if above >= 0 else ""
+                    if not prev.startswith(("//", "///")):
+                        errors.append(
+                            f"{rel}:{lineno}: {m.group(0)!r} needs a "
+                            "doc comment on the preceding line")
+            depth += code.count("{") - code.count("}")
     return errors
 
 

@@ -11,6 +11,7 @@
 
 namespace scprt {
 
+/// Severity of a log message, least severe first.
 enum class LogLevel : int {
   kDebug = 0,
   kInfo = 1,

@@ -27,14 +27,11 @@ double SortedJaccard(const std::vector<KeywordId>& a,
 
 }  // namespace
 
-EventFeed::EventFeed(const FeedConfig& config)
-    : config_(config), suppressor_(config.spurious_patience) {}
-
 bool EventFeed::IsDuplicate(const std::vector<KeywordId>& keywords,
                             QuantumIndex now) const {
   for (const DeliveredMemo& memo : delivered_) {
-    if (now - memo.quantum > config_.dedupe_horizon) continue;
-    if (SortedJaccard(keywords, memo.keywords) >= config_.dedupe_jaccard) {
+    if (now - memo.quantum > kDedupeHorizon) continue;
+    if (SortedJaccard(keywords, memo.keywords) >= kDedupeJaccard) {
       return true;
     }
   }
@@ -49,8 +46,7 @@ std::vector<FeedItem> EventFeed::Consume(const QuantumReport& report) {
   }
 
   // 2. Story grouping.
-  const std::vector<Story> stories =
-      CorrelateEvents(kept, config_.correlator);
+  const std::vector<Story> stories = CorrelateEvents(kept);
 
   // 3. Deliver stories whose lead is fresh (not a near-duplicate of an
   //    already delivered item).
@@ -70,7 +66,7 @@ std::vector<FeedItem> EventFeed::Consume(const QuantumReport& report) {
       item.related.push_back(kept[story.members[m]]);
     }
     delivered_.push_back(DeliveredMemo{lead.keywords, report.quantum});
-    if (delivered_.size() > config_.dedupe_memory) delivered_.pop_front();
+    if (delivered_.size() > kDedupeMemory) delivered_.pop_front();
     ++delivered_count_;
     if (delivery_hook_) delivery_hook_(item);
     items.push_back(std::move(item));
@@ -91,7 +87,7 @@ void EventFeed::Save(BinaryWriter& out) const {
 
 bool EventFeed::Restore(BinaryReader& in) {
   const auto reset = [this] {
-    suppressor_ = SpuriousSuppressor(config_.spurious_patience);
+    suppressor_ = SpuriousSuppressor();
     delivered_.clear();
     delivered_count_ = 0;
   };
@@ -100,7 +96,7 @@ bool EventFeed::Restore(BinaryReader& in) {
   delivered_count_ = in.U64();
   const std::uint64_t memos = in.U64();
   bool valid = in.CheckLength(memos, 8 + 8) &&
-               memos <= config_.dedupe_memory;
+               memos <= kDedupeMemory;
   for (std::uint64_t i = 0; valid && i < memos; ++i) {
     DeliveredMemo memo;
     memo.quantum = in.I64();

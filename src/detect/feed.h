@@ -24,21 +24,6 @@
 
 namespace scprt::detect {
 
-/// Feed tuning.
-struct FeedConfig {
-  /// Consecutive spurious flags before suppression.
-  int spurious_patience = 3;
-  /// Story grouping parameters.
-  CorrelatorConfig correlator;
-  /// A new item is a duplicate of a delivered one when the keyword Jaccard
-  /// reaches this value...
-  double dedupe_jaccard = 0.5;
-  /// ...and the delivered item is at most this many quanta old.
-  std::int64_t dedupe_horizon = 60;
-  /// Maximum remembered delivered items.
-  std::size_t dedupe_memory = 256;
-};
-
 /// One delivered feed item (a story's lead cluster plus its satellites).
 struct FeedItem {
   QuantumIndex quantum = 0;
@@ -51,7 +36,13 @@ struct FeedItem {
 /// Stateful feed: push each QuantumReport, receive newly deliverable items.
 class EventFeed {
  public:
-  explicit EventFeed(const FeedConfig& config = {});
+  /// A new item is a duplicate of a delivered one when the keyword Jaccard
+  /// reaches kDedupeJaccard...
+  static constexpr double kDedupeJaccard = 0.5;
+  /// ...and the delivered item is at most kDedupeHorizon quanta old.
+  static constexpr std::int64_t kDedupeHorizon = 60;
+  /// Maximum remembered delivered items.
+  static constexpr std::size_t kDedupeMemory = 256;
 
   /// Consumes one report; returns the items that should be delivered now
   /// (new stories only — ongoing ones are not repeated).
@@ -76,7 +67,7 @@ class EventFeed {
   /// Serializes the feed's exactly-once state — dedupe memory, suppressor
   /// counters, delivery count — so a restored feed does not re-deliver
   /// stories it already delivered. Pairs with the detector snapshot
-  /// (durability/backend.h); the FeedConfig itself is not stored.
+  /// (durability/backend.h).
   void Save(BinaryWriter& out) const;
 
   /// Replaces this feed's state with Save()'s encoding. Returns false on
@@ -92,7 +83,6 @@ class EventFeed {
   bool IsDuplicate(const std::vector<KeywordId>& keywords,
                    QuantumIndex now) const;
 
-  FeedConfig config_;
   std::function<void(const FeedItem&)> delivery_hook_;
   SpuriousSuppressor suppressor_;
   std::deque<DeliveredMemo> delivered_;

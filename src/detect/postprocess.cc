@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "common/check.h"
 #include "common/union_find.h"
 
 namespace scprt::detect {
 
 namespace {
+
+// Story correlation thresholds (see CorrelateEvents in the header).
+constexpr double kStoryKeywordJaccard = 0.25;
+constexpr std::int64_t kStoryMaxBirthGap = 8;
 
 // Jaccard of two sorted keyword vectors.
 double KeywordJaccard(const std::vector<KeywordId>& a,
@@ -32,18 +35,17 @@ double KeywordJaccard(const std::vector<KeywordId>& a,
 
 }  // namespace
 
-std::vector<Story> CorrelateEvents(const std::vector<EventSnapshot>& events,
-                                   const CorrelatorConfig& config) {
+std::vector<Story> CorrelateEvents(const std::vector<EventSnapshot>& events) {
   UnionFind uf(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     for (std::size_t j = i + 1; j < events.size(); ++j) {
       if (std::llabs(static_cast<long long>(events[i].born_at) -
                      static_cast<long long>(events[j].born_at)) >
-          config.max_birth_gap) {
+          kStoryMaxBirthGap) {
         continue;
       }
       if (KeywordJaccard(events[i].keywords, events[j].keywords) >=
-          config.keyword_jaccard) {
+          kStoryKeywordJaccard) {
         uf.Union(i, j);
       }
     }
@@ -73,10 +75,6 @@ std::vector<Story> CorrelateEvents(const std::vector<EventSnapshot>& events,
   return stories;
 }
 
-SpuriousSuppressor::SpuriousSuppressor(int patience) : patience_(patience) {
-  SCPRT_CHECK(patience >= 1);
-}
-
 std::vector<std::size_t> SpuriousSuppressor::Filter(
     const std::vector<EventSnapshot>& events) {
   std::vector<std::size_t> shown;
@@ -90,7 +88,7 @@ std::vector<std::size_t> SpuriousSuppressor::Filter(
       streak = (it == consecutive_.end() ? 0 : it->second) + 1;
     }
     next[e.cluster_id] = streak;
-    if (streak < patience_) shown.push_back(i);
+    if (streak < kPatience) shown.push_back(i);
   }
   consecutive_ = std::move(next);  // events gone from the feed are dropped
   return shown;
@@ -99,7 +97,7 @@ std::vector<std::size_t> SpuriousSuppressor::Filter(
 std::size_t SpuriousSuppressor::suppressed_count() const {
   std::size_t n = 0;
   for (const auto& [_, streak] : consecutive_) {
-    if (streak >= patience_) ++n;
+    if (streak >= kPatience) ++n;
   }
   return n;
 }

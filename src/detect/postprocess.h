@@ -25,16 +25,6 @@
 
 namespace scprt::detect {
 
-/// Configuration of the story correlator.
-struct CorrelatorConfig {
-  /// Two events correlate when the Jaccard of their keyword sets reaches
-  /// this threshold...
-  double keyword_jaccard = 0.25;
-  /// ...and their birth quanta differ by at most this much (temporal
-  /// correlation of clusters about one real-world event).
-  std::int64_t max_birth_gap = 8;
-};
-
 /// One group of correlated events (a "story").
 struct Story {
   /// Snapshot indices into the input vector, rank-descending.
@@ -44,20 +34,22 @@ struct Story {
 };
 
 /// Groups the events of one report into stories. Single-pass greedy union
-/// by pairwise keyword Jaccard + birth proximity; deterministic.
-std::vector<Story> CorrelateEvents(const std::vector<EventSnapshot>& events,
-                                   const CorrelatorConfig& config = {});
+/// by pairwise keyword Jaccard + birth proximity; deterministic. Two events
+/// correlate when the Jaccard of their keyword sets reaches 0.25 and their
+/// birth quanta differ by at most 8 (temporal correlation of clusters about
+/// one real-world event).
+std::vector<Story> CorrelateEvents(const std::vector<EventSnapshot>& events);
 
 /// Demotion policy over consecutive spurious flags.
 class SpuriousSuppressor {
  public:
-  /// `patience`: consecutive likely_spurious observations before an event
-  /// is suppressed.
-  explicit SpuriousSuppressor(int patience = 3);
+  /// Consecutive likely_spurious observations before an event is
+  /// suppressed.
+  static constexpr int kPatience = 3;
 
   /// Feeds one quantum's snapshots; returns the indices (into `events`)
   /// that should be shown, preserving order. Events flagged spurious for
-  /// `patience` consecutive quanta are dropped; state resets whenever the
+  /// kPatience consecutive quanta are dropped; state resets whenever the
   /// flag clears (the event "came back to life").
   std::vector<std::size_t> Filter(const std::vector<EventSnapshot>& events);
 
@@ -72,7 +64,6 @@ class SpuriousSuppressor {
   bool Restore(BinaryReader& in);
 
  private:
-  int patience_;
   std::unordered_map<ClusterId, int> consecutive_;
 };
 

@@ -128,6 +128,7 @@ struct CommitResult {
   std::uint64_t stall_ns = 0;
 };
 
+/// Inputs to WalBackend::Recover.
 struct RecoverOptions {
   /// The deployment's dictionary; must be empty (recovery installs the
   /// persisted vocabulary into it).

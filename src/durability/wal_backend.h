@@ -50,6 +50,8 @@
 
 namespace scprt::durability {
 
+/// Persists an engine and its ingest state into one WAL directory, and
+/// recovers the newest durable state from it (see the file comment).
 class WalBackend {
  public:
   /// Creates `options.directory` if missing.

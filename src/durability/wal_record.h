@@ -49,6 +49,8 @@ inline constexpr std::size_t kLogHeaderSize = 4 + 4;
 /// stop using this log (recovery reads the torn tail as a clean end).
 bool AppendLogRecord(AppendFile& file, std::string_view payload);
 
+/// Reads one log file's records in order, stopping at its newest
+/// consistent prefix.
 class LogReader {
  public:
   /// Reads from an in-memory copy of the log file (a log spans one

@@ -6,9 +6,10 @@
 #include <utility>
 
 #include "common/check.h"
-#include "engine/spsc_queue.h"
+#include "ingest/spsc_queue.h"
 #include "obs/registry.h"
 #include "text/stopwords.h"
+#include "text/tokenizer.h"
 
 namespace scprt::ingest {
 
@@ -39,13 +40,12 @@ std::vector<ResolvedToken> TokenizeAndResolve(
     std::string_view message_text, const IngestConfig& config,
     const text::ConcurrentKeywordDictionary& dictionary,
     std::uint64_t* raw_tokens) {
-  std::vector<std::string> words =
-      text::Tokenize(message_text, config.tokenizer);
+  std::vector<std::string> words = text::Tokenize(message_text);
   if (raw_tokens) *raw_tokens = words.size();
   std::vector<ResolvedToken> tokens;
   tokens.reserve(words.size());
   for (std::string& word : words) {
-    if (config.drop_stopwords && text::IsStopWord(word)) continue;
+    if (text::IsStopWord(word)) continue;
     if (config.synonyms) {
       // When mapped, Canonical returns a view into the table's own storage
       // (never into `word`), so assigning through it is alias-free.
@@ -63,8 +63,8 @@ std::vector<ResolvedToken> TokenizeAndResolve(
 struct IngestPipeline::Worker {
   explicit Worker(std::size_t capacity) : in(capacity), out(capacity) {}
 
-  engine::SpscQueue<WorkItem> in;
-  engine::SpscQueue<DoneItem> out;
+  SpscQueue<WorkItem> in;
+  SpscQueue<DoneItem> out;
   // Bumped by the driver after every push (and at stop) to wake the worker.
   // 32 bits, so wait/notify use the futex word directly: notify_one with
   // no waiter is then a load, not a read-modify-write of a shared slot.
@@ -135,8 +135,7 @@ IngestSnapshot IngestPipeline::Run(MessageSource& source, MessageSink& sink,
         obs::Enabled() ? obs::MonotonicNanos() : 0;
     std::size_t delivered = 0;
     while (collect_seq < dispatch_seq) {
-      engine::SpscQueue<DoneItem>& out =
-          workers_[collect_seq % num_workers]->out;
+      SpscQueue<DoneItem>& out = workers_[collect_seq % num_workers]->out;
       const DoneItem* const ready = out.Front();
       if (ready == nullptr) break;
       const DoneItem& done = *ready;

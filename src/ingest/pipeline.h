@@ -41,7 +41,6 @@
 #include "ingest/source.h"
 #include "text/concurrent_dictionary.h"
 #include "text/synonyms.h"
-#include "text/tokenizer.h"
 
 namespace scprt::ingest {
 
@@ -54,9 +53,6 @@ struct IngestConfig {
   /// Total staging = 2 * workers * queue_capacity (in + out sides).
   std::size_t queue_capacity = 1024;
   AdmissionConfig admission;
-  text::TokenizerOptions tokenizer;
-  /// Drop stop words after tokenization (paper Section 1.1).
-  bool drop_stopwords = true;
   /// Optional synonym folding before interning (borrowed; may be null).
   const text::SynonymTable* synonyms = nullptr;
 };
@@ -70,7 +66,8 @@ struct ResolvedToken {
 };
 
 /// The worker-stage transform, exposed for unit tests and frontend-only
-/// micro-benchmarks: tokenize, filter stop words, fold synonyms, look up.
+/// micro-benchmarks: tokenize, drop stop words (paper Section 1.1), fold
+/// synonyms, look up.
 /// `raw_tokens` (optional) receives the pre-filter token count.
 std::vector<ResolvedToken> TokenizeAndResolve(
     std::string_view message_text, const IngestConfig& config,

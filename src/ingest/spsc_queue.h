@@ -6,17 +6,17 @@
 // side also keeps a private copy of the other's index and re-reads the
 // shared one only when that copy says full (producer) or empty
 // (consumer), so a push or pop usually touches no cache line the other
-// thread writes. Used as the per-worker record channels of
-// ingest/pipeline.cc (the driver thread produces into a tokenizer
-// worker's in-queue and consumes its out-queue).
+// thread writes. Used as the per-worker record channels of the ingest
+// pipeline (the driver thread produces into a tokenizer worker's
+// in-queue and consumes its out-queue).
 //
 // The consumer reads an element in place (Front, then Pop) and never
 // moves it out, so whatever heap memory the element owns stays in its
 // slot and is released by the producer's next assignment to that slot:
 // memory is freed by the thread that allocated it.
 
-#ifndef SCPRT_ENGINE_SPSC_QUEUE_H_
-#define SCPRT_ENGINE_SPSC_QUEUE_H_
+#ifndef SCPRT_INGEST_SPSC_QUEUE_H_
+#define SCPRT_INGEST_SPSC_QUEUE_H_
 
 #include <atomic>
 #include <cstddef>
@@ -25,7 +25,7 @@
 
 #include "common/check.h"
 
-namespace scprt::engine {
+namespace scprt::ingest {
 
 /// Fixed-capacity SPSC queue. Exactly one thread may call the producer
 /// members (TryPush, full) and exactly one thread the consumer members
@@ -96,6 +96,6 @@ class SpscQueue {
   std::size_t head_seen_ = 0;  // producer's copy of head_
 };
 
-}  // namespace scprt::engine
+}  // namespace scprt::ingest
 
-#endif  // SCPRT_ENGINE_SPSC_QUEUE_H_
+#endif  // SCPRT_INGEST_SPSC_QUEUE_H_

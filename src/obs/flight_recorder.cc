@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +16,14 @@ namespace scprt::obs {
 namespace {
 
 std::atomic<FlightRecorder*> g_recorder{nullptr};
+
+// Capacity of each half of the double buffer.
+constexpr std::size_t kBufferBytes = 256 * 1024;
+// Sampler ring entries kept in the bundle.
+constexpr std::size_t kSampleTail = 8;
+// Spans kept in the bundle, and at most this many per thread.
+constexpr std::size_t kSpanTail = 256;
+constexpr std::size_t kSpanTailPerThread = 64;
 
 struct FatalSignal {
   int signo;
@@ -107,10 +114,8 @@ FlightRecorder::FlightRecorder(const Options& options)
                                             : &Registry::Default()),
       tracer_(options.tracer != nullptr ? options.tracer
                                         : &Tracer::Default()) {
-  const std::size_t cap = std::max<std::size_t>(options_.buffer_bytes, 4096);
-  options_.buffer_bytes = cap;
-  buffers_[0] = std::make_unique<char[]>(cap);
-  buffers_[1] = std::make_unique<char[]>(cap);
+  buffers_[0] = std::make_unique<char[]>(kBufferBytes);
+  buffers_[1] = std::make_unique<char[]>(kBufferBytes);
   // The handler can only open/write/close; make sure the directory
   // exists now, while mkdir is still allowed.
   std::error_code ec;
@@ -179,8 +184,7 @@ std::string FlightRecorder::RenderBody() const {
   body += "\"samples\":[";
   if (options_.sampler != nullptr) {
     bool first = true;
-    for (const Sampler::Sample& s :
-         options_.sampler->Tail(options_.sample_tail)) {
+    for (const Sampler::Sample& s : options_.sampler->Tail(kSampleTail)) {
       if (!first) body += ',';
       first = false;
       std::snprintf(buf, sizeof(buf), "{\"unix\":%.3f,\"metrics\":",
@@ -195,7 +199,7 @@ std::string FlightRecorder::RenderBody() const {
   body += "\"spans\":[";
   {
     const std::vector<SpanEvent> spans =
-        tracer_->SnapshotTail(64, options_.span_tail);
+        tracer_->SnapshotTail(kSpanTailPerThread, kSpanTail);
     bool first = true;
     for (const SpanEvent& e : spans) {
       if (!first) body += ',';
@@ -216,7 +220,7 @@ std::string FlightRecorder::RenderBody() const {
 void FlightRecorder::Refresh() {
   if (crashing_.load(std::memory_order_relaxed)) return;
   std::string body = RenderBody();
-  if (body.size() >= options_.buffer_bytes) {
+  if (body.size() >= kBufferBytes) {
     // Too big to pre-stage whole: a truncated bundle is worse than a
     // smaller complete one.
     body = "\"truncated\":true,\"body_bytes\":" +

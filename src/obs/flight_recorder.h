@@ -40,6 +40,10 @@
 
 namespace scprt::obs {
 
+/// The process-wide crash recorder: keeps a pre-rendered post-mortem
+/// bundle (256 KiB per buffer half; the last 8 sampler entries and the
+/// newest 256 spans, at most 64 per thread) ready for the fatal-signal
+/// handler to write.
 class FlightRecorder {
  public:
   struct Options {
@@ -48,9 +52,6 @@ class FlightRecorder {
     Tracer* tracer = nullptr;      ///< Tracer::Default() when null
     Sampler* sampler = nullptr;    ///< optional: ring tail in the bundle
     Watchdog* watchdog = nullptr;  ///< optional: rule state in the bundle
-    std::size_t buffer_bytes = 256 * 1024;  ///< per-half capacity
-    std::size_t sample_tail = 8;   ///< sampler ring entries kept
-    std::size_t span_tail = 256;   ///< spans kept (64 per thread)
   };
 
   /// Creates the process-wide recorder and installs the fatal-signal

@@ -11,8 +11,7 @@ namespace scprt::obs {
 Sampler::Sampler(SamplerOptions options)
     : registry_(options.registry != nullptr ? options.registry
                                             : &Registry::Default()),
-      period_seconds_(std::max(options.period_seconds, 0.01)),
-      ring_capacity_(std::max<std::size_t>(options.ring_capacity, 2)) {}
+      period_seconds_(std::max(options.period_seconds, 0.01)) {}
 
 Sampler::~Sampler() { Stop(); }
 
@@ -62,7 +61,7 @@ void Sampler::TakeSampleAndNotify() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ring_.push_back(std::move(sample));
-    while (ring_.size() > ring_capacity_) ring_.pop_front();
+    while (ring_.size() > kRingCapacity) ring_.pop_front();
     ++ticks_;
   }
   if (callback_) callback_(*this);

@@ -37,17 +37,21 @@
 
 namespace scprt::obs {
 
+/// Sampler wiring: the tick period and the registry to sample.
 struct SamplerOptions {
   /// Seconds between samples. Clamped to >= 0.01.
   double period_seconds = 1.0;
-  /// Samples kept (oldest evicted). 600 = ten minutes at 1 Hz.
-  std::size_t ring_capacity = 600;
   /// Registry to sample; Registry::Default() when null.
   Registry* registry = nullptr;
 };
 
+/// Snapshots a registry on a background thread into a bounded ring (see
+/// the file comment).
 class Sampler {
  public:
+  /// Samples kept (oldest evicted): ten minutes at 1 Hz.
+  static constexpr std::size_t kRingCapacity = 600;
+
   /// One ring entry: a full registry snapshot plus when it was taken on
   /// both clocks (monotonic for deltas, wall for display).
   struct Sample {
@@ -109,7 +113,6 @@ class Sampler {
 
   Registry* registry_;
   double period_seconds_;
-  std::size_t ring_capacity_;
   std::function<void(const Sampler&)> callback_;
 
   mutable std::mutex mu_;

@@ -41,6 +41,7 @@
 
 namespace scprt::obs {
 
+/// Where the stats server listens and what it serves.
 struct StatsServerOptions {
   /// "host:port"; port 0 binds an ephemeral port (see port()).
   std::string address = "127.0.0.1:0";
@@ -53,6 +54,7 @@ struct StatsServerOptions {
   std::vector<std::pair<std::string, std::string>> config;
 };
 
+/// The embedded HTTP/1.0 stats server (see the file comment).
 class StatsServer {
  public:
   struct Response {

@@ -29,6 +29,7 @@
 
 namespace scprt::obs {
 
+/// Which telemetry pieces to start, and how.
 struct TelemetryOptions {
   /// "host:port" for the stats server; empty = no server.
   std::string stats_addr;
@@ -45,6 +46,7 @@ struct TelemetryOptions {
   std::vector<std::pair<std::string, std::string>> config;
 };
 
+/// The started telemetry pieces, owned together (see the file comment).
 class Telemetry {
  public:
   /// Builds and starts whatever the options ask for. Returns null with

@@ -12,11 +12,7 @@ Tracer& Tracer::Default() {
   return *instance;
 }
 
-void Tracer::Enable(std::size_t capacity_per_thread) {
-  std::lock_guard<std::mutex> lock(rings_mu_);
-  capacity_per_thread_ = std::max<std::size_t>(capacity_per_thread, 16);
-  enabled_.store(true, std::memory_order_relaxed);
-}
+void Tracer::Enable() { enabled_.store(true, std::memory_order_relaxed); }
 
 void Tracer::Disable() { enabled_.store(false, std::memory_order_relaxed); }
 
@@ -35,7 +31,6 @@ Tracer::Ring* Tracer::RingForThisThread() {
   if (cached_owner_id == id_) return cached_ring;
   std::lock_guard<std::mutex> lock(rings_mu_);
   auto ring = std::make_unique<Ring>();
-  ring->capacity = capacity_per_thread_;
   ring->tid = next_tid_++;
   Ring* raw = ring.get();
   rings_.push_back(std::move(ring));
@@ -49,15 +44,15 @@ void Tracer::Record(const char* name, std::int64_t start_ns,
   Ring* ring = RingForThisThread();
   SpanEvent event{name, ring->tid, start_ns, dur_ns};
   std::lock_guard<std::mutex> lock(ring->mu);
-  if (ring->events.size() < ring->capacity) {
+  if (ring->events.size() < kCapacityPerThread) {
     ring->events.push_back(event);
-    ring->next = ring->events.size() % ring->capacity;
+    ring->next = ring->events.size() % kCapacityPerThread;
     if (ring->next == 0) ring->wrapped = true;
   } else {
     // The ring clips its oldest span — count it, don't hide it.
     dropped_->Increment();
     ring->events[ring->next] = event;
-    ring->next = (ring->next + 1) % ring->capacity;
+    ring->next = (ring->next + 1) % kCapacityPerThread;
     ring->wrapped = true;
   }
 }

@@ -57,9 +57,11 @@ class Tracer {
 
   static Tracer& Default();
 
-  /// Starts capturing, with each thread keeping at most
-  /// `capacity_per_thread` most-recent spans.
-  void Enable(std::size_t capacity_per_thread = std::size_t{1} << 15);
+  /// Spans each thread's ring keeps (the most recent ones).
+  static constexpr std::size_t kCapacityPerThread = std::size_t{1} << 15;
+
+  /// Starts capturing into per-thread rings of kCapacityPerThread spans.
+  void Enable();
   void Disable();
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
@@ -92,7 +94,6 @@ class Tracer {
     std::mutex mu;
     std::vector<SpanEvent> events;  // circular once full
     std::size_t next = 0;
-    std::size_t capacity = 0;
     std::uint32_t tid = 0;
     bool wrapped = false;
   };
@@ -111,7 +112,6 @@ class Tracer {
   std::atomic<bool> enabled_{false};
   std::mutex rings_mu_;
   std::vector<std::unique_ptr<Ring>> rings_;  // never freed while enabled
-  std::size_t capacity_per_thread_ = std::size_t{1} << 15;
   std::uint32_t next_tid_ = 0;
 };
 

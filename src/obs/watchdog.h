@@ -49,6 +49,7 @@ const char* HealthName(Health health);
 
 enum class RuleAgg { kP50, kP95, kP99, kMean, kMax, kRate, kValue };
 
+/// One parsed rule of the grammar in the file comment.
 struct WatchdogRule {
   std::string metric;
   RuleAgg agg = RuleAgg::kP95;
@@ -70,6 +71,8 @@ bool ParseWatchdogRules(std::string_view text,
 /// The four standing default rules (see file comment).
 std::vector<WatchdogRule> DefaultWatchdogRules();
 
+/// Evaluates rules against a sampler on each tick and keeps the health
+/// verdict.
 class Watchdog {
  public:
   struct RuleState {

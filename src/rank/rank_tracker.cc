@@ -2,28 +2,19 @@
 
 #include <algorithm>
 
-#include "common/check.h"
-
 namespace scprt::rank {
-
-RankTracker::RankTracker(std::size_t min_observations,
-                         std::size_t max_history)
-    : min_observations_(min_observations), max_history_(max_history) {
-  SCPRT_CHECK(min_observations >= 2);
-  SCPRT_CHECK(max_history >= min_observations);
-}
 
 void RankTracker::Observe(ClusterId id, const RankObservation& obs) {
   auto& h = history_[id];
   h.push_back(obs);
-  if (h.size() > max_history_) h.pop_front();
+  if (h.size() > kMaxHistory) h.pop_front();
 }
 
 bool RankTracker::IsLikelySpurious(ClusterId id) const {
   auto it = history_.find(id);
   if (it == history_.end()) return false;
   const auto& h = it->second;
-  if (h.size() < min_observations_) return false;
+  if (h.size() < kMinObservations) return false;
   bool grew = false;
   bool rank_rose = false;
   for (std::size_t i = 1; i < h.size(); ++i) {
@@ -71,9 +62,9 @@ bool RankTracker::Restore(BinaryReader& in) {
   for (std::uint64_t i = 0; valid && i < count; ++i) {
     const ClusterId id = in.U64();
     const std::uint32_t length = in.U32();
-    // The ring never grows beyond max_history_, and an empty history is
+    // The ring never grows beyond kMaxHistory, and an empty history is
     // erased eagerly by Forget.
-    if (length == 0 || length > max_history_ ||
+    if (length == 0 || length > kMaxHistory ||
         !in.CheckLength(length, 20) || history_.count(id) != 0) {
       valid = false;
       break;

@@ -26,10 +26,12 @@ struct RankObservation {
 /// Per-cluster rank history with bounded memory.
 class RankTracker {
  public:
-  /// `min_observations`: history length required before a spurious verdict;
-  /// `max_history`: ring size per cluster.
-  explicit RankTracker(std::size_t min_observations = 3,
-                       std::size_t max_history = 16);
+  /// History length required before a spurious verdict.
+  static constexpr std::size_t kMinObservations = 3;
+  /// Ring size per cluster.
+  static constexpr std::size_t kMaxHistory = 16;
+  static_assert(kMinObservations >= 2);
+  static_assert(kMaxHistory >= kMinObservations);
 
   /// Records one per-quantum observation of a live cluster.
   void Observe(ClusterId id, const RankObservation& obs);
@@ -62,8 +64,6 @@ class RankTracker {
   bool Restore(BinaryReader& in);
 
  private:
-  std::size_t min_observations_;
-  std::size_t max_history_;
   std::unordered_map<ClusterId, std::deque<RankObservation>> history_;
 };
 

@@ -26,6 +26,8 @@
 
 namespace scprt::store {
 
+/// The ClusterSink that inserts every newly reported cluster into an
+/// LshIndex (see the file comment).
 class EventIndexer : public detect::ClusterSink {
  public:
   /// `index` must outlive the indexer. `commit_every` == 0 means "never

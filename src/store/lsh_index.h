@@ -106,6 +106,7 @@ struct QueryResult {
 inline constexpr std::size_t kMaxRecordKeywords = 48;
 inline constexpr std::size_t kMaxSpellingBytes = 48;
 
+/// The on-disk banded LSH event index (see the file comment).
 class LshIndex {
  public:
   /// Creates an empty index in `directory` (which must exist): writes the

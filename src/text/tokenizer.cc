@@ -6,6 +6,11 @@ namespace scprt::text {
 
 namespace {
 
+// Tokens strictly shorter than this are dropped ("a", "I", ...).
+constexpr std::size_t kMinTokenLength = 2;
+// Bare numbers with more digits than this are dropped (timestamps, ids).
+constexpr std::size_t kMaxNumberLength = 4;
+
 bool IsTokenChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '\'' ||
          c == '.' || c == '#' || c == '@' || c == '_' || c == '-';
@@ -26,10 +31,9 @@ bool IsBareNumber(std::string_view t) {
 
 // Strips leading/trailing punctuation that IsTokenChar admitted but that is
 // not meaningful at the borders ("don't." -> "don't", ".9" stays).
-std::string_view TrimToken(std::string_view t, bool keep_sigils) {
+std::string_view TrimToken(std::string_view t) {
   while (!t.empty() && (t.front() == '\'' || t.front() == '.' ||
-                        t.front() == '-' || t.front() == '_' ||
-                        (!keep_sigils && (t.front() == '#' || t.front() == '@')))) {
+                        t.front() == '-' || t.front() == '_')) {
     // Keep a leading dot only when followed by a digit (".9" style decimals
     // are rare; normalize them away too for simplicity).
     t.remove_prefix(1);
@@ -50,8 +54,7 @@ void AsciiLowerInPlace(std::string& s) {
   }
 }
 
-std::vector<std::string> Tokenize(std::string_view message,
-                                  const TokenizerOptions& options) {
+std::vector<std::string> Tokenize(std::string_view message) {
   std::vector<std::string> tokens;
   std::size_t i = 0;
   const std::size_t n = message.size();
@@ -60,9 +63,8 @@ std::vector<std::string> Tokenize(std::string_view message,
     std::size_t start = i;
     while (i < n && IsTokenChar(message[i])) ++i;
     if (start == i) continue;
-    std::string_view raw = TrimToken(message.substr(start, i - start),
-                                     options.keep_sigils);
-    if (raw.size() < options.min_token_length) continue;
+    std::string_view raw = TrimToken(message.substr(start, i - start));
+    if (raw.size() < kMinTokenLength) continue;
     // URLs sneak through as "http" fragments after punctuation splitting;
     // drop the protocol tokens outright.
     if (raw == "http" || raw == "https" || raw == "www") continue;
@@ -71,7 +73,7 @@ std::vector<std::string> Tokenize(std::string_view message,
       for (char c : raw) {
         if (std::isdigit(static_cast<unsigned char>(c))) ++digits;
       }
-      if (digits > options.max_number_length) continue;
+      if (digits > kMaxNumberLength) continue;
     }
     std::string token(raw);
     AsciiLowerInPlace(token);

@@ -3,7 +3,7 @@
 // The paper builds CKG nodes from message keywords "after removing stop
 // words" (Section 1.1). The tokenizer lower-cases, strips punctuation
 // (keeping #hashtags, @mentions and decimals like "5.9" intact — Figure 1
-// has node "5.9"), and drops tokens shorter than a minimum length.
+// has node "5.9"), and drops tokens shorter than two characters.
 
 #ifndef SCPRT_TEXT_TOKENIZER_H_
 #define SCPRT_TEXT_TOKENIZER_H_
@@ -14,21 +14,12 @@
 
 namespace scprt::text {
 
-/// Tokenizer options.
-struct TokenizerOptions {
-  /// Tokens strictly shorter than this are dropped ("a", "is", ...).
-  std::size_t min_token_length = 2;
-  /// Keep "#tag" / "@user" sigils as part of the token.
-  bool keep_sigils = true;
-  /// Drop bare numbers longer than this many digits (timestamps, ids);
-  /// short numerics like "5.9" are informative and kept.
-  std::size_t max_number_length = 4;
-};
-
 /// Splits `message` into normalized tokens. Deterministic, allocation-light.
+/// Tokens shorter than two characters ("a") are dropped, "#tag" / "@user"
+/// sigils stay part of the token, and bare numbers of more than four digits
+/// (timestamps, ids) are dropped; short numerics like "5.9" are kept.
 /// Does NOT remove stop words; compose with text::IsStopWord.
-std::vector<std::string> Tokenize(std::string_view message,
-                                  const TokenizerOptions& options = {});
+std::vector<std::string> Tokenize(std::string_view message);
 
 /// Lower-cases ASCII in place; non-ASCII bytes are passed through.
 void AsciiLowerInPlace(std::string& s);

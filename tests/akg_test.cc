@@ -236,6 +236,100 @@ TEST(UserIdSetsTest, MatchesBruteForceModel) {
   }
 }
 
+// A hand-built UserIdSets encoding, in Save()'s layout: per group, the
+// quantum history entries, each a list of (keyword, user) pairs.
+struct ForgedIdSets {
+  std::uint64_t window = 3;
+  std::vector<std::vector<std::vector<std::pair<KeywordId, UserId>>>> groups;
+
+  std::string Encode() const {
+    BinaryWriter out;
+    out.U32(static_cast<std::uint32_t>(groups.size()));
+    out.U64(window);
+    for (const auto& history : groups) {
+      out.U32(static_cast<std::uint32_t>(history.size()));
+      for (const auto& entry : history) {
+        out.U64(entry.size());
+        for (const auto& [keyword, user] : entry) {
+          out.U32(keyword);
+          out.U32(user);
+        }
+      }
+    }
+    return out.data();
+  }
+};
+
+// A canonical two-quantum state of a w = 3 store: keywords 1 and 17 live
+// in group 1, keyword 2 in group 2.
+ForgedIdSets CanonicalIdSets() {
+  ForgedIdSets forged;
+  forged.groups.assign(UserIdSets::kIdSetShards, {{}, {}});
+  forged.groups[1] = {{{1, 5}, {1, 7}, {17, 2}}, {{1, 9}}};
+  forged.groups[2] = {{}, {{2, 4}}};
+  return forged;
+}
+
+// Restore accepts only the canonical form Save writes. Every forged
+// encoding below must fail and leave the store empty, whatever it held.
+TEST(UserIdSetsTest, RestoreRejectsNonCanonicalState) {
+  const UserIdSets empty(3);
+  {
+    // The unforged baseline restores, and re-saves to the same bytes.
+    const std::string bytes = CanonicalIdSets().Encode();
+    UserIdSets sets(3);
+    BinaryReader in(bytes);
+    ASSERT_TRUE(sets.Restore(in));
+    EXPECT_EQ(Users(sets, 1), (std::vector<UserId>{5, 7, 9}));
+    EXPECT_EQ(Users(sets, 2), (std::vector<UserId>{4}));
+    EXPECT_EQ(SaveBytes(sets), bytes);
+  }
+  const struct {
+    const char* name;
+    std::function<void(ForgedIdSets&)> forge;
+  } cases[] = {
+      {"one group too few", [](ForgedIdSets& f) { f.groups.pop_back(); }},
+      {"one group too many",
+       [](ForgedIdSets& f) { f.groups.push_back({{}, {}}); }},
+      {"window length differs", [](ForgedIdSets& f) { f.window = 4; }},
+      {"keyword in the wrong group",
+       [](ForgedIdSets& f) { f.groups[0][0] = {{1, 5}}; }},
+      {"pairs out of order",
+       [](ForgedIdSets& f) { f.groups[1][0] = {{1, 7}, {1, 5}}; }},
+      {"keywords out of order",
+       [](ForgedIdSets& f) { f.groups[1][0] = {{17, 2}, {1, 5}}; }},
+      {"duplicate pair",
+       [](ForgedIdSets& f) { f.groups[1][1] = {{1, 9}, {1, 9}}; }},
+      {"a later group is deeper",
+       [](ForgedIdSets& f) { f.groups[5].push_back({}); }},
+      {"a later group is shallower",
+       [](ForgedIdSets& f) { f.groups[15].pop_back(); }},
+      {"depth exceeds the window",
+       [](ForgedIdSets& f) {
+         for (auto& history : f.groups) history.resize(4);
+       }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ForgedIdSets forged = CanonicalIdSets();
+    c.forge(forged);
+    const std::string bytes = forged.Encode();
+
+    // Start from a populated store, so "empty" is the reset's doing.
+    UserIdSets sets(3);
+    const std::string canonical = CanonicalIdSets().Encode();
+    BinaryReader good(canonical);
+    ASSERT_TRUE(sets.Restore(good));
+    ASSERT_GT(sets.active_keywords(), 0u);
+
+    BinaryReader in(bytes);
+    EXPECT_FALSE(sets.Restore(in));
+    EXPECT_EQ(sets.active_keywords(), 0u);
+    EXPECT_TRUE(Users(sets, 1).empty());
+    EXPECT_EQ(SaveBytes(sets), SaveBytes(empty));
+  }
+}
+
 // --- AggregateQuantum ---
 
 // Ids at the edges of the packing next to ordinary ones.

@@ -51,13 +51,17 @@ TEST(EventFeedTest, DedupesRebornCluster) {
 }
 
 TEST(EventFeedTest, DedupeExpiresWithHorizon) {
-  FeedConfig config;
-  config.dedupe_horizon = 5;
-  EventFeed feed(config);
+  EventFeed feed;
   feed.Consume(Report(1, {Snap(1, {10, 11, 12}, 20.0, 1, true)}));
-  const auto items =
-      feed.Consume(Report(10, {Snap(9, {10, 11, 12}, 18.0, 10, true)}));
-  EXPECT_EQ(items.size(), 1u);  // old enough to be a fresh occurrence
+  // At the horizon the delivered item still dedupes...
+  constexpr QuantumIndex kEdge = 1 + EventFeed::kDedupeHorizon;
+  EXPECT_TRUE(
+      feed.Consume(Report(kEdge, {Snap(8, {10, 11, 12}, 18.0, kEdge, true)}))
+          .empty());
+  // ...one quantum past it, it is old enough to be a fresh occurrence.
+  const auto items = feed.Consume(
+      Report(kEdge + 1, {Snap(9, {10, 11, 12}, 18.0, kEdge + 1, true)}));
+  EXPECT_EQ(items.size(), 1u);
 }
 
 TEST(EventFeedTest, CorrelatedClustersBecomeOneStory) {
@@ -74,14 +78,15 @@ TEST(EventFeedTest, CorrelatedClustersBecomeOneStory) {
 }
 
 TEST(EventFeedTest, SuppressesPersistentlySpurious) {
-  FeedConfig config;
-  config.spurious_patience = 2;
-  EventFeed feed(config);
+  EventFeed feed;
   // Spurious from the start but still new on first sight: shown once.
   auto items =
       feed.Consume(Report(1, {Snap(1, {1, 2, 3}, 9.0, 1, true, true)}));
   EXPECT_EQ(items.size(), 1u);
-  feed.Consume(Report(2, {Snap(1, {1, 2, 3}, 8.0, 1, false, true)}));
+  for (QuantumIndex q = 2; q <= SpuriousSuppressor::kPatience; ++q) {
+    EXPECT_EQ(feed.suppressed_count(), 0u) << "quantum " << q;
+    feed.Consume(Report(q, {Snap(1, {1, 2, 3}, 8.0, 1, false, true)}));
+  }
   EXPECT_EQ(feed.suppressed_count(), 1u);
 }
 
@@ -103,8 +108,7 @@ TEST(EventFeedTest, DedupeInvariantOnRealRun) {
   dconfig.quantum_size = 120;
   dconfig.akg.window_length = 15;
   engine::ParallelDetector detector({dconfig}, &trace.dictionary);
-  FeedConfig fconfig;
-  EventFeed feed(fconfig);
+  EventFeed feed;
 
   std::vector<FeedItem> delivered;
   for (const stream::Message& m : trace.messages) {
@@ -133,12 +137,12 @@ TEST(EventFeedTest, DedupeInvariantOnRealRun) {
   for (std::size_t x = 0; x < delivered.size(); ++x) {
     for (std::size_t y = x + 1; y < delivered.size(); ++y) {
       if (delivered[y].quantum - delivered[x].quantum >
-          fconfig.dedupe_horizon) {
+          EventFeed::kDedupeHorizon) {
         continue;
       }
       EXPECT_LT(jaccard(delivered[x].lead.keywords,
                         delivered[y].lead.keywords),
-                fconfig.dedupe_jaccard)
+                EventFeed::kDedupeJaccard)
           << "items at quanta " << delivered[x].quantum << " and "
           << delivered[y].quantum;
     }

@@ -2,7 +2,8 @@
 // worker-count determinism, backpressure bounds, load-shedding policies,
 // and the headline equivalence property — the raw-text path (JSONL ->
 // tokenize -> intern -> quanta -> detector) emits bit-identical reports to
-// the pre-tokenized trace path on the same token stream.
+// the pre-tokenized trace path on the same token stream. Also stresses the
+// SpscQueue the pipeline hands records through (ThreadSanitizer-friendly).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "ingest/assembler.h"
 #include "ingest/pipeline.h"
 #include "ingest/source.h"
+#include "ingest/spsc_queue.h"
 #include "ingest/text_export.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
@@ -367,6 +369,34 @@ TEST(IngestPipelineTest, FairSampleShedsOnlyOutOfSampleUsers) {
     }
   }
   EXPECT_GE(sink.messages().size(), in_sample_total);
+}
+
+TEST(SpscQueueTest, OrderedHandoffAcrossThreads) {
+  SpscQueue<std::size_t> queue(64);
+  constexpr std::size_t kItems = 200'000;
+  std::thread consumer([&] {
+    std::size_t expected = 0;
+    while (expected < kItems) {
+      if (const std::size_t* value = queue.Front()) {
+        ASSERT_EQ(*value, expected);
+        queue.Pop();
+        ++expected;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  for (std::size_t i = 0; i < kItems; ++i) {
+    while (!queue.TryPush(i)) std::this_thread::yield();
+  }
+  consumer.join();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_FALSE(queue.full());
+  for (std::size_t i = 0; i < queue.capacity(); ++i) {
+    EXPECT_TRUE(queue.TryPush(i));
+  }
+  EXPECT_TRUE(queue.full());
+  EXPECT_FALSE(queue.TryPush(0));
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "stream/synthetic.h"
 #include "text/concurrent_dictionary.h"
 #include "text/synonyms.h"
+#include "text/tokenizer.h"
 
 namespace scprt::ingest {
 namespace {
@@ -408,15 +409,6 @@ TEST(TokenizeAndResolveTest, FiltersStopWordsAndFoldsSynonyms) {
   EXPECT_EQ(tokens[1].id, kInvalidKeyword);
   EXPECT_EQ(tokens[1].spelling, "massive");
   EXPECT_EQ(tokens[2].id, known);
-}
-
-TEST(TokenizeAndResolveTest, KeepsStopWordsWhenDisabled) {
-  IngestConfig config;
-  config.drop_stopwords = false;
-  text::ConcurrentKeywordDictionary dictionary;
-  const std::vector<ResolvedToken> tokens =
-      TokenizeAndResolve("the storm hit", config, dictionary, nullptr);
-  EXPECT_EQ(tokens.size(), 3u);
 }
 
 // ------------------------------------------------- Quantum assembler ----

@@ -304,12 +304,13 @@ TEST(Tracer, DrainJsonIsChromeTraceShaped) {
 TEST(Tracer, RingDropsOldestWhenFull) {
   obs::Tracer tracer;
   const std::uint64_t dropped_before = tracer.dropped_spans();
-  tracer.Enable(/*capacity_per_thread=*/16);
-  for (int i = 0; i < 40; ++i) {
+  tracer.Enable();
+  constexpr std::size_t kCapacity = obs::Tracer::kCapacityPerThread;
+  for (std::size_t i = 0; i < kCapacity + 24; ++i) {
     obs::ScopedSpan span("s", tracer);
   }
   const std::vector<obs::SpanEvent> events = tracer.Drain();
-  EXPECT_EQ(events.size(), 16u);  // bounded, newest kept
+  EXPECT_EQ(events.size(), kCapacity);  // bounded, newest kept
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].start_ns, events[i - 1].start_ns);
   }
@@ -319,7 +320,7 @@ TEST(Tracer, RingDropsOldestWhenFull) {
 
 TEST(Tracer, SnapshotTailPeeksWithoutConsuming) {
   obs::Tracer tracer;
-  tracer.Enable(/*capacity_per_thread=*/64);
+  tracer.Enable();
   for (int i = 0; i < 10; ++i) {
     obs::ScopedSpan span("peeked", tracer);
   }

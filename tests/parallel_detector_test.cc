@@ -1,19 +1,15 @@
 // Tests of the engine driver (engine::ParallelDetector): the Push path and
 // the pre-built-quantum path must emit the same QuantumReport sequence,
 // two fresh engines must format byte-identical reports (no hidden state
-// or address-dependent order), and the SpscQueue primitive the ingest
-// stage hands records through must survive a ThreadSanitizer-friendly
-// stress.
+// or address-dependent order).
 
 #include <cstddef>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "detect/report.h"
 #include "engine/parallel_detector.h"
-#include "engine/spsc_queue.h"
 #include "stream/quantizer.h"
 #include "stream/synthetic.h"
 
@@ -112,34 +108,6 @@ TEST(ParallelDetectorTest, ProcessQuantumMatchesPushPath) {
     via_batch.push_back(batched.ProcessQuantum(quantum));
   }
   ExpectReportsEqual(via_push, via_batch);
-}
-
-TEST(SpscQueueTest, OrderedHandoffAcrossThreads) {
-  SpscQueue<std::size_t> queue(64);
-  constexpr std::size_t kItems = 200'000;
-  std::thread consumer([&] {
-    std::size_t expected = 0;
-    while (expected < kItems) {
-      if (const std::size_t* value = queue.Front()) {
-        ASSERT_EQ(*value, expected);
-        queue.Pop();
-        ++expected;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::size_t i = 0; i < kItems; ++i) {
-    while (!queue.TryPush(i)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_FALSE(queue.full());
-  for (std::size_t i = 0; i < queue.capacity(); ++i) {
-    EXPECT_TRUE(queue.TryPush(i));
-  }
-  EXPECT_TRUE(queue.full());
-  EXPECT_FALSE(queue.TryPush(0));
 }
 
 }  // namespace

@@ -62,31 +62,40 @@ TEST(CorrelateEventsTest, EmptyInput) {
 }
 
 TEST(SpuriousSuppressorTest, SuppressesAfterPatience) {
-  SpuriousSuppressor suppressor(2);
+  SpuriousSuppressor suppressor;
   std::vector<EventSnapshot> events = {Snap(1, {1, 2, 3}, 9.0, 0, true)};
-  // First spurious observation: still shown.
-  EXPECT_EQ(suppressor.Filter(events).size(), 1u);
-  // Second consecutive: suppressed.
+  // Spurious observations short of the patience: still shown.
+  for (int i = 1; i < SpuriousSuppressor::kPatience; ++i) {
+    EXPECT_EQ(suppressor.Filter(events).size(), 1u) << "observation " << i;
+    EXPECT_EQ(suppressor.suppressed_count(), 0u);
+  }
+  // The kPatience-th consecutive one: suppressed, and it stays so.
   EXPECT_TRUE(suppressor.Filter(events).empty());
   EXPECT_EQ(suppressor.suppressed_count(), 1u);
+  EXPECT_TRUE(suppressor.Filter(events).empty());
 }
 
 TEST(SpuriousSuppressorTest, FlagClearingResetsStreak) {
-  SpuriousSuppressor suppressor(2);
+  SpuriousSuppressor suppressor;
   std::vector<EventSnapshot> spurious = {Snap(1, {1, 2, 3}, 9.0, 0, true)};
   std::vector<EventSnapshot> healthy = {Snap(1, {1, 2, 3}, 9.0, 0, false)};
-  suppressor.Filter(spurious);
+  for (int i = 1; i < SpuriousSuppressor::kPatience; ++i) {
+    suppressor.Filter(spurious);
+  }
   suppressor.Filter(healthy);  // event came back to life
   EXPECT_EQ(suppressor.Filter(spurious).size(), 1u);  // streak restarted
 }
 
 TEST(SpuriousSuppressorTest, IndependentPerCluster) {
-  SpuriousSuppressor suppressor(1);
+  SpuriousSuppressor suppressor;
   std::vector<EventSnapshot> events = {
       Snap(1, {1, 2, 3}, 9.0, 0, true),
       Snap(2, {4, 5, 6}, 8.0, 0, false),
   };
-  const auto shown = suppressor.Filter(events);
+  std::vector<std::size_t> shown;
+  for (int i = 0; i < SpuriousSuppressor::kPatience; ++i) {
+    shown = suppressor.Filter(events);
+  }
   ASSERT_EQ(shown.size(), 1u);
   EXPECT_EQ(shown[0], 1u);
 }

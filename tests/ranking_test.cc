@@ -102,14 +102,14 @@ TEST(RankingTest, MinRankThreshold) {
 // --- RankTracker ---
 
 TEST(RankTrackerTest, TooLittleHistoryIsNotSpurious) {
-  RankTracker tracker(3, 8);
+  RankTracker tracker;
   tracker.Observe(1, {0, 10.0, 4});
   tracker.Observe(1, {1, 8.0, 4});
   EXPECT_FALSE(tracker.IsLikelySpurious(1));
 }
 
 TEST(RankTrackerTest, MonotonicDecayWithoutGrowthIsSpurious) {
-  RankTracker tracker(3, 8);
+  RankTracker tracker;
   tracker.Observe(1, {0, 10.0, 4});
   tracker.Observe(1, {1, 8.0, 4});
   tracker.Observe(1, {2, 5.0, 4});
@@ -117,7 +117,7 @@ TEST(RankTrackerTest, MonotonicDecayWithoutGrowthIsSpurious) {
 }
 
 TEST(RankTrackerTest, GrowingClusterIsNotSpurious) {
-  RankTracker tracker(3, 8);
+  RankTracker tracker;
   tracker.Observe(1, {0, 10.0, 4});
   tracker.Observe(1, {1, 8.0, 5});  // keyword joined: evolving event
   tracker.Observe(1, {2, 5.0, 5});
@@ -125,7 +125,7 @@ TEST(RankTrackerTest, GrowingClusterIsNotSpurious) {
 }
 
 TEST(RankTrackerTest, NonMonotonicRankIsNotSpurious) {
-  RankTracker tracker(3, 8);
+  RankTracker tracker;
   tracker.Observe(1, {0, 10.0, 4});
   tracker.Observe(1, {1, 8.0, 4});
   tracker.Observe(1, {2, 9.0, 4});  // build-up/wind-down wobble
@@ -133,7 +133,7 @@ TEST(RankTrackerTest, NonMonotonicRankIsNotSpurious) {
 }
 
 TEST(RankTrackerTest, ForgetDropsHistory) {
-  RankTracker tracker(3, 8);
+  RankTracker tracker;
   tracker.Observe(1, {0, 10.0, 4});
   EXPECT_NE(tracker.HistoryOf(1), nullptr);
   EXPECT_EQ(tracker.tracked(), 1u);
@@ -143,12 +143,16 @@ TEST(RankTrackerTest, ForgetDropsHistory) {
 }
 
 TEST(RankTrackerTest, HistoryIsBounded) {
-  RankTracker tracker(2, 4);
-  for (int i = 0; i < 20; ++i) {
+  RankTracker tracker;
+  constexpr int kObservations = 2 * RankTracker::kMaxHistory + 4;
+  for (int i = 0; i < kObservations; ++i) {
     tracker.Observe(7, {i, static_cast<double>(i), 3});
   }
   ASSERT_NE(tracker.HistoryOf(7), nullptr);
-  EXPECT_EQ(tracker.HistoryOf(7)->size(), 4u);
+  EXPECT_EQ(tracker.HistoryOf(7)->size(), RankTracker::kMaxHistory);
+  // The ring keeps the newest observations.
+  EXPECT_EQ(tracker.HistoryOf(7)->front().quantum,
+            kObservations - static_cast<int>(RankTracker::kMaxHistory));
   EXPECT_EQ(tracker.TrackedIds(), std::vector<ClusterId>{7});
 }
 

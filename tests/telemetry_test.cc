@@ -133,19 +133,20 @@ TEST(Sampler, RingWrapsAndKeepsNewest) {
   obs::Counter* counter = registry.GetCounter("s.count");
   obs::SamplerOptions options;
   options.registry = &registry;
-  options.ring_capacity = 4;
   obs::Sampler sampler(options);
-  for (int i = 1; i <= 10; ++i) {
-    counter->Store(static_cast<std::uint64_t>(i));
+  constexpr std::uint64_t kCapacity = obs::Sampler::kRingCapacity;
+  constexpr std::uint64_t kTicks = kCapacity + 6;
+  for (std::uint64_t i = 1; i <= kTicks; ++i) {
+    counter->Store(i);
     sampler.TickNow();
   }
-  EXPECT_EQ(sampler.ticks(), 10u);
-  EXPECT_EQ(sampler.size(), 4u);  // wrapped, oldest evicted
-  const std::vector<obs::Sampler::Sample> tail = sampler.Tail(99);
-  ASSERT_EQ(tail.size(), 4u);
+  EXPECT_EQ(sampler.ticks(), kTicks);
+  EXPECT_EQ(sampler.size(), kCapacity);  // wrapped, oldest evicted
+  const std::vector<obs::Sampler::Sample> tail = sampler.Tail(kTicks);
+  ASSERT_EQ(tail.size(), kCapacity);
   EXPECT_EQ(tail.front().snapshot.CounterValue("s.count"), 7u);
-  EXPECT_EQ(tail.back().snapshot.CounterValue("s.count"), 10u);
-  EXPECT_EQ(sampler.NewestCounter("s.count"), 10u);
+  EXPECT_EQ(tail.back().snapshot.CounterValue("s.count"), kTicks);
+  EXPECT_EQ(sampler.NewestCounter("s.count"), kTicks);
 }
 
 TEST(Sampler, CounterRateMatchesDeltaOverElapsed) {

@@ -41,15 +41,6 @@ TEST(TokenizerTest, KeepsHashtagsAndMentions) {
   EXPECT_EQ(tokens[2], "@nasa");
 }
 
-TEST(TokenizerTest, StripsSigilsWhenConfigured) {
-  TokenizerOptions options;
-  options.keep_sigils = false;
-  const auto tokens = Tokenize("#jobs @nasa", options);
-  ASSERT_EQ(tokens.size(), 2u);
-  EXPECT_EQ(tokens[0], "jobs");
-  EXPECT_EQ(tokens[1], "nasa");
-}
-
 TEST(TokenizerTest, DropsUrlFragmentsAndShortTokens) {
   const auto tokens = Tokenize("see http://t.co/x a quake");
   // "http" dropped, "x" and "a" too short; the "t.co" host remains a token.
