@@ -24,9 +24,7 @@ int main() {
 
   const detect::DetectorConfig config = bench::NominalConfig();
   cluster::ScpMaintainer maintainer;
-  akg::AkgBuilder builder(config.akg, [&maintainer](KeywordId k) {
-    return maintainer.clusters().NodeInAnyCluster(k);
-  });
+  akg::AkgBuilder builder(config.akg, maintainer);
   akg::WindowedCkg ckg(config.akg.window_length);
 
   double edge_ratio_sum = 0.0, node_ratio_sum = 0.0, bursty_ratio_sum = 0.0;
@@ -37,13 +35,7 @@ int main() {
   for (const stream::Quantum& quantum :
        stream::SplitIntoQuanta(trace.messages, config.quantum_size)) {
     maintainer.SetClock(quantum.index);
-    const akg::GraphDelta delta = builder.ProcessQuantum(quantum);
-    for (KeywordId k : delta.nodes_removed) maintainer.RemoveNode(k);
-    for (const auto& e : delta.edges_removed) maintainer.RemoveEdge(e.u, e.v);
-    for (const auto& [e, ec] : delta.edges_added) {
-      (void)ec;
-      maintainer.AddEdge(e.u, e.v);
-    }
+    maintainer.Apply(builder.ProcessQuantum(quantum));
     ckg.PushQuantum(quantum);
     if (!ckg.warm()) continue;
 

@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   std::printf("state after %zu quanta (w = %zu): AKG %zu nodes, "
               "%zu clusters live\n\n",
               warmup, config.akg.window_length,
-              detector.core().akg().akg().node_count(),
+              detector.core().akg().node_state().akg_size(),
               detector.core().maintainer().clusters().size());
 
   // --- native save + load ---

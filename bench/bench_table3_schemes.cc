@@ -79,9 +79,7 @@ int main() {
 
   const detect::DetectorConfig config = bench::NominalConfig();
   cluster::ScpMaintainer maintainer;
-  akg::AkgBuilder builder(config.akg, [&maintainer](KeywordId k) {
-    return maintainer.clusters().NodeInAnyCluster(k);
-  });
+  akg::AkgBuilder builder(config.akg, maintainer);
 
   SchemeStats scp;
   scp.name = "SCP Clusters";
@@ -98,18 +96,11 @@ int main() {
   for (const stream::Quantum& quantum :
        stream::SplitIntoQuanta(trace.messages, config.quantum_size)) {
     maintainer.SetClock(quantum.index);
-    const akg::GraphDelta delta = builder.ProcessQuantum(quantum);
+    const cluster::GraphDelta delta = builder.ProcessQuantum(quantum);
 
     // Incremental SCP maintenance (timed).
     eval::Stopwatch scp_watch;
-    for (KeywordId k : delta.nodes_removed) maintainer.RemoveNode(k);
-    for (const Edge& e : delta.edges_removed) {
-      maintainer.RemoveEdge(e.u, e.v);
-    }
-    for (const auto& [e, ec] : delta.edges_added) {
-      (void)ec;
-      maintainer.AddEdge(e.u, e.v);
-    }
+    maintainer.Apply(delta);
     const auto scp_clusters = maintainer.CanonicalClusters();
     scp_seconds += scp_watch.ElapsedSeconds();
 

@@ -68,6 +68,7 @@
 // usage line does not list prints "error: unknown flag --<flag>" and exits
 // 2; the usage text is the one list of accepted flags.
 
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -75,6 +76,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -206,21 +208,20 @@ T BoundedFlag(const Args& args, const std::string& name, const char* dflt,
   return value;
 }
 
-// BoundedFlag range for an integer flag with a minimum.
-auto AtLeast(std::uint64_t floor) {
-  return [floor](auto value) { return value >= floor; };
+// BoundedFlag range for an integer flag: floor <= value <= ceiling.
+auto InRange(std::uint64_t floor,
+             std::uint64_t ceiling = std::numeric_limits<std::uint64_t>::max()) {
+  return [floor, ceiling](auto value) {
+    return value >= floor && value <= ceiling;
+  };
 }
 
-// Cap on --workers: a larger count is a typo, and thread creation would
-// fail on it. 0 means "all hardware threads".
+// Caps on the flags that size threads or buffers up front: a larger value
+// is a typo that thread creation or allocation would fail on. --workers 0
+// means "all hardware threads"; 2^16 store frames are 256 MiB of pages.
 constexpr std::size_t kMaxThreadCount = 1024;
-
-// The one reader of thread-count flags (--workers).
-std::size_t ThreadCountFlag(const Args& args, const std::string& name,
-                            const char* dflt) {
-  return BoundedFlag<std::size_t>(
-      args, name, dflt, [](std::size_t n) { return n <= kMaxThreadCount; });
-}
+constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 16;
+constexpr std::size_t kMaxStoreFrames = std::size_t{1} << 16;
 
 Args Parse(int argc, char** argv) {
   Args args;
@@ -340,13 +341,13 @@ bool MaybeOpenStore(const Args& args, StoreAttachment* out) {
   const std::string dir = args.Get("store-dir", "");
   store::LshOptions options;
   options.bands =
-      BoundedFlag<std::uint32_t>(args, "store-bands", "8", AtLeast(1));
+      BoundedFlag<std::uint32_t>(args, "store-bands", "8", InRange(1));
   options.rows =
-      BoundedFlag<std::uint32_t>(args, "store-rows", "2", AtLeast(1));
+      BoundedFlag<std::uint32_t>(args, "store-rows", "2", InRange(1));
   // Extending a page chain pins the old tail and the new page at once, so
   // the writer needs two frames.
-  options.pool_frames =
-      BoundedFlag<std::size_t>(args, "store-frames", "256", AtLeast(2));
+  options.pool_frames = BoundedFlag<std::size_t>(
+      args, "store-frames", "256", InRange(2, kMaxStoreFrames));
   const auto commit_every =
       NumericFlag<std::uint32_t>(args, "store-commit-every", "1");
   durability::Error error;
@@ -419,14 +420,30 @@ int CmdInfo(const Args& args) {
 detect::DetectorConfig DetectorConfigFromArgs(const Args& args) {
   detect::DetectorConfig config;
   config.quantum_size =
-      BoundedFlag<std::size_t>(args, "delta", "160", AtLeast(1));
+      BoundedFlag<std::size_t>(args, "delta", "160", InRange(1));
   config.akg.ec_threshold = BoundedFlag<double>(
       args, "gamma", "0.20", [](double g) { return g > 0.0 && g <= 1.0; });
   config.akg.high_state_threshold =
-      BoundedFlag<std::uint32_t>(args, "theta", "4", AtLeast(1));
+      BoundedFlag<std::uint32_t>(args, "theta", "4", InRange(1));
   config.akg.window_length =
-      BoundedFlag<std::size_t>(args, "w", "30", AtLeast(1));
+      BoundedFlag<std::size_t>(args, "w", "30", InRange(1));
   return config;
+}
+
+// Prints a quantum's first `top` newly reported events under a
+// "-- quantum Q --" header; a quantum with none prints nothing.
+void PrintNewEvents(QuantumIndex quantum,
+                    const std::vector<detect::EventSnapshot>& events,
+                    std::size_t top,
+                    const text::KeywordDictionary& dictionary) {
+  std::size_t shown = 0;
+  for (const auto& snap : events) {
+    if (!snap.newly_reported || shown >= top) continue;
+    if (shown++ == 0) {
+      std::printf("-- quantum %lld --\n", static_cast<long long>(quantum));
+    }
+    std::printf("  %s\n", FormatEvent(snap, dictionary).c_str());
+  }
 }
 
 int CmdRun(const Args& args) {
@@ -471,15 +488,8 @@ int CmdRun(const Args& args) {
       }
       feed = std::move(kept);
     }
-    bool printed_header = false;
-    auto header = [&] {
-      if (!printed_header) {
-        std::printf("-- quantum %lld --\n",
-                    static_cast<long long>(report->quantum));
-        printed_header = true;
-      }
-    };
     if (stories) {
+      bool printed_header = false;
       const auto grouped = detect::CorrelateEvents(feed);
       std::size_t shown = 0;
       for (const auto& story : grouped) {
@@ -489,7 +499,10 @@ int CmdRun(const Args& args) {
           any_new |= feed[i].newly_reported;
         }
         if (!any_new) continue;
-        header();
+        if (!std::exchange(printed_header, true)) {
+          std::printf("-- quantum %lld --\n",
+                      static_cast<long long>(report->quantum));
+        }
         std::printf(" story (rank %.1f):\n", story.rank);
         for (std::size_t i : story.members) {
           std::printf("   %s\n",
@@ -497,12 +510,7 @@ int CmdRun(const Args& args) {
         }
       }
     } else {
-      std::size_t shown = 0;
-      for (const auto& snap : feed) {
-        if (!snap.newly_reported || shown++ >= top) continue;
-        header();
-        std::printf("  %s\n", FormatEvent(snap, trace.dictionary).c_str());
-      }
+      PrintNewEvents(report->quantum, feed, top, trace.dictionary);
     }
     reports.push_back(*std::move(report));
   }
@@ -550,13 +558,12 @@ int CmdIngest(const Args& args) {
   }
 
   ingest::IngestConfig config;
-  config.workers = ThreadCountFlag(args, "workers", "4");
-  config.queue_capacity = NumericFlag<std::size_t>(args, "queue", "1024");
-  if (config.queue_capacity < 2 ||
-      (config.queue_capacity & (config.queue_capacity - 1)) != 0) {
-    std::fprintf(stderr, "error: --queue must be a power of two >= 2\n");
-    return 2;
-  }
+  config.workers = BoundedFlag<std::size_t>(args, "workers", "4",
+                                            InRange(0, kMaxThreadCount));
+  config.queue_capacity = BoundedFlag<std::size_t>(
+      args, "queue", "1024", [](std::size_t n) {
+        return n >= 2 && n <= kMaxQueueCapacity && std::has_single_bit(n);
+      });
   const std::string policy = args.Get("policy", "block");
   if (policy == "block") {
     config.admission.policy = ingest::OverloadPolicy::kBlock;
@@ -685,20 +692,8 @@ int CmdIngest(const Args& args) {
     }
     const auto snapshot = session.Run(
         *source, [&](const detect::QuantumReport& report) {
-          std::size_t shown = 0;
-          bool printed_header = false;
-          for (const auto& snap : report.events) {
-            if (!snap.newly_reported || shown >= top) continue;
-            if (!printed_header) {
-              std::printf("-- quantum %lld --\n",
-                          static_cast<long long>(report.quantum));
-              printed_header = true;
-            }
-            std::printf(
-                "  %s\n",
-                FormatEvent(snap, session.dictionary().view()).c_str());
-            ++shown;
-          }
+          PrintNewEvents(report.quantum, report.events, top,
+                         session.dictionary().view());
         });
     if (!snapshot.has_value()) {
       std::fprintf(stderr,
@@ -741,19 +736,8 @@ int CmdIngest(const Args& args) {
   ingest::IngestPipeline pipeline(config, &dictionary);
   ingest::QuantumAssembler sink = ingest::QuantumAssembler::For(
       detector, [&](const detect::QuantumReport& report) {
-        std::size_t shown = 0;
-        bool printed_header = false;
-        for (const auto& snap : report.events) {
-          if (!snap.newly_reported || shown >= top) continue;
-          if (!printed_header) {
-            std::printf("-- quantum %lld --\n",
-                        static_cast<long long>(report.quantum));
-            printed_header = true;
-          }
-          std::printf("  %s\n",
-                      FormatEvent(snap, dictionary.view()).c_str());
-          ++shown;
-        }
+        PrintNewEvents(report.quantum, report.events, top,
+                       dictionary.view());
       });
   // The callback above is the consumer; don't also retain every report
   // (stdin streams may run unboundedly).
@@ -775,7 +759,9 @@ int CmdQuery(const Args& args) {
   std::vector<std::string> keywords(args.positional.begin() + 2,
                                     args.positional.end());
   const auto top = NumericFlag<std::size_t>(args, "top", "10");
-  const auto frames = NumericFlag<std::size_t>(args, "store-frames", "256");
+  // A read pins one page at a time.
+  const auto frames = BoundedFlag<std::size_t>(args, "store-frames", "256",
+                                               InRange(1, kMaxStoreFrames));
 
   durability::Error error;
   const auto index = store::LshIndex::OpenReadOnly(dir, frames, &error);

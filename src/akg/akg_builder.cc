@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -26,14 +27,13 @@ std::size_t ResolveMinHashSize(const AkgConfig& config) {
 }  // namespace
 
 AkgBuilder::AkgBuilder(const AkgConfig& config,
-                       std::function<bool(KeywordId)> in_cluster)
+                       const cluster::ScpMaintainer& maintainer)
     : config_(config),
-      in_cluster_(std::move(in_cluster)),
+      maintainer_(maintainer),
       id_sets_(config.window_length),
       node_state_(config.high_state_threshold, config.window_length),
       hasher_(ResolveMinHashSize(config), config.seed) {
   SCPRT_CHECK(config.ec_threshold > 0.0 && config.ec_threshold <= 1.0);
-  SCPRT_CHECK(in_cluster_ != nullptr);
 }
 
 double AkgBuilder::EdgeCorrelation(const Edge& e) const {
@@ -41,9 +41,19 @@ double AkgBuilder::EdgeCorrelation(const Edge& e) const {
   return it == edge_ec_.end() ? 0.0 : it->second;
 }
 
-GraphDelta AkgBuilder::ProcessQuantum(const stream::Quantum& quantum) {
-  GraphDelta delta;
-  delta.quantum = quantum.index;
+bool AkgBuilder::MatchesMaintainerGraph() const {
+  const std::vector<Edge> edges = maintainer_.graph().Edges();
+  return edges.size() == edge_ec_.size() &&
+         std::all_of(edges.begin(), edges.end(),
+                     [this](const Edge& e) { return edge_ec_.count(e) > 0; });
+}
+
+cluster::GraphDelta AkgBuilder::ProcessQuantum(
+    const stream::Quantum& quantum) {
+  // The maintainer's graph is the AKG as of the previous quantum.
+  const graph::DynamicGraph& akg = maintainer_.graph();
+  SCPRT_CHECK(akg.edge_count() == edge_ec_.size());
+  cluster::GraphDelta delta;
   now_ = quantum.index;
   last_stats_ = AkgQuantumStats{};
 
@@ -76,7 +86,7 @@ GraphDelta AkgBuilder::ProcessQuantum(const stream::Quantum& quantum) {
   NodeStateUpdate update;
   {
     // Automaton and eviction cost: the keyword runs, the state sweep and
-    // the removed nodes' edges.
+    // the removed nodes' correlations.
     static obs::Histogram* const node_state_hist =
         obs::Registry::Default().GetHistogram("akg.node_state_ns");
     obs::ScopedSpan span("akg.node_state");
@@ -85,32 +95,32 @@ GraphDelta AkgBuilder::ProcessQuantum(const stream::Quantum& quantum) {
     // --- 2. Node state transitions (Section 3.1): each keyword run of
     //        the aggregate is the keyword's distinct users this quantum ---
     quantum_keywords = KeywordCounts(aggregate);
-    update = node_state_.ProcessQuantum(now_, quantum_keywords, in_cluster_);
-    delta.nodes_added = update.entered;
+    update = node_state_.ProcessQuantum(
+        now_, quantum_keywords, [this](KeywordId k) {
+          return maintainer_.clusters().NodeInAnyCluster(k);
+        });
 
-    // --- 3. Evict removed nodes and their edges ---
+    // --- 3. Evict removed nodes: drop their correlations and signatures.
+    //        The maintainer's RemoveNode drops their edges. ---
     for (KeywordId k : update.removed) {
-      if (akg_.HasNode(k)) {
-        for (KeywordId neighbor : akg_.Neighbors(k)) {
-          const Edge e = Edge::Of(k, neighbor);
-          delta.edges_removed.push_back(e);
-          edge_ec_.erase(e);
+      if (akg.HasNode(k)) {
+        for (KeywordId neighbor : akg.Neighbors(k)) {
+          edge_ec_.erase(Edge::Of(k, neighbor));
         }
-        akg_.RemoveNode(k);
       }
       signatures_.erase(k);
-      delta.nodes_removed.push_back(k);
     }
-    for (KeywordId k : update.entered) akg_.AddNode(k);
+    delta.nodes_removed = update.removed;
   }
 
   // --- 4. Refresh signatures of keywords whose id sets changed and are
-  //        relevant this quantum: set (1) bursty + set (2) AKG-and-seen.
-  //        Each signature is the bottom-p of the keyword's window id
-  //        set. ---
+  //        relevant this quantum: set (1) bursty + set (2) AKG-and-seen
+  //        and not evicted. Each signature is the bottom-p of the
+  //        keyword's window id set. ---
   std::vector<KeywordId> refresh = update.bursty;
-  refresh.insert(refresh.end(), update.seen_in_akg.begin(),
-                 update.seen_in_akg.end());
+  std::set_difference(update.seen_in_akg.begin(), update.seen_in_akg.end(),
+                      update.removed.begin(), update.removed.end(),
+                      std::back_inserter(refresh));
   {
     // Window id-set bottom-p cost for the whole refresh batch.
     static obs::Histogram* const refresh_hist =
@@ -125,8 +135,7 @@ GraphDelta AkgBuilder::ProcessQuantum(const stream::Quantum& quantum) {
   // --- 5-6. Edge correlation: new edges among set (1), then lazy
   //          re-validation of the refreshed keywords' edges ---
   {
-    // EC stage cost for the whole quantum: candidate join, screen, both
-    // EC batches and their application.
+    // EC stage cost for the whole quantum: join, screen, both EC batches.
     static obs::Histogram* const ec_hist =
         obs::Registry::Default().GetHistogram("akg.ec_ns");
     obs::ScopedSpan span("akg.ec");
@@ -137,15 +146,15 @@ GraphDelta AkgBuilder::ProcessQuantum(const stream::Quantum& quantum) {
   // --- 7. Stats snapshot (Section 7.4) ---
   last_stats_.ckg_nodes = node_state_.tracked_keywords();
   last_stats_.quantum_keywords = quantum_keywords.size();
-  last_stats_.akg_nodes = akg_.node_count();
-  last_stats_.akg_edges = akg_.edge_count();
+  last_stats_.akg_nodes = node_state_.akg_size();
+  last_stats_.akg_edges = edge_ec_.size();
   last_stats_.bursty = update.bursty.size();
   return delta;
 }
 
 void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
                                 const std::vector<KeywordId>& refresh,
-                                GraphDelta& delta) {
+                                cluster::GraphDelta& delta) {
   // --- 5. New edges among set (1) (Section 3.2.1): bucket-join on shared
   //        Min-Hash values to avoid the quadratic pair scan ---
   const double gamma = config_.ec_threshold;
@@ -178,9 +187,11 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
   last_stats_.pairs_screened = candidates.size();
 
   // Screen each candidate (cheap signature comparison), then compute and
-  // apply its EC in candidate order.
+  // record its EC in candidate order. Bursty keywords are never evicted,
+  // so the previous quantum's graph answers HasEdge.
+  const graph::DynamicGraph& akg = maintainer_.graph();
   for (const auto& [a, b] : candidates) {
-    if (akg_.HasEdge(a, b)) continue;
+    if (akg.HasEdge(a, b)) continue;
     const MinHashSignature& sig_a = signatures_[a];
     const MinHashSignature& sig_b = signatures_[b];
     if (!PassesScreen(config_.ec_mode, sig_a, sig_b)) continue;
@@ -188,26 +199,23 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
     const double ec =
         ComputeEc(config_.ec_mode, id_sets_, a, b, sig_a, sig_b, hasher_.p());
     if (ec >= gamma) {
-      akg_.AddEdge(a, b);
       const Edge e = Edge::Of(a, b);
       edge_ec_[e] = ec;
-      delta.edges_added.emplace_back(e, ec);
+      delta.edges_added.push_back(e);
     }
   }
 
   // --- 6. Lazy re-validation (Section 3.2.1 set (2)): keywords seen this
-  //        quantum update the EC with their current neighbors; edges whose
-  //        correlation fell below gamma are dropped ---
-  // The pair set is collected before any edge is removed: removing an
-  // edge takes it out of Neighbors(), so collecting while removing would
-  // skip pairs. EC reads only id sets and signatures, which the removals
-  // do not touch. Results apply in collection order. The touched set is
-  // exactly the signature-refresh set built in step 4.
+  //        quantum update the EC with their non-evicted neighbors in the
+  //        previous quantum's graph (step 5's new edges need no second
+  //        pass); edges whose correlation fell below gamma are dropped, in
+  //        collection order ---
   std::unordered_set<std::uint64_t> revalidated;
   std::vector<std::pair<KeywordId, KeywordId>> reval_jobs;
   for (KeywordId k : refresh) {
-    if (!akg_.HasNode(k)) continue;
-    for (KeywordId neighbor : akg_.Neighbors(k)) {
+    if (!akg.HasNode(k)) continue;
+    for (KeywordId neighbor : akg.Neighbors(k)) {
+      if (!node_state_.InAkg(neighbor)) continue;
       KeywordId a = k, b = neighbor;
       if (a > b) std::swap(a, b);
       const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
@@ -223,12 +231,10 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
                                 hasher_.p());
     const Edge e = Edge::Of(a, b);
     if (ec < gamma) {
-      akg_.RemoveEdge(a, b);
       edge_ec_.erase(e);
       delta.edges_removed.push_back(e);
-    } else if (ec != edge_ec_[e]) {
+    } else {
       edge_ec_[e] = ec;
-      delta.ec_updated.emplace_back(e, ec);
     }
   }
 }
@@ -252,7 +258,12 @@ void AkgBuilder::Save(BinaryWriter& out) const {
   out.I64(now_);
   id_sets_.Save(out);
   node_state_.Save(out);
-  akg_.Save(out);
+
+  // The AKG as a graph section: the members and the correlated edges.
+  graph::DynamicGraph akg;
+  for (KeywordId keyword : node_state_.Members()) akg.AddNode(keyword);
+  for (const auto& [e, _] : edge_ec_) akg.AddEdge(e.u, e.v);
+  akg.Save(out);
 
   std::vector<KeywordId> signed_keywords;
   signed_keywords.reserve(signatures_.size());
@@ -290,7 +301,6 @@ void AkgBuilder::Save(BinaryWriter& out) const {
 
 bool AkgBuilder::Restore(BinaryReader& in) {
   const auto reset = [this] {
-    akg_.Clear();
     edge_ec_.clear();
     signatures_.clear();
     last_stats_ = AkgQuantumStats{};
@@ -298,15 +308,21 @@ bool AkgBuilder::Restore(BinaryReader& in) {
   };
   reset();
   now_ = in.I64();
+  // The graph section is derived (Save): its nodes must be the members,
+  // and its edges the correlations checked below.
+  graph::DynamicGraph akg;
   if (!id_sets_.Restore(in) || !node_state_.Restore(in) ||
-      !akg_.Restore(in)) {
+      !akg.Restore(in)) {
     reset();
     return false;
   }
+  std::vector<KeywordId> nodes = akg.Nodes();
+  std::sort(nodes.begin(), nodes.end());
 
   const std::size_t p = hasher_.p();
   const std::uint64_t signatures = in.U64();
-  bool valid = in.CheckLength(signatures, 4 + 4 + 8);
+  bool valid = nodes == node_state_.Members() &&
+               in.CheckLength(signatures, 4 + 4 + 8);
   for (std::uint64_t i = 0; valid && i < signatures; ++i) {
     const KeywordId keyword = in.U32();
     const std::uint32_t length = in.U32();
@@ -338,20 +354,21 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     const KeywordId v = in.U32();
     const double ec = in.F64();
     // Correlations exist exactly for AKG edges, in [0, 1].
-    if (!in.ok() || u >= v || !akg_.HasEdge(u, v) || !(ec >= 0.0) ||
+    if (!in.ok() || u >= v || !akg.HasEdge(u, v) || !(ec >= 0.0) ||
         !(ec <= 1.0) ||
         !edge_ec_.emplace(Edge{u, v}, ec).second) {
       valid = false;
       break;
     }
   }
-  valid = valid && correlations == akg_.edge_count();
+  valid = valid && correlations == akg.edge_count();
 
   // The lazy re-validation loop calls signatures_.at() on every AKG edge
   // endpoint, so that invariant must hold even for a forged payload with a
-  // valid CRC — reject rather than crash later.
+  // valid CRC — reject rather than crash later. Signatures of other
+  // keywords (older builds kept an evicted keyword's) are accepted.
   if (valid) {
-    for (const Edge& e : akg_.Edges()) {
+    for (const Edge& e : akg.Edges()) {
       if (signatures_.count(e.u) == 0 || signatures_.count(e.v) == 0) {
         valid = false;
         break;

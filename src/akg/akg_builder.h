@@ -2,16 +2,19 @@
 // maintains the two-state node automaton, id sets and Min-Hash signatures,
 // and emits the node/edge delta that the cluster maintainer applies.
 //
+// The AKG has one copy: its nodes are the automaton's members, its edges
+// the maintainer's graph, which between quanta holds exactly the
+// correlated edges.
+//
 // The window id sets are the only window state. A keyword's signature is
-// the bottom-p of its window id set, computed only when the keyword is
-// refreshed (bursty, or an AKG node seen this quantum); nothing is sketched
-// for the rest of the quantum's vocabulary.
+// the bottom-p of its window id set, computed only when an AKG member is
+// refreshed (bursty, or seen this quantum); nothing is sketched for the
+// rest of the quantum's vocabulary.
 
 #ifndef SCPRT_AKG_AKG_BUILDER_H_
 #define SCPRT_AKG_AKG_BUILDER_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "akg/id_sets.h"
 #include "akg/minhash.h"
 #include "akg/node_state.h"
+#include "cluster/maintenance.h"
 #include "common/binary_io.h"
 #include "graph/graph.h"
 #include "stream/message.h"
@@ -42,19 +46,6 @@ struct AkgConfig {
   std::uint64_t seed = 0x5ca1ab1eULL;
 };
 
-/// The per-quantum structural delta for the cluster maintainer. Application
-/// order: nodes_removed (removes their incident edges), edges_removed,
-/// edges_added. `ec_updated` carries re-computed correlations of surviving
-/// edges (ranking input, no structural effect).
-struct GraphDelta {
-  QuantumIndex quantum = 0;
-  std::vector<KeywordId> nodes_added;
-  std::vector<KeywordId> nodes_removed;
-  std::vector<std::pair<graph::Edge, double>> edges_added;
-  std::vector<graph::Edge> edges_removed;
-  std::vector<std::pair<graph::Edge, double>> ec_updated;
-};
-
 /// Size statistics for the CKG-vs-AKG comparison (Section 7.4).
 struct AkgQuantumStats {
   /// Distinct keywords tracked over the window horizon (~ CKG nodes).
@@ -72,20 +63,23 @@ struct AkgQuantumStats {
   std::size_t ec_computed = 0;
 };
 
-/// Builds and maintains the AKG. The caller owns the cluster layer and
-/// passes an `in_cluster` predicate for the node-retention rule.
+/// Builds the AKG's per-quantum delta. The caller owns `maintainer` (its
+/// clusters decide node retention) and applies each delta to it with
+/// ScpMaintainer::Apply before the next quantum.
 class AkgBuilder {
  public:
   AkgBuilder(const AkgConfig& config,
-             std::function<bool(KeywordId)> in_cluster);
+             const cluster::ScpMaintainer& maintainer);
 
-  /// Processes one quantum of messages and returns the structural delta.
-  /// The quantum is first reduced to its canonical aggregate
+  /// Processes one quantum of messages and returns the structural delta
+  /// against the maintainer's graph; aborts if the last one was not
+  /// applied. The quantum is first reduced to its canonical aggregate
   /// (AggregateQuantum, timed as engine.aggregate_ns).
-  GraphDelta ProcessQuantum(const stream::Quantum& quantum);
+  cluster::GraphDelta ProcessQuantum(const stream::Quantum& quantum);
 
-  /// The AKG as a graph (mirror of what the deltas described).
-  const graph::DynamicGraph& akg() const { return akg_; }
+  /// True if the maintainer's graph edges are the correlated edges (the
+  /// invariant between quanta; a snapshot load checks it).
+  bool MatchesMaintainerGraph() const;
 
   /// Current EC of an AKG edge (0 if absent).
   double EdgeCorrelation(const graph::Edge& e) const;
@@ -116,14 +110,16 @@ class AkgBuilder {
   const AkgConfig& config() const { return config_; }
 
   /// Serializes every derived structure of the AKG layer — id-set window
-  /// histories, node automaton, Min-Hash signatures, edge correlations
-  /// (bit-exact doubles), the graph and the quantum clock — in canonical
-  /// order. The hash function itself is config-derived and not stored.
+  /// histories, node automaton, the graph (members and correlated edges),
+  /// Min-Hash signatures, edge correlations (bit-exact doubles) and the
+  /// quantum clock — in canonical order. The hash function itself is
+  /// config-derived and not stored.
   void Save(BinaryWriter& out) const;
 
   /// Replaces this builder's state with Save()'s encoding. Must be called
   /// on a builder constructed with the same AkgConfig. Returns false on
-  /// malformed input; the builder is reset to empty in that case.
+  /// malformed input (a graph other than the members and correlated edges
+  /// included); the builder is reset to empty in that case.
   bool Restore(BinaryReader& in);
 
  private:
@@ -132,15 +128,15 @@ class AkgBuilder {
   /// `refresh` keywords (set (2)), recording both into `delta`.
   void CorrelateEdges(const std::vector<KeywordId>& bursty,
                       const std::vector<KeywordId>& refresh,
-                      GraphDelta& delta);
+                      cluster::GraphDelta& delta);
 
   AkgConfig config_;
-  std::function<bool(KeywordId)> in_cluster_;
+  const cluster::ScpMaintainer& maintainer_;
   UserIdSets id_sets_;
   NodeStateAutomaton node_state_;
   // Signs window id sets at refresh time (config p and seed).
   MinHasher hasher_;
-  graph::DynamicGraph akg_;
+  // Keys: the AKG's edges after the last processed quantum.
   std::unordered_map<graph::Edge, double, graph::EdgeHash> edge_ec_;
   std::unordered_map<KeywordId, MinHashSignature> signatures_;
   AkgQuantumStats last_stats_;

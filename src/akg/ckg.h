@@ -39,9 +39,6 @@ class WindowedCkg {
   /// True if the two keywords currently co-occur.
   bool HasEdge(KeywordId a, KeywordId b) const;
 
-  /// Number of window quanta currently held.
-  std::size_t window_fill() const { return history_.size(); }
-
   /// True once the window holds `window_length` quanta.
   bool warm() const { return history_.size() == window_length_; }
 

@@ -114,6 +114,13 @@ bool NodeStateAutomaton::InAkg(KeywordId keyword) const {
   return it != members_.end() && it->keyword == keyword;
 }
 
+std::vector<KeywordId> NodeStateAutomaton::Members() const {
+  std::vector<KeywordId> keywords;
+  keywords.reserve(members_.size());
+  for (const Member& member : members_) keywords.push_back(member.keyword);
+  return keywords;
+}
+
 void NodeStateAutomaton::Clear() {
   seen_keywords_.clear();
   seen_stamps_.clear();

@@ -72,6 +72,9 @@ class NodeStateAutomaton {
   /// Number of AKG nodes.
   std::size_t akg_size() const { return members_.size(); }
 
+  /// The AKG nodes, ascending.
+  std::vector<KeywordId> Members() const;
+
   /// Number of keywords tracked: those seen in the last w quanta, the CKG
   /// node count of the current window.
   std::size_t tracked_keywords() const { return seen_keywords_.size(); }

@@ -33,7 +33,6 @@ class Cluster {
   std::size_t edge_count() const { return edges_.size(); }
 
   bool ContainsNode(NodeId n) const { return node_degree_.count(n) > 0; }
-  bool ContainsEdge(const Edge& e) const { return edges_.count(e) > 0; }
 
   /// Cluster-internal degree of `n` (0 if not a member).
   std::size_t DegreeOf(NodeId n) const;

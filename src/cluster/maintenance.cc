@@ -15,8 +15,6 @@ using graph::Edge;
 using graph::NodeId;
 using graph::ShortCycle;
 
-bool ScpMaintainer::AddNode(NodeId n) { return graph_.AddNode(n); }
-
 bool ScpMaintainer::AddEdge(NodeId a, NodeId b) {
   if (!graph_.AddEdge(a, b)) return false;
   ++stats_.edges_added;
@@ -133,6 +131,12 @@ void ScpMaintainer::RecloseCluster(ClusterId id) {
     // first seen when the parent cluster formed.
     clusters_.FindMutable(fresh)->born_at = born;
   }
+}
+
+void ScpMaintainer::Apply(const GraphDelta& delta) {
+  for (NodeId n : delta.nodes_removed) RemoveNode(n);
+  for (const Edge& e : delta.edges_removed) RemoveEdge(e.u, e.v);
+  for (const Edge& e : delta.edges_added) AddEdge(e.u, e.v);
 }
 
 std::vector<std::vector<Edge>> ScpMaintainer::CanonicalClusters() const {

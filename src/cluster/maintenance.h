@@ -40,6 +40,15 @@ struct MaintenanceStats {
   std::uint64_t short_cycles_found = 0;
 };
 
+/// One quantum's structural change to the AKG (akg/akg_builder.h), in
+/// application order: nodes_removed (with their incident edges),
+/// edges_removed, edges_added.
+struct GraphDelta {
+  std::vector<graph::NodeId> nodes_removed;
+  std::vector<graph::Edge> edges_removed;
+  std::vector<graph::Edge> edges_added;
+};
+
 /// Owns the graph and its clustering; every mutation goes through here so
 /// the two can never diverge.
 class ScpMaintainer {
@@ -48,9 +57,6 @@ class ScpMaintainer {
 
   ScpMaintainer(const ScpMaintainer&) = delete;
   ScpMaintainer& operator=(const ScpMaintainer&) = delete;
-
-  /// Adds an isolated node (no clustering effect). False if present.
-  bool AddNode(graph::NodeId n);
 
   /// Adds edge {a, b} (creating endpoints if needed) and updates clusters:
   /// every new short cycle through the edge is folded into one cluster,
@@ -67,6 +73,10 @@ class ScpMaintainer {
   /// cluster locally (paper Sec 5.3, incl. the articulation split of
   /// Figure 6). Returns false if absent.
   bool RemoveNode(graph::NodeId n);
+
+  /// Applies one quantum's delta in its application order. This is the
+  /// only way the detector's AKG changes.
+  void Apply(const GraphDelta& delta);
 
   /// Quantum stamp assigned to clusters created from now on.
   void SetClock(QuantumIndex now) { now_ = now; }

@@ -18,14 +18,11 @@ EventDetector::EventDetector(const DetectorConfig& config,
                              const text::KeywordDictionary* dictionary)
     : config_(config),
       dictionary_(dictionary),
-      akg_(config.akg,
-           [this](KeywordId k) {
-             return maintainer_.clusters().NodeInAnyCluster(k);
-           }) {}
+      akg_(config.akg, maintainer_) {}
 
 QuantumReport EventDetector::ProcessQuantum(const stream::Quantum& quantum) {
   maintainer_.SetClock(quantum.index);
-  const akg::GraphDelta delta = akg_.ProcessQuantum(quantum);
+  const cluster::GraphDelta delta = akg_.ProcessQuantum(quantum);
 
   {
     // Cluster maintenance cost of the whole delta per quantum.
@@ -33,17 +30,7 @@ QuantumReport EventDetector::ProcessQuantum(const stream::Quantum& quantum) {
         obs::Registry::Default().GetHistogram("cluster.apply_delta_ns");
     obs::ScopedSpan span("cluster.apply_delta");
     obs::ScopedHistogramTimer timer(apply_hist);
-    // Structural application order: node evictions (which drop their
-    // incident edges inside the maintainer too), then edge drops, then
-    // edge adds.
-    for (KeywordId k : delta.nodes_removed) maintainer_.RemoveNode(k);
-    for (const Edge& e : delta.edges_removed) {
-      maintainer_.RemoveEdge(e.u, e.v);
-    }
-    for (const auto& [e, ec] : delta.edges_added) {
-      (void)ec;  // correlations live in the AKG builder
-      maintainer_.AddEdge(e.u, e.v);
-    }
+    maintainer_.Apply(delta);
   }
 
   QuantumReport report;
@@ -181,8 +168,10 @@ bool EventDetector::RestoreState(BinaryReader& in,
     in.Fail();
     return false;
   }
+  // One AKG: the maintainer's graph must hold exactly the correlated edges,
+  // or the next quantum would abort on the builder's edge-count check.
   if (!akg_.Restore(in) || !maintainer_.Restore(in) ||
-      !tracker_.Restore(in)) {
+      !akg_.MatchesMaintainerGraph() || !tracker_.Restore(in)) {
     return false;
   }
   reported_.clear();

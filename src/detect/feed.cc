@@ -68,7 +68,6 @@ std::vector<FeedItem> EventFeed::Consume(const QuantumReport& report) {
     delivered_.push_back(DeliveredMemo{lead.keywords, report.quantum});
     if (delivered_.size() > kDedupeMemory) delivered_.pop_front();
     ++delivered_count_;
-    if (delivery_hook_) delivery_hook_(item);
     items.push_back(std::move(item));
   }
   return items;

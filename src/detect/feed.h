@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,14 +47,6 @@ class EventFeed {
   /// (new stories only — ongoing ones are not repeated).
   std::vector<FeedItem> Consume(const QuantumReport& report);
 
-  /// Called once per delivered item, inside Consume, in delivery order —
-  /// the push-style mirror of Consume's return value for consumers (an
-  /// indexer, a notifier) that tap the feed without owning its call site.
-  /// nullptr detaches. Not part of Save/Restore.
-  void set_delivery_hook(std::function<void(const FeedItem&)> hook) {
-    delivery_hook_ = std::move(hook);
-  }
-
   /// Items delivered so far.
   std::uint64_t delivered_count() const { return delivered_count_; }
 
@@ -83,7 +74,6 @@ class EventFeed {
   bool IsDuplicate(const std::vector<KeywordId>& keywords,
                    QuantumIndex now) const;
 
-  std::function<void(const FeedItem&)> delivery_hook_;
   SpuriousSuppressor suppressor_;
   std::deque<DeliveredMemo> delivered_;
   std::uint64_t delivered_count_ = 0;

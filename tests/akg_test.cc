@@ -21,6 +21,7 @@
 #include "akg/minhash.h"
 #include "akg/node_state.h"
 #include "akg/quantum_aggregate.h"
+#include "cluster/maintenance.h"
 #include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/random.h"
@@ -928,50 +929,82 @@ AkgConfig TestConfig() {
   return config;
 }
 
+// A builder wired to its own maintainer, applying each delta as the
+// detector does.
+struct WiredBuilder {
+  explicit WiredBuilder(const AkgConfig& config)
+      : builder(config, maintainer) {}
+
+  cluster::GraphDelta Process(const stream::Quantum& quantum) {
+    cluster::GraphDelta delta = builder.ProcessQuantum(quantum);
+    maintainer.Apply(delta);
+    return delta;
+  }
+
+  cluster::ScpMaintainer maintainer;
+  AkgBuilder builder;
+};
+
 TEST(AkgBuilderTest, CorrelatedBurstyKeywordsGetEdge) {
-  AkgBuilder builder(TestConfig(), [](KeywordId) { return false; });
+  WiredBuilder akg(TestConfig());
   // Keywords 1 and 2 used together by users 1..4.
-  const auto delta = builder.ProcessQuantum(MakeQuantum(0, {
+  const auto delta = akg.Process(MakeQuantum(0, {
       {1, {1, 2}}, {2, {1, 2}}, {3, {1, 2}}, {4, {1, 2}},
   }));
-  EXPECT_EQ(delta.nodes_added.size(), 2u);
+  EXPECT_EQ(akg.builder.node_state().akg_size(), 2u);
   ASSERT_EQ(delta.edges_added.size(), 1u);
-  EXPECT_EQ(delta.edges_added[0].first, Edge::Of(1, 2));
-  EXPECT_DOUBLE_EQ(delta.edges_added[0].second, 1.0);
-  EXPECT_DOUBLE_EQ(builder.EdgeCorrelation(Edge::Of(1, 2)), 1.0);
-  EXPECT_EQ(builder.NodeWeight(1), 4u);
+  EXPECT_EQ(delta.edges_added[0], Edge::Of(1, 2));
+  EXPECT_TRUE(akg.maintainer.graph().HasEdge(1, 2));
+  EXPECT_DOUBLE_EQ(akg.builder.EdgeCorrelation(Edge::Of(1, 2)), 1.0);
+  EXPECT_EQ(akg.builder.NodeWeight(1), 4u);
+}
+
+TEST(AkgBuilderTest, NewEdgeIsCorrelatedOnce) {
+  // The quantum that adds the first edge computes its EC once: the
+  // re-validation pass reads the previous quantum's graph, which does not
+  // hold the edge yet.
+  WiredBuilder akg(TestConfig());
+  const auto delta = akg.Process(MakeQuantum(0, {
+      {1, {1, 2}}, {2, {1, 2}}, {3, {1, 2}},
+  }));
+  ASSERT_EQ(delta.edges_added.size(), 1u);
+  EXPECT_EQ(akg.builder.last_stats().ec_computed, 1u);
+  // Next quantum both keywords are seen again: the edge is re-validated.
+  akg.Process(MakeQuantum(1, {{1, {1, 2}}}));
+  EXPECT_EQ(akg.builder.last_stats().ec_computed, 1u);
+  EXPECT_TRUE(akg.maintainer.graph().HasEdge(1, 2));
 }
 
 TEST(AkgBuilderTest, WeakCorrelationNoEdge) {
-  AkgBuilder builder(TestConfig(), [](KeywordId) { return false; });
+  WiredBuilder akg(TestConfig());
   // Both bursty but different user sets: Jaccard 0 < 0.5.
-  const auto delta = builder.ProcessQuantum(MakeQuantum(0, {
+  const auto delta = akg.Process(MakeQuantum(0, {
       {1, {1}}, {2, {1}}, {3, {1}},
       {11, {2}}, {12, {2}}, {13, {2}},
   }));
-  EXPECT_EQ(delta.nodes_added.size(), 2u);
+  EXPECT_EQ(akg.builder.node_state().akg_size(), 2u);
   EXPECT_TRUE(delta.edges_added.empty());
 }
 
 TEST(AkgBuilderTest, NonBurstyKeywordNeverEnters) {
-  AkgBuilder builder(TestConfig(), [](KeywordId) { return false; });
-  const auto delta = builder.ProcessQuantum(MakeQuantum(0, {
+  WiredBuilder akg(TestConfig());
+  akg.Process(MakeQuantum(0, {
       {1, {1}}, {2, {1}},  // only 2 users < theta=3
   }));
-  EXPECT_TRUE(delta.nodes_added.empty());
-  EXPECT_FALSE(builder.node_state().InAkg(1));
+  EXPECT_EQ(akg.builder.node_state().akg_size(), 0u);
+  EXPECT_FALSE(akg.builder.node_state().InAkg(1));
 }
 
 TEST(AkgBuilderTest, EdgeDroppedWhenCorrelationDecays) {
-  AkgBuilder builder(TestConfig(), [](KeywordId) { return false; });
-  builder.ProcessQuantum(MakeQuantum(0, {
+  WiredBuilder akg(TestConfig());
+  akg.Process(MakeQuantum(0, {
       {1, {1, 2}}, {2, {1, 2}}, {3, {1, 2}},
   }));
-  ASSERT_TRUE(builder.akg().HasEdge(1, 2));
+  ASSERT_TRUE(akg.maintainer.graph().HasEdge(1, 2));
   // Subsequent quanta: both keywords keep occurring but used by disjoint
   // user crowds; window Jaccard decays below 0.5.
   for (QuantumIndex q = 1; q <= 2; ++q) {
-    builder.ProcessQuantum(MakeQuantum(q, {
+    akg.Process(MakeQuantum(q, {
         {static_cast<UserId>(20 + q), {1}},
         {static_cast<UserId>(21 + q * 10), {1}},
         {static_cast<UserId>(22 + q * 10), {1}},
@@ -980,25 +1013,49 @@ TEST(AkgBuilderTest, EdgeDroppedWhenCorrelationDecays) {
         {static_cast<UserId>(62 + q * 10), {2}},
     }));
   }
-  EXPECT_FALSE(builder.akg().HasEdge(1, 2));
+  EXPECT_FALSE(akg.maintainer.graph().HasEdge(1, 2));
+  EXPECT_DOUBLE_EQ(akg.builder.EdgeCorrelation(Edge::Of(1, 2)), 0.0);
 }
 
 TEST(AkgBuilderTest, StaleNodeEvictedWithEdges) {
-  AkgBuilder builder(TestConfig(), [](KeywordId) { return false; });
-  builder.ProcessQuantum(MakeQuantum(0, {
+  WiredBuilder akg(TestConfig());
+  akg.Process(MakeQuantum(0, {
       {1, {1, 2}}, {2, {1, 2}}, {3, {1, 2}},
   }));
-  ASSERT_EQ(builder.akg().node_count(), 2u);
+  ASSERT_EQ(akg.builder.node_state().akg_size(), 2u);
   bool removed_nodes = false;
   for (QuantumIndex q = 1; q <= 4; ++q) {
-    const auto delta = builder.ProcessQuantum(MakeQuantum(q, {
+    const auto delta = akg.Process(MakeQuantum(q, {
         {static_cast<UserId>(q), {9}},
     }));
     removed_nodes |= !delta.nodes_removed.empty();
+    // The evicted nodes' edges leave through the maintainer's RemoveNode.
+    EXPECT_TRUE(delta.edges_removed.empty());
   }
   EXPECT_TRUE(removed_nodes);
-  EXPECT_EQ(builder.akg().node_count(), 0u);
-  EXPECT_EQ(builder.akg().edge_count(), 0u);
+  EXPECT_EQ(akg.builder.node_state().akg_size(), 0u);
+  EXPECT_EQ(akg.builder.last_stats().akg_edges, 0u);
+  EXPECT_EQ(akg.maintainer.graph().edge_count(), 0u);
+  EXPECT_DOUBLE_EQ(akg.builder.EdgeCorrelation(Edge::Of(1, 2)), 0.0);
+}
+
+TEST(AkgBuilderTest, EvictedKeywordKeepsNoSignature) {
+  // Keyword 1 is bursty at quantum 0, then seen by one user per quantum
+  // until it fades at quantum w: it is seen and evicted in the same
+  // quantum, and must not be re-signed after its signature was dropped.
+  const AkgConfig config = TestConfig();
+  WiredBuilder akg(config);
+  akg.Process(MakeQuantum(0, {{1, {1}}, {2, {1}}, {3, {1}}}));
+  ASSERT_FALSE(akg.builder.ExportClusterSketch({1}).empty());
+  const auto w = static_cast<QuantumIndex>(config.window_length);
+  for (QuantumIndex q = 1; q < w; ++q) {
+    akg.Process(MakeQuantum(q, {{static_cast<UserId>(10 + q), {1}}}));
+    ASSERT_TRUE(akg.builder.node_state().InAkg(1)) << "quantum " << q;
+  }
+  const auto delta =
+      akg.Process(MakeQuantum(w, {{static_cast<UserId>(10 + w), {1}}}));
+  ASSERT_EQ(delta.nodes_removed, std::vector<KeywordId>{1});
+  EXPECT_TRUE(akg.builder.ExportClusterSketch({1}).empty());
 }
 
 TEST(AkgBuilderTest, MinHashScreenAgreesWithExactOnStrongPairs) {
@@ -1006,25 +1063,25 @@ TEST(AkgBuilderTest, MinHashScreenAgreesWithExactOnStrongPairs) {
   AkgConfig screened = TestConfig();
   screened.ec_mode = EcMode::kMinHashScreenExactVerify;
   screened.minhash_size = 8;
-  AkgBuilder builder_exact(exact, [](KeywordId) { return false; });
-  AkgBuilder builder_screen(screened, [](KeywordId) { return false; });
+  WiredBuilder akg_exact(exact);
+  WiredBuilder akg_screen(screened);
   const auto quantum = MakeQuantum(0, {
       {1, {1, 2}}, {2, {1, 2}}, {3, {1, 2}}, {4, {1, 2}}, {5, {1, 2}},
       {6, {3}}, {7, {3}}, {8, {3}},
   });
-  const auto d1 = builder_exact.ProcessQuantum(quantum);
-  const auto d2 = builder_screen.ProcessQuantum(quantum);
+  const auto d1 = akg_exact.Process(quantum);
+  const auto d2 = akg_screen.Process(quantum);
   ASSERT_EQ(d1.edges_added.size(), 1u);
   ASSERT_EQ(d2.edges_added.size(), 1u);  // identical sets always share minhash
-  EXPECT_EQ(d1.edges_added[0].first, d2.edges_added[0].first);
+  EXPECT_EQ(d1.edges_added[0], d2.edges_added[0]);
 }
 
 TEST(AkgBuilderTest, StatsReflectSizes) {
-  AkgBuilder builder(TestConfig(), [](KeywordId) { return false; });
-  builder.ProcessQuantum(MakeQuantum(0, {
+  WiredBuilder akg(TestConfig());
+  akg.Process(MakeQuantum(0, {
       {1, {1, 2, 5}}, {2, {1, 2}}, {3, {1, 2}}, {4, {7}},
   }));
-  const auto& stats = builder.last_stats();
+  const auto& stats = akg.builder.last_stats();
   EXPECT_EQ(stats.quantum_keywords, 4u);  // {1, 2, 5, 7}
   EXPECT_EQ(stats.bursty, 2u);            // {1, 2}
   EXPECT_EQ(stats.akg_nodes, 2u);
@@ -1058,7 +1115,7 @@ std::vector<KeywordId> RefreshedKeywords(const AkgBuilder& builder,
   }
   std::vector<KeywordId> refreshed;
   for (KeywordId k : occurring) {
-    if (builder.akg().HasNode(k)) refreshed.push_back(k);
+    if (builder.node_state().InAkg(k)) refreshed.push_back(k);
   }
   return refreshed;
 }
@@ -1081,13 +1138,19 @@ stream::Quantum ChurnQuantum(QuantumIndex index, Rng& rng) {
   return q;
 }
 
-void ExpectSameDelta(const GraphDelta& a, const GraphDelta& b) {
-  EXPECT_EQ(a.quantum, b.quantum);
-  EXPECT_EQ(a.nodes_added, b.nodes_added);
+void ExpectSameDelta(const cluster::GraphDelta& a,
+                     const cluster::GraphDelta& b) {
   EXPECT_EQ(a.nodes_removed, b.nodes_removed);
   EXPECT_EQ(a.edges_added, b.edges_added);
   EXPECT_EQ(a.edges_removed, b.edges_removed);
-  EXPECT_EQ(a.ec_updated, b.ec_updated);
+}
+
+// Canonical bytes of a builder's state: equal states, equal bytes (edge
+// correlations included, bit for bit).
+std::string SavedBytes(const AkgBuilder& builder) {
+  BinaryWriter out;
+  builder.Save(out);
+  return out.data();
 }
 
 TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
@@ -1096,9 +1159,9 @@ TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
   config.ec_threshold = 0.2;
   config.minhash_size = 4;
   config.window_length = 4;
-  const auto never = [](KeywordId) { return false; };
-  AkgBuilder builder(config, never);
-  std::unique_ptr<AkgBuilder> restored;
+  WiredBuilder akg(config);
+  const AkgBuilder& builder = akg.builder;
+  std::unique_ptr<WiredBuilder> restored;
   Rng rng(404);
   const QuantumIndex kQuanta = 16;
   const QuantumIndex kSaveAfter = 9;  // after the window has filled
@@ -1110,7 +1173,7 @@ TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
     for (const stream::Message& m : quantum.messages) {
       for (KeywordId k : m.keywords) ever_used[k].insert(m.user);
     }
-    const GraphDelta delta = builder.ProcessQuantum(quantum);
+    const cluster::GraphDelta delta = akg.Process(quantum);
     for (KeywordId k : RefreshedKeywords(builder, quantum)) {
       const MinHashSignature brute = BruteForceWindowSignature(builder, k);
       EXPECT_EQ(builder.ExportClusterSketch({k}), brute)
@@ -1125,21 +1188,26 @@ TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
       if (all_time != brute) ++expired_moved;
     }
     if (restored) {
-      const GraphDelta again = restored->ProcessQuantum(quantum);
+      const cluster::GraphDelta again = restored->Process(quantum);
       ExpectSameDelta(delta, again);
+      EXPECT_EQ(SavedBytes(restored->builder), SavedBytes(builder))
+          << "quantum " << q;
       for (KeywordId k : RefreshedKeywords(builder, quantum)) {
-        EXPECT_EQ(restored->ExportClusterSketch({k}),
-                  builder.ExportClusterSketch({k}));
-        EXPECT_EQ(restored->ExportClusterSketch({k}),
-                  BruteForceWindowSignature(*restored, k));
+        EXPECT_EQ(restored->builder.ExportClusterSketch({k}),
+                  BruteForceWindowSignature(restored->builder, k));
       }
     }
     if (q + 1 == kSaveAfter) {
+      // The maintainer's graph is the AKG's edge set: it is saved and
+      // restored beside the builder, as in a detector snapshot.
       BinaryWriter out;
       builder.Save(out);
-      restored = std::make_unique<AkgBuilder>(config, never);
+      akg.maintainer.Save(out);
+      restored = std::make_unique<WiredBuilder>(config);
       BinaryReader in(out.data());
-      ASSERT_TRUE(restored->Restore(in));
+      ASSERT_TRUE(restored->builder.Restore(in));
+      ASSERT_TRUE(restored->maintainer.Restore(in));
+      ASSERT_TRUE(restored->builder.MatchesMaintainerGraph());
     }
   }
   EXPECT_GT(checked, 30u);

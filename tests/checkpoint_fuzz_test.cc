@@ -262,75 +262,28 @@ TEST(CheckpointFuzzTest, ForgedLengthFieldsDoNotAllocate) {
   }
 }
 
-TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
-  // A CRC-valid payload whose AKG graph has an edge but whose signature
-  // section is empty: if the loader accepted it, the next quantum's lazy
-  // re-validation would call signatures_.at() on the endpoints and abort.
-  // Mirrors detect::EventDetector::SaveState's section order field by
-  // field.
-  detect::DetectorConfig config;
-  config.quantum_size = 100;
-  config.akg.window_length = 8;
+// A CRC-valid detector snapshot forged field by field, mirroring
+// detect::EventDetector::SaveState's section order. By default it holds
+// an AKG of members {1, 2} joined by edge {1, 2} — in the AKG graph
+// section, the correlations and the maintainer's graph — with signatures
+// for both, and keyword 3 tracked outside the AKG. It loads; each field
+// below forges one fault.
+struct ForgedSnapshot {
+  // Node list of the AKG graph section (the automaton's members: {1, 2}).
+  std::vector<KeywordId> graph_nodes = {1, 2};
+  // Edge {1, 2} in the AKG graph and correlation sections.
+  bool akg_edge = true;
+  // Edge {1, 2} in the maintainer's graph.
+  bool maintainer_edge = true;
+  // Signatures for keywords 1 and 2.
+  bool signatures = true;
+  // A last-bursty stamp for keyword 3, which is not a member.
+  bool orphan_stamp = false;
 
-  BinaryWriter w;
-  sio::WriteConfig(w, config);
-  w.I64(1);  // next_index
-  w.U64(0);  // no pending messages
-  // AkgBuilder: clock, empty id-set shards, node automaton with the two
-  // endpoints tracked and in the AKG, the edge, NO signatures, a matching
-  // correlation, zeroed stats.
-  w.I64(0);
-  w.U32(16);  // id-set shard count
-  w.U64(config.akg.window_length);
-  for (int shard = 0; shard < 16; ++shard) w.U32(0);  // empty histories
-  w.U64(2);  // last_seen: keywords 1 and 2 at quantum 0
-  w.U32(1);
-  w.I64(0);
-  w.U32(2);
-  w.I64(0);
-  w.U64(0);  // last_bursty empty
-  w.U64(2);  // AKG members 1, 2
-  w.U32(1);
-  w.U32(2);
-  w.U64(2);  // graph nodes 1, 2
-  w.U32(1);
-  w.U32(2);
-  w.U64(1);  // one edge {1, 2}
-  w.U32(1);
-  w.U32(2);
-  w.U64(0);  // signatures: none — the forgery
-  w.U64(1);  // correlations: matches edge count, so that check passes
-  w.U32(1);
-  w.U32(2);
-  w.F64(0.5);
-  for (int i = 0; i < 7; ++i) w.U64(0);  // AkgQuantumStats
-  // Maintainer: empty graph + cluster set, clock, stats.
-  w.U64(0);
-  w.U64(0);
-  w.U64(0);  // cluster next_id
-  w.U64(0);  // cluster count
-  w.I64(0);
-  for (int i = 0; i < 8; ++i) w.U64(0);  // MaintenanceStats
-  w.U64(0);  // rank tracker: no histories
-  w.U64(0);  // reported set: empty
-
-  std::stringstream out;
-  ASSERT_TRUE(sio::WriteFrame(out, w.data()));
-  EXPECT_EQ(LoadBytes(out.str(), nullptr), nullptr)
-      << "signature-less AKG edge accepted — would crash on next quantum";
-}
-
-TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
-  // A CRC-valid payload whose node automaton holds a last-bursty stamp for
-  // keyword 3, tracked but not an AKG member. No run writes one (eviction
-  // drops a member's stamp with it), so the loader refuses it instead of
-  // keeping orphan state. The same payload without that stamp loads, so
-  // the stamp is the only fault. Field order as in the test above.
-  detect::DetectorConfig config;
-  config.quantum_size = 100;
-  config.akg.window_length = 8;
-
-  const auto forge = [&](bool orphan) {
+  std::string Bytes() const {
+    detect::DetectorConfig config;
+    config.quantum_size = 100;
+    config.akg.window_length = 8;
     BinaryWriter w;
     sio::WriteConfig(w, config);
     w.I64(1);  // next_index
@@ -344,10 +297,10 @@ TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
       w.U32(keyword);
       w.I64(0);
     }
-    // last_bursty: members 1, 2, and the orphan keyword 3.
     const std::vector<KeywordId> stamped =
-        orphan ? std::vector<KeywordId>{1, 2, 3} : std::vector<KeywordId>{1, 2};
-    w.U64(stamped.size());
+        orphan_stamp ? std::vector<KeywordId>{1, 2, 3}
+                     : std::vector<KeywordId>{1, 2};
+    w.U64(stamped.size());  // last_bursty
     for (KeywordId keyword : stamped) {
       w.U32(keyword);
       w.I64(0);
@@ -355,16 +308,40 @@ TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
     w.U64(2);  // AKG members 1, 2
     w.U32(1);
     w.U32(2);
-    w.U64(2);  // graph nodes 1, 2
-    w.U32(1);
-    w.U32(2);
-    w.U64(0);  // no edges
-    w.U64(0);  // no signatures
-    w.U64(0);  // no correlations
+    w.U64(graph_nodes.size());  // AKG graph section
+    for (KeywordId keyword : graph_nodes) w.U32(keyword);
+    w.U64(akg_edge ? 1 : 0);
+    if (akg_edge) {
+      w.U32(1);
+      w.U32(2);
+    }
+    w.U64(signatures ? 2 : 0);
+    if (signatures) {
+      for (KeywordId keyword : {1u, 2u}) {
+        w.U32(keyword);
+        w.U32(1);
+        w.U64(1000 + keyword);
+      }
+    }
+    w.U64(akg_edge ? 1 : 0);  // correlations
+    if (akg_edge) {
+      w.U32(1);
+      w.U32(2);
+      w.F64(0.5);
+    }
     for (int i = 0; i < 7; ++i) w.U64(0);  // AkgQuantumStats
-    // Maintainer: empty graph + cluster set, clock, stats.
-    w.U64(0);
-    w.U64(0);
+    // Maintainer: graph, empty cluster set, clock, stats.
+    if (maintainer_edge) {
+      w.U64(2);  // nodes 1, 2
+      w.U32(1);
+      w.U32(2);
+      w.U64(1);  // edge {1, 2}
+      w.U32(1);
+      w.U32(2);
+    } else {
+      w.U64(0);
+      w.U64(0);
+    }
     w.U64(0);  // cluster next_id
     w.U64(0);  // cluster count
     w.I64(0);
@@ -374,9 +351,54 @@ TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
     std::stringstream out;
     EXPECT_TRUE(sio::WriteFrame(out, w.data()));
     return out.str();
-  };
-  EXPECT_NE(LoadBytes(forge(false), nullptr), nullptr);
-  EXPECT_EQ(LoadBytes(forge(true), nullptr), nullptr)
+  }
+};
+
+TEST(CheckpointFuzzTest, ForgedSnapshotBaselineLoads) {
+  EXPECT_NE(LoadBytes(ForgedSnapshot{}.Bytes(), nullptr), nullptr);
+}
+
+TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
+  // The AKG edge's endpoints have no signatures: if the loader accepted
+  // it, the next quantum's lazy re-validation would call signatures_.at()
+  // on them and abort. The edge is in every section that holds edges, so
+  // the signature check is the one that rejects it.
+  EXPECT_EQ(LoadBytes(ForgedSnapshot{.signatures = false}.Bytes(), nullptr),
+            nullptr)
+      << "signature-less AKG edge accepted — would crash on next quantum";
+}
+
+TEST(CheckpointFuzzTest, MaintainerEdgeWithoutCorrelationIsRejected) {
+  // The maintainer's graph is the AKG's edge set, so an edge there with no
+  // correlation would fail the builder's edge-count check on the next
+  // quantum.
+  EXPECT_EQ(LoadBytes(ForgedSnapshot{.akg_edge = false}.Bytes(), nullptr),
+            nullptr)
+      << "maintainer edge without an AKG correlation accepted";
+  // The same fault the other way round: a correlated edge the maintainer
+  // does not hold.
+  EXPECT_EQ(
+      LoadBytes(ForgedSnapshot{.maintainer_edge = false}.Bytes(), nullptr),
+      nullptr)
+      << "AKG correlation without a maintainer edge accepted";
+}
+
+TEST(CheckpointFuzzTest, AkgGraphNodesOtherThanMembersAreRejected) {
+  // The AKG graph section's nodes are the automaton's members; a section
+  // that lists a non-member is not one any run wrote.
+  EXPECT_EQ(
+      LoadBytes(ForgedSnapshot{.graph_nodes = {1, 2, 3}}.Bytes(), nullptr),
+      nullptr)
+      << "AKG graph node outside the members accepted";
+}
+
+TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
+  // The node automaton holds a last-bursty stamp for keyword 3, tracked
+  // but not an AKG member. No run writes one (eviction drops a member's
+  // stamp with it), so the loader refuses it instead of keeping orphan
+  // state. ForgedSnapshotBaselineLoads shows the stamp is the only fault.
+  EXPECT_EQ(LoadBytes(ForgedSnapshot{.orphan_stamp = true}.Bytes(), nullptr),
+            nullptr)
       << "last-bursty stamp of a non-member accepted";
 }
 

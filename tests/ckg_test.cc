@@ -83,14 +83,15 @@ TEST(WindowedCkgTest, AkgIsSmallSubsetOfCkgOnRealisticTrace) {
 
   AkgConfig akg_config;
   akg_config.window_length = 10;
-  AkgBuilder builder(akg_config, [](KeywordId) { return false; });
+  cluster::ScpMaintainer maintainer;
+  AkgBuilder builder(akg_config, maintainer);
   WindowedCkg ckg(10);
 
   double ratio_sum = 0.0;
   std::size_t samples = 0;
   for (const stream::Quantum& q :
        stream::SplitIntoQuanta(trace.messages, 160)) {
-    builder.ProcessQuantum(q);
+    maintainer.Apply(builder.ProcessQuantum(q));
     ckg.PushQuantum(q);
     if (!ckg.warm() || ckg.edge_count() == 0) continue;
     ratio_sum += static_cast<double>(builder.last_stats().akg_edges) /

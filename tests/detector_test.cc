@@ -151,7 +151,7 @@ TEST_F(Figure1Test, ClusterExpiresAfterEventDies) {
   EXPECT_FALSE(reports[0].events.empty());
   EXPECT_TRUE(reports.back().events.empty());
   EXPECT_EQ(detector.core().maintainer().clusters().size(), 0u);
-  EXPECT_EQ(detector.core().akg().akg().node_count(), 0u);
+  EXPECT_EQ(detector.core().akg().node_state().akg_size(), 0u);
 }
 
 TEST_F(Figure1Test, NounFilterSuppressesVerbOnlyClusters) {

@@ -184,28 +184,5 @@ TEST(EventFeedTest, SaveRestoreKeepsExactlyOnceState) {
   EXPECT_EQ(rejected.delivered_count(), 0u);
 }
 
-TEST(EventFeedTest, DeliveryHookFiresOncePerItemInOrder) {
-  EventFeed feed;
-  std::vector<ClusterId> seen;
-  feed.set_delivery_hook(
-      [&seen](const FeedItem& item) { seen.push_back(item.lead.cluster_id); });
-
-  auto items = feed.Consume(
-      Report(1, {Snap(1, {10, 11, 12}, 20.0, 1, true),
-                 Snap(2, {40, 41, 42}, 15.0, 1, true)}));
-  ASSERT_EQ(items.size(), 2u);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], items[0].lead.cluster_id);
-  EXPECT_EQ(seen[1], items[1].lead.cluster_id);
-
-  // A re-announcement is not delivered, so the hook stays quiet...
-  feed.Consume(Report(2, {Snap(1, {10, 11, 12}, 22.0, 1, false)}));
-  EXPECT_EQ(seen.size(), 2u);
-  // ...and detaching stops it entirely.
-  feed.set_delivery_hook(nullptr);
-  feed.Consume(Report(3, {Snap(7, {70, 71, 72}, 12.0, 3, true)}));
-  EXPECT_EQ(seen.size(), 2u);
-}
-
 }  // namespace
 }  // namespace scprt::detect

@@ -297,9 +297,36 @@ TEST(MaintainerTest, ReturnValuesOnDuplicatesAndAbsents) {
   EXPECT_FALSE(m.AddEdge(1, 2));
   EXPECT_FALSE(m.RemoveEdge(5, 6));
   EXPECT_FALSE(m.RemoveNode(99));
-  EXPECT_TRUE(m.AddNode(99));
-  EXPECT_FALSE(m.AddNode(99));
-  EXPECT_TRUE(m.RemoveNode(99));
+  EXPECT_TRUE(m.RemoveNode(2));
+  EXPECT_FALSE(m.RemoveEdge(1, 2));
+}
+
+// Apply is the three updates in their application order: node evictions,
+// then edge drops, then edge adds.
+TEST(MaintainerTest, ApplyMatchesStepwiseUpdates) {
+  ScpMaintainer stepwise, applied;
+  GraphDelta first;
+  first.edges_added = {Edge::Of(1, 2), Edge::Of(2, 3), Edge::Of(1, 3),
+                       Edge::Of(3, 4), Edge::Of(1, 4), Edge::Of(4, 5)};
+  for (const Edge& e : first.edges_added) stepwise.AddEdge(e.u, e.v);
+  applied.Apply(first);
+  ASSERT_EQ(applied.CanonicalClusters(), stepwise.CanonicalClusters());
+
+  // Evicting 4 drops {3,4}, {1,4} and {4,5}; {1,2} is dropped and then
+  // re-closed through 6.
+  GraphDelta second;
+  second.nodes_removed = {4};
+  second.edges_removed = {Edge::Of(1, 2)};
+  second.edges_added = {Edge::Of(1, 6), Edge::Of(2, 6), Edge::Of(1, 2)};
+  stepwise.RemoveNode(4);
+  stepwise.RemoveEdge(1, 2);
+  for (const Edge& e : second.edges_added) stepwise.AddEdge(e.u, e.v);
+  applied.Apply(second);
+  EXPECT_EQ(applied.CanonicalClusters(), stepwise.CanonicalClusters());
+  EXPECT_EQ(applied.graph().edge_count(), 5u);
+  EXPECT_FALSE(applied.graph().HasNode(4));
+  EXPECT_EQ(applied.stats().edges_removed, stepwise.stats().edges_removed);
+  EXPECT_TRUE(applied.ValidateInvariants());
 }
 
 // Deleting every node one by one always ends with an empty clustering and
