@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -53,6 +54,11 @@ cluster::GraphDelta AkgBuilder::ProcessQuantum(
   // The maintainer's graph is the AKG as of the previous quantum.
   const graph::DynamicGraph& akg = maintainer_.graph();
   SCPRT_CHECK(akg.edge_count() == edge_ec_.size());
+  // The id sets stamp their history by position (UserIdSets::LastSeen), so
+  // every quantum after the first must be the one after the last.
+  SCPRT_CHECK(id_sets_.depth() == 0 ||
+              (now_ < std::numeric_limits<QuantumIndex>::max() &&
+               quantum.index == now_ + 1));
   cluster::GraphDelta delta;
   now_ = quantum.index;
   last_stats_ = AkgQuantumStats{};
@@ -63,14 +69,20 @@ cluster::GraphDelta AkgBuilder::ProcessQuantum(
   //        because the repository benchmark reads it. ---
   static obs::Histogram* const aggregate_hist =
       obs::Registry::Default().GetHistogram("engine.aggregate_ns");
-  const QuantumAggregate aggregate = [&] {
+  QuantumAggregate aggregate;
+  std::vector<std::pair<KeywordId, std::uint32_t>> quantum_keywords;
+  {
     obs::ScopedSpan span("aggregate");
     obs::ScopedHistogramTimer timer(aggregate_hist);
-    return AggregateQuantum(quantum);
-  }();
+    aggregate = AggregateQuantum(quantum);
+    // Each keyword run of the aggregate is the keyword's distinct users
+    // this quantum: step 2's input, read before step 1 takes the pairs.
+    quantum_keywords = KeywordCounts(aggregate);
+  }
 
   // --- 1. Ingest the quantum's (keyword, user) aggregate into the window
-  //        id sets: one merge + expiry per keyword shard ---
+  //        id sets: one merge + expiry of the window table; the pairs
+  //        become the quantum's history entry ---
   {
     // Id-set window fold cost; batch-level timing only — per-keyword
     // clocks would swamp the work.
@@ -78,23 +90,20 @@ cluster::GraphDelta AkgBuilder::ProcessQuantum(
         obs::Registry::Default().GetHistogram("akg.sketch_ingest_ns");
     obs::ScopedSpan span("akg.sketch");
     obs::ScopedHistogramTimer timer(sketch_hist);
-    id_sets_.IngestAggregate(aggregate);
+    id_sets_.IngestAggregate(std::move(aggregate));
   }
 
   // --- 2-3. Node state transitions and evictions ---
-  std::vector<std::pair<KeywordId, std::uint32_t>> quantum_keywords;
   NodeStateUpdate update;
   {
-    // Automaton and eviction cost: the keyword runs, the state sweep and
+    // Automaton and eviction cost: the member merge and state sweep, and
     // the removed nodes' correlations.
     static obs::Histogram* const node_state_hist =
         obs::Registry::Default().GetHistogram("akg.node_state_ns");
     obs::ScopedSpan span("akg.node_state");
     obs::ScopedHistogramTimer timer(node_state_hist);
 
-    // --- 2. Node state transitions (Section 3.1): each keyword run of
-    //        the aggregate is the keyword's distinct users this quantum ---
-    quantum_keywords = KeywordCounts(aggregate);
+    // --- 2. Node state transitions (Section 3.1) ---
     update = node_state_.ProcessQuantum(
         now_, quantum_keywords, [this](KeywordId k) {
           return maintainer_.clusters().NodeInAnyCluster(k);
@@ -144,7 +153,7 @@ cluster::GraphDelta AkgBuilder::ProcessQuantum(
   }
 
   // --- 7. Stats snapshot (Section 7.4) ---
-  last_stats_.ckg_nodes = node_state_.tracked_keywords();
+  last_stats_.ckg_nodes = id_sets_.active_keywords();
   last_stats_.quantum_keywords = quantum_keywords.size();
   last_stats_.akg_nodes = node_state_.akg_size();
   last_stats_.akg_edges = edge_ec_.size();
@@ -257,7 +266,7 @@ std::size_t AkgBuilder::sketch_size() const { return hasher_.p(); }
 void AkgBuilder::Save(BinaryWriter& out) const {
   out.I64(now_);
   id_sets_.Save(out);
-  node_state_.Save(out);
+  node_state_.Save(out, id_sets_.LastSeen(now_));
 
   // The AKG as a graph section: the members and the correlated edges.
   graph::DynamicGraph akg;
@@ -308,10 +317,15 @@ bool AkgBuilder::Restore(BinaryReader& in) {
   };
   reset();
   now_ = in.I64();
+  // The clock is the history's newest quantum: indices count from 0, so it
+  // is at least depth - 1, and the next quantum's index must fit.
   // The graph section is derived (Save): its nodes must be the members,
   // and its edges the correlations checked below.
   graph::DynamicGraph akg;
-  if (!id_sets_.Restore(in) || !node_state_.Restore(in) ||
+  if (!id_sets_.Restore(in) ||
+      now_ < static_cast<QuantumIndex>(id_sets_.depth()) - 1 ||
+      now_ == std::numeric_limits<QuantumIndex>::max() ||
+      !node_state_.Restore(in, id_sets_.LastSeen(now_)) ||
       !akg.Restore(in)) {
     reset();
     return false;

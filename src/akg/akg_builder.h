@@ -6,7 +6,9 @@
 // the maintainer's graph, which between quanta holds exactly the
 // correlated edges.
 //
-// The window id sets are the only window state. A keyword's signature is
+// The window id sets are the only window state: the CKG node count and
+// every window keyword's last-seen quantum are read from them, and the
+// node automaton holds the AKG members alone. A keyword's signature is
 // the bottom-p of its window id set, computed only when an AKG member is
 // refreshed (bursty, or seen this quantum); nothing is sketched for the
 // rest of the quantum's vocabulary.
@@ -48,7 +50,7 @@ struct AkgConfig {
 
 /// Size statistics for the CKG-vs-AKG comparison (Section 7.4).
 struct AkgQuantumStats {
-  /// Distinct keywords tracked over the window horizon (~ CKG nodes).
+  /// Distinct keywords of the window's id sets (the CKG node count).
   std::size_t ckg_nodes = 0;
   /// Distinct keywords occurring in this quantum.
   std::size_t quantum_keywords = 0;
@@ -73,7 +75,8 @@ class AkgBuilder {
 
   /// Processes one quantum of messages and returns the structural delta
   /// against the maintainer's graph; aborts if the last one was not
-  /// applied. The quantum is first reduced to its canonical aggregate
+  /// applied, or if the quantum's index is not the one after the last.
+  /// The quantum is first reduced to its canonical aggregate
   /// (AggregateQuantum, timed as engine.aggregate_ns).
   cluster::GraphDelta ProcessQuantum(const stream::Quantum& quantum);
 
@@ -110,7 +113,8 @@ class AkgBuilder {
   const AkgConfig& config() const { return config_; }
 
   /// Serializes every derived structure of the AKG layer — id-set window
-  /// histories, node automaton, the graph (members and correlated edges),
+  /// histories, the window keywords' last-seen stamps (derived from the
+  /// histories), node automaton, the graph (members and correlated edges),
   /// Min-Hash signatures, edge correlations (bit-exact doubles) and the
   /// quantum clock — in canonical order. The hash function itself is
   /// config-derived and not stored.
@@ -118,8 +122,9 @@ class AkgBuilder {
 
   /// Replaces this builder's state with Save()'s encoding. Must be called
   /// on a builder constructed with the same AkgConfig. Returns false on
-  /// malformed input (a graph other than the members and correlated edges
-  /// included); the builder is reset to empty in that case.
+  /// malformed input (last-seen stamps other than the id sets', or a graph
+  /// other than the members and correlated edges, included); the builder
+  /// is reset to empty in that case.
   bool Restore(BinaryReader& in);
 
  private:

@@ -1,6 +1,8 @@
 #include "akg/id_sets.h"
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <iterator>
 
 #include "common/check.h"
@@ -14,6 +16,10 @@ UserIdSets::UserIdSets(std::size_t window_length)
 
 namespace {
 
+// The snapshot layout's keyword groups: the saved history is split by
+// keyword mod kIdSetShards. Only Save and Restore group keywords.
+constexpr std::size_t kIdSetShards = 16;
+
 // Index of the first of the `n` ascending `keys` not below `key`, by a
 // branch-free binary search.
 std::size_t LowerBound(const KeywordId* keys, std::size_t n, KeywordId key) {
@@ -25,6 +31,32 @@ std::size_t LowerBound(const KeywordId* keys, std::size_t n, KeywordId key) {
     n -= half;
   }
   return static_cast<std::size_t>(base - keys) + (*base < key);
+}
+
+// Sorts `data` by its bytes from byte `first_byte` up (least significant
+// first, one stable counting pass per byte in which the values differ);
+// `scratch` is the second buffer. Bytes below `first_byte` keep their
+// input order within equal keys.
+void RadixSort(std::vector<std::uint64_t>& data, unsigned first_byte,
+               std::vector<std::uint64_t>& scratch) {
+  std::uint64_t any = 0, all = ~std::uint64_t{0};
+  for (std::uint64_t value : data) {
+    any |= value;
+    all &= value;
+  }
+  scratch.resize(data.size());
+  for (unsigned shift = 8 * first_byte; shift < 64; shift += 8) {
+    if ((((any ^ all) >> shift) & 0xff) == 0) continue;
+    std::array<std::size_t, 257> offsets{};
+    for (std::uint64_t value : data) ++offsets[((value >> shift) & 0xff) + 1];
+    for (std::size_t b = 1; b < offsets.size(); ++b) {
+      offsets[b] += offsets[b - 1];
+    }
+    for (std::uint64_t value : data) {
+      scratch[offsets[(value >> shift) & 0xff]++] = value;
+    }
+    data.swap(scratch);
+  }
 }
 
 }  // namespace
@@ -130,55 +162,17 @@ void UserIdSets::MergeWindow(const WindowTable& window,
   out.starts.resize(runs);
 }
 
-void UserIdSets::RefoldWindow(Shard& shard) {
-  std::vector<std::uint64_t> keys;
-  std::size_t total = 0;
-  for (const HistoryEntry& entry : shard.history) total += entry.size();
-  keys.reserve(total);
-  for (const HistoryEntry& entry : shard.history) {
-    keys.insert(keys.end(), entry.begin(), entry.end());
-  }
-  std::sort(keys.begin(), keys.end());
-  WindowTable& window = shard.window;
-  for (std::size_t i = 0; i < keys.size();) {
-    std::size_t end = i + 1;
-    while (end < keys.size() && keys[end] == keys[i]) ++end;
-    const KeywordId keyword = PairKeyword(keys[i]);
-    if (window.directory.empty() || window.directory.back() != keyword) {
-      window.directory.push_back(keyword);
-      window.starts.push_back(window.users.size());
-    }
-    window.users.push_back(PairUser(keys[i]));
-    window.counts.push_back(static_cast<std::uint32_t>(end - i));
-    i = end;
-  }
-}
-
-void UserIdSets::IngestAggregate(const QuantumAggregate& aggregate) {
-  // One routing pass up front so each shard merges only its own pairs
-  // instead of re-scanning the whole aggregate. Ascending input keeps
-  // every shard's history entry (keyword, user)-sorted.
-  const std::vector<std::uint64_t>& pairs = aggregate.pairs;
-  for (Shard& shard : shards_) shard.incoming.clear();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    SCPRT_CHECK(i == 0 || pairs[i - 1] < pairs[i]);
-    shards_[ShardOf(PairKeyword(pairs[i]))].incoming.push_back(pairs[i]);
-  }
+void UserIdSets::IngestAggregate(QuantumAggregate aggregate) {
+  HistoryEntry& pairs = aggregate.pairs;
+  SCPRT_CHECK(std::adjacent_find(pairs.begin(), pairs.end(),
+                                 std::greater_equal<std::uint64_t>()) ==
+              pairs.end());
   static const HistoryEntry kNothing;
-  for (Shard& shard : shards_) {
-    const bool full = shard.history.size() == window_length_;
-    MergeWindow(shard.window, shard.incoming,
-                full ? shard.history.front() : kNothing, shard.next);
-    std::swap(shard.window, shard.next);
-    HistoryEntry recycled;
-    if (full) {
-      recycled = std::move(shard.history.front());
-      shard.history.pop_front();
-    }
-    shard.history.push_back(std::move(shard.incoming));
-    // The expired entry's buffer takes the next quantum's pairs.
-    shard.incoming = std::move(recycled);
-  }
+  const bool full = history_.size() == window_length_;
+  MergeWindow(window_, pairs, full ? history_.front() : kNothing, next_);
+  std::swap(window_, next_);
+  if (full) history_.pop_front();
+  history_.push_back(std::move(pairs));
 }
 
 std::size_t UserIdSets::WindowSupport(KeywordId keyword) const {
@@ -186,14 +180,12 @@ std::size_t UserIdSets::WindowSupport(KeywordId keyword) const {
 }
 
 std::span<const UserId> UserIdSets::WindowUsers(KeywordId keyword) const {
-  const WindowTable& table = shards_[ShardOf(keyword)].window;
+  const std::vector<KeywordId>& directory = window_.directory;
   const std::size_t run =
-      LowerBound(table.directory.data(), table.directory.size(), keyword);
-  if (run == table.directory.size() || table.directory[run] != keyword) {
-    return {};
-  }
-  const std::size_t begin = table.starts[run];
-  return {table.users.data() + begin, table.RunEnd(run) - begin};
+      LowerBound(directory.data(), directory.size(), keyword);
+  if (run == directory.size() || directory[run] != keyword) return {};
+  const std::size_t begin = window_.starts[run];
+  return {window_.users.data() + begin, window_.RunEnd(run) - begin};
 }
 
 std::size_t UserIdSets::UnionSupport(
@@ -226,20 +218,47 @@ double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
   return static_cast<double>(intersection) / static_cast<double>(unioned);
 }
 
-std::size_t UserIdSets::active_keywords() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.window.directory.size();
-  return total;
+std::vector<std::pair<KeywordId, QuantumIndex>> UserIdSets::LastSeen(
+    QuantumIndex newest) const {
+  const std::vector<KeywordId>& directory = window_.directory;
+  std::vector<std::pair<KeywordId, QuantumIndex>> seen(directory.size());
+  for (std::size_t run = 0; run < directory.size(); ++run) {
+    seen[run].first = directory[run];
+  }
+  // Oldest entry first, so a newer quantum's stamp overwrites an older
+  // one. Every entry keyword is a window keyword (the window is the fold
+  // of the history), so each entry is one merge against the directory.
+  const std::size_t depth = history_.size();
+  for (std::size_t j = 0; j < depth; ++j) {
+    const QuantumIndex quantum =
+        newest - static_cast<QuantumIndex>(depth - 1 - j);
+    std::size_t run = 0;
+    for (std::uint64_t pair : history_[j]) {
+      const KeywordId keyword = PairKeyword(pair);
+      while (directory[run] < keyword) ++run;
+      seen[run].second = quantum;
+    }
+  }
+  return seen;
 }
 
 void UserIdSets::Save(BinaryWriter& out) const {
+  // Group g's part of entry j is slices[g * depth + j].
+  const std::size_t depth = history_.size();
+  std::vector<HistoryEntry> slices(kIdSetShards * depth);
+  for (std::size_t j = 0; j < depth; ++j) {
+    for (std::uint64_t pair : history_[j]) {
+      slices[PairKeyword(pair) % kIdSetShards * depth + j].push_back(pair);
+    }
+  }
   out.U32(static_cast<std::uint32_t>(kIdSetShards));
   out.U64(window_length_);
-  for (const Shard& shard : shards_) {
-    out.U32(static_cast<std::uint32_t>(shard.history.size()));
-    for (const HistoryEntry& entry : shard.history) {
-      out.U64(entry.size());
-      for (std::uint64_t pair : entry) {
+  for (std::size_t g = 0; g < kIdSetShards; ++g) {
+    out.U32(static_cast<std::uint32_t>(depth));
+    for (std::size_t j = 0; j < depth; ++j) {
+      const HistoryEntry& slice = slices[g * depth + j];
+      out.U64(slice.size());
+      for (std::uint64_t pair : slice) {
         out.U32(PairKeyword(pair));
         out.U32(PairUser(pair));
       }
@@ -248,49 +267,77 @@ void UserIdSets::Save(BinaryWriter& out) const {
 }
 
 bool UserIdSets::Restore(BinaryReader& in) {
-  const auto reset = [this] { shards_.assign(kIdSetShards, Shard{}); };
-  reset();
+  const auto clear = [this] {
+    history_.clear();
+    window_ = WindowTable{};
+  };
+  clear();
   if (in.U32() != kIdSetShards || in.U64() != window_length_) {
     in.Fail();
     return false;
   }
-  std::uint32_t depth0 = 0;
-  for (std::size_t s = 0; s < kIdSetShards; ++s) {
-    Shard& shard = shards_[s];
+  // Group g's slice of entry j is appended to history_[j], so each entry
+  // holds its groups' slices in group order.
+  std::size_t pairs = 0;
+  for (std::size_t g = 0; g < kIdSetShards && in.ok(); ++g) {
     const std::uint32_t depth = in.U32();
-    if (s == 0) depth0 = depth;
-    // Every quantum pushes one entry into every shard, so depths must
-    // agree (and never exceed the window).
-    if (depth != depth0 || depth > window_length_) {
+    // Every quantum adds one entry to every group, so depths must agree
+    // (and never exceed the window).
+    if (depth > window_length_ || (g > 0 && depth != history_.size())) {
       in.Fail();
       break;
     }
-    for (std::uint32_t q = 0; q < depth; ++q) {
-      const std::uint64_t pairs = in.U64();
-      if (!in.CheckLength(pairs, 8)) break;
-      HistoryEntry entry;
-      entry.reserve(pairs);
-      for (std::uint64_t i = 0; i < pairs; ++i) {
+    history_.resize(depth);
+    for (std::uint32_t j = 0; j < depth && in.ok(); ++j) {
+      HistoryEntry& entry = history_[j];
+      const std::uint64_t count = in.U64();
+      if (!in.CheckLength(count, 8)) break;
+      const std::size_t begin = entry.size();
+      for (std::uint64_t i = 0; i < count; ++i) {
         const KeywordId keyword = in.U32();
-        const UserId user = in.U32();
+        const std::uint64_t pair = PackPair(keyword, in.U32());
         // Canonical form: strictly ascending (so pairs are distinct) and
-        // shard-local keywords.
-        const std::uint64_t pair = PackPair(keyword, user);
-        if (ShardOf(keyword) != s || (!entry.empty() && entry.back() >= pair)) {
+        // group-local keywords.
+        if (keyword % kIdSetShards != g ||
+            (entry.size() > begin && entry.back() >= pair)) {
           in.Fail();
           break;
         }
         entry.push_back(pair);
       }
-      if (!in.ok()) break;
-      shard.history.push_back(std::move(entry));
+      pairs += count;
     }
-    if (!in.ok()) break;
-    RefoldWindow(shard);
   }
   if (!in.ok()) {
-    reset();
+    clear();
     return false;
+  }
+
+  // 1. An entry's group slices are keyword-disjoint and each (keyword,
+  //    user)-sorted, so ordering it by keyword alone sorts it.
+  std::vector<std::uint64_t> folded, scratch;
+  folded.reserve(pairs);
+  for (HistoryEntry& entry : history_) {
+    RadixSort(entry, 4, scratch);
+    folded.insert(folded.end(), entry.begin(), entry.end());
+  }
+
+  // 2. Refold the window: every saved pair sorted, so a (keyword, user)
+  //    run's length is the pair's window count.
+  RadixSort(folded, 0, scratch);
+  window_.users.reserve(folded.size());
+  window_.counts.reserve(folded.size());
+  for (std::size_t i = 0; i < folded.size();) {
+    std::size_t end = i + 1;
+    while (end < folded.size() && folded[end] == folded[i]) ++end;
+    const KeywordId keyword = PairKeyword(folded[i]);
+    if (window_.directory.empty() || window_.directory.back() != keyword) {
+      window_.directory.push_back(keyword);
+      window_.starts.push_back(window_.users.size());
+    }
+    window_.users.push_back(PairUser(folded[i]));
+    window_.counts.push_back(static_cast<std::uint32_t>(end - i));
+    i = end;
   }
   return true;
 }

@@ -2,32 +2,32 @@
 // U1 (called the id set) associated with a keyword n1 contains the ids of
 // all those users who used this word in the current window").
 //
-// The store is partitioned into a fixed number of keyword shards
-// (keyword % kIdSetShards). Each shard keeps its window as one flat table
-// with a row per distinct (keyword, user) pair of the window, sorted by
-// (keyword, user): two parallel arrays (users, counts), where a row's
-// count is the number of window quanta the pair occurs in, and a
-// directory of the distinct keywords with the offsets where their runs of
-// rows start (the keyword column, run-length encoded). A keyword's window
-// id set is therefore one contiguous, ascending run of the users array,
-// found by a binary search of the directory.
+// The window is one flat table with a row per distinct (keyword, user)
+// pair of the window, sorted by (keyword, user): two parallel arrays
+// (users, counts), where a row's count is the number of window quanta the
+// pair occurs in, and a directory of the distinct keywords with the
+// offsets where their runs of rows start (the keyword column, run-length
+// encoded). A keyword's window id set is therefore one contiguous,
+// ascending run of the users array, found by a binary search of the
+// directory.
 //
-// Each quantum, every shard builds its new table in one linear three-way
-// merge into a second, reused buffer: the window, plus the quantum's
-// aggregate pairs, minus the expiring quantum's history entry (which is
-// (keyword, user)-sorted by construction). Rows whose count reaches zero
-// are dropped and the directory is written as the merge goes. Keyword
-// runs that neither input touches are block-copied and touched runs are
-// merged row by row, so the cost is O(|window rows| + |quantum pairs| +
-// |expiring pairs|) per shard, with no per-keyword allocation or hash
-// lookup. Every consumer is a linear scan of contiguous memory: the exact
-// Jaccard (the edge correlation EC) is a merge intersection, signatures
-// read the sorted users in place, and cluster support is a sorted union.
+// Each quantum builds the new table in one linear three-way merge into a
+// second, reused buffer: the window, plus the quantum's aggregate pairs,
+// minus the expiring quantum's history entry (which is (keyword,
+// user)-sorted by construction). Rows whose count reaches zero are dropped
+// and the directory is written as the merge goes. Keyword runs that
+// neither input touches are block-copied and touched runs are merged row
+// by row, so the cost is O(|window rows| + |quantum pairs| + |expiring
+// pairs|), with no per-keyword allocation or hash lookup. Every consumer
+// is a linear scan of contiguous memory: the exact Jaccard (the edge
+// correlation EC) is a merge intersection, signatures read the sorted
+// users in place, and cluster support is a sorted union.
 //
-// Shards never share state; IngestAggregate merges them one after
-// another. All outputs are canonical (window users ascending, everything
-// else content-addressed), so results do not depend on the shard count;
-// the count stays fixed because the snapshot format saves the shards.
+// The id sets are the AKG layer's only record of the last w quanta: the
+// CKG node count is the directory's size, and each window keyword's
+// last-seen quantum is derived from the history (LastSeen). The snapshot
+// layout groups the saved pairs by keyword mod 16; that grouping exists
+// only in Save and Restore.
 
 #ifndef SCPRT_AKG_ID_SETS_H_
 #define SCPRT_AKG_ID_SETS_H_
@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "akg/quantum_aggregate.h"
@@ -48,17 +49,13 @@ namespace scprt::akg {
 /// quantum's canonical aggregate.
 class UserIdSets {
  public:
-  /// Keyword shards per store. Fixed, so the saved data layout is always
-  /// the same.
-  static constexpr std::size_t kIdSetShards = 16;
-
   /// `window_length` is the paper's w, >= 1.
   explicit UserIdSets(std::size_t window_length);
 
   /// Ingests one whole quantum from its canonical aggregate (pairs
-  /// strictly ascending) and expires the quantum that fell out of the
-  /// window.
-  void IngestAggregate(const QuantumAggregate& aggregate);
+  /// strictly ascending), whose pairs become the quantum's history entry,
+  /// and expires the quantum that fell out of the window.
+  void IngestAggregate(QuantumAggregate aggregate);
 
   /// Distinct users of `keyword` across the whole window (the node weight
   /// w_i of the rank function).
@@ -78,23 +75,41 @@ class UserIdSets {
   /// is empty.
   double Jaccard(KeywordId a, KeywordId b) const;
 
-  /// Number of keywords with non-empty window id sets.
-  std::size_t active_keywords() const;
+  /// Number of keywords with non-empty window id sets: the CKG node count
+  /// of the window.
+  std::size_t active_keywords() const { return window_.directory.size(); }
 
-  /// Serializes the per-shard quantum histories (the minimal generating
-  /// state: the window tables are folds of it), each in canonical
-  /// (keyword, user)-sorted order.
+  /// Number of window rows: distinct (keyword, user) pairs of the window.
+  std::size_t window_rows() const { return window_.users.size(); }
+
+  /// Number of quanta in the history: those ingested, at most w.
+  std::size_t depth() const { return history_.size(); }
+
+  /// The window's keywords, ascending, each with the newest quantum whose
+  /// aggregate holds it. `newest` is the index of the last ingested
+  /// quantum, at least depth() - 1; the history entries must be
+  /// consecutive quanta (the quantizer feeds consecutive indices, and
+  /// AkgBuilder::ProcessQuantum checks it), so entry j of d is quantum
+  /// newest - (d - 1 - j). One linear pass over the history.
+  std::vector<std::pair<KeywordId, QuantumIndex>> LastSeen(
+      QuantumIndex newest) const;
+
+  /// Serializes the quantum history (the minimal generating state: the
+  /// window table is a fold of it) in 16 groups by keyword mod 16, each
+  /// entry of a group in (keyword, user)-sorted order.
   void Save(BinaryWriter& out) const;
 
-  /// Replaces this store with Save()'s encoding, refolding each shard's
-  /// histories into its window table in one sort-and-count pass. Returns
-  /// false on malformed input (shard count or history depth mismatch,
-  /// overrun, unsorted entry); the store is cleared then.
+  /// Replaces this store with Save()'s encoding: each history entry is its
+  /// groups' pairs ordered by keyword, and the window table is every saved
+  /// pair sorted and counted (stable radix passes, no comparison sort).
+  /// Returns false on malformed input (group count or history depth
+  /// mismatch, overrun, unsorted entry, keyword in the wrong group); the
+  /// store is cleared then.
   bool Restore(BinaryReader& in);
 
  private:
-  /// One shard's window: a row per distinct (keyword, user) pair, sorted
-  /// by (keyword, user), and a directory over the keyword runs.
+  /// The window: a row per distinct (keyword, user) pair, sorted by
+  /// (keyword, user), and a directory over the keyword runs.
   struct WindowTable {
     // Row users: each keyword's run ascending.
     std::vector<UserId> users;
@@ -112,22 +127,6 @@ class UserIdSets {
   /// One closed quantum's PackPair values, ascending.
   using HistoryEntry = std::vector<std::uint64_t>;
 
-  /// One keyword partition; a quantum touches every shard independently.
-  struct Shard {
-    // Closed quanta, oldest first; the generating state for expiry.
-    std::deque<HistoryEntry> history;
-    // The current window, and the buffer the next merge writes into.
-    WindowTable window;
-    WindowTable next;
-    // The ingesting quantum's pairs of this shard (a recycled history
-    // buffer between quanta).
-    HistoryEntry incoming;
-  };
-
-  static std::size_t ShardOf(KeywordId keyword) {
-    return keyword % kIdSetShards;
-  }
-
   /// Writes into `out` the table `window` + `added` - `expired`: one merge
   /// over the three (keyword, user)-sorted inputs. Every pair of `expired`
   /// must be a row of `window`.
@@ -135,12 +134,12 @@ class UserIdSets {
                           const HistoryEntry& added,
                           const HistoryEntry& expired, WindowTable& out);
 
-  /// Rebuilds the shard's window table from its whole history: all pairs
-  /// sorted once, each (keyword, user) run counted.
-  static void RefoldWindow(Shard& shard);
-
   std::size_t window_length_;
-  std::vector<Shard> shards_{kIdSetShards};
+  // Closed quanta, oldest first; the generating state for expiry.
+  std::deque<HistoryEntry> history_;
+  // The current window, and the buffer the next merge writes into.
+  WindowTable window_;
+  WindowTable next_;
 };
 
 }  // namespace scprt::akg

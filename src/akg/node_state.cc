@@ -14,7 +14,8 @@ NodeStateAutomaton::NodeStateAutomaton(std::uint32_t high_threshold,
 }
 
 NodeStateUpdate NodeStateAutomaton::ProcessQuantum(
-    QuantumIndex now, const QuantumKeywords& quantum_keywords,
+    QuantumIndex now,
+    const std::vector<std::pair<KeywordId, std::uint32_t>>& quantum_keywords,
     const std::function<bool(KeywordId)>& in_cluster) {
   SCPRT_DCHECK(std::adjacent_find(quantum_keywords.begin(),
                                   quantum_keywords.end(),
@@ -23,50 +24,6 @@ NodeStateUpdate NodeStateAutomaton::ProcessQuantum(
                                   }) == quantum_keywords.end());
   const QuantumIndex horizon = now - static_cast<QuantumIndex>(window_length_);
   NodeStateUpdate update;
-  MergeMembers(now, horizon, quantum_keywords, in_cluster, update);
-  MergeSeen(now, horizon, quantum_keywords);
-  return update;
-}
-
-void NodeStateAutomaton::MergeSeen(QuantumIndex now, QuantumIndex horizon,
-                                   const QuantumKeywords& quantum_keywords) {
-  const std::size_t rows = seen_keywords_.size();
-  next_seen_keywords_.resize(rows + quantum_keywords.size());
-  next_seen_stamps_.resize(rows + quantum_keywords.size());
-  const KeywordId* const in_keywords = seen_keywords_.data();
-  const QuantumIndex* const in_stamps = seen_stamps_.data();
-  KeywordId* const out_keywords = next_seen_keywords_.data();
-  QuantumIndex* const out_stamps = next_seen_stamps_.data();
-  std::size_t out = 0;
-  // Copies an untouched row, keeping it only if seen after the horizon
-  // (written unconditionally, kept by advancing `out`).
-  const auto keep_if_fresh = [&](std::size_t row) {
-    out_keywords[out] = in_keywords[row];
-    out_stamps[out] = in_stamps[row];
-    out += in_stamps[row] > horizon ? 1 : 0;
-  };
-  std::size_t row = 0;
-  for (const auto& [keyword, users] : quantum_keywords) {
-    for (; row < rows && in_keywords[row] < keyword; ++row) {
-      keep_if_fresh(row);
-    }
-    if (row < rows && in_keywords[row] == keyword) ++row;
-    out_keywords[out] = keyword;
-    out_stamps[out] = now;
-    ++out;
-  }
-  for (; row < rows; ++row) keep_if_fresh(row);
-  next_seen_keywords_.resize(out);
-  next_seen_stamps_.resize(out);
-  seen_keywords_.swap(next_seen_keywords_);
-  seen_stamps_.swap(next_seen_stamps_);
-}
-
-void NodeStateAutomaton::MergeMembers(
-    QuantumIndex now, QuantumIndex horizon,
-    const QuantumKeywords& quantum_keywords,
-    const std::function<bool(KeywordId)>& in_cluster,
-    NodeStateUpdate& update) {
   next_members_.clear();
   // The eviction sweep (the AKG is small; Section 7.4 measures < 5% of
   // keywords bursty). A member goes when it is
@@ -94,7 +51,6 @@ void NodeStateAutomaton::MergeMembers(
     Member updated = member ? members_[row++] : Member{keyword, false, now, 0};
     updated.last_seen = now;
     if (bursty) {
-      if (!member) update.entered.push_back(keyword);
       updated.has_last_bursty = true;
       updated.last_bursty = now;
       update.bursty.push_back(keyword);
@@ -105,6 +61,7 @@ void NodeStateAutomaton::MergeMembers(
   }
   for (; row < rows; ++row) sweep(members_[row]);
   members_.swap(next_members_);
+  return update;
 }
 
 bool NodeStateAutomaton::InAkg(KeywordId keyword) const {
@@ -121,91 +78,85 @@ std::vector<KeywordId> NodeStateAutomaton::Members() const {
   return keywords;
 }
 
-void NodeStateAutomaton::Clear() {
-  seen_keywords_.clear();
-  seen_stamps_.clear();
-  members_.clear();
-}
-
 namespace {
 
+using Stamps = std::vector<std::pair<KeywordId, QuantumIndex>>;
+
+void WriteStampList(BinaryWriter& out, const Stamps& stamps) {
+  out.U64(stamps.size());
+  for (const auto& [keyword, stamp] : stamps) {
+    out.U32(keyword);
+    out.I64(stamp);
+  }
+}
+
 // Reads one stamp list; its keywords must be strictly ascending.
-bool ReadStampList(BinaryReader& in, std::vector<KeywordId>& keywords,
-                   std::vector<QuantumIndex>& stamps) {
+bool ReadStampList(BinaryReader& in, Stamps& stamps) {
   const std::uint64_t count = in.U64();
   if (!in.CheckLength(count, 12)) return false;
-  keywords.reserve(count);
   stamps.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const KeywordId keyword = in.U32();
     const QuantumIndex stamp = in.I64();
-    if (!in.ok() || (!keywords.empty() && keywords.back() >= keyword)) {
+    if (!in.ok() || (!stamps.empty() && stamps.back().first >= keyword)) {
       in.Fail();
       return false;
     }
-    keywords.push_back(keyword);
-    stamps.push_back(stamp);
+    stamps.emplace_back(keyword, stamp);
   }
   return true;
 }
 
 }  // namespace
 
-void NodeStateAutomaton::Save(BinaryWriter& out) const {
-  out.U64(seen_keywords_.size());
-  for (std::size_t i = 0; i < seen_keywords_.size(); ++i) {
-    out.U32(seen_keywords_[i]);
-    out.I64(seen_stamps_[i]);
-  }
-  out.U64(static_cast<std::uint64_t>(
-      std::count_if(members_.begin(), members_.end(),
-                    [](const Member& m) { return m.has_last_bursty; })));
+void NodeStateAutomaton::Save(BinaryWriter& out,
+                              const Stamps& last_seen) const {
+  WriteStampList(out, last_seen);
+  Stamps last_bursty;
   for (const Member& member : members_) {
-    if (!member.has_last_bursty) continue;
-    out.U32(member.keyword);
-    out.I64(member.last_bursty);
+    if (member.has_last_bursty) {
+      last_bursty.emplace_back(member.keyword, member.last_bursty);
+    }
   }
+  WriteStampList(out, last_bursty);
   out.U64(members_.size());
   for (const Member& member : members_) out.U32(member.keyword);
 }
 
-bool NodeStateAutomaton::Restore(BinaryReader& in) {
-  Clear();
-  std::vector<KeywordId> bursty_keywords;
-  std::vector<QuantumIndex> bursty_stamps;
-  bool valid = ReadStampList(in, seen_keywords_, seen_stamps_) &&
-               ReadStampList(in, bursty_keywords, bursty_stamps);
+bool NodeStateAutomaton::Restore(BinaryReader& in, const Stamps& last_seen) {
+  members_.clear();
+  Stamps saved_seen, last_bursty;
+  bool valid = ReadStampList(in, saved_seen) && saved_seen == last_seen &&
+               ReadStampList(in, last_bursty);
   const std::uint64_t members = valid ? in.U64() : 0;
   valid = valid && in.CheckLength(members, 4);
   std::size_t seen_row = 0;
   std::size_t bursty_row = 0;
   for (std::uint64_t i = 0; valid && i < members; ++i) {
     const KeywordId keyword = in.U32();
-    while (seen_row < seen_keywords_.size() &&
-           seen_keywords_[seen_row] < keyword) {
+    while (seen_row < last_seen.size() && last_seen[seen_row].first < keyword) {
       ++seen_row;
     }
-    // Members are strictly ascending, each carries a last-seen stamp (the
-    // eviction sweep reads it), and a last-bursty stamp below this member
-    // belongs to no member.
+    // Members are strictly ascending, each is a window keyword (the
+    // eviction sweep reads its last-seen stamp), and a last-bursty stamp
+    // below this member belongs to no member.
     if (!in.ok() || (!members_.empty() && members_.back().keyword >= keyword) ||
-        seen_row == seen_keywords_.size() ||
-        seen_keywords_[seen_row] != keyword ||
-        (bursty_row < bursty_keywords.size() &&
-         bursty_keywords[bursty_row] < keyword)) {
+        seen_row == last_seen.size() || last_seen[seen_row].first != keyword ||
+        (bursty_row < last_bursty.size() &&
+         last_bursty[bursty_row].first < keyword)) {
       valid = false;
       break;
     }
-    Member member{keyword, false, seen_stamps_[seen_row], 0};
-    if (bursty_row < bursty_keywords.size() &&
-        bursty_keywords[bursty_row] == keyword) {
+    Member member{keyword, false, last_seen[seen_row].second, 0};
+    if (bursty_row < last_bursty.size() &&
+        last_bursty[bursty_row].first == keyword) {
       member.has_last_bursty = true;
-      member.last_bursty = bursty_stamps[bursty_row++];
+      member.last_bursty = last_bursty[bursty_row++].second;
     }
     members_.push_back(member);
   }
-  if (!valid || !in.ok() || bursty_row != bursty_keywords.size()) {
-    Clear();
+  if (!valid || !in.ok() || bursty_row != last_bursty.size()) {
+    members_.clear();
     in.Fail();
     return false;
   }

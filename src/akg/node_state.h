@@ -8,24 +8,21 @@
 // been bursty in the last w quanta nor belongs to any cluster (the paper's
 // lazy update, smoothed over the window).
 //
-// State lives in two flat keyword-ascending tables, no hash maps:
-//   - the seen table: every keyword that occurred in the last w quanta and
-//     its last-seen stamp (parallel keyword / stamp arrays);
-//   - the member table: one (keyword, last_seen, last_bursty) row per AKG
-//     member — a few hundred rows against the seen table's thousands.
-// Each quantum merges its ascending keyword runs into both tables, each
-// merge writing a reused second buffer. The seen merge stamps `now` on the
-// keywords that occurred, inserts new ones and drops every row with
-// stamp <= now - w. Dropping by stamp alone is exact: a member that stale
-// is evicted by the member merge in the same quantum, so no member loses
-// its seen row. The member merge admits bursty keywords and runs the
-// stale/faded eviction sweep as it goes, so every NodeStateUpdate list
-// comes out ascending without a sort.
+// State is one flat keyword-ascending member table, no hash maps: one
+// (keyword, last_seen, last_bursty) row per AKG member, a few hundred
+// rows. The window's other keywords are not the automaton's to track: the
+// id sets (akg/id_sets.h) are the only record of the last w quanta, and
+// the last-seen stamps the snapshot lists are derived from them. Each
+// quantum merges its ascending keyword runs into the member table, writing
+// a reused second buffer: the merge admits bursty keywords, stamps the
+// members that occurred and runs the stale/faded eviction sweep as it
+// goes, so every NodeStateUpdate list comes out ascending without a sort.
 
 #ifndef SCPRT_AKG_NODE_STATE_H_
 #define SCPRT_AKG_NODE_STATE_H_
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -35,10 +32,7 @@ namespace scprt::akg {
 
 /// Per-quantum transition report. Every list is keyword-ascending.
 struct NodeStateUpdate {
-  /// Keywords newly admitted to the AKG this quantum (low -> high).
-  std::vector<KeywordId> entered;
-  /// All keywords in high state this quantum — the paper's set (1). A
-  /// superset of `entered`.
+  /// All keywords in high state this quantum — the paper's set (1).
   std::vector<KeywordId> bursty;
   /// Keywords already in the AKG that occurred this quantum without being
   /// bursty — the paper's set (2) minus set (1).
@@ -47,7 +41,7 @@ struct NodeStateUpdate {
   std::vector<KeywordId> removed;
 };
 
-/// Tracks low/high state for every keyword seen in the last w quanta.
+/// Tracks low/high state: a keyword is high while it is an AKG member.
 class NodeStateAutomaton {
  public:
   /// `high_threshold` is theta (distinct users/quantum); `window_length` is
@@ -75,23 +69,26 @@ class NodeStateAutomaton {
   /// The AKG nodes, ascending.
   std::vector<KeywordId> Members() const;
 
-  /// Number of keywords tracked: those seen in the last w quanta, the CKG
-  /// node count of the current window.
-  std::size_t tracked_keywords() const { return seen_keywords_.size(); }
-
   std::uint32_t high_threshold() const { return high_threshold_; }
 
-  /// Serializes the automaton as three keyword-sorted lists: last-seen
-  /// stamps (the seen table), last-bursty stamps and AKG membership (both
-  /// from the member table). Equal states give identical bytes.
-  void Save(BinaryWriter& out) const;
+  /// Serializes the automaton as three keyword-sorted lists: the window
+  /// keywords' last-seen stamps `last_seen` (UserIdSets::LastSeen: the id
+  /// sets derive them), then the members' last-bursty stamps and the AKG
+  /// membership. Equal states give identical bytes.
+  void Save(BinaryWriter& out,
+            const std::vector<std::pair<KeywordId, QuantumIndex>>& last_seen)
+      const;
 
-  /// Replaces this automaton's state with Save()'s encoding. Returns false
-  /// on malformed input — lists not strictly ascending, a member without a
-  /// last-seen stamp, a last-bursty stamp for a non-member — and the
-  /// automaton is cleared then. A member without a last-bursty stamp loads
-  /// as never bursty.
-  bool Restore(BinaryReader& in);
+  /// Replaces this automaton's state with Save()'s encoding; `last_seen`
+  /// is the list the id sets derive, and each member takes its last-seen
+  /// stamp from it. Returns false on malformed input — a saved last-seen
+  /// list other than `last_seen`, lists not strictly ascending, a member
+  /// absent from `last_seen`, a last-bursty stamp for a non-member — and
+  /// the automaton is cleared then. A member without a last-bursty stamp
+  /// loads as never bursty.
+  bool Restore(
+      BinaryReader& in,
+      const std::vector<std::pair<KeywordId, QuantumIndex>>& last_seen);
 
  private:
   struct Member {
@@ -102,26 +99,8 @@ class NodeStateAutomaton {
     QuantumIndex last_bursty;
   };
 
-  using QuantumKeywords = std::vector<std::pair<KeywordId, std::uint32_t>>;
-
-  // Rebuilds the seen table: stamps `now` on the quantum's keywords and
-  // drops rows at or below `horizon`.
-  void MergeSeen(QuantumIndex now, QuantumIndex horizon,
-                 const QuantumKeywords& quantum_keywords);
-  // Rebuilds the member table: admissions, stamps and the eviction sweep.
-  void MergeMembers(QuantumIndex now, QuantumIndex horizon,
-                    const QuantumKeywords& quantum_keywords,
-                    const std::function<bool(KeywordId)>& in_cluster,
-                    NodeStateUpdate& update);
-  void Clear();
-
   std::uint32_t high_threshold_;
   std::size_t window_length_;
-  // Seen table, keyword-ascending, and its merge output buffers.
-  std::vector<KeywordId> seen_keywords_;
-  std::vector<QuantumIndex> seen_stamps_;
-  std::vector<KeywordId> next_seen_keywords_;
-  std::vector<QuantumIndex> next_seen_stamps_;
   // Member table (current AKG), keyword-ascending, and its merge buffer.
   std::vector<Member> members_;
   std::vector<Member> next_members_;

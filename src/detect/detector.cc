@@ -32,6 +32,28 @@ QuantumReport EventDetector::ProcessQuantum(const stream::Quantum& quantum) {
     obs::ScopedHistogramTimer timer(apply_hist);
     maintainer_.Apply(delta);
   }
+  {
+    // State sizes after the quantum, as registry gauges: the window, the
+    // AKG's edges, the live clusters and the keyword dictionary.
+    static obs::Registry& registry = obs::Registry::Default();
+    static obs::Gauge* const window_rows =
+        registry.GetGauge("state.window_rows");
+    static obs::Gauge* const window_keywords =
+        registry.GetGauge("state.window_keywords");
+    static obs::Gauge* const akg_edges = registry.GetGauge("state.akg_edges");
+    static obs::Gauge* const live_clusters =
+        registry.GetGauge("state.live_clusters");
+    static obs::Gauge* const dictionary_entries =
+        registry.GetGauge("state.dictionary_entries");
+    const akg::UserIdSets& window = akg_.id_sets();
+    window_rows->Set(static_cast<double>(window.window_rows()));
+    window_keywords->Set(static_cast<double>(window.active_keywords()));
+    akg_edges->Set(static_cast<double>(maintainer_.graph().edge_count()));
+    live_clusters->Set(static_cast<double>(maintainer_.clusters().size()));
+    if (dictionary_ != nullptr) {
+      dictionary_entries->Set(static_cast<double>(dictionary_->size()));
+    }
+  }
 
   QuantumReport report;
   report.quantum = quantum.index;

@@ -34,7 +34,9 @@ class EventDetector {
   EventDetector(const DetectorConfig& config,
                 const text::KeywordDictionary* dictionary);
 
-  /// Processes one quantum and returns its report.
+  /// Processes one quantum and returns its report. Every quantum after the
+  /// first must have the index after the last one's (the AKG layer aborts
+  /// otherwise).
   QuantumReport ProcessQuantum(const stream::Quantum& quantum);
 
   /// Attaches a sink that receives every newly reported cluster (with its

@@ -60,7 +60,8 @@ class ParallelDetector {
   /// Streams one message; returns a report when it completed a quantum.
   std::optional<detect::QuantumReport> Push(const stream::Message& message);
 
-  /// Processes one pre-built quantum (clock re-bases past it).
+  /// Processes one pre-built quantum (clock re-bases past it). Every
+  /// quantum after the first must have the index after the last one's.
   detect::QuantumReport ProcessQuantum(const stream::Quantum& quantum);
 
   /// Runs a whole trace; returns every quantum report.

@@ -262,10 +262,10 @@ struct ForgedIdSets {
 };
 
 // A canonical two-quantum state of a w = 3 store: keywords 1 and 17 live
-// in group 1, keyword 2 in group 2.
+// in group 1, keyword 2 in group 2 (the layout groups keywords mod 16).
 ForgedIdSets CanonicalIdSets() {
   ForgedIdSets forged;
-  forged.groups.assign(UserIdSets::kIdSetShards, {{}, {}});
+  forged.groups.assign(16, {{}, {}});
   forged.groups[1] = {{{1, 5}, {1, 7}, {17, 2}}, {{1, 9}}};
   forged.groups[2] = {{}, {{2, 4}}};
   return forged;
@@ -479,7 +479,6 @@ TEST(NodeStateTest, EntersOnBurst) {
   NodeStateAutomaton automaton(4, 3);
   auto update =
       automaton.ProcessQuantum(0, Counts({{1, 5}, {2, 3}}), kNeverInCluster);
-  EXPECT_EQ(update.entered, std::vector<KeywordId>{1});
   EXPECT_EQ(update.bursty, std::vector<KeywordId>{1});
   EXPECT_TRUE(update.seen_in_akg.empty());
   EXPECT_TRUE(automaton.InAkg(1));
@@ -491,7 +490,6 @@ TEST(NodeStateTest, SeenInAkgWithoutBurst) {
   automaton.ProcessQuantum(0, Counts({{1, 5}}), kNeverInCluster);
   auto update =
       automaton.ProcessQuantum(1, Counts({{1, 2}}), kNeverInCluster);
-  EXPECT_TRUE(update.entered.empty());
   EXPECT_TRUE(update.bursty.empty());
   EXPECT_EQ(update.seen_in_akg, std::vector<KeywordId>{1});
   EXPECT_TRUE(automaton.InAkg(1));
@@ -541,7 +539,7 @@ TEST(NodeStateTest, ReentryAfterEviction) {
   automaton.ProcessQuantum(2, Counts({}), kNeverInCluster);
   EXPECT_FALSE(automaton.InAkg(1));
   auto update = automaton.ProcessQuantum(3, Counts({{1, 6}}), kNeverInCluster);
-  EXPECT_EQ(update.entered, std::vector<KeywordId>{1});
+  EXPECT_EQ(update.bursty, std::vector<KeywordId>{1});
   EXPECT_TRUE(automaton.InAkg(1));
 }
 
@@ -563,7 +561,7 @@ class NodeStateModel {
       if (users >= theta_) {
         last_bursty_[keyword] = now;
         update.bursty.push_back(keyword);
-        if (akg_.insert(keyword).second) update.entered.push_back(keyword);
+        akg_.insert(keyword);
       } else if (akg_.count(keyword)) {
         update.seen_in_akg.push_back(keyword);
       }
@@ -608,9 +606,14 @@ class NodeStateModel {
     return out.data();
   }
 
+  // Every keyword seen in the last w quanta with its last-seen stamp: what
+  // the AKG builder derives from the id sets.
+  std::vector<std::pair<KeywordId, QuantumIndex>> LastSeen() const {
+    return {last_seen_.begin(), last_seen_.end()};
+  }
+
   bool InAkg(KeywordId keyword) const { return akg_.count(keyword) > 0; }
   std::size_t akg_size() const { return akg_.size(); }
-  std::size_t tracked_keywords() const { return last_seen_.size(); }
 
  private:
   std::uint32_t theta_;
@@ -620,9 +623,11 @@ class NodeStateModel {
   std::set<KeywordId> akg_;
 };
 
-std::string SaveBytes(const NodeStateAutomaton& automaton) {
+std::string SaveBytes(
+    const NodeStateAutomaton& automaton,
+    const std::vector<std::pair<KeywordId, QuantumIndex>>& last_seen) {
   BinaryWriter out;
-  automaton.Save(out);
+  automaton.Save(out, last_seen);
   return out.data();
 }
 
@@ -665,24 +670,22 @@ TEST(NodeStateTest, MatchesMapModelOfTheRules) {
       const NodeStateUpdate got =
           automaton.ProcessQuantum(now, keywords, in_cluster);
       const NodeStateUpdate want = model.Process(now, keywords, in_cluster);
-      ASSERT_EQ(got.entered, want.entered) << "quantum " << now;
       ASSERT_EQ(got.bursty, want.bursty) << "quantum " << now;
       ASSERT_EQ(got.seen_in_akg, want.seen_in_akg) << "quantum " << now;
       ASSERT_EQ(got.removed, want.removed) << "quantum " << now;
       ASSERT_EQ(automaton.akg_size(), model.akg_size());
-      ASSERT_EQ(automaton.tracked_keywords(), model.tracked_keywords());
       for (KeywordId k : universe) {
         ASSERT_EQ(automaton.InAkg(k), model.InAkg(k)) << "keyword " << k;
       }
-      const std::string bytes = SaveBytes(automaton);
+      const std::string bytes = SaveBytes(automaton, model.LastSeen());
       ASSERT_EQ(bytes, model.SaveBytes()) << "quantum " << now;
 
       if (q == restore_after) {
         // Continue on an automaton restored from this quantum's bytes.
         automaton = NodeStateAutomaton(theta, w);
         BinaryReader in(bytes);
-        ASSERT_TRUE(automaton.Restore(in));
-        ASSERT_EQ(SaveBytes(automaton), bytes);
+        ASSERT_TRUE(automaton.Restore(in, model.LastSeen()));
+        ASSERT_EQ(SaveBytes(automaton, model.LastSeen()), bytes);
       }
     }
   }
@@ -690,7 +693,8 @@ TEST(NodeStateTest, MatchesMapModelOfTheRules) {
 
 // Save() bytes of a hash-map automaton (theta = 3, w = 4, cluster members
 // 7 and 4000000000) after quanta 0, 1, 2, 3 and 5: last-seen stamps of 10
-// keywords, last-bursty stamps and AKG membership of 5.
+// keywords (which the id sets now derive), last-bursty stamps and AKG
+// membership of 5.
 constexpr char kPinnedNodeStateHex[] =
     "0a00000000000000000000000500000000000000010000000300000000000000"
     "0200000002000000000000000500000005000000000000000700000003000000"
@@ -700,22 +704,37 @@ constexpr char kPinnedNodeStateHex[] =
     "0c000000050000000000000000286bee0200000000000000ffffffff03000000"
     "00000000050000000000000001000000070000000c00000000286beeffffffff";
 
+// Reads a last-seen list as NodeStateAutomaton::Save writes it.
+std::vector<std::pair<KeywordId, QuantumIndex>> ReadLastSeen(
+    BinaryReader& in) {
+  std::vector<std::pair<KeywordId, QuantumIndex>> last_seen(in.U64());
+  for (auto& [keyword, stamp] : last_seen) {
+    keyword = in.U32();
+    stamp = in.I64();
+  }
+  return last_seen;
+}
+
 TEST(NodeStateTest, RestoresPinnedSnapshotFromHashMapStore) {
   const std::string bytes = FromHex(kPinnedNodeStateHex);
   ASSERT_EQ(bytes.size(), 224u);
+  // The list the id sets would derive for the same window.
+  BinaryReader list(bytes);
+  const std::vector<std::pair<KeywordId, QuantumIndex>> last_seen =
+      ReadLastSeen(list);
+  ASSERT_EQ(last_seen.size(), 10u);
   NodeStateAutomaton automaton(3, 4);
   BinaryReader in(bytes);
-  ASSERT_TRUE(automaton.Restore(in));
+  ASSERT_TRUE(automaton.Restore(in, last_seen));
   // Values the hash-map automaton answered for the same state.
   EXPECT_EQ(automaton.akg_size(), 5u);
-  EXPECT_EQ(automaton.tracked_keywords(), 10u);
   for (KeywordId k : {1u, 7u, 12u, 4000000000u, 0xffffffffu}) {
     EXPECT_TRUE(automaton.InAkg(k)) << "keyword " << k;
   }
   for (KeywordId k : {0u, 2u, 5u, 9u, 11u}) {
     EXPECT_FALSE(automaton.InAkg(k)) << "keyword " << k;
   }
-  EXPECT_EQ(SaveBytes(automaton), bytes);
+  EXPECT_EQ(SaveBytes(automaton, last_seen), bytes);
 
   // The hash-map automaton's next two quanta, decided by the stamps.
   const std::function<bool(KeywordId)> in_cluster = [](KeywordId k) {
@@ -723,20 +742,17 @@ TEST(NodeStateTest, RestoresPinnedSnapshotFromHashMapStore) {
   };
   NodeStateUpdate update = automaton.ProcessQuantum(
       6, Counts({{1, 1}, {7, 1}, {9, 1}}), in_cluster);
-  EXPECT_TRUE(update.entered.empty());
   EXPECT_TRUE(update.bursty.empty());
   EXPECT_EQ(update.seen_in_akg, (std::vector<KeywordId>{1, 7}));
   // Last seen at quantum 2: stale at horizon 2 although in a cluster.
   EXPECT_EQ(update.removed, std::vector<KeywordId>{4000000000u});
   EXPECT_EQ(automaton.akg_size(), 4u);
-  EXPECT_EQ(automaton.tracked_keywords(), 8u);
   update = automaton.ProcessQuantum(8, Counts({{12, 1}, {4000000000u, 1}}),
                                     in_cluster);
   EXPECT_EQ(update.seen_in_akg, std::vector<KeywordId>{12});
   // Both last bursty at quantum 3: faded at horizon 4.
   EXPECT_EQ(update.removed, (std::vector<KeywordId>{1, 0xffffffffu}));
   EXPECT_EQ(automaton.akg_size(), 2u);
-  EXPECT_EQ(automaton.tracked_keywords(), 7u);
 }
 
 // The Save() encoding of the given last-seen stamps, last-bursty stamps
@@ -758,14 +774,23 @@ std::string NodeStatePayload(
   return out.data();
 }
 
+// Keywords 1 and 2 last seen at quantum 5: the list the id sets derive.
+const std::vector<std::pair<KeywordId, QuantumIndex>> kLastSeen = {{1, 5},
+                                                                   {2, 5}};
+
 TEST(NodeStateTest, RestoreRejectsNonCanonicalState) {
   const std::string valid = NodeStatePayload({{1, 5}, {2, 5}}, {{1, 5}}, {1});
   for (const std::string& bytes : {
-           // A last-bursty stamp for keyword 2, tracked but no member.
+           // A last-bursty stamp for keyword 2, in the window but no member.
            NodeStatePayload({{1, 5}, {2, 5}}, {{1, 5}, {2, 5}}, {1}),
            NodeStatePayload({{1, 5}, {2, 5}}, {{0, 5}, {1, 5}}, {1}),
-           // A member without a last-seen stamp.
+           // A member outside the window, so without a last-seen stamp.
            NodeStatePayload({{1, 5}, {2, 5}}, {{1, 5}}, {1, 3}),
+           // A last-seen list other than the derived one: a forged stamp,
+           // a missing or an extra keyword.
+           NodeStatePayload({{1, 5}, {2, 4}}, {{1, 5}}, {1}),
+           NodeStatePayload({{1, 5}}, {{1, 5}}, {1}),
+           NodeStatePayload({{1, 5}, {2, 5}, {3, 5}}, {{1, 5}}, {1}),
            // Lists out of order or repeated.
            NodeStatePayload({{2, 5}, {1, 5}}, {{1, 5}}, {1}),
            NodeStatePayload({{1, 5}, {1, 6}}, {{1, 5}}, {1}),
@@ -777,34 +802,32 @@ TEST(NodeStateTest, RestoreRejectsNonCanonicalState) {
     NodeStateAutomaton automaton(3, 4);
     automaton.ProcessQuantum(0, Counts({{7, 3}}), kNeverInCluster);
     BinaryReader in(bytes);
-    EXPECT_FALSE(automaton.Restore(in));
+    EXPECT_FALSE(automaton.Restore(in, kLastSeen));
     // Cleared on failure.
     EXPECT_EQ(automaton.akg_size(), 0u);
-    EXPECT_EQ(automaton.tracked_keywords(), 0u);
   }
   NodeStateAutomaton automaton(3, 4);
   BinaryReader in(valid);
-  ASSERT_TRUE(automaton.Restore(in));
+  ASSERT_TRUE(automaton.Restore(in, kLastSeen));
   EXPECT_TRUE(automaton.InAkg(1));
-  EXPECT_EQ(SaveBytes(automaton), valid);
+  EXPECT_EQ(SaveBytes(automaton, kLastSeen), valid);
 }
 
 TEST(NodeStateTest, MemberWithoutBurstStampLoadsAsNeverBursty) {
   const std::string bytes = NodeStatePayload({{1, 5}, {2, 5}}, {}, {1, 2});
   NodeStateAutomaton automaton(3, 4);
   BinaryReader in(bytes);
-  ASSERT_TRUE(automaton.Restore(in));
+  ASSERT_TRUE(automaton.Restore(in, kLastSeen));
   EXPECT_EQ(automaton.akg_size(), 2u);
-  EXPECT_EQ(SaveBytes(automaton), bytes);
+  EXPECT_EQ(SaveBytes(automaton, kLastSeen), bytes);
   // Seen below theta and in no cluster: faded at once. Keyword 2 turns
   // bursty and gains a stamp.
   const NodeStateUpdate update = automaton.ProcessQuantum(
       6, Counts({{1, 1}, {2, 3}}), kNeverInCluster);
   EXPECT_EQ(update.removed, std::vector<KeywordId>{1});
   EXPECT_EQ(update.bursty, std::vector<KeywordId>{2});
-  EXPECT_TRUE(update.entered.empty());
-  EXPECT_EQ(SaveBytes(automaton),
-            NodeStatePayload({{1, 6}, {2, 6}}, {{2, 6}}, {2}));
+  EXPECT_EQ(SaveBytes(automaton, {{2, 6}}),
+            NodeStatePayload({{2, 6}}, {{2, 6}}, {2}));
 }
 
 // --- MinHash ---
@@ -1086,7 +1109,7 @@ TEST(AkgBuilderTest, StatsReflectSizes) {
   EXPECT_EQ(stats.bursty, 2u);            // {1, 2}
   EXPECT_EQ(stats.akg_nodes, 2u);
   EXPECT_EQ(stats.akg_edges, 1u);
-  EXPECT_GE(stats.ckg_nodes, 4u);
+  EXPECT_EQ(stats.ckg_nodes, 4u);
 }
 
 // A window signature is the bottom-p of the keyword's window id set under
@@ -1212,6 +1235,95 @@ TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
   }
   EXPECT_GT(checked, 30u);
   EXPECT_GT(expired_moved, 0u);
+}
+
+// A drifting vocabulary: quantum q draws keywords from [3q, 3q + 16), so a
+// keyword occurs for a few quanta, then goes stale and expires, and its
+// last-seen stamp trails the clock in between.
+stream::Quantum DriftQuantum(QuantumIndex index, Rng& rng) {
+  stream::Quantum q;
+  q.index = index;
+  for (int i = 0; i < 30; ++i) {
+    stream::Message m;
+    m.user = static_cast<UserId>(rng.UniformInt(50));
+    const std::size_t keywords = 1 + rng.UniformInt(3);
+    for (std::size_t j = 0; j < keywords; ++j) {
+      m.keywords.push_back(
+          static_cast<KeywordId>(index * 3 + rng.UniformInt(16)));
+    }
+    q.messages.push_back(std::move(m));
+  }
+  return q;
+}
+
+// The last-seen list a builder's Save writes after its id-set section
+// (the automaton section opens with it).
+std::vector<std::pair<KeywordId, QuantumIndex>> SavedLastSeen(
+    const AkgBuilder& builder) {
+  const std::string bytes = SavedBytes(builder);
+  BinaryReader in(bytes);
+  in.I64();  // the clock
+  UserIdSets skipped(builder.config().window_length);
+  EXPECT_TRUE(skipped.Restore(in));
+  return ReadLastSeen(in);
+}
+
+// Every quantum, the window recomputed from the raw last w quanta against
+// everything the AKG layer reads from its id sets: the CKG node count,
+// each keyword's window users and the saved last-seen stamps.
+TEST(AkgBuilderTest, WindowMatchesRawLastWQuanta) {
+  AkgConfig config = TestConfig();
+  config.window_length = 4;
+  WiredBuilder akg(config);
+  const AkgBuilder& builder = akg.builder;
+  Rng rng(2012);
+  std::deque<stream::Quantum> raw;
+  std::size_t stale_stamps = 0;
+  for (QuantumIndex q = 0; q < 30; ++q) {
+    SCOPED_TRACE(testing::Message() << "quantum " << q);
+    raw.push_back(DriftQuantum(q, rng));
+    if (raw.size() > config.window_length) raw.pop_front();
+    akg.Process(raw.back());
+
+    std::map<KeywordId, std::set<UserId>> users;
+    std::map<KeywordId, QuantumIndex> last_seen;
+    for (const stream::Quantum& quantum : raw) {
+      for (const stream::Message& m : quantum.messages) {
+        for (KeywordId k : m.keywords) {
+          users[k].insert(m.user);
+          last_seen[k] = quantum.index;
+        }
+      }
+    }
+    ASSERT_EQ(builder.last_stats().ckg_nodes, users.size());
+    for (KeywordId k = 0; k < 3 * 30 + 20; ++k) {
+      const auto it = users.find(k);
+      const std::vector<UserId> want =
+          it == users.end()
+              ? std::vector<UserId>{}
+              : std::vector<UserId>(it->second.begin(), it->second.end());
+      ASSERT_EQ(Users(builder.id_sets(), k), want) << "keyword " << k;
+    }
+    const std::vector<std::pair<KeywordId, QuantumIndex>> want_seen(
+        last_seen.begin(), last_seen.end());
+    ASSERT_EQ(SavedLastSeen(builder), want_seen);
+    for (const auto& [keyword, stamp] : want_seen) stale_stamps += stamp < q;
+  }
+  // The stream exercised stamps other than the current quantum's.
+  EXPECT_GT(stale_stamps, 100u);
+  EXPECT_GT(builder.node_state().akg_size(), 0u);
+}
+
+// The last-seen stamps are the history's positions counted back from the
+// clock, so a quantum index that skips or repeats one would shift them
+// silently; the builder refuses it instead. The first quantum may start
+// anywhere.
+TEST(AkgBuilderTest, QuantumIndicesMustBeConsecutive) {
+  WiredBuilder akg(TestConfig());
+  akg.Process(MakeQuantum(7, {{1, {1}}}));
+  akg.Process(MakeQuantum(8, {{1, {1}}}));
+  EXPECT_DEATH(akg.Process(MakeQuantum(10, {{1, {1}}})), "");
+  EXPECT_DEATH(akg.Process(MakeQuantum(8, {{1, {1}}})), "");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -264,11 +265,16 @@ TEST(CheckpointFuzzTest, ForgedLengthFieldsDoNotAllocate) {
 
 // A CRC-valid detector snapshot forged field by field, mirroring
 // detect::EventDetector::SaveState's section order. By default it holds
-// an AKG of members {1, 2} joined by edge {1, 2} — in the AKG graph
+// a one-quantum window (quantum 0: keywords 1, 2 and 3, each used by user
+// 9) and an AKG of members {1, 2} joined by edge {1, 2} — in the AKG graph
 // section, the correlations and the maintainer's graph — with signatures
-// for both, and keyword 3 tracked outside the AKG. It loads; each field
-// below forges one fault.
+// for both. It loads; each field below forges one fault.
 struct ForgedSnapshot {
+  // The AKG builder's clock: the newest quantum of the id-set history.
+  QuantumIndex clock = 0;
+  // The last-seen list, which must be the one the id sets derive.
+  std::vector<std::pair<KeywordId, QuantumIndex>> last_seen = {
+      {1, 0}, {2, 0}, {3, 0}};
   // Node list of the AKG graph section (the automaton's members: {1, 2}).
   std::vector<KeywordId> graph_nodes = {1, 2};
   // Edge {1, 2} in the AKG graph and correlation sections.
@@ -288,14 +294,22 @@ struct ForgedSnapshot {
     sio::WriteConfig(w, config);
     w.I64(1);  // next_index
     w.U64(0);  // no pending messages
-    w.I64(0);  // AkgBuilder clock
-    w.U32(16);  // id-set shard count
+    w.I64(clock);  // AkgBuilder clock
+    w.U32(16);  // id-set groups (keyword mod 16)
     w.U64(config.akg.window_length);
-    for (int shard = 0; shard < 16; ++shard) w.U32(0);  // empty histories
-    w.U64(3);  // last_seen: keywords 1, 2, 3 at quantum 0
-    for (KeywordId keyword : {1u, 2u, 3u}) {
+    for (KeywordId group = 0; group < 16; ++group) {
+      w.U32(1);  // one quantum of history
+      const bool used = group >= 1 && group <= 3;
+      w.U64(used ? 1 : 0);
+      if (used) {
+        w.U32(group);  // keyword
+        w.U32(9);      // user
+      }
+    }
+    w.U64(last_seen.size());
+    for (const auto& [keyword, stamp] : last_seen) {
       w.U32(keyword);
-      w.I64(0);
+      w.I64(stamp);
     }
     const std::vector<KeywordId> stamped =
         orphan_stamp ? std::vector<KeywordId>{1, 2, 3}
@@ -400,6 +414,42 @@ TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
   EXPECT_EQ(LoadBytes(ForgedSnapshot{.orphan_stamp = true}.Bytes(), nullptr),
             nullptr)
       << "last-bursty stamp of a non-member accepted";
+}
+
+TEST(CheckpointFuzzTest, ForgedLastSeenStampOrClockIsRejected) {
+  // The last-seen list is derived from the id sets, counted back from the
+  // builder's clock, so a list that disagrees with them — a wrong stamp, a
+  // missing or an extra keyword — is not one any run wrote. Nor is a clock
+  // below the history's depth (a quantum index below 0) or one that leaves
+  // no index for the next quantum; each such clock comes with the stamps
+  // it would derive, and is refused before any stamp is computed.
+  // ForgedSnapshotBaselineLoads shows the list or clock is the only fault.
+  constexpr QuantumIndex kMax = std::numeric_limits<QuantumIndex>::max();
+  constexpr QuantumIndex kMin = std::numeric_limits<QuantumIndex>::min();
+  for (const ForgedSnapshot& forged : {
+           ForgedSnapshot{.last_seen = {{1, 0}, {2, -1}, {3, 0}}},
+           ForgedSnapshot{.last_seen = {{1, 0}, {2, 0}}},
+           ForgedSnapshot{.last_seen = {{1, 0}, {2, 0}, {3, 0}, {4, 0}}},
+           ForgedSnapshot{.clock = kMax,
+                          .last_seen = {{1, kMax}, {2, kMax}, {3, kMax}}},
+           ForgedSnapshot{.clock = kMin,
+                          .last_seen = {{1, kMin}, {2, kMin}, {3, kMin}}},
+           ForgedSnapshot{.clock = -1,
+                          .last_seen = {{1, -1}, {2, -1}, {3, -1}}},
+       }) {
+    std::stringstream in(forged.Bytes());
+    durability::Error error;
+    EXPECT_EQ(durability::LoadEngineSnapshot(
+                  in, &SharedFixture().trace.dictionary, 1, nullptr, &error),
+              nullptr);
+    EXPECT_EQ(error.code, durability::ErrorCode::kCorrupt);
+  }
+  // A later clock with its stamps loads.
+  EXPECT_NE(LoadBytes(ForgedSnapshot{.clock = 5,
+                                     .last_seen = {{1, 5}, {2, 5}, {3, 5}}}
+                          .Bytes(),
+                      nullptr),
+            nullptr);
 }
 
 TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {

@@ -212,6 +212,35 @@ TEST(LittleEndianFieldTest, LoadsRoundTripStoresAndMatchTheStreamCodec) {
   }
 }
 
+// Bit-at-a-time CRC-32 (reflected polynomial 0xEDB88320): the reference
+// the table-driven Crc32 must equal.
+std::uint32_t BitwiseCrc32(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (char ch : data) {
+    crc ^= static_cast<std::uint8_t>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesCheckValueAndBitwiseReferenceAtEveryLength) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  Rng rng(11);
+  std::string bytes(67, '\0');
+  for (char& ch : bytes) ch = static_cast<char>(rng.UniformInt(256));
+  // Every length and start offset around the eight-byte stride.
+  for (std::size_t begin = 0; begin < 9; ++begin) {
+    for (std::size_t end = begin; end <= bytes.size(); ++end) {
+      const std::string_view slice =
+          std::string_view(bytes).substr(begin, end - begin);
+      ASSERT_EQ(Crc32(slice), BitwiseCrc32(slice)) << begin << " " << end;
+    }
+  }
+}
+
 // The encoder's output must decode back to the input through the ingest
 // frontend's JSONL parser (the export -> ingest round trip).
 TEST(JsonlTest, EscapeRoundTripsThroughParser) {
