@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot primitives: graph
 // mutation, short-cycle queries, incremental cluster maintenance vs offline
 // recomputation, Min-Hash signatures, quantum aggregation, id-set ingest,
-// the node automaton, exact Jaccard and cluster support.
+// the node automaton, exact Jaccard (whole, and bounded below by gamma)
+// and cluster support.
 
 #include <algorithm>
 #include <functional>
@@ -221,6 +222,31 @@ void BM_ExactJaccard(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactJaccard)->Arg(16)->Arg(128)->Arg(1024);
+
+// EC against gamma = 0.2: keyword 0 holds users [0, n), keyword 1 users
+// [n/2, 3n/2) (Jaccard 1/3, so the merge runs to the end and returns the
+// exact value) and keyword 2 users [7n/8, 15n/8) (Jaccard 1/15, so the
+// merge stops once the rows left cannot reach the n/3 shared users 0.2
+// needs). `above` picks the pair.
+void BM_JaccardAtLeast(benchmark::State& state) {
+  const auto n = static_cast<UserId>(state.range(0));
+  akg::QuantumAggregate aggregate;
+  const UserId firsts[] = {0, n / 2, n / 8 * 7};
+  for (KeywordId k = 0; k < 3; ++k) {
+    for (UserId user = firsts[k]; user < firsts[k] + n; ++user) {
+      aggregate.pairs.push_back(akg::PackPair(k, user));
+    }
+  }
+  akg::UserIdSets sets(30);
+  sets.IngestAggregate(std::move(aggregate));
+  const KeywordId other = state.range(1) != 0 ? 1 : 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sets.JaccardAtLeast(0, other, 0.2));
+  }
+}
+BENCHMARK(BM_JaccardAtLeast)
+    ->ArgsProduct({{128, 1024}, {0, 1}})
+    ->ArgNames({"users", "above"});
 
 // Cluster support: the union size of k sorted member id sets of n users.
 void BM_ClusterSupport(benchmark::State& state) {

@@ -205,8 +205,9 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
     const MinHashSignature& sig_b = signatures_[b];
     if (!PassesScreen(config_.ec_mode, sig_a, sig_b)) continue;
     ++last_stats_.ec_computed;
-    const double ec =
-        ComputeEc(config_.ec_mode, id_sets_, a, b, sig_a, sig_b, hasher_.p());
+    // Below gamma the pair is dropped, so its EC need not be exact.
+    const double ec = ComputeEc(config_.ec_mode, id_sets_, a, b, sig_a,
+                                sig_b, hasher_.p(), gamma);
     if (ec >= gamma) {
       const Edge e = Edge::Of(a, b);
       edge_ec_[e] = ec;
@@ -234,10 +235,11 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
   last_stats_.ec_computed += reval_jobs.size();
   for (const auto& [a, b] : reval_jobs) {
     // The untouched endpoint's signature may be stale; EC is computed
-    // from exact id sets except in kMinHashOnly mode.
+    // from exact id sets except in kMinHashOnly mode. Below gamma the edge
+    // is removed, so its EC need not be exact.
     const double ec = ComputeEc(config_.ec_mode, id_sets_, a, b,
                                 signatures_.at(a), signatures_.at(b),
-                                hasher_.p());
+                                hasher_.p(), gamma);
     const Edge e = Edge::Of(a, b);
     if (ec < gamma) {
       edge_ec_.erase(e);
@@ -310,6 +312,9 @@ void AkgBuilder::Save(BinaryWriter& out) const {
 
 bool AkgBuilder::Restore(BinaryReader& in) {
   const auto reset = [this] {
+    id_sets_ = UserIdSets(config_.window_length);
+    node_state_ = NodeStateAutomaton(config_.high_state_threshold,
+                                     config_.window_length);
     edge_ec_.clear();
     signatures_.clear();
     last_stats_ = AkgQuantumStats{};

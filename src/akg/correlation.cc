@@ -4,11 +4,12 @@ namespace scprt::akg {
 
 double ComputeEc(EcMode mode, const UserIdSets& sets, KeywordId a,
                  KeywordId b, const MinHashSignature& sig_a,
-                 const MinHashSignature& sig_b, std::size_t p) {
+                 const MinHashSignature& sig_b, std::size_t p,
+                 double gamma) {
   switch (mode) {
     case EcMode::kExact:
     case EcMode::kMinHashScreenExactVerify:
-      return sets.Jaccard(a, b);
+      return sets.JaccardAtLeast(a, b, gamma);
     case EcMode::kMinHashOnly:
       return EstimateJaccard(sig_a, sig_b, p);
   }

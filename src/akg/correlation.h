@@ -22,12 +22,14 @@ enum class EcMode {
   kMinHashOnly,
 };
 
-/// Computes the EC of pair (a, b) under `mode`. `sig_a`/`sig_b` may be
-/// empty in kExact mode; kMinHashOnly returns their bottom-p Jaccard
-/// estimate. Returns the correlation in [0, 1].
+/// Computes the EC of pair (a, b) under `mode`, for comparison with the
+/// edge threshold `gamma`. `sig_a`/`sig_b` may be empty in kExact mode;
+/// kMinHashOnly returns their bottom-p Jaccard estimate. The exact modes
+/// return the exact Jaccard when it is >= gamma and some value below gamma
+/// otherwise (UserIdSets::JaccardAtLeast). Returns a value in [0, 1].
 double ComputeEc(EcMode mode, const UserIdSets& sets, KeywordId a,
                  KeywordId b, const MinHashSignature& sig_a,
-                 const MinHashSignature& sig_b, std::size_t p);
+                 const MinHashSignature& sig_b, std::size_t p, double gamma);
 
 /// Pre-screen: true if the pair may have EC > 0 worth computing.
 bool PassesScreen(EcMode mode, const MinHashSignature& sig_a,

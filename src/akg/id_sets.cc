@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <functional>
 #include <iterator>
 
@@ -202,20 +203,58 @@ std::size_t UserIdSets::UnionSupport(
 }
 
 double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
+  // Every Jaccard is at least 0, so no merge stops early.
+  return JaccardAtLeast(a, b, 0.0);
+}
+
+double UserIdSets::JaccardAtLeast(KeywordId a, KeywordId b,
+                                  double floor) const {
   const std::span<const UserId> users_a = WindowUsers(a);
   const std::span<const UserId> users_b = WindowUsers(b);
   if (users_a.empty() || users_b.empty()) return 0.0;
+  const std::size_t na = users_a.size(), nb = users_b.size();
+  // The ratio an intersection of `common` users gives. Both counts are
+  // exact in a double and the division rounds monotonically, so the
+  // computed ratio never falls as `common` rises.
+  const auto ratio = [na, nb](std::size_t common) {
+    return static_cast<double>(common) /
+           static_cast<double>(na + nb - common);
+  };
+  // need: the least intersection whose computed ratio reaches `floor`, or
+  // none = min(na, nb) + 1 when no intersection does (the length filter).
+  // The real root of i / (na + nb - i) = floor lands next to it; stepping
+  // from there while the computed ratio disagrees makes it exact.
+  const std::size_t none = std::min(na, nb) + 1;
+  std::size_t need = 0;
+  if (floor > 0.0) {
+    const double root =
+        floor * static_cast<double>(na + nb) / (1.0 + floor);
+    need = root < static_cast<double>(none)
+               ? static_cast<std::size_t>(std::ceil(root))
+               : none;
+    while (need > 0 && ratio(need - 1) >= floor) --need;
+    while (need < none && ratio(need) < floor) ++need;
+  }
   std::size_t intersection = 0;
   std::size_t i = 0, j = 0;
-  while (i < users_a.size() && j < users_b.size()) {
-    const UserId x = users_a[i];
-    const UserId y = users_b[j];
-    intersection += x == y;
-    i += x <= y;
-    j += y <= x;
+  while (i < na && j < nb) {
+    // The rows left bound what the intersection can still reach.
+    const std::size_t left = std::min(na - i, nb - j);
+    const std::size_t reach = intersection + left;
+    if (reach < need) return ratio(reach);
+    // A merge step lowers the reach by at most one, so it cannot fall
+    // below need before the next reach - need + 1 steps are done: those
+    // run unchecked, and the merge stops at the first step that drops it.
+    for (std::size_t steps = std::min(left, reach - need + 1); steps > 0;
+         --steps) {
+      const UserId x = users_a[i];
+      const UserId y = users_b[j];
+      intersection += x == y;
+      i += x <= y;
+      j += y <= x;
+    }
   }
-  const std::size_t unioned = users_a.size() + users_b.size() - intersection;
-  return static_cast<double>(intersection) / static_cast<double>(unioned);
+  return ratio(intersection);
 }
 
 std::vector<std::pair<KeywordId, QuantumIndex>> UserIdSets::LastSeen(

@@ -23,6 +23,12 @@
 // correlation EC) is a merge intersection, signatures read the sorted
 // users in place, and cluster support is a sorted union.
 //
+// EC only ever compares a value with gamma, so JaccardAtLeast prunes as a
+// set-similarity join does (AllPairs, PPJoin): a pair whose smaller set
+// is too short to reach gamma is never merged, and a merge stops once the
+// rows left cannot lift the intersection to the least count that reaches
+// gamma. A value it returns at or above gamma is the exact Jaccard.
+//
 // The id sets are the AKG layer's only record of the last w quanta: the
 // CKG node count is the directory's size, and each window keyword's
 // last-seen quantum is derived from the history (LastSeen). The snapshot
@@ -74,6 +80,13 @@ class UserIdSets {
   /// (|U1 n U2| / |U1 u U2|), by a merge intersection. 0 when either set
   /// is empty.
   double Jaccard(KeywordId a, KeywordId b) const;
+
+  /// Jaccard(a, b), bit for bit, when that value is >= `floor`; otherwise
+  /// an upper bound of it that is below `floor`. Computes the least
+  /// intersection whose ratio reaches `floor` and stops the merge once the
+  /// rows left cannot reach it (no merge at all when the smaller set
+  /// cannot: the length filter).
+  double JaccardAtLeast(KeywordId a, KeywordId b, double floor) const;
 
   /// Number of keywords with non-empty window id sets: the CKG node count
   /// of the window.

@@ -54,19 +54,26 @@ MinHasher::MinHasher(std::size_t p, std::uint64_t seed)
 }
 
 MinHashSignature MinHasher::Sketch(std::span<const UserId> users) const {
-  // Bounded insertion: a max-heap of the p smallest keys seen so far.
-  // Distinct users hash to distinct keys, so no de-duplication is needed.
-  MinHashSignature signature;
-  signature.reserve(std::min(p_, users.size()));
-  for (const UserId user : users) {
-    const std::uint64_t key = hash_(user);
-    if (signature.size() < p_) {
-      signature.push_back(key);
-      std::push_heap(signature.begin(), signature.end());
-    } else if (key < signature.front()) {
-      std::pop_heap(signature.begin(), signature.end());
-      signature.back() = key;
-      std::push_heap(signature.begin(), signature.end());
+  // Bounded insertion: a max-heap of the p smallest keys seen so far,
+  // seeded with the first p users' keys. Distinct users hash to distinct
+  // keys, so no de-duplication is needed.
+  const std::size_t fill = std::min(p_, users.size());
+  MinHashSignature signature(fill);
+  for (std::size_t i = 0; i < fill; ++i) signature[i] = hash_(users[i]);
+  std::make_heap(signature.begin(), signature.end());
+  // Past the first p, a key enters only if it beats the cached heap top,
+  // which few do once the heap holds small keys.
+  const std::span<const UserId> rest = users.subspan(fill);
+  if (!rest.empty()) {
+    std::uint64_t top = signature.front();
+    for (const UserId user : rest) {
+      const std::uint64_t key = hash_(user);
+      if (key < top) [[unlikely]] {
+        std::pop_heap(signature.begin(), signature.end());
+        signature.back() = key;
+        std::push_heap(signature.begin(), signature.end());
+        top = signature.front();
+      }
     }
   }
   std::sort(signature.begin(), signature.end());

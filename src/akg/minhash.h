@@ -52,7 +52,9 @@ class MinHasher {
 
   /// Signature of a user set: the p smallest SeededHash(seed) values,
   /// ascending. `users` must be distinct (a window id set); their order
-  /// does not matter.
+  /// does not matter. One pass: a max-heap of the first p keys, then each
+  /// later key is compared with the cached heap top and enters the heap
+  /// only when it is smaller.
   MinHashSignature Sketch(std::span<const UserId> users) const;
 
   /// Merges two signatures: the sorted de-duplicated union, truncated to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -164,10 +165,30 @@ QuantumAggregate ChurnAggregate(QuantumIndex index, Rng& rng) {
   return aggregate;
 }
 
+// JaccardAtLeast(a, b, floor) against the exact value at floors 0.2, the
+// value itself and its neighbours on both sides: bit-equal to it where it
+// reaches the floor, and otherwise below the floor and not below it.
+void ExpectJaccardAtLeast(const UserIdSets& sets, KeywordId a, KeywordId b,
+                          double exact) {
+  for (const double floor : {0.2, exact, std::nextafter(exact, -1.0),
+                             std::nextafter(exact, 2.0)}) {
+    const double got = sets.JaccardAtLeast(a, b, floor);
+    if (exact >= floor) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(exact))
+          << "keywords " << a << ", " << b << " floor " << floor;
+    } else {
+      ASSERT_LT(got, floor) << "keywords " << a << ", " << b;
+      ASSERT_GE(got, exact) << "keywords " << a << ", " << b;
+    }
+  }
+}
+
 // Everything the store answers, checked against the model. Keywords range
 // over the whole vocabulary seen so far, so absent keywords are probed too.
+// `skewed` counts the non-empty pairs whose sizes differ 10:1 or more.
 void ExpectMatchesModel(const UserIdSets& sets, const IdSetModel& model,
-                        KeywordId max_keyword) {
+                        KeywordId max_keyword, std::size_t* skewed = nullptr) {
   ASSERT_EQ(sets.active_keywords(), model.window.size());
   for (KeywordId k = 0; k <= max_keyword; ++k) {
     const std::vector<UserId> users = model.Users(k);
@@ -190,6 +211,10 @@ void ExpectMatchesModel(const UserIdSets& sets, const IdSetModel& model,
       ASSERT_EQ(std::bit_cast<std::uint64_t>(sets.Jaccard(a, b)),
                 std::bit_cast<std::uint64_t>(expected))
           << "keywords " << a << ", " << b;
+      ASSERT_NO_FATAL_FAILURE(ExpectJaccardAtLeast(sets, a, b, expected));
+      const std::size_t small = std::min(ua.size(), ub.size());
+      const std::size_t large = std::max(ua.size(), ub.size());
+      if (skewed != nullptr && small > 0 && large >= 10 * small) ++*skewed;
     }
   }
 }
@@ -202,8 +227,10 @@ std::string SaveBytes(const UserIdSets& sets) {
 
 // Random churning quanta through IngestAggregate against the brute-force
 // model, with a mid-stream Save -> Restore that must continue exactly like
-// the uninterrupted store.
+// the uninterrupted store. Jaccard and JaccardAtLeast are checked on every
+// probed pair, empty and 10:1-skewed ones included.
 TEST(UserIdSetsTest, MatchesBruteForceModel) {
+  std::size_t skewed = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const std::size_t window = 1 + seed % 6;
     SCOPED_TRACE(testing::Message() << "seed " << seed << " window " << window);
@@ -218,7 +245,8 @@ TEST(UserIdSetsTest, MatchesBruteForceModel) {
       sets.IngestAggregate(aggregate);
       model.Ingest(aggregate);
       const KeywordId max_keyword = static_cast<KeywordId>(q * 2 + 40);
-      ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(sets, model, max_keyword));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectMatchesModel(sets, model, max_keyword, &skewed));
       if (restored) {
         restored->IngestAggregate(aggregate);
         ASSERT_NO_FATAL_FAILURE(
@@ -235,6 +263,7 @@ TEST(UserIdSetsTest, MatchesBruteForceModel) {
       }
     }
   }
+  EXPECT_GT(skewed, 0u);
 }
 
 // A hand-built UserIdSets encoding, in Save()'s layout: per group, the
@@ -1324,6 +1353,29 @@ TEST(AkgBuilderTest, QuantumIndicesMustBeConsecutive) {
   akg.Process(MakeQuantum(8, {{1, {1}}}));
   EXPECT_DEATH(akg.Process(MakeQuantum(10, {{1, {1}}})), "");
   EXPECT_DEATH(akg.Process(MakeQuantum(8, {{1, {1}}})), "");
+}
+
+// A load that fails resets the whole builder, its window and members
+// included: restoring a 60-quantum builder's bytes cut short by 10 leaves
+// nothing behind, and the builder then saves as a fresh one does.
+TEST(AkgBuilderTest, FailedRestoreResetsToEmpty) {
+  AkgConfig config = TestConfig();
+  config.window_length = 30;
+  WiredBuilder akg(config);
+  Rng rng(60);
+  for (QuantumIndex q = 0; q < 60; ++q) akg.Process(DriftQuantum(q, rng));
+  ASSERT_GT(akg.builder.id_sets().active_keywords(), 0u);
+  ASSERT_GT(akg.builder.node_state().akg_size(), 0u);
+  std::string bytes = SavedBytes(akg.builder);
+  bytes.resize(bytes.size() - 10);
+
+  WiredBuilder restored(config);
+  BinaryReader in(bytes);
+  EXPECT_FALSE(restored.builder.Restore(in));
+  EXPECT_EQ(restored.builder.id_sets().active_keywords(), 0u);
+  EXPECT_EQ(restored.builder.node_state().akg_size(), 0u);
+  EXPECT_EQ(SavedBytes(restored.builder),
+            SavedBytes(WiredBuilder(config).builder));
 }
 
 }  // namespace

@@ -46,7 +46,9 @@ MinHashSignature BottomPReference(std::size_t p, std::uint64_t seed,
 
 TEST(MinHasherTest, SketchMatchesBruteForceBottomP) {
   // Same p, same seed: the signature must be bit-identical to the paper's
-  // bottom-p signature of the same id set.
+  // bottom-p signature of the same id set, for p = 1, the empty set, sets
+  // smaller than p and sets of 1000+ users (where nearly every key loses
+  // to the cached heap top).
   Rng rng(11);
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t p = 2 + rng.UniformInt(8);
@@ -54,6 +56,16 @@ TEST(MinHasherTest, SketchMatchesBruteForceBottomP) {
     const auto users = RandomUsers(rng, 1 + rng.UniformInt(40));
     EXPECT_EQ(MinHasher(p, seed).Sketch(users),
               BottomPReference(p, seed, users));
+  }
+  for (const std::size_t p : {1u, 2u, 8u, 16u}) {
+    const std::uint64_t seed = rng.Next();
+    const MinHasher hasher(p, seed);
+    EXPECT_TRUE(hasher.Sketch({}).empty()) << "p " << p;
+    for (const std::size_t count : {1u, 5u, 1000u, 1500u}) {
+      const auto users = RandomUsers(rng, count);
+      EXPECT_EQ(hasher.Sketch(users), BottomPReference(p, seed, users))
+          << "p " << p << " users " << count;
+    }
   }
 }
 
