@@ -8,6 +8,7 @@
 // the runtime advantage of incremental SCP maintenance over per-quantum
 // offline recomputation.
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <set>
@@ -48,14 +49,21 @@ struct SchemeStats {
           baseline::ClusterNodes(edges);
       if (!seen.insert(nodes).second) continue;
       ++reports;
-      // Rank via Section 6 on the scheme's own cluster.
-      cluster::Cluster c(0);
-      for (const Edge& e : edges) c.InsertEdge(e);
-      rank_sum += rank::ClusterRank(
-          c, [&](const Edge& e) { return builder.EdgeCorrelation(e); },
-          [&](graph::NodeId n) {
-            return static_cast<double>(builder.NodeWeight(n));
-          });
+      // Rank via Section 6 on the scheme's own cluster: members and
+      // distinct edges ascending, the canonical summation order.
+      const auto weight = [&builder](graph::NodeId n) {
+        return static_cast<double>(builder.NodeWeight(n));
+      };
+      std::vector<double> weights;
+      for (graph::NodeId n : nodes) weights.push_back(weight(n));
+      std::vector<Edge> sorted = edges;
+      std::sort(sorted.begin(), sorted.end());
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      std::vector<rank::EdgeTerm> terms;
+      for (const Edge& e : sorted) {
+        terms.push_back({weight(e.u), weight(e.v), builder.EdgeCorrelation(e)});
+      }
+      rank_sum += rank::ClusterRank(weights, terms);
       size_sum += static_cast<double>(nodes.size());
       const eval::ClusterVerdict verdict = matcher.Classify(nodes);
       if (verdict.real) {

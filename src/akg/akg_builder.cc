@@ -4,6 +4,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -35,6 +36,22 @@ AkgBuilder::AkgBuilder(const AkgConfig& config,
       node_state_(config.high_state_threshold, config.window_length),
       hasher_(ResolveMinHashSize(config), config.seed) {
   SCPRT_CHECK(config.ec_threshold > 0.0 && config.ec_threshold <= 1.0);
+}
+
+const MinHashSignature* AkgBuilder::FindSignature(KeywordId keyword) const {
+  const auto it = std::lower_bound(
+      signatures_.begin(), signatures_.end(), keyword,
+      [](const SignatureEntry& entry, KeywordId k) {
+        return entry.keyword < k;
+      });
+  return it != signatures_.end() && it->keyword == keyword ? &it->published
+                                                           : nullptr;
+}
+
+const MinHashSignature& AkgBuilder::SignatureOf(KeywordId keyword) const {
+  const MinHashSignature* signature = FindSignature(keyword);
+  SCPRT_CHECK(signature != nullptr);
+  return *signature;
 }
 
 double AkgBuilder::EdgeCorrelation(const Edge& e) const {
@@ -117,7 +134,13 @@ cluster::GraphDelta AkgBuilder::ProcessQuantum(
           edge_ec_.erase(Edge::Of(k, neighbor));
         }
       }
-      signatures_.erase(k);
+    }
+    if (!update.removed.empty()) {
+      // The automaton lists the removed keywords ascending.
+      std::erase_if(signatures_, [&update](const SignatureEntry& entry) {
+        return std::binary_search(update.removed.begin(),
+                                  update.removed.end(), entry.keyword);
+      });
     }
     delta.nodes_removed = update.removed;
   }
@@ -125,20 +148,20 @@ cluster::GraphDelta AkgBuilder::ProcessQuantum(
   // --- 4. Refresh signatures of keywords whose id sets changed and are
   //        relevant this quantum: set (1) bursty + set (2) AKG-and-seen
   //        and not evicted. Each signature is the bottom-p of the
-  //        keyword's window id set. ---
+  //        keyword's window id set, kept current from the fold's row
+  //        transitions. ---
   std::vector<KeywordId> refresh = update.bursty;
   std::set_difference(update.seen_in_akg.begin(), update.seen_in_akg.end(),
                       update.removed.begin(), update.removed.end(),
                       std::back_inserter(refresh));
   {
-    // Window id-set bottom-p cost for the whole refresh batch.
+    // Signature cost per quantum: the transition merge and the refresh
+    // batch.
     static obs::Histogram* const refresh_hist =
         obs::Registry::Default().GetHistogram("akg.signature_refresh_ns");
     obs::ScopedSpan span("akg.refresh");
     obs::ScopedHistogramTimer timer(refresh_hist);
-    for (KeywordId k : refresh) {
-      signatures_[k] = hasher_.Sketch(id_sets_.WindowUsers(k));
-    }
+    RefreshSignatures(refresh);
   }
 
   // --- 5-6. Edge correlation: new edges among set (1), then lazy
@@ -161,6 +184,81 @@ cluster::GraphDelta AkgBuilder::ProcessQuantum(
   return delta;
 }
 
+void AkgBuilder::RefreshSignatures(const std::vector<KeywordId>& refresh) {
+  // 4a. The row transitions against the table, both keyword-ascending.
+  //     A current bottom-p holds the p smallest keys of the window set
+  //     (all of them when the set has at most p), so a leaving key changes
+  //     it iff the key is at most the largest held: the entry goes invalid.
+  //     Entering users are new to the set: each key joins when fewer than
+  //     p are held or when it beats the largest, which then drops out.
+  const std::size_t p = hasher_.p();
+  const std::span<const std::uint64_t> left = id_sets_.left();
+  const std::span<const std::uint64_t> entered = id_sets_.entered();
+  std::size_t l = 0, e = 0;
+  for (SignatureEntry& entry : signatures_) {
+    const KeywordId keyword = entry.keyword;
+    // Moves `i` to the keyword's first pair and returns its run's end.
+    const auto run = [keyword](std::span<const std::uint64_t> pairs,
+                               std::size_t& i) {
+      while (i < pairs.size() && PairKeyword(pairs[i]) < keyword) ++i;
+      std::size_t end = i;
+      while (end < pairs.size() && PairKeyword(pairs[end]) == keyword) ++end;
+      return end;
+    };
+    const std::size_t left_end = run(left, l);
+    const std::size_t entered_end = run(entered, e);
+    MinHashSignature& current = entry.current;
+    for (; entry.current_valid && l < left_end; ++l) {
+      entry.current_valid = !current.empty() &&
+                            hasher_.Key(PairUser(left[l])) > current.back();
+    }
+    for (; entry.current_valid && e < entered_end; ++e) {
+      const std::uint64_t key = hasher_.Key(PairUser(entered[e]));
+      if (current.size() == p) {
+        if (key >= current.back()) continue;
+        current.pop_back();
+      }
+      current.insert(std::upper_bound(current.begin(), current.end(), key),
+                     key);
+    }
+    l = left_end;
+    e = entered_end;
+  }
+
+  // 4b. Publish the refreshed keywords' bottom-p, rescanning the window
+  //     run of each entry without a valid one. Keywords new to the table
+  //     are appended in order and merged in at the end.
+  static obs::Counter* const refreshed =
+      obs::Registry::Default().GetCounter("akg.signatures_refreshed");
+  static obs::Counter* const rescanned =
+      obs::Registry::Default().GetCounter("akg.signatures_rescanned");
+  std::vector<KeywordId> keys = refresh;
+  std::sort(keys.begin(), keys.end());
+  const std::size_t signed_before = signatures_.size();
+  std::size_t rescans = 0;
+  for (std::size_t t = 0; KeywordId keyword : keys) {
+    while (t < signed_before && signatures_[t].keyword < keyword) ++t;
+    const bool known = t < signed_before && signatures_[t].keyword == keyword;
+    if (!known) signatures_.emplace_back().keyword = keyword;
+    SignatureEntry& entry = known ? signatures_[t] : signatures_.back();
+    if (!entry.current_valid) {
+      entry.current = hasher_.Sketch(id_sets_.WindowUsers(keyword));
+      entry.current_valid = true;
+      ++rescans;
+    }
+    entry.published = entry.current;
+  }
+  std::inplace_merge(signatures_.begin(),
+                     signatures_.begin() +
+                         static_cast<std::ptrdiff_t>(signed_before),
+                     signatures_.end(),
+                     [](const SignatureEntry& a, const SignatureEntry& b) {
+                       return a.keyword < b.keyword;
+                     });
+  refreshed->Add(keys.size());
+  rescanned->Add(rescans);
+}
+
 void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
                                 const std::vector<KeywordId>& refresh,
                                 cluster::GraphDelta& delta) {
@@ -177,7 +275,7 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
   } else {
     std::unordered_map<std::uint64_t, std::vector<KeywordId>> buckets;
     for (KeywordId k : bursty) {
-      for (std::uint64_t h : signatures_[k]) buckets[h].push_back(k);
+      for (std::uint64_t h : SignatureOf(k)) buckets[h].push_back(k);
     }
     std::unordered_set<std::uint64_t> emitted;
     for (const auto& [h, members] : buckets) {
@@ -201,8 +299,8 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
   const graph::DynamicGraph& akg = maintainer_.graph();
   for (const auto& [a, b] : candidates) {
     if (akg.HasEdge(a, b)) continue;
-    const MinHashSignature& sig_a = signatures_[a];
-    const MinHashSignature& sig_b = signatures_[b];
+    const MinHashSignature& sig_a = SignatureOf(a);
+    const MinHashSignature& sig_b = SignatureOf(b);
     if (!PassesScreen(config_.ec_mode, sig_a, sig_b)) continue;
     ++last_stats_.ec_computed;
     // Below gamma the pair is dropped, so its EC need not be exact.
@@ -238,7 +336,7 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
     // from exact id sets except in kMinHashOnly mode. Below gamma the edge
     // is removed, so its EC need not be exact.
     const double ec = ComputeEc(config_.ec_mode, id_sets_, a, b,
-                                signatures_.at(a), signatures_.at(b),
+                                SignatureOf(a), SignatureOf(b),
                                 hasher_.p(), gamma);
     const Edge e = Edge::Of(a, b);
     if (ec < gamma) {
@@ -255,9 +353,9 @@ MinHashSignature AkgBuilder::ExportClusterSketch(
   std::vector<MinHashSignature> parts;
   parts.reserve(keywords.size());
   for (KeywordId keyword : keywords) {
-    const auto it = signatures_.find(keyword);
-    if (it != signatures_.end() && !it->second.empty()) {
-      parts.push_back(it->second);
+    const MinHashSignature* signature = FindSignature(keyword);
+    if (signature != nullptr && !signature->empty()) {
+      parts.push_back(*signature);
     }
   }
   return MinHasher::CombineAll(parts, hasher_.p());
@@ -276,18 +374,11 @@ void AkgBuilder::Save(BinaryWriter& out) const {
   for (const auto& [e, _] : edge_ec_) akg.AddEdge(e.u, e.v);
   akg.Save(out);
 
-  std::vector<KeywordId> signed_keywords;
-  signed_keywords.reserve(signatures_.size());
-  for (const auto& [keyword, _] : signatures_) {
-    signed_keywords.push_back(keyword);
-  }
-  std::sort(signed_keywords.begin(), signed_keywords.end());
-  out.U64(signed_keywords.size());
-  for (KeywordId keyword : signed_keywords) {
-    const MinHashSignature& sig = signatures_.at(keyword);
-    out.U32(keyword);
-    out.U32(static_cast<std::uint32_t>(sig.size()));
-    for (std::uint64_t value : sig) out.U64(value);
+  out.U64(signatures_.size());
+  for (const SignatureEntry& entry : signatures_) {
+    out.U32(entry.keyword);
+    out.U32(static_cast<std::uint32_t>(entry.published.size()));
+    for (std::uint64_t value : entry.published) out.U64(value);
   }
 
   std::vector<Edge> ec_edges;
@@ -342,6 +433,7 @@ bool AkgBuilder::Restore(BinaryReader& in) {
   const std::uint64_t signatures = in.U64();
   bool valid = nodes == node_state_.Members() &&
                in.CheckLength(signatures, 4 + 4 + 8);
+  if (valid) signatures_.reserve(signatures);
   for (std::uint64_t i = 0; valid && i < signatures; ++i) {
     const KeywordId keyword = in.U32();
     const std::uint32_t length = in.U32();
@@ -360,10 +452,15 @@ bool AkgBuilder::Restore(BinaryReader& in) {
       valid = false;
       break;
     }
-    if (!signatures_.emplace(keyword, std::move(sig)).second) {
+    // Keywords strictly ascending, as Save writes the table.
+    if (!signatures_.empty() && signatures_.back().keyword >= keyword) {
       valid = false;
       break;
     }
+    // Every current bottom-p starts invalid: the first refresh rescans.
+    SignatureEntry& entry = signatures_.emplace_back();
+    entry.keyword = keyword;
+    entry.published = std::move(sig);
   }
 
   const std::uint64_t correlations = valid ? in.U64() : 0;
@@ -382,13 +479,13 @@ bool AkgBuilder::Restore(BinaryReader& in) {
   }
   valid = valid && correlations == akg.edge_count();
 
-  // The lazy re-validation loop calls signatures_.at() on every AKG edge
+  // The lazy re-validation loop reads SignatureOf() every AKG edge
   // endpoint, so that invariant must hold even for a forged payload with a
-  // valid CRC — reject rather than crash later. Signatures of other
+  // valid CRC — reject rather than abort later. Signatures of other
   // keywords (older builds kept an evicted keyword's) are accepted.
   if (valid) {
     for (const Edge& e : akg.Edges()) {
-      if (signatures_.count(e.u) == 0 || signatures_.count(e.v) == 0) {
+      if (FindSignature(e.u) == nullptr || FindSignature(e.v) == nullptr) {
         valid = false;
         break;
       }

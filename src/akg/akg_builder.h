@@ -9,9 +9,20 @@
 // The window id sets are the only window state: the CKG node count and
 // every window keyword's last-seen quantum are read from them, and the
 // node automaton holds the AKG members alone. A keyword's signature is
-// the bottom-p of its window id set, computed only when an AKG member is
+// the bottom-p of its window id set, published only when an AKG member is
 // refreshed (bursty, or seen this quantum); nothing is sketched for the
 // rest of the quantum's vocabulary.
+//
+// The signatures live in one keyword-ascending table. Beside the published
+// signature (the bottom-p at the keyword's last refresh, which the EC
+// screen, the snapshot and the cluster sketch read), each entry keeps the
+// current window bottom-p, brought up to date every quantum by one
+// merge-join of the id sets' row transitions against the table: a leaving
+// user among the p smallest keys invalidates it, an entering user's key
+// is inserted when fewer than p are held or it beats the largest. A
+// refresh publishes a valid current bottom-p as it is and rescans the
+// window run (MinHasher::Sketch) only for an invalid, new or just-restored
+// entry; eviction drops the entry.
 
 #ifndef SCPRT_AKG_AKG_BUILDER_H_
 #define SCPRT_AKG_AKG_BUILDER_H_
@@ -128,6 +139,26 @@ class AkgBuilder {
   bool Restore(BinaryReader& in);
 
  private:
+  /// One signed keyword: the published signature, and the current window
+  /// bottom-p, which the row transitions keep exact while `current_valid`.
+  struct SignatureEntry {
+    KeywordId keyword = 0;
+    MinHashSignature published;
+    MinHashSignature current;
+    bool current_valid = false;
+  };
+
+  /// The published signature of `keyword`, or nullptr when it has none.
+  const MinHashSignature* FindSignature(KeywordId keyword) const;
+
+  /// The published signature of `keyword`, which must have one.
+  const MinHashSignature& SignatureOf(KeywordId keyword) const;
+
+  /// Step 4 of ProcessQuantum: carries the id sets' row transitions into
+  /// every valid current bottom-p, then publishes the signatures of the
+  /// `refresh` keywords (rescanning those without a valid one).
+  void RefreshSignatures(const std::vector<KeywordId>& refresh);
+
   /// Steps 5-6 of ProcessQuantum: adds edges among the `bursty`
   /// keywords (Section 3.2.1 set (1)) and re-validates the edges of the
   /// `refresh` keywords (set (2)), recording both into `delta`.
@@ -143,7 +174,9 @@ class AkgBuilder {
   MinHasher hasher_;
   // Keys: the AKG's edges after the last processed quantum.
   std::unordered_map<graph::Edge, double, graph::EdgeHash> edge_ec_;
-  std::unordered_map<KeywordId, MinHashSignature> signatures_;
+  // Keyword-ascending: every signed keyword (refreshed, not since
+  // evicted).
+  std::vector<SignatureEntry> signatures_;
   AkgQuantumStats last_stats_;
   QuantumIndex now_ = 0;
 };

@@ -1,10 +1,8 @@
 #include "akg/id_sets.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <functional>
-#include <iterator>
 
 #include "common/check.h"
 
@@ -34,37 +32,27 @@ std::size_t LowerBound(const KeywordId* keys, std::size_t n, KeywordId key) {
   return static_cast<std::size_t>(base - keys) + (*base < key);
 }
 
-// Sorts `data` by its bytes from byte `first_byte` up (least significant
-// first, one stable counting pass per byte in which the values differ);
-// `scratch` is the second buffer. Bytes below `first_byte` keep their
-// input order within equal keys.
-void RadixSort(std::vector<std::uint64_t>& data, unsigned first_byte,
-               std::vector<std::uint64_t>& scratch) {
-  std::uint64_t any = 0, all = ~std::uint64_t{0};
-  for (std::uint64_t value : data) {
-    any |= value;
-    all &= value;
+// Writes the union of the ascending, duplicate-free [a, a_end) and
+// [b, b_end) to `out` and returns its end. Branch-free steps: each writes
+// the smaller head and moves past it, on both sides when they are equal.
+UserId* UnionInto(const UserId* a, const UserId* a_end, const UserId* b,
+                  const UserId* b_end, UserId* out) {
+  while (a != a_end && b != b_end) {
+    const UserId x = *a, y = *b;
+    *out++ = x < y ? x : y;
+    a += x <= y;
+    b += y <= x;
   }
-  scratch.resize(data.size());
-  for (unsigned shift = 8 * first_byte; shift < 64; shift += 8) {
-    if ((((any ^ all) >> shift) & 0xff) == 0) continue;
-    std::array<std::size_t, 257> offsets{};
-    for (std::uint64_t value : data) ++offsets[((value >> shift) & 0xff) + 1];
-    for (std::size_t b = 1; b < offsets.size(); ++b) {
-      offsets[b] += offsets[b - 1];
-    }
-    for (std::uint64_t value : data) {
-      scratch[offsets[(value >> shift) & 0xff]++] = value;
-    }
-    data.swap(scratch);
-  }
+  out = std::copy(a, a_end, out);
+  return std::copy(b, b_end, out);
 }
 
 }  // namespace
 
 void UserIdSets::MergeWindow(const WindowTable& window,
                              const HistoryEntry& added,
-                             const HistoryEntry& expired, WindowTable& out) {
+                             const HistoryEntry& expired, WindowTable& out,
+                             HistoryEntry& entered, HistoryEntry& left) {
   // Above every keyword and every user: the "no more pairs" key part.
   constexpr std::uint64_t kNone = std::uint64_t{1} << 32;
   // Sized for the worst case (every added pair a new row of a new
@@ -74,6 +62,11 @@ void UserIdSets::MergeWindow(const WindowTable& window,
   out.counts.resize(out.users.size());
   out.directory.resize(window.directory.size() + added.size());
   out.starts.resize(out.directory.size());
+  // Every entering pair is an added one and every leaving pair an expired
+  // one.
+  entered.resize(added.size());
+  left.resize(expired.size());
+  std::size_t entries = 0, leaves = 0;
   const UserId* const in_users = window.users.data();
   const std::uint32_t* const in_counts = window.counts.data();
   const KeywordId* const in_directory = window.directory.data();
@@ -134,6 +127,9 @@ void UserIdSets::MergeWindow(const WindowTable& window,
         count = in_counts[row];
         ++row;
       }
+      const std::uint64_t pair = next_keyword << 32 | user;
+      // Not a window row: the pair is added, and enters the window.
+      if (count == 0) entered[entries++] = pair;
       if (user_added == user) {
         ++count;
         ++a;
@@ -148,6 +144,8 @@ void UserIdSets::MergeWindow(const WindowTable& window,
         users[rows] = static_cast<UserId>(user);
         counts[rows] = count;
         ++rows;
+      } else {
+        left[leaves++] = pair;
       }
     }
     if (rows > run_start) {
@@ -161,6 +159,8 @@ void UserIdSets::MergeWindow(const WindowTable& window,
   out.counts.resize(rows);
   out.directory.resize(runs);
   out.starts.resize(runs);
+  entered.resize(entries);
+  left.resize(leaves);
 }
 
 void UserIdSets::IngestAggregate(QuantumAggregate aggregate) {
@@ -170,7 +170,8 @@ void UserIdSets::IngestAggregate(QuantumAggregate aggregate) {
               pairs.end());
   static const HistoryEntry kNothing;
   const bool full = history_.size() == window_length_;
-  MergeWindow(window_, pairs, full ? history_.front() : kNothing, next_);
+  MergeWindow(window_, pairs, full ? history_.front() : kNothing, next_,
+              entered_, left_);
   std::swap(window_, next_);
   if (full) history_.pop_front();
   history_.push_back(std::move(pairs));
@@ -190,16 +191,20 @@ std::span<const UserId> UserIdSets::WindowUsers(KeywordId keyword) const {
 }
 
 std::size_t UserIdSets::UnionSupport(
-    const std::vector<KeywordId>& keywords) const {
-  std::vector<UserId> users, merged;
-  for (KeywordId keyword : keywords) {
-    const std::span<const UserId> window = WindowUsers(keyword);
-    merged.clear();
-    std::set_union(users.begin(), users.end(), window.begin(), window.end(),
-                   std::back_inserter(merged));
+    std::span<const std::span<const UserId>> runs) {
+  if (runs.empty()) return 0;
+  std::size_t total = 0;
+  for (const std::span<const UserId> run : runs) total += run.size();
+  // The union so far and the buffer the next union is written into, both
+  // sized for the disjoint case.
+  std::vector<UserId> users(total), merged(total);
+  UserId* end = std::copy(runs[0].begin(), runs[0].end(), users.data());
+  for (const std::span<const UserId> run : runs.subspan(1)) {
+    end = UnionInto(users.data(), end, run.data(), run.data() + run.size(),
+                    merged.data());
     users.swap(merged);
   }
-  return users.size();
+  return static_cast<std::size_t>(end - users.data());
 }
 
 double UserIdSets::Jaccard(KeywordId a, KeywordId b) const {
@@ -309,6 +314,8 @@ bool UserIdSets::Restore(BinaryReader& in) {
   const auto clear = [this] {
     history_.clear();
     window_ = WindowTable{};
+    entered_.clear();
+    left_.clear();
   };
   clear();
   if (in.U32() != kIdSetShards || in.U64() != window_length_) {

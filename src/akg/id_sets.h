@@ -18,10 +18,13 @@
 // and the directory is written as the merge goes. Keyword runs that
 // neither input touches are block-copied and touched runs are merged row
 // by row, so the cost is O(|window rows| + |quantum pairs| + |expiring
-// pairs|), with no per-keyword allocation or hash lookup. Every consumer
-// is a linear scan of contiguous memory: the exact Jaccard (the edge
-// correlation EC) is a merge intersection, signatures read the sorted
-// users in place, and cluster support is a sorted union.
+// pairs|), with no per-keyword allocation or hash lookup. The merge also
+// records the quantum's row transitions, the pairs that entered and left
+// the window, from which the AKG builder keeps its bottom-p signatures
+// current without re-reading the window. Every consumer is a linear scan
+// of contiguous memory: the exact Jaccard (the edge correlation EC) is a
+// merge intersection, a rescanned signature reads the sorted users in
+// place, and cluster support is a sorted union of the members' runs.
 //
 // EC only ever compares a value with gamma, so JaccardAtLeast prunes as a
 // set-similarity join does (AllPairs, PPJoin): a pair whose smaller set
@@ -72,9 +75,19 @@ class UserIdSets {
   /// or Restore.
   std::span<const UserId> WindowUsers(KeywordId keyword) const;
 
-  /// Distinct users across the window id sets of all `keywords` (a
-  /// cluster's support), by a chain of sorted unions.
-  std::size_t UnionSupport(const std::vector<KeywordId>& keywords) const;
+  /// Distinct users across the ascending user `runs` (a cluster's
+  /// support, from its members' WindowUsers), by a chain of sorted unions
+  /// between two buffers sized for the disjoint case.
+  static std::size_t UnionSupport(
+      std::span<const std::span<const UserId>> runs);
+
+  /// The last IngestAggregate's row transitions, as (keyword,
+  /// user)-ascending PackPair values: the pairs that entered the window
+  /// (count 0 -> 1) and those that left it (count -> 0). Both are empty
+  /// after Restore; the views are valid until the next IngestAggregate or
+  /// Restore.
+  std::span<const std::uint64_t> entered() const { return entered_; }
+  std::span<const std::uint64_t> left() const { return left_; }
 
   /// Exact Jaccard coefficient of the two keywords' window id sets
   /// (|U1 n U2| / |U1 u U2|), by a merge intersection. 0 when either set
@@ -141,11 +154,13 @@ class UserIdSets {
   using HistoryEntry = std::vector<std::uint64_t>;
 
   /// Writes into `out` the table `window` + `added` - `expired`: one merge
-  /// over the three (keyword, user)-sorted inputs. Every pair of `expired`
-  /// must be a row of `window`.
+  /// over the three (keyword, user)-sorted inputs, which also writes the
+  /// pairs that become rows into `entered` and those whose row goes into
+  /// `left`. Every pair of `expired` must be a row of `window`.
   static void MergeWindow(const WindowTable& window,
                           const HistoryEntry& added,
-                          const HistoryEntry& expired, WindowTable& out);
+                          const HistoryEntry& expired, WindowTable& out,
+                          HistoryEntry& entered, HistoryEntry& left);
 
   std::size_t window_length_;
   // Closed quanta, oldest first; the generating state for expiry.
@@ -153,6 +168,9 @@ class UserIdSets {
   // The current window, and the buffer the next merge writes into.
   WindowTable window_;
   WindowTable next_;
+  // The last merge's row transitions (reused buffers).
+  HistoryEntry entered_;
+  HistoryEntry left_;
 };
 
 }  // namespace scprt::akg

@@ -8,7 +8,12 @@
 // bottom-k Jaccard estimate (EstimateJaccard).
 //
 // MinHasher::Sketch builds a signature from a distinct user set — the AKG
-// builder passes a keyword's window id set straight from UserIdSets.
+// builder passes a keyword's window id set straight from UserIdSets when
+// it has no current bottom-p for the keyword. Otherwise the builder keeps
+// the bottom-p current from the window's row transitions, ranking each
+// entering or leaving user by its Key: a leaving key at or below the
+// largest held invalidates it, and an entering key joins when fewer than
+// p are held or when it beats the largest.
 //
 // Combine is exact under truncation (the bottom-p of a union is the
 // bottom-p of the parts' bottom-p's, by the usual KMV argument), hence
@@ -56,6 +61,9 @@ class MinHasher {
   /// later key is compared with the cached heap top and enters the heap
   /// only when it is smaller.
   MinHashSignature Sketch(std::span<const UserId> users) const;
+
+  /// One user's key: the value Sketch ranks the user by.
+  std::uint64_t Key(UserId user) const { return hash_(user); }
 
   /// Merges two signatures: the sorted de-duplicated union, truncated to
   /// p. Exact (equals the signature of the merged id sets), associative

@@ -37,8 +37,16 @@ struct QuantumAggregate {
   std::vector<std::uint64_t> pairs;
 };
 
+/// Sorts `data` ascending by its bytes from byte `first_byte` up (least
+/// significant first, one stable counting pass per byte in which the
+/// values differ); `scratch` is the second buffer. Bytes below
+/// `first_byte` keep their input order within equal keys. The one sort of
+/// packed pairs: AggregateQuantum and UserIdSets::Restore use it.
+void RadixSort(std::vector<std::uint64_t>& data, unsigned first_byte,
+               std::vector<std::uint64_t>& scratch);
+
 /// Reduces one quantum to its canonical aggregate: packs every occurrence,
-/// sorts once and drops duplicates.
+/// radix-sorts once and drops duplicates.
 QuantumAggregate AggregateQuantum(const stream::Quantum& quantum);
 
 /// The aggregate's keyword runs as (keyword, distinct-user count), strictly

@@ -1,6 +1,7 @@
 #include "detect/detector.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -96,13 +97,6 @@ void EventDetector::EmitToSink(const std::vector<EventSnapshot>& events) {
 EventSnapshot EventDetector::SnapshotCore(ClusterId id,
                                           const cluster::Cluster& cluster,
                                           QuantumIndex now) const {
-  const rank::EcFn ec = [this](const Edge& e) {
-    return akg_.EdgeCorrelation(e);
-  };
-  const rank::WeightFn weight = [this](graph::NodeId n) {
-    return static_cast<double>(akg_.NodeWeight(n));
-  };
-
   EventSnapshot snap;
   snap.cluster_id = id;
   snap.quantum = now;
@@ -110,17 +104,37 @@ EventSnapshot EventDetector::SnapshotCore(ClusterId id,
   snap.keywords = cluster.SortedNodes();
   snap.node_count = cluster.node_count();
   snap.edge_count = cluster.edge_count();
-  snap.rank = rank::ClusterRank(cluster, ec, weight);
-  // Sorted edge order: canonical float accumulation (see rank/ranking.cc).
-  double ec_sum = 0.0;
-  for (const Edge& e : cluster.SortedEdges()) {
-    ec_sum += akg_.EdgeCorrelation(e);
+
+  // Each member's window run, read once: its length is the node weight
+  // w_i, and the runs' union is the support.
+  const std::vector<KeywordId>& members = snap.keywords;
+  std::vector<std::span<const UserId>> runs(members.size());
+  std::vector<double> weights(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    runs[i] = akg_.id_sets().WindowUsers(members[i]);
+    weights[i] = static_cast<double>(runs[i].size());
   }
-  snap.avg_ec = cluster.edge_count() == 0
+  const auto weight_of = [&members, &weights](graph::NodeId node) {
+    return weights[static_cast<std::size_t>(
+        std::lower_bound(members.begin(), members.end(), node) -
+        members.begin())];
+  };
+  // Each edge's EC, read once, for the rank and the mean EC. Sorted edge
+  // order: canonical float accumulation (see rank/ranking.cc).
+  const std::vector<Edge> edges = cluster.SortedEdges();
+  std::vector<rank::EdgeTerm> terms(edges.size());
+  double ec_sum = 0.0;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    terms[i] = {weight_of(e.u), weight_of(e.v), akg_.EdgeCorrelation(e)};
+    ec_sum += terms[i].ec;
+  }
+  snap.rank = rank::ClusterRank(weights, terms);
+  snap.avg_ec = edges.empty()
                     ? 0.0
-                    : ec_sum / static_cast<double>(cluster.edge_count());
+                    : ec_sum / static_cast<double>(edges.size());
   // Support: distinct users over the window across member keywords.
-  snap.support = akg_.id_sets().UnionSupport(snap.keywords);
+  snap.support = akg::UserIdSets::UnionSupport(runs);
   return snap;
 }
 

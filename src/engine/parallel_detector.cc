@@ -18,14 +18,27 @@ std::optional<detect::QuantumReport> ParallelDetector::Push(
     const stream::Message& message) {
   auto quantum = quantizer_.Push(message);
   if (!quantum) return std::nullopt;
-  return ProcessQuantum(*quantum);
+  return Detect(*quantum);
 }
 
 detect::QuantumReport ParallelDetector::ProcessQuantum(
     const stream::Quantum& quantum) {
-  if (quantizer_.next_index() <= quantum.index) {
+  // The quantizer re-bases only before the first quantum. After it, the
+  // index must be the clock's next one, checked before any state changes
+  // (the AKG layer stamps its window by position).
+  if (core().akg().id_sets().depth() == 0) {
+    if (quantizer_.next_index() <= quantum.index) {
+      quantizer_.SetNextIndex(quantum.index + 1);
+    }
+  } else {
+    SCPRT_CHECK(quantum.index == quantizer_.next_index());
     quantizer_.SetNextIndex(quantum.index + 1);
   }
+  return Detect(quantum);
+}
+
+detect::QuantumReport ParallelDetector::Detect(
+    const stream::Quantum& quantum) {
   // Core detection (aggregate, AKG update, clustering, ranking) as one span
   // so a trace shows each quantum's detection cost.
   obs::ScopedSpan span("detect.core");

@@ -60,8 +60,10 @@ class ParallelDetector {
   /// Streams one message; returns a report when it completed a quantum.
   std::optional<detect::QuantumReport> Push(const stream::Message& message);
 
-  /// Processes one pre-built quantum (clock re-bases past it). Every
-  /// quantum after the first must have the index after the last one's.
+  /// Processes one pre-built quantum; the clock moves past it. The first
+  /// quantum may start anywhere (the clock re-bases to it); every later
+  /// one must carry the clock's next index, or the call aborts before any
+  /// state changes.
   detect::QuantumReport ProcessQuantum(const stream::Quantum& quantum);
 
   /// Runs a whole trace; returns every quantum report.
@@ -101,6 +103,9 @@ class ParallelDetector {
   bool RestoreState(BinaryReader& in);
 
  private:
+  /// Runs the core on a quantum the clock has already moved past.
+  detect::QuantumReport Detect(const stream::Quantum& quantum);
+
   detect::EventDetector detector_;
   stream::Quantizer quantizer_;
 };

@@ -4,23 +4,21 @@
 
 namespace scprt::rank {
 
-double ClusterRank(const cluster::Cluster& cluster, const EcFn& ec,
-                   const WeightFn& weight) {
-  const std::size_t n = cluster.node_count();
+double ClusterRank(std::span<const double> node_weights,
+                   std::span<const EdgeTerm> edges) {
+  const std::size_t n = node_weights.size();
   if (n == 0) return 0.0;
-  // Canonical (sorted) accumulation order: float addition is not
-  // associative, so summing in container order would make the low rank
-  // bits depend on hash-table layout — which must not differ between a
-  // restored detector and a never-restarted one (durability/backend.h's
-  // bit-identical guarantee), or across runs feeding the golden digests.
+  // The inputs come in canonical (sorted) order and are summed in it:
+  // float addition is not associative, so summing in container order
+  // would make the low rank bits depend on hash-table layout — which must
+  // not differ between a restored detector and a never-restarted one
+  // (durability/backend.h's bit-identical guarantee), or across runs
+  // feeding the golden digests.
   double total = 0.0;
-  for (graph::NodeId node : cluster.SortedNodes()) {
-    total += weight(node);  // diagonal C_ii = 1
-  }
-  for (const graph::Edge& e : cluster.SortedEdges()) {
-    const double c = ec(e);
-    SCPRT_DCHECK(c >= 0.0 && c <= 1.0);
-    total += (weight(e.u) + weight(e.v)) * c;
+  for (double weight : node_weights) total += weight;  // diagonal C_ii = 1
+  for (const EdgeTerm& e : edges) {
+    SCPRT_DCHECK(e.ec >= 0.0 && e.ec <= 1.0);
+    total += (e.weight_u + e.weight_v) * e.ec;
   }
   return total / static_cast<double>(n);
 }

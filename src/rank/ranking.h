@@ -12,20 +12,24 @@
 #ifndef SCPRT_RANK_RANKING_H_
 #define SCPRT_RANK_RANKING_H_
 
-#include <functional>
-
-#include "cluster/cluster.h"
+#include <cstdint>
+#include <span>
 
 namespace scprt::rank {
 
-/// Provider of the current EC of an edge (AkgBuilder::EdgeCorrelation).
-using EcFn = std::function<double(const graph::Edge&)>;
-/// Provider of a node's weight w_i (AkgBuilder::NodeWeight).
-using WeightFn = std::function<double(graph::NodeId)>;
+/// One cluster edge's rank inputs: its endpoints' weights and its EC.
+struct EdgeTerm {
+  double weight_u = 0.0;
+  double weight_v = 0.0;
+  double ec = 0.0;
+};
 
-/// Computes the rank of `cluster`. O(nodes + edges).
-double ClusterRank(const cluster::Cluster& cluster, const EcFn& ec,
-                   const WeightFn& weight);
+/// Computes the rank of a cluster from its members' weights w_i and its
+/// edges' terms. The caller passes both in canonical order (members and
+/// edges ascending): float addition is not associative, and the sums are
+/// taken in the order given. O(nodes + edges).
+double ClusterRank(std::span<const double> node_weights,
+                   std::span<const EdgeTerm> edges);
 
 /// The minimum rank a just-qualifying cluster can have: every node at the
 /// burstiness floor theta, every edge at the EC floor gamma, and the

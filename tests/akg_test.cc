@@ -26,6 +26,7 @@
 #include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "obs/registry.h"
 
 namespace scprt::akg {
 namespace {
@@ -136,6 +137,16 @@ struct IdSetModel {
     }
   }
 
+  // The window's (keyword, user) pairs, ascending PackPair values.
+  std::vector<std::uint64_t> Pairs() const {
+    std::vector<std::uint64_t> pairs;
+    for (const auto& [keyword, users] : window) {
+      for (UserId user : users) pairs.push_back(PackPair(keyword, user));
+    }
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    return pairs;
+  }
+
   std::vector<UserId> Users(KeywordId keyword) const {
     const auto it = window.find(keyword);
     if (it == window.end()) return {};
@@ -225,12 +236,33 @@ std::string SaveBytes(const UserIdSets& sets) {
   return out.data();
 }
 
+std::vector<std::uint64_t> Vector(std::span<const std::uint64_t> pairs) {
+  return {pairs.begin(), pairs.end()};
+}
+
+// The last ingest's transitions against the model's window before and
+// after it: the pairs only the new window holds entered, those only the
+// old one held left.
+void ExpectTransitions(const UserIdSets& sets,
+                       const std::vector<std::uint64_t>& before,
+                       const std::vector<std::uint64_t>& after) {
+  std::vector<std::uint64_t> entered, left;
+  std::set_difference(after.begin(), after.end(), before.begin(),
+                      before.end(), std::back_inserter(entered));
+  std::set_difference(before.begin(), before.end(), after.begin(),
+                      after.end(), std::back_inserter(left));
+  ASSERT_EQ(Vector(sets.entered()), entered);
+  ASSERT_EQ(Vector(sets.left()), left);
+}
+
 // Random churning quanta through IngestAggregate against the brute-force
 // model, with a mid-stream Save -> Restore that must continue exactly like
 // the uninterrupted store. Jaccard and JaccardAtLeast are checked on every
-// probed pair, empty and 10:1-skewed ones included.
+// probed pair, empty and 10:1-skewed ones included, and the row
+// transitions after every ingest; every seventh quantum is empty, so the
+// window only expires.
 TEST(UserIdSetsTest, MatchesBruteForceModel) {
-  std::size_t skewed = 0;
+  std::size_t skewed = 0, expiry_only_leaves = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const std::size_t window = 1 + seed % 6;
     SCOPED_TRACE(testing::Message() << "seed " << seed << " window " << window);
@@ -241,29 +273,41 @@ TEST(UserIdSetsTest, MatchesBruteForceModel) {
     const QuantumIndex kQuanta = 24;
     const QuantumIndex kSaveAfter = 2 + static_cast<QuantumIndex>(seed % 9);
     for (QuantumIndex q = 0; q < kQuanta; ++q) {
-      const QuantumAggregate aggregate = ChurnAggregate(q, rng);
+      QuantumAggregate aggregate = ChurnAggregate(q, rng);
+      if (q % 7 == 6) aggregate.pairs.clear();
+      const std::vector<std::uint64_t> before = model.Pairs();
       sets.IngestAggregate(aggregate);
       model.Ingest(aggregate);
+      const std::vector<std::uint64_t> after = model.Pairs();
+      ASSERT_NO_FATAL_FAILURE(ExpectTransitions(sets, before, after));
+      if (aggregate.pairs.empty()) expiry_only_leaves += sets.left().size();
       const KeywordId max_keyword = static_cast<KeywordId>(q * 2 + 40);
       ASSERT_NO_FATAL_FAILURE(
           ExpectMatchesModel(sets, model, max_keyword, &skewed));
       if (restored) {
         restored->IngestAggregate(aggregate);
+        ASSERT_NO_FATAL_FAILURE(ExpectTransitions(*restored, before, after));
         ASSERT_NO_FATAL_FAILURE(
             ExpectMatchesModel(*restored, model, max_keyword));
         ASSERT_EQ(SaveBytes(*restored), SaveBytes(sets));
       }
       if (q + 1 == kSaveAfter) {
+        // Restored over a copy that holds this quantum's transitions: the
+        // load clears them.
         const std::string bytes = SaveBytes(sets);
-        restored = std::make_unique<UserIdSets>(window);
+        restored = std::make_unique<UserIdSets>(sets);
+        ASSERT_FALSE(restored->entered().empty() && restored->left().empty());
         BinaryReader in(bytes);
         ASSERT_TRUE(restored->Restore(in));
+        EXPECT_TRUE(restored->entered().empty());
+        EXPECT_TRUE(restored->left().empty());
         ASSERT_NO_FATAL_FAILURE(
             ExpectMatchesModel(*restored, model, max_keyword));
       }
     }
   }
   EXPECT_GT(skewed, 0u);
+  EXPECT_GT(expiry_only_leaves, 0u);
 }
 
 // A hand-built UserIdSets encoding, in Save()'s layout: per group, the
@@ -1205,65 +1249,99 @@ std::string SavedBytes(const AkgBuilder& builder) {
   return out.data();
 }
 
+// The refreshed signatures against the brute-force bottom-p of the window
+// id set at p = 1, 2, 4 and 16 (at 16 most sets hold at most p users, so
+// every leave invalidates the transition-maintained bottom-p). A builder
+// restored mid-stream starts with every current bottom-p invalid (its
+// first refresh rescans each keyword), then runs delta- and
+// byte-identical to the uninterrupted one.
 TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
-  AkgConfig config = TestConfig();
-  config.ec_mode = EcMode::kMinHashScreenExactVerify;
-  config.ec_threshold = 0.2;
-  config.minhash_size = 4;
-  config.window_length = 4;
-  WiredBuilder akg(config);
-  const AkgBuilder& builder = akg.builder;
-  std::unique_ptr<WiredBuilder> restored;
-  Rng rng(404);
-  const QuantumIndex kQuanta = 16;
-  const QuantumIndex kSaveAfter = 9;  // after the window has filled
-  const SeededHash hash(config.seed);
-  std::unordered_map<KeywordId, std::set<UserId>> ever_used;
-  std::size_t checked = 0, expired_moved = 0;
-  for (QuantumIndex q = 0; q < kQuanta; ++q) {
-    const stream::Quantum quantum = ChurnQuantum(q, rng);
-    for (const stream::Message& m : quantum.messages) {
-      for (KeywordId k : m.keywords) ever_used[k].insert(m.user);
-    }
-    const cluster::GraphDelta delta = akg.Process(quantum);
-    for (KeywordId k : RefreshedKeywords(builder, quantum)) {
-      const MinHashSignature brute = BruteForceWindowSignature(builder, k);
-      EXPECT_EQ(builder.ExportClusterSketch({k}), brute)
-          << "quantum " << q << " keyword " << k;
-      ++checked;
-      // Expiry visibly moved the signature: the bottom-p over every user
-      // the keyword ever had differs from the window's.
-      MinHashSignature all_time;
-      for (UserId user : ever_used[k]) all_time.push_back(hash(user));
-      std::sort(all_time.begin(), all_time.end());
-      all_time.resize(std::min(all_time.size(), builder.sketch_size()));
-      if (all_time != brute) ++expired_moved;
-    }
-    if (restored) {
-      const cluster::GraphDelta again = restored->Process(quantum);
-      ExpectSameDelta(delta, again);
-      EXPECT_EQ(SavedBytes(restored->builder), SavedBytes(builder))
-          << "quantum " << q;
+  obs::Counter* const refreshed =
+      obs::Registry::Default().GetCounter("akg.signatures_refreshed");
+  obs::Counter* const rescanned =
+      obs::Registry::Default().GetCounter("akg.signatures_rescanned");
+  for (const std::size_t p : {1, 2, 4, 16}) {
+    SCOPED_TRACE(testing::Message() << "p " << p);
+    AkgConfig config = TestConfig();
+    config.ec_mode = EcMode::kMinHashScreenExactVerify;
+    config.ec_threshold = 0.2;
+    config.minhash_size = p;
+    config.window_length = 4;
+    WiredBuilder akg(config);
+    const AkgBuilder& builder = akg.builder;
+    std::unique_ptr<WiredBuilder> restored;
+    Rng rng(404);
+    const QuantumIndex kQuanta = 16;
+    const QuantumIndex kSaveAfter = 9;  // after the window has filled
+    const SeededHash hash(config.seed);
+    std::unordered_map<KeywordId, std::set<UserId>> ever_used;
+    std::size_t checked = 0, expired_moved = 0, small_sets = 0;
+    std::uint64_t refreshes = 0, rescans = 0;
+    for (QuantumIndex q = 0; q < kQuanta; ++q) {
+      const stream::Quantum quantum = ChurnQuantum(q, rng);
+      for (const stream::Message& m : quantum.messages) {
+        for (KeywordId k : m.keywords) ever_used[k].insert(m.user);
+      }
+      const std::uint64_t refreshed_before = refreshed->Value();
+      const std::uint64_t rescanned_before = rescanned->Value();
+      const cluster::GraphDelta delta = akg.Process(quantum);
+      refreshes += refreshed->Value() - refreshed_before;
+      rescans += rescanned->Value() - rescanned_before;
       for (KeywordId k : RefreshedKeywords(builder, quantum)) {
-        EXPECT_EQ(restored->builder.ExportClusterSketch({k}),
-                  BruteForceWindowSignature(restored->builder, k));
+        const MinHashSignature brute = BruteForceWindowSignature(builder, k);
+        EXPECT_EQ(builder.ExportClusterSketch({k}), brute)
+            << "quantum " << q << " keyword " << k;
+        ++checked;
+        small_sets += builder.id_sets().WindowSupport(k) <= p;
+        // Expiry visibly moved the signature: the bottom-p over every user
+        // the keyword ever had differs from the window's.
+        MinHashSignature all_time;
+        for (UserId user : ever_used[k]) all_time.push_back(hash(user));
+        std::sort(all_time.begin(), all_time.end());
+        all_time.resize(std::min(all_time.size(), builder.sketch_size()));
+        if (all_time != brute) ++expired_moved;
+      }
+      if (restored) {
+        const bool first = q == kSaveAfter;
+        const std::uint64_t refreshed_before_restored = refreshed->Value();
+        const std::uint64_t rescanned_before_restored = rescanned->Value();
+        const cluster::GraphDelta again = restored->Process(quantum);
+        if (first) {
+          // Cold: every refresh of the restored builder's first quantum
+          // rescans.
+          EXPECT_GT(refreshed->Value(), refreshed_before_restored);
+          EXPECT_EQ(rescanned->Value() - rescanned_before_restored,
+                    refreshed->Value() - refreshed_before_restored);
+        }
+        ExpectSameDelta(delta, again);
+        EXPECT_EQ(SavedBytes(restored->builder), SavedBytes(builder))
+            << "quantum " << q;
+        for (KeywordId k : RefreshedKeywords(builder, quantum)) {
+          EXPECT_EQ(restored->builder.ExportClusterSketch({k}),
+                    BruteForceWindowSignature(restored->builder, k));
+        }
+      }
+      if (q + 1 == kSaveAfter) {
+        // The maintainer's graph is the AKG's edge set: it is saved and
+        // restored beside the builder, as in a detector snapshot.
+        BinaryWriter out;
+        builder.Save(out);
+        akg.maintainer.Save(out);
+        restored = std::make_unique<WiredBuilder>(config);
+        BinaryReader in(out.data());
+        ASSERT_TRUE(restored->builder.Restore(in));
+        ASSERT_TRUE(restored->maintainer.Restore(in));
+        ASSERT_TRUE(restored->builder.MatchesMaintainerGraph());
       }
     }
-    if (q + 1 == kSaveAfter) {
-      // The maintainer's graph is the AKG's edge set: it is saved and
-      // restored beside the builder, as in a detector snapshot.
-      BinaryWriter out;
-      builder.Save(out);
-      akg.maintainer.Save(out);
-      restored = std::make_unique<WiredBuilder>(config);
-      BinaryReader in(out.data());
-      ASSERT_TRUE(restored->builder.Restore(in));
-      ASSERT_TRUE(restored->maintainer.Restore(in));
-      ASSERT_TRUE(restored->builder.MatchesMaintainerGraph());
+    EXPECT_GT(checked, 30u);
+    EXPECT_GT(expired_moved, 0u);
+    // The uninterrupted builder served some refreshes from the table.
+    EXPECT_LT(rescans, refreshes);
+    if (p == 16) {
+      EXPECT_GT(small_sets, checked / 2);
     }
   }
-  EXPECT_GT(checked, 30u);
-  EXPECT_GT(expired_moved, 0u);
 }
 
 // A drifting vocabulary: quantum q draws keywords from [3q, 3q + 16), so a

@@ -281,8 +281,8 @@ struct ForgedSnapshot {
   bool akg_edge = true;
   // Edge {1, 2} in the maintainer's graph.
   bool maintainer_edge = true;
-  // Signatures for keywords 1 and 2.
-  bool signatures = true;
+  // The keywords with a signature, in section order.
+  std::vector<KeywordId> signed_keywords = {1, 2};
   // A last-bursty stamp for keyword 3, which is not a member.
   bool orphan_stamp = false;
 
@@ -329,13 +329,11 @@ struct ForgedSnapshot {
       w.U32(1);
       w.U32(2);
     }
-    w.U64(signatures ? 2 : 0);
-    if (signatures) {
-      for (KeywordId keyword : {1u, 2u}) {
-        w.U32(keyword);
-        w.U32(1);
-        w.U64(1000 + keyword);
-      }
+    w.U64(signed_keywords.size());
+    for (KeywordId keyword : signed_keywords) {
+      w.U32(keyword);
+      w.U32(1);
+      w.U64(1000 + keyword);
     }
     w.U64(akg_edge ? 1 : 0);  // correlations
     if (akg_edge) {
@@ -374,12 +372,21 @@ TEST(CheckpointFuzzTest, ForgedSnapshotBaselineLoads) {
 
 TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
   // The AKG edge's endpoints have no signatures: if the loader accepted
-  // it, the next quantum's lazy re-validation would call signatures_.at()
-  // on them and abort. The edge is in every section that holds edges, so
-  // the signature check is the one that rejects it.
-  EXPECT_EQ(LoadBytes(ForgedSnapshot{.signatures = false}.Bytes(), nullptr),
+  // it, the next quantum's lazy re-validation would look their signatures
+  // up and abort. The edge is in every section that holds edges, so the
+  // signature check is the one that rejects it.
+  EXPECT_EQ(LoadBytes(ForgedSnapshot{.signed_keywords = {}}.Bytes(), nullptr),
             nullptr)
       << "signature-less AKG edge accepted — would crash on next quantum";
+  // The signature table is keyword-ascending, as Save writes it: a section
+  // out of that order, or one that signs a keyword twice, is refused.
+  for (const std::vector<KeywordId>& keywords :
+       {std::vector<KeywordId>{2, 1}, std::vector<KeywordId>{1, 1, 2}}) {
+    EXPECT_EQ(
+        LoadBytes(ForgedSnapshot{.signed_keywords = keywords}.Bytes(), nullptr),
+        nullptr)
+        << "signature section out of keyword order accepted";
+  }
 }
 
 TEST(CheckpointFuzzTest, MaintainerEdgeWithoutCorrelationIsRejected) {

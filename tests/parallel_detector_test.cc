@@ -110,5 +110,27 @@ TEST(ParallelDetectorTest, ProcessQuantumMatchesPushPath) {
   ExpectReportsEqual(via_push, via_batch);
 }
 
+// Only the first pre-built quantum re-bases the clock. A later index other
+// than the clock's next one (a forward jump or a repeat) aborts in the
+// engine's own check, before the quantizer or the core changes.
+TEST(ParallelDetectorTest, LaterQuantumMustCarryTheNextIndex) {
+  const stream::SyntheticTrace trace = SmallTrace();
+  detect::DetectorConfig config;
+  config.quantum_size = 160;
+  const std::vector<stream::Quantum> quanta =
+      stream::SplitIntoQuanta(trace.messages, config.quantum_size);
+  ParallelDetector detector({config}, &trace.dictionary);
+  detector.ProcessQuantum(quanta[0]);
+  detector.ProcessQuantum(quanta[1]);
+  EXPECT_EQ(detector.next_quantum_index(), 2);
+  stream::Quantum jump = quanta[2];
+  jump.index = 5;
+  EXPECT_DEATH(detector.ProcessQuantum(jump),
+               "quantum\\.index == quantizer_\\.next_index\\(\\)");
+  EXPECT_DEATH(detector.ProcessQuantum(quanta[1]),
+               "quantum\\.index == quantizer_\\.next_index\\(\\)");
+  EXPECT_EQ(detector.next_quantum_index(), 2);
+}
+
 }  // namespace
 }  // namespace scprt::engine

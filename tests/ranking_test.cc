@@ -1,8 +1,11 @@
 // Tests for rank/: the Section 6 rank function and the spurious-event
 // tracker of Section 7.2.2.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.h"
 #include "rank/rank_tracker.h"
 #include "rank/ranking.h"
 
@@ -12,15 +15,31 @@ namespace {
 using cluster::Cluster;
 using graph::Edge;
 
+// The rank of `c` with every member weighing `weight` and every edge at
+// `ec`.
+double UniformRank(const Cluster& c, double ec, double weight) {
+  const std::vector<double> weights(c.node_count(), weight);
+  const std::vector<EdgeTerm> edges(c.edge_count(),
+                                    EdgeTerm{weight, weight, ec});
+  return ClusterRank(weights, edges);
+}
+
 TEST(RankingTest, TriangleRankMatchesFormula) {
   Cluster c(1);
   c.InsertEdge(Edge::Of(1, 2));
   c.InsertEdge(Edge::Of(2, 3));
   c.InsertEdge(Edge::Of(1, 3));
-  const EcFn ec = [](const Edge&) { return 0.5; };
-  const WeightFn weight = [](graph::NodeId) { return 4.0; };
   // rank = (1/3) * [3*4 + 3 edges * (4+4)*0.5] = (12 + 12) / 3 = 8.
-  EXPECT_DOUBLE_EQ(ClusterRank(c, ec, weight), 8.0);
+  EXPECT_DOUBLE_EQ(UniformRank(c, 0.5, 4.0), 8.0);
+}
+
+TEST(RankingTest, PerNodeWeightsAndPerEdgeEc) {
+  // Triangle 1-2-3 with w = (1, 2, 3): each edge weighs its own endpoints.
+  const std::vector<double> weights = {1.0, 2.0, 3.0};
+  const std::vector<EdgeTerm> edges = {
+      {1.0, 2.0, 0.5}, {1.0, 3.0, 0.25}, {2.0, 3.0, 1.0}};
+  // (6 + 3*0.5 + 4*0.25 + 5*1) / 3 = 13.5 / 3.
+  EXPECT_DOUBLE_EQ(ClusterRank(weights, edges), 4.5);
 }
 
 TEST(RankingTest, HigherCorrelationHigherRank) {
@@ -28,12 +47,7 @@ TEST(RankingTest, HigherCorrelationHigherRank) {
   c.InsertEdge(Edge::Of(1, 2));
   c.InsertEdge(Edge::Of(2, 3));
   c.InsertEdge(Edge::Of(1, 3));
-  const WeightFn weight = [](graph::NodeId) { return 4.0; };
-  const double low =
-      ClusterRank(c, [](const Edge&) { return 0.2; }, weight);
-  const double high =
-      ClusterRank(c, [](const Edge&) { return 0.8; }, weight);
-  EXPECT_GT(high, low);
+  EXPECT_GT(UniformRank(c, 0.8, 4.0), UniformRank(c, 0.2, 4.0));
 }
 
 TEST(RankingTest, DenserClusterRanksHigher) {
@@ -49,9 +63,7 @@ TEST(RankingTest, DenserClusterRanksHigher) {
       dense.InsertEdge(Edge::Of(i, j));
     }
   }
-  const EcFn ec = [](const Edge&) { return 0.4; };
-  const WeightFn weight = [](graph::NodeId) { return 5.0; };
-  EXPECT_GT(ClusterRank(dense, ec, weight), ClusterRank(sparse, ec, weight));
+  EXPECT_GT(UniformRank(dense, 0.4, 5.0), UniformRank(sparse, 0.4, 5.0));
 }
 
 TEST(RankingTest, HigherSupportHigherRank) {
@@ -59,11 +71,7 @@ TEST(RankingTest, HigherSupportHigherRank) {
   c.InsertEdge(Edge::Of(1, 2));
   c.InsertEdge(Edge::Of(2, 3));
   c.InsertEdge(Edge::Of(1, 3));
-  const EcFn ec = [](const Edge&) { return 0.3; };
-  const double weak = ClusterRank(c, ec, [](graph::NodeId) { return 4.0; });
-  const double strong =
-      ClusterRank(c, ec, [](graph::NodeId) { return 40.0; });
-  EXPECT_GT(strong, weak);
+  EXPECT_GT(UniformRank(c, 0.3, 40.0), UniformRank(c, 0.3, 4.0));
 }
 
 TEST(RankingTest, NormalizationStopsMonotonicSizeGrowth) {
@@ -76,20 +84,11 @@ TEST(RankingTest, NormalizationStopsMonotonicSizeGrowth) {
   for (graph::NodeId i = 0; i < 20; ++i) {
     big.InsertEdge(Edge::Of(i, (i + 1) % 20));
   }
-  const WeightFn weight = [](graph::NodeId) { return 4.0; };
-  const double small_rank =
-      ClusterRank(small, [](const Edge&) { return 0.9; }, weight);
-  const double big_rank =
-      ClusterRank(big, [](const Edge&) { return 0.1; }, weight);
-  EXPECT_GT(small_rank, big_rank);
+  EXPECT_GT(UniformRank(small, 0.9, 4.0), UniformRank(big, 0.1, 4.0));
 }
 
 TEST(RankingTest, EmptyClusterRankIsZero) {
-  Cluster c(1);
-  EXPECT_DOUBLE_EQ(ClusterRank(
-                       c, [](const Edge&) { return 1.0; },
-                       [](graph::NodeId) { return 1.0; }),
-                   0.0);
+  EXPECT_DOUBLE_EQ(UniformRank(Cluster(1), 1.0, 1.0), 0.0);
 }
 
 TEST(RankingTest, MinRankThreshold) {
