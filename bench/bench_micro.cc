@@ -17,6 +17,7 @@
 #include "akg/quantum_aggregate.h"
 #include "cluster/maintenance.h"
 #include "cluster/offline.h"
+#include "common/binary_io.h"
 #include "common/random.h"
 #include "graph/graph.h"
 #include "graph/short_cycle.h"
@@ -186,6 +187,26 @@ void BM_IdSetIngest(benchmark::State& state) {
   benchmark::DoNotOptimize(sets.active_keywords());
 }
 BENCHMARK(BM_IdSetIngest);
+
+// A full w = 30 window saved and restored: the id sets' share of a
+// snapshot commit and of a load. Save writes the history in one pass;
+// Restore reads it back in one pass and refolds the window table with
+// radix passes.
+void BM_IdSetRestore(benchmark::State& state) {
+  akg::UserIdSets sets(30);
+  for (const stream::Quantum& quantum : ZipfQuanta(30, 12)) {
+    sets.IngestAggregate(akg::AggregateQuantum(quantum));
+  }
+  akg::UserIdSets restored(30);
+  for (auto _ : state) {
+    BinaryWriter out;
+    sets.Save(out);
+    BinaryReader in(out.data());
+    if (!restored.Restore(in)) state.SkipWithError("restore failed");
+  }
+  state.counters["rows"] = static_cast<double>(restored.window_rows());
+}
+BENCHMARK(BM_IdSetRestore);
 
 // Steady-state node automaton at w = 30, theta = 3: each quantum's
 // keyword runs (~410 keywords of a 20000-word Zipf vocabulary) merged into

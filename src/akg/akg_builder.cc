@@ -4,6 +4,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <span>
 #include <unordered_set>
 #include <utility>
@@ -71,8 +72,9 @@ cluster::GraphDelta AkgBuilder::ProcessQuantum(
   // The maintainer's graph is the AKG as of the previous quantum.
   const graph::DynamicGraph& akg = maintainer_.graph();
   SCPRT_CHECK(akg.edge_count() == edge_ec_.size());
-  // The id sets stamp their history by position (UserIdSets::LastSeen), so
-  // every quantum after the first must be the one after the last.
+  // The id sets stamp their history by position (a load reads the members'
+  // last-seen quanta from it), so every quantum after the first must be
+  // the one after the last.
   SCPRT_CHECK(id_sets_.depth() == 0 ||
               (now_ < std::numeric_limits<QuantumIndex>::max() &&
                quantum.index == now_ + 1));
@@ -293,15 +295,17 @@ void AkgBuilder::CorrelateEdges(const std::vector<KeywordId>& bursty,
   }
   last_stats_.pairs_screened = candidates.size();
 
-  // Screen each candidate (cheap signature comparison), then compute and
-  // record its EC in candidate order. Bursty keywords are never evicted,
-  // so the previous quantum's graph answers HasEdge.
+  // Compute and record each new candidate's EC in candidate order. The
+  // candidates need no further screen: kExact pairs every two bursty
+  // keywords, and in the Min-Hash modes both keywords of a pair come from
+  // one bucket of the published signatures, so they share that value.
+  // Bursty keywords are never evicted, so the previous quantum's graph
+  // answers HasEdge.
   const graph::DynamicGraph& akg = maintainer_.graph();
   for (const auto& [a, b] : candidates) {
     if (akg.HasEdge(a, b)) continue;
     const MinHashSignature& sig_a = SignatureOf(a);
     const MinHashSignature& sig_b = SignatureOf(b);
-    if (!PassesScreen(config_.ec_mode, sig_a, sig_b)) continue;
     ++last_stats_.ec_computed;
     // Below gamma the pair is dropped, so its EC need not be exact.
     const double ec = ComputeEc(config_.ec_mode, id_sets_, a, b, sig_a,
@@ -366,13 +370,7 @@ std::size_t AkgBuilder::sketch_size() const { return hasher_.p(); }
 void AkgBuilder::Save(BinaryWriter& out) const {
   out.I64(now_);
   id_sets_.Save(out);
-  node_state_.Save(out, id_sets_.LastSeen(now_));
-
-  // The AKG as a graph section: the members and the correlated edges.
-  graph::DynamicGraph akg;
-  for (KeywordId keyword : node_state_.Members()) akg.AddNode(keyword);
-  for (const auto& [e, _] : edge_ec_) akg.AddEdge(e.u, e.v);
-  akg.Save(out);
+  node_state_.Save(out);
 
   out.U64(signatures_.size());
   for (const SignatureEntry& entry : signatures_) {
@@ -413,26 +411,27 @@ bool AkgBuilder::Restore(BinaryReader& in) {
   };
   reset();
   now_ = in.I64();
+  // A member's last-seen quantum is the newest history entry that holds
+  // it, counted back from the clock.
+  const auto last_seen = [this](KeywordId keyword) {
+    const std::optional<std::size_t> age = id_sets_.QuantaSinceSeen(keyword);
+    return age.has_value()
+               ? std::optional(now_ - static_cast<QuantumIndex>(*age))
+               : std::nullopt;
+  };
   // The clock is the history's newest quantum: indices count from 0, so it
   // is at least depth - 1, and the next quantum's index must fit.
-  // The graph section is derived (Save): its nodes must be the members,
-  // and its edges the correlations checked below.
-  graph::DynamicGraph akg;
   if (!id_sets_.Restore(in) ||
       now_ < static_cast<QuantumIndex>(id_sets_.depth()) - 1 ||
       now_ == std::numeric_limits<QuantumIndex>::max() ||
-      !node_state_.Restore(in, id_sets_.LastSeen(now_)) ||
-      !akg.Restore(in)) {
+      !node_state_.Restore(in, last_seen)) {
     reset();
     return false;
   }
-  std::vector<KeywordId> nodes = akg.Nodes();
-  std::sort(nodes.begin(), nodes.end());
 
   const std::size_t p = hasher_.p();
   const std::uint64_t signatures = in.U64();
-  bool valid = nodes == node_state_.Members() &&
-               in.CheckLength(signatures, 4 + 4 + 8);
+  bool valid = in.CheckLength(signatures, 4 + 4 + 8);
   if (valid) signatures_.reserve(signatures);
   for (std::uint64_t i = 0; valid && i < signatures; ++i) {
     const KeywordId keyword = in.U32();
@@ -463,28 +462,30 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     entry.published = std::move(sig);
   }
 
+  // The correlations are the AKG's edges: strictly ascending as Save
+  // writes them, between two members, each EC in [0, 1].
   const std::uint64_t correlations = valid ? in.U64() : 0;
   valid = valid && in.CheckLength(correlations, 4 + 4 + 8);
+  Edge last{};
   for (std::uint64_t i = 0; valid && i < correlations; ++i) {
-    const KeywordId u = in.U32();
-    const KeywordId v = in.U32();
+    const Edge e{in.U32(), in.U32()};
     const double ec = in.F64();
-    // Correlations exist exactly for AKG edges, in [0, 1].
-    if (!in.ok() || u >= v || !akg.HasEdge(u, v) || !(ec >= 0.0) ||
-        !(ec <= 1.0) ||
-        !edge_ec_.emplace(Edge{u, v}, ec).second) {
+    if (!in.ok() || e.u >= e.v || (i > 0 && !(last < e)) ||
+        !node_state_.InAkg(e.u) || !node_state_.InAkg(e.v) || !(ec >= 0.0) ||
+        !(ec <= 1.0)) {
       valid = false;
       break;
     }
+    edge_ec_.emplace(e, ec);
+    last = e;
   }
-  valid = valid && correlations == akg.edge_count();
 
   // The lazy re-validation loop reads SignatureOf() every AKG edge
   // endpoint, so that invariant must hold even for a forged payload with a
-  // valid CRC — reject rather than abort later. Signatures of other
-  // keywords (older builds kept an evicted keyword's) are accepted.
+  // valid CRC — reject rather than abort later. A signature of another
+  // keyword is read by nothing, and is accepted.
   if (valid) {
-    for (const Edge& e : akg.Edges()) {
+    for (const auto& [e, _] : edge_ec_) {
       if (FindSignature(e.u) == nullptr || FindSignature(e.v) == nullptr) {
         valid = false;
         break;

@@ -8,10 +8,14 @@
 //
 // The window id sets are the only window state: the CKG node count and
 // every window keyword's last-seen quantum are read from them, and the
-// node automaton holds the AKG members alone. A keyword's signature is
-// the bottom-p of its window id set, published only when an AKG member is
-// refreshed (bursty, or seen this quantum); nothing is sketched for the
-// rest of the quantum's vocabulary.
+// node automaton holds the AKG members alone. A snapshot therefore holds
+// only generating state: the id-set history, the automaton's members and
+// last-bursty stamps, the published signatures and the correlations (the
+// AKG's edges), with no separate graph section and no last-seen list.
+//
+// A keyword's signature is the bottom-p of its window id set, published
+// only when an AKG member is refreshed (bursty, or seen this quantum);
+// nothing is sketched for the rest of the quantum's vocabulary.
 //
 // The signatures live in one keyword-ascending table. Beside the published
 // signature (the bottom-p at the keyword's last refresh, which the EC
@@ -123,19 +127,18 @@ class AkgBuilder {
   const AkgQuantumStats& last_stats() const { return last_stats_; }
   const AkgConfig& config() const { return config_; }
 
-  /// Serializes every derived structure of the AKG layer — id-set window
-  /// histories, the window keywords' last-seen stamps (derived from the
-  /// histories), node automaton, the graph (members and correlated edges),
-  /// Min-Hash signatures, edge correlations (bit-exact doubles) and the
-  /// quantum clock — in canonical order. The hash function itself is
-  /// config-derived and not stored.
+  /// Serializes the AKG layer's generating state — the quantum clock, the
+  /// id-set history, the node automaton, the published Min-Hash signatures
+  /// and the edge correlations (the AKG's edges, ascending, bit-exact
+  /// doubles) — in canonical order. The window table, the members'
+  /// last-seen stamps and the hash function are derived, and not stored.
   void Save(BinaryWriter& out) const;
 
   /// Replaces this builder's state with Save()'s encoding. Must be called
   /// on a builder constructed with the same AkgConfig. Returns false on
-  /// malformed input (last-seen stamps other than the id sets', or a graph
-  /// other than the members and correlated edges, included); the builder
-  /// is reset to empty in that case.
+  /// malformed input (a member no history entry holds, or a correlation
+  /// out of order, with a non-member endpoint or an EC outside [0, 1],
+  /// included); the builder is reset to empty in that case.
   bool Restore(BinaryReader& in);
 
  private:

@@ -16,10 +16,4 @@ double ComputeEc(EcMode mode, const UserIdSets& sets, KeywordId a,
   return 0.0;
 }
 
-bool PassesScreen(EcMode mode, const MinHashSignature& sig_a,
-                  const MinHashSignature& sig_b) {
-  if (mode == EcMode::kExact) return true;
-  return SharesValue(sig_a, sig_b);
-}
-
 }  // namespace scprt::akg

@@ -31,10 +31,6 @@ double ComputeEc(EcMode mode, const UserIdSets& sets, KeywordId a,
                  KeywordId b, const MinHashSignature& sig_a,
                  const MinHashSignature& sig_b, std::size_t p, double gamma);
 
-/// Pre-screen: true if the pair may have EC > 0 worth computing.
-bool PassesScreen(EcMode mode, const MinHashSignature& sig_a,
-                  const MinHashSignature& sig_b);
-
 }  // namespace scprt::akg
 
 #endif  // SCPRT_AKG_CORRELATION_H_

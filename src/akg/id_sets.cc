@@ -15,10 +15,6 @@ UserIdSets::UserIdSets(std::size_t window_length)
 
 namespace {
 
-// The snapshot layout's keyword groups: the saved history is split by
-// keyword mod kIdSetShards. Only Save and Restore group keywords.
-constexpr std::size_t kIdSetShards = 16;
-
 // Index of the first of the `n` ascending `keys` not below `key`, by a
 // branch-free binary search.
 std::size_t LowerBound(const KeywordId* keys, std::size_t n, KeywordId key) {
@@ -262,51 +258,24 @@ double UserIdSets::JaccardAtLeast(KeywordId a, KeywordId b,
   return ratio(intersection);
 }
 
-std::vector<std::pair<KeywordId, QuantumIndex>> UserIdSets::LastSeen(
-    QuantumIndex newest) const {
-  const std::vector<KeywordId>& directory = window_.directory;
-  std::vector<std::pair<KeywordId, QuantumIndex>> seen(directory.size());
-  for (std::size_t run = 0; run < directory.size(); ++run) {
-    seen[run].first = directory[run];
+std::optional<std::size_t> UserIdSets::QuantaSinceSeen(
+    KeywordId keyword) const {
+  // Newest entry first: most keywords asked about occurred lately.
+  const std::uint64_t first = PackPair(keyword, 0);
+  for (std::size_t age = 0; age < history_.size(); ++age) {
+    const HistoryEntry& entry = history_[history_.size() - 1 - age];
+    const auto it = std::lower_bound(entry.begin(), entry.end(), first);
+    if (it != entry.end() && PairKeyword(*it) == keyword) return age;
   }
-  // Oldest entry first, so a newer quantum's stamp overwrites an older
-  // one. Every entry keyword is a window keyword (the window is the fold
-  // of the history), so each entry is one merge against the directory.
-  const std::size_t depth = history_.size();
-  for (std::size_t j = 0; j < depth; ++j) {
-    const QuantumIndex quantum =
-        newest - static_cast<QuantumIndex>(depth - 1 - j);
-    std::size_t run = 0;
-    for (std::uint64_t pair : history_[j]) {
-      const KeywordId keyword = PairKeyword(pair);
-      while (directory[run] < keyword) ++run;
-      seen[run].second = quantum;
-    }
-  }
-  return seen;
+  return std::nullopt;
 }
 
 void UserIdSets::Save(BinaryWriter& out) const {
-  // Group g's part of entry j is slices[g * depth + j].
-  const std::size_t depth = history_.size();
-  std::vector<HistoryEntry> slices(kIdSetShards * depth);
-  for (std::size_t j = 0; j < depth; ++j) {
-    for (std::uint64_t pair : history_[j]) {
-      slices[PairKeyword(pair) % kIdSetShards * depth + j].push_back(pair);
-    }
-  }
-  out.U32(static_cast<std::uint32_t>(kIdSetShards));
   out.U64(window_length_);
-  for (std::size_t g = 0; g < kIdSetShards; ++g) {
-    out.U32(static_cast<std::uint32_t>(depth));
-    for (std::size_t j = 0; j < depth; ++j) {
-      const HistoryEntry& slice = slices[g * depth + j];
-      out.U64(slice.size());
-      for (std::uint64_t pair : slice) {
-        out.U32(PairKeyword(pair));
-        out.U32(PairUser(pair));
-      }
-    }
+  out.U32(static_cast<std::uint32_t>(history_.size()));
+  for (const HistoryEntry& entry : history_) {
+    out.U64(entry.size());
+    for (std::uint64_t pair : entry) out.U64(pair);
   }
 }
 
@@ -318,58 +287,43 @@ bool UserIdSets::Restore(BinaryReader& in) {
     left_.clear();
   };
   clear();
-  if (in.U32() != kIdSetShards || in.U64() != window_length_) {
+  const std::uint64_t window_length = in.U64();
+  const std::uint32_t depth = in.U32();
+  // Each entry holds at least its count, so a forged depth fails before
+  // the history is sized.
+  if (window_length != window_length_ || depth > window_length_ ||
+      !in.CheckLength(depth, 8)) {
     in.Fail();
     return false;
   }
-  // Group g's slice of entry j is appended to history_[j], so each entry
-  // holds its groups' slices in group order.
+  history_.resize(depth);
   std::size_t pairs = 0;
-  for (std::size_t g = 0; g < kIdSetShards && in.ok(); ++g) {
-    const std::uint32_t depth = in.U32();
-    // Every quantum adds one entry to every group, so depths must agree
-    // (and never exceed the window).
-    if (depth > window_length_ || (g > 0 && depth != history_.size())) {
+  for (HistoryEntry& entry : history_) {
+    const std::uint64_t count = in.U64();
+    if (!in.CheckLength(count, 8)) break;
+    entry.resize(count);
+    for (std::uint64_t& pair : entry) pair = in.U64();
+    // Canonical form: strictly ascending, so the pairs are distinct.
+    if (std::adjacent_find(entry.begin(), entry.end(),
+                           std::greater_equal<std::uint64_t>()) !=
+        entry.end()) {
       in.Fail();
       break;
     }
-    history_.resize(depth);
-    for (std::uint32_t j = 0; j < depth && in.ok(); ++j) {
-      HistoryEntry& entry = history_[j];
-      const std::uint64_t count = in.U64();
-      if (!in.CheckLength(count, 8)) break;
-      const std::size_t begin = entry.size();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const KeywordId keyword = in.U32();
-        const std::uint64_t pair = PackPair(keyword, in.U32());
-        // Canonical form: strictly ascending (so pairs are distinct) and
-        // group-local keywords.
-        if (keyword % kIdSetShards != g ||
-            (entry.size() > begin && entry.back() >= pair)) {
-          in.Fail();
-          break;
-        }
-        entry.push_back(pair);
-      }
-      pairs += count;
-    }
+    pairs += count;
   }
   if (!in.ok()) {
     clear();
     return false;
   }
 
-  // 1. An entry's group slices are keyword-disjoint and each (keyword,
-  //    user)-sorted, so ordering it by keyword alone sorts it.
+  // Refold the window: every saved pair sorted, so a (keyword, user) run's
+  // length is the pair's window count.
   std::vector<std::uint64_t> folded, scratch;
   folded.reserve(pairs);
-  for (HistoryEntry& entry : history_) {
-    RadixSort(entry, 4, scratch);
+  for (const HistoryEntry& entry : history_) {
     folded.insert(folded.end(), entry.begin(), entry.end());
   }
-
-  // 2. Refold the window: every saved pair sorted, so a (keyword, user)
-  //    run's length is the pair's window count.
   RadixSort(folded, 0, scratch);
   window_.users.reserve(folded.size());
   window_.counts.reserve(folded.size());

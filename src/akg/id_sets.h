@@ -33,16 +33,17 @@
 // gamma. A value it returns at or above gamma is the exact Jaccard.
 //
 // The id sets are the AKG layer's only record of the last w quanta: the
-// CKG node count is the directory's size, and each window keyword's
-// last-seen quantum is derived from the history (LastSeen). The snapshot
-// layout groups the saved pairs by keyword mod 16; that grouping exists
-// only in Save and Restore.
+// CKG node count is the directory's size, and a snapshot stores no
+// last-seen stamps, since the history answers them (QuantaSinceSeen). A
+// snapshot holds the history alone, each entry as it is in memory; Restore
+// refolds the window table from it.
 
 #ifndef SCPRT_AKG_ID_SETS_H_
 #define SCPRT_AKG_ID_SETS_H_
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -111,25 +112,20 @@ class UserIdSets {
   /// Number of quanta in the history: those ingested, at most w.
   std::size_t depth() const { return history_.size(); }
 
-  /// The window's keywords, ascending, each with the newest quantum whose
-  /// aggregate holds it. `newest` is the index of the last ingested
-  /// quantum, at least depth() - 1; the history entries must be
-  /// consecutive quanta (the quantizer feeds consecutive indices, and
-  /// AkgBuilder::ProcessQuantum checks it), so entry j of d is quantum
-  /// newest - (d - 1 - j). One linear pass over the history.
-  std::vector<std::pair<KeywordId, QuantumIndex>> LastSeen(
-      QuantumIndex newest) const;
+  /// How many quanta before the newest one the newest history entry that
+  /// holds `keyword` is (0 when the newest entry holds it), or nullopt when
+  /// no entry does. A binary search per entry, newest first.
+  std::optional<std::size_t> QuantaSinceSeen(KeywordId keyword) const;
 
-  /// Serializes the quantum history (the minimal generating state: the
-  /// window table is a fold of it) in 16 groups by keyword mod 16, each
-  /// entry of a group in (keyword, user)-sorted order.
+  /// Serializes the quantum history, the minimal generating state (the
+  /// window table is a fold of it): w, the depth, then each entry oldest
+  /// first as a count and its PackPair values in memory order.
   void Save(BinaryWriter& out) const;
 
-  /// Replaces this store with Save()'s encoding: each history entry is its
-  /// groups' pairs ordered by keyword, and the window table is every saved
-  /// pair sorted and counted (stable radix passes, no comparison sort).
-  /// Returns false on malformed input (group count or history depth
-  /// mismatch, overrun, unsorted entry, keyword in the wrong group); the
+  /// Replaces this store with Save()'s encoding; the window table is every
+  /// saved pair sorted and counted (stable radix passes, no comparison
+  /// sort). Returns false on malformed input (a window length other than
+  /// w, a depth above it, an overrun, an entry not strictly ascending); the
   /// store is cleared then.
   bool Restore(BinaryReader& in);
 

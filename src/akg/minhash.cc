@@ -7,19 +7,6 @@
 
 namespace scprt::akg {
 
-bool SharesValue(const MinHashSignature& a, const MinHashSignature& b) {
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) return true;
-    if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
 double EstimateJaccard(const MinHashSignature& a, const MinHashSignature& b,
                        std::size_t p) {
   if (a.empty() || b.empty()) return 0.0;

@@ -4,8 +4,8 @@
 // The paper's scheme hashes each user id once with a seeded 64-bit hash;
 // a keyword's signature is the p smallest distinct hash values over its
 // window id set. Two keywords sharing a signature value are candidate
-// edges (SharesValue); the bottom-p intersection also yields the standard
-// bottom-k Jaccard estimate (EstimateJaccard).
+// edges (the AKG builder's bucket join); the bottom-p intersection also
+// yields the standard bottom-k Jaccard estimate (EstimateJaccard).
 //
 // MinHasher::Sketch builds a signature from a distinct user set — the AKG
 // builder passes a keyword's window id set straight from UserIdSets when
@@ -35,9 +35,6 @@ namespace scprt::akg {
 
 /// A keyword's signature: up to p distinct hash values, sorted ascending.
 using MinHashSignature = std::vector<std::uint64_t>;
-
-/// True if the sorted signatures share at least one value (the screen).
-bool SharesValue(const MinHashSignature& a, const MinHashSignature& b);
 
 /// Bottom-k Jaccard estimate: |X n A n B| / |X| where X is the bottom-p of
 /// A u B under set semantics (duplicate values within a list count once).

@@ -109,9 +109,7 @@ bool ReadStampList(BinaryReader& in, Stamps& stamps) {
 
 }  // namespace
 
-void NodeStateAutomaton::Save(BinaryWriter& out,
-                              const Stamps& last_seen) const {
-  WriteStampList(out, last_seen);
+void NodeStateAutomaton::Save(BinaryWriter& out) const {
   Stamps last_bursty;
   for (const Member& member : members_) {
     if (member.has_last_bursty) {
@@ -123,31 +121,32 @@ void NodeStateAutomaton::Save(BinaryWriter& out,
   for (const Member& member : members_) out.U32(member.keyword);
 }
 
-bool NodeStateAutomaton::Restore(BinaryReader& in, const Stamps& last_seen) {
+bool NodeStateAutomaton::Restore(BinaryReader& in,
+                                 const LastSeenFn& last_seen) {
   members_.clear();
-  Stamps saved_seen, last_bursty;
-  bool valid = ReadStampList(in, saved_seen) && saved_seen == last_seen &&
-               ReadStampList(in, last_bursty);
+  Stamps last_bursty;
+  bool valid = ReadStampList(in, last_bursty);
   const std::uint64_t members = valid ? in.U64() : 0;
   valid = valid && in.CheckLength(members, 4);
-  std::size_t seen_row = 0;
   std::size_t bursty_row = 0;
   for (std::uint64_t i = 0; valid && i < members; ++i) {
     const KeywordId keyword = in.U32();
-    while (seen_row < last_seen.size() && last_seen[seen_row].first < keyword) {
-      ++seen_row;
-    }
-    // Members are strictly ascending, each is a window keyword (the
-    // eviction sweep reads its last-seen stamp), and a last-bursty stamp
-    // below this member belongs to no member.
+    // Members are strictly ascending, and a last-bursty stamp below this
+    // member belongs to no member.
     if (!in.ok() || (!members_.empty() && members_.back().keyword >= keyword) ||
-        seen_row == last_seen.size() || last_seen[seen_row].first != keyword ||
         (bursty_row < last_bursty.size() &&
          last_bursty[bursty_row].first < keyword)) {
       valid = false;
       break;
     }
-    Member member{keyword, false, last_seen[seen_row].second, 0};
+    // Each member is a window keyword: the eviction sweep reads its
+    // last-seen stamp.
+    const std::optional<QuantumIndex> seen = last_seen(keyword);
+    if (!seen.has_value()) {
+      valid = false;
+      break;
+    }
+    Member member{keyword, false, *seen, 0};
     if (bursty_row < last_bursty.size() &&
         last_bursty[bursty_row].first == keyword) {
       member.has_last_bursty = true;

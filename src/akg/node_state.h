@@ -11,17 +11,19 @@
 // State is one flat keyword-ascending member table, no hash maps: one
 // (keyword, last_seen, last_bursty) row per AKG member, a few hundred
 // rows. The window's other keywords are not the automaton's to track: the
-// id sets (akg/id_sets.h) are the only record of the last w quanta, and
-// the last-seen stamps the snapshot lists are derived from them. Each
-// quantum merges its ascending keyword runs into the member table, writing
-// a reused second buffer: the merge admits bursty keywords, stamps the
-// members that occurred and runs the stale/faded eviction sweep as it
-// goes, so every NodeStateUpdate list comes out ascending without a sort.
+// id sets (akg/id_sets.h) are the only record of the last w quanta, so a
+// snapshot stores no last-seen stamps and a load reads each member's from
+// them. Each quantum merges its ascending keyword runs into the member
+// table, writing a reused second buffer: the merge admits bursty keywords,
+// stamps the members that occurred and runs the stale/faded eviction sweep
+// as it goes, so every NodeStateUpdate list comes out ascending without a
+// sort.
 
 #ifndef SCPRT_AKG_NODE_STATE_H_
 #define SCPRT_AKG_NODE_STATE_H_
 
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -71,24 +73,24 @@ class NodeStateAutomaton {
 
   std::uint32_t high_threshold() const { return high_threshold_; }
 
-  /// Serializes the automaton as three keyword-sorted lists: the window
-  /// keywords' last-seen stamps `last_seen` (UserIdSets::LastSeen: the id
-  /// sets derive them), then the members' last-bursty stamps and the AKG
-  /// membership. Equal states give identical bytes.
-  void Save(BinaryWriter& out,
-            const std::vector<std::pair<KeywordId, QuantumIndex>>& last_seen)
-      const;
+  /// A keyword's last-seen quantum, or nullopt when it is not a window
+  /// keyword: what Restore reads each member's stamp from.
+  using LastSeenFn =
+      std::function<std::optional<QuantumIndex>(KeywordId keyword)>;
 
-  /// Replaces this automaton's state with Save()'s encoding; `last_seen`
-  /// is the list the id sets derive, and each member takes its last-seen
-  /// stamp from it. Returns false on malformed input — a saved last-seen
-  /// list other than `last_seen`, lists not strictly ascending, a member
-  /// absent from `last_seen`, a last-bursty stamp for a non-member — and
-  /// the automaton is cleared then. A member without a last-bursty stamp
-  /// loads as never bursty.
-  bool Restore(
-      BinaryReader& in,
-      const std::vector<std::pair<KeywordId, QuantumIndex>>& last_seen);
+  /// Serializes the automaton as two keyword-sorted lists: the members'
+  /// last-bursty stamps, then the AKG membership. The last-seen stamps are
+  /// not saved: the window id sets hold them. Equal states give identical
+  /// bytes.
+  void Save(BinaryWriter& out) const;
+
+  /// Replaces this automaton's state with Save()'s encoding; each member
+  /// takes its last-seen stamp from `last_seen`. Returns false on malformed
+  /// input — lists not strictly ascending, a member `last_seen` has no
+  /// stamp for, a last-bursty stamp for a non-member — and the automaton
+  /// is cleared then. A member without a last-bursty stamp loads as never
+  /// bursty.
+  bool Restore(BinaryReader& in, const LastSeenFn& last_seen);
 
  private:
   struct Member {

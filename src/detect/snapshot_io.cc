@@ -34,11 +34,8 @@ void SetError(ErrorCode* error, ErrorCode value) {
 // Reads and verifies one frame. Fails with kIo on an unreadable or empty
 // stream, kBadMagic, kVersionSkew, kKindMismatch, or kCorrupt on
 // truncation or CRC failure; the outputs are only written on success.
-// `frame_version` receives the container version the frame was written
-// under — payload parsers key version-gated fields off it.
 bool ReadFrame(std::istream& in, std::string& payload,
-               std::uint64_t* checkpoint_id, ErrorCode* error,
-               std::uint32_t* frame_version) {
+               std::uint64_t* checkpoint_id, ErrorCode* error) {
   SetError(error, ErrorCode::kCorrupt);
   char header_bytes[25];
   if (!in.read(header_bytes, sizeof(header_bytes))) {
@@ -83,20 +80,14 @@ bool ReadFrame(std::istream& in, std::string& payload,
   if (Crc32(body) != expected_crc) return false;
   payload = std::move(body);
   if (checkpoint_id != nullptr) *checkpoint_id = expected_crc;
-  if (frame_version != nullptr) *frame_version = version;
   SetError(error, ErrorCode::kNone);
   return true;
 }
 
 // Parses and validates a configuration. Fails if malformed or if any value
 // would violate a constructor precondition (the loader must never feed a
-// corrupt config into SCPRT_CHECK). `version` is the container version of
-// the enclosing frame: frames older than 4 have no trailing flag byte. A
-// flag byte of 1 marks state written by a build with the retired weighted
-// Min-Hash mode and sets kVersionSkew; other failures leave `error`
-// untouched.
-bool ReadConfig(BinaryReader& in, DetectorConfig& config,
-                std::uint32_t version, ErrorCode* error) {
+// corrupt config into SCPRT_CHECK).
+bool ReadConfig(BinaryReader& in, DetectorConfig& config) {
   DetectorConfig parsed;
   parsed.quantum_size = in.U64();
   parsed.akg.high_state_threshold = in.U32();
@@ -108,14 +99,6 @@ bool ReadConfig(BinaryReader& in, DetectorConfig& config,
   parsed.min_event_nodes = in.U64();
   parsed.min_rank_margin = in.F64();
   const std::uint8_t require_noun = in.U8();
-  const std::uint8_t flag = version >= 4 ? in.U8() : 0;
-  // A 1 here was written by a build that still had the weighted Min-Hash
-  // mode, whose signature state this build cannot restore.
-  if (in.ok() && flag == 1) {
-    SetError(error, ErrorCode::kVersionSkew);
-    in.Fail();
-    return false;
-  }
   // Constructor preconditions plus sanity ceilings — a corrupt config must
   // fail the load, not abort the process or reserve gigabytes.
   if (!in.ok() || parsed.quantum_size < 1 ||
@@ -125,8 +108,7 @@ bool ReadConfig(BinaryReader& in, DetectorConfig& config,
       parsed.akg.window_length < 1 ||
       parsed.akg.window_length > kMaxWindowLength ||
       parsed.akg.minhash_size > kMaxMinHashSize || ec_mode > 2 ||
-      !std::isfinite(parsed.min_rank_margin) || require_noun > 1 ||
-      flag > 1) {
+      !std::isfinite(parsed.min_rank_margin) || require_noun > 1) {
     in.Fail();
     return false;
   }
@@ -246,8 +228,6 @@ void WriteConfig(BinaryWriter& out, const DetectorConfig& config) {
   out.U64(config.min_event_nodes);
   out.F64(config.min_rank_margin);
   out.U8(config.require_noun ? 1 : 0);
-  // Version 4's trailing flag byte, always 0 (see ReadConfig).
-  out.U8(0);
 }
 
 void WriteMessages(BinaryWriter& out,
@@ -294,17 +274,14 @@ bool ReadFullSnapshot(
   if (ingest_present != nullptr) *ingest_present = false;
   std::string payload;
   std::uint64_t id = 0;
-  std::uint32_t version = kFormatVersion;
-  if (!ReadFrame(in, payload, &id, error, &version)) {
-    return false;
-  }
+  if (!ReadFrame(in, payload, &id, error)) return false;
   SetError(error, ErrorCode::kCorrupt);
   BinaryReader reader(payload);
   DetectorConfig config;
-  if (!ReadConfig(reader, config, version, error)) return false;
+  if (!ReadConfig(reader, config)) return false;
   if (!restore_state(reader, config)) return false;
-  // Version >= 3 snapshots may carry a trailing IngestState section; a PR
-  // 2-era payload simply ends here and restores a bare detector.
+  // A snapshot may carry a trailing IngestState section; a bare detector
+  // save ends here.
   bool have_ingest = false;
   if (reader.remaining() != 0) {
     IngestState parsed;

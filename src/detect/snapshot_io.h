@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //   0       8     magic "SCPRTSNP"
-//   8       4     format version (little-endian u32; currently 4)
+//   8       4     format version (little-endian u32; currently 5)
 //   12      1     kind: always 1 (2 was the retired delta file; any
 //                 other value is rejected as a kind mismatch)
 //   13      8     payload length in bytes (u64)
@@ -24,20 +24,16 @@
 // Message lists and the IngestState section are also the building blocks
 // of every WAL record, whose payload codec durability/wal_record.h owns.
 //
-// IngestState (version 3) is an optional trailing section with its own
-// magic / section version / length / CRC framing: the ingest frontend's
-// side of a live deployment — the keyword dictionary, admission seeds, the
-// source cursor to resume reading from, and the stream counters. Snapshots
-// written without it (version 2, or a bare detector save) restore a bare
-// detector exactly as before.
+// IngestState is an optional trailing section with its own magic /
+// section version / length / CRC framing: the ingest frontend's side of a
+// live deployment — the keyword dictionary, admission seeds, the source
+// cursor to resume reading from, and the stream counters. A bare detector
+// save has none and restores a bare detector.
 //
 // Versioning policy and skew rules (the full table is docs/formats.md):
-// the container version bumps on ANY encoding change. Loaders accept
-// [kMinFormatVersion, kFormatVersion]; version 2 payloads are a strict
-// prefix of version 3's (no IngestState), and version 4 appends one config
-// byte that is always 0 (a 1 is rejected as kVersionSkew; see
-// ReadFullSnapshot), so all three parse through the same path keyed on the
-// frame version. Version 1 (the replay era) and future versions are
+// the container version bumps on ANY encoding change, and loaders accept
+// exactly one version. Version 5 holds only the AKG layer's generating
+// state (akg/akg_builder.h); every other version, older or newer, is
 // rejected as kVersionSkew — checkpoints are recovery artifacts, not
 // archives, so there is no migration: take a fresh full snapshot after
 // upgrading.
@@ -62,12 +58,12 @@
 namespace scprt::detect::snapshot_io {
 
 inline constexpr char kMagic[8] = {'S', 'C', 'P', 'R', 'T', 'S', 'N', 'P'};
-/// Current container version (written by every save). Version 4 added a
-/// trailing config byte, now always 0 (docs/formats.md).
-inline constexpr std::uint32_t kFormatVersion = 4;
-/// Oldest container version still accepted by loaders (PR 2-era snapshots
-/// without an IngestState section).
-inline constexpr std::uint32_t kMinFormatVersion = 2;
+/// Current container version (written by every save). Version 5 dropped
+/// the derived AKG state: the last-seen list, the AKG graph section and
+/// the id sets' keyword groups (docs/formats.md).
+inline constexpr std::uint32_t kFormatVersion = 5;
+/// Oldest container version loaders accept: the current one alone.
+inline constexpr std::uint32_t kMinFormatVersion = kFormatVersion;
 
 /// The ingest frontend's durable state, carried as the optional trailing
 /// section of a snapshot payload. All fields are the values at the fence
@@ -125,11 +121,9 @@ bool ReadIngestSection(BinaryReader& in, IngestState& state,
 /// inside it), then the optional trailing IngestState. The single
 /// definition of full-payload acceptance (durability::LoadEngineSnapshot).
 /// Returns false (with the typed reason in `error`) on any failure: kIo
-/// for an unreadable or empty stream, kBadMagic, kVersionSkew (container,
-/// config flag or IngestState section), kKindMismatch, or kCorrupt for
-/// truncation, CRC failure and malformed payloads. A frame older than
-/// version 4 has no trailing config byte; a config byte of 1 marks state
-/// written by a build with the retired weighted Min-Hash mode.
+/// for an unreadable or empty stream, kBadMagic, kVersionSkew (container
+/// or IngestState section), kKindMismatch, or kCorrupt for truncation,
+/// CRC failure and malformed payloads.
 bool ReadFullSnapshot(
     std::istream& in,
     const std::function<bool(BinaryReader&, const DetectorConfig&)>&

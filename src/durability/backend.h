@@ -183,7 +183,7 @@ Error SaveSnapshot(const engine::ParallelDetector& engine, std::ostream& out,
 /// malformed input; `error` (optional out) receives the typed reason, or
 /// success. `ingest` / `ingest_present` (optional outs) receive the
 /// IngestState trailing section when the snapshot carries one; a snapshot
-/// without it (version 2, or a bare save) restores the bare engine.
+/// without it (a bare save) restores the bare engine.
 std::unique_ptr<engine::ParallelDetector> LoadEngineSnapshot(
     std::istream& in, const text::KeywordDictionary* dictionary,
     std::size_t threads, std::uint64_t* checkpoint_id = nullptr,

@@ -6,9 +6,12 @@
 // suite runs in the ASan+UBSan CI job) or balloon allocation from a forged
 // count. Hostile WAL records are fuzzed in wal_test.cc.
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "akg/quantum_aggregate.h"
 #include "common/binary_io.h"
 #include "common/random.h"
 #include "detect/snapshot_io.h"
@@ -70,11 +74,16 @@ std::unique_ptr<ParallelDetector> LoadBytes(
 }
 
 constexpr std::size_t kHeaderSize = 25;
-// Version 4's trailing config flag byte (always written as 0).
-constexpr std::size_t kConfigFlagOffset = kHeaderSize + 62;
+// The config section's last byte; a version-4 config carried one more.
+constexpr std::size_t kConfigEnd = kHeaderSize + 62;
 
-// Recomputes the header's payload-CRC field after an in-place edit.
-void RefreshPayloadCrc(std::string& bytes) {
+// Recomputes the header's payload-length and payload-CRC fields after an
+// edit of the payload.
+void RefreshPayloadFields(std::string& bytes) {
+  const std::uint64_t length = bytes.size() - kHeaderSize;
+  for (int i = 0; i < 8; ++i) {
+    bytes[13 + i] = static_cast<char>(length >> (8 * i));
+  }
   const std::uint32_t crc =
       Crc32(std::string_view(bytes).substr(kHeaderSize));
   for (int i = 0; i < 4; ++i) {
@@ -82,26 +91,14 @@ void RefreshPayloadCrc(std::string& bytes) {
   }
 }
 
-// Rewrites a current (version-4) full frame as the byte-exact legacy
-// encoding `version` wrote: version 4 appended the config flag byte at
-// config offset 62, so dropping that byte and refreshing the header's
-// version, length and payload-CRC fields reproduces what the version 2/3
-// serializers emitted (a v2 payload is a strict prefix of v3's: no
-// IngestState section — the fixture's bare save has none).
-std::string AsLegacyVersion(std::string bytes, std::uint8_t version) {
-  EXPECT_EQ(bytes[kConfigFlagOffset], 0) << "flag byte must be written as 0";
-  bytes.erase(kConfigFlagOffset, 1);
-  bytes[8] = static_cast<char>(version);
-  std::uint64_t length = 0;
-  for (int i = 7; i >= 0; --i) {
-    length = (length << 8) | static_cast<unsigned char>(bytes[13 + i]);
-  }
-  --length;
-  for (int i = 0; i < 8; ++i) {
-    bytes[13 + i] = static_cast<char>(length >> (8 * i));
-  }
-  RefreshPayloadCrc(bytes);
-  return bytes;
+// The typed reason the loader gives for `bytes` (kNone on success).
+durability::ErrorCode LoadError(const std::string& bytes) {
+  std::stringstream in(bytes);
+  durability::Error error;
+  const auto engine = durability::LoadEngineSnapshot(
+      in, &SharedFixture().trace.dictionary, 1, nullptr, &error);
+  EXPECT_EQ(engine == nullptr, !error.ok());
+  return error.code;
 }
 
 TEST(CheckpointFuzzTest, ValidFixtureLoads) {
@@ -128,10 +125,8 @@ TEST(CheckpointFuzzTest, EverySingleBitFlipIsRejected) {
   const std::string& bytes = SharedFixture().full_bytes;
   // Dense sweep over the frame header and the payload head, strided sweep
   // over the rest; CRC-32 detects any single-bit error. Offset 8 is the
-  // version field's low byte: every single-bit flip of version 4 lands
-  // outside the accepted [2, 4] range, so no offset is exempt. Legacy
-  // versions stay loadable, but only through their genuine encodings —
-  // asserted separately below via AsLegacyVersion.
+  // version field's low byte: every single-bit flip of version 5 lands on
+  // another version, which no loader accepts, so no offset is exempt.
   std::vector<std::size_t> offsets;
   for (std::size_t i = 0; i < 256 && i < bytes.size(); ++i) {
     offsets.push_back(i);
@@ -144,25 +139,20 @@ TEST(CheckpointFuzzTest, EverySingleBitFlipIsRejected) {
     EXPECT_EQ(LoadBytes(corrupt), nullptr)
         << "bit flip at byte " << offset << " survived";
   }
-  EXPECT_NE(LoadBytes(AsLegacyVersion(bytes, 2)), nullptr)
-      << "version 2 (PR 2-era) snapshot must still load";
-  EXPECT_NE(LoadBytes(AsLegacyVersion(bytes, 3)), nullptr)
-      << "version 3 snapshot must still load";
 }
 
 TEST(CheckpointFuzzTest, VersionAndKindSkewAreRejected) {
   const std::string& bytes = SharedFixture().full_bytes;
   // The version field is the little-endian u32 at offset 8 (after the
-  // 8-byte magic).
-  {
+  // 8-byte magic). Version 1 was the replay era; versions 2-4 held the
+  // derived AKG state that version 5 dropped; the last is a future one.
+  // Each is typed skew (take a fresh snapshot), never damage.
+  for (const std::uint32_t version :
+       {1u, 2u, 3u, 4u, sio::kFormatVersion + 1}) {
     std::string skewed = bytes;
-    skewed[8] = static_cast<char>(1);  // the replay era, long gone
-    EXPECT_EQ(LoadBytes(skewed), nullptr) << "version 1 accepted";
-  }
-  {
-    std::string skewed = bytes;
-    skewed[8] = static_cast<char>(sio::kFormatVersion + 1);
-    EXPECT_EQ(LoadBytes(skewed), nullptr) << "future version accepted";
+    skewed[8] = static_cast<char>(version);
+    EXPECT_EQ(LoadError(skewed), durability::ErrorCode::kVersionSkew)
+        << "version " << version;
   }
   // The kind byte at offset 12: 2 was the retired delta-file frame, and
   // no kind but a full snapshot loads. The CRC covers only the payload, so
@@ -180,32 +170,25 @@ TEST(CheckpointFuzzTest, VersionAndKindSkewAreRejected) {
   }
 }
 
-TEST(CheckpointFuzzTest, SetConfigFlagIsVersionSkew) {
-  // A version-4 frame whose config flag byte is 1 was written by a build
-  // with the retired weighted Min-Hash mode. Behind a valid CRC it must
-  // fail as version skew (take a fresh snapshot), not as damage, and must
-  // not crash.
-  std::string flagged = SharedFixture().full_bytes;
-  ASSERT_EQ(flagged[kConfigFlagOffset], 0);
-  flagged[kConfigFlagOffset] = 1;
-  RefreshPayloadCrc(flagged);
-  {
-    std::stringstream in(flagged);
-    durability::Error error;
-    EXPECT_EQ(durability::LoadEngineSnapshot(
-                  in, &SharedFixture().trace.dictionary, 1, nullptr, &error),
-              nullptr);
-    EXPECT_EQ(error.code, durability::ErrorCode::kVersionSkew);
+TEST(CheckpointFuzzTest, VersionFourFrameIsVersionSkew) {
+  // A version-4 frame: its config ended in a flag byte (0, or 1 from a
+  // build with the retired weighted Min-Hash mode), and its AKG section
+  // carried the derived state version 5 dropped. Behind a valid CRC either
+  // must fail as version skew (take a fresh snapshot), not as damage, and
+  // must not crash.
+  for (const char flag : {char(0), char(1)}) {
+    std::string v4 = SharedFixture().full_bytes;
+    v4[8] = 4;
+    v4.insert(kConfigEnd, 1, flag);
+    RefreshPayloadFields(v4);
+    EXPECT_EQ(LoadError(v4), durability::ErrorCode::kVersionSkew)
+        << "flag byte " << int(flag);
   }
-  // Any other non-zero flag byte is damage.
-  flagged[kConfigFlagOffset] = 2;
-  RefreshPayloadCrc(flagged);
-  std::stringstream in(flagged);
-  durability::Error error;
-  EXPECT_EQ(durability::LoadEngineSnapshot(
-                in, &SharedFixture().trace.dictionary, 1, nullptr, &error),
-            nullptr);
-  EXPECT_EQ(error.code, durability::ErrorCode::kCorrupt);
+  // The same byte in a version-5 frame is damage: the config has none.
+  std::string flagged = SharedFixture().full_bytes;
+  flagged.insert(kConfigEnd, 1, char(0));
+  RefreshPayloadFields(flagged);
+  EXPECT_EQ(LoadError(flagged), durability::ErrorCode::kCorrupt);
 }
 
 TEST(CheckpointFuzzTest, ForgedLengthFieldsDoNotAllocate) {
@@ -266,21 +249,22 @@ TEST(CheckpointFuzzTest, ForgedLengthFieldsDoNotAllocate) {
 // A CRC-valid detector snapshot forged field by field, mirroring
 // detect::EventDetector::SaveState's section order. By default it holds
 // a one-quantum window (quantum 0: keywords 1, 2 and 3, each used by user
-// 9) and an AKG of members {1, 2} joined by edge {1, 2} — in the AKG graph
-// section, the correlations and the maintainer's graph — with signatures
-// for both. It loads; each field below forges one fault.
+// 9) and an AKG of members {1, 2} joined by edge {1, 2} — in the
+// correlations and the maintainer's graph — with signatures for both. It
+// loads; each field below forges one fault.
 struct ForgedSnapshot {
+  using Pair = std::pair<KeywordId, KeywordId>;
+
   // The AKG builder's clock: the newest quantum of the id-set history.
   QuantumIndex clock = 0;
-  // The last-seen list, which must be the one the id sets derive.
-  std::vector<std::pair<KeywordId, QuantumIndex>> last_seen = {
-      {1, 0}, {2, 0}, {3, 0}};
-  // Node list of the AKG graph section (the automaton's members: {1, 2}).
-  std::vector<KeywordId> graph_nodes = {1, 2};
-  // Edge {1, 2} in the AKG graph and correlation sections.
-  bool akg_edge = true;
-  // Edge {1, 2} in the maintainer's graph.
-  bool maintainer_edge = true;
+  // The automaton's members, in section order; each takes its last-seen
+  // stamp from the history (keywords 1-3 are in it).
+  std::vector<KeywordId> members = {1, 2};
+  // The correlations' edges, in section order.
+  std::vector<Pair> correlations = {{1, 2}};
+  // The maintainer's graph edges; the distinct correlations' edges when
+  // unset.
+  std::optional<std::vector<Pair>> maintainer_edges = std::nullopt;
   // The keywords with a signature, in section order.
   std::vector<KeywordId> signed_keywords = {1, 2};
   // A last-bursty stamp for keyword 3, which is not a member.
@@ -295,22 +279,10 @@ struct ForgedSnapshot {
     w.I64(1);  // next_index
     w.U64(0);  // no pending messages
     w.I64(clock);  // AkgBuilder clock
-    w.U32(16);  // id-set groups (keyword mod 16)
     w.U64(config.akg.window_length);
-    for (KeywordId group = 0; group < 16; ++group) {
-      w.U32(1);  // one quantum of history
-      const bool used = group >= 1 && group <= 3;
-      w.U64(used ? 1 : 0);
-      if (used) {
-        w.U32(group);  // keyword
-        w.U32(9);      // user
-      }
-    }
-    w.U64(last_seen.size());
-    for (const auto& [keyword, stamp] : last_seen) {
-      w.U32(keyword);
-      w.I64(stamp);
-    }
+    w.U32(1);  // one quantum of history: keywords 1, 2, 3, user 9
+    w.U64(3);
+    for (KeywordId keyword : {1u, 2u, 3u}) w.U64(akg::PackPair(keyword, 9));
     const std::vector<KeywordId> stamped =
         orphan_stamp ? std::vector<KeywordId>{1, 2, 3}
                      : std::vector<KeywordId>{1, 2};
@@ -319,40 +291,34 @@ struct ForgedSnapshot {
       w.U32(keyword);
       w.I64(0);
     }
-    w.U64(2);  // AKG members 1, 2
-    w.U32(1);
-    w.U32(2);
-    w.U64(graph_nodes.size());  // AKG graph section
-    for (KeywordId keyword : graph_nodes) w.U32(keyword);
-    w.U64(akg_edge ? 1 : 0);
-    if (akg_edge) {
-      w.U32(1);
-      w.U32(2);
-    }
+    w.U64(members.size());
+    for (KeywordId keyword : members) w.U32(keyword);
     w.U64(signed_keywords.size());
     for (KeywordId keyword : signed_keywords) {
       w.U32(keyword);
       w.U32(1);
       w.U64(1000 + keyword);
     }
-    w.U64(akg_edge ? 1 : 0);  // correlations
-    if (akg_edge) {
-      w.U32(1);
-      w.U32(2);
+    w.U64(correlations.size());
+    for (const auto& [u, v] : correlations) {
+      w.U32(u);
+      w.U32(v);
       w.F64(0.5);
     }
     for (int i = 0; i < 7; ++i) w.U64(0);  // AkgQuantumStats
     // Maintainer: graph, empty cluster set, clock, stats.
-    if (maintainer_edge) {
-      w.U64(2);  // nodes 1, 2
-      w.U32(1);
-      w.U32(2);
-      w.U64(1);  // edge {1, 2}
-      w.U32(1);
-      w.U32(2);
-    } else {
-      w.U64(0);
-      w.U64(0);
+    std::set<Pair> edges;
+    for (const auto& [u, v] : maintainer_edges.value_or(correlations)) {
+      edges.insert(std::minmax(u, v));
+    }
+    std::set<KeywordId> nodes;
+    for (const auto& [u, v] : edges) nodes.insert({u, v});
+    w.U64(nodes.size());
+    for (KeywordId node : nodes) w.U32(node);
+    w.U64(edges.size());
+    for (const auto& [u, v] : edges) {
+      w.U32(u);
+      w.U32(v);
     }
     w.U64(0);  // cluster next_id
     w.U64(0);  // cluster count
@@ -368,6 +334,14 @@ struct ForgedSnapshot {
 
 TEST(CheckpointFuzzTest, ForgedSnapshotBaselineLoads) {
   EXPECT_NE(LoadBytes(ForgedSnapshot{}.Bytes(), nullptr), nullptr);
+  // Three members joined by two ascending correlations load too: the
+  // baseline of the correlation cases below.
+  EXPECT_NE(LoadBytes(ForgedSnapshot{.members = {1, 2, 3},
+                                     .correlations = {{1, 2}, {1, 3}},
+                                     .signed_keywords = {1, 2, 3}}
+                          .Bytes(),
+                      nullptr),
+            nullptr);
 }
 
 TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
@@ -393,24 +367,55 @@ TEST(CheckpointFuzzTest, MaintainerEdgeWithoutCorrelationIsRejected) {
   // The maintainer's graph is the AKG's edge set, so an edge there with no
   // correlation would fail the builder's edge-count check on the next
   // quantum.
-  EXPECT_EQ(LoadBytes(ForgedSnapshot{.akg_edge = false}.Bytes(), nullptr),
+  EXPECT_EQ(LoadBytes(ForgedSnapshot{.correlations = {},
+                                     .maintainer_edges = {{{1, 2}}}}
+                          .Bytes(),
+                      nullptr),
             nullptr)
       << "maintainer edge without an AKG correlation accepted";
   // The same fault the other way round: a correlated edge the maintainer
   // does not hold.
   EXPECT_EQ(
-      LoadBytes(ForgedSnapshot{.maintainer_edge = false}.Bytes(), nullptr),
+      LoadBytes(ForgedSnapshot{.maintainer_edges = {{}}}.Bytes(), nullptr),
       nullptr)
       << "AKG correlation without a maintainer edge accepted";
 }
 
-TEST(CheckpointFuzzTest, AkgGraphNodesOtherThanMembersAreRejected) {
-  // The AKG graph section's nodes are the automaton's members; a section
-  // that lists a non-member is not one any run wrote.
+TEST(CheckpointFuzzTest, MemberHeldByNoHistoryEntryIsRejected) {
+  // A member's last-seen stamp is the newest history entry that holds it;
+  // keyword 4 is in none, so no run wrote it as a member.
   EXPECT_EQ(
-      LoadBytes(ForgedSnapshot{.graph_nodes = {1, 2, 3}}.Bytes(), nullptr),
+      LoadBytes(ForgedSnapshot{.members = {1, 2, 4}}.Bytes(), nullptr),
       nullptr)
-      << "AKG graph node outside the members accepted";
+      << "member outside the window accepted";
+}
+
+TEST(CheckpointFuzzTest, ForgedCorrelationsAreRejected) {
+  // The correlations are the AKG's edges as Save writes them: between two
+  // members, each pair ascending, the list strictly ascending. Each forged
+  // list is also the maintainer's graph and every endpoint is signed, so
+  // ForgedSnapshotBaselineLoads shows the list is the only fault.
+  for (const ForgedSnapshot& forged : {
+           // An endpoint that is not a member (keyword 3 is in the window).
+           ForgedSnapshot{.correlations = {{1, 2}, {1, 3}},
+                          .signed_keywords = {1, 2, 3}},
+           // A pair written high endpoint first.
+           ForgedSnapshot{.members = {1, 2, 3},
+                          .correlations = {{2, 1}},
+                          .signed_keywords = {1, 2, 3}},
+           // Out of order, and repeated.
+           ForgedSnapshot{.members = {1, 2, 3},
+                          .correlations = {{1, 3}, {1, 2}},
+                          .signed_keywords = {1, 2, 3}},
+           ForgedSnapshot{.members = {1, 2, 3},
+                          .correlations = {{1, 2}, {1, 2}},
+                          .signed_keywords = {1, 2, 3}},
+       }) {
+    EXPECT_EQ(LoadError(forged.Bytes()), durability::ErrorCode::kCorrupt)
+        << forged.correlations.size() << " correlations, first "
+        << forged.correlations[0].first << "-"
+        << forged.correlations[0].second;
+  }
 }
 
 TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
@@ -423,40 +428,21 @@ TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
       << "last-bursty stamp of a non-member accepted";
 }
 
-TEST(CheckpointFuzzTest, ForgedLastSeenStampOrClockIsRejected) {
-  // The last-seen list is derived from the id sets, counted back from the
-  // builder's clock, so a list that disagrees with them — a wrong stamp, a
-  // missing or an extra keyword — is not one any run wrote. Nor is a clock
-  // below the history's depth (a quantum index below 0) or one that leaves
-  // no index for the next quantum; each such clock comes with the stamps
-  // it would derive, and is refused before any stamp is computed.
-  // ForgedSnapshotBaselineLoads shows the list or clock is the only fault.
-  constexpr QuantumIndex kMax = std::numeric_limits<QuantumIndex>::max();
-  constexpr QuantumIndex kMin = std::numeric_limits<QuantumIndex>::min();
-  for (const ForgedSnapshot& forged : {
-           ForgedSnapshot{.last_seen = {{1, 0}, {2, -1}, {3, 0}}},
-           ForgedSnapshot{.last_seen = {{1, 0}, {2, 0}}},
-           ForgedSnapshot{.last_seen = {{1, 0}, {2, 0}, {3, 0}, {4, 0}}},
-           ForgedSnapshot{.clock = kMax,
-                          .last_seen = {{1, kMax}, {2, kMax}, {3, kMax}}},
-           ForgedSnapshot{.clock = kMin,
-                          .last_seen = {{1, kMin}, {2, kMin}, {3, kMin}}},
-           ForgedSnapshot{.clock = -1,
-                          .last_seen = {{1, -1}, {2, -1}, {3, -1}}},
-       }) {
-    std::stringstream in(forged.Bytes());
-    durability::Error error;
-    EXPECT_EQ(durability::LoadEngineSnapshot(
-                  in, &SharedFixture().trace.dictionary, 1, nullptr, &error),
-              nullptr);
-    EXPECT_EQ(error.code, durability::ErrorCode::kCorrupt);
+TEST(CheckpointFuzzTest, ForgedClockIsRejected) {
+  // The members' last-seen stamps are counted back from the builder's
+  // clock, so a clock below the history's depth (a quantum index below 0)
+  // or one that leaves no index for the next quantum is not one any run
+  // wrote; it is refused before any stamp is computed.
+  // ForgedSnapshotBaselineLoads shows the clock is the only fault.
+  for (const QuantumIndex clock :
+       {std::numeric_limits<QuantumIndex>::max(),
+        std::numeric_limits<QuantumIndex>::min(), QuantumIndex{-1}}) {
+    EXPECT_EQ(LoadError(ForgedSnapshot{.clock = clock}.Bytes()),
+              durability::ErrorCode::kCorrupt)
+        << "clock " << clock;
   }
-  // A later clock with its stamps loads.
-  EXPECT_NE(LoadBytes(ForgedSnapshot{.clock = 5,
-                                     .last_seen = {{1, 5}, {2, 5}, {3, 5}}}
-                          .Bytes(),
-                      nullptr),
-            nullptr);
+  // A later clock loads.
+  EXPECT_NE(LoadBytes(ForgedSnapshot{.clock = 5}.Bytes(), nullptr), nullptr);
 }
 
 TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {

@@ -669,7 +669,7 @@ TEST(DurableCountsTest, ShedCountsStopAtTheCursor) {
   EXPECT_LE(resumed.back().records_read, trace.messages.size());
 }
 
-// ------------------------------------- Version skew + PR 2-era reads ----
+// ------------------------------------------------------- Version skew ----
 
 // An engine with some real state to snapshot.
 std::unique_ptr<engine::ParallelDetector> WarmDetector(
@@ -685,34 +685,6 @@ std::unique_ptr<engine::ParallelDetector> WarmDetector(
   return detector;
 }
 
-// Rewrites a current (version-4, unweighted) bare full frame as the
-// byte-exact legacy encoding `version` wrote: version 4 appended the
-// weighted-Min-Hash flag at config offset 62, so dropping that byte and
-// refreshing the header's version, length and payload-CRC fields
-// reproduces what the version 2/3 serializers emitted (without an
-// IngestState section the two legacy payloads are identical).
-std::string AsLegacyVersion(std::string bytes, std::uint8_t version) {
-  constexpr std::size_t kHeaderSize = 25;
-  constexpr std::size_t kWeightedFlagOffset = kHeaderSize + 62;
-  EXPECT_EQ(bytes[kWeightedFlagOffset], 0) << "fixture must be unweighted";
-  bytes.erase(kWeightedFlagOffset, 1);
-  bytes[8] = static_cast<char>(version);
-  std::uint64_t length = 0;
-  for (int i = 7; i >= 0; --i) {
-    length = (length << 8) | static_cast<unsigned char>(bytes[13 + i]);
-  }
-  --length;
-  for (int i = 0; i < 8; ++i) {
-    bytes[13 + i] = static_cast<char>(length >> (8 * i));
-  }
-  const std::uint32_t crc =
-      Crc32(std::string_view(bytes).substr(kHeaderSize));
-  for (int i = 0; i < 4; ++i) {
-    bytes[21 + i] = static_cast<char>(crc >> (8 * i));
-  }
-  return bytes;
-}
-
 // The typed reason LoadEngineSnapshot gives for `in` (kNone on success).
 durability::ErrorCode LoadErrorOf(std::istream& in,
                                   const text::KeywordDictionary& dictionary) {
@@ -723,42 +695,17 @@ durability::ErrorCode LoadErrorOf(std::istream& in,
   return error.code;
 }
 
-TEST(SnapshotCompatTest, Pr2EraVersion2SnapshotRestoresABareDetector) {
-  const stream::SyntheticTrace trace = SmallTrace(41);
-  const detect::DetectorConfig config = SmallDetectorConfig();
-  const auto detector = WarmDetector(trace, config);
-
-  // A bare save (no IngestState section) rewritten to the legacy encoding
-  // is byte-for-byte what PR 2 (version 2) and the pre-weighted era
-  // (version 3) wrote; both must restore a bare engine.
-  std::stringstream out;
-  ASSERT_TRUE(durability::SaveSnapshot(*detector, out).ok());
-  ASSERT_EQ(out.str()[8], 4);
-
-  for (const std::uint8_t version : {std::uint8_t{2}, std::uint8_t{3}}) {
-    std::stringstream in(AsLegacyVersion(out.str(), version));
-    durability::Error error =
-        durability::MakeError(durability::ErrorCode::kCorrupt, "unset");
-    sio::IngestState ingest;
-    bool ingest_present = true;
-    const auto restored = durability::LoadEngineSnapshot(
-        in, &trace.dictionary, 1, nullptr, &error, &ingest,
-        &ingest_present);
-    ASSERT_NE(restored, nullptr) << "version " << int(version);
-    EXPECT_TRUE(error.ok());
-    EXPECT_FALSE(ingest_present);
-    EXPECT_EQ(restored->next_quantum_index(),
-              detector->next_quantum_index());
-  }
-}
-
 TEST(SnapshotCompatTest, VersionSkewIsTypedNotGenericFailure) {
   const stream::SyntheticTrace trace = SmallTrace(41);
   const auto detector = WarmDetector(trace, SmallDetectorConfig());
   std::stringstream out;
   ASSERT_TRUE(durability::SaveSnapshot(*detector, out).ok());
 
-  for (const char version : {char(1), char(sio::kFormatVersion + 1)}) {
+  // Version 1 was the replay era, versions 2-4 carried the derived AKG
+  // state version 5 dropped (2 also lacked the IngestState section), and
+  // the last is a future version: none loads, and each says why.
+  for (const char version :
+       {char(1), char(2), char(3), char(4), char(sio::kFormatVersion + 1)}) {
     std::string bytes = out.str();
     bytes[8] = version;
     std::stringstream in(bytes);

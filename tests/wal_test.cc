@@ -882,6 +882,46 @@ TEST(LegacyDirectoryTest, RetiredCheckpointFilesRefuseAFreshStart) {
       << resume.detail;
 }
 
+TEST(LegacyDirectoryTest, OlderFormatSegmentsFailAsVersionSkew) {
+  // Segments an older build wrote (container version 4, which still held
+  // the derived AKG state) are not damage: every generation fails as
+  // version skew, the trail names it for each segment, and the resume
+  // fails with the typed code instead of starting fresh or replaying logs.
+  const HarnessRun& run = SharedHarnessRun();
+  test_util::WalHarness wal("wal_v4_segments", run.trace.dictionary,
+                            /*full_interval=*/1);
+  engine::ParallelDetector head({run.config}, &run.trace.dictionary);
+  for (std::size_t q = 0; q < 12; ++q) {
+    head.ProcessQuantum(run.quanta[q]);
+    wal.Commit(head, run.quanta[q]);
+  }
+  const DirectoryListing listing = ListDurabilityFiles(wal.directory());
+  ASSERT_GE(listing.segments.size(), 2u);
+  for (const auto& [number, name] : listing.segments) {
+    // The version field is the u32 at offset 8; the CRC covers only the
+    // payload, so the frame reads as a sound version-4 one.
+    std::fstream segment(fs::path(wal.directory()) / name,
+                         std::ios::in | std::ios::out | std::ios::binary);
+    segment.seekp(8);
+    segment.put(4);
+  }
+
+  ingest::DurableConfig durable;
+  durable.directory = wal.directory();
+  engine::ParallelDetectorConfig engine_config;
+  engine_config.detector = run.config;
+  ingest::DurableIngest session(ingest::IngestConfig{}, engine_config,
+                                durable);
+  const ingest::ResumeResult resume = session.Resume();
+  EXPECT_EQ(resume.outcome, ingest::ResumeResult::Outcome::kFailed);
+  EXPECT_EQ(resume.error.code, ErrorCode::kVersionSkew)
+      << resume.error.ToString();
+  for (const auto& [number, name] : listing.segments) {
+    EXPECT_NE(resume.detail.find(name + ": version skew;"), std::string::npos)
+        << resume.detail;
+  }
+}
+
 TEST(LegacyDirectoryTest, AWalGenerationBesideLegacyFilesStillRecovers) {
   // Legacy files only block a directory that has no segment: one the WAL
   // already wrote a generation into recovers as usual.
