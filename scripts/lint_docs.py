@@ -8,6 +8,10 @@
    file-level comment, and every namespace-scope class, struct or enum
    declaration must be preceded by a doc comment (`///` or `//`); for a
    class template the comment sits above its `template <...>` line.
+3. Format-version drift: docs/formats.md's "container version (u32;
+   currently **N**)" must equal kFormatVersion in
+   src/detect/snapshot_io.h, and its container skew table must mark N,
+   and only N, as "(current) | accepted".
 
 Usage: lint_docs.py [--root REPO_ROOT]
 Exits non-zero listing every violation.
@@ -23,6 +27,15 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 DECL_RE = re.compile(r"^(class|struct|enum(?:\s+class)?)\s+\w+")
 
 HEADER_GLOB = "src/**/*.h"
+
+FORMATS_DOC = "docs/formats.md"
+SNAPSHOT_HEADER = "src/detect/snapshot_io.h"
+CODE_VERSION_RE = re.compile(
+    r"inline constexpr std::uint32_t kFormatVersion = (\d+);")
+DOC_VERSION_RE = re.compile(
+    r"container version \(u32; currently \*\*(\d+)\*\*\)")
+SKEW_TABLE_HEADER = "| container version | loader behavior |"
+CURRENT_ROW_RE = re.compile(r"^\|\s*(\d+) \(current\) \| accepted \|")
 
 
 def github_slug(heading):
@@ -107,19 +120,54 @@ def check_headers(root):
     return errors
 
 
+def check_format_version(root):
+    code = CODE_VERSION_RE.findall(
+        (root / SNAPSHOT_HEADER).read_text(encoding="utf-8"))
+    if len(code) != 1:
+        return [f"{SNAPSHOT_HEADER}: expected one kFormatVersion "
+                f"definition, found {len(code)}"]
+    version = code[0]
+    lines = (root / FORMATS_DOC).read_text(encoding="utf-8").splitlines()
+    errors = []
+    documented = [m.group(1) for line in lines
+                  for m in [DOC_VERSION_RE.search(line)] if m]
+    if documented != [version]:
+        errors.append(f"{FORMATS_DOC}: container version field says "
+                      f"{documented or 'nothing'}, {SNAPSHOT_HEADER} "
+                      f"says kFormatVersion = {version}")
+    # The container skew table: the rows after its header line.
+    if SKEW_TABLE_HEADER not in lines:
+        return errors + [f"{FORMATS_DOC}: no container skew table "
+                         f"({SKEW_TABLE_HEADER!r})"]
+    current = []
+    for line in lines[lines.index(SKEW_TABLE_HEADER) + 1:]:
+        if not line.startswith("|"):
+            break
+        m = CURRENT_ROW_RE.match(line)
+        if m:
+            current.append(m.group(1))
+    if current != [version]:
+        errors.append(f"{FORMATS_DOC}: container skew table marks "
+                      f"{current or 'no version'} as (current) | accepted, "
+                      f"kFormatVersion is {version}")
+    return errors
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--root", default=".")
     args = parser.parse_args()
     root = pathlib.Path(args.root).resolve()
 
-    errors = check_links(root) + check_headers(root)
+    errors = (check_links(root) + check_headers(root) +
+              check_format_version(root))
     for error in errors:
         print(f"::error::{error}")
     if errors:
         print(f"lint_docs: {len(errors)} violation(s)")
         return 1
-    print("lint_docs: docs links and header doc comments OK")
+    print("lint_docs: docs links, header doc comments and format version "
+          "OK")
     return 0
 
 

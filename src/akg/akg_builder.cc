@@ -60,11 +60,12 @@ double AkgBuilder::EdgeCorrelation(const Edge& e) const {
   return it == edge_ec_.end() ? 0.0 : it->second;
 }
 
-bool AkgBuilder::MatchesMaintainerGraph() const {
-  const std::vector<Edge> edges = maintainer_.graph().Edges();
-  return edges.size() == edge_ec_.size() &&
-         std::all_of(edges.begin(), edges.end(),
-                     [this](const Edge& e) { return edge_ec_.count(e) > 0; });
+std::vector<Edge> AkgBuilder::CorrelatedEdges() const {
+  std::vector<Edge> edges;
+  edges.reserve(edge_ec_.size());
+  for (const auto& [e, _] : edge_ec_) edges.push_back(e);
+  std::sort(edges.begin(), edges.end());
+  return edges;
 }
 
 cluster::GraphDelta AkgBuilder::ProcessQuantum(
@@ -368,49 +369,41 @@ MinHashSignature AkgBuilder::ExportClusterSketch(
 std::size_t AkgBuilder::sketch_size() const { return hasher_.p(); }
 
 void AkgBuilder::Save(BinaryWriter& out) const {
-  out.I64(now_);
   id_sets_.Save(out);
   node_state_.Save(out);
 
-  out.U64(signatures_.size());
-  for (const SignatureEntry& entry : signatures_) {
-    out.U32(entry.keyword);
-    out.U32(static_cast<std::uint32_t>(entry.published.size()));
-    for (std::uint64_t value : entry.published) out.U64(value);
+  // The signature table's keys are exactly the members (a member is
+  // admitted bursty, so signed, and eviction drops both), so its rows
+  // follow the member rows without a keyword column.
+  const std::vector<KeywordId> members = node_state_.Members();
+  SCPRT_CHECK(members.size() == signatures_.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const MinHashSignature& published = signatures_[i].published;
+    SCPRT_CHECK(signatures_[i].keyword == members[i]);
+    out.U32(static_cast<std::uint32_t>(published.size()));
+    for (std::uint64_t value : published) out.U64(value);
   }
 
-  std::vector<Edge> ec_edges;
-  ec_edges.reserve(edge_ec_.size());
-  for (const auto& [e, _] : edge_ec_) ec_edges.push_back(e);
-  std::sort(ec_edges.begin(), ec_edges.end());
-  out.U64(ec_edges.size());
-  for (const Edge& e : ec_edges) {
+  const std::vector<Edge> edges = CorrelatedEdges();
+  out.U64(edges.size());
+  for (const Edge& e : edges) {
     out.U32(e.u);
     out.U32(e.v);
     out.F64(edge_ec_.at(e));
   }
-
-  out.U64(last_stats_.ckg_nodes);
-  out.U64(last_stats_.quantum_keywords);
-  out.U64(last_stats_.akg_nodes);
-  out.U64(last_stats_.akg_edges);
-  out.U64(last_stats_.bursty);
-  out.U64(last_stats_.pairs_screened);
-  out.U64(last_stats_.ec_computed);
 }
 
-bool AkgBuilder::Restore(BinaryReader& in) {
+bool AkgBuilder::Restore(BinaryReader& in, QuantumIndex clock) {
   const auto reset = [this] {
     id_sets_ = UserIdSets(config_.window_length);
     node_state_ = NodeStateAutomaton(config_.high_state_threshold,
                                      config_.window_length);
     edge_ec_.clear();
     signatures_.clear();
-    last_stats_ = AkgQuantumStats{};
     now_ = 0;
   };
   reset();
-  now_ = in.I64();
+  now_ = clock;
   // A member's last-seen quantum is the newest history entry that holds
   // it, counted back from the clock.
   const auto last_seen = [this](KeywordId keyword) {
@@ -426,24 +419,24 @@ bool AkgBuilder::Restore(BinaryReader& in) {
       now_ == std::numeric_limits<QuantumIndex>::max() ||
       !node_state_.Restore(in, last_seen)) {
     reset();
+    in.Fail();
     return false;
   }
 
+  // One published signature per member, in member order: 1 to p strictly
+  // ascending hash keys (a member is signed while it has window users).
   const std::size_t p = hasher_.p();
-  const std::uint64_t signatures = in.U64();
-  bool valid = in.CheckLength(signatures, 4 + 4 + 8);
-  if (valid) signatures_.reserve(signatures);
-  for (std::uint64_t i = 0; valid && i < signatures; ++i) {
-    const KeywordId keyword = in.U32();
+  const std::vector<KeywordId> members = node_state_.Members();
+  signatures_.reserve(members.size());
+  bool valid = true;
+  for (std::size_t i = 0; valid && i < members.size(); ++i) {
     const std::uint32_t length = in.U32();
-    // A signature holds at most p values by construction.
-    if (length > p || !in.CheckLength(length, 8)) {
+    if (length < 1 || length > p || !in.CheckLength(length, 8)) {
       valid = false;
       break;
     }
     MinHashSignature sig(length);
     for (std::uint32_t j = 0; j < length; ++j) sig[j] = in.U64();
-    // Strictly ascending: the values are distinct hash keys.
     if (!in.ok() ||
         std::adjacent_find(sig.begin(), sig.end(),
                            std::greater_equal<std::uint64_t>()) !=
@@ -451,14 +444,9 @@ bool AkgBuilder::Restore(BinaryReader& in) {
       valid = false;
       break;
     }
-    // Keywords strictly ascending, as Save writes the table.
-    if (!signatures_.empty() && signatures_.back().keyword >= keyword) {
-      valid = false;
-      break;
-    }
     // Every current bottom-p starts invalid: the first refresh rescans.
     SignatureEntry& entry = signatures_.emplace_back();
-    entry.keyword = keyword;
+    entry.keyword = members[i];
     entry.published = std::move(sig);
   }
 
@@ -479,27 +467,6 @@ bool AkgBuilder::Restore(BinaryReader& in) {
     edge_ec_.emplace(e, ec);
     last = e;
   }
-
-  // The lazy re-validation loop reads SignatureOf() every AKG edge
-  // endpoint, so that invariant must hold even for a forged payload with a
-  // valid CRC — reject rather than abort later. A signature of another
-  // keyword is read by nothing, and is accepted.
-  if (valid) {
-    for (const auto& [e, _] : edge_ec_) {
-      if (FindSignature(e.u) == nullptr || FindSignature(e.v) == nullptr) {
-        valid = false;
-        break;
-      }
-    }
-  }
-
-  last_stats_.ckg_nodes = in.U64();
-  last_stats_.quantum_keywords = in.U64();
-  last_stats_.akg_nodes = in.U64();
-  last_stats_.akg_edges = in.U64();
-  last_stats_.bursty = in.U64();
-  last_stats_.pairs_screened = in.U64();
-  last_stats_.ec_computed = in.U64();
 
   if (!valid || !in.ok()) {
     reset();

@@ -9,9 +9,12 @@
 // The window id sets are the only window state: the CKG node count and
 // every window keyword's last-seen quantum are read from them, and the
 // node automaton holds the AKG members alone. A snapshot therefore holds
-// only generating state: the id-set history, the automaton's members and
-// last-bursty stamps, the published signatures and the correlations (the
-// AKG's edges), with no separate graph section and no last-seen list.
+// only generating state, each fact once: the id-set history, one
+// (keyword, last-bursty) row per member, each member's published
+// signature in member order, and the correlations — the AKG's one edge
+// list, from which a load also rebuilds the maintainer's graph. The clock
+// is the caller's (the quantizer's), and the per-quantum statistics are
+// not state.
 //
 // A keyword's signature is the bottom-p of its window id set, published
 // only when an AKG member is refreshed (bursty, or seen this quantum);
@@ -63,7 +66,8 @@ struct AkgConfig {
   std::uint64_t seed = 0x5ca1ab1eULL;
 };
 
-/// Size statistics for the CKG-vs-AKG comparison (Section 7.4).
+/// Size statistics for the CKG-vs-AKG comparison (Section 7.4), of the
+/// last processed quantum: reset when a quantum starts, and not saved.
 struct AkgQuantumStats {
   /// Distinct keywords of the window's id sets (the CKG node count).
   std::size_t ckg_nodes = 0;
@@ -95,9 +99,10 @@ class AkgBuilder {
   /// (AggregateQuantum, timed as engine.aggregate_ns).
   cluster::GraphDelta ProcessQuantum(const stream::Quantum& quantum);
 
-  /// True if the maintainer's graph edges are the correlated edges (the
-  /// invariant between quanta; a snapshot load checks it).
-  bool MatchesMaintainerGraph() const;
+  /// The AKG's edges, ascending: the edge list Save() writes, and the one
+  /// a snapshot load rebuilds the maintainer's graph from
+  /// (ScpMaintainer::Restore).
+  std::vector<graph::Edge> CorrelatedEdges() const;
 
   /// Current EC of an AKG edge (0 if absent).
   double EdgeCorrelation(const graph::Edge& e) const;
@@ -127,19 +132,24 @@ class AkgBuilder {
   const AkgQuantumStats& last_stats() const { return last_stats_; }
   const AkgConfig& config() const { return config_; }
 
-  /// Serializes the AKG layer's generating state — the quantum clock, the
-  /// id-set history, the node automaton, the published Min-Hash signatures
-  /// and the edge correlations (the AKG's edges, ascending, bit-exact
-  /// doubles) — in canonical order. The window table, the members'
-  /// last-seen stamps and the hash function are derived, and not stored.
+  /// Serializes the AKG layer's generating state — the id-set history,
+  /// the node automaton's member rows, each member's published Min-Hash
+  /// signature in member order and the edge correlations (the AKG's
+  /// edges, ascending, bit-exact doubles) — in canonical order. The clock,
+  /// the window table, the members' last-seen stamps, the hash function
+  /// and last_stats() are not stored.
   void Save(BinaryWriter& out) const;
 
-  /// Replaces this builder's state with Save()'s encoding. Must be called
-  /// on a builder constructed with the same AkgConfig. Returns false on
-  /// malformed input (a member no history entry holds, or a correlation
-  /// out of order, with a non-member endpoint or an EC outside [0, 1],
-  /// included); the builder is reset to empty in that case.
-  bool Restore(BinaryReader& in);
+  /// Replaces this builder's state with Save()'s encoding; `clock` is the
+  /// index of the last processed quantum (the caller's clock), from which
+  /// the history's entries and the members' last-seen stamps are counted
+  /// back. Must be called on a builder constructed with the same
+  /// AkgConfig. Returns false on malformed input (a clock below the
+  /// history's depth - 1 or at the top of the index range, a member no
+  /// history entry holds, a signature not 1 to p ascending values, or a
+  /// correlation out of order, with a non-member endpoint or an EC outside
+  /// [0, 1], included); the builder is reset to empty in that case.
+  bool Restore(BinaryReader& in, QuantumIndex clock);
 
  private:
   /// One signed keyword: the published signature, and the current window
@@ -177,8 +187,8 @@ class AkgBuilder {
   MinHasher hasher_;
   // Keys: the AKG's edges after the last processed quantum.
   std::unordered_map<graph::Edge, double, graph::EdgeHash> edge_ec_;
-  // Keyword-ascending: every signed keyword (refreshed, not since
-  // evicted).
+  // Keyword-ascending, keyed by exactly the members: a member is admitted
+  // bursty, so refreshed, and eviction drops both.
   std::vector<SignatureEntry> signatures_;
   AkgQuantumStats last_stats_;
   QuantumIndex now_ = 0;

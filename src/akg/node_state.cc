@@ -31,8 +31,7 @@ NodeStateUpdate NodeStateAutomaton::ProcessQuantum(
   //   faded:    not bursty in the last w quanta and in no cluster.
   const auto sweep = [&](const Member& member) {
     const bool stale = member.last_seen <= horizon;
-    const bool recently_bursty =
-        member.has_last_bursty && member.last_bursty > horizon;
+    const bool recently_bursty = member.last_bursty > horizon;
     if (stale || (!recently_bursty && !in_cluster(member.keyword))) {
       update.removed.push_back(member.keyword);
     } else {
@@ -48,10 +47,10 @@ NodeStateUpdate NodeStateAutomaton::ProcessQuantum(
     const bool member = row < rows && members_[row].keyword == keyword;
     const bool bursty = users >= high_threshold_;
     if (!member && !bursty) continue;
-    Member updated = member ? members_[row++] : Member{keyword, false, now, 0};
+    // Only a bursty keyword is admitted, so every member has a stamp.
+    Member updated = member ? members_[row++] : Member{keyword, now, now};
     updated.last_seen = now;
     if (bursty) {
-      updated.has_last_bursty = true;
       updated.last_bursty = now;
       update.bursty.push_back(keyword);
     } else {
@@ -78,83 +77,34 @@ std::vector<KeywordId> NodeStateAutomaton::Members() const {
   return keywords;
 }
 
-namespace {
-
-using Stamps = std::vector<std::pair<KeywordId, QuantumIndex>>;
-
-void WriteStampList(BinaryWriter& out, const Stamps& stamps) {
-  out.U64(stamps.size());
-  for (const auto& [keyword, stamp] : stamps) {
-    out.U32(keyword);
-    out.I64(stamp);
-  }
-}
-
-// Reads one stamp list; its keywords must be strictly ascending.
-bool ReadStampList(BinaryReader& in, Stamps& stamps) {
-  const std::uint64_t count = in.U64();
-  if (!in.CheckLength(count, 12)) return false;
-  stamps.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const KeywordId keyword = in.U32();
-    const QuantumIndex stamp = in.I64();
-    if (!in.ok() || (!stamps.empty() && stamps.back().first >= keyword)) {
-      in.Fail();
-      return false;
-    }
-    stamps.emplace_back(keyword, stamp);
-  }
-  return true;
-}
-
-}  // namespace
-
 void NodeStateAutomaton::Save(BinaryWriter& out) const {
-  Stamps last_bursty;
-  for (const Member& member : members_) {
-    if (member.has_last_bursty) {
-      last_bursty.emplace_back(member.keyword, member.last_bursty);
-    }
-  }
-  WriteStampList(out, last_bursty);
   out.U64(members_.size());
-  for (const Member& member : members_) out.U32(member.keyword);
+  for (const Member& member : members_) {
+    out.U32(member.keyword);
+    out.I64(member.last_bursty);
+  }
 }
 
 bool NodeStateAutomaton::Restore(BinaryReader& in,
                                  const LastSeenFn& last_seen) {
   members_.clear();
-  Stamps last_bursty;
-  bool valid = ReadStampList(in, last_bursty);
-  const std::uint64_t members = valid ? in.U64() : 0;
-  valid = valid && in.CheckLength(members, 4);
-  std::size_t bursty_row = 0;
+  const std::uint64_t members = in.U64();
+  bool valid = in.CheckLength(members, 4 + 8);
   for (std::uint64_t i = 0; valid && i < members; ++i) {
     const KeywordId keyword = in.U32();
-    // Members are strictly ascending, and a last-bursty stamp below this
-    // member belongs to no member.
-    if (!in.ok() || (!members_.empty() && members_.back().keyword >= keyword) ||
-        (bursty_row < last_bursty.size() &&
-         last_bursty[bursty_row].first < keyword)) {
+    const QuantumIndex last_bursty = in.I64();
+    // Members are strictly ascending, and each is a window keyword: the
+    // eviction sweep reads its last-seen stamp.
+    const std::optional<QuantumIndex> seen =
+        in.ok() ? last_seen(keyword) : std::nullopt;
+    if (!seen.has_value() ||
+        (!members_.empty() && members_.back().keyword >= keyword)) {
       valid = false;
       break;
     }
-    // Each member is a window keyword: the eviction sweep reads its
-    // last-seen stamp.
-    const std::optional<QuantumIndex> seen = last_seen(keyword);
-    if (!seen.has_value()) {
-      valid = false;
-      break;
-    }
-    Member member{keyword, false, *seen, 0};
-    if (bursty_row < last_bursty.size() &&
-        last_bursty[bursty_row].first == keyword) {
-      member.has_last_bursty = true;
-      member.last_bursty = last_bursty[bursty_row++].second;
-    }
-    members_.push_back(member);
+    members_.push_back(Member{keyword, *seen, last_bursty});
   }
-  if (!valid || !in.ok() || bursty_row != last_bursty.size()) {
+  if (!valid || !in.ok()) {
     members_.clear();
     in.Fail();
     return false;

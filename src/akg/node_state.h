@@ -12,12 +12,12 @@
 // (keyword, last_seen, last_bursty) row per AKG member, a few hundred
 // rows. The window's other keywords are not the automaton's to track: the
 // id sets (akg/id_sets.h) are the only record of the last w quanta, so a
-// snapshot stores no last-seen stamps and a load reads each member's from
-// them. Each quantum merges its ascending keyword runs into the member
-// table, writing a reused second buffer: the merge admits bursty keywords,
-// stamps the members that occurred and runs the stale/faded eviction sweep
-// as it goes, so every NodeStateUpdate list comes out ascending without a
-// sort.
+// snapshot stores one (keyword, last_bursty) row per member and a load
+// reads each member's last-seen stamp from the id sets. Each quantum
+// merges its ascending keyword runs into the member table, writing a
+// reused second buffer: the merge admits bursty keywords, stamps the
+// members that occurred and runs the stale/faded eviction sweep as it
+// goes, so every NodeStateUpdate list comes out ascending without a sort.
 
 #ifndef SCPRT_AKG_NODE_STATE_H_
 #define SCPRT_AKG_NODE_STATE_H_
@@ -78,25 +78,21 @@ class NodeStateAutomaton {
   using LastSeenFn =
       std::function<std::optional<QuantumIndex>(KeywordId keyword)>;
 
-  /// Serializes the automaton as two keyword-sorted lists: the members'
-  /// last-bursty stamps, then the AKG membership. The last-seen stamps are
-  /// not saved: the window id sets hold them. Equal states give identical
-  /// bytes.
+  /// Serializes the member table as one keyword-ascending list of
+  /// (keyword, last_bursty) rows. The last-seen stamps are not saved: the
+  /// window id sets hold them. Equal states give identical bytes.
   void Save(BinaryWriter& out) const;
 
   /// Replaces this automaton's state with Save()'s encoding; each member
   /// takes its last-seen stamp from `last_seen`. Returns false on malformed
-  /// input — lists not strictly ascending, a member `last_seen` has no
-  /// stamp for, a last-bursty stamp for a non-member — and the automaton
-  /// is cleared then. A member without a last-bursty stamp loads as never
-  /// bursty.
+  /// input — rows not strictly ascending, or a member `last_seen` has no
+  /// stamp for — and the automaton is cleared then.
   bool Restore(BinaryReader& in, const LastSeenFn& last_seen);
 
  private:
+  // Admitted while bursty, so every member has a last-bursty stamp.
   struct Member {
     KeywordId keyword;
-    // False only for a restored member saved without a last-bursty stamp.
-    bool has_last_bursty;
     QuantumIndex last_seen;
     QuantumIndex last_bursty;
   };

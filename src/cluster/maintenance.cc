@@ -149,44 +149,15 @@ std::vector<std::vector<Edge>> ScpMaintainer::CanonicalClusters() const {
   return out;
 }
 
-void ScpMaintainer::Save(BinaryWriter& out) const {
-  graph_.Save(out);
-  clusters_.Save(out);
-  out.I64(now_);
-  out.U64(stats_.edges_added);
-  out.U64(stats_.edges_removed);
-  out.U64(stats_.nodes_removed);
-  out.U64(stats_.cluster_merges);
-  out.U64(stats_.cluster_splits);
-  out.U64(stats_.reclosures);
-  out.U64(stats_.reclosure_edges_scanned);
-  out.U64(stats_.short_cycles_found);
-}
+void ScpMaintainer::Save(BinaryWriter& out) const { clusters_.Save(out); }
 
-bool ScpMaintainer::Restore(BinaryReader& in) {
-  const auto reset = [this] {
-    graph_.Clear();
-    stats_ = MaintenanceStats{};
-    now_ = 0;
-  };
-  if (!graph_.Restore(in) || !clusters_.Restore(in)) {
-    reset();
-    ClusterSet empty;
-    clusters_ = std::move(empty);
-    return false;
-  }
-  now_ = in.I64();
-  stats_.edges_added = in.U64();
-  stats_.edges_removed = in.U64();
-  stats_.nodes_removed = in.U64();
-  stats_.cluster_merges = in.U64();
-  stats_.cluster_splits = in.U64();
-  stats_.reclosures = in.U64();
-  stats_.reclosure_edges_scanned = in.U64();
-  stats_.short_cycles_found = in.U64();
-  // Cross-section consistency: every cluster edge must exist in the graph
-  // (O(E) — the full invariant check stays a test-only tool).
-  bool valid = in.ok();
+bool ScpMaintainer::Restore(BinaryReader& in,
+                            const std::vector<Edge>& edges) {
+  graph_.Clear();
+  for (const Edge& e : edges) graph_.AddEdge(e.u, e.v);
+  // Every cluster edge must be a graph edge (O(E) — the full invariant
+  // check stays a test-only tool).
+  bool valid = clusters_.Restore(in);
   for (const auto& [_, cluster] : clusters_.clusters()) {
     if (!valid) break;
     for (const Edge& e : cluster->edges()) {
@@ -197,9 +168,8 @@ bool ScpMaintainer::Restore(BinaryReader& in) {
     }
   }
   if (!valid) {
-    reset();
-    ClusterSet empty;
-    clusters_ = std::move(empty);
+    graph_.Clear();
+    clusters_ = ClusterSet();
     in.Fail();
     return false;
   }

@@ -26,7 +26,8 @@
 
 namespace scprt::cluster {
 
-/// Counters exposed for the evaluation section (locality statistics).
+/// Counters exposed for the evaluation section (locality statistics). They
+/// are per-process statistics, not saved: a loaded engine counts from zero.
 struct MaintenanceStats {
   std::uint64_t edges_added = 0;
   std::uint64_t edges_removed = 0;
@@ -94,16 +95,21 @@ class ScpMaintainer {
   /// and agreement with the canonical offline clustering.
   bool ValidateInvariants() const;
 
-  /// Serializes graph + clustering + counters in canonical order. Restoring
-  /// reproduces cluster ids, birth stamps and the id counter exactly, so
-  /// maintenance resumed after a restore assigns the same ids a
-  /// never-restarted maintainer would.
+  /// Serializes the clustering in canonical order: cluster ids, birth
+  /// stamps and the id counter, so maintenance resumed after a restore
+  /// assigns the same ids a never-restarted maintainer would. The graph is
+  /// the AKG's edge set, which the AKG builder saves; the clock is set
+  /// before every Apply, and the counters are per-process statistics, so
+  /// none of them is saved.
   void Save(BinaryWriter& out) const;
 
-  /// Replaces this maintainer's state with Save()'s encoding. Returns false
-  /// on malformed input (including cluster edges absent from the graph);
-  /// the maintainer is left empty in that case.
-  bool Restore(BinaryReader& in);
+  /// Replaces this maintainer's graph with `edges` (the AKG builder's
+  /// CorrelatedEdges(); nodes all of whose edges were dropped are not
+  /// restored) and its clustering with Save()'s encoding; the clock and
+  /// counters are left as they are. Returns false on malformed input
+  /// (including cluster edges absent from `edges`); the maintainer is left
+  /// empty in that case.
+  bool Restore(BinaryReader& in, const std::vector<graph::Edge>& edges);
 
  private:
   /// Folds all short cycles through existing edge {a, b} into one cluster.

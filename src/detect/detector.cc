@@ -1,6 +1,7 @@
 #include "detect/detector.h"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <unordered_set>
 #include <utility>
@@ -197,17 +198,24 @@ void EventDetector::SaveState(BinaryWriter& out,
 
 bool EventDetector::RestoreState(BinaryReader& in,
                                  stream::Quantizer& quantizer) {
+  // The quantizer's clock is the only stored one: the AKG layer counts its
+  // history back from the last processed quantum, next_index - 1. The next
+  // quantum's index must fit, and one history entry per quantum means at
+  // least depth quanta were processed (checked by the AKG builder).
   const QuantumIndex next_index = in.I64();
   std::vector<stream::Message> pending;
-  if (!snapshot_io::ReadMessages(in, pending) ||
+  if (next_index < 0 ||
+      next_index == std::numeric_limits<QuantumIndex>::max() ||
+      !snapshot_io::ReadMessages(in, pending) ||
       !quantizer.Restore(next_index, std::move(pending))) {
     in.Fail();
     return false;
   }
-  // One AKG: the maintainer's graph must hold exactly the correlated edges,
-  // or the next quantum would abort on the builder's edge-count check.
-  if (!akg_.Restore(in) || !maintainer_.Restore(in) ||
-      !akg_.MatchesMaintainerGraph() || !tracker_.Restore(in)) {
+  // One AKG edge list: the maintainer's graph is rebuilt from the
+  // correlations.
+  if (!akg_.Restore(in, next_index - 1) ||
+      !maintainer_.Restore(in, akg_.CorrelatedEdges()) ||
+      !tracker_.Restore(in)) {
     return false;
   }
   reported_.clear();

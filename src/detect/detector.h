@@ -57,10 +57,12 @@ class EventDetector {
     return reported_;
   }
 
-  /// Serializes `quantizer`'s clock and pending partial quantum (the
-  /// driver owns accumulation), then every derived structure — AKG layer,
-  /// graph + SCP clusters (with their ids and birth stamps), rank
-  /// histories, first-report set — in canonical order. The config is NOT
+  /// Serializes `quantizer`'s clock (the state's only clock: the AKG layer
+  /// counts back from it) and pending partial quantum (the driver owns
+  /// accumulation), then the generating state — AKG layer (whose edge list
+  /// is also the maintainer's graph), SCP clusters (with their ids and
+  /// birth stamps), rank histories, first-report set — in canonical order.
+  /// Statistics are not saved. The config is NOT
   /// included; durability/backend.h frames config + state into the
   /// versioned snapshot format (detect/snapshot_io.h).
   void SaveState(BinaryWriter& out, const stream::Quantizer& quantizer) const;
@@ -69,7 +71,9 @@ class EventDetector {
   /// detector (same config required — the caller guarantees it by
   /// constructing from the snapshot's own config section); the clock and
   /// pending partial quantum go into `quantizer`. Returns false on
-  /// malformed input; the detector must then be discarded.
+  /// malformed input (a clock below 0, below the AKG history's depth or
+  /// at the top of the index range included); the detector must then be
+  /// discarded.
   bool RestoreState(BinaryReader& in, stream::Quantizer& quantizer);
 
  private:

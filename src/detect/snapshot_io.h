@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //   0       8     magic "SCPRTSNP"
-//   8       4     format version (little-endian u32; currently 5)
+//   8       4     format version (little-endian u32; currently 6)
 //   12      1     kind: always 1 (2 was the retired delta file; any
 //                 other value is rejected as a kind mismatch)
 //   13      8     payload length in bytes (u64)
@@ -18,8 +18,10 @@
 //
 // Full payload:  [config section][detector state section][IngestState?] —
 // the state section is EventDetector::SaveState's canonical encoding of
-// every derived structure (AKG layer, graph + clusters with their ids,
-// rank histories, first-report set, quantizer clock + partial quantum).
+// the generating state, each fact once: the quantizer clock (the only
+// clock) + partial quantum, the AKG layer (whose edge list is also the
+// maintainer's graph), the clusters with their ids, the rank histories
+// and the first-report set. No statistics counter is saved.
 //
 // Message lists and the IngestState section are also the building blocks
 // of every WAL record, whose payload codec durability/wal_record.h owns.
@@ -32,11 +34,10 @@
 //
 // Versioning policy and skew rules (the full table is docs/formats.md):
 // the container version bumps on ANY encoding change, and loaders accept
-// exactly one version. Version 5 holds only the AKG layer's generating
-// state (akg/akg_builder.h); every other version, older or newer, is
-// rejected as kVersionSkew — checkpoints are recovery artifacts, not
-// archives, so there is no migration: take a fresh full snapshot after
-// upgrading.
+// exactly one version. Version 6 writes each fact once (akg/akg_builder.h);
+// every other version, older or newer, is rejected as kVersionSkew —
+// checkpoints are recovery artifacts, not archives, so there is no
+// migration: take a fresh full snapshot after upgrading.
 //
 // Loaders report why a load failed as a durability::ErrorCode, the one
 // error enum of the persistence tier; the codes are never written to disk.
@@ -58,10 +59,10 @@
 namespace scprt::detect::snapshot_io {
 
 inline constexpr char kMagic[8] = {'S', 'C', 'P', 'R', 'T', 'S', 'N', 'P'};
-/// Current container version (written by every save). Version 5 dropped
-/// the derived AKG state: the last-seen list, the AKG graph section and
-/// the id sets' keyword groups (docs/formats.md).
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// Current container version (written by every save). Version 6 writes
+/// each fact once: one clock, one edge list, one member table, and no
+/// statistics counters (docs/formats.md).
+inline constexpr std::uint32_t kFormatVersion = 6;
 /// Oldest container version loaders accept: the current one alone.
 inline constexpr std::uint32_t kMinFormatVersion = kFormatVersion;
 

@@ -20,12 +20,14 @@
 // save and full load, both reporting durability::Error.
 //
 // Snapshot strategy: native structural snapshots. A snapshot serializes
-// the derived state itself — the id-set window histories, node automaton,
-// Min-Hash signatures and edge correlations of the AKG layer, the graph
-// and its SCP clusters (with their ids, birth stamps and the id counter),
-// the rank-tracker histories, the first-report set, and the quantizer
-// clock with the partial quantum — framed and CRC-protected by
-// detect/snapshot_io.h. Restoring deserializes those structures directly:
+// the generating state itself, each fact once — the quantizer clock (the
+// only clock) with the partial quantum, the AKG layer's id-set history,
+// member rows, per-member Min-Hash signatures and edge correlations (the
+// AKG's one edge list, which the maintainer's graph is rebuilt from), the
+// SCP clusters (with their ids, birth stamps and the id counter), the
+// rank-tracker histories and the first-report set — framed and
+// CRC-protected by detect/snapshot_io.h. Statistics counters are not
+// saved. Restoring deserializes those structures directly:
 //
 //   * Restore cost is O(|state|), independent of the traffic that produced
 //     it (no replay of w quanta of raw messages).

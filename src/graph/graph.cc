@@ -136,48 +136,4 @@ void DynamicGraph::Clear() {
   edge_count_ = 0;
 }
 
-void DynamicGraph::Save(BinaryWriter& out) const {
-  std::vector<NodeId> nodes = Nodes();
-  std::sort(nodes.begin(), nodes.end());
-  out.U64(nodes.size());
-  for (NodeId n : nodes) out.U32(n);
-  std::vector<Edge> edges = Edges();
-  std::sort(edges.begin(), edges.end());
-  out.U64(edges.size());
-  for (const Edge& e : edges) {
-    out.U32(e.u);
-    out.U32(e.v);
-  }
-}
-
-bool DynamicGraph::Restore(BinaryReader& in) {
-  Clear();
-  const std::uint64_t nodes = in.U64();
-  if (!in.CheckLength(nodes, 4)) return false;
-  adjacency_.reserve(nodes);
-  for (std::uint64_t i = 0; i < nodes; ++i) {
-    if (!AddNode(in.U32())) in.Fail();  // duplicate node id
-  }
-  const std::uint64_t edges = in.U64();
-  if (!in.CheckLength(edges, 8)) {
-    Clear();
-    return false;
-  }
-  for (std::uint64_t i = 0; i < edges; ++i) {
-    const NodeId u = in.U32();
-    const NodeId v = in.U32();
-    // Endpoints must pre-exist as serialized nodes; AddEdge would otherwise
-    // silently create them and mask a corrupt node section.
-    if (!in.ok() || !HasNode(u) || !HasNode(v) || !AddEdge(u, v)) {
-      Clear();
-      return false;
-    }
-  }
-  if (!in.ok()) {
-    Clear();
-    return false;
-  }
-  return true;
-}
-
 }  // namespace scprt::graph

@@ -2,6 +2,8 @@
 // tests. This is the representation of the AKG (and, in tests/benchmarks,
 // the CKG): node ids are KeywordIds; average degree in the paper's traces is
 // < 6, so sorted adjacency vectors beat hash sets on both memory and speed.
+// A graph is never serialized: a snapshot writes the AKG's edge list once
+// (akg/akg_builder.h), and a load rebuilds the maintainer's graph from it.
 
 #ifndef SCPRT_GRAPH_GRAPH_H_
 #define SCPRT_GRAPH_GRAPH_H_
@@ -11,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/types.h"
 
@@ -89,14 +90,6 @@ class DynamicGraph {
 
   /// Removes everything.
   void Clear();
-
-  /// Serializes the graph: node ids then normalized edges, both sorted, so
-  /// equal graphs produce identical bytes (snapshot determinism).
-  void Save(BinaryWriter& out) const;
-
-  /// Replaces this graph with Save()'s encoding. Returns false on malformed
-  /// input (duplicate edge, self-loop, overrun); the graph is cleared then.
-  bool Restore(BinaryReader& in);
 
  private:
   std::unordered_map<NodeId, std::vector<NodeId>> adjacency_;

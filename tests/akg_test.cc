@@ -645,16 +645,15 @@ class NodeStateModel {
     return update;
   }
 
-  // The hash-map automaton's Save encoding, less the last-seen stamps.
+  // The hash-map automaton's Save encoding, less the last-seen stamps:
+  // one (keyword, last-bursty) row per member.
   std::string SaveBytes() const {
     BinaryWriter out;
-    out.U64(last_bursty_.size());
-    for (const auto& [keyword, stamp] : last_bursty_) {
-      out.U32(keyword);
-      out.I64(stamp);
-    }
     out.U64(akg_.size());
-    for (KeywordId keyword : akg_) out.U32(keyword);
+    for (KeywordId keyword : akg_) {
+      out.U32(keyword);
+      out.I64(last_bursty_.at(keyword));
+    }
     return out.data();
   }
 
@@ -759,21 +758,21 @@ TEST(NodeStateTest, MatchesMapModelOfTheRules) {
 }
 
 // Save() bytes of a hash-map automaton (theta = 3, w = 4, cluster members
-// 7 and 4000000000) after quanta 0, 1, 2, 3 and 5, in the version-5
-// layout: last-bursty stamps and AKG membership of 5. The hash-map
-// automaton also saved the last-seen stamps of 10 keywords, which the id
-// sets now answer: kPinnedLastSeen.
+// 7 and 4000000000) after quanta 0, 1, 2, 3 and 5, in the version-6
+// layout: one (keyword, last-bursty) row for each of the 5 members. The
+// hash-map automaton also saved the last-seen stamps of 10 keywords,
+// which the id sets now answer: kPinnedLastSeen.
 constexpr char kPinnedNodeStateHex[] =
     "0500000000000000010000000300000000000000070000000000000000000000"
     "0c000000050000000000000000286bee0200000000000000ffffffff03000000"
-    "00000000050000000000000001000000070000000c00000000286beeffffffff";
+    "00000000";
 const std::vector<std::pair<KeywordId, QuantumIndex>> kPinnedLastSeen = {
     {0, 5},  {1, 3},  {2, 2},  {5, 5},          {7, 3},
     {9, 5},  {11, 3}, {12, 5}, {4000000000u, 2}, {0xffffffffu, 3}};
 
 TEST(NodeStateTest, RestoresPinnedSnapshotFromHashMapStore) {
   const std::string bytes = FromHex(kPinnedNodeStateHex);
-  ASSERT_EQ(bytes.size(), 96u);
+  ASSERT_EQ(bytes.size(), 68u);
   NodeStateAutomaton automaton(3, 4);
   BinaryReader in(bytes);
   ASSERT_TRUE(automaton.Restore(in, StampsOf(kPinnedLastSeen)));
@@ -806,19 +805,16 @@ TEST(NodeStateTest, RestoresPinnedSnapshotFromHashMapStore) {
   EXPECT_EQ(automaton.akg_size(), 2u);
 }
 
-// The Save() encoding of the given last-bursty stamps and AKG members, in
-// the order given.
+// The Save() encoding of the given (member, last-bursty) rows, in the
+// order given.
 std::string NodeStatePayload(
-    std::initializer_list<std::pair<KeywordId, QuantumIndex>> last_bursty,
-    std::initializer_list<KeywordId> members) {
+    std::initializer_list<std::pair<KeywordId, QuantumIndex>> rows) {
   BinaryWriter out;
-  out.U64(last_bursty.size());
-  for (const auto& [keyword, stamp] : last_bursty) {
+  out.U64(rows.size());
+  for (const auto& [keyword, stamp] : rows) {
     out.U32(keyword);
     out.I64(stamp);
   }
-  out.U64(members.size());
-  for (KeywordId keyword : members) out.U32(keyword);
   return out.data();
 }
 
@@ -826,19 +822,14 @@ std::string NodeStatePayload(
 const NodeStateAutomaton::LastSeenFn kLastSeen = StampsOf({{1, 5}, {2, 5}});
 
 TEST(NodeStateTest, RestoreRejectsNonCanonicalState) {
-  const std::string valid = NodeStatePayload({{1, 5}}, {1});
+  const std::string valid = NodeStatePayload({{1, 5}});
   for (const std::string& bytes : {
-           // A last-bursty stamp for keyword 2, in the window but no member.
-           NodeStatePayload({{1, 5}, {2, 5}}, {1}),
-           NodeStatePayload({{0, 5}, {1, 5}}, {1}),
            // A member outside the window, so without a last-seen stamp.
-           NodeStatePayload({{1, 5}}, {1, 3}),
-           NodeStatePayload({}, {3}),
-           // Lists out of order or repeated.
-           NodeStatePayload({{2, 5}, {1, 5}}, {1, 2}),
-           NodeStatePayload({{1, 5}, {1, 6}}, {1}),
-           NodeStatePayload({{1, 5}, {2, 5}}, {2, 1}),
-           NodeStatePayload({{1, 5}}, {1, 1}),
+           NodeStatePayload({{1, 5}, {3, 5}}),
+           NodeStatePayload({{3, 5}}),
+           // Rows out of order or repeated.
+           NodeStatePayload({{2, 5}, {1, 5}}),
+           NodeStatePayload({{1, 5}, {1, 6}}),
            // Truncated.
            valid.substr(0, valid.size() - 1),
        }) {
@@ -854,22 +845,6 @@ TEST(NodeStateTest, RestoreRejectsNonCanonicalState) {
   ASSERT_TRUE(automaton.Restore(in, kLastSeen));
   EXPECT_TRUE(automaton.InAkg(1));
   EXPECT_EQ(SaveBytes(automaton), valid);
-}
-
-TEST(NodeStateTest, MemberWithoutBurstStampLoadsAsNeverBursty) {
-  const std::string bytes = NodeStatePayload({}, {1, 2});
-  NodeStateAutomaton automaton(3, 4);
-  BinaryReader in(bytes);
-  ASSERT_TRUE(automaton.Restore(in, kLastSeen));
-  EXPECT_EQ(automaton.akg_size(), 2u);
-  EXPECT_EQ(SaveBytes(automaton), bytes);
-  // Seen below theta and in no cluster: faded at once. Keyword 2 turns
-  // bursty and gains a stamp.
-  const NodeStateUpdate update = automaton.ProcessQuantum(
-      6, Counts({{1, 1}, {2, 3}}), kNeverInCluster);
-  EXPECT_EQ(update.removed, std::vector<KeywordId>{1});
-  EXPECT_EQ(update.bursty, std::vector<KeywordId>{2});
-  EXPECT_EQ(SaveBytes(automaton), NodeStatePayload({{2, 6}}, {2}));
 }
 
 // --- MinHash ---
@@ -1284,16 +1259,18 @@ TEST(AkgBuilderTest, WindowSignatureIsBottomPOfWindowIdSet) {
         }
       }
       if (q + 1 == kSaveAfter) {
-        // The maintainer's graph is the AKG's edge set: it is saved and
-        // restored beside the builder, as in a detector snapshot.
+        // The maintainer's graph is the AKG's edge set: it is rebuilt from
+        // the builder's correlations, as in a detector snapshot load.
         BinaryWriter out;
         builder.Save(out);
         akg.maintainer.Save(out);
         restored = std::make_unique<WiredBuilder>(config);
         BinaryReader in(out.data());
-        ASSERT_TRUE(restored->builder.Restore(in));
-        ASSERT_TRUE(restored->maintainer.Restore(in));
-        ASSERT_TRUE(restored->builder.MatchesMaintainerGraph());
+        ASSERT_TRUE(restored->builder.Restore(in, q));
+        ASSERT_TRUE(restored->maintainer.Restore(
+            in, restored->builder.CorrelatedEdges()));
+        ASSERT_EQ(restored->maintainer.graph().edge_count(),
+                  akg.maintainer.graph().edge_count());
       }
     }
     EXPECT_GT(checked, 30u);
@@ -1403,7 +1380,7 @@ TEST(AkgBuilderTest, FailedRestoreResetsToEmpty) {
 
   WiredBuilder restored(config);
   BinaryReader in(bytes);
-  EXPECT_FALSE(restored.builder.Restore(in));
+  EXPECT_FALSE(restored.builder.Restore(in, 59));
   EXPECT_EQ(restored.builder.id_sets().active_keywords(), 0u);
   EXPECT_EQ(restored.builder.node_state().akg_size(), 0u);
   EXPECT_EQ(SavedBytes(restored.builder),

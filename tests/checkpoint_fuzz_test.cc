@@ -125,8 +125,9 @@ TEST(CheckpointFuzzTest, EverySingleBitFlipIsRejected) {
   const std::string& bytes = SharedFixture().full_bytes;
   // Dense sweep over the frame header and the payload head, strided sweep
   // over the rest; CRC-32 detects any single-bit error. Offset 8 is the
-  // version field's low byte: every single-bit flip of version 5 lands on
-  // another version, which no loader accepts, so no offset is exempt.
+  // version field's low byte: every single-bit flip of the current version
+  // lands on another version, which no loader accepts, so no offset is
+  // exempt.
   std::vector<std::size_t> offsets;
   for (std::size_t i = 0; i < 256 && i < bytes.size(); ++i) {
     offsets.push_back(i);
@@ -144,13 +145,19 @@ TEST(CheckpointFuzzTest, EverySingleBitFlipIsRejected) {
 TEST(CheckpointFuzzTest, VersionAndKindSkewAreRejected) {
   const std::string& bytes = SharedFixture().full_bytes;
   // The version field is the little-endian u32 at offset 8 (after the
-  // 8-byte magic). Version 1 was the replay era; versions 2-4 held the
-  // derived AKG state that version 5 dropped; the last is a future one.
-  // Each is typed skew (take a fresh snapshot), never damage.
-  for (const std::uint32_t version :
-       {1u, 2u, 3u, 4u, sio::kFormatVersion + 1}) {
+  // 8-byte magic). Every older version (1 was the replay era, 2-5 laid the
+  // state out differently) and the next, future one is typed skew (take a
+  // fresh snapshot), never damage.
+  std::vector<std::uint32_t> versions;
+  for (std::uint32_t v = 0; v < sio::kFormatVersion; ++v) {
+    versions.push_back(v);
+  }
+  versions.push_back(sio::kFormatVersion + 1);
+  for (const std::uint32_t version : versions) {
     std::string skewed = bytes;
-    skewed[8] = static_cast<char>(version);
+    for (int i = 0; i < 4; ++i) {
+      skewed[8 + i] = static_cast<char>(version >> (8 * i));
+    }
     EXPECT_EQ(LoadError(skewed), durability::ErrorCode::kVersionSkew)
         << "version " << version;
   }
@@ -184,7 +191,7 @@ TEST(CheckpointFuzzTest, VersionFourFrameIsVersionSkew) {
     EXPECT_EQ(LoadError(v4), durability::ErrorCode::kVersionSkew)
         << "flag byte " << int(flag);
   }
-  // The same byte in a version-5 frame is damage: the config has none.
+  // The same byte in a current frame is damage: the config has none.
   std::string flagged = SharedFixture().full_bytes;
   flagged.insert(kConfigEnd, 1, char(0));
   RefreshPayloadFields(flagged);
@@ -249,26 +256,23 @@ TEST(CheckpointFuzzTest, ForgedLengthFieldsDoNotAllocate) {
 // A CRC-valid detector snapshot forged field by field, mirroring
 // detect::EventDetector::SaveState's section order. By default it holds
 // a one-quantum window (quantum 0: keywords 1, 2 and 3, each used by user
-// 9) and an AKG of members {1, 2} joined by edge {1, 2} — in the
-// correlations and the maintainer's graph — with signatures for both. It
+// 9) and an AKG of members {1, 2}, each signed, joined by edge {1, 2}. It
 // loads; each field below forges one fault.
 struct ForgedSnapshot {
   using Pair = std::pair<KeywordId, KeywordId>;
 
-  // The AKG builder's clock: the newest quantum of the id-set history.
-  QuantumIndex clock = 0;
-  // The automaton's members, in section order; each takes its last-seen
-  // stamp from the history (keywords 1-3 are in it).
+  // The quantizer's clock, the state's only one: the next quantum's index.
+  // The history's one entry is quantum next_index - 1.
+  QuantumIndex next_index = 1;
+  // The automaton's member rows, in section order; each takes its
+  // last-seen stamp from the history (keywords 1-3 are in it).
   std::vector<KeywordId> members = {1, 2};
-  // The correlations' edges, in section order.
+  // Each member's published signature (p is 2 at the default config).
+  std::vector<std::uint64_t> signature = {1000};
+  // The correlations' edges, in section order: the AKG's one edge list.
   std::vector<Pair> correlations = {{1, 2}};
-  // The maintainer's graph edges; the distinct correlations' edges when
-  // unset.
-  std::optional<std::vector<Pair>> maintainer_edges = std::nullopt;
-  // The keywords with a signature, in section order.
-  std::vector<KeywordId> signed_keywords = {1, 2};
-  // A last-bursty stamp for keyword 3, which is not a member.
-  bool orphan_stamp = false;
+  // The edges of the one cluster, none when empty.
+  std::vector<Pair> cluster_edges = {};
 
   std::string Bytes() const {
     detect::DetectorConfig config;
@@ -276,28 +280,20 @@ struct ForgedSnapshot {
     config.akg.window_length = 8;
     BinaryWriter w;
     sio::WriteConfig(w, config);
-    w.I64(1);  // next_index
+    w.I64(next_index);
     w.U64(0);  // no pending messages
-    w.I64(clock);  // AkgBuilder clock
     w.U64(config.akg.window_length);
     w.U32(1);  // one quantum of history: keywords 1, 2, 3, user 9
     w.U64(3);
     for (KeywordId keyword : {1u, 2u, 3u}) w.U64(akg::PackPair(keyword, 9));
-    const std::vector<KeywordId> stamped =
-        orphan_stamp ? std::vector<KeywordId>{1, 2, 3}
-                     : std::vector<KeywordId>{1, 2};
-    w.U64(stamped.size());  // last_bursty
-    for (KeywordId keyword : stamped) {
+    w.U64(members.size());  // member rows: keyword, last-bursty stamp
+    for (KeywordId keyword : members) {
       w.U32(keyword);
       w.I64(0);
     }
-    w.U64(members.size());
-    for (KeywordId keyword : members) w.U32(keyword);
-    w.U64(signed_keywords.size());
-    for (KeywordId keyword : signed_keywords) {
-      w.U32(keyword);
-      w.U32(1);
-      w.U64(1000 + keyword);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      w.U32(static_cast<std::uint32_t>(signature.size()));
+      for (std::uint64_t value : signature) w.U64(value);
     }
     w.U64(correlations.size());
     for (const auto& [u, v] : correlations) {
@@ -305,25 +301,19 @@ struct ForgedSnapshot {
       w.U32(v);
       w.F64(0.5);
     }
-    for (int i = 0; i < 7; ++i) w.U64(0);  // AkgQuantumStats
-    // Maintainer: graph, empty cluster set, clock, stats.
-    std::set<Pair> edges;
-    for (const auto& [u, v] : maintainer_edges.value_or(correlations)) {
-      edges.insert(std::minmax(u, v));
+    // The maintainer's clusters: id counter, then each cluster.
+    const bool clustered = !cluster_edges.empty();
+    w.U64(clustered ? 1 : 0);
+    w.U64(clustered ? 1 : 0);
+    if (clustered) {
+      w.U64(0);  // id
+      w.I64(0);  // born at
+      w.U64(cluster_edges.size());
+      for (const auto& [u, v] : cluster_edges) {
+        w.U32(u);
+        w.U32(v);
+      }
     }
-    std::set<KeywordId> nodes;
-    for (const auto& [u, v] : edges) nodes.insert({u, v});
-    w.U64(nodes.size());
-    for (KeywordId node : nodes) w.U32(node);
-    w.U64(edges.size());
-    for (const auto& [u, v] : edges) {
-      w.U32(u);
-      w.U32(v);
-    }
-    w.U64(0);  // cluster next_id
-    w.U64(0);  // cluster count
-    w.I64(0);
-    for (int i = 0; i < 8; ++i) w.U64(0);  // MaintenanceStats
     w.U64(0);  // rank tracker: no histories
     w.U64(0);  // reported set: empty
     std::stringstream out;
@@ -337,48 +327,24 @@ TEST(CheckpointFuzzTest, ForgedSnapshotBaselineLoads) {
   // Three members joined by two ascending correlations load too: the
   // baseline of the correlation cases below.
   EXPECT_NE(LoadBytes(ForgedSnapshot{.members = {1, 2, 3},
-                                     .correlations = {{1, 2}, {1, 3}},
-                                     .signed_keywords = {1, 2, 3}}
+                                     .correlations = {{1, 2}, {1, 3}}}
                           .Bytes(),
                       nullptr),
             nullptr);
 }
 
-TEST(CheckpointFuzzTest, ForgedSnapshotWithoutSignaturesIsRejected) {
-  // The AKG edge's endpoints have no signatures: if the loader accepted
-  // it, the next quantum's lazy re-validation would look their signatures
-  // up and abort. The edge is in every section that holds edges, so the
-  // signature check is the one that rejects it.
-  EXPECT_EQ(LoadBytes(ForgedSnapshot{.signed_keywords = {}}.Bytes(), nullptr),
-            nullptr)
-      << "signature-less AKG edge accepted — would crash on next quantum";
-  // The signature table is keyword-ascending, as Save writes it: a section
-  // out of that order, or one that signs a keyword twice, is refused.
-  for (const std::vector<KeywordId>& keywords :
-       {std::vector<KeywordId>{2, 1}, std::vector<KeywordId>{1, 1, 2}}) {
-    EXPECT_EQ(
-        LoadBytes(ForgedSnapshot{.signed_keywords = keywords}.Bytes(), nullptr),
-        nullptr)
-        << "signature section out of keyword order accepted";
+TEST(CheckpointFuzzTest, ForgedSignaturesAreRejected) {
+  // A member's signature is the bottom-p of its non-empty window set:
+  // 1 to p strictly ascending hash keys. p is 2 here.
+  for (const std::vector<std::uint64_t>& signature :
+       {std::vector<std::uint64_t>{}, std::vector<std::uint64_t>{1, 2, 3},
+        std::vector<std::uint64_t>{2, 1}, std::vector<std::uint64_t>{1, 1}}) {
+    EXPECT_EQ(LoadError(ForgedSnapshot{.signature = signature}.Bytes()),
+              durability::ErrorCode::kCorrupt)
+        << signature.size() << "-value signature accepted";
   }
-}
-
-TEST(CheckpointFuzzTest, MaintainerEdgeWithoutCorrelationIsRejected) {
-  // The maintainer's graph is the AKG's edge set, so an edge there with no
-  // correlation would fail the builder's edge-count check on the next
-  // quantum.
-  EXPECT_EQ(LoadBytes(ForgedSnapshot{.correlations = {},
-                                     .maintainer_edges = {{{1, 2}}}}
-                          .Bytes(),
-                      nullptr),
-            nullptr)
-      << "maintainer edge without an AKG correlation accepted";
-  // The same fault the other way round: a correlated edge the maintainer
-  // does not hold.
-  EXPECT_EQ(
-      LoadBytes(ForgedSnapshot{.maintainer_edges = {{}}}.Bytes(), nullptr),
-      nullptr)
-      << "AKG correlation without a maintainer edge accepted";
+  EXPECT_NE(LoadBytes(ForgedSnapshot{.signature = {1, 2}}.Bytes(), nullptr),
+            nullptr);
 }
 
 TEST(CheckpointFuzzTest, MemberHeldByNoHistoryEntryIsRejected) {
@@ -388,28 +354,31 @@ TEST(CheckpointFuzzTest, MemberHeldByNoHistoryEntryIsRejected) {
       LoadBytes(ForgedSnapshot{.members = {1, 2, 4}}.Bytes(), nullptr),
       nullptr)
       << "member outside the window accepted";
+  // The member rows are strictly ascending, as Save writes them.
+  for (const std::vector<KeywordId>& members :
+       {std::vector<KeywordId>{2, 1}, std::vector<KeywordId>{1, 1, 2}}) {
+    EXPECT_EQ(LoadError(ForgedSnapshot{.members = members,
+                                       .correlations = {}}
+                            .Bytes()),
+              durability::ErrorCode::kCorrupt)
+        << "member rows out of keyword order accepted";
+  }
 }
 
 TEST(CheckpointFuzzTest, ForgedCorrelationsAreRejected) {
   // The correlations are the AKG's edges as Save writes them: between two
-  // members, each pair ascending, the list strictly ascending. Each forged
-  // list is also the maintainer's graph and every endpoint is signed, so
+  // members, each pair ascending, the list strictly ascending.
   // ForgedSnapshotBaselineLoads shows the list is the only fault.
   for (const ForgedSnapshot& forged : {
            // An endpoint that is not a member (keyword 3 is in the window).
-           ForgedSnapshot{.correlations = {{1, 2}, {1, 3}},
-                          .signed_keywords = {1, 2, 3}},
+           ForgedSnapshot{.correlations = {{1, 2}, {1, 3}}},
            // A pair written high endpoint first.
-           ForgedSnapshot{.members = {1, 2, 3},
-                          .correlations = {{2, 1}},
-                          .signed_keywords = {1, 2, 3}},
+           ForgedSnapshot{.members = {1, 2, 3}, .correlations = {{2, 1}}},
            // Out of order, and repeated.
            ForgedSnapshot{.members = {1, 2, 3},
-                          .correlations = {{1, 3}, {1, 2}},
-                          .signed_keywords = {1, 2, 3}},
+                          .correlations = {{1, 3}, {1, 2}}},
            ForgedSnapshot{.members = {1, 2, 3},
-                          .correlations = {{1, 2}, {1, 2}},
-                          .signed_keywords = {1, 2, 3}},
+                          .correlations = {{1, 2}, {1, 2}}},
        }) {
     EXPECT_EQ(LoadError(forged.Bytes()), durability::ErrorCode::kCorrupt)
         << forged.correlations.size() << " correlations, first "
@@ -418,31 +387,94 @@ TEST(CheckpointFuzzTest, ForgedCorrelationsAreRejected) {
   }
 }
 
-TEST(CheckpointFuzzTest, OrphanLastBurstyStampIsRejected) {
-  // The node automaton holds a last-bursty stamp for keyword 3, tracked
-  // but not an AKG member. No run writes one (eviction drops a member's
-  // stamp with it), so the loader refuses it instead of keeping orphan
-  // state. ForgedSnapshotBaselineLoads shows the stamp is the only fault.
-  EXPECT_EQ(LoadBytes(ForgedSnapshot{.orphan_stamp = true}.Bytes(), nullptr),
-            nullptr)
-      << "last-bursty stamp of a non-member accepted";
+TEST(CheckpointFuzzTest, ClusterEdgeOutsideTheAkgIsRejected) {
+  // The maintainer's graph is rebuilt from the correlations, and every
+  // cluster edge must be one of them.
+  EXPECT_NE(LoadBytes(ForgedSnapshot{.cluster_edges = {{1, 2}}}.Bytes(),
+                      nullptr),
+            nullptr);
+  EXPECT_EQ(LoadError(ForgedSnapshot{.cluster_edges = {{1, 2}, {2, 3}}}
+                          .Bytes()),
+            durability::ErrorCode::kCorrupt)
+      << "cluster edge without a correlation accepted";
 }
 
 TEST(CheckpointFuzzTest, ForgedClockIsRejected) {
-  // The members' last-seen stamps are counted back from the builder's
-  // clock, so a clock below the history's depth (a quantum index below 0)
-  // or one that leaves no index for the next quantum is not one any run
-  // wrote; it is refused before any stamp is computed.
-  // ForgedSnapshotBaselineLoads shows the clock is the only fault.
-  for (const QuantumIndex clock :
-       {std::numeric_limits<QuantumIndex>::max(),
-        std::numeric_limits<QuantumIndex>::min(), QuantumIndex{-1}}) {
-    EXPECT_EQ(LoadError(ForgedSnapshot{.clock = clock}.Bytes()),
+  // The quantizer's clock is the only stored one: the AKG layer counts its
+  // history's entries and the members' last-seen stamps back from
+  // next_index - 1. A clock below 0, one below the history's depth (0
+  // with this one-entry history, whose entry would be quantum -1) or one
+  // that leaves no index for the quantum after the next is not one any
+  // run wrote; it is refused as damage. ForgedSnapshotBaselineLoads shows
+  // the clock is the only fault.
+  for (const QuantumIndex next_index :
+       {QuantumIndex{-1}, std::numeric_limits<QuantumIndex>::min(),
+        std::numeric_limits<QuantumIndex>::max(), QuantumIndex{0}}) {
+    EXPECT_EQ(LoadError(ForgedSnapshot{.next_index = next_index}.Bytes()),
               durability::ErrorCode::kCorrupt)
-        << "clock " << clock;
+        << "next_index " << next_index;
   }
-  // A later clock loads.
-  EXPECT_NE(LoadBytes(ForgedSnapshot{.clock = 5}.Bytes(), nullptr), nullptr);
+  // A later clock loads: the history's entry is then quantum 4.
+  EXPECT_NE(LoadBytes(ForgedSnapshot{.next_index = 5}.Bytes(), nullptr),
+            nullptr);
+}
+
+TEST(CheckpointFuzzTest, LoadedSnapshotProcessesItsNextQuantum) {
+  // Whatever a loader accepts must be a state the engine can run from:
+  // every forged snapshot of this suite that loads processes its next two
+  // quanta — one empty, one that makes keywords 1-4 bursty together —
+  // without aborting.
+  std::vector<ForgedSnapshot> variants = {
+      ForgedSnapshot{},
+      ForgedSnapshot{.members = {1, 2, 3},
+                     .correlations = {{1, 2}, {1, 3}}},
+      ForgedSnapshot{.members = {1, 2, 4}},
+      ForgedSnapshot{.members = {1, 2, 3}, .correlations = {}},
+      ForgedSnapshot{.correlations = {}},
+      ForgedSnapshot{.members = {}, .correlations = {}},
+      ForgedSnapshot{.signature = {1, 2}},
+      ForgedSnapshot{.signature = {}},
+      ForgedSnapshot{.correlations = {{1, 2}, {1, 3}}},
+      ForgedSnapshot{.cluster_edges = {{1, 2}}},
+      ForgedSnapshot{.cluster_edges = {{1, 2}, {2, 3}}},
+  };
+  for (const QuantumIndex next_index :
+       {QuantumIndex{-1}, QuantumIndex{0}, QuantumIndex{2}, QuantumIndex{5},
+        QuantumIndex{1} << 40, std::numeric_limits<QuantumIndex>::max() - 2,
+        std::numeric_limits<QuantumIndex>::max(),
+        std::numeric_limits<QuantumIndex>::min()}) {
+    variants.push_back(ForgedSnapshot{.next_index = next_index});
+  }
+  std::size_t loaded = 0;
+  for (const ForgedSnapshot& forged : variants) {
+    const std::unique_ptr<ParallelDetector> engine =
+        LoadBytes(forged.Bytes(), nullptr);
+    if (engine == nullptr) continue;
+    ++loaded;
+    SCOPED_TRACE(testing::Message()
+                 << "next_index " << forged.next_index << ", "
+                 << forged.members.size() << " members, "
+                 << forged.correlations.size() << " correlations, "
+                 << forged.cluster_edges.size() << " cluster edges");
+    stream::Quantum empty;
+    empty.index = engine->next_quantum_index();
+    engine->ProcessQuantum(empty);
+    stream::Quantum busy;
+    busy.index = engine->next_quantum_index();
+    for (UserId user = 9; user < 15; ++user) {
+      stream::Message m;
+      m.user = user;
+      m.keywords = {1, 2, 3, 4};
+      busy.messages.push_back(std::move(m));
+    }
+    const detect::QuantumReport report = engine->ProcessQuantum(busy);
+    EXPECT_EQ(report.quantum, busy.index);
+    EXPECT_EQ(engine->next_quantum_index(), busy.index + 1);
+  }
+  // The baseline, the three AKGs without an edge or with two, the
+  // two-value signature, the one-edge cluster and the clocks 2, 5, 2^40
+  // and the top one that leaves room for two quanta.
+  EXPECT_EQ(loaded, 11u);
 }
 
 TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {

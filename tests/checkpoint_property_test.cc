@@ -1,7 +1,9 @@
 // Randomized checkpoint round-trip property: for random streams, random
 // configurations and a random save point, the report stream after a restore
 // is byte-identical to the uninterrupted run's — full snapshots and WAL
-// recovery (segment + log replay). Labeled "slow".
+// recovery (segment + log replay) — and so is the snapshot at the end of
+// the tail: a snapshot is a function of the generating state alone, with
+// no counter or structure a load does not rebuild. Labeled "slow".
 
 #include <algorithm>
 #include <functional>
@@ -65,31 +67,48 @@ Scenario RandomScenario(std::uint64_t seed) {
   return s;
 }
 
-// Reference tail: digests of every report after `save_at`, uninterrupted.
-std::vector<std::uint64_t> ReferenceTail(const Scenario& s) {
+// SaveSnapshot's bytes for `engine`.
+std::string SnapshotBytes(const engine::ParallelDetector& engine) {
+  std::stringstream out;
+  EXPECT_TRUE(durability::SaveSnapshot(engine, out).ok());
+  return out.str();
+}
+
+// The uninterrupted run's tail: digests of every report after `save_at`,
+// and the snapshot after the last quantum.
+struct ReferenceTail {
+  std::vector<std::uint64_t> digests;
+  std::string final_snapshot;
+};
+
+ReferenceTail RunReference(const Scenario& s) {
   engine::ParallelDetector reference({s.config}, &s.trace.dictionary);
-  std::vector<std::uint64_t> tail;
+  ReferenceTail tail;
   for (std::size_t q = 0; q < s.quanta.size(); ++q) {
     const detect::QuantumReport report =
         reference.ProcessQuantum(s.quanta[q]);
-    if (q >= s.save_at) tail.push_back(detect::ReportDigest(report));
+    if (q >= s.save_at) tail.digests.push_back(detect::ReportDigest(report));
   }
+  tail.final_snapshot = SnapshotBytes(reference);
   return tail;
 }
 
 // Requires `restored` to continue over the quanta after `save_at` with the
-// reference digests.
-void ExpectTailMatches(const Scenario& s,
-                       const std::vector<std::uint64_t>& expected,
+// reference digests, and to save the reference's bytes at the end.
+void ExpectTailMatches(const Scenario& s, const ReferenceTail& expected,
                        engine::ParallelDetector& restored,
                        const std::string& what) {
-  ASSERT_FALSE(expected.empty());
+  ASSERT_FALSE(expected.digests.empty());
   for (std::size_t q = s.save_at; q < s.quanta.size(); ++q) {
     const detect::QuantumReport report = restored.ProcessQuantum(s.quanta[q]);
-    ASSERT_EQ(detect::ReportDigest(report), expected[q - s.save_at])
+    ASSERT_EQ(detect::ReportDigest(report), expected.digests[q - s.save_at])
         << what << " diverged at quantum " << q << " (saved at "
         << s.save_at << ")";
   }
+  // Compared as a flag: a byte dump of two snapshots would swamp the log.
+  EXPECT_TRUE(SnapshotBytes(restored) == expected.final_snapshot)
+      << what << ": the snapshot after the tail differs from the "
+      << "uninterrupted run's (saved at " << s.save_at << ")";
 }
 
 // A full snapshot of an engine after `save_at` quanta.
@@ -98,9 +117,7 @@ std::string SaveHead(const Scenario& s) {
   for (std::size_t q = 0; q < s.save_at; ++q) {
     head.ProcessQuantum(s.quanta[q]);
   }
-  std::stringstream out;
-  EXPECT_TRUE(durability::SaveSnapshot(head, out).ok());
-  return out.str();
+  return SnapshotBytes(head);
 }
 
 std::unique_ptr<engine::ParallelDetector> Load(const std::string& bytes,
@@ -115,7 +132,7 @@ std::unique_ptr<engine::ParallelDetector> Load(const std::string& bytes,
 // the tail.
 void ExpectDeltaRoundTrip(const Scenario& s, std::size_t quanta_before_save,
                           const std::string& name) {
-  const std::vector<std::uint64_t> expected = ReferenceTail(s);
+  const ReferenceTail expected = RunReference(s);
   const std::size_t full_at = std::max<std::size_t>(
       1, s.save_at - std::min(s.save_at, quanta_before_save));
   engine::ParallelDetector head({s.config}, &s.trace.dictionary);
@@ -136,7 +153,7 @@ TEST(CheckpointPropertyTest, FullRoundTripTailIsByteIdentical) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const Scenario s = RandomScenario(seed);
-    const std::vector<std::uint64_t> expected = ReferenceTail(s);
+    const ReferenceTail expected = RunReference(s);
     auto restored = Load(SaveHead(s), s);
     ASSERT_NE(restored, nullptr);
     ExpectTailMatches(s, expected, *restored, "full restore");

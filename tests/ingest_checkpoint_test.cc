@@ -701,17 +701,22 @@ TEST(SnapshotCompatTest, VersionSkewIsTypedNotGenericFailure) {
   std::stringstream out;
   ASSERT_TRUE(durability::SaveSnapshot(*detector, out).ok());
 
-  // Version 1 was the replay era, versions 2-4 carried the derived AKG
-  // state version 5 dropped (2 also lacked the IngestState section), and
-  // the last is a future version: none loads, and each says why.
-  for (const char version :
-       {char(1), char(2), char(3), char(4), char(sio::kFormatVersion + 1)}) {
+  // Every older version (1 was the replay era, 2-5 laid the state out
+  // differently) and the next, future one: none loads, and each says why.
+  std::vector<std::uint32_t> versions;
+  for (std::uint32_t v = 0; v < sio::kFormatVersion; ++v) {
+    versions.push_back(v);
+  }
+  versions.push_back(sio::kFormatVersion + 1);
+  for (const std::uint32_t version : versions) {
     std::string bytes = out.str();
-    bytes[8] = version;
+    for (int i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<char>(version >> (8 * i));
+    }
     std::stringstream in(bytes);
     EXPECT_EQ(LoadErrorOf(in, trace.dictionary),
               durability::ErrorCode::kVersionSkew)
-        << "version " << int(version);
+        << "version " << version;
   }
 }
 

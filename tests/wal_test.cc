@@ -27,6 +27,7 @@
 
 #include "common/binary_io.h"
 #include "detect/report.h"
+#include "detect/snapshot_io.h"
 #include "durability/backend.h"
 #include "durability/file_names.h"
 #include "durability/posix_file.h"
@@ -883,12 +884,12 @@ TEST(LegacyDirectoryTest, RetiredCheckpointFilesRefuseAFreshStart) {
 }
 
 TEST(LegacyDirectoryTest, OlderFormatSegmentsFailAsVersionSkew) {
-  // Segments an older build wrote (container version 4, which still held
-  // the derived AKG state) are not damage: every generation fails as
-  // version skew, the trail names it for each segment, and the resume
-  // fails with the typed code instead of starting fresh or replaying logs.
+  // Segments the previous format version wrote (it laid the state out
+  // differently) are not damage: every generation fails as version skew,
+  // the trail names it for each segment, and the resume fails with the
+  // typed code instead of starting fresh or replaying logs.
   const HarnessRun& run = SharedHarnessRun();
-  test_util::WalHarness wal("wal_v4_segments", run.trace.dictionary,
+  test_util::WalHarness wal("wal_older_segments", run.trace.dictionary,
                             /*full_interval=*/1);
   engine::ParallelDetector head({run.config}, &run.trace.dictionary);
   for (std::size_t q = 0; q < 12; ++q) {
@@ -898,12 +899,13 @@ TEST(LegacyDirectoryTest, OlderFormatSegmentsFailAsVersionSkew) {
   const DirectoryListing listing = ListDurabilityFiles(wal.directory());
   ASSERT_GE(listing.segments.size(), 2u);
   for (const auto& [number, name] : listing.segments) {
-    // The version field is the u32 at offset 8; the CRC covers only the
-    // payload, so the frame reads as a sound version-4 one.
+    // The version field is the u32 at offset 8 (its high bytes are 0);
+    // the CRC covers only the payload, so the frame reads as a sound one of
+    // the previous version.
     std::fstream segment(fs::path(wal.directory()) / name,
                          std::ios::in | std::ios::out | std::ios::binary);
     segment.seekp(8);
-    segment.put(4);
+    segment.put(static_cast<char>(detect::snapshot_io::kFormatVersion - 1));
   }
 
   ingest::DurableConfig durable;
