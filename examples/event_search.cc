@@ -94,8 +94,7 @@ int main() {
   index.reset();  // close the writer
 
   // 3. Re-open read-only — a different process would do exactly this.
-  auto reader = store::LshIndex::OpenReadOnly(dir, /*pool_frames=*/64,
-                                              &error);
+  auto reader = store::LshIndex::OpenReadOnly(dir, 0, &error);
   if (reader == nullptr) {
     std::fprintf(stderr, "open failed: %s\n", error.ToString().c_str());
     return 1;

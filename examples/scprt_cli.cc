@@ -40,7 +40,7 @@
 //   scprt_cli info <in.trace>
 //       Print trace statistics (messages, vocabulary, planted events).
 //
-//   scprt_cli query <store-dir> <keyword...> [--top N] [--store-frames N]
+//   scprt_cli query <store-dir> <keyword...> [--top N]
 //       Answer a keyword query against an event store built by a previous
 //       run/ingest with --store-dir: sketch the keywords, probe the banded
 //       LSH index, and print the matching past events ranked by estimated
@@ -48,7 +48,7 @@
 //       trace or dictionary — the store is self-contained.
 //
 // run and ingest accept --store-dir DIR [--store-bands B] [--store-rows R]
-// [--store-commit-every K] [--store-frames N]: every newly reported event
+// [--store-commit-every K]: every newly reported event
 // is persisted into the LSH event store at DIR as it is discovered
 // (created on first use, extended on later runs), making the run's history
 // queryable afterwards. See docs/formats.md for the on-disk layout.
@@ -127,7 +127,7 @@ constexpr char kUsage[] =
     "[--top N] [--stories] [--suppress-spurious] "
     "[--metrics-json FILE] [--trace-out FILE] [--store-dir DIR] "
     "[--store-bands B] [--store-rows R] [--store-commit-every K] "
-    "[--store-frames N] [--stats-addr HOST:PORT] [--sample-every T] "
+    "[--stats-addr HOST:PORT] [--sample-every T] "
     "[--health-rule RULES] [--postmortem-dir DIR]\n"
     "  scprt_cli ingest <in.jsonl|in.tsv|-> [--format jsonl|tsv] [--workers N] "
     "[--policy block|drop|sample] [--sample-keep F] [--seed N] "
@@ -136,11 +136,11 @@ constexpr char kUsage[] =
     "[--durability-fsync none|interval|commit] [--durability-cadence K] "
     "[--durability-seconds T] [--durability-full-every N] [--resume] "
     "[--trace-out FILE] [--store-dir DIR] [--store-bands B] [--store-rows R] "
-    "[--store-commit-every K] [--store-frames N] [--stats-addr HOST:PORT] "
+    "[--store-commit-every K] [--stats-addr HOST:PORT] "
     "[--sample-every T] [--health-rule RULES] [--postmortem-dir DIR]\n"
     "  scprt_cli export <in.trace> <out> [--format jsonl|tsv]\n"
     "  scprt_cli info <in.trace>\n"
-    "  scprt_cli query <store-dir> <keyword...> [--top N] [--store-frames N] "
+    "  scprt_cli query <store-dir> <keyword...> [--top N] "
     "[--metrics-json FILE]\n";
 
 int Usage() {
@@ -218,10 +218,9 @@ auto InRange(std::uint64_t floor,
 
 // Caps on the flags that size threads or buffers up front: a larger value
 // is a typo that thread creation or allocation would fail on. --workers 0
-// means "all hardware threads"; 2^16 store frames are 256 MiB of pages.
+// means "all hardware threads".
 constexpr std::size_t kMaxThreadCount = 1024;
 constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 16;
-constexpr std::size_t kMaxStoreFrames = std::size_t{1} << 16;
 
 Args Parse(int argc, char** argv) {
   Args args;
@@ -344,10 +343,6 @@ bool MaybeOpenStore(const Args& args, StoreAttachment* out) {
       BoundedFlag<std::uint32_t>(args, "store-bands", "8", InRange(1));
   options.rows =
       BoundedFlag<std::uint32_t>(args, "store-rows", "2", InRange(1));
-  // Extending a page chain pins the old tail and the new page at once, so
-  // the writer needs two frames.
-  options.pool_frames = BoundedFlag<std::size_t>(
-      args, "store-frames", "256", InRange(2, kMaxStoreFrames));
   const auto commit_every =
       NumericFlag<std::uint32_t>(args, "store-commit-every", "1");
   durability::Error error;
@@ -759,12 +754,9 @@ int CmdQuery(const Args& args) {
   std::vector<std::string> keywords(args.positional.begin() + 2,
                                     args.positional.end());
   const auto top = NumericFlag<std::size_t>(args, "top", "10");
-  // A read pins one page at a time.
-  const auto frames = BoundedFlag<std::size_t>(args, "store-frames", "256",
-                                               InRange(1, kMaxStoreFrames));
 
   durability::Error error;
-  const auto index = store::LshIndex::OpenReadOnly(dir, frames, &error);
+  const auto index = store::LshIndex::OpenReadOnly(dir, 0, &error);
   if (index == nullptr) {
     std::fprintf(stderr, "error: cannot open event store %s: %s\n",
                  dir.c_str(), error.ToString().c_str());

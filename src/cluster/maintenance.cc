@@ -119,8 +119,8 @@ void ScpMaintainer::RecloseCluster(ClusterId id) {
     return;
   }
 
-  // Otherwise rebuild: the largest fragment keeps the identity (and birth
-  // stamp) of the original cluster; the rest become fresh clusters.
+  // Otherwise rebuild: the original cluster is removed and every fragment,
+  // a lone shrunk one included, becomes a fresh cluster with a new id.
   const QuantumIndex born = cluster->born_at;
   clusters_.Remove(id);
   if (fragments.empty()) return;

@@ -116,8 +116,10 @@ class ScpMaintainer {
   void AbsorbCyclesThroughEdge(graph::NodeId a, graph::NodeId b);
 
   /// Recomputes the canonical clustering inside cluster `id`'s subgraph
-  /// after deletions; splits/dissolves as needed. The largest surviving
-  /// fragment keeps the id.
+  /// after deletions; splits/dissolves as needed. A cluster that survives
+  /// intact keeps its id; otherwise it is removed and every surviving
+  /// fragment (even a lone shrunk one) is created under a fresh id,
+  /// keeping only the original `born_at`.
   void RecloseCluster(ClusterId id);
 
   graph::DynamicGraph graph_;

@@ -22,8 +22,6 @@ const char* ErrorCodeName(ErrorCode code) {
       return "sync failed";
     case ErrorCode::kRenameFailed:
       return "rename failed";
-    case ErrorCode::kBusy:
-      return "busy";
   }
   return "unknown";
 }

@@ -5,9 +5,8 @@
 // detail trail. ErrorCode is the one error enum of the persistence tier:
 // the snapshot container's loaders (detect/snapshot_io.h) report the
 // payload-level reasons with it directly, and the storage layers add the
-// file-system reasons — fsync failures, rename failures, an exhausted
-// buffer pool. Callers branch on `code`; operators read `detail`. Neither
-// is ever written to disk.
+// file-system reasons — fsync failures, rename failures. Callers branch
+// on `code`; operators read `detail`. Neither is ever written to disk.
 
 #ifndef SCPRT_DURABILITY_ERROR_H_
 #define SCPRT_DURABILITY_ERROR_H_
@@ -43,9 +42,6 @@ enum class ErrorCode : std::uint8_t {
   /// The atomic publish rename failed — the new state never became
   /// visible (the previous generation is still intact).
   kRenameFailed,
-  /// A bounded resource is exhausted — e.g. every buffer-pool frame is
-  /// pinned when a page must be brought in.
-  kBusy,
 };
 
 /// Stable human-readable name ("sync failed", "version skew", ...).

@@ -1,5 +1,6 @@
 #include "engine/parallel_detector.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -25,7 +26,9 @@ detect::QuantumReport ParallelDetector::ProcessQuantum(
     const stream::Quantum& quantum) {
   // The quantizer re-bases only before the first quantum. After it, the
   // index must be the clock's next one, checked before any state changes
-  // (the AKG layer stamps its window by position).
+  // (the AKG layer stamps its window by position). The top index leaves
+  // the clock no successor, so no quantum may carry it.
+  SCPRT_CHECK(quantum.index < std::numeric_limits<QuantumIndex>::max());
   if (core().akg().id_sets().depth() == 0) {
     if (quantizer_.next_index() <= quantum.index) {
       quantizer_.SetNextIndex(quantum.index + 1);

@@ -63,7 +63,8 @@ class ParallelDetector {
   /// Processes one pre-built quantum; the clock moves past it. The first
   /// quantum may start anywhere (the clock re-bases to it); every later
   /// one must carry the clock's next index, or the call aborts before any
-  /// state changes.
+  /// state changes. So does a quantum at the top index (INT64_MAX), which
+  /// would leave the clock no successor.
   detect::QuantumReport ProcessQuantum(const stream::Quantum& quantum);
 
   /// Runs a whole trace; returns every quantum report.

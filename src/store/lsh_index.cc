@@ -193,8 +193,6 @@ std::unique_ptr<LshIndex> LshIndex::Create(const std::string& directory,
       directory + "/" + durability::IndexFileName(index->file_number_);
   index->file_ = PageFile::Create(path, error);
   if (index->file_ == nullptr) return nullptr;
-  index->pool_ = std::make_unique<BufferPool>(
-      index->file_.get(), std::max<std::size_t>(1, options.pool_frames));
   if (Error e = index->InitDirectory(); !e.ok()) {
     if (error != nullptr) *error = std::move(e);
     return nullptr;
@@ -213,11 +211,9 @@ std::unique_ptr<LshIndex> LshIndex::Open(const std::string& directory,
 }
 
 std::unique_ptr<LshIndex> LshIndex::OpenReadOnly(const std::string& directory,
-                                                 std::size_t pool_frames,
+                                                 std::size_t /*unused_frames*/,
                                                  Error* error) {
-  LshOptions options;
-  options.pool_frames = pool_frames;
-  return OpenImpl(directory, options, /*read_only=*/true, error);
+  return OpenImpl(directory, LshOptions{}, /*read_only=*/true, error);
 }
 
 std::unique_ptr<LshIndex> LshIndex::OpenImpl(const std::string& directory,
@@ -293,8 +289,6 @@ std::unique_ptr<LshIndex> LshIndex::OpenImpl(const std::string& directory,
     return fail(MakeError(ErrorCode::kCorrupt,
                           path + ": shorter than the committed page count"));
   }
-  index->pool_ = std::make_unique<BufferPool>(
-      index->file_.get(), std::max<std::size_t>(1, options.pool_frames));
 
   if (read_only) {
     index->file_->set_page_count(physical_pages);
@@ -308,14 +302,14 @@ std::unique_ptr<LshIndex> LshIndex::OpenImpl(const std::string& directory,
   // may reference pages the allocator is about to hand out again).
   index->file_->set_page_count(index->committed_pages_);
   if (index->event_tail_page_ != 0) {
-    PageHandle tail;
-    if (Error e = index->pool_->Fetch(index->event_tail_page_, &tail);
-        !e.ok()) {
-      return fail(std::move(e));
+    char tail[kPagePayloadSize];
+    Error e = index->file_->ReadPage(index->event_tail_page_, tail);
+    if (e.ok()) {
+      StoreU32(tail, 0);  // next: the chain ends at the committed tail
+      StoreU16(tail + 4, index->event_tail_offset_);
+      e = index->file_->WritePage(index->event_tail_page_, tail);
     }
-    StoreU32(tail.data(), 0);  // next: the chain ends at the committed tail
-    StoreU16(tail.data() + 4, index->event_tail_offset_);
-    tail.MarkDirty();
+    if (!e.ok()) return fail(std::move(e));
   }
   if (physical_pages > index->committed_pages_) {
     if (Error e = index->RebuildDirectory(); !e.ok()) {
@@ -331,76 +325,58 @@ std::unique_ptr<LshIndex> LshIndex::OpenImpl(const std::string& directory,
 }
 
 Error LshIndex::InitDirectory() {
-  const std::uint32_t pages = DirectoryPages();
-  for (std::uint32_t i = 0; i < pages; ++i) {
-    PageHandle handle;
-    if (Error e = pool_->NewPage(&handle); !e.ok()) return e;
-    // NewPage zero-fills: every slot starts empty (head page 0).
+  const char empty[kPagePayloadSize] = {};  // every slot: head page 0
+  for (std::uint32_t i = 0; i < DirectoryPages(); ++i) {
+    if (Error e = file_->WritePage(file_->AllocatePage(), empty); !e.ok()) {
+      return e;
+    }
   }
   return {};
 }
 
 Error LshIndex::RebuildDirectory() {
-  const std::uint32_t pages = DirectoryPages();
-  for (std::uint32_t i = 0; i < pages; ++i) {
-    PageHandle handle;
-    if (Error e = pool_->Fetch(1 + i, &handle); !e.ok()) return e;
-    std::memset(handle.data(), 0, kPagePayloadSize);
-    handle.MarkDirty();
+  const char empty[kPagePayloadSize] = {};
+  for (std::uint32_t i = 0; i < DirectoryPages(); ++i) {
+    if (Error e = file_->WritePage(1 + i, empty); !e.ok()) return e;
   }
-  return ScanChain([this](const StoredEvent& event, std::uint32_t page,
-                          std::uint16_t offset) {
-    for (std::uint32_t band = 0; band < bands_; ++band) {
+  Error append_error;
+  Error scan_error = ScanChain([this, &append_error](const StoredEvent& event,
+                                                     std::uint32_t page,
+                                                     std::uint16_t offset) {
+    for (std::uint32_t band = 0; band < bands_ && append_error.ok();
+         ++band) {
       Posting posting;
       posting.band_key = BandKey(event.signature, band);
       posting.event_id = event.event_id;
       posting.page = page;
       posting.offset = offset;
-      // Rebuild is all-or-nothing: an append failure here surfaces on the
-      // next page operation; the chain scan itself already validated the
-      // committed data.
-      (void)AppendPosting(band, posting);
+      append_error = AppendPosting(band, posting);
     }
   });
+  return scan_error.ok() ? append_error : scan_error;
 }
 
-Error LshIndex::ReadDirectorySlot(std::uint32_t band, std::uint64_t key,
-                                  std::uint32_t* head) {
+std::pair<std::uint32_t, std::size_t> LshIndex::DirectorySlot(
+    std::uint32_t band, std::uint64_t key) const {
   const std::uint64_t slot =
       static_cast<std::uint64_t>(band) * directory_slots_ +
       (key & (directory_slots_ - 1));
-  const std::uint32_t page =
-      1 + static_cast<std::uint32_t>(slot / kDirSlotsPerPage);
-  PageHandle handle;
-  Error e = pool_->Fetch(page, &handle);
+  return {1 + static_cast<std::uint32_t>(slot / kDirSlotsPerPage),
+          (slot % kDirSlotsPerPage) * 4};
+}
+
+Error LshIndex::ReadDirectoryPage(std::uint32_t page, char* payload) {
+  Error e = file_->ReadPage(page, payload);
   if (e.code == ErrorCode::kCorrupt) {
     const auto deadline =
         std::chrono::steady_clock::now() + kDirectoryRetryDeadline;
     while (e.code == ErrorCode::kCorrupt &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(kDirectoryRetryPause);
-      e = pool_->Fetch(page, &handle);
+      e = file_->ReadPage(page, payload);
     }
   }
-  if (!e.ok()) return e;
-  *head = LoadU32(handle.data() + (slot % kDirSlotsPerPage) * 4);
-  return {};
-}
-
-Error LshIndex::WriteDirectorySlot(std::uint32_t band, std::uint64_t key,
-                                   std::uint32_t head) {
-  const std::uint64_t slot =
-      static_cast<std::uint64_t>(band) * directory_slots_ +
-      (key & (directory_slots_ - 1));
-  PageHandle handle;
-  if (Error e = pool_->Fetch(
-          1 + static_cast<std::uint32_t>(slot / kDirSlotsPerPage), &handle);
-      !e.ok()) {
-    return e;
-  }
-  StoreU32(handle.data() + (slot % kDirSlotsPerPage) * 4, head);
-  handle.MarkDirty();
-  return {};
+  return e;
 }
 
 Error LshIndex::AppendEventRecord(const std::string& payload,
@@ -410,34 +386,33 @@ Error LshIndex::AppendEventRecord(const std::string& payload,
     return MakeError(ErrorCode::kStateMismatch,
                      "event record too large for one page");
   }
-  PageHandle tail;
-  if (event_head_page_ == 0) {
-    if (Error e = pool_->NewPage(&tail); !e.ok()) return e;
-    StoreU16(tail.data() + 4, kChainHeaderSize);
-    tail.MarkDirty();
-    event_head_page_ = event_tail_page_ = tail.page_no();
-  } else {
-    if (Error e = pool_->Fetch(event_tail_page_, &tail); !e.ok()) return e;
+  // The record lands on the tail page, or on a fresh page when the tail is
+  // full. A fresh page is written before the old tail's `next` names it.
+  char tail[kPagePayloadSize] = {};
+  std::uint16_t used = kChainHeaderSize;
+  if (event_head_page_ != 0) {
+    if (Error e = file_->ReadPage(event_tail_page_, tail); !e.ok()) return e;
+    used = LoadU16(tail + 4);
   }
-  std::uint16_t used = LoadU16(tail.data() + 4);
-  if (used + total > kPagePayloadSize) {
-    PageHandle next;
-    if (Error e = pool_->NewPage(&next); !e.ok()) return e;
-    StoreU16(next.data() + 4, kChainHeaderSize);
-    next.MarkDirty();
-    StoreU32(tail.data(), next.page_no());
-    tail.MarkDirty();
-    event_tail_page_ = next.page_no();
-    tail = std::move(next);
-    used = kChainHeaderSize;
-  }
-  char* at = tail.data() + used;
+  const bool fresh = event_head_page_ == 0 || used + total > kPagePayloadSize;
+  char fresh_page[kPagePayloadSize] = {};
+  char* target = fresh ? fresh_page : tail;
+  const std::uint32_t target_page =
+      fresh ? file_->AllocatePage() : event_tail_page_;
+  if (fresh) used = kChainHeaderSize;
+  char* at = target + used;
   StoreU32(at, static_cast<std::uint32_t>(payload.size()));
   StoreU32(at + 4, Crc32(payload));
   std::memcpy(at + 8, payload.data(), payload.size());
-  StoreU16(tail.data() + 4, static_cast<std::uint16_t>(used + total));
-  tail.MarkDirty();
-  *page = event_tail_page_;
+  StoreU16(target + 4, static_cast<std::uint16_t>(used + total));
+  if (Error e = file_->WritePage(target_page, target); !e.ok()) return e;
+  if (fresh && event_head_page_ != 0) {
+    StoreU32(tail, target_page);
+    if (Error e = file_->WritePage(event_tail_page_, tail); !e.ok()) return e;
+  }
+  if (event_head_page_ == 0) event_head_page_ = target_page;
+  event_tail_page_ = target_page;
+  *page = target_page;
   *offset = used;
   return {};
 }
@@ -445,62 +420,60 @@ Error LshIndex::AppendEventRecord(const std::string& payload,
 Error LshIndex::AppendPosting(std::uint32_t band, const Posting& posting) {
   // Head insertion: postings go into the chain's head page until it fills,
   // then a fresh page is prepended — the directory slot always names the
-  // only page with free space.
-  std::uint32_t head = 0;
-  if (Error e = ReadDirectorySlot(band, posting.band_key, &head); !e.ok()) {
+  // only page with free space. A fresh page is written before the slot
+  // names it.
+  const auto [directory_page, slot_offset] =
+      DirectorySlot(band, posting.band_key);
+  char directory[kPagePayloadSize];
+  if (Error e = ReadDirectoryPage(directory_page, directory); !e.ok()) {
     return e;
   }
-  PageHandle handle;
+  const std::uint32_t head = LoadU32(directory + slot_offset);
+  char chain[kPagePayloadSize] = {};
+  std::uint16_t used = 0;
   if (head != 0) {
-    if (Error e = pool_->Fetch(head, &handle); !e.ok()) return e;
-    const std::uint16_t used = LoadU16(handle.data() + 4);
-    if (used < kPostingsPerPage) {
-      char* at = handle.data() + kChainHeaderSize + used * kPostingSize;
-      StoreU64(at, posting.band_key);
-      StoreU32(at + 8, posting.event_id);
-      StoreU32(at + 12, posting.page);
-      StoreU16(at + 16, posting.offset);
-      StoreU16(handle.data() + 4, static_cast<std::uint16_t>(used + 1));
-      handle.MarkDirty();
-      return {};
-    }
-    handle.Release();
+    if (Error e = file_->ReadPage(head, chain); !e.ok()) return e;
+    used = LoadU16(chain + 4);
   }
-  PageHandle fresh;
-  if (Error e = pool_->NewPage(&fresh); !e.ok()) return e;
-  StoreU32(fresh.data(), head);  // next: the full (or absent) old head
-  StoreU16(fresh.data() + 4, 1);
-  char* at = fresh.data() + kChainHeaderSize;
+  const bool fresh = head == 0 || used >= kPostingsPerPage;
+  if (fresh) {
+    std::memset(chain, 0, kPagePayloadSize);
+    StoreU32(chain, head);  // next: the full (or absent) old head
+    used = 0;
+  }
+  char* at = chain + kChainHeaderSize + used * kPostingSize;
   StoreU64(at, posting.band_key);
   StoreU32(at + 8, posting.event_id);
   StoreU32(at + 12, posting.page);
   StoreU16(at + 16, posting.offset);
-  fresh.MarkDirty();
-  const std::uint32_t fresh_page = fresh.page_no();
-  fresh.Release();
-  return WriteDirectorySlot(band, posting.band_key, fresh_page);
+  StoreU16(chain + 4, static_cast<std::uint16_t>(used + 1));
+  if (!fresh) return file_->WritePage(head, chain);
+  const std::uint32_t fresh_page = file_->AllocatePage();
+  if (Error e = file_->WritePage(fresh_page, chain); !e.ok()) return e;
+  StoreU32(directory + slot_offset, fresh_page);
+  return file_->WritePage(directory_page, directory);
 }
 
 Error LshIndex::CollectBand(std::uint32_t band, std::uint64_t key,
                             std::vector<Posting>* postings) {
-  std::uint32_t page = 0;
-  if (Error e = ReadDirectorySlot(band, key, &page); !e.ok()) return e;
+  const auto [directory_page, slot_offset] = DirectorySlot(band, key);
+  char buffer[kPagePayloadSize];
+  if (Error e = ReadDirectoryPage(directory_page, buffer); !e.ok()) return e;
+  std::uint32_t page = LoadU32(buffer + slot_offset);
   std::unordered_set<std::uint32_t> visited;
   std::size_t steps = 0;
   while (page != 0 && page < file_->page_count() &&
          visited.insert(page).second && ++steps <= kMaxChainPages) {
-    PageHandle handle;
-    if (Error e = pool_->Fetch(page, &handle); !e.ok()) {
+    if (Error e = file_->ReadPage(page, buffer); !e.ok()) {
       // A stale pointer into a torn page is a miss, not a query failure.
       if (e.code == ErrorCode::kCorrupt) break;
       return e;
     }
-    const std::uint32_t next = LoadU32(handle.data());
-    std::size_t used = LoadU16(handle.data() + 4);
+    const std::uint32_t next = LoadU32(buffer);
+    std::size_t used = LoadU16(buffer + 4);
     if (used > kPostingsPerPage) used = kPostingsPerPage;
     for (std::size_t i = 0; i < used; ++i) {
-      const char* at =
-          handle.data() + kChainHeaderSize + i * kPostingSize;
+      const char* at = buffer + kChainHeaderSize + i * kPostingSize;
       Posting posting;
       posting.band_key = LoadU64(at);
       posting.event_id = LoadU32(at + 8);
@@ -524,12 +497,12 @@ Error LshIndex::LoadRecord(std::uint32_t page, std::uint16_t offset,
       std::size_t{offset} + 8 > kPagePayloadSize) {
     return {};
   }
-  PageHandle handle;
-  if (Error e = pool_->Fetch(page, &handle); !e.ok()) {
+  char buffer[kPagePayloadSize];
+  if (Error e = file_->ReadPage(page, buffer); !e.ok()) {
     if (e.code == ErrorCode::kCorrupt) return {};  // stale candidate
     return e;
   }
-  const char* at = handle.data() + offset;
+  const char* at = buffer + offset;
   const std::uint32_t len = LoadU32(at);
   if (offset + 8 + len > kPagePayloadSize) return {};
   const std::uint32_t crc = LoadU32(at + 4);
@@ -548,6 +521,7 @@ Error LshIndex::ScanChain(
                              std::uint16_t offset)>& fn) {
   if (event_head_page_ == 0) return {};
   std::uint32_t page = event_head_page_;
+  char buffer[kPagePayloadSize];
   std::unordered_set<std::uint32_t> visited;
   std::size_t steps = 0;
   while (page != 0) {
@@ -556,15 +530,14 @@ Error LshIndex::ScanChain(
       return MakeError(ErrorCode::kCorrupt,
                        "event chain walks outside the committed file");
     }
-    PageHandle handle;
-    if (Error e = pool_->Fetch(page, &handle); !e.ok()) return e;
+    if (Error e = file_->ReadPage(page, buffer); !e.ok()) return e;
     const bool is_tail = page == event_tail_page_;
     std::size_t limit = is_tail ? event_tail_offset_
-                                : LoadU16(handle.data() + 4);
+                                : LoadU16(buffer + 4);
     if (limit > kPagePayloadSize) limit = kPagePayloadSize;
     std::size_t offset = kChainHeaderSize;
     while (offset + 8 <= limit) {
-      const char* at = handle.data() + offset;
+      const char* at = buffer + offset;
       const std::uint32_t len = LoadU32(at);
       if (offset + 8 + len > limit) {
         return MakeError(ErrorCode::kCorrupt,
@@ -582,7 +555,7 @@ Error LshIndex::ScanChain(
       offset += 8 + len;
     }
     if (is_tail) break;
-    page = LoadU32(handle.data());
+    page = LoadU32(buffer);
   }
   return {};
 }
@@ -640,7 +613,6 @@ Error LshIndex::Commit() {
   if (read_only_) {
     return MakeError(ErrorCode::kIo, "lsh index: read-only handle");
   }
-  if (Error e = pool_->FlushAll(); !e.ok()) return e;
   if (sync_ && !file_->Sync()) {
     return MakeError(ErrorCode::kSyncFailed, file_->path());
   }
@@ -653,9 +625,9 @@ Error LshIndex::PublishMeta() {
   // Re-read the live tail's used count: that is the committed tail offset.
   std::uint16_t tail_offset = 0;
   if (event_tail_page_ != 0) {
-    PageHandle tail;
-    if (Error e = pool_->Fetch(event_tail_page_, &tail); !e.ok()) return e;
-    tail_offset = LoadU16(tail.data() + 4);
+    char tail[kPagePayloadSize];
+    if (Error e = file_->ReadPage(event_tail_page_, tail); !e.ok()) return e;
+    tail_offset = LoadU16(tail + 4);
   }
   event_tail_offset_ = tail_offset;
 

@@ -1,5 +1,5 @@
-// The queryable event store: a banded Min-Hash LSH inverse index over the
-// paged buffer pool, answering "which past events match these keywords?"
+// The queryable event store: a banded Min-Hash LSH inverse index over a
+// CRC-framed page file, answering "which past events match these keywords?"
 // without replaying the stream.
 //
 // Every reported cluster is persisted once as an event record (its
@@ -21,9 +21,11 @@
 // keyword cannot promote a past event (tests/lsh_index_test.cc holds the
 // line).
 //
-// Crash consistency (docs/formats.md): all page traffic flows through the
-// BufferPool; Commit() = FlushAll + fdatasync + atomic STOREMETA publish
-// (tmp + rename). The meta records the committed page count, event count
+// Crash consistency (docs/formats.md): every page read and write goes
+// straight to the PageFile (no user-space cache; the kernel's page cache
+// serves re-reads), and a fresh page is written before the pointer that
+// names it. Commit() = fdatasync + atomic STOREMETA publish (tmp +
+// rename). The meta records the committed page count, event count
 // and event-chain tail; a writer re-opening after a crash clamps the
 // allocator and tail to the committed watermarks so the uncommitted
 // physical tail is overwritten in place, and rebuilds the bucket
@@ -53,7 +55,6 @@
 #include "akg/minhash.h"
 #include "durability/error.h"
 #include "obs/registry.h"
-#include "store/buffer_pool.h"
 #include "store/page_file.h"
 
 namespace scprt::store {
@@ -67,8 +68,6 @@ struct LshOptions {
   std::uint32_t rows = 2;
   /// Directory slots per band (rounded up to a power of two).
   std::uint32_t directory_slots = 4096;
-  /// Buffer-pool frames for this handle (not persisted; per open).
-  std::size_t pool_frames = 256;
   /// Seed of the keyword hash family.
   std::uint64_t seed = 0x5ca1ab1e0ddba11ULL;
   /// fsync on Commit and meta publish (off only in tests).
@@ -119,16 +118,18 @@ class LshIndex {
   /// Opens an existing index for writing: recovers to the committed
   /// watermarks, rebuilds the bucket directory if the file has an
   /// uncommitted physical tail, and scans the committed events to rebuild
-  /// the (cluster, quantum) dedup set. `pool_frames`/`sync` are taken from
-  /// `options`; the persisted shape wins over the rest.
+  /// the (cluster, quantum) dedup set. `sync` is taken from `options`; the
+  /// persisted shape wins over the rest.
   static std::unique_ptr<LshIndex> Open(const std::string& directory,
                                         const LshOptions& options,
                                         durability::Error* error = nullptr);
 
   /// Opens for queries only (O_RDONLY file, no recovery scan). Insert and
-  /// Commit fail with kIo.
+  /// Commit fail with kIo. `unused_frames` is ignored: it remains only
+  /// because the repository benchmark (perfbench/src/live.cc) passes it;
+  /// drop it together with that argument.
   static std::unique_ptr<LshIndex> OpenReadOnly(
-      const std::string& directory, std::size_t pool_frames,
+      const std::string& directory, std::size_t unused_frames,
       durability::Error* error = nullptr);
 
   /// Inserts one reported event. Idempotent on (cluster_id, quantum) —
@@ -142,8 +143,8 @@ class LshIndex {
                            const akg::MinHashSignature& user_sketch,
                            std::uint64_t sketch_p);
 
-  /// Makes every insert so far durable and query-visible: FlushAll, file
-  /// sync, atomic meta publish.
+  /// Makes every insert so far durable and query-visible: file sync, then
+  /// atomic meta publish (the inserts' pages are already in the file).
   durability::Error Commit();
 
   /// Sketches `keywords`, probes one bucket per band, dedupes candidates,
@@ -169,7 +170,6 @@ class LshIndex {
   std::uint32_t committed_events() const { return committed_events_; }
   std::uint32_t next_event_id() const;
   std::uint32_t page_count() const { return file_->page_count(); }
-  BufferPool& pool() { return *pool_; }
 
  private:
   LshIndex() = default;
@@ -189,10 +189,14 @@ class LshIndex {
   std::uint64_t BandKey(const akg::MinHashSignature& signature,
                         std::uint32_t band) const;
   std::uint32_t DirectoryPages() const;
-  durability::Error ReadDirectorySlot(std::uint32_t band, std::uint64_t key,
-                                      std::uint32_t* head);
-  durability::Error WriteDirectorySlot(std::uint32_t band, std::uint64_t key,
-                                       std::uint32_t head);
+  /// The directory page holding `key`'s slot in `band`, and the slot's
+  /// byte offset in that page's payload.
+  std::pair<std::uint32_t, std::size_t> DirectorySlot(std::uint32_t band,
+                                                      std::uint64_t key) const;
+  /// Reads a directory page, re-reading one whose CRC fails for a short
+  /// deadline: a read-only handle can catch a live writer's in-place
+  /// rewrite half done.
+  durability::Error ReadDirectoryPage(std::uint32_t page, char* payload);
   durability::Error InitDirectory();
   durability::Error AppendEventRecord(const std::string& payload,
                                       std::uint32_t* page,
@@ -215,7 +219,6 @@ class LshIndex {
   mutable std::mutex mu_;
   std::string directory_;
   std::unique_ptr<PageFile> file_;
-  std::unique_ptr<BufferPool> pool_;
   bool read_only_ = false;
   bool sync_ = true;
 

@@ -60,7 +60,11 @@ bool PwriteFull(int fd, const char* buf, std::size_t n, off_t offset) {
 }  // namespace
 
 PageFile::PageFile(int fd, std::string path, std::uint32_t page_count)
-    : fd_(fd), path_(std::move(path)), page_count_(page_count) {}
+    : fd_(fd),
+      path_(std::move(path)),
+      page_count_(page_count),
+      reads_(obs::Registry::Default().GetCounter("store.page_read")),
+      writes_(obs::Registry::Default().GetCounter("store.page_write")) {}
 
 PageFile::~PageFile() {
   if (fd_ >= 0) ::close(fd_);
@@ -142,6 +146,7 @@ Error PageFile::ReadPage(std::uint32_t page_no, char* payload) {
     return Errno(ErrorCode::kIo,
                  "read page " + std::to_string(page_no) + " of", path_);
   }
+  reads_->Increment();
   const std::uint32_t stored_crc = LoadU32(frame);
   const std::uint32_t crc = Crc32(std::string_view(frame + 4, kPageSize - 4));
   if (crc != stored_crc) {
@@ -168,6 +173,7 @@ Error PageFile::WritePage(std::uint32_t page_no, const char* payload) {
     return Errno(ErrorCode::kIo,
                  "write page " + std::to_string(page_no) + " of", path_);
   }
+  writes_->Increment();
   return {};
 }
 

@@ -19,6 +19,10 @@
 // recovery re-opens with the committed count and the allocator hands the
 // uncommitted tail out again, overwriting garbage in place. Single
 // writer; readers may share a file that a writer only grows.
+//
+// There is no user-space page cache above this layer: every ReadPage is a
+// pread and every WritePage a pwrite, counted into obs as
+// "store.page_read" and "store.page_write".
 
 #ifndef SCPRT_STORE_PAGE_FILE_H_
 #define SCPRT_STORE_PAGE_FILE_H_
@@ -29,6 +33,7 @@
 #include <string>
 
 #include "durability/error.h"
+#include "obs/registry.h"
 
 namespace scprt::store {
 
@@ -90,6 +95,8 @@ class PageFile {
   int fd_;
   std::string path_;
   std::uint32_t page_count_;
+  obs::Counter* reads_;
+  obs::Counter* writes_;
 };
 
 }  // namespace scprt::store

@@ -1,5 +1,6 @@
 #include "stream/quantizer.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -15,11 +16,17 @@ std::optional<Quantum> Quantizer::Push(Message message) {
   pending_.push_back(std::move(message));
   if (pending_.size() < quantum_size_) return std::nullopt;
   Quantum q;
-  q.index = next_index_++;
+  q.index = TakeIndex();
   q.messages = std::move(pending_);
   pending_.clear();
   pending_.reserve(quantum_size_);
   return q;
+}
+
+QuantumIndex Quantizer::TakeIndex() {
+  // The top index leaves the clock no successor: no quantum may carry it.
+  SCPRT_CHECK(next_index_ < std::numeric_limits<QuantumIndex>::max());
+  return next_index_++;
 }
 
 std::vector<Message> Quantizer::TakePending() {
@@ -41,7 +48,7 @@ bool Quantizer::Restore(QuantumIndex next_index,
 std::optional<Quantum> Quantizer::Flush() {
   if (pending_.empty()) return std::nullopt;
   Quantum q;
-  q.index = next_index_++;
+  q.index = TakeIndex();
   q.messages = std::move(pending_);
   pending_.clear();
   return q;

@@ -19,11 +19,12 @@ class Quantizer {
   explicit Quantizer(std::size_t quantum_size);
 
   /// Adds one message. Returns a completed quantum when this message filled
-  /// it, otherwise nullopt.
+  /// it, otherwise nullopt. Aborts rather than close a quantum at the top
+  /// index (INT64_MAX), which would leave the clock no successor.
   std::optional<Quantum> Push(Message message);
 
   /// Flushes a trailing partial quantum (end of trace). Returns nullopt when
-  /// nothing is pending.
+  /// nothing is pending. Aborts at the top index, as Push does.
   std::optional<Quantum> Flush();
 
   /// Index the next emitted quantum will carry.
@@ -50,6 +51,9 @@ class Quantizer {
   std::size_t quantum_size() const { return quantum_size_; }
 
  private:
+  /// The closing quantum's index; advances the clock.
+  QuantumIndex TakeIndex();
+
   std::size_t quantum_size_;
   QuantumIndex next_index_ = 0;
   std::vector<Message> pending_;

@@ -477,6 +477,44 @@ TEST(CheckpointFuzzTest, LoadedSnapshotProcessesItsNextQuantum) {
   EXPECT_EQ(loaded, 11u);
 }
 
+TEST(CheckpointFuzzTest, LoadedClockRefusesTheQuantumWithoutASuccessor) {
+  // A clock one short of the top index loads and processes its next
+  // quantum; the one after would leave the clock no successor, so the
+  // engine refuses it, whether pre-built or closed by Push.
+  constexpr QuantumIndex kTop = std::numeric_limits<QuantumIndex>::max();
+  const std::string bytes = ForgedSnapshot{.next_index = kTop - 1}.Bytes();
+  auto message = [](UserId user) {
+    stream::Message m;
+    m.user = user;
+    m.keywords = {1, 2};
+    return m;
+  };
+
+  const std::unique_ptr<ParallelDetector> built = LoadBytes(bytes, nullptr);
+  ASSERT_NE(built, nullptr);
+  stream::Quantum quantum;
+  quantum.index = kTop - 1;
+  quantum.messages = {message(9)};
+  EXPECT_EQ(built->ProcessQuantum(quantum).quantum, kTop - 1);
+  quantum.index = kTop;
+  EXPECT_DEATH(built->ProcessQuantum(quantum), "quantum\\.index <");
+  EXPECT_EQ(built->next_quantum_index(), kTop);
+
+  const std::unique_ptr<ParallelDetector> pushed = LoadBytes(bytes, nullptr);
+  ASSERT_NE(pushed, nullptr);
+  const std::size_t delta = pushed->core().config().quantum_size;
+  for (std::size_t i = 0; i + 1 < delta; ++i) {
+    EXPECT_FALSE(pushed->Push(message(static_cast<UserId>(i))).has_value());
+  }
+  const std::optional<detect::QuantumReport> report = pushed->Push(message(9));
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->quantum, kTop - 1);
+  for (std::size_t i = 0; i + 1 < delta; ++i) {
+    EXPECT_FALSE(pushed->Push(message(static_cast<UserId>(i))).has_value());
+  }
+  EXPECT_DEATH(pushed->Push(message(9)), "next_index_ <");
+}
+
 TEST(CheckpointFuzzTest, RandomGarbageIsRejected) {
   Rng rng(0xFA11);
   for (int round = 0; round < 200; ++round) {

@@ -16,6 +16,9 @@
 // hash of durability::SaveSnapshot's bytes right after each of a few fixed
 // quanta closed. A refactor that must not change the snapshot (or WAL
 // segment) format fails here rather than in a manual `cmp`.
+//
+// golden_store.fingerprint pins the event store's files the same way: the
+// hashes of the single-pass golden store's page file and STOREMETA record.
 
 #include <unistd.h>
 
@@ -35,6 +38,8 @@
 #include "common/hash.h"
 #include "detect/report.h"
 #include "durability/backend.h"
+#include "durability/file_names.h"
+#include "durability/posix_file.h"
 #include "engine/parallel_detector.h"
 #include "store/event_indexer.h"
 #include "store/lsh_index.h"
@@ -410,9 +415,30 @@ TEST(GoldenQueryTest, StoreAnswersMatchCommittedDigestsAtAnyIngestPath) {
     digests = QueryDigests(*index, queries);
   }
 
+  // The closed single-pass store's bytes: line 0 hashes the page file,
+  // line 1 the STOREMETA record.
+  std::vector<std::uint64_t> store_hashes;
+  for (const std::string& name :
+       {durability::IndexFileName(1), std::string("STOREMETA")}) {
+    std::string bytes;
+    ASSERT_TRUE(
+        durability::ReadFileToString(serial_dir.path() + "/" + name, bytes))
+        << name;
+    store_hashes.push_back(HashBytes(bytes, 0));
+  }
+  const std::string store_path =
+      std::string(SCPRT_GOLDEN_DIR) + "/golden_store.fingerprint";
+
   if (UpdateMode()) {
     ASSERT_TRUE(WriteDigestFile(digest_path, digests));
+    ASSERT_TRUE(WriteDigestFile(store_path, store_hashes));
   } else {
+    std::vector<std::uint64_t> expected_store;
+    ASSERT_TRUE(ReadDigestFile(store_path, expected_store))
+        << "missing/corrupt " << store_path;
+    EXPECT_EQ(store_hashes, expected_store)
+        << "golden store bytes drifted — if intentional, regenerate with "
+           "SCPRT_UPDATE_GOLDEN=1 and explain in the PR";
     std::vector<std::uint64_t> expected;
     ASSERT_TRUE(ReadDigestFile(digest_path, expected))
         << "missing/corrupt " << digest_path;

@@ -153,7 +153,7 @@ TEST(LshIndexTest, QueryOutlivesTheWritingProcess) {
     ASSERT_FALSE(before.empty());
   }
   durability::Error error;
-  auto reader = LshIndex::OpenReadOnly(dir.path(), 32, &error);
+  auto reader = LshIndex::OpenReadOnly(dir.path(), 0, &error);
   ASSERT_NE(reader, nullptr) << error.ToString();
   std::vector<QueryResult> after;
   ASSERT_TRUE(reader->Query(Keywords("ev2", 5), 3, &after).ok());
@@ -489,7 +489,7 @@ TEST(LshIndexTest, ReadOnlyHandleQueriesAgainstALiveWriter) {
     int target = 0;
     while (!done.load(std::memory_order_acquire)) {
       durability::Error error;
-      auto index = LshIndex::OpenReadOnly(dir.path(), 16, &error);
+      auto index = LshIndex::OpenReadOnly(dir.path(), 0, &error);
       if (index == nullptr) {
         record("open", error);
         continue;

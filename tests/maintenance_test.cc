@@ -143,6 +143,7 @@ TEST(MaintainerTest, Figure5dEdgeRemovalShrinksCluster) {
   ScpMaintainer m;
   const NodeId n = 10;
   // Triangle {n,3,4} and 4-cycle n-1-2-3 sharing edge (3,n).
+  m.SetClock(7);
   m.AddEdge(3, 4);
   m.AddEdge(4, n);
   m.AddEdge(n, 3);
@@ -151,8 +152,13 @@ TEST(MaintainerTest, Figure5dEdgeRemovalShrinksCluster) {
   m.AddEdge(2, 3);
   ASSERT_EQ(m.clusters().size(), 1u);
   ASSERT_EQ(OnlyCluster(m).node_count(), 5u);
+  const ClusterId original = OnlyCluster(m).id();
+  m.SetClock(9);
   m.RemoveEdge(n, 1);
   const Cluster& c = OnlyCluster(m);
+  // The shrunk cluster is re-created: a fresh id, the original birth.
+  EXPECT_NE(c.id(), original);
+  EXPECT_EQ(c.born_at, 7);
   EXPECT_EQ(c.node_count(), 3u);  // {n, 3, 4}
   EXPECT_TRUE(c.ContainsNode(n));
   EXPECT_TRUE(c.ContainsNode(3));

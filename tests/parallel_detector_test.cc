@@ -4,6 +4,7 @@
 // or address-dependent order).
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,6 +131,21 @@ TEST(ParallelDetectorTest, LaterQuantumMustCarryTheNextIndex) {
   EXPECT_DEATH(detector.ProcessQuantum(quanta[1]),
                "quantum\\.index == quantizer_\\.next_index\\(\\)");
   EXPECT_EQ(detector.next_quantum_index(), 2);
+}
+
+// The top index leaves the clock no successor: a fresh engine refuses a
+// first quantum there before any state changes. (checkpoint_fuzz_test
+// covers a loaded clock that reaches it.)
+TEST(ParallelDetectorTest, RefusesTheQuantumWithoutASuccessor) {
+  const stream::SyntheticTrace trace = SmallTrace();
+  detect::DetectorConfig config;
+  config.quantum_size = 160;
+  ParallelDetector detector({config}, &trace.dictionary);
+  stream::Quantum top =
+      stream::SplitIntoQuanta(trace.messages, config.quantum_size)[0];
+  top.index = std::numeric_limits<QuantumIndex>::max();
+  EXPECT_DEATH(detector.ProcessQuantum(top), "quantum\\.index <");
+  EXPECT_EQ(detector.next_quantum_index(), 0);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// The paged-file / buffer-pool half of the event store's test battery:
-// a randomized property suite driving the pool's three invariants (a
-// pinned page is never evicted, a dirty page is written back before its
-// frame is reused, residency never exceeds the bound), the kBusy contract
-// when every frame is pinned, and a corruption fuzz sweep — truncations,
-// bit flips and forged CRCs over both the page file and STOREMETA must
-// surface as typed durability errors, never crashes (this suite runs in
-// the ASan+UBSan CI job, unlabeled so the sanitizers actually see it).
+// The paged-file half of the event store's test battery: page framing
+// (round trip, header damage, the page-number echo, one counted transfer
+// per read and write), a corruption fuzz sweep — truncations, bit flips
+// and forged CRCs over both the page file and STOREMETA must surface as
+// typed durability errors, never crashes — and crash recovery: an
+// uncommitted tail left in the file, and uncommitted page writes that
+// reached the file before the writer was dropped (this suite runs in the
+// ASan+UBSan CI job, unlabeled so the sanitizers actually see it).
 
 #include <unistd.h>
 
@@ -13,9 +13,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,7 +23,7 @@
 #include "common/random.h"
 #include "durability/error.h"
 #include "durability/file_names.h"
-#include "store/buffer_pool.h"
+#include "obs/registry.h"
 #include "store/lsh_index.h"
 #include "store/page_file.h"
 
@@ -210,160 +207,31 @@ TEST(PageFileTest, MisplacedPageFailsEcho) {
   EXPECT_EQ(error.code, ErrorCode::kCorrupt) << error.ToString();
 }
 
-// ---- BufferPool --------------------------------------------------------
-
-TEST(BufferPoolTest, BusyOnlyWhenEveryFrameIsPinned) {
-  TempDir dir("busy");
+TEST(PageFileTest, CountsEveryPageReadAndWrite) {
+  // No cache sits above the page file: each ReadPage and WritePage is one
+  // transfer, counted as such.
+  TempDir dir("pagecount");
   auto file = PageFile::Create(dir.File("t.pages"));
   ASSERT_NE(file, nullptr);
-  BufferPool pool(file.get(), 2);
+  obs::Counter* reads =
+      obs::Registry::Default().GetCounter("store.page_read");
+  obs::Counter* writes =
+      obs::Registry::Default().GetCounter("store.page_write");
+  const std::uint64_t reads_before = reads->Value();
+  const std::uint64_t writes_before = writes->Value();
 
-  PageHandle a, b, c;
-  ASSERT_TRUE(pool.NewPage(&a).ok());
-  ASSERT_TRUE(pool.NewPage(&b).ok());
-  EXPECT_EQ(pool.pinned(), 2u);
-  durability::Error error = pool.NewPage(&c);
-  EXPECT_EQ(error.code, ErrorCode::kBusy) << error.ToString();
-  EXPECT_FALSE(c.valid());
-
-  // Releasing one pin makes the same request succeed (the dirty victim is
-  // written back, not lost — verified by re-fetching it below).
-  const std::uint32_t released_page = a.page_no();
-  FillPattern(a.data(), released_page, 7);
-  a.MarkDirty();
-  a.Release();
-  ASSERT_TRUE(pool.NewPage(&c).ok());
-  EXPECT_LE(pool.resident(), pool.frames());
-
-  c.Release();
-  PageHandle again;
-  ASSERT_TRUE(pool.Fetch(released_page, &again).ok());
-  EXPECT_TRUE(MatchesPattern(again.data(), released_page, 7));
-}
-
-TEST(BufferPoolTest, NewPageIsZeroFilled) {
-  TempDir dir("zero");
-  auto file = PageFile::Create(dir.File("t.pages"));
-  ASSERT_NE(file, nullptr);
-  BufferPool pool(file.get(), 4);
-  PageHandle handle;
-  ASSERT_TRUE(pool.NewPage(&handle).ok());
-  for (std::size_t i = 0; i < kPagePayloadSize; ++i) {
-    ASSERT_EQ(handle.data()[i], 0) << "byte " << i;
+  char payload[kPagePayloadSize];
+  const std::uint32_t page = file->AllocatePage();
+  FillPattern(payload, page, 1);
+  ASSERT_TRUE(file->WritePage(page, payload).ok());
+  FillPattern(payload, page, 2);
+  ASSERT_TRUE(file->WritePage(page, payload).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(file->ReadPage(page, payload).ok());
+    EXPECT_TRUE(MatchesPattern(payload, page, 2));
   }
-}
-
-// The randomized property drive. A shadow map tracks every page's latest
-// written version; random fetch/write/release/flush/drop sequences must
-// keep the three pool invariants and end with the file byte-equal to the
-// shadow.
-TEST(BufferPoolTest, RandomizedOpsKeepInvariants) {
-  constexpr std::size_t kFrames = 8;
-  constexpr int kOpsPerSeed = 1'500;
-  for (std::uint64_t seed : {0xB00Cull, 0xF00Full, 0x5EEDull}) {
-    TempDir dir("prop" + std::to_string(seed));
-    auto file = PageFile::Create(dir.File("t.pages"));
-    ASSERT_NE(file, nullptr);
-    BufferPool pool(file.get(), kFrames);
-
-    Rng rng(seed);
-    std::map<std::uint32_t, std::uint32_t> shadow;  // page -> version
-    struct Held {
-      PageHandle handle;
-      std::uint32_t version;  // content the pin must keep stable
-    };
-    std::vector<Held> held;
-    std::uint32_t next_version = 1;
-
-    for (int op = 0; op < kOpsPerSeed; ++op) {
-      const std::uint64_t roll = rng.UniformInt(100);
-      if (roll < 15 || shadow.empty()) {
-        // New page, written and (usually) released immediately.
-        PageHandle handle;
-        durability::Error error = pool.NewPage(&handle);
-        if (error.code == ErrorCode::kBusy) {
-          ASSERT_EQ(pool.pinned(), kFrames) << "kBusy with a free frame";
-          continue;
-        }
-        ASSERT_TRUE(error.ok()) << error.ToString();
-        const std::uint32_t version = next_version++;
-        FillPattern(handle.data(), handle.page_no(), version);
-        handle.MarkDirty();
-        shadow[handle.page_no()] = version;
-        if (held.size() < kFrames - 1 && rng.Bernoulli(0.3)) {
-          held.push_back({std::move(handle), version});
-        }
-      } else if (roll < 55) {
-        // Fetch a known page; content must match the shadow exactly.
-        auto it = shadow.begin();
-        std::advance(it, rng.UniformInt(shadow.size()));
-        PageHandle handle;
-        durability::Error error = pool.Fetch(it->first, &handle);
-        if (error.code == ErrorCode::kBusy) {
-          ASSERT_EQ(pool.pinned(), kFrames);
-          continue;
-        }
-        ASSERT_TRUE(error.ok()) << error.ToString();
-        ASSERT_TRUE(MatchesPattern(handle.data(), it->first, it->second))
-            << "page " << it->first << " lost version " << it->second;
-        if (rng.Bernoulli(0.5)) {
-          // Overwrite with a fresh version.
-          const std::uint32_t version = next_version++;
-          FillPattern(handle.data(), it->first, version);
-          handle.MarkDirty();
-          it->second = version;
-          for (Held& h : held) {
-            if (h.handle.page_no() == it->first) h.version = version;
-          }
-        }
-        if (held.size() < kFrames - 1 && rng.Bernoulli(0.25)) {
-          const std::uint32_t version = shadow[handle.page_no()];
-          held.push_back({std::move(handle), version});
-        }
-      } else if (roll < 75 && !held.empty()) {
-        // Release a random held pin.
-        const std::size_t i = rng.UniformInt(held.size());
-        held[i] = std::move(held.back());
-        held.pop_back();
-      } else if (roll < 85) {
-        ASSERT_TRUE(pool.FlushAll().ok());
-        EXPECT_EQ(pool.dirty(), 0u);
-      } else {
-        // Flush + drop clean: every unpinned frame leaves; pinned pages
-        // must survive with their bytes intact (checked below).
-        ASSERT_TRUE(pool.FlushAll().ok());
-        pool.DropClean();
-        EXPECT_LE(pool.resident(), held.size() + pool.dirty());
-      }
-
-      // Invariants after every op.
-      ASSERT_LE(pool.resident(), kFrames);
-      std::set<std::uint32_t> distinct_pinned;
-      for (const Held& h : held) distinct_pinned.insert(h.handle.page_no());
-      ASSERT_EQ(pool.pinned(), distinct_pinned.size());
-      for (const Held& h : held) {
-        // The pin contract: the payload pointer stayed valid and the bytes
-        // did not move out from under us.
-        ASSERT_TRUE(
-            MatchesPattern(h.handle.data(), h.handle.page_no(), h.version))
-            << "pinned page " << h.handle.page_no() << " was evicted";
-      }
-    }
-
-    // Wind down: every dirty byte must reach the file.
-    held.clear();
-    ASSERT_TRUE(pool.FlushAll().ok());
-    file->Sync();
-
-    auto verify = PageFile::Open(file->path(), /*read_only=*/true);
-    ASSERT_NE(verify, nullptr);
-    char payload[kPagePayloadSize];
-    for (const auto& [page, version] : shadow) {
-      ASSERT_TRUE(verify->ReadPage(page, payload).ok()) << "page " << page;
-      EXPECT_TRUE(MatchesPattern(payload, page, version))
-          << "page " << page << " lost its last write (seed " << seed << ")";
-    }
-  }
+  EXPECT_EQ(writes->Value() - writes_before, 2u);
+  EXPECT_EQ(reads->Value() - reads_before, 3u);
 }
 
 // ---- Store corruption fuzz ---------------------------------------------
@@ -420,7 +288,7 @@ StoreFixture BuildStoreFixture() {
 /// every committed event was still reachable.
 bool ProbeStore(const std::string& directory, std::uint32_t committed) {
   durability::Error error;
-  auto index = LshIndex::OpenReadOnly(directory, 16, &error);
+  auto index = LshIndex::OpenReadOnly(directory, 0, &error);
   if (index == nullptr) {
     EXPECT_NE(error.code, ErrorCode::kNone)
         << "open failed without a typed error";
@@ -513,20 +381,20 @@ TEST(StoreFuzzTest, MetaDamageIsTyped) {
     std::string bytes = f.meta_bytes;
     bytes[0] ^= 0x55;
     WriteAll(f.meta_path, bytes);
-    EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 16, &error), nullptr);
+    EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 0, &error), nullptr);
     EXPECT_EQ(error.code, ErrorCode::kBadMagic) << error.ToString();
   }
   {  // Future version.
     std::string bytes = f.meta_bytes;
     bytes[8] = 99;
     WriteAll(f.meta_path, bytes);
-    EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 16, &error), nullptr);
+    EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 0, &error), nullptr);
     EXPECT_EQ(error.code, ErrorCode::kVersionSkew) << error.ToString();
   }
   // Every truncation of the meta file is rejected.
   for (std::size_t cut = 0; cut < f.meta_bytes.size(); ++cut) {
     WriteAll(f.meta_path, f.meta_bytes.substr(0, cut));
-    EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 16, &error), nullptr)
+    EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 0, &error), nullptr)
         << "meta truncated to " << cut << " accepted";
     EXPECT_NE(error.code, ErrorCode::kNone);
   }
@@ -541,12 +409,12 @@ TEST(StoreFuzzTest, MetaDamageIsTyped) {
         (1u << rng.UniformInt(8)));
     if (bytes == f.meta_bytes) continue;
     WriteAll(f.meta_path, bytes);
-    EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 16, &error), nullptr)
+    EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 0, &error), nullptr)
         << "meta bit flip at " << offset << " accepted";
   }
   // Missing meta entirely: typed, not a crash.
   fs::remove(f.meta_path);
-  EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 16, &error), nullptr);
+  EXPECT_EQ(LshIndex::OpenReadOnly(f.dir.path(), 0, &error), nullptr);
   EXPECT_EQ(error.code, ErrorCode::kIo) << error.ToString();
 
   WriteAll(f.meta_path, f.meta_bytes);
@@ -563,7 +431,6 @@ TEST(StoreFuzzTest, WriterRecoversFromUncommittedTail) {
   WriteAll(f.pages_path, bytes);
 
   LshOptions options;
-  options.pool_frames = 16;
   options.sync = false;
   durability::Error error;
   auto index = LshIndex::Open(f.dir.path(), options, &error);
@@ -596,6 +463,75 @@ TEST(StoreFuzzTest, WriterRecoversFromUncommittedTail) {
           .ok());
   ASSERT_FALSE(results.empty());
   EXPECT_EQ(results[0].event.cluster_id, 5u);
+}
+
+TEST(StoreFuzzTest, UncommittedPageWritesStayInvisible) {
+  // Every page write reaches the file when it is made, so a writer dropped
+  // between commits leaves its uncommitted inserts in the page file. Only
+  // STOREMETA decides what is visible: a reader and a reopened writer
+  // both see exactly the committed events.
+  TempDir dir("uncommitted");
+  auto keywords = [](std::uint64_t c) {
+    std::vector<std::string> set;
+    for (int k = 0; k < 4; ++k) {
+      set.push_back('u' + std::to_string(c) + '_' + std::to_string(k));
+    }
+    return set;
+  };
+  constexpr std::uint64_t kCommitted = 40;
+  constexpr std::uint64_t kUncommitted = 20;
+  LshOptions options;
+  options.sync = false;
+  const std::string pages_path =
+      (fs::path(dir.path()) / durability::IndexFileName(1)).string();
+  std::string committed_bytes;
+  {
+    auto writer = LshIndex::Create(dir.path(), options);
+    ASSERT_NE(writer, nullptr);
+    for (std::uint64_t c = 0; c < kCommitted + kUncommitted; ++c) {
+      if (c == kCommitted) {
+        ASSERT_TRUE(writer->Commit().ok());
+        committed_bytes = ReadAll(pages_path);
+      }
+      ASSERT_TRUE(writer
+                      ->Insert(c, static_cast<std::int64_t>(c), 0, 1.0, 5,
+                               keywords(c), {}, 0)
+                      .ok());
+    }
+  }  // dropped without a commit
+  ASSERT_NE(ReadAll(pages_path), committed_bytes)
+      << "the uncommitted inserts never reached the page file";
+
+  durability::Error error;
+  auto reader = LshIndex::OpenReadOnly(dir.path(), 0, &error);
+  ASSERT_NE(reader, nullptr) << error.ToString();
+  EXPECT_EQ(reader->committed_events(), kCommitted);
+  std::vector<QueryResult> results;
+  for (std::uint64_t c = 0; c < kCommitted + kUncommitted; ++c) {
+    ASSERT_TRUE(reader->Query(keywords(c), 5, &results).ok());
+    if (c < kCommitted) {
+      ASSERT_FALSE(results.empty()) << "committed event " << c << " lost";
+      EXPECT_EQ(results[0].event.cluster_id, c);
+      EXPECT_DOUBLE_EQ(results[0].jaccard, 1.0);
+    }
+    for (const QueryResult& result : results) {
+      EXPECT_LT(result.event.cluster_id, kCommitted)
+          << "uncommitted event " << result.event.cluster_id << " surfaced";
+    }
+  }
+
+  auto writer = LshIndex::Open(dir.path(), options, &error);
+  ASSERT_NE(writer, nullptr) << error.ToString();
+  EXPECT_EQ(writer->committed_events(), kCommitted);
+  EXPECT_EQ(writer->next_event_id(), kCommitted);
+  ASSERT_TRUE(writer->Insert(500, 500, 0, 2.0, 9, {"late_a", "late_b"}, {}, 0)
+                  .ok());
+  ASSERT_TRUE(writer->Commit().ok());
+  ASSERT_TRUE(writer->Query({"late_a", "late_b"}, 5, &results).ok());
+  ASSERT_FALSE(results.empty());
+  EXPECT_EQ(results[0].event.event_id, kCommitted);
+  EXPECT_EQ(results[0].event.cluster_id, 500u);
+  EXPECT_DOUBLE_EQ(results[0].jaccard, 1.0);
 }
 
 }  // namespace

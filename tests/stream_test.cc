@@ -1,6 +1,7 @@
 // Tests for stream/: quantizer, sliding window, event profiles, synthetic
 // generator, trace serialization.
 
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -43,6 +44,23 @@ TEST(QuantizerTest, FlushEmitsPartial) {
   ASSERT_TRUE(partial.has_value());
   EXPECT_EQ(partial->messages.size(), 2u);
   EXPECT_FALSE(q.Flush().has_value());
+}
+
+TEST(QuantizerTest, RefusesToCloseAQuantumAtTheTopIndex) {
+  // The top index leaves the clock no successor: the quantum one short of
+  // it closes, and the next one aborts in Push and in Flush alike.
+  constexpr QuantumIndex kTop = std::numeric_limits<QuantumIndex>::max();
+  Quantizer q(2);
+  q.SetNextIndex(kTop - 1);
+  q.Push(MakeMessage(0));
+  auto last = q.Push(MakeMessage(1));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->index, kTop - 1);
+  EXPECT_EQ(q.next_index(), kTop);
+  q.Push(MakeMessage(2));
+  EXPECT_DEATH(q.Push(MakeMessage(3)), "next_index_ <");
+  EXPECT_DEATH(q.Flush(), "next_index_ <");
+  EXPECT_EQ(q.next_index(), kTop);
 }
 
 TEST(QuantizerTest, SplitIntoQuanta) {
